@@ -44,6 +44,7 @@ from .quadrature import (
     QuadConfig,
     IntegralEstimate,
     IntegrationError,
+    NodeBudgetError,
     integrate,
     integrate_pair,
     integrate_many,

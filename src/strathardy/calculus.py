@@ -106,12 +106,16 @@ def halfspace_preset(dim, name: str, d: float = 0.0) -> HalfSpace:
 
 
 class ScalarField:
-    """A scalar function with optional exact gradient and support box.
+    """A scalar function with optional exact gradient and support.
 
     ``fn`` maps an (M, n) array to (M,); ``grad_fn``, if given, maps
     (M, n) to (M, n).  If ``support_box`` is set (an (n, 2) array of
     [lo, hi] rows), the evaluator must return 0 outside it; constructors in
-    this package guarantee that.
+    this package guarantee that.  If ``support`` is set, it maps (M, n)
+    points to an (M,) bool mask, and the field and its gradient must be
+    exactly 0.0 wherever the mask is False: quadrature skips those nodes
+    (see :func:`~strathardy.quadrature.integrate_many`).  ``None`` means
+    the support is not known beyond ``support_box``.
     """
 
     def __init__(
@@ -121,6 +125,7 @@ class ScalarField:
         grad_fn: Callable[[np.ndarray], np.ndarray] | None = None,
         support_box: np.ndarray | None = None,
         label: str = "field",
+        support: Callable[[np.ndarray], np.ndarray] | None = None,
     ):
         self.dim = int(dim)
         self._fn = fn
@@ -129,6 +134,7 @@ class ScalarField:
         if self.support_box is not None and self.support_box.shape != (self.dim, 2):
             raise ValueError(f"support_box must have shape ({self.dim}, 2)")
         self.label = label
+        self.support = support
 
     @property
     def has_exact_grad(self) -> bool:
@@ -176,6 +182,7 @@ class ScalarField:
             grad_fn=grad,
             support_box=self.support_box,
             label=f"{factor!r}*{self.label}",
+            support=self.support,
         )
 
 

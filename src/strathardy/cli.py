@@ -3,8 +3,9 @@
 Subcommands run one experiment family each and write a CSV or JSON report
 (stdout by default, a file with --out).  Exit codes: 0 when every checked
 contract holds within tolerance, 2 when a contract is violated, 3 for
-configuration errors.  All randomness is counter-based and derived from
-the seed, so identical configurations produce byte-identical reports.
+configuration errors, a quadrature over its node budget among them.  All
+randomness is counter-based and derived from the seed, so identical
+configurations produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ import argparse
 import sys
 
 from . import experiments
-from .config import ConfigError, build_trials, load_config, resolve
+from .config import ConfigError, as_integer, build_trials, load_config, resolve
 from .identities import run_identity_suite
+from .quadrature import NodeBudgetError
 from .reports import Report, config_digest, render_csv, render_json
 from .trials import boundary_bump_spec
 
@@ -32,10 +34,15 @@ COMMANDS = (
 
 def _run_identities(group, hs, quad, cfg, digest):
     try:
-        indices = tuple(int(i) for i in cfg["identity_indices"])
-        points = int(cfg["identity_points"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad identity settings: {exc}") from exc
+        raw_indices = list(cfg["identity_indices"])
+    except TypeError as exc:
+        raise ConfigError(f"identity_indices must be a list: {exc}") from exc
+    indices = tuple(as_integer(i, "identity_indices entry") for i in raw_indices)
+    points = as_integer(cfg["identity_points"], "identity_points")
+    if any(i < 1 for i in indices):
+        raise ConfigError(f"identity_indices must be Heisenberg indices >= 1, got {list(indices)}")
+    if points < 1:
+        raise ConfigError(f"identity_points must be positive, got {points}")
     checks = run_identity_suite(indices=indices, points=points, seed=cfg["seed"])
     reports = []
     for c in checks:
@@ -161,10 +168,9 @@ def _run_sobolev(group, hs, quad, cfg, digest):
 
 
 def _run_bft(group, hs, quad, cfg, digest):
-    try:
-        samples = int(cfg["samples"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad samples value: {exc}") from exc
+    samples = as_integer(cfg["samples"], "samples")
+    if samples < 1:
+        raise ConfigError(f"samples must be positive, got {samples}")
     report = experiments.bft_fuzz(samples=samples, seed=cfg["seed"], config_digest=digest)
     return [report], report.quotient == 0.0
 
@@ -221,7 +227,7 @@ def main(argv=None) -> int:
         resolved["command"] = args.command
         digest = config_digest(resolved)
         reports, ok = _RUNNERS[args.command](group, hs, quad, resolved, digest)
-    except ConfigError as exc:
+    except (ConfigError, NodeBudgetError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 3
     text = (

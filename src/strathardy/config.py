@@ -34,11 +34,25 @@ from .groups import GroupSpec, group_from_name
 from .quadrature import QuadConfig
 from .trials import make_bump, random_interior_bumps
 
-__all__ = ["ConfigError", "DEFAULT_CONFIG", "load_config", "resolve"]
+__all__ = ["ConfigError", "DEFAULT_CONFIG", "as_integer", "load_config", "resolve"]
 
 
 class ConfigError(ValueError):
     """Bad configuration file or values; mapped to exit code 3."""
+
+
+def as_integer(value, name: str) -> int:
+    """A count or seed from the config as an int.
+
+    A float is accepted only when it is integral (16.0 is 16); 2.7 is
+    rejected rather than truncated.
+    """
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from exc
 
 
 DEFAULT_CONFIG = {
@@ -114,10 +128,7 @@ def resolve(config: dict, seed: int | None = None):
     cfg = deepcopy(config)
     if seed is not None:
         cfg["seed"] = int(seed)
-    try:
-        cfg["seed"] = int(cfg["seed"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"seed must be an integer: {cfg['seed']!r}") from exc
+    cfg["seed"] = as_integer(cfg["seed"], "seed")
 
     try:
         group = group_from_name(str(cfg["group"]))
@@ -147,11 +158,13 @@ def resolve(config: dict, seed: int | None = None):
         raise ConfigError(f"bad halfspace block: {exc}") from exc
 
     qblock = cfg["quadrature"]
+    points_per_axis = as_integer(qblock["points_per_axis"], "quadrature.points_per_axis")
+    sample_count = as_integer(qblock["sample_count"], "quadrature.sample_count")
     try:
         quad = QuadConfig(
             method=str(qblock["method"]),
-            points_per_axis=int(qblock["points_per_axis"]),
-            sample_count=int(qblock["sample_count"]),
+            points_per_axis=points_per_axis,
+            sample_count=sample_count,
             seed=cfg["seed"],
             grading_exponent=float(qblock["grading_exponent"]),
         )
@@ -174,10 +187,11 @@ def build_trials(group: GroupSpec, hs: HalfSpace, cfg: dict):
     family = block.get("family", "bump")
     if family != "bump":
         raise ConfigError(f"unknown trial family {family!r}")
+    count = as_integer(block["count"], "trials.count")
     try:
         specs = random_interior_bumps(
             hs,
-            count=int(block["count"]),
+            count=count,
             seed=cfg["seed"],
             radius_range=tuple(float(r) for r in block["radius"]),
             region_halfwidth=float(block["region"]),

@@ -159,7 +159,7 @@ def hardy_quotient(
     cfg = cfg or QuadConfig()
     box = _resolve_box(u, box)
     num, den = integrate_many(
-        [_hgrad_norm_p(spec, u, p), _weight_p(spec, hs, u, p)], box, hs, cfg
+        [_hgrad_norm_p(spec, u, p), _weight_p(spec, hs, u, p)], box, hs, cfg, support=u.support
     )
     if den.value <= 0.0:
         raise ValueError(
@@ -219,7 +219,7 @@ def general_hardy_margin(
 
         integrands.append(t2_integrand)
 
-    results = integrate_many(integrands, box, hs, cfg)
+    results = integrate_many(integrands, box, hs, cfg, support=u.support)
     t0, t1 = results[0], results[1]
     t2 = results[2] if not p_harmonic else IntegralEstimate(0.0, 0.0, t1.evaluations)
     if t1.value <= 0.0:
@@ -288,6 +288,7 @@ def remainder_check(
         box,
         hs,
         cfg,
+        support=u.support,
     )
     sharp = sharp_hardy_constant(p)
     cp = remainder_constant(p)
@@ -341,6 +342,7 @@ def hardy_sobolev_ratio(
         box,
         hs,
         cfg,
+        support=u.support,
     )
     sharp = sharp_hardy_constant(p)
     energy = t0.value - sharp * t1.value
@@ -409,7 +411,7 @@ def luan_young_check(
         return (np.sum(x * x, axis=1) + np.sum(y * y, axis=1)) * (u.values(pts) / t) ** 2
 
     num, den = integrate_many(
-        [_hgrad_norm_p(spec, u, 2.0), weight_integrand], box, hs, cfg
+        [_hgrad_norm_p(spec, u, 2.0), weight_integrand], box, hs, cfg, support=u.support
     )
     if den.value <= 0.0:
         raise ValueError(

@@ -26,9 +26,17 @@ Three methods share one node-set abstraction:
     reproducible bit for bit regardless of how the host schedules work.
 
 Nodes with dist <= 0 are never evaluated: their weight is zero and the
-integrand is only called on weight-carrying nodes.  ``evaluations`` in the
-returned estimate counts the nodes considered.  A non-finite integrand
-value raises IntegrationError naming the offending point.
+integrand is only called on weight-carrying nodes.  Given a ``support``
+predicate, the integrand is called only on weight-carrying nodes inside it;
+the caller guarantees that the integrand is exactly 0.0 outside
+``support``, so skipping those nodes changes no value and no stderr.
+``evaluations`` in the returned estimate counts the nodes considered.  A
+non-finite integrand value raises IntegrationError naming the offending
+point.
+
+No rule builds more than 2e7 nodes in one node set (the fine set, or its
+coarse companion): the count is worked out before anything is allocated,
+and a larger request raises NodeBudgetError.
 """
 
 from __future__ import annotations
@@ -45,6 +53,7 @@ __all__ = [
     "QuadConfig",
     "IntegralEstimate",
     "IntegrationError",
+    "NodeBudgetError",
     "integrate",
     "integrate_pair",
     "integrate_many",
@@ -55,6 +64,7 @@ _CHUNK = 1 << 16
 _PANEL_RATIO = 0.5
 _PANEL_ORDER = 8
 _EVAL_CHUNK = 1 << 20
+_NODE_BUDGET = 20_000_000
 
 
 @dataclass(frozen=True)
@@ -95,6 +105,18 @@ class IntegrationError(ValueError):
     def __init__(self, message: str, point: np.ndarray | None = None):
         super().__init__(message)
         self.point = point
+
+
+class NodeBudgetError(ValueError):
+    """Raised before allocation when a node set would exceed the node budget."""
+
+
+def _check_budget(count: int, rule: str) -> None:
+    if count > _NODE_BUDGET:
+        raise NodeBudgetError(
+            f"{rule} would build {count} nodes, more than the budget of {_NODE_BUDGET}; "
+            "lower points_per_axis or sample_count"
+        )
 
 
 @lru_cache(maxsize=64)
@@ -169,11 +191,7 @@ def _tensor_product(nodes_1d, weights_1d):
 
 def _tensor_gauss_nodes(box, hs, ppa) -> tuple[np.ndarray, np.ndarray]:
     n = box.shape[0]
-    if ppa**n > 20_000_000:
-        raise ValueError(
-            f"tensor-gauss with {ppa} points per axis in {n} dimensions is too large; "
-            "lower points_per_axis or use boundary-graded"
-        )
+    _check_budget(ppa**n, f"tensor-gauss with {ppa} points per axis in {n} dimensions")
     pts, w = _tensor_product(*_tensor_gauss_axes(box, [ppa] * n))
     w = np.where(hs.distance(pts) > 0.0, w, 0.0)
     return pts, w
@@ -187,6 +205,7 @@ def _build_tensor_gauss(box, hs, cfg) -> _NodeSet:
 
 def _build_monte_carlo(box, hs, cfg) -> _NodeSet:
     n = box.shape[0]
+    _check_budget(cfg.sample_count, "monte-carlo")
     u = _philox_uniform(cfg.seed, cfg.sample_count, n)
     pts = box[:, 0] + u * (box[:, 1] - box[:, 0])
     vol = float(np.prod(box[:, 1] - box[:, 0]))
@@ -244,18 +263,23 @@ def _build_boundary_graded(box, hs, cfg, coarse_of=None) -> _NodeSet:
         order = None
         s_count = 2 * cfg.points_per_axis
 
-    kind = "det"
-    group_size = 1
+    kind = "det" if len(trans_axes) <= 4 else "mc"
+    if kind == "mc":
+        t_count = max(16, cfg.sample_count // s_count)
+    else:
+        t_count = cfg.points_per_axis ** len(trans_axes)
+    _check_budget(
+        t_count * s_count,
+        f"boundary-graded with {cfg.points_per_axis} points per axis in {n} dimensions",
+    )
+
     if not trans_axes:
         trans_pts = np.zeros((1, 0))
         trans_w = np.ones(1)
-    elif len(trans_axes) <= 4:
+    elif kind == "det":
         nodes_1d, weights_1d = _tensor_gauss_axes(box[trans_axes], [cfg.points_per_axis] * len(trans_axes))
         trans_pts, trans_w = _tensor_product(nodes_1d, weights_1d)
     else:
-        kind = "mc"
-        group_size = s_count
-        t_count = max(16, cfg.sample_count // s_count)
         u = _philox_uniform(cfg.seed, t_count, len(trans_axes))
         sub = box[trans_axes]
         trans_pts = sub[:, 0] + u * (sub[:, 1] - sub[:, 0])
@@ -316,10 +340,23 @@ def _build_nodes(box, hs, cfg) -> _NodeSet:
     return _build_monte_carlo(box, hs, cfg)
 
 
-def _evaluate(f, points, weights) -> np.ndarray:
-    """Evaluate f on weight-carrying nodes only; zeros elsewhere."""
+def _live_nodes(points, weights, support) -> np.ndarray:
+    """Indices of the weight-carrying nodes inside ``support`` (all if None).
+
+    The predicate runs on ``_EVAL_CHUNK`` slices so that its temporaries
+    stay as small as one integrand call's.
+    """
+    live = weights != 0.0
+    if support is not None:
+        for start in range(0, points.shape[0], _EVAL_CHUNK):
+            part = slice(start, start + _EVAL_CHUNK)
+            live[part] &= np.asarray(support(points[part]), dtype=bool)
+    return np.flatnonzero(live)
+
+
+def _evaluate(f, points, live) -> np.ndarray:
+    """Evaluate f at the node indices ``live`` only; zeros elsewhere."""
     values = np.zeros(points.shape[0])
-    (live,) = np.nonzero(weights != 0.0)
     for start in range(0, live.size, _EVAL_CHUNK):
         idx = live[start : start + _EVAL_CHUNK]
         vals = np.asarray(f(points[idx]), dtype=float)
@@ -334,8 +371,8 @@ def _evaluate(f, points, weights) -> np.ndarray:
     return values
 
 
-def _estimate(ns: _NodeSet, f) -> IntegralEstimate:
-    values = _evaluate(f, ns.points, ns.weights)
+def _estimate(ns: _NodeSet, f, live, coarse_live) -> IntegralEstimate:
+    values = _evaluate(f, ns.points, live)
     contrib = ns.weights * values
     value = float(np.sum(contrib))
     if ns.kind == "mc":
@@ -345,7 +382,7 @@ def _estimate(ns: _NodeSet, f) -> IntegralEstimate:
         stderr = float(np.sqrt(t) * np.std(lines, ddof=1)) if t > 1 else float("inf")
     else:
         cpts, cw = ns.coarse
-        cvals = _evaluate(f, cpts, cw)
+        cvals = _evaluate(f, cpts, coarse_live)
         stderr = abs(value - float(np.sum(cw * cvals)))
     return IntegralEstimate(value=value, stderr=stderr, evaluations=ns.evaluations)
 
@@ -364,11 +401,28 @@ def integrate_pair(f: Callable, g: Callable, box, hs: HalfSpace, cfg: QuadConfig
     return tuple(integrate_many([f, g], box, hs, cfg))
 
 
-def integrate_many(fs: Sequence[Callable], box, hs: HalfSpace, cfg: QuadConfig | None = None):
-    """Integrate several integrands on one shared node set."""
+def integrate_many(
+    fs: Sequence[Callable],
+    box,
+    hs: HalfSpace,
+    cfg: QuadConfig | None = None,
+    support: Callable[[np.ndarray], np.ndarray] | None = None,
+):
+    """Integrate several integrands on one shared node set.
+
+    ``support``, if given, maps (M, n) points to an (M,) bool mask, and
+    every integrand in ``fs`` must be exactly 0.0 where it is False (as
+    for an integrand with a factor of u or grad u, with ``u.support``).
+    The live nodes (weight-carrying and inside ``support``) are found once
+    per node set and shared by all integrands, which are called on live
+    nodes only.  The estimates equal those with ``support=None`` bit for
+    bit, ``evaluations`` included.
+    """
     cfg = cfg or QuadConfig()
     box = _as_box(box)
     if box.shape[0] != hs.dim:
         raise ValueError(f"box has {box.shape[0]} axes, half-space has {hs.dim}")
     ns = _build_nodes(box, hs, cfg)
-    return [_estimate(ns, f) for f in fs]
+    live = _live_nodes(ns.points, ns.weights, support)
+    coarse_live = None if ns.coarse is None else _live_nodes(*ns.coarse, support)
+    return [_estimate(ns, f, live, coarse_live) for f in fs]

@@ -72,7 +72,7 @@ class BumpSpec:
 
 
 def make_bump(spec: BumpSpec) -> ScalarField:
-    """Build the bump field with exact gradient and tight support box."""
+    """Build the bump field with exact gradient, tight support box and support mask."""
     center = np.asarray(spec.center, dtype=float)
     r = spec.radius
     powers = np.full(center.size, 2.0) if spec.powers is None else np.asarray(spec.powers, float)
@@ -80,6 +80,9 @@ def make_bump(spec: BumpSpec) -> ScalarField:
     def shape(points):
         z = (points - center) / r
         return np.sum(np.abs(z) ** powers, axis=1), z
+
+    def support(points):
+        return shape(points)[0] < 1.0
 
     def fn(points):
         s, _ = shape(points)
@@ -101,7 +104,9 @@ def make_bump(spec: BumpSpec) -> ScalarField:
         return out
 
     box = np.stack([center - r, center + r], axis=1)
-    return ScalarField(center.size, fn=fn, grad_fn=grad, support_box=box, label=spec.label())
+    return ScalarField(
+        center.size, fn=fn, grad_fn=grad, support_box=box, label=spec.label(), support=support
+    )
 
 
 def boundary_bump_spec(hs: HalfSpace, radius: float, powers=None) -> BumpSpec:
@@ -176,7 +181,10 @@ def inverse_ground_transform(v: ScalarField, hs: HalfSpace, p: float) -> ScalarF
 
 
 def _power_weighted(u: ScalarField, hs: HalfSpace, a: float, label: str) -> ScalarField:
-    """dist^a * u with exact gradient dist^a grad u + a dist^(a-1) u nu."""
+    """dist^a * u with exact gradient dist^a grad u + a dist^(a-1) u nu.
+
+    Both vanish wherever u and grad u do, so the result keeps u's support.
+    """
     nu = hs.nu
 
     def fn(points):
@@ -197,7 +205,9 @@ def _power_weighted(u: ScalarField, hs: HalfSpace, a: float, label: str) -> Scal
             out[inside] = di**a * ug + a * di ** (a - 1.0) * uv * nu
         return out
 
-    return ScalarField(u.dim, fn=fn, grad_fn=grad, support_box=u.support_box, label=label)
+    return ScalarField(
+        u.dim, fn=fn, grad_fn=grad, support_box=u.support_box, label=label, support=u.support
+    )
 
 
 @dataclass(frozen=True)

@@ -180,3 +180,61 @@ class TestOutput:
         d1 = hardy_out.strip().split("\n")[1].split(",")[9]
         d2 = sobolev_out.strip().split("\n")[1].split(",")[9]
         assert d1 != d2
+
+
+class TestRejectedConfigs:
+    """Configs that must exit 3 with one line on stderr and no report."""
+
+    @pytest.mark.parametrize(
+        "command, over",
+        [
+            # 64^4 x 128 nodes would be about 2.1e9; rejected before allocation
+            ("hardy", {"group": "heisenberg:2", "quadrature": {"points_per_axis": 64}}),
+            ("hardy", {"quadrature": {"method": "tensor-gauss", "points_per_axis": 300}}),
+            ("hardy", {"quadrature": {"method": "monte-carlo", "sample_count": 30_000_000}}),
+            ("hardy", {"group": "heisenberg:3", "quadrature": {"sample_count": 30_000_000}}),
+        ],
+    )
+    def test_node_budget(self, tmp_path, capsys, command, over):
+        code, out, err = run([command, "--config", write_config(tmp_path, **over)], capsys)
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and "budget" in err
+
+    @pytest.mark.parametrize(
+        "command, over, name",
+        [
+            ("hardy", {"seed": 1.5}, "seed"),
+            ("hardy", {"quadrature": {"points_per_axis": 2.7}}, "points_per_axis"),
+            ("hardy", {"quadrature": {"sample_count": 1000.9}}, "sample_count"),
+            ("hardy", {"trials": {"count": 2.5}}, "trials.count"),
+            ("bft-fuzz", {"samples": 1000.5}, "samples"),
+            ("identities", {"identity_points": 10.5}, "identity_points"),
+            ("identities", {"identity_indices": [1.5]}, "identity_indices"),
+            ("hardy", {"seed": float("inf")}, "seed"),
+        ],
+    )
+    def test_non_integral_counts(self, tmp_path, capsys, command, over, name):
+        code, out, err = run([command, "--config", write_config(tmp_path, **over)], capsys)
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and name in err and "integer" in err
+
+    @pytest.mark.parametrize(
+        "command, over, name",
+        [
+            ("bft-fuzz", {"samples": 0}, "samples"),
+            ("identities", {"identity_points": 0}, "identity_points"),
+            ("identities", {"identity_indices": [0]}, "identity_indices"),
+        ],
+    )
+    def test_zero_counts(self, tmp_path, capsys, command, over, name):
+        code, out, err = run([command, "--config", write_config(tmp_path, **over)], capsys)
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and name in err
+
+    def test_integral_floats_still_run(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path, seed=11.0, trials={"count": 2.0}, quadrature={"points_per_axis": 8.0}
+        )
+        code, out, _ = run(["hardy", "--config", path], capsys)
+        assert code == 0
+        assert len(out.strip().split("\n")) == 1 + 2

@@ -2,13 +2,23 @@ import numpy as np
 import pytest
 
 from strathardy import (
+    BumpSpec,
     HalfSpace,
     IntegrationError,
+    NodeBudgetError,
     QuadConfig,
+    ScalarField,
+    SharpnessSpec,
+    boundary_bump_spec,
+    ground_transform,
     halfspace_preset,
+    hardy_quotient,
+    heisenberg_group,
     integrate,
     integrate_many,
     integrate_pair,
+    make_bump,
+    sharpness_trial,
 )
 
 
@@ -236,3 +246,121 @@ class TestFailureModes:
         hs = far_halfspace()
         with pytest.raises((ValueError, IntegrationError)):
             integrate(lambda p: np.ones((len(p), 2)), UNIT_BOX, hs, QuadConfig())
+
+
+class TestNodeBudget:
+    # each request is rejected from its node count, before any allocation
+    @pytest.mark.parametrize(
+        "dim, cfg",
+        [
+            (3, QuadConfig(method="tensor-gauss", points_per_axis=300)),
+            (3, QuadConfig(method="monte-carlo", sample_count=20_000_001)),
+            # 64^4 transverse nodes x 128 s-nodes, about 2.1e9
+            (5, QuadConfig(points_per_axis=64)),
+            # the Monte Carlo transverse branch: 30e6 // 32 lines of 32 nodes
+            (7, QuadConfig(sample_count=30_000_000)),
+        ],
+    )
+    def test_over_budget_rejected(self, dim, cfg):
+        hs = HalfSpace(nu=np.r_[np.zeros(dim - 1), 1.0], d=-1.0)
+        box = np.tile([0.0, 1.0], (dim, 1))
+        with pytest.raises(NodeBudgetError, match="budget"):
+            integrate(lambda p: np.ones(len(p)), box, hs, cfg)
+
+    def test_h2_default_is_far_under_budget(self):
+        # the largest default rule: 16^4 x 32 nodes, plus the coarse companion
+        hs = halfspace_preset(5, "t-axis", -1.0)
+        box = np.tile([0.0, 1.0], (5, 1))
+        est = integrate(lambda p: np.ones(len(p)), box, hs, QuadConfig())
+        assert est.evaluations == 16**4 * 32
+
+
+def _bits(est):
+    return (est.value.hex(), est.stderr.hex(), est.evaluations)
+
+
+def _without_support(u):
+    return ScalarField(u.dim, fn=u.values, grad_fn=u.gradients, support_box=u.support_box)
+
+
+_T_AXIS = halfspace_preset(3, "t-axis", 0.0)
+_INTERIOR = BumpSpec(center=(0.1, -0.2, 0.8), radius=0.5)
+_ON_BOUNDARY = boundary_bump_spec(_T_AXIS, 0.6)
+_TRIALS = {
+    "bump": lambda spec: make_bump(spec),
+    "ground": lambda spec: ground_transform(make_bump(spec), _T_AXIS, 3.0),
+    "sharpness": lambda spec: sharpness_trial(SharpnessSpec(p=2.0, eps=0.2, cutoff=spec), _T_AXIS),
+    "scaled": lambda spec: make_bump(spec).scaled(7.0),
+}
+_RULES = {
+    "tensor-gauss": QuadConfig(method="tensor-gauss", points_per_axis=12),
+    "monte-carlo": QuadConfig(method="monte-carlo", sample_count=20_000, seed=5),
+    "boundary-graded": QuadConfig(points_per_axis=10),
+}
+
+
+def _integrands(u, hs):
+    # each has a factor of u or grad u, so it is exactly 0.0 outside u.support
+    return [
+        lambda p: np.sum(u.gradients(p) ** 2, axis=1),
+        lambda p: (np.abs(u.values(p)) / hs.distance(p)) ** 2,
+        lambda p: np.exp(p[:, 0]) * u.values(p),
+    ]
+
+
+class TestSupportMask:
+    @pytest.mark.parametrize("box_kind", ["interior", "boundary"])
+    @pytest.mark.parametrize("rule", sorted(_RULES))
+    @pytest.mark.parametrize("trial", sorted(_TRIALS))
+    def test_masked_equals_unmasked_bitwise(self, trial, rule, box_kind):
+        u = _TRIALS[trial](_INTERIOR if box_kind == "interior" else _ON_BOUNDARY)
+        assert u.support is not None
+        cfg = _RULES[rule]
+        fs = _integrands(u, _T_AXIS)
+        masked = integrate_many(fs, u.support_box, _T_AXIS, cfg, support=u.support)
+        plain = integrate_many(fs, u.support_box, _T_AXIS, cfg)
+        assert [_bits(e) for e in masked] == [_bits(e) for e in plain]
+        assert masked[0].value > 0.0
+
+    @pytest.mark.parametrize("rule", sorted(_RULES))
+    def test_integrand_never_sees_points_outside_support(self, rule):
+        u = make_bump(_ON_BOUNDARY)
+        seen = []
+
+        def spy(p):
+            seen.append(p.copy())
+            return u.values(p)
+
+        integrate_many([spy], u.support_box, _T_AXIS, _RULES[rule], support=u.support)
+        pts = np.concatenate(seen)
+        assert pts.shape[0] > 0
+        assert np.all(u.support(pts))
+        assert np.min(_T_AXIS.distance(pts)) > 0.0
+
+    def test_field_without_predicate_sees_every_weighted_node(self):
+        f = ScalarField(3, fn=lambda p: np.ones(len(p)), support_box=UNIT_BOX)
+        assert f.support is None
+        seen = []
+
+        def spy(p):
+            seen.append(len(p))
+            return f.values(p)
+
+        cfg = QuadConfig(method="tensor-gauss", points_per_axis=8)
+        (est,) = integrate_many([spy], UNIT_BOX, far_halfspace(), cfg, support=f.support)
+        # every node carries weight: 8^3 fine and 4^3 coarse
+        assert sum(seen) == 8**3 + 4**3
+        assert est.evaluations == 8**3
+
+    def test_infinite_p_fails_at_the_same_point(self):
+        # |grad_H u|^inf overflows inside the support; the first such node is
+        # the same whether or not the nodes outside it are skipped
+        h1 = heisenberg_group(1)
+        u = make_bump(_INTERIOR)
+        cfg = QuadConfig(points_per_axis=8)
+        with pytest.raises(IntegrationError) as masked:
+            hardy_quotient(h1, _T_AXIS, u, np.inf, cfg)
+        with pytest.raises(IntegrationError) as plain:
+            hardy_quotient(h1, _T_AXIS, _without_support(u), np.inf, cfg)
+        assert masked.value.point is not None
+        assert np.array_equal(masked.value.point, plain.value.point)

@@ -4,6 +4,7 @@ import pytest
 from strathardy import (
     BumpSpec,
     HalfSpace,
+    ScalarField,
     SharpnessSpec,
     boundary_bump_spec,
     ground_transform,
@@ -170,3 +171,35 @@ class TestSharpnessTrial:
         u = sharpness_trial(spec, hs)
         pts = rng.uniform(0.2, 0.7, size=(40, 3))
         assert np.max(np.abs(u.gradients(pts) - fd_gradients(u, pts))) < 1e-6
+
+
+class TestSupportPredicate:
+    def test_bump_support_matches_where_it_vanishes(self, rng):
+        spec = BumpSpec(center=(0.2, -0.1, 0.5), radius=0.4, powers=(2, 4, 2))
+        u = make_bump(spec)
+        pts = rng.uniform(-1.0, 1.0, size=(4000, 3)) * 0.45 + [0.2, -0.1, 0.5]
+        inside = u.support(pts)
+        assert inside.dtype == bool and inside.shape == (4000,)
+        z = (pts - np.array(spec.center)) / spec.radius
+        s = np.sum(np.abs(z) ** np.array([2.0, 4.0, 2.0]), axis=1)
+        assert np.array_equal(inside, s < 1.0)
+        assert 0 < np.count_nonzero(inside) < len(pts)
+        assert np.all(u.values(pts[~inside]) == 0.0)
+        assert np.all(u.gradients(pts[~inside]) == 0.0)
+
+    def test_derived_trials_keep_the_bump_support(self):
+        hs = halfspace_preset(3, "t-axis", 0.0)
+        spec = BumpSpec(center=(0.0, 0.0, 0.7), radius=0.5)
+        u = make_bump(spec)
+        v = ground_transform(u, hs, 2.0)
+        assert v.support is u.support
+        assert inverse_ground_transform(v, hs, 2.0).support is u.support
+        assert u.scaled(7.0).support is u.support
+        w = sharpness_trial(SharpnessSpec(p=2.0, eps=0.1, cutoff=spec), hs)
+        pts = np.array([[0.0, 0.0, 0.7], [0.0, 0.0, 1.3], [0.45, 0.0, 0.7]])
+        assert np.array_equal(w.support(pts), u.support(pts))
+
+    def test_hand_built_field_has_no_predicate(self):
+        f = ScalarField(2, fn=lambda p: np.ones(len(p)))
+        assert f.support is None
+        assert f.scaled(2.0).support is None
