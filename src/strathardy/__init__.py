@@ -22,22 +22,17 @@ from .calculus import (
     pairing_polynomials,
     field_pairings,
     horizontal_from_euclidean,
-    apply_field,
     apply_field_to_polynomial,
-    horizontal_gradient,
     horizontal_gradient_many,
-    boundary_distance,
-    angle_function,
     angle_function_many,
+    TrialSample,
+    sample_trial,
     angle_gradient_many,
-    identity_Xi_pairing,
     identity_Xi_pairing_many,
     sub_laplacian_distance_polynomial,
     distance_flux_parts,
-    p_sub_laplacian,
     p_sub_laplacian_fd_many,
     p_sub_laplacian_distance_many,
-    orthogonality_identity,
     orthogonality_identity_many,
 )
 from .quadrature import (
@@ -45,14 +40,13 @@ from .quadrature import (
     IntegralEstimate,
     IntegrationError,
     NodeBudgetError,
-    integrate,
-    integrate_pair,
     integrate_many,
 )
 from .trials import (
     BumpSpec,
     make_bump,
     ground_transform,
+    ground_gradient,
     inverse_ground_transform,
     SharpnessSpec,
     sharpness_trial,

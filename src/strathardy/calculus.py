@@ -4,7 +4,10 @@ Everything here comes in two routes wherever that is possible: an exact
 route through the polynomial coefficient tables (pairings, divergences,
 closed-form derivatives of the distance) and a finite-difference route that
 knows nothing about the tables.  The two routes are compared in the test
-suite; production callers can pick whichever fits.
+suite.  Every operation takes an (M, n) array of points and returns one
+value or row per point.  :func:`sample_trial` evaluates a trial function
+and the half-space geometry once at a batch of quadrature nodes; the
+experiments' integrands are array expressions over that sample.
 
 Finite differences are central with default step ``H_STEP`` scaled per
 point by max(1, |x|_inf).  The nested divergence in the p-sub-Laplacian
@@ -31,22 +34,17 @@ __all__ = [
     "pairing_polynomials",
     "field_pairings",
     "horizontal_from_euclidean",
-    "apply_field",
     "apply_field_to_polynomial",
-    "horizontal_gradient",
     "horizontal_gradient_many",
-    "boundary_distance",
-    "angle_function",
     "angle_function_many",
-    "identity_Xi_pairing",
+    "TrialSample",
+    "sample_trial",
     "identity_Xi_pairing_many",
     "sub_laplacian_distance_polynomial",
     "distance_flux_parts",
     "p_sub_laplacian_distance_many",
-    "p_sub_laplacian",
     "p_sub_laplacian_fd_many",
     "angle_gradient_many",
-    "orthogonality_identity",
     "orthogonality_identity_many",
 ]
 
@@ -55,8 +53,6 @@ H_STEP = 1e-4
 
 def _fd_scale(points: np.ndarray) -> np.ndarray:
     """Per-point step scale max(1, |x|_inf); keeps steps sane far from 0."""
-    if points.ndim == 1:
-        return max(1.0, float(np.max(np.abs(points)))) if points.size else 1.0
     if points.shape[1] == 0:
         return np.ones(points.shape[0])
     return np.maximum(1.0, np.max(np.abs(points), axis=1))
@@ -64,7 +60,8 @@ def _fd_scale(points: np.ndarray) -> np.ndarray:
 
 @dataclass
 class HalfSpace:
-    """The set ``<x, nu> > d`` for a unit normal nu; nu is normalized on init."""
+    """The set ``<x, nu> > d`` for a unit normal nu; nu is normalized on init
+    and d must be finite."""
 
     nu: np.ndarray
     d: float = 0.0
@@ -76,6 +73,8 @@ class HalfSpace:
             raise ValueError("half-space normal must be nonzero and finite")
         self.nu = nu / norm
         self.d = float(self.d)
+        if not np.isfinite(self.d):
+            raise ValueError(f"half-space offset d must be finite, got {self.d!r}")
 
     @property
     def dim(self) -> int:
@@ -149,9 +148,6 @@ class ScalarField:
     def values(self, points) -> np.ndarray:
         return np.asarray(self._fn(self._as_points(points)), dtype=float)
 
-    def value(self, x) -> float:
-        return float(self.values(np.asarray(x, float).reshape(1, -1))[0])
-
     def gradients(self, points, h: float = H_STEP) -> np.ndarray:
         """Exact gradients when available, else central differences."""
         points = self._as_points(points)
@@ -166,9 +162,6 @@ class ScalarField:
             dn = self._fn(points - steps[:, None] * shift)
             out[:, j] = (np.asarray(up) - np.asarray(dn)) / (2.0 * steps)
         return out
-
-    def gradient(self, x, h: float = H_STEP) -> np.ndarray:
-        return self.gradients(np.asarray(x, float).reshape(1, -1), h)[0]
 
     def scaled(self, factor: float) -> "ScalarField":
         """The field factor * self, with the gradient scaled to match."""
@@ -252,23 +245,6 @@ def horizontal_from_euclidean(spec: GroupSpec, points, grads) -> np.ndarray:
     return out
 
 
-def apply_field(spec: GroupSpec, k: int, f: ScalarField, x, h: float = H_STEP) -> float:
-    """X_k f at a point: directional derivative along the frozen field vector."""
-    if not 0 <= k < spec.horizontal_dim:
-        raise ValueError(f"horizontal index {k} out of range")
-    x = np.asarray(x, dtype=float).reshape(-1)
-    v = np.zeros(spec.total_dim)
-    v[k] = 1.0
-    for slot, poly in spec.coeffs[k]:
-        v[slot] = poly(x)
-    if f.has_exact_grad:
-        return float(v @ f.gradient(x))
-    s = h * _fd_scale(x)
-    pts = np.stack([x + s * v, x - s * v])
-    up, dn = f.values(pts)
-    return float((up - dn) / (2.0 * s))
-
-
 def apply_field_to_polynomial(spec: GroupSpec, k: int, g: Polynomial) -> Polynomial:
     """X_k g for a polynomial g, computed exactly in the polynomial ring."""
     if not 0 <= k < spec.horizontal_dim:
@@ -281,35 +257,53 @@ def apply_field_to_polynomial(spec: GroupSpec, k: int, g: Polynomial) -> Polynom
     return out
 
 
-def horizontal_gradient(spec: GroupSpec, f: ScalarField, x, h: float = H_STEP) -> np.ndarray:
-    """The horizontal gradient (X_1 f, ..., X_N f) at one point."""
-    return horizontal_gradient_many(spec, f, np.asarray(x, float).reshape(1, -1), h)[0]
-
-
 def horizontal_gradient_many(
     spec: GroupSpec, f: ScalarField, points, h: float = H_STEP
 ) -> np.ndarray:
+    """The horizontal gradients (X_1 f, ..., X_N f) at (M, n) points; (M, N)."""
     points = np.asarray(points, dtype=float)
     return horizontal_from_euclidean(spec, points, f.gradients(points, h))
 
 
-def boundary_distance(hs: HalfSpace, x) -> float:
-    return float(hs.distance(np.asarray(x, dtype=float)))
-
-
-def angle_function(spec: GroupSpec, hs: HalfSpace, x) -> float:
-    """The horizontal norm of the distance gradient at one point."""
-    return float(angle_function_many(spec, hs, np.asarray(x, float).reshape(1, -1))[0])
-
-
 def angle_function_many(spec: GroupSpec, hs: HalfSpace, points) -> np.ndarray:
+    """The angle function W, the horizontal norm of the distance gradient."""
     pair = field_pairings(spec, hs, points)
     return np.sqrt(np.sum(pair * pair, axis=1))
 
 
-def identity_Xi_pairing(spec: GroupSpec, hs: HalfSpace, x, h: float = H_STEP) -> float:
-    """Max over k of |<X_k(x), nu> - FD X_k <., nu>|; should be ~0."""
-    return float(identity_Xi_pairing_many(spec, hs, np.asarray(x, float).reshape(1, -1), h)[0])
+@dataclass(frozen=True)
+class TrialSample:
+    """A trial function u and the half-space geometry at a batch of points.
+
+    Rows follow ``points`` (M, n): ``dist`` is the boundary distance, ``w``
+    the angle function, ``u`` the trial's values, ``grad`` its Euclidean
+    gradient (M, n) and ``hgrad`` its horizontal gradient (M, N).
+    ``len(sample)`` is M.
+    """
+
+    points: np.ndarray
+    dist: np.ndarray
+    w: np.ndarray
+    u: np.ndarray
+    grad: np.ndarray
+    hgrad: np.ndarray
+
+    def __len__(self) -> int:
+        return self.points.shape[0]
+
+
+def sample_trial(spec: GroupSpec, hs: HalfSpace, u: ScalarField, points) -> TrialSample:
+    """Evaluate u, its gradients, dist and W once at (M, n) points."""
+    points = np.asarray(points, dtype=float)
+    grad = u.gradients(points)
+    return TrialSample(
+        points=points,
+        dist=hs.distance(points),
+        w=angle_function_many(spec, hs, points),
+        u=u.values(points),
+        grad=grad,
+        hgrad=horizontal_from_euclidean(spec, points, grad),
+    )
 
 
 def identity_Xi_pairing_many(
@@ -399,23 +393,15 @@ def p_sub_laplacian_distance_many(
     return out
 
 
-def p_sub_laplacian(
-    spec: GroupSpec, f: ScalarField, x, p: float, h: float = H_STEP
-) -> float:
-    """Generic nested-FD p-sub-Laplacian sum_k X_k(|grad_H f|^(p-2) X_k f).
+def p_sub_laplacian_fd_many(
+    spec: GroupSpec, f: ScalarField, points, p: float, h: float = H_STEP
+) -> np.ndarray:
+    """Generic nested-FD p-sub-Laplacian sum_k X_k(|grad_H f|^(p-2) X_k f)
+    at (M, n) points.
 
     For p < 2 a vanishing horizontal gradient at any probe point makes the
     flux singular; the result is then nan rather than a fake number.
     """
-    return float(
-        p_sub_laplacian_fd_many(spec, f, np.asarray(x, float).reshape(1, -1), p, h)[0]
-    )
-
-
-def p_sub_laplacian_fd_many(
-    spec: GroupSpec, f: ScalarField, points, p: float, h: float = H_STEP
-) -> np.ndarray:
-    """Batch nested-FD p-sub-Laplacian at (M, n) points."""
     if p <= 1:
         raise ValueError("p must exceed 1")
     points = np.asarray(points, dtype=float)
@@ -480,17 +466,13 @@ def angle_gradient_many(n: int, hs: HalfSpace, points) -> np.ndarray:
     return np.concatenate([-gy, gx], axis=1) * factor[:, None]
 
 
-def orthogonality_identity(n: int, hs: HalfSpace, xi) -> float:
-    """|<grad_H dist, grad_H W>| at one point; exactly 0 in floats.
+def orthogonality_identity_many(n: int, hs: HalfSpace, points) -> np.ndarray:
+    """|<grad_H dist, grad_H W>| at (M, n) points; exactly 0 in floats.
 
     The two closed-form factors pair component products with themselves, so
     the cancellation survives floating point bit for bit.  Points where the
     angle function vanishes return nan (the second factor is undefined).
     """
-    return float(orthogonality_identity_many(n, hs, np.asarray(xi, float).reshape(1, -1))[0])
-
-
-def orthogonality_identity_many(n: int, hs: HalfSpace, points) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     if hs.dim != 2 * n + 1 or points.shape[1] != 2 * n + 1:
         raise ValueError("dimension mismatch for Heisenberg closed form")

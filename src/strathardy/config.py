@@ -2,11 +2,13 @@
 
 A configuration is a JSON object of named blocks; anything omitted takes
 the defaults below.  Unknown keys are rejected so typos fail loudly
-(exit code 3 at the CLI) instead of silently running the default.
+(exit code 3 at the CLI) instead of silently running the default, and so
+are list-valued keys that are not JSON arrays of finite numbers.
 
 {
   "group": "heisenberg:1",
-  "halfspace": {"preset": "t-axis", "d": 0.0}      or {"nu": [...], "d": ...},
+  "halfspace": {"preset": "t-axis", "d": 0.0}      or {"nu": [...], "d": ...}
+                                   (neither: the subcommand's default preset),
   "trials": {"family": "bump", "count": 20, "radius": [0.1, 0.35],
              "region": 1.2, "clearance": 0.1},
   "quadrature": {"method": "boundary-graded", "points_per_axis": 16,
@@ -25,6 +27,7 @@ the defaults below.  Unknown keys are rejected so typos fail loudly
 from __future__ import annotations
 
 import json
+import math
 from copy import deepcopy
 
 import numpy as np
@@ -34,7 +37,7 @@ from .groups import GroupSpec, group_from_name
 from .quadrature import QuadConfig
 from .trials import make_bump, random_interior_bumps
 
-__all__ = ["ConfigError", "DEFAULT_CONFIG", "as_integer", "load_config", "resolve"]
+__all__ = ["ConfigError", "DEFAULT_CONFIG", "as_integer", "number_list", "load_config", "resolve"]
 
 
 class ConfigError(ValueError):
@@ -55,9 +58,25 @@ def as_integer(value, name: str) -> int:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from exc
 
 
+def number_list(value, name: str) -> list[float]:
+    """A list-valued key as floats; it must be a JSON array of finite numbers.
+
+    A string or a scalar is rejected rather than iterated: "23" is not
+    [2, 3].
+    """
+    if isinstance(value, list) and all(type(v) in (int, float) for v in value):
+        try:
+            floats = [float(v) for v in value]
+        except OverflowError:
+            floats = [math.inf]
+        if all(math.isfinite(v) for v in floats):
+            return floats
+    raise ConfigError(f"{name} must be a JSON array of finite numbers, got {value!r}")
+
+
 DEFAULT_CONFIG = {
     "group": "heisenberg:1",
-    "halfspace": {"preset": "t-axis", "d": 0.0},
+    "halfspace": {"preset": None, "nu": None, "d": 0.0},
     "trials": {
         "family": "bump",
         "count": 20,
@@ -109,14 +128,7 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config file must contain a JSON object")
-    forgiving = dict(DEFAULT_CONFIG)
-    # halfspace blocks may use either "preset" or an explicit "nu"
-    if isinstance(raw.get("halfspace"), dict):
-        hs = dict(raw["halfspace"])
-        if "nu" in hs and "preset" not in hs:
-            forgiving = dict(forgiving)
-            forgiving["halfspace"] = {"nu": None, "d": 0.0}
-    return _merge(forgiving, raw)
+    return _merge(DEFAULT_CONFIG, raw)
 
 
 def resolve(config: dict, seed: int | None = None):
@@ -138,10 +150,13 @@ def resolve(config: dict, seed: int | None = None):
     hs_block = cfg["halfspace"]
     if not isinstance(hs_block, dict):
         raise ConfigError("halfspace block must be an object")
+    preset, nu = hs_block.get("preset"), hs_block.get("nu")
+    if preset is not None and nu is not None:
+        raise ConfigError("halfspace block gives both a preset and a normal nu; give one")
     try:
         d = float(hs_block.get("d", 0.0))
-        if "nu" in hs_block and hs_block["nu"] is not None:
-            nu = np.asarray(hs_block["nu"], dtype=float)
+        if nu is not None:
+            nu = np.asarray(nu, dtype=float)
             if nu.shape != (group.total_dim,):
                 raise ConfigError(
                     f"halfspace normal has {nu.size} entries, group needs {group.total_dim}"
@@ -149,7 +164,7 @@ def resolve(config: dict, seed: int | None = None):
             hs = HalfSpace(nu=nu, d=d)
             cfg["halfspace"] = {"nu": [float(v) for v in hs.nu], "d": d}
         else:
-            preset = hs_block.get("preset", "t-axis")
+            preset = "t-axis" if preset is None else preset
             hs = halfspace_preset(group, preset, d=d)
             cfg["halfspace"] = {"preset": preset, "d": d}
     except ConfigError:
@@ -171,12 +186,15 @@ def resolve(config: dict, seed: int | None = None):
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad quadrature block: {exc}") from exc
 
-    try:
-        cfg["p"] = [float(p) for p in cfg["p"]]
-        if any(p <= 1 for p in cfg["p"]):
-            raise ConfigError("every p must exceed 1")
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad p list: {exc}") from exc
+    cfg["p"] = number_list(cfg["p"], "p")
+    if any(p <= 1 for p in cfg["p"]):
+        raise ConfigError("every p must exceed 1")
+    if cfg["beta"] is not None:
+        number_list(cfg["beta"], "beta")
+    number_list(cfg["eps"], "eps")
+    number_list(cfg["identity_indices"], "identity_indices")
+    if len(number_list(cfg["trials"]["radius"], "trials.radius")) != 2:
+        raise ConfigError("trials.radius must be [lo, hi]")
 
     return group, hs, quad, cfg
 

@@ -2,7 +2,9 @@
 
 Each runner integrates its numerator and denominator on one shared node
 set, propagates a standard error, and returns a
-:class:`~strathardy.reports.Report`.  The bounds these quantities are
+:class:`~strathardy.reports.Report`.  The integrands are array expressions
+over the :class:`~strathardy.calculus.TrialSample` that quadrature
+computes once per chunk of nodes.  The bounds these quantities are
 checked against are theorems for the Heisenberg and abelian families, so a
 contract violation beyond tolerance indicates a numerics bug, never a
 tunable.
@@ -15,7 +17,6 @@ import numpy as np
 from .calculus import (
     HalfSpace,
     ScalarField,
-    angle_function_many,
     distance_flux_parts,
     horizontal_from_euclidean,
     p_sub_laplacian_distance_many,
@@ -23,7 +24,8 @@ from .calculus import (
 from .groups import GroupSpec
 from .quadrature import IntegralEstimate, QuadConfig, integrate_many
 from .reports import Report
-from .trials import BumpSpec, SharpnessSpec, ground_transform, sharpness_trial
+from .streams import philox_stream
+from .trials import BumpSpec, SharpnessSpec, ground_gradient, sharpness_trial
 
 __all__ = [
     "sharp_hardy_constant",
@@ -98,24 +100,16 @@ def _resolve_box(u: ScalarField, box):
     return u.support_box
 
 
-def _hgrad_norm_p(spec: GroupSpec, u: ScalarField, p: float):
-    def integrand(pts):
-        hor = horizontal_from_euclidean(spec, pts, u.gradients(pts))
-        return np.sum(hor * hor, axis=1) ** (p / 2.0)
-
-    return integrand
-
-
-def _weight_p(spec: GroupSpec, hs: HalfSpace, u: ScalarField, p: float):
+def _hardy_integrands(p: float):
+    """The Hardy numerator |grad_H u|^p and weight (W |u| / dist)^p, as
+    integrands over a TrialSample."""
     # (w |u| / d)^p rather than (w/d)^p * |u|^p: the factored form can
     # overflow its first factor at boundary-graded nodes even though the
     # product is tiny there
-    def integrand(pts):
-        w = angle_function_many(spec, hs, pts)
-        d = hs.distance(pts)
-        return (w * np.abs(u.values(pts)) / d) ** p
-
-    return integrand
+    return [
+        lambda s: np.sum(s.hgrad * s.hgrad, axis=1) ** (p / 2.0),
+        lambda s: (s.w * np.abs(s.u) / s.dist) ** p,
+    ]
 
 
 def _quotient_stderr(num: IntegralEstimate, den: IntegralEstimate) -> float:
@@ -158,9 +152,7 @@ def hardy_quotient(
     p = _check_p(p)
     cfg = cfg or QuadConfig()
     box = _resolve_box(u, box)
-    num, den = integrate_many(
-        [_hgrad_norm_p(spec, u, p), _weight_p(spec, hs, u, p)], box, hs, cfg, support=u.support
-    )
+    num, den = integrate_many(_hardy_integrands(p), box, hs, cfg, trial=(spec, u))
     if den.value <= 0.0:
         raise ValueError(
             "trivial trial function: the weighted denominator integral vanishes"
@@ -209,17 +201,14 @@ def general_hardy_margin(
     s1, s2 = distance_flux_parts(spec, hs)
     p_harmonic = s1.is_zero and s2.is_zero
 
-    integrands = [_hgrad_norm_p(spec, u, p), _weight_p(spec, hs, u, p)]
+    integrands = _hardy_integrands(p)
     if not p_harmonic:
-
-        def t2_integrand(pts):
-            lpd = p_sub_laplacian_distance_many(spec, hs, pts, p)
-            d = hs.distance(pts)
-            return lpd / d ** (p - 1.0) * np.abs(u.values(pts)) ** p
-
-        integrands.append(t2_integrand)
-
-    results = integrate_many(integrands, box, hs, cfg, support=u.support)
+        integrands.append(
+            lambda s: p_sub_laplacian_distance_many(spec, hs, s.points, p)
+            / s.dist ** (p - 1.0)
+            * np.abs(s.u) ** p
+        )
+    results = integrate_many(integrands, box, hs, cfg, trial=(spec, u))
     t0, t1 = results[0], results[1]
     t2 = results[2] if not p_harmonic else IntegralEstimate(0.0, 0.0, t1.evaluations)
     if t1.value <= 0.0:
@@ -276,19 +265,13 @@ def remainder_check(
         raise ValueError("the remainder check needs p >= 2")
     cfg = cfg or QuadConfig()
     box = _resolve_box(u, box)
-    v = ground_transform(u, hs, p)
 
-    def r_integrand(pts):
-        hor = horizontal_from_euclidean(spec, pts, v.gradients(pts))
-        d = hs.distance(pts)
-        return (d ** ((p - 1.0) / p) * np.sqrt(np.sum(hor * hor, axis=1))) ** p
+    def r_integrand(s):
+        hor = horizontal_from_euclidean(spec, s.points, ground_gradient(s, hs, p))
+        return (s.dist ** ((p - 1.0) / p) * np.sqrt(np.sum(hor * hor, axis=1))) ** p
 
     t0, t1, rem = integrate_many(
-        [_hgrad_norm_p(spec, u, p), _weight_p(spec, hs, u, p), r_integrand],
-        box,
-        hs,
-        cfg,
-        support=u.support,
+        _hardy_integrands(p) + [r_integrand], box, hs, cfg, trial=(spec, u)
     )
     sharp = sharp_hardy_constant(p)
     cp = remainder_constant(p)
@@ -334,15 +317,8 @@ def hardy_sobolev_ratio(
     cfg = cfg or QuadConfig()
     box = _resolve_box(u, box)
 
-    def mass_integrand(pts):
-        return np.abs(u.values(pts)) ** pstar
-
     t0, t1, mass = integrate_many(
-        [_hgrad_norm_p(spec, u, p), _weight_p(spec, hs, u, p), mass_integrand],
-        box,
-        hs,
-        cfg,
-        support=u.support,
+        _hardy_integrands(p) + [lambda s: np.abs(s.u) ** pstar], box, hs, cfg, trial=(spec, u)
     )
     sharp = sharp_hardy_constant(p)
     energy = t0.value - sharp * t1.value
@@ -404,14 +380,14 @@ def luan_young_check(
     cfg = cfg or QuadConfig()
     box = _resolve_box(u, box)
 
-    def weight_integrand(pts):
-        x = pts[:, :n]
-        y = pts[:, n : 2 * n]
-        t = pts[:, 2 * n]
-        return (np.sum(x * x, axis=1) + np.sum(y * y, axis=1)) * (u.values(pts) / t) ** 2
+    def weight_integrand(s):
+        x = s.points[:, :n]
+        y = s.points[:, n : 2 * n]
+        t = s.points[:, 2 * n]
+        return (np.sum(x * x, axis=1) + np.sum(y * y, axis=1)) * (s.u / t) ** 2
 
     num, den = integrate_many(
-        [_hgrad_norm_p(spec, u, 2.0), weight_integrand], box, hs, cfg, support=u.support
+        [_hardy_integrands(2.0)[0], weight_integrand], box, hs, cfg, trial=(spec, u)
     )
     if den.value <= 0.0:
         raise ValueError(
@@ -464,9 +440,7 @@ def bft_fuzz(
     index = 0
     while produced < samples:
         take = min(chunk, samples - produced)
-        gen = np.random.Generator(
-            np.random.Philox(key=np.array([seed % 2**64, index], dtype=np.uint64))
-        )
+        gen = philox_stream(seed, index)
         a = gen.standard_normal((take, max_dim))
         b = gen.standard_normal((take, max_dim))
         dims = gen.integers(1, max_dim + 1, size=take)

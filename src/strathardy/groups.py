@@ -306,20 +306,22 @@ def commutator_check(spec: GroupSpec, i: int, j: int) -> list[Polynomial]:
     ]
 
 
-def left_translation_jacobian(xi, eta, n: int, h: float = 1e-2) -> float:
-    """Determinant of the Jacobian of eta -> xi o eta, by central differences.
+def left_translation_jacobian(xi, eta, n: int, h: float = 1e-2) -> np.ndarray:
+    """Determinants of the Jacobians of eta -> xi o eta, by central differences.
 
+    ``xi`` and ``eta`` are (M, 2n+1) arrays of paired points; returns (M,).
     The product is affine in eta for the Heisenberg family, so central
     differences recover the Jacobian to rounding error for any step; the
     default step is large to keep the rounding term small.  The determinant
     of a measure-preserving translation is 1.
     """
-    xi = np.asarray(xi, dtype=float)
-    eta = np.asarray(eta, dtype=float)
+    xi, eta = _check_heisenberg_points(xi, eta, n)
+    if xi.ndim != 2 or xi.shape != eta.shape:
+        raise ValueError(f"expected two (M, {2 * n + 1}) arrays, got {xi.shape} and {eta.shape}")
     dim = 2 * n + 1
-    jac = np.empty((dim, dim))
+    jac = np.empty((xi.shape[0], dim, dim))
     for j in range(dim):
         step = np.zeros(dim)
         step[j] = h
-        jac[:, j] = (h_multiply(xi, eta + step, n) - h_multiply(xi, eta - step, n)) / (2 * h)
-    return float(np.linalg.det(jac))
+        jac[:, :, j] = (h_multiply(xi, eta + step, n) - h_multiply(xi, eta - step, n)) / (2 * h)
+    return np.linalg.det(jac)

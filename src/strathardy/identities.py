@@ -39,6 +39,7 @@ from .groups import (
     left_translation_jacobian,
 )
 from .polynomials import Polynomial
+from .streams import philox_stream
 
 __all__ = ["IdentityCheck", "run_identity_suite"]
 
@@ -55,12 +56,12 @@ class IdentityCheck:
 
 
 def _sample_points(seed: int, count: int, dim: int, halfwidth: float = 1.5) -> np.ndarray:
-    gen = np.random.Generator(np.random.Philox(key=np.array([seed % 2**64, 0], dtype=np.uint64)))
+    gen = philox_stream(seed, 0)
     return gen.uniform(-halfwidth, halfwidth, size=(count, dim))
 
 
 def _sample_normals(seed: int, count: int, dim: int) -> list[np.ndarray]:
-    gen = np.random.Generator(np.random.Philox(key=np.array([seed % 2**64, 1], dtype=np.uint64)))
+    gen = philox_stream(seed, 1)
     normals = []
     while len(normals) < count:
         v = gen.standard_normal(dim)
@@ -137,9 +138,7 @@ def run_identity_suite(
         checks.append(IdentityCheck("commutator", spec.name, res, 0.0, res == 0.0))
 
         pairs = _sample_points(seed + 13 * n, 2 * points, dim)
-        res = 0.0
-        for xi, eta in zip(pairs[:points], pairs[points:]):
-            det = left_translation_jacobian(xi, eta, n)
-            res = max(res, abs(det - 1.0))
+        dets = left_translation_jacobian(pairs[:points], pairs[points:], n)
+        res = float(np.max(np.abs(dets - 1.0)))
         checks.append(IdentityCheck("translation-jac", spec.name, res, 1e-10, res < 1e-10))
     return checks

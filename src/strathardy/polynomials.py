@@ -179,14 +179,6 @@ class Polynomial:
 
     # -- evaluation --------------------------------------------------------
 
-    def __call__(self, x) -> float:
-        # Delegates to eval_many so scalar and batch evaluation round
-        # identically (numpy and Python pow can differ by an ulp).
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self._nvars,):
-            raise ValueError(f"expected point of shape ({self._nvars},), got {x.shape}")
-        return float(self.eval_many(x.reshape(1, -1))[0])
-
     def eval_many(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at an ``(M, nvars)`` array of points, returning ``(M,)``."""
         points = np.asarray(points, dtype=float)

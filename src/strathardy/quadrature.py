@@ -25,11 +25,16 @@ Three methods share one node-set abstraction:
     (seed, chunk index) over fixed-size chunks), so results are
     reproducible bit for bit regardless of how the host schedules work.
 
-Nodes with dist <= 0 are never evaluated: their weight is zero and the
-integrand is only called on weight-carrying nodes.  Given a ``support``
-predicate, the integrand is called only on weight-carrying nodes inside it;
-the caller guarantees that the integrand is exactly 0.0 outside
-``support``, so skipping those nodes changes no value and no stderr.
+Nodes with dist <= 0 are never evaluated: their weight is zero and
+integrands are only called on weight-carrying nodes.  Given a trial
+``(spec, u)``, :func:`integrate_many` also skips the nodes outside
+``u.support`` and calls each integrand on a
+:class:`~strathardy.calculus.TrialSample` (nodes, dist, W, u, grad u and
+grad_H u, computed once per chunk of nodes and shared by all integrands;
+``len(sample)`` is its node count) instead of on the nodes.  Every such
+integrand must be exactly 0.0 where u and grad u are, so skipping those
+nodes changes no value and no stderr.
+
 ``evaluations`` in the returned estimate counts the nodes considered.  A
 non-finite integrand value raises IntegrationError naming the offending
 point.
@@ -42,20 +47,20 @@ and a larger request raises NodeBudgetError.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .calculus import HalfSpace
+from .calculus import HalfSpace, ScalarField, sample_trial
+from .groups import GroupSpec
+from .streams import philox_stream
 
 __all__ = [
     "QuadConfig",
     "IntegralEstimate",
     "IntegrationError",
     "NodeBudgetError",
-    "integrate",
-    "integrate_pair",
     "integrate_many",
 ]
 
@@ -145,9 +150,7 @@ def _philox_uniform(seed: int, count: int, dim: int) -> np.ndarray:
     produced = 0
     index = 0
     while produced < count:
-        bits = np.random.Generator(
-            np.random.Philox(key=np.array([seed % 2**64, index], dtype=np.uint64))
-        )
+        bits = philox_stream(seed, index)
         take = min(rows_per_chunk, count - produced)
         chunks.append(bits.random((take, dim)))
         produced += take
@@ -354,51 +357,35 @@ def _live_nodes(points, weights, support) -> np.ndarray:
     return np.flatnonzero(live)
 
 
-def _evaluate(f, points, live) -> np.ndarray:
-    """Evaluate f at the node indices ``live`` only; zeros elsewhere."""
-    values = np.zeros(points.shape[0])
+def _evaluate(fs, points, live, sample) -> np.ndarray:
+    """Values of every integrand at the node indices ``live``; (len(fs), live.size).
+
+    Each integrand is called once per ``_EVAL_CHUNK`` slice of the live
+    nodes, on ``sample(nodes)`` when ``sample`` is given and on the nodes
+    themselves otherwise.
+    """
+    out = np.empty((len(fs), live.size))
     for start in range(0, live.size, _EVAL_CHUNK):
         idx = live[start : start + _EVAL_CHUNK]
-        vals = np.asarray(f(points[idx]), dtype=float)
-        bad = ~np.isfinite(vals)
-        if np.any(bad):
-            where = points[idx[bad][0]]
-            raise IntegrationError(
-                f"integrand returned a non-finite value at point {where.tolist()}",
-                point=where,
-            )
-        values[idx] = vals
-    return values
+        arg = points[idx] if sample is None else sample(points[idx])
+        for i, f in enumerate(fs):
+            vals = np.asarray(f(arg), dtype=float)
+            bad = ~np.isfinite(vals)
+            if np.any(bad):
+                where = points[idx[bad][0]]
+                raise IntegrationError(
+                    f"integrand returned a non-finite value at point {where.tolist()}",
+                    point=where,
+                )
+            out[i, start : start + idx.size] = vals
+    return out
 
 
-def _estimate(ns: _NodeSet, f, live, coarse_live) -> IntegralEstimate:
-    values = _evaluate(f, ns.points, live)
-    contrib = ns.weights * values
-    value = float(np.sum(contrib))
-    if ns.kind == "mc":
-        g = ns.group_size
-        lines = contrib.reshape(-1, g).sum(axis=1) if g > 1 else contrib
-        t = lines.shape[0]
-        stderr = float(np.sqrt(t) * np.std(lines, ddof=1)) if t > 1 else float("inf")
-    else:
-        cpts, cw = ns.coarse
-        cvals = _evaluate(f, cpts, coarse_live)
-        stderr = abs(value - float(np.sum(cw * cvals)))
-    return IntegralEstimate(value=value, stderr=stderr, evaluations=ns.evaluations)
-
-
-def integrate(f: Callable, box, hs: HalfSpace, cfg: QuadConfig | None = None) -> IntegralEstimate:
-    """Integrate ``f`` over box intersect {dist > 0}.
-
-    ``f`` maps an (M, n) array of points to (M,) values and is never called
-    at points with dist <= 0.
-    """
-    return integrate_many([f], box, hs, cfg)[0]
-
-
-def integrate_pair(f: Callable, g: Callable, box, hs: HalfSpace, cfg: QuadConfig | None = None):
-    """Integrate two integrands on one shared node set (for quotients)."""
-    return tuple(integrate_many([f, g], box, hs, cfg))
+def _contributions(weights, live, vals) -> np.ndarray:
+    """weights * values over the whole node set, with values zero off ``live``."""
+    values = np.zeros(weights.shape[0])
+    values[live] = vals
+    return weights * values
 
 
 def integrate_many(
@@ -406,16 +393,16 @@ def integrate_many(
     box,
     hs: HalfSpace,
     cfg: QuadConfig | None = None,
-    support: Callable[[np.ndarray], np.ndarray] | None = None,
-):
-    """Integrate several integrands on one shared node set.
+    trial: tuple[GroupSpec, ScalarField] | None = None,
+) -> list[IntegralEstimate]:
+    """Integrate several integrands over box intersect {dist > 0} on one node set.
 
-    ``support``, if given, maps (M, n) points to an (M,) bool mask, and
-    every integrand in ``fs`` must be exactly 0.0 where it is False (as
-    for an integrand with a factor of u or grad u, with ``u.support``).
-    The live nodes (weight-carrying and inside ``support``) are found once
-    per node set and shared by all integrands, which are called on live
-    nodes only.  The estimates equal those with ``support=None`` bit for
+    Without ``trial`` each integrand maps (M, n) points to (M,) values.
+    With ``trial = (spec, u)`` each integrand maps a
+    :class:`~strathardy.calculus.TrialSample` of u to (M,) values, must be
+    exactly 0.0 wherever u and grad u are, and is called only at nodes
+    inside ``u.support`` (all of them if it is None).  The estimates equal
+    those of the same integrands over raw points without ``trial`` bit for
     bit, ``evaluations`` included.
     """
     cfg = cfg or QuadConfig()
@@ -423,6 +410,27 @@ def integrate_many(
     if box.shape[0] != hs.dim:
         raise ValueError(f"box has {box.shape[0]} axes, half-space has {hs.dim}")
     ns = _build_nodes(box, hs, cfg)
+    support = sample = None
+    if trial is not None:
+        spec, u = trial
+        support = u.support
+        sample = partial(sample_trial, spec, hs, u)
     live = _live_nodes(ns.points, ns.weights, support)
-    coarse_live = None if ns.coarse is None else _live_nodes(*ns.coarse, support)
-    return [_estimate(ns, f, live, coarse_live) for f in fs]
+    fine = _evaluate(fs, ns.points, live, sample)
+    if ns.kind == "det":
+        cpts, cw = ns.coarse
+        coarse_live = _live_nodes(cpts, cw, support)
+        coarse = _evaluate(fs, cpts, coarse_live, sample)
+    out = []
+    for i in range(len(fs)):
+        contrib = _contributions(ns.weights, live, fine[i])
+        value = float(np.sum(contrib))
+        if ns.kind == "det":
+            stderr = abs(value - float(np.sum(_contributions(cw, coarse_live, coarse[i]))))
+        else:
+            g = ns.group_size
+            lines = contrib.reshape(-1, g).sum(axis=1) if g > 1 else contrib
+            t = lines.shape[0]
+            stderr = float(np.sqrt(t) * np.std(lines, ddof=1)) if t > 1 else float("inf")
+        out.append(IntegralEstimate(value=value, stderr=stderr, evaluations=ns.evaluations))
+    return out

@@ -13,12 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import HalfSpace, ScalarField
+from .calculus import HalfSpace, ScalarField, TrialSample
+from .streams import philox_stream
 
 __all__ = [
     "BumpSpec",
     "make_bump",
     "ground_transform",
+    "ground_gradient",
     "inverse_ground_transform",
     "SharpnessSpec",
     "sharpness_trial",
@@ -140,9 +142,7 @@ def random_interior_bumps(
     lo_r, hi_r = float(radius_range[0]), float(radius_range[1])
     if not 0 < lo_r <= hi_r:
         raise ValueError("radius_range must be 0 < lo <= hi")
-    gen = np.random.Generator(
-        np.random.Philox(key=np.array([seed % 2**64, 2], dtype=np.uint64))
-    )
+    gen = philox_stream(seed, 2)
     dim = hs.dim
     specs = []
     for _ in range(count):
@@ -172,6 +172,16 @@ def ground_transform(u: ScalarField, hs: HalfSpace, p: float) -> ScalarField:
     return _power_weighted(u, hs, a, f"ground(p={p!r},{u.label})")
 
 
+def ground_gradient(sample: TrialSample, hs: HalfSpace, p: float) -> np.ndarray:
+    """The Euclidean gradient of the ground transform of a sampled trial.
+
+    Built from the sample's dist, u and grad u alone, which must lie inside
+    the half-space (as quadrature nodes do); there it equals
+    ``ground_transform(u, hs, p).gradients`` bit for bit.
+    """
+    return _power_weighted_gradient(sample.dist, -(p - 1.0) / p, sample.u, sample.grad, hs.nu)
+
+
 def inverse_ground_transform(v: ScalarField, hs: HalfSpace, p: float) -> ScalarField:
     """u = dist^((p-1)/p) v, the inverse of :func:`ground_transform`."""
     if p <= 1:
@@ -198,16 +208,21 @@ def _power_weighted(u: ScalarField, hs: HalfSpace, a: float, label: str) -> Scal
         d, inside = _restricted(points, hs)
         out = np.zeros_like(points)
         if np.any(inside):
-            di = d[inside][:, None]
             pts = points[inside]
-            uv = u.values(pts)[:, None]
-            ug = u.gradients(pts)
-            out[inside] = di**a * ug + a * di ** (a - 1.0) * uv * nu
+            out[inside] = _power_weighted_gradient(
+                d[inside], a, u.values(pts), u.gradients(pts), nu
+            )
         return out
 
     return ScalarField(
         u.dim, fn=fn, grad_fn=grad, support_box=u.support_box, label=label, support=u.support
     )
+
+
+def _power_weighted_gradient(d, a, u, grad, nu) -> np.ndarray:
+    """dist^a grad u + a dist^(a-1) u nu from dist > 0, u and grad u at the same points."""
+    d = d[:, None]
+    return d**a * grad + a * d ** (a - 1.0) * u[:, None] * nu
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,11 @@ from strathardy import (
     HalfSpace,
     Polynomial,
     ScalarField,
+    BumpSpec,
     abelian_group,
     angle_function_many,
     angle_gradient_many,
-    apply_field,
     apply_field_to_polynomial,
-    boundary_distance,
     distance_field,
     distance_flux_parts,
     field_pairings,
@@ -19,13 +18,13 @@ from strathardy import (
     heisenberg_group,
     horizontal_from_euclidean,
     horizontal_gradient_many,
+    make_bump,
     identity_Xi_pairing_many,
-    orthogonality_identity,
     orthogonality_identity_many,
-    p_sub_laplacian,
     p_sub_laplacian_distance_many,
     p_sub_laplacian_fd_many,
     pairing_polynomials,
+    sample_trial,
     sub_laplacian_distance_polynomial,
 )
 
@@ -60,11 +59,16 @@ class TestHalfSpace:
         pts = np.array([[3.0, 9.0, 9.0], [1.0, 0.0, 0.0]])
         assert np.array_equal(hs.distance(pts), [1.0, -1.0])
         assert np.array_equal(hs.contains(pts), [True, False])
-        assert boundary_distance(hs, [5.0, 0.0, 0.0]) == 3.0
+        assert hs.distance(np.array([[5.0, 0.0, 0.0]]))[0] == 3.0
 
     def test_rejects_zero_normal(self):
         with pytest.raises(ValueError):
             HalfSpace(nu=np.zeros(3), d=0.0)
+
+    @pytest.mark.parametrize("d", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_offset(self, d):
+        with pytest.raises(ValueError, match="finite"):
+            HalfSpace(nu=np.array([0.0, 0.0, 1.0]), d=d)
 
     def test_preset_accepts_spec(self, h1):
         hs = halfspace_preset(h1, "t-axis")
@@ -78,7 +82,7 @@ class TestHalfSpace:
 class TestScalarField:
     def test_values_and_value(self):
         f = ScalarField(2, lambda pts: pts[:, 0] + 2 * pts[:, 1])
-        assert f.value([1.0, 3.0]) == 7.0
+        assert f.values([[1.0, 3.0]])[0] == 7.0
         assert np.array_equal(f.values([[1.0, 0.0], [0.0, 1.0]]), [1.0, 2.0])
 
     def test_shape_validation(self):
@@ -176,6 +180,21 @@ class TestPairings:
         assert np.allclose(hor[:, 1], grads[:, 1] - 2 * x * grads[:, 2], rtol=1e-15)
 
 
+class TestTrialSample:
+    def test_fields_match_the_separate_batch_calls(self, h1, rng):
+        hs = HalfSpace(nu=random_unit(rng, 3), d=0.1)
+        u = make_bump(BumpSpec(center=(0.2, -0.1, 0.8), radius=0.6))
+        pts = rng.uniform(-0.4, 1.4, size=(40, 3))
+        s = sample_trial(h1, hs, u, pts)
+        assert len(s) == 40
+        assert np.array_equal(s.points, pts)
+        assert np.array_equal(s.dist, hs.distance(pts))
+        assert np.array_equal(s.w, angle_function_many(h1, hs, pts))
+        assert np.array_equal(s.u, u.values(pts))
+        assert np.array_equal(s.grad, u.gradients(pts))
+        assert np.array_equal(s.hgrad, horizontal_gradient_many(h1, u, pts))
+
+
 class TestAngleFunction:
     def test_t_axis_closed_form(self, h1, t_axis, rng):
         pts = rng.uniform(-2, 2, size=(40, 3))
@@ -263,8 +282,9 @@ class TestDistanceOperators:
 
     def test_singular_flux_is_nan_below_two(self, h1):
         flat = ScalarField(3, lambda pts: np.ones(len(pts)), grad_fn=lambda pts: np.zeros_like(pts))
-        assert np.isnan(p_sub_laplacian(h1, flat, [1.0, 1.0, 1.0], 1.5))
-        assert p_sub_laplacian(h1, flat, [1.0, 1.0, 1.0], 3.0) == 0.0
+        x = np.array([[1.0, 1.0, 1.0]])
+        assert np.isnan(p_sub_laplacian_fd_many(h1, flat, x, 1.5)[0])
+        assert p_sub_laplacian_fd_many(h1, flat, x, 3.0)[0] == 0.0
 
     def test_nan_where_angle_vanishes(self, h1, t_axis):
         out = p_sub_laplacian_distance_many(h1, t_axis, np.array([[0.0, 0.0, 1.0]]), 2.0)
@@ -280,9 +300,9 @@ class TestOrthogonality:
         assert finite.size > 150
         assert np.all(finite == 0.0)
 
-    def test_scalar_wrapper(self, h1):
+    def test_single_point(self, h1):
         hs = HalfSpace(nu=np.array([0.3, -0.2, 0.9]), d=0.0)
-        assert orthogonality_identity(1, hs, [0.7, -0.4, 1.1]) == 0.0
+        assert orthogonality_identity_many(1, hs, np.array([[0.7, -0.4, 1.1]]))[0] == 0.0
 
     def test_nan_where_angle_vanishes(self, t_axis):
         out = orthogonality_identity_many(1, t_axis, np.array([[0.0, 0.0, 3.0]]))
@@ -301,20 +321,21 @@ class TestApplyField:
         f = distance_field(hs)
         polys = pairing_polynomials(h1, hs)
         for _ in range(10):
-            x = rng.uniform(-2, 2, size=3)
+            x = rng.uniform(-2, 2, size=(1, 3))
+            hor = horizontal_gradient_many(h1, f, x)[0]
             for k in range(2):
-                assert np.isclose(apply_field(h1, k, f, x), polys[k](x), rtol=1e-12, atol=1e-14)
+                assert np.isclose(hor[k], polys[k].eval_many(x)[0], rtol=1e-12, atol=1e-14)
 
     def test_fd_route_matches_polynomial_ring(self, h2, rng):
         g = Polynomial(5, {(1, 1, 0, 0, 1): 2.0, (0, 0, 2, 0, 0): -1.0, (0, 0, 0, 0, 2): 0.5})
         f = ScalarField(5, lambda pts: g.eval_many(pts))
         for _ in range(5):
-            x = rng.uniform(-1.5, 1.5, size=5)
+            x = rng.uniform(-1.5, 1.5, size=(1, 5))
+            hor = horizontal_gradient_many(h2, f, x)[0]
             for k in range(4):
-                exact = apply_field_to_polynomial(h2, k, g)(x)
-                assert abs(apply_field(h2, k, f, x) - exact) < 1e-5 * (1 + abs(exact))
+                exact = apply_field_to_polynomial(h2, k, g).eval_many(x)[0]
+                assert abs(hor[k] - exact) < 1e-5 * (1 + abs(exact))
 
     def test_index_out_of_range(self, h1):
-        f = ScalarField(3, lambda pts: pts[:, 0])
         with pytest.raises(ValueError):
-            apply_field(h1, 5, f, np.zeros(3))
+            apply_field_to_polynomial(h1, 5, Polynomial.variable(3, 0))

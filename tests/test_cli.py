@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from strathardy import CSV_COLUMNS
-from strathardy.cli import main
+from strathardy import CSV_COLUMNS, Report
+from strathardy.cli import COMMANDS, main
 
 
 SMALL = {
@@ -71,9 +71,23 @@ class TestExitCodes:
             cutoff_radius=1.0,
             quadrature={"points_per_axis": 16},
         )
-        code, out, _ = run(["sharpness", "--config", path], capsys)
+        code, out, err = run(["sharpness", "--config", path], capsys)
         assert code == 2
         assert out  # the report is still written for inspection
+        # one line per failing row; here the pair that breaks the decrease
+        assert err.count("\n") == 1
+        assert err.startswith("contract violated: rows 0,1 sharpness: quotient rose")
+        assert "eps 0.05 -> 0.5" in err
+
+    def test_failing_rows_are_named(self):
+        def row(margin):
+            return Report("hardy", 2.0, "heisenberg:1", (0.0, 0.0, 1.0), 0.0, 0.25 + margin,
+                          0.25, margin, 1e-3, 10, 42, "digest")
+
+        reports = [row(0.1), row(-0.5), row(0.0)]
+        failures = COMMANDS["hardy"].failures(reports)
+        tol = reports[1].contract_tolerance()
+        assert failures == [f"row 1 hardy: margin -0.5, tolerance {tol!r}"]
 
 
 class TestCommands:
@@ -129,6 +143,20 @@ class TestCommands:
         doc = json.loads(out)
         assert doc["config"]["halfspace"]["preset"] == "t-axis"
         assert doc["rows"][0]["extras"]["label"] == "probe"
+
+    def test_sharpness_offset_alone_keeps_first_axis(self, tmp_path, capsys):
+        path = write_config(tmp_path, eps=[0.3], halfspace={"d": 0.25})
+        code, out, _ = run(["sharpness", "--config", path, "--format", "json"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["config"]["halfspace"] == {"preset": "x1-axis", "d": 0.25}
+        assert doc["rows"][0]["nu"] == [1.0, 0.0, 0.0]
+
+    def test_explicit_normal(self, tmp_path, capsys):
+        path = write_config(tmp_path, halfspace={"nu": [0.0, 0.0, 2.0], "d": 0.0})
+        code, out, _ = run(["hardy", "--config", path, "--format", "json"], capsys)
+        assert code == 0
+        assert json.loads(out)["config"]["halfspace"] == {"nu": [0.0, 0.0, 1.0], "d": 0.0}
 
     def test_luan_young_forces_t_axis(self, tmp_path, capsys):
         path = write_config(
@@ -230,6 +258,25 @@ class TestRejectedConfigs:
         code, out, err = run([command, "--config", write_config(tmp_path, **over)], capsys)
         assert code == 3 and out == ""
         assert err.count("\n") == 1 and name in err
+
+    @pytest.mark.parametrize(
+        "command, over, name",
+        [
+            ("sobolev", {"p": [4.0]}, "Q = 4"),  # p >= Q on heisenberg:1
+            ("luan-young", {"group": "abelian:3"}, "Heisenberg"),
+            ("general-hardy", {"beta": -0.5}, "beta"),
+            ("hardy", {"halfspace": {"preset": "t-axis", "d": float("nan")}}, "finite"),
+            ("hardy", {"p": [float("inf")]}, "p must be"),
+            ("hardy", {"p": "23"}, "p must be"),  # not iterated as [2, 3]
+            ("sharpness", {"eps": "51"}, "eps"),
+            ("hardy", {"trials": {"radius": [0.2]}}, "trials.radius"),
+            ("hardy", {"halfspace": {"preset": "t-axis", "nu": [0.0, 0.0, 1.0]}}, "preset"),
+        ],
+    )
+    def test_bad_values(self, tmp_path, capsys, command, over, name):
+        code, out, err = run([command, "--config", write_config(tmp_path, **over)], capsys)
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and name in err and "Traceback" not in err
 
     def test_integral_floats_still_run(self, tmp_path, capsys):
         path = write_config(

@@ -10,12 +10,16 @@ from strathardy import (
     beta_star,
     bft_fuzz,
     boundary_bump_spec,
+    distance_field,
     general_hardy_margin,
+    group_from_table,
     halfspace_preset,
     hardy_quotient,
     hardy_sobolev_ratio,
+    integrate_many,
     luan_young_check,
     make_bump,
+    p_sub_laplacian_fd_many,
     remainder_check,
     remainder_constant,
     sharp_hardy_constant,
@@ -151,6 +155,31 @@ class TestGeneralHardy:
         u = make_bump(BumpSpec(center=(0.2, -0.1, 0.8), radius=0.45))
         rep = general_hardy_margin(h1, hs, u, 3.0, beta_star(3.0), fast_cfg)
         assert rep.extras["p_harmonic_distance"] is True
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_t2_term_when_distance_is_not_p_harmonic(self, p):
+        # X1 = d/dx1 + x1 d/dt against the t-axis: S1 = 1 and S2 = x1^2, so the
+        # t2 term is integrated; compare it with the finite-difference route
+        skew = group_from_table(name="skew", strata_dims=(2, 1), table={(0, 2): "x1"})
+        hs = halfspace_preset(3, "t-axis", 0.0)
+        u = make_bump(BumpSpec(center=(0.1, 0.2, 0.8), radius=0.3))
+        cfg = QuadConfig(points_per_axis=8)
+        rep = general_hardy_margin(skew, hs, u, p, beta_star(p), cfg)
+        assert rep.extras["p_harmonic_distance"] is False
+
+        dist = distance_field(hs)
+        (ref,) = integrate_many(
+            [
+                lambda pts: p_sub_laplacian_fd_many(skew, dist, pts, p)
+                / hs.distance(pts) ** (p - 1.0)
+                * np.abs(u.values(pts)) ** p
+            ],
+            u.support_box,
+            hs,
+            cfg,
+        )
+        assert ref.value > 0.0
+        assert rep.extras["t2_value"] == pytest.approx(ref.value, rel=1e-8)
 
 
 class TestRemainder:

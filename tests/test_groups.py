@@ -177,29 +177,41 @@ class TestVectorFields:
 
     def test_left_invariance_fd(self, h1, rng):
         # X_k(f . L_xi) at eta equals (X_k f) at xi o eta for smooth f.
-        from strathardy.calculus import ScalarField, apply_field
+        from strathardy.calculus import ScalarField, horizontal_gradient_many
 
         f = Polynomial(3, {(2, 1, 0): 1.0, (0, 0, 1): 2.0, (1, 0, 1): -0.5})
         xi = rng.uniform(-1, 1, size=3)
         eta = rng.uniform(-1, 1, size=(15, 3))
         field = ScalarField(3, lambda pts: f.eval_many(pts))
         shifted = ScalarField(3, lambda pts: f.eval_many(h_multiply(xi, pts, 1)))
+        lhs = horizontal_gradient_many(h1, shifted, eta)
+        rhs = horizontal_gradient_many(h1, field, h_multiply(xi, eta, 1))
         for k in range(2):
-            lhs = np.array([apply_field(h1, k, shifted, e) for e in eta])
-            rhs = np.array(
-                [apply_field(h1, k, field, h_multiply(xi, e, 1)) for e in eta]
-            )
-            assert np.max(np.abs(lhs - rhs)) < 1e-6
+            assert np.max(np.abs(lhs[:, k] - rhs[:, k])) < 1e-6
 
 
 class TestHaar:
     def test_left_translation_volume_preserved(self, rng):
-        for _ in range(12):
-            xi = rng.uniform(-3, 3, size=5)
-            eta = rng.uniform(-3, 3, size=5)
-            assert abs(left_translation_jacobian(xi, eta, 2) - 1.0) < 1e-10
+        pairs = [(rng.uniform(-3, 3, size=5), rng.uniform(-3, 3, size=5)) for _ in range(12)]
+        xi, eta = (np.array(side) for side in zip(*pairs))
+        assert np.all(np.abs(left_translation_jacobian(xi, eta, 2) - 1.0) < 1e-10)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_batch_matches_one_pair_at_a_time(self, rng, n):
+        xi = rng.uniform(-3, 3, size=(20, 2 * n + 1))
+        eta = rng.uniform(-3, 3, size=(20, 2 * n + 1))
+        batch = left_translation_jacobian(xi, eta, n)
+        single = [left_translation_jacobian(xi[i : i + 1], eta[i : i + 1], n)[0] for i in range(20)]
+        assert batch.shape == (20,)
+        assert np.array_equal(batch, single)
+
+    def test_rejects_unpaired_shapes(self):
+        with pytest.raises(ValueError):
+            left_translation_jacobian(np.zeros(3), np.zeros(3), 1)
+        with pytest.raises(ValueError):
+            left_translation_jacobian(np.zeros((2, 3)), np.zeros((3, 3)), 1)
 
     def test_far_from_origin(self, rng):
-        xi = rng.uniform(40, 50, size=3)
-        eta = rng.uniform(-50, -40, size=3)
-        assert abs(left_translation_jacobian(xi, eta, 1) - 1.0) < 1e-10
+        xi = rng.uniform(40, 50, size=(1, 3))
+        eta = rng.uniform(-50, -40, size=(1, 3))
+        assert abs(left_translation_jacobian(xi, eta, 1)[0] - 1.0) < 1e-10

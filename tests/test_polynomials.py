@@ -91,11 +91,14 @@ class TestRing:
 class TestEvaluation:
     @given(int_polys(3), points)
     def test_scalar_matches_batch(self, a, x):
-        assert a(x) == a.eval_many(x.reshape(1, -1))[0]
+        # a point alone and the same point inside a larger batch
+        assert a.eval_many(x.reshape(1, -1))[0] == a.eval_many(np.stack([x, 2 * x]))[0]
 
     @given(int_polys(3), int_polys(3), points)
     def test_sum_evaluates_pointwise(self, a, b, x):
-        assert abs((a + b)(x) - (a(x) + b(x))) <= 1e-9 * (1 + abs(a(x)) + abs(b(x)))
+        x = x.reshape(1, -1)
+        ax, bx = a.eval_many(x)[0], b.eval_many(x)[0]
+        assert abs((a + b).eval_many(x)[0] - (ax + bx)) <= 1e-9 * (1 + abs(ax) + abs(bx))
 
     def test_eval_many_shape_check(self):
         with pytest.raises(ValueError):
@@ -103,7 +106,7 @@ class TestEvaluation:
 
     def test_known_value(self):
         p = Polynomial(2, {(2, 1): 3.0, (0, 0): -1.0})  # 3 x^2 y - 1
-        assert p(np.array([2.0, 5.0])) == 59.0
+        assert p.eval_many(np.array([[2.0, 5.0]]))[0] == 59.0
 
 
 class TestText:

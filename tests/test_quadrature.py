@@ -14,10 +14,9 @@ from strathardy import (
     halfspace_preset,
     hardy_quotient,
     heisenberg_group,
-    integrate,
     integrate_many,
-    integrate_pair,
     make_bump,
+    sample_trial,
     sharpness_trial,
 )
 
@@ -52,32 +51,32 @@ class TestConfig:
     def test_box_validation(self):
         cfg = QuadConfig()
         with pytest.raises(ValueError):
-            integrate(lambda p: p[:, 0], np.array([[0.0, 1.0, 2.0]]), far_halfspace(), cfg)
+            integrate_many([lambda p: p[:, 0]], np.array([[0.0, 1.0, 2.0]]), far_halfspace(), cfg)
         with pytest.raises(ValueError):
-            integrate(lambda p: p[:, 0], np.array([[1.0, 0.0]]), far_halfspace(), cfg)
+            integrate_many([lambda p: p[:, 0]], np.array([[1.0, 0.0]]), far_halfspace(), cfg)
 
 
 class TestTensorGauss:
     def test_polynomial_exactness(self):
         cfg = QuadConfig(method="tensor-gauss", points_per_axis=6)
-        est = integrate(
-            lambda p: p[:, 0] ** 4 * p[:, 1] ** 2 + p[:, 2],
+        est = integrate_many(
+            [lambda p: p[:, 0] ** 4 * p[:, 1] ** 2 + p[:, 2]],
             UNIT_BOX,
             far_halfspace(),
             cfg,
-        )
+        )[0]
         assert est.value == pytest.approx(1.0 / 15.0 + 0.5, rel=1e-14)
         assert est.evaluations == 6**3
 
     def test_interior_clipping_converges(self):
         hs = halfspace_preset(3, "x1-axis", 0.5)
         exact = 0.5  # volume of the clipped unit box
-        coarse = integrate(
-            lambda p: np.ones(len(p)), UNIT_BOX, hs, QuadConfig(method="tensor-gauss", points_per_axis=8)
-        )
-        fine = integrate(
-            lambda p: np.ones(len(p)), UNIT_BOX, hs, QuadConfig(method="tensor-gauss", points_per_axis=64)
-        )
+        coarse = integrate_many(
+            [lambda p: np.ones(len(p))], UNIT_BOX, hs, QuadConfig(method="tensor-gauss", points_per_axis=8)
+        )[0]
+        fine = integrate_many(
+            [lambda p: np.ones(len(p))], UNIT_BOX, hs, QuadConfig(method="tensor-gauss", points_per_axis=64)
+        )[0]
         assert abs(fine.value - exact) < abs(coarse.value - exact) + 1e-12
         assert abs(fine.value - exact) < 5e-3
 
@@ -88,7 +87,7 @@ class TestBoundaryGraded:
         # dist = t over [0,1]^3 against the t-axis: integral is 1/(gamma+1)
         hs = halfspace_preset(3, "t-axis", 0.0)
         cfg = QuadConfig(points_per_axis=16)
-        est = integrate(lambda p: hs.distance(p) ** gamma, UNIT_BOX, hs, cfg)
+        est = integrate_many([lambda p: hs.distance(p) ** gamma], UNIT_BOX, hs, cfg)[0]
         exact = 1.0 / (gamma + 1.0)
         assert abs(est.value - exact) < 1e-3 * abs(exact)
 
@@ -103,26 +102,26 @@ class TestBoundaryGraded:
             a * b * (g + 1) * (g + 2)
         )
         cfg = QuadConfig(points_per_axis=24)
-        est = integrate(lambda p: hs.distance(p) ** gamma, UNIT_BOX, hs, cfg)
+        est = integrate_many([lambda p: hs.distance(p) ** gamma], UNIT_BOX, hs, cfg)[0]
         assert abs(est.value - exact) < 2e-3 * abs(exact)
 
     def test_offset_boundary(self):
         hs = halfspace_preset(3, "t-axis", 0.25)
         cfg = QuadConfig(points_per_axis=16)
-        est = integrate(lambda p: hs.distance(p) ** -0.5, UNIT_BOX, hs, cfg)
+        est = integrate_many([lambda p: hs.distance(p) ** -0.5], UNIT_BOX, hs, cfg)[0]
         assert abs(est.value - 2.0 * np.sqrt(0.75)) < 2e-3
 
     def test_detached_box_needs_no_grading(self):
         # boundary far below the box: plain smooth integration must be sharp
         hs = halfspace_preset(3, "t-axis", -3.0)
-        est = integrate(
-            lambda p: np.exp(p[:, 2]), UNIT_BOX, hs, QuadConfig(points_per_axis=12)
-        )
+        est = integrate_many(
+            [lambda p: np.exp(p[:, 2])], UNIT_BOX, hs, QuadConfig(points_per_axis=12)
+        )[0]
         assert est.value == pytest.approx(np.e - 1.0, rel=1e-9)
 
     def test_box_outside_halfspace_is_zero(self):
         hs = halfspace_preset(3, "t-axis", 5.0)
-        est = integrate(lambda p: np.ones(len(p)), UNIT_BOX, hs, QuadConfig())
+        est = integrate_many([lambda p: np.ones(len(p))], UNIT_BOX, hs, QuadConfig())[0]
         assert est.value == 0.0 and est.stderr == 0.0
         assert est.evaluations > 0
 
@@ -134,7 +133,7 @@ class TestBoundaryGraded:
             seen.append(p)
             return np.ones(len(p))
 
-        integrate(spy, np.array([[-1, 1], [-1, 1], [-1, 1]], float), hs, QuadConfig())
+        integrate_many([spy], np.array([[-1, 1], [-1, 1], [-1, 1]], float), hs, QuadConfig())
         pts = np.concatenate(seen)
         assert pts.size > 0
         assert np.min(hs.distance(pts)) > 0.0
@@ -142,7 +141,7 @@ class TestBoundaryGraded:
     def test_grading_exponent_one_still_works(self):
         hs = halfspace_preset(3, "t-axis", 0.0)
         cfg = QuadConfig(grading_exponent=1.0)
-        est = integrate(lambda p: hs.distance(p), UNIT_BOX, hs, cfg)
+        est = integrate_many([lambda p: hs.distance(p)], UNIT_BOX, hs, cfg)[0]
         assert est.value == pytest.approx(0.5, rel=1e-6)
 
     def test_high_dimension_uses_monte_carlo_transverse(self):
@@ -150,7 +149,7 @@ class TestBoundaryGraded:
         hs = halfspace_preset(7, "t-axis", 0.0)
         box = np.tile([0.0, 1.0], (7, 1))
         cfg = QuadConfig(points_per_axis=8, sample_count=20_000)
-        est = integrate(lambda p: hs.distance(p) ** -0.5 * p[:, 0], box, hs, cfg)
+        est = integrate_many([lambda p: hs.distance(p) ** -0.5 * p[:, 0]], box, hs, cfg)[0]
         assert est.stderr > 0.0
         assert abs(est.value - 1.0) < max(4.0 * est.stderr, 2e-2)
 
@@ -159,7 +158,7 @@ class TestMonteCarlo:
     def test_value_within_error_bars(self):
         cfg = QuadConfig(method="monte-carlo", sample_count=200_000, seed=3)
         hs = halfspace_preset(3, "x1-axis", 0.5)
-        est = integrate(lambda p: p[:, 0], UNIT_BOX, hs, cfg)
+        est = integrate_many([lambda p: p[:, 0]], UNIT_BOX, hs, cfg)[0]
         exact = 0.375
         assert abs(est.value - exact) < 4.0 * est.stderr
         assert est.evaluations == 200_000
@@ -171,7 +170,7 @@ class TestMonteCarlo:
             vals = []
             for seed in range(8):
                 cfg = QuadConfig(method="monte-carlo", sample_count=count, seed=seed)
-                vals.append(integrate(lambda p: np.sin(p).sum(axis=1), UNIT_BOX, hs, cfg).stderr)
+                vals.append(integrate_many([lambda p: np.sin(p).sum(axis=1)], UNIT_BOX, hs, cfg)[0].stderr)
             errs[count] = np.mean(vals)
         ratio = errs[80_000] / errs[20_000]
         assert 0.35 < ratio < 0.65
@@ -179,19 +178,19 @@ class TestMonteCarlo:
     def test_deterministic(self):
         cfg = QuadConfig(method="monte-carlo", sample_count=30_000, seed=11)
         hs = far_halfspace()
-        a = integrate(lambda p: np.cos(p[:, 0] * p[:, 1]), UNIT_BOX, hs, cfg)
-        b = integrate(lambda p: np.cos(p[:, 0] * p[:, 1]), UNIT_BOX, hs, cfg)
+        a = integrate_many([lambda p: np.cos(p[:, 0] * p[:, 1])], UNIT_BOX, hs, cfg)[0]
+        b = integrate_many([lambda p: np.cos(p[:, 0] * p[:, 1])], UNIT_BOX, hs, cfg)[0]
         assert a == b
 
     def test_seed_changes_value(self):
         hs = far_halfspace()
         ests = [
-            integrate(
-                lambda p: np.cos(p[:, 0]),
+            integrate_many(
+                [lambda p: np.cos(p[:, 0])],
                 UNIT_BOX,
                 hs,
                 QuadConfig(method="monte-carlo", sample_count=5_000, seed=s),
-            ).value
+            )[0].value
             for s in (1, 2)
         ]
         assert ests[0] != ests[1]
@@ -201,7 +200,7 @@ class TestSharedNodes:
     def test_pair_reuses_nodes(self):
         hs = halfspace_preset(3, "t-axis", 0.0)
         f = lambda p: hs.distance(p) ** -0.3
-        a, b = integrate_pair(f, f, UNIT_BOX, hs, QuadConfig())
+        a, b = integrate_many([f, f], UNIT_BOX, hs, QuadConfig())
         assert a.value == b.value and a.stderr == b.stderr
 
     def test_linearity_on_shared_nodes(self):
@@ -224,7 +223,7 @@ class TestSharedNodes:
         hs = HalfSpace(nu=np.array([0.5, 0.5, np.sqrt(0.5)]), d=0.05)
         cfg = QuadConfig(points_per_axis=12)
         f = lambda p: hs.distance(p) ** -0.5
-        assert integrate(f, UNIT_BOX, hs, cfg) == integrate(f, UNIT_BOX, hs, cfg)
+        assert integrate_many([f], UNIT_BOX, hs, cfg) == integrate_many([f], UNIT_BOX, hs, cfg)
 
 
 class TestFailureModes:
@@ -237,7 +236,7 @@ class TestFailureModes:
             return out
 
         with pytest.raises(IntegrationError) as err:
-            integrate(bad, UNIT_BOX, hs, QuadConfig(points_per_axis=8))
+            integrate_many([bad], UNIT_BOX, hs, QuadConfig(points_per_axis=8))
         assert err.value.point is not None
         assert err.value.point.shape == (3,)
         assert "non-finite" in str(err.value)
@@ -245,7 +244,7 @@ class TestFailureModes:
     def test_wrong_output_shape_rejected(self):
         hs = far_halfspace()
         with pytest.raises((ValueError, IntegrationError)):
-            integrate(lambda p: np.ones((len(p), 2)), UNIT_BOX, hs, QuadConfig())
+            integrate_many([lambda p: np.ones((len(p), 2))], UNIT_BOX, hs, QuadConfig())
 
 
 class TestNodeBudget:
@@ -265,13 +264,13 @@ class TestNodeBudget:
         hs = HalfSpace(nu=np.r_[np.zeros(dim - 1), 1.0], d=-1.0)
         box = np.tile([0.0, 1.0], (dim, 1))
         with pytest.raises(NodeBudgetError, match="budget"):
-            integrate(lambda p: np.ones(len(p)), box, hs, cfg)
+            integrate_many([lambda p: np.ones(len(p))], box, hs, cfg)
 
     def test_h2_default_is_far_under_budget(self):
         # the largest default rule: 16^4 x 32 nodes, plus the coarse companion
         hs = halfspace_preset(5, "t-axis", -1.0)
         box = np.tile([0.0, 1.0], (5, 1))
-        est = integrate(lambda p: np.ones(len(p)), box, hs, QuadConfig())
+        est = integrate_many([lambda p: np.ones(len(p))], box, hs, QuadConfig())[0]
         assert est.evaluations == 16**4 * 32
 
 
@@ -283,6 +282,7 @@ def _without_support(u):
     return ScalarField(u.dim, fn=u.values, grad_fn=u.gradients, support_box=u.support_box)
 
 
+_H1 = heisenberg_group(1)
 _T_AXIS = halfspace_preset(3, "t-axis", 0.0)
 _INTERIOR = BumpSpec(center=(0.1, -0.2, 0.8), radius=0.5)
 _ON_BOUNDARY = boundary_bump_spec(_T_AXIS, 0.6)
@@ -299,13 +299,17 @@ _RULES = {
 }
 
 
-def _integrands(u, hs):
-    # each has a factor of u or grad u, so it is exactly 0.0 outside u.support
-    return [
-        lambda p: np.sum(u.gradients(p) ** 2, axis=1),
-        lambda p: (np.abs(u.values(p)) / hs.distance(p)) ** 2,
-        lambda p: np.exp(p[:, 0]) * u.values(p),
-    ]
+# each has a factor of u or grad u, so it is exactly 0.0 outside u.support
+_INTEGRANDS = [
+    lambda s: np.sum(s.grad**2, axis=1),
+    lambda s: (np.abs(s.u) / s.dist) ** 2,
+    lambda s: np.exp(s.points[:, 0]) * s.u,
+]
+
+
+def _on_points(f, u):
+    """The sample integrand f as an integrand over raw points."""
+    return lambda p: f(sample_trial(_H1, _T_AXIS, u, p))
 
 
 class TestSupportMask:
@@ -316,9 +320,10 @@ class TestSupportMask:
         u = _TRIALS[trial](_INTERIOR if box_kind == "interior" else _ON_BOUNDARY)
         assert u.support is not None
         cfg = _RULES[rule]
-        fs = _integrands(u, _T_AXIS)
-        masked = integrate_many(fs, u.support_box, _T_AXIS, cfg, support=u.support)
-        plain = integrate_many(fs, u.support_box, _T_AXIS, cfg)
+        masked = integrate_many(_INTEGRANDS, u.support_box, _T_AXIS, cfg, trial=(_H1, u))
+        plain = integrate_many(
+            [_on_points(f, u) for f in _INTEGRANDS], u.support_box, _T_AXIS, cfg
+        )
         assert [_bits(e) for e in masked] == [_bits(e) for e in plain]
         assert masked[0].value > 0.0
 
@@ -327,11 +332,11 @@ class TestSupportMask:
         u = make_bump(_ON_BOUNDARY)
         seen = []
 
-        def spy(p):
-            seen.append(p.copy())
-            return u.values(p)
+        def spy(s):
+            seen.append(s.points.copy())
+            return s.u
 
-        integrate_many([spy], u.support_box, _T_AXIS, _RULES[rule], support=u.support)
+        integrate_many([spy], u.support_box, _T_AXIS, _RULES[rule], trial=(_H1, u))
         pts = np.concatenate(seen)
         assert pts.shape[0] > 0
         assert np.all(u.support(pts))
@@ -342,12 +347,12 @@ class TestSupportMask:
         assert f.support is None
         seen = []
 
-        def spy(p):
-            seen.append(len(p))
-            return f.values(p)
+        def spy(s):
+            seen.append(len(s))
+            return s.u
 
         cfg = QuadConfig(method="tensor-gauss", points_per_axis=8)
-        (est,) = integrate_many([spy], UNIT_BOX, far_halfspace(), cfg, support=f.support)
+        (est,) = integrate_many([spy], UNIT_BOX, far_halfspace(), cfg, trial=(_H1, f))
         # every node carries weight: 8^3 fine and 4^3 coarse
         assert sum(seen) == 8**3 + 4**3
         assert est.evaluations == 8**3

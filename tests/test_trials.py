@@ -7,11 +7,14 @@ from strathardy import (
     ScalarField,
     SharpnessSpec,
     boundary_bump_spec,
+    ground_gradient,
     ground_transform,
     halfspace_preset,
+    heisenberg_group,
     inverse_ground_transform,
     make_bump,
     random_interior_bumps,
+    sample_trial,
     sharpness_trial,
 )
 
@@ -28,7 +31,7 @@ def fd_gradients(field, pts, h=1e-6):
 class TestBump:
     def test_center_value(self):
         u = make_bump(BumpSpec(center=(0.3, -0.1, 2.0), radius=0.5))
-        assert u.value([0.3, -0.1, 2.0]) == np.exp(-1.0)
+        assert u.values([[0.3, -0.1, 2.0]])[0] == np.exp(-1.0)
 
     def test_vanishes_outside_support(self):
         u = make_bump(BumpSpec(center=(0.0, 0.0, 0.0), radius=1.0))
@@ -127,6 +130,15 @@ class TestGroundTransform:
         v = ground_transform(u, hs, 2.0)
         pts = rng.uniform(-0.3, 0.3, size=(40, 3)) + [0.0, 0.0, 1.0]
         assert np.max(np.abs(v.gradients(pts) - fd_gradients(v, pts))) < 1e-6
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_gradient_from_a_sample_is_bitwise_the_fields(self, rng, p):
+        hs = halfspace_preset(3, "t-axis", 0.0)
+        u = make_bump(BumpSpec(center=(0.0, 0.0, 0.3), radius=0.5))
+        pts = rng.uniform(-0.5, 0.5, size=(60, 3)) + [0.0, 0.0, 0.3]
+        pts = pts[hs.distance(pts) > 0.0]
+        sample = sample_trial(heisenberg_group(1), hs, u, pts)
+        assert np.array_equal(ground_gradient(sample, hs, p), ground_transform(u, hs, p).gradients(pts))
 
     def test_rejects_small_p(self):
         hs = halfspace_preset(3, "t-axis", 0.0)
