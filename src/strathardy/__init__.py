@@ -44,6 +44,7 @@ from .quadrature import (
 )
 from .trials import (
     BumpSpec,
+    BumpSupport,
     make_bump,
     ground_transform,
     ground_gradient,

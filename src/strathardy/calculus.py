@@ -18,6 +18,7 @@ differentiates is itself produced by a first derivative.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -110,11 +111,15 @@ class ScalarField:
     ``fn`` maps an (M, n) array to (M,); ``grad_fn``, if given, maps
     (M, n) to (M, n).  If ``support_box`` is set (an (n, 2) array of
     [lo, hi] rows), the evaluator must return 0 outside it; constructors in
-    this package guarantee that.  If ``support`` is set, it maps (M, n)
-    points to an (M,) bool mask, and the field and its gradient must be
-    exactly 0.0 wherever the mask is False: quadrature skips those nodes
-    (see :func:`~strathardy.quadrature.integrate_many`).  ``None`` means
-    the support is not known beyond ``support_box``.
+    this package guarantee that.  If ``support`` is set, calling it on
+    (M, n) points gives an (M,) bool mask, and the field and its gradient
+    must be exactly 0.0 wherever the mask is False; ``support.meets(points,
+    axis)`` gives an (M,) bool that may be True needlessly but must be True
+    wherever the line through the point along coordinate ``axis`` holds a
+    point of the mask.  Quadrature builds no node on a line that misses
+    the support and skips the nodes outside it (see
+    :func:`~strathardy.quadrature.integrate_many`).  ``None`` means the
+    support is not known beyond ``support_box``.
     """
 
     def __init__(
@@ -275,31 +280,40 @@ def angle_function_many(spec: GroupSpec, hs: HalfSpace, points) -> np.ndarray:
 class TrialSample:
     """A trial function u and the half-space geometry at a batch of points.
 
-    Rows follow ``points`` (M, n): ``dist`` is the boundary distance, ``w``
-    the angle function, ``u`` the trial's values, ``grad`` its Euclidean
-    gradient (M, n) and ``hgrad`` its horizontal gradient (M, N).
-    ``len(sample)`` is M.
+    Rows follow ``points`` (M, n): ``u`` is the trial's values, ``grad``
+    its Euclidean gradient (M, n) and ``hgrad`` its horizontal gradient
+    (M, N); ``dist``, the boundary distance, and ``w``, the angle
+    function, are computed on first read, so integrands that do not read
+    them do not pay for them.  ``len(sample)`` is M.
     """
 
+    spec: GroupSpec
+    hs: HalfSpace
     points: np.ndarray
-    dist: np.ndarray
-    w: np.ndarray
     u: np.ndarray
     grad: np.ndarray
     hgrad: np.ndarray
+
+    @cached_property
+    def dist(self) -> np.ndarray:
+        return self.hs.distance(self.points)
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        return angle_function_many(self.spec, self.hs, self.points)
 
     def __len__(self) -> int:
         return self.points.shape[0]
 
 
 def sample_trial(spec: GroupSpec, hs: HalfSpace, u: ScalarField, points) -> TrialSample:
-    """Evaluate u, its gradients, dist and W once at (M, n) points."""
+    """Evaluate u and its gradients once at (M, n) points; dist and W on demand."""
     points = np.asarray(points, dtype=float)
     grad = u.gradients(points)
     return TrialSample(
+        spec=spec,
+        hs=hs,
         points=points,
-        dist=hs.distance(points),
-        w=angle_function_many(spec, hs, points),
         u=u.values(points),
         grad=grad,
         hgrad=horizontal_from_euclidean(spec, points, grad),

@@ -20,7 +20,7 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 from . import experiments
-from .config import ConfigError, as_integer, build_trials, load_config, resolve
+from .config import ConfigError, as_integer, as_number, build_trials, load_config, resolve
 from .identities import run_identity_suite
 from .quadrature import NodeBudgetError
 from .reports import Report, config_digest, render_csv, render_json
@@ -86,14 +86,26 @@ def _sobolev(group, hs, quad, cfg, digest):
     return _each_trial(experiments.hardy_sobolev_ratio, group, hs, quad, cfg, digest)
 
 
+# the sharpness denominator behaves like dist^(p*eps - 1), and the
+# boundary-graded rule is validated for dist^g down to g = -0.9 only
+_MIN_P_EPS = 0.1
+
+
 def _sharpness(group, hs, quad, cfg, digest):
     eps_list = [float(e) for e in cfg["eps"]]
-    try:
-        radius = float(cfg["cutoff_radius"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad sharpness settings: {exc}") from exc
+    radius = as_number(cfg["cutoff_radius"], "cutoff_radius")
+    if radius <= 0:
+        raise ConfigError(f"cutoff_radius must be positive, got {radius!r}")
     if any(e <= 0 for e in eps_list):
         raise ConfigError("every eps must be positive")
+    for p in cfg["p"]:
+        for e in eps_list:
+            if p * e < _MIN_P_EPS:
+                raise ConfigError(
+                    f"sharpness row p={p!r}, eps={e!r} has p*eps < {_MIN_P_EPS!r}: "
+                    "its denominator exponent p*eps - 1 is below -0.9, where quadrature "
+                    "is not validated"
+                )
     cutoff = boundary_bump_spec(hs, radius)
     return [
         report

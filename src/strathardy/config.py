@@ -3,7 +3,9 @@
 A configuration is a JSON object of named blocks; anything omitted takes
 the defaults below.  Unknown keys are rejected so typos fail loudly
 (exit code 3 at the CLI) instead of silently running the default, and so
-are list-valued keys that are not JSON arrays of finite numbers.
+are scalar numeric keys that are not finite JSON numbers (a string or a
+boolean is not one) and list-valued keys that are not JSON arrays of
+finite numbers.
 
 {
   "group": "heisenberg:1",
@@ -37,25 +39,47 @@ from .groups import GroupSpec, group_from_name
 from .quadrature import QuadConfig
 from .trials import make_bump, random_interior_bumps
 
-__all__ = ["ConfigError", "DEFAULT_CONFIG", "as_integer", "number_list", "load_config", "resolve"]
+__all__ = [
+    "ConfigError",
+    "DEFAULT_CONFIG",
+    "as_integer",
+    "as_number",
+    "number_list",
+    "load_config",
+    "resolve",
+]
 
 
 class ConfigError(ValueError):
     """Bad configuration file or values; mapped to exit code 3."""
 
 
+def _is_number(value) -> bool:
+    """Whether a config value is a JSON number; booleans and strings are not."""
+    return type(value) in (int, float)
+
+
 def as_integer(value, name: str) -> int:
     """A count or seed from the config as an int.
 
     A float is accepted only when it is integral (16.0 is 16); 2.7 is
-    rejected rather than truncated.
+    rejected rather than truncated, and so are true (not 1) and "16".
     """
-    if isinstance(value, float) and not value.is_integer():
+    if not _is_number(value) or (isinstance(value, float) and not value.is_integer()):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from exc
+    return int(value)
+
+
+def as_number(value, name: str) -> float:
+    """A scalar key as a float; it must be a finite JSON number ("1" is rejected)."""
+    if _is_number(value):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ConfigError(f"{name} must be a finite JSON number, got {value!r}")
 
 
 def number_list(value, name: str) -> list[float]:
@@ -64,7 +88,7 @@ def number_list(value, name: str) -> list[float]:
     A string or a scalar is rejected rather than iterated: "23" is not
     [2, 3].
     """
-    if isinstance(value, list) and all(type(v) in (int, float) for v in value):
+    if isinstance(value, list) and all(_is_number(v) for v in value):
         try:
             floats = [float(v) for v in value]
         except OverflowError:
@@ -153,10 +177,10 @@ def resolve(config: dict, seed: int | None = None):
     preset, nu = hs_block.get("preset"), hs_block.get("nu")
     if preset is not None and nu is not None:
         raise ConfigError("halfspace block gives both a preset and a normal nu; give one")
+    d = as_number(hs_block.get("d", 0.0), "halfspace.d")
     try:
-        d = float(hs_block.get("d", 0.0))
         if nu is not None:
-            nu = np.asarray(nu, dtype=float)
+            nu = np.asarray(number_list(nu, "halfspace.nu"))
             if nu.shape != (group.total_dim,):
                 raise ConfigError(
                     f"halfspace normal has {nu.size} entries, group needs {group.total_dim}"
@@ -175,13 +199,14 @@ def resolve(config: dict, seed: int | None = None):
     qblock = cfg["quadrature"]
     points_per_axis = as_integer(qblock["points_per_axis"], "quadrature.points_per_axis")
     sample_count = as_integer(qblock["sample_count"], "quadrature.sample_count")
+    grading_exponent = as_number(qblock["grading_exponent"], "quadrature.grading_exponent")
     try:
         quad = QuadConfig(
             method=str(qblock["method"]),
             points_per_axis=points_per_axis,
             sample_count=sample_count,
             seed=cfg["seed"],
-            grading_exponent=float(qblock["grading_exponent"]),
+            grading_exponent=grading_exponent,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad quadrature block: {exc}") from exc
@@ -206,14 +231,16 @@ def build_trials(group: GroupSpec, hs: HalfSpace, cfg: dict):
     if family != "bump":
         raise ConfigError(f"unknown trial family {family!r}")
     count = as_integer(block["count"], "trials.count")
+    region = as_number(block["region"], "trials.region")
+    clearance = as_number(block["clearance"], "trials.clearance")
     try:
         specs = random_interior_bumps(
             hs,
             count=count,
             seed=cfg["seed"],
             radius_range=tuple(float(r) for r in block["radius"]),
-            region_halfwidth=float(block["region"]),
-            clearance=float(block["clearance"]),
+            region_halfwidth=region,
+            clearance=clearance,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad trials block: {exc}") from exc

@@ -29,19 +29,30 @@ Nodes with dist <= 0 are never evaluated: their weight is zero and
 integrands are only called on weight-carrying nodes.  Given a trial
 ``(spec, u)``, :func:`integrate_many` also skips the nodes outside
 ``u.support`` and calls each integrand on a
-:class:`~strathardy.calculus.TrialSample` (nodes, dist, W, u, grad u and
-grad_H u, computed once per chunk of nodes and shared by all integrands;
-``len(sample)`` is its node count) instead of on the nodes.  Every such
-integrand must be exactly 0.0 where u and grad u are, so skipping those
-nodes changes no value and no stderr.
+:class:`~strathardy.calculus.TrialSample` (nodes, u, grad u and grad_H u,
+computed once per chunk of nodes and shared by all integrands, with dist
+and W on demand; ``len(sample)`` is its node count) instead of on the
+nodes.  Every such integrand must be exactly 0.0 where u and grad u are,
+so skipping those nodes changes no value and no stderr.
 
-``evaluations`` in the returned estimate counts the nodes considered.  A
-non-finite integrand value raises IntegrationError naming the offending
-point.
+The boundary-graded rule goes further and builds only the lines along
+the normal axis that reach into the half-space and that
+``u.support.meets`` (see :class:`~strathardy.calculus.ScalarField`); the
+other lines would carry zero weight or lie outside the support.  Every
+node that is built has the arithmetic of the full rule, and contributions
+are scattered back to their places in the full rule before any sum, so
+values, stderrs and Monte Carlo line sums are those of the full rule bit
+for bit.  The other two rules build every node.
 
-No rule builds more than 2e7 nodes in one node set (the fine set, or its
-coarse companion): the count is worked out before anything is allocated,
-and a larger request raises NodeBudgetError.
+``evaluations`` in the returned estimate counts the nodes considered,
+that is the nodes of the full rule, built or not.  A non-finite
+integrand value raises IntegrationError naming the offending point.
+
+No rule considers more than 2e7 nodes in one node set (the fine set, or
+its coarse companion): the count is worked out before anything is
+allocated, and a larger request raises NodeBudgetError.  The bound holds
+for the full rule, since contributions are scattered into an array of
+that size.
 """
 
 from __future__ import annotations
@@ -159,18 +170,25 @@ def _philox_uniform(seed: int, count: int, dim: int) -> np.ndarray:
 
 
 class _NodeSet:
-    """Quadrature nodes with weights; zero weight marks 'never evaluate'."""
+    """Built quadrature nodes with weights; zero weight marks 'never evaluate'.
 
-    def __init__(self, points, weights, kind, group_size=1, coarse=None):
+    A rule of ``size`` nodes may build only some of them: ``index`` holds
+    each built node's position in the full rule (None when all are built).
+    """
+
+    def __init__(self, points, weights, kind, group_size=1, index=None, size=None):
         self.points = points
         self.weights = weights
         self.kind = kind  # "det" or "mc"
         self.group_size = group_size
-        self.coarse = coarse  # (points, weights) for deterministic error gap
+        self.index = index
+        self.size = points.shape[0] if size is None else size
+        # (points, weights, index, size) of the deterministic error gap's rule
+        self.coarse = None
 
     @property
     def evaluations(self) -> int:
-        return self.points.shape[0]
+        return self.size
 
 
 def _tensor_gauss_axes(box: np.ndarray, orders: Sequence[int]):
@@ -201,9 +219,10 @@ def _tensor_gauss_nodes(box, hs, ppa) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _build_tensor_gauss(box, hs, cfg) -> _NodeSet:
-    pts, w = _tensor_gauss_nodes(box, hs, cfg.points_per_axis)
-    coarse = _tensor_gauss_nodes(box, hs, max(2, cfg.points_per_axis // 2))
-    return _NodeSet(pts, w, "det", coarse=coarse)
+    node_set = _NodeSet(*_tensor_gauss_nodes(box, hs, cfg.points_per_axis), "det")
+    cpts, cw = _tensor_gauss_nodes(box, hs, max(2, cfg.points_per_axis // 2))
+    node_set.coarse = (cpts, cw, None, cpts.shape[0])
+    return node_set
 
 
 def _build_monte_carlo(box, hs, cfg) -> _NodeSet:
@@ -216,14 +235,11 @@ def _build_monte_carlo(box, hs, cfg) -> _NodeSet:
     return _NodeSet(pts, w, "mc", group_size=1)
 
 
-def _graded_s_axis(lo, hi, valid, m, ppa, panels, panel_order):
+def _graded_s_axis(lo, hi, m, ppa, panels, panel_order):
     """Per-row s nodes and weights for the substitution dist = s**m.
 
-    lo, hi: (T,) distance ranges (lo >= 0).  Returns s (T, S), ws (T, S).
-    Rows with valid = False get zero weights and dummy unit nodes.
+    lo, hi: (T,) distance ranges, 0 <= lo < hi.  Returns s (T, S), ws (T, S).
     """
-    lo = np.where(valid, lo, 0.0)
-    hi = np.where(valid, hi, 1.0)
     s_lo = lo ** (1.0 / m)
     s_hi = hi ** (1.0 / m)
     if panels is None:
@@ -239,13 +255,13 @@ def _graded_s_axis(lo, hi, valid, m, ppa, panels, panel_order):
         x, w = _gauss(panel_order)
         mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
         half = 0.5 * (edges[:, 1:] - edges[:, :-1])
-        s = (mid[:, :, None] + half[:, :, None] * x[None, None, :]).reshape(lo.shape[0], -1)
-        ws = (half[:, :, None] * w[None, None, :]).reshape(lo.shape[0], -1)
-    ws = np.where(valid[:, None], ws, 0.0)
+        cols = (panels + 1) * panel_order
+        s = (mid[:, :, None] + half[:, :, None] * x[None, None, :]).reshape(lo.shape[0], cols)
+        ws = (half[:, :, None] * w[None, None, :]).reshape(lo.shape[0], cols)
     return s, ws
 
 
-def _build_boundary_graded(box, hs, cfg, coarse_of=None) -> _NodeSet:
+def _build_boundary_graded(box, hs, cfg, support, coarse_of=None) -> _NodeSet:
     n = box.shape[0]
     nu = hs.nu
     m = cfg.grading_exponent
@@ -294,16 +310,24 @@ def _build_boundary_graded(box, hs, cfg, coarse_of=None) -> _NodeSet:
     db = nuj * box[jstar, 1] + c
     lo = np.maximum(0.0, np.minimum(da, db))
     hi = np.maximum(da, db)
-    valid = hi > np.maximum(lo, 0.0)
+    keep = hi > np.maximum(lo, 0.0)
 
-    s, ws = _graded_s_axis(lo, hi, valid, m, cfg.points_per_axis, panels, order)
+    # build only the lines that reach into the half-space and meet the
+    # support; the others would carry zero weight or be masked out
+    if support is not None:
+        line_pts = np.zeros((t_count, n))
+        line_pts[:, trans_axes] = trans_pts
+        keep &= support.meets(line_pts, jstar)
+    lines = np.flatnonzero(keep)
+    trans_pts, trans_w, c, lo, hi = (a[lines] for a in (trans_pts, trans_w, c, lo, hi))
+
+    s, ws = _graded_s_axis(lo, hi, m, cfg.points_per_axis, panels, order)
     dist = s**m
     ws = np.where(dist > 0.0, ws, 0.0)  # guard against underflow of s**m
     jac = (m * s ** (m - 1.0)) / abs(nuj)
     xj = (dist - c[:, None]) / nuj
 
-    t_count, s_count = s.shape
-    pts = np.empty((t_count, s_count, n))
+    pts = np.empty((lines.size, s_count, n))
     for ax_pos, ax in enumerate(trans_axes):
         pts[:, :, ax] = trans_pts[:, ax_pos][:, None]
     pts[:, :, jstar] = xj
@@ -321,6 +345,8 @@ def _build_boundary_graded(box, hs, cfg, coarse_of=None) -> _NodeSet:
         flat_w,
         kind,
         group_size=s_count if kind == "mc" else 1,
+        index=(lines[:, None] * s_count + np.arange(s_count)).reshape(-1),
+        size=t_count * s_count,
     )
     if kind == "det" and coarse_of is None:
         coarse_cfg = QuadConfig(
@@ -330,14 +356,15 @@ def _build_boundary_graded(box, hs, cfg, coarse_of=None) -> _NodeSet:
             seed=cfg.seed,
             grading_exponent=cfg.grading_exponent,
         )
-        coarse = _build_boundary_graded(box, hs, coarse_cfg, coarse_of=cfg)
-        node_set.coarse = (coarse.points, coarse.weights)
+        coarse = _build_boundary_graded(box, hs, coarse_cfg, support, coarse_of=cfg)
+        node_set.coarse = (coarse.points, coarse.weights, coarse.index, coarse.size)
     return node_set
 
 
-def _build_nodes(box, hs, cfg) -> _NodeSet:
+def _build_nodes(box, hs, cfg, support) -> _NodeSet:
+    """The node set of ``cfg.method``; boundary-graded builds no line that misses ``support``."""
     if cfg.method == "boundary-graded":
-        return _build_boundary_graded(box, hs, cfg)
+        return _build_boundary_graded(box, hs, cfg, support)
     if cfg.method == "tensor-gauss":
         return _build_tensor_gauss(box, hs, cfg)
     return _build_monte_carlo(box, hs, cfg)
@@ -381,11 +408,16 @@ def _evaluate(fs, points, live, sample) -> np.ndarray:
     return out
 
 
-def _contributions(weights, live, vals) -> np.ndarray:
-    """weights * values over the whole node set, with values zero off ``live``."""
-    values = np.zeros(weights.shape[0])
-    values[live] = vals
-    return weights * values
+def _contributions(weights, index, size, live, vals) -> np.ndarray:
+    """weights * values over the full rule of ``size`` nodes, zero off ``live``.
+
+    ``live`` indexes the built nodes, ``index`` maps them into the full rule
+    (None: built and full rule coincide).  Sums and line sums over the
+    result are those of the full rule bit for bit.
+    """
+    out = np.zeros(size)
+    out[live if index is None else index[live]] = weights[live] * vals
+    return out
 
 
 def integrate_many(
@@ -409,24 +441,25 @@ def integrate_many(
     box = _as_box(box)
     if box.shape[0] != hs.dim:
         raise ValueError(f"box has {box.shape[0]} axes, half-space has {hs.dim}")
-    ns = _build_nodes(box, hs, cfg)
     support = sample = None
     if trial is not None:
         spec, u = trial
         support = u.support
         sample = partial(sample_trial, spec, hs, u)
+    ns = _build_nodes(box, hs, cfg, support)
     live = _live_nodes(ns.points, ns.weights, support)
     fine = _evaluate(fs, ns.points, live, sample)
     if ns.kind == "det":
-        cpts, cw = ns.coarse
+        cpts, cw, cindex, csize = ns.coarse
         coarse_live = _live_nodes(cpts, cw, support)
         coarse = _evaluate(fs, cpts, coarse_live, sample)
     out = []
     for i in range(len(fs)):
-        contrib = _contributions(ns.weights, live, fine[i])
+        contrib = _contributions(ns.weights, ns.index, ns.size, live, fine[i])
         value = float(np.sum(contrib))
         if ns.kind == "det":
-            stderr = abs(value - float(np.sum(_contributions(cw, coarse_live, coarse[i]))))
+            coarse_contrib = _contributions(cw, cindex, csize, coarse_live, coarse[i])
+            stderr = abs(value - float(np.sum(coarse_contrib)))
         else:
             g = ns.group_size
             lines = contrib.reshape(-1, g).sum(axis=1) if g > 1 else contrib

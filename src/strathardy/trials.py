@@ -16,8 +16,12 @@ import numpy as np
 from .calculus import HalfSpace, ScalarField, TrialSample
 from .streams import philox_stream
 
+# relative slack of BumpSupport.meets against rounding in its sum
+_MEETS_MARGIN = 1e-12
+
 __all__ = [
     "BumpSpec",
+    "BumpSupport",
     "make_bump",
     "ground_transform",
     "ground_gradient",
@@ -73,21 +77,50 @@ class BumpSpec:
         return f"bump(center={_fmt(self.center)},radius={self.radius!r}{q})"
 
 
+class BumpSupport:
+    """The open support {S < 1} of a bump, S(x) = sum_i |(x_i - c_i) / r|^(q_i).
+
+    Called on (M, n) points it returns the (M,) bool mask S < 1.
+    :meth:`shape` is the arithmetic behind the mask and the bump's values
+    and gradients alike, so all three agree bit for bit.
+    """
+
+    def __init__(self, center: np.ndarray, radius: float, powers: np.ndarray):
+        self.center = center
+        self.radius = radius
+        self.powers = powers
+
+    def shape(self, points):
+        """S at (M, n) points and the scaled offsets z = (x - c) / r."""
+        z = (points - self.center) / self.radius
+        return np.sum(np.abs(z) ** self.powers, axis=1), z
+
+    def __call__(self, points):
+        return self.shape(points)[0] < 1.0
+
+    def meets(self, points, axis: int):
+        """Whether the line through each of the (M, n) points along ``axis`` meets the support.
+
+        S without its ``axis`` term is at most S anywhere on the line,
+        also after rounding, since rounding is monotone; the relative
+        margin keeps a one-ulp difference in summation from dropping a
+        line that holds a point with S < 1.  A line kept needlessly costs
+        only its nodes.
+        """
+        terms = np.abs((points - self.center) / self.radius) ** self.powers
+        terms[:, axis] = 0.0
+        return np.sum(terms, axis=1) < 1.0 + _MEETS_MARGIN
+
+
 def make_bump(spec: BumpSpec) -> ScalarField:
-    """Build the bump field with exact gradient, tight support box and support mask."""
+    """Build the bump field with exact gradient, tight support box and support."""
     center = np.asarray(spec.center, dtype=float)
     r = spec.radius
     powers = np.full(center.size, 2.0) if spec.powers is None else np.asarray(spec.powers, float)
-
-    def shape(points):
-        z = (points - center) / r
-        return np.sum(np.abs(z) ** powers, axis=1), z
-
-    def support(points):
-        return shape(points)[0] < 1.0
+    support = BumpSupport(center, r, powers)
 
     def fn(points):
-        s, _ = shape(points)
+        s, _ = support.shape(points)
         out = np.zeros(points.shape[0])
         inside = s < 1.0
         if np.any(inside):
@@ -95,7 +128,7 @@ def make_bump(spec: BumpSpec) -> ScalarField:
         return out
 
     def grad(points):
-        s, z = shape(points)
+        s, z = support.shape(points)
         out = np.zeros_like(points)
         inside = s < 1.0
         if np.any(inside):

@@ -194,6 +194,14 @@ class TestTrialSample:
         assert np.array_equal(s.grad, u.gradients(pts))
         assert np.array_equal(s.hgrad, horizontal_gradient_many(h1, u, pts))
 
+    def test_dist_and_w_are_computed_on_first_read(self, h1, rng):
+        hs = HalfSpace(nu=random_unit(rng, 3), d=0.1)
+        u = make_bump(BumpSpec(center=(0.2, -0.1, 0.8), radius=0.6))
+        s = sample_trial(h1, hs, u, rng.uniform(-0.4, 1.4, size=(40, 3)))
+        assert "dist" not in vars(s) and "w" not in vars(s)
+        assert s.w is s.w and "w" in vars(s) and "dist" not in vars(s)
+        assert s.dist is s.dist
+
 
 class TestAngleFunction:
     def test_t_axis_closed_form(self, h1, t_axis, rng):

@@ -271,12 +271,32 @@ class TestRejectedConfigs:
             ("sharpness", {"eps": "51"}, "eps"),
             ("hardy", {"trials": {"radius": [0.2]}}, "trials.radius"),
             ("hardy", {"halfspace": {"preset": "t-axis", "nu": [0.0, 0.0, 1.0]}}, "preset"),
+            # a JSON boolean is not a count, a string is not a number
+            ("bft-fuzz", {"samples": True}, "samples"),
+            ("hardy", {"trials": {"count": True}}, "trials.count"),
+            ("hardy", {"quadrature": {"points_per_axis": "8"}}, "points_per_axis"),
+            ("hardy", {"halfspace": {"d": "-0.5"}}, "halfspace.d"),
+            ("sharpness", {"cutoff_radius": "1"}, "cutoff_radius"),
+            ("hardy", {"halfspace": {"nu": ["0", "0", "1"]}}, "halfspace.nu"),
+            ("hardy", {"quadrature": {"grading_exponent": "4"}}, "grading_exponent"),
+            ("hardy", {"trials": {"region": "1.2"}}, "trials.region"),
+            ("hardy", {"trials": {"clearance": True}}, "trials.clearance"),
+            ("sharpness", {"cutoff_radius": -1.0}, "cutoff_radius"),
+            # p * eps = 0.002: the denominator exponent -0.998 is not validated
+            ("sharpness", {"eps": [0.2, 1e-3]}, "p=2.0, eps=0.001"),
         ],
     )
     def test_bad_values(self, tmp_path, capsys, command, over, name):
         code, out, err = run([command, "--config", write_config(tmp_path, **over)], capsys)
         assert code == 3 and out == ""
         assert err.count("\n") == 1 and name in err and "Traceback" not in err
+
+    def test_sharpness_on_the_validated_bound_runs(self, tmp_path, capsys):
+        # p * eps = 0.1 exactly at p = 2: the exponent is -0.9, still validated
+        path = write_config(tmp_path, p=[2.0, 3.0], eps=[0.05], cutoff_radius=1)
+        code, out, _ = run(["sharpness", "--config", path], capsys)
+        assert code in (0, 2)
+        assert len(out.strip().split("\n")) == 1 + 2
 
     def test_integral_floats_still_run(self, tmp_path, capsys):
         path = write_config(

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from strathardy import (
     BumpSpec,
@@ -19,6 +20,7 @@ from strathardy import (
     sample_trial,
     sharpness_trial,
 )
+from strathardy.quadrature import _build_nodes
 
 
 UNIT_BOX = np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
@@ -369,3 +371,99 @@ class TestSupportMask:
             hardy_quotient(h1, _T_AXIS, _without_support(u), np.inf, cfg)
         assert masked.value.point is not None
         assert np.array_equal(masked.value.point, plain.value.point)
+
+
+# heisenberg:1 and :2 take the deterministic transverse branch, :3 the
+# Monte Carlo one
+_GROUPS = {k: heisenberg_group(k) for k in (1, 2, 3)}
+_CLIP_INTEGRANDS = [
+    lambda s: np.sum(s.grad**2, axis=1),
+    lambda s: (np.abs(s.u) / s.dist) ** 2,
+    lambda s: s.w * np.sum(s.hgrad**2, axis=1),
+    lambda s: np.exp(s.points[:, 0]) * s.u,
+]
+_unit = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def _clip_cases(draw):
+    k = draw(st.sampled_from(sorted(_GROUPS)))
+    n = 2 * k + 1
+    center = np.array(draw(st.lists(_unit, min_size=n, max_size=n)))
+    radius = draw(st.floats(0.1, 0.8))
+    powers = draw(st.lists(st.sampled_from([2, 4]), min_size=n, max_size=n))
+    nu = np.array(draw(st.lists(_unit, min_size=n, max_size=n)))
+    if np.linalg.norm(nu) < 0.1:
+        nu[draw(st.integers(0, n - 1))] = 1.0
+    nu = nu / np.linalg.norm(nu)
+    # shift < -sqrt(n) puts the whole support box inside the half-space;
+    # near 0 the boundary crosses the bump
+    shift = draw(st.floats(-3.0, 0.9))
+    hs = HalfSpace(nu=nu, d=float(nu @ center) + shift * radius)
+    u = make_bump(BumpSpec(center=tuple(center), radius=radius, powers=tuple(powers)))
+    if k == 3:
+        cfg = QuadConfig(sample_count=draw(st.integers(64, 3000)), seed=draw(st.integers(0, 99)))
+    else:
+        cfg = QuadConfig(points_per_axis=draw(st.integers(2, 7 if k == 1 else 4)))
+    return _GROUPS[k], hs, u, cfg
+
+
+class TestClipToSupport:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_clip_cases())
+    def test_clipped_equals_unclipped_bitwise(self, case):
+        spec, hs, u, cfg = case
+        clipped = integrate_many(_CLIP_INTEGRANDS, u.support_box, hs, cfg, trial=(spec, u))
+        plain = integrate_many(
+            _CLIP_INTEGRANDS, u.support_box, hs, cfg, trial=(spec, _without_support(u))
+        )
+        assert [_bits(e) for e in clipped] == [_bits(e) for e in plain]
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_interior_bump_builds_fewer_nodes_than_it_considers(self, k):
+        n = 2 * k + 1
+        u = make_bump(BumpSpec(center=(0.1,) * (n - 1) + (0.8,), radius=0.5))
+        hs = halfspace_preset(n, "t-axis", 0.0)
+        cfg = QuadConfig(points_per_axis=8)
+        full = _build_nodes(u.support_box, hs, cfg, None)
+        clipped = _build_nodes(u.support_box, hs, cfg, u.support)
+        for (pts, w, index, size), (fpts, fw, findex, fsize) in [
+            ((clipped.points, clipped.weights, clipped.index, clipped.size),
+             (full.points, full.weights, full.index, full.size)),
+            (clipped.coarse, full.coarse),
+        ]:
+            assert size == fsize and len(pts) < size
+            # the nodes built are those of the full rule, bit for bit, and
+            # the ones left out all lie outside the support
+            at = np.searchsorted(findex, index)
+            assert np.array_equal(findex[at], index)
+            assert np.array_equal(fpts[at], pts) and np.array_equal(fw[at], w)
+            dropped = np.setdiff1d(np.arange(len(fpts)), at)
+            assert dropped.size > 0 and not np.any(u.support(fpts[dropped]))
+        (est,) = integrate_many([lambda s: s.u], u.support_box, hs, cfg, trial=(_GROUPS[k], u))
+        assert est.evaluations == full.size
+
+    def test_no_line_meets_the_support(self):
+        # 2 points per axis on four transverse axes: every line passes at
+        # 2/sqrt(3) radii from the center, outside the ball, and the box
+        # touches the boundary, so the graded panels get zero rows
+        h2 = _GROUPS[2]
+        hs = halfspace_preset(h2, "t-axis", 0.0)
+        u = make_bump(BumpSpec(center=(0.0,) * 5, radius=0.5))
+        cfg = QuadConfig(points_per_axis=2)
+        ns = _build_nodes(u.support_box, hs, cfg, u.support)
+        assert len(ns.points) == 0 and len(ns.coarse[0]) == 0 and ns.size > 0
+        with pytest.raises(ValueError, match="trivial"):
+            hardy_quotient(h2, hs, u, 2.0, cfg)
+
+    def test_meets_keeps_every_line_with_a_live_point(self, rng):
+        spec = BumpSpec(center=(0.2, -0.1, 0.5), radius=0.4, powers=(2, 4, 2))
+        support = make_bump(spec).support
+        pts = rng.uniform(-0.3, 0.7, size=(5000, 3))
+        for axis in range(3):
+            meets = support.meets(pts, axis)
+            along = np.repeat(pts, 65, axis=0)
+            along[:, axis] = np.tile(np.linspace(-0.3, 0.7, 65), len(pts))
+            live = support(along).reshape(len(pts), 65).any(axis=1)
+            assert np.all(meets[live])
+            assert 0 < np.count_nonzero(meets) < len(pts)
