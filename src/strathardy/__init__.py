@@ -60,6 +60,7 @@ from .experiments import (
     beta_form_coefficient,
     remainder_constant,
     sobolev_exponent,
+    TrivialTrialError,
     hardy_quotient,
     general_hardy_margin,
     remainder_check,

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .groups import GroupSpec
+from .groups import GroupSpec, apply_field_to_polynomial
 from .polynomials import Polynomial
 
 __all__ = [
@@ -250,18 +250,6 @@ def horizontal_from_euclidean(spec: GroupSpec, points, grads) -> np.ndarray:
     return out
 
 
-def apply_field_to_polynomial(spec: GroupSpec, k: int, g: Polynomial) -> Polynomial:
-    """X_k g for a polynomial g, computed exactly in the polynomial ring."""
-    if not 0 <= k < spec.horizontal_dim:
-        raise ValueError(f"horizontal index {k} out of range")
-    if g.nvars != spec.total_dim:
-        raise ValueError(f"polynomial has {g.nvars} variables, group has {spec.total_dim}")
-    out = g.partial(k)
-    for slot, poly in spec.coeffs[k]:
-        out = out + poly * g.partial(slot)
-    return out
-
-
 def horizontal_gradient_many(
     spec: GroupSpec, f: ScalarField, points, h: float = H_STEP
 ) -> np.ndarray:
@@ -367,8 +355,8 @@ def distance_flux_parts(spec: GroupSpec, hs: HalfSpace) -> tuple[Polynomial, Pol
     s1 = Polynomial.zero(n)
     s2 = Polynomial.zero(n)
     for k, pk in enumerate(polys):
-        s1 = s1 + apply_field_to_polynomial(spec, k, pk)
         diag = apply_field_to_polynomial(spec, k, pk)
+        s1 = s1 + diag
         if not diag.is_zero:
             s2 = s2 + pk * pk * diag
         # off-diagonal terms grouped as P_k P_i (X_k P_i + X_i P_k): summing

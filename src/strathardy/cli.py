@@ -6,8 +6,10 @@ Subcommands run one experiment family each and write a CSV or JSON report
 rows, the contract that names the rows that fail, and the half-space
 preset used when the configuration names no normal.  Exit codes: 0 when
 every checked contract holds within tolerance, 2 when a contract is
-violated (one stderr line per failing row), 3 for configuration errors, a
-quadrature over its node budget among them.  All randomness is
+violated (one stderr line per failing row), 3 for configuration errors:
+among them a quadrature over its node budget, a trial the quadrature rule
+never sees (its denominator integral vanishes) and an integrand that
+overflows at a node (p too large, say).  All randomness is
 counter-based and derived from the seed, so identical configurations
 produce byte-identical reports.
 """
@@ -22,7 +24,7 @@ from typing import Callable, NamedTuple
 from . import experiments
 from .config import ConfigError, as_integer, as_number, build_trials, load_config, resolve
 from .identities import run_identity_suite
-from .quadrature import NodeBudgetError
+from .quadrature import IntegrationError, NodeBudgetError
 from .reports import Report, config_digest, render_csv, render_json
 from .trials import boundary_bump_spec
 
@@ -94,8 +96,10 @@ _MIN_P_EPS = 0.1
 def _sharpness(group, hs, quad, cfg, digest):
     eps_list = [float(e) for e in cfg["eps"]]
     radius = as_number(cfg["cutoff_radius"], "cutoff_radius")
-    if radius <= 0:
-        raise ConfigError(f"cutoff_radius must be positive, got {radius!r}")
+    try:
+        cutoff = boundary_bump_spec(hs, radius)
+    except ValueError as exc:
+        raise ConfigError(f"cutoff_radius {radius!r}: {exc}") from exc
     if any(e <= 0 for e in eps_list):
         raise ConfigError("every eps must be positive")
     for p in cfg["p"]:
@@ -106,7 +110,6 @@ def _sharpness(group, hs, quad, cfg, digest):
                     "its denominator exponent p*eps - 1 is below -0.9, where quadrature "
                     "is not validated"
                 )
-    cutoff = boundary_bump_spec(hs, radius)
     return [
         report
         for p in cfg["p"]
@@ -225,7 +228,7 @@ def main(argv=None) -> int:
         resolved["command"] = args.command
         digest = config_digest(resolved)
         reports = command.run(group, hs, quad, resolved, digest)
-    except (ConfigError, NodeBudgetError) as exc:
+    except (ConfigError, NodeBudgetError, experiments.TrivialTrialError, IntegrationError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 3
     text = (

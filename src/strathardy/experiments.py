@@ -1,7 +1,7 @@
 """Inequality experiments: Hardy quotients, remainder and Sobolev checks.
 
-Each runner integrates its numerator and denominator on one shared node
-set, propagates a standard error, and returns a
+Each runner integrates its numerator and denominator over the trial's
+support box on one shared rule, propagates a standard error, and returns a
 :class:`~strathardy.reports.Report`.  The integrands are array expressions
 over the :class:`~strathardy.calculus.TrialSample` that quadrature
 computes once per chunk of nodes.  The bounds these quantities are
@@ -24,7 +24,7 @@ from .calculus import (
 from .groups import GroupSpec
 from .quadrature import IntegralEstimate, QuadConfig, integrate_many
 from .reports import Report
-from .streams import philox_stream
+from .streams import philox_chunks
 from .trials import BumpSpec, SharpnessSpec, ground_gradient, sharpness_trial
 
 __all__ = [
@@ -33,6 +33,7 @@ __all__ = [
     "beta_form_coefficient",
     "remainder_constant",
     "sobolev_exponent",
+    "TrivialTrialError",
     "hardy_quotient",
     "general_hardy_margin",
     "remainder_check",
@@ -92,12 +93,28 @@ def sobolev_exponent(p: float, Q: float) -> float:
 # -- shared pieces -------------------------------------------------------------
 
 
-def _resolve_box(u: ScalarField, box):
-    if box is not None:
-        return np.asarray(box, dtype=float)
+class TrivialTrialError(ValueError):
+    """The trial's denominator integral is zero on the rule, or too small to
+    divide by: the bound would be checked against zero and verify nothing."""
+
+
+def _integrate(integrands, spec, hs, u: ScalarField, cfg, denominator: int = 1):
+    """The integrals of ``integrands`` over u's support box, on samples of u.
+
+    Raises TrivialTrialError unless the integral at position
+    ``denominator`` is positive, with a square that does not underflow
+    (quotient stderrs divide by it).
+    """
     if u.support_box is None:
-        raise ValueError("no integration box: trial has unbounded support and box=None")
-    return u.support_box
+        raise ValueError("no integration box: trial has unbounded support")
+    estimates = integrate_many(integrands, u.support_box, hs, cfg, trial=(spec, u))
+    den = estimates[denominator].value
+    if den <= 0.0 or den**2 == 0.0:
+        raise TrivialTrialError(
+            f"trivial trial function {u.label}: its denominator integral {den!r} "
+            "on this quadrature rule is too small to check a bound against"
+        )
+    return estimates
 
 
 def _hardy_integrands(p: float):
@@ -118,7 +135,9 @@ def _quotient_stderr(num: IntegralEstimate, den: IntegralEstimate) -> float:
     )
 
 
-def _base_report(inequality_id, spec, hs, p, cfg, digest, **kw) -> Report:
+def _report(inequality_id, spec, hs, u, p, cfg, digest, estimates, extras=None, **kw):
+    """A runner's report row: ``evaluations`` sums over ``estimates``, and
+    ``extras`` follow the trial's label."""
     return Report(
         inequality_id=inequality_id,
         p=float(p),
@@ -127,6 +146,8 @@ def _base_report(inequality_id, spec, hs, p, cfg, digest, **kw) -> Report:
         d=float(hs.d),
         seed=cfg.seed,
         config_digest=digest,
+        evaluations=sum(e.evaluations for e in estimates),
+        extras={"trial": u.label, **(extras or {})},
         **kw,
     )
 
@@ -140,7 +161,6 @@ def hardy_quotient(
     u: ScalarField,
     p: float,
     cfg: QuadConfig | None = None,
-    box=None,
     config_digest: str = "",
     inequality_id: str = "hardy",
 ) -> Report:
@@ -151,29 +171,24 @@ def hardy_quotient(
     """
     p = _check_p(p)
     cfg = cfg or QuadConfig()
-    box = _resolve_box(u, box)
-    num, den = integrate_many(_hardy_integrands(p), box, hs, cfg, trial=(spec, u))
-    if den.value <= 0.0:
-        raise ValueError(
-            "trivial trial function: the weighted denominator integral vanishes"
-        )
+    num, den = _integrate(_hardy_integrands(p), spec, hs, u, cfg)
     quotient = num.value / den.value
     bound = sharp_hardy_constant(p)
-    return _base_report(
+    return _report(
         inequality_id,
         spec,
         hs,
+        u,
         p,
         cfg,
         config_digest,
+        [num, den],
         quotient=quotient,
         bound=bound,
         margin=quotient - bound,
         stderr=_quotient_stderr(num, den),
-        evaluations=num.evaluations + den.evaluations,
         numerator=num,
         denominator=den,
-        extras={"trial": u.label},
     )
 
 
@@ -184,7 +199,6 @@ def general_hardy_margin(
     p: float,
     beta: float,
     cfg: QuadConfig | None = None,
-    box=None,
     config_digest: str = "",
 ) -> Report:
     """Margin of the beta-form bound, normalized by the weighted integral.
@@ -197,7 +211,6 @@ def general_hardy_margin(
     p = _check_p(p)
     beta = float(beta)
     cfg = cfg or QuadConfig()
-    box = _resolve_box(u, box)
     s1, s2 = distance_flux_parts(spec, hs)
     p_harmonic = s1.is_zero and s2.is_zero
 
@@ -208,13 +221,9 @@ def general_hardy_margin(
             / s.dist ** (p - 1.0)
             * np.abs(s.u) ** p
         )
-    results = integrate_many(integrands, box, hs, cfg, trial=(spec, u))
+    results = _integrate(integrands, spec, hs, u, cfg)
     t0, t1 = results[0], results[1]
     t2 = results[2] if not p_harmonic else IntegralEstimate(0.0, 0.0, t1.evaluations)
-    if t1.value <= 0.0:
-        raise ValueError(
-            "trivial trial function: the weighted denominator integral vanishes"
-        )
     coeff = beta_form_coefficient(p, beta)
     quotient = t0.value / t1.value
     bound = coeff + beta * t2.value / t1.value
@@ -223,27 +232,27 @@ def general_hardy_margin(
         _quotient_stderr(t0, t1)
         + abs(beta) * (_quotient_stderr(t2, t1) if t2.stderr else 0.0)
     )
-    return _base_report(
+    return _report(
         "general-hardy",
         spec,
         hs,
+        u,
         p,
         cfg,
         config_digest,
-        quotient=quotient,
-        bound=bound,
-        margin=margin,
-        stderr=stderr,
-        evaluations=t0.evaluations + t1.evaluations + t2.evaluations,
-        numerator=t0,
-        denominator=t1,
+        [t0, t1, t2],
         extras={
-            "trial": u.label,
             "beta": beta,
             "coefficient": coeff,
             "p_harmonic_distance": p_harmonic,
             "t2_value": t2.value,
         },
+        quotient=quotient,
+        bound=bound,
+        margin=margin,
+        stderr=stderr,
+        numerator=t0,
+        denominator=t1,
     )
 
 
@@ -253,7 +262,6 @@ def remainder_check(
     u: ScalarField,
     p: float,
     cfg: QuadConfig | None = None,
-    box=None,
     config_digest: str = "",
 ) -> Report:
     """Slack of the remainder bound E_p[u] >= C_p int dist^(p-1) |grad_H v|^p.
@@ -264,35 +272,33 @@ def remainder_check(
     if p < 2.0:
         raise ValueError("the remainder check needs p >= 2")
     cfg = cfg or QuadConfig()
-    box = _resolve_box(u, box)
 
     def r_integrand(s):
         hor = horizontal_from_euclidean(spec, s.points, ground_gradient(s, hs, p))
         return (s.dist ** ((p - 1.0) / p) * np.sqrt(np.sum(hor * hor, axis=1))) ** p
 
-    t0, t1, rem = integrate_many(
-        _hardy_integrands(p) + [r_integrand], box, hs, cfg, trial=(spec, u)
-    )
+    t0, t1, rem = _integrate(_hardy_integrands(p) + [r_integrand], spec, hs, u, cfg, denominator=2)
     sharp = sharp_hardy_constant(p)
     cp = remainder_constant(p)
     energy = t0.value - sharp * t1.value
     slack = energy - cp * rem.value
     stderr = float(t0.stderr + sharp * t1.stderr + cp * rem.stderr)
-    return _base_report(
+    return _report(
         "remainder",
         spec,
         hs,
+        u,
         p,
         cfg,
         config_digest,
-        quotient=(energy / rem.value) if rem.value > 0 else None,
+        [t0, t1, rem],
+        extras={"energy": energy, "remainder_integral": rem.value},
+        quotient=energy / rem.value,
         bound=cp,
         margin=slack,
         stderr=stderr,
-        evaluations=t0.evaluations + t1.evaluations + rem.evaluations,
         numerator=t0,
         denominator=rem,
-        extras={"trial": u.label, "energy": energy, "remainder_integral": rem.value},
     )
 
 
@@ -302,7 +308,6 @@ def hardy_sobolev_ratio(
     u: ScalarField,
     p: float,
     cfg: QuadConfig | None = None,
-    box=None,
     config_digest: str = "",
 ) -> Report:
     """S[u] = E_p[u]^(1/p) / (int |u|^p*)^(1/p*), scaling-invariant in u.
@@ -315,10 +320,9 @@ def hardy_sobolev_ratio(
     Q = spec.homogeneous_dim
     pstar = sobolev_exponent(p, Q)
     cfg = cfg or QuadConfig()
-    box = _resolve_box(u, box)
 
-    t0, t1, mass = integrate_many(
-        _hardy_integrands(p) + [lambda s: np.abs(s.u) ** pstar], box, hs, cfg, trial=(spec, u)
+    t0, t1, mass = _integrate(
+        _hardy_integrands(p) + [lambda s: np.abs(s.u) ** pstar], spec, hs, u, cfg, denominator=2
     )
     sharp = sharp_hardy_constant(p)
     energy = t0.value - sharp * t1.value
@@ -327,35 +331,28 @@ def hardy_sobolev_ratio(
         raise ValueError(
             f"inconsistent remainder energy: E_p[u] = {energy} is negative beyond tolerance"
         )
-    if mass.value <= 0.0:
-        raise ValueError("trivial trial function: the |u|^p* integral vanishes")
     ratio = max(energy, 0.0) ** (1.0 / p) / mass.value ** (1.0 / pstar)
     if energy > 0:
         rel = energy_err / energy / p + mass.stderr / mass.value / pstar
         stderr = ratio * rel
     else:
         stderr = float("inf")
-    return _base_report(
+    return _report(
         "sobolev",
         spec,
         hs,
+        u,
         p,
         cfg,
         config_digest,
+        [t0, t1, mass],
+        extras={"energy": energy, "p_star": pstar, "Q": float(Q), "Q-convention": "homogeneous"},
         quotient=ratio,
         bound=0.0,
         margin=ratio,
         stderr=float(stderr),
-        evaluations=t0.evaluations + t1.evaluations + mass.evaluations,
         numerator=t0,
         denominator=mass,
-        extras={
-            "trial": u.label,
-            "energy": energy,
-            "p_star": pstar,
-            "Q": float(Q),
-            "Q-convention": "homogeneous",
-        },
     )
 
 
@@ -363,7 +360,6 @@ def luan_young_check(
     spec: GroupSpec,
     u: ScalarField,
     cfg: QuadConfig | None = None,
-    box=None,
     config_digest: str = "",
 ) -> Report:
     """Quotient of int |grad_H u|^2 over int ((|x|^2+|y|^2)/t^2) |u|^2 vs 1.
@@ -378,7 +374,6 @@ def luan_young_check(
     n = spec.heisenberg_n
     hs = HalfSpace(nu=np.eye(2 * n + 1)[-1], d=0.0)
     cfg = cfg or QuadConfig()
-    box = _resolve_box(u, box)
 
     def weight_integrand(s):
         x = s.points[:, :n]
@@ -386,29 +381,23 @@ def luan_young_check(
         t = s.points[:, 2 * n]
         return (np.sum(x * x, axis=1) + np.sum(y * y, axis=1)) * (s.u / t) ** 2
 
-    num, den = integrate_many(
-        [_hardy_integrands(2.0)[0], weight_integrand], box, hs, cfg, trial=(spec, u)
-    )
-    if den.value <= 0.0:
-        raise ValueError(
-            "trivial trial function: the weighted denominator integral vanishes"
-        )
+    num, den = _integrate([_hardy_integrands(2.0)[0], weight_integrand], spec, hs, u, cfg)
     quotient = num.value / den.value
-    return _base_report(
+    return _report(
         "luan-young",
         spec,
         hs,
+        u,
         2.0,
         cfg,
         config_digest,
+        [num, den],
         quotient=quotient,
         bound=1.0,
         margin=quotient - 1.0,
         stderr=_quotient_stderr(num, den),
-        evaluations=num.evaluations + den.evaluations,
         numerator=num,
         denominator=den,
-        extras={"trial": u.label},
     )
 
 
@@ -435,12 +424,7 @@ def bft_fuzz(
         raise ValueError("the vector inequality is checked for p >= 2")
     violations = 0
     worst = 0.0
-    chunk = 1 << 17
-    produced = 0
-    index = 0
-    while produced < samples:
-        take = min(chunk, samples - produced)
-        gen = philox_stream(seed, index)
+    for gen, take in philox_chunks(seed, samples, 1 << 17):
         a = gen.standard_normal((take, max_dim))
         b = gen.standard_normal((take, max_dim))
         dims = gen.integers(1, max_dim + 1, size=take)
@@ -462,8 +446,6 @@ def bft_fuzz(
         defect = (lhs - rhs) / scale
         violations += int(np.sum(defect < -rel_tol))
         worst = min(worst, float(defect.min()))
-        produced += take
-        index += 1
     return Report(
         inequality_id="bft",
         p=lo_p,
@@ -504,7 +486,7 @@ def sharpness_sweep(
     reports = []
     verification = (
         abs(hs.nu[0] - 1.0) < 1e-15
-        and float(np.max(np.abs(hs.nu[1:]))) == 0.0
+        and not np.any(hs.nu[1:])
         and hs.d == 0.0
     )
     for eps in eps_list:
@@ -515,7 +497,6 @@ def sharpness_sweep(
             trial,
             p,
             cfg,
-            box=trial.support_box,
             config_digest=config_digest,
             inequality_id="sharpness",
         )

@@ -31,6 +31,7 @@ __all__ = [
     "h_multiply",
     "h_inverse",
     "dilate",
+    "apply_field_to_polynomial",
     "commutator_check",
     "left_translation_jacobian",
 ]
@@ -274,12 +275,15 @@ def dilate(spec: GroupSpec, lam: float, xi) -> np.ndarray:
     return xi * lam ** spec.stratum_weights()
 
 
-def _apply_vector_to_polynomial(vec: list[Polynomial], g: Polynomial) -> Polynomial:
-    out = Polynomial.zero(g.nvars)
-    for j, a in enumerate(vec):
-        if a.is_zero:
-            continue
-        out = out + a * g.partial(j)
+def apply_field_to_polynomial(spec: GroupSpec, k: int, g: Polynomial) -> Polynomial:
+    """X_k g for a polynomial g, computed exactly in the polynomial ring."""
+    if not 0 <= k < spec.horizontal_dim:
+        raise ValueError(f"horizontal index {k} out of range")
+    if g.nvars != spec.total_dim:
+        raise ValueError(f"polynomial has {g.nvars} variables, group has {spec.total_dim}")
+    out = g.partial(k)
+    for slot, poly in spec.coeffs[k]:
+        out = out + poly * g.partial(slot)
     return out
 
 
@@ -298,11 +302,9 @@ def commutator_check(spec: GroupSpec, i: int, j: int) -> list[Polynomial]:
     nh = spec.horizontal_dim
     if not (0 <= i < nh and 0 <= j < nh):
         raise ValueError(f"field indices ({i}, {j}) out of range 0..{nh - 1}")
-    a = spec.field_vector(i)
-    b = spec.field_vector(j)
     return [
-        _apply_vector_to_polynomial(a, bm) - _apply_vector_to_polynomial(b, am)
-        for am, bm in zip(a, b)
+        apply_field_to_polynomial(spec, i, bm) - apply_field_to_polynomial(spec, j, am)
+        for am, bm in zip(spec.field_vector(i), spec.field_vector(j))
     ]
 
 

@@ -1,6 +1,8 @@
 """Quadrature over coordinate boxes clipped to a half-space.
 
-Three methods share one node-set abstraction:
+Three methods build one kind of rule record (nodes, weights, and where
+the built nodes sit in the full rule), and one function evaluates any
+rule:
 
 ``boundary-graded`` (default)
     Integrates along the half-space normal with the substitution
@@ -44,28 +46,33 @@ are scattered back to their places in the full rule before any sum, so
 values, stderrs and Monte Carlo line sums are those of the full rule bit
 for bit.  The other two rules build every node.
 
+A deterministic rule (tensor-gauss, or boundary-graded with at most 4
+transverse axes) reports as stderr its gap to its coarse companion, which
+is a rule too: the same builder at half the points per axis (and half
+the panel order on graded panels), evaluated the same way.  A Monte Carlo
+rule has no companion and reports the spread of its node or line sums.
+
 ``evaluations`` in the returned estimate counts the nodes considered,
 that is the nodes of the full rule, built or not.  A non-finite
 integrand value raises IntegrationError naming the offending point.
 
-No rule considers more than 2e7 nodes in one node set (the fine set, or
-its coarse companion): the count is worked out before anything is
-allocated, and a larger request raises NodeBudgetError.  The bound holds
-for the full rule, since contributions are scattered into an array of
-that size.
+No rule considers more than 2e7 nodes (a coarse companion is counted on
+its own): the count is worked out before anything is allocated, and a
+larger request raises NodeBudgetError.  The bound holds for the full
+rule, since contributions are scattered into an array of that size.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .calculus import HalfSpace, ScalarField, sample_trial
 from .groups import GroupSpec
-from .streams import philox_stream
+from .streams import philox_chunks
 
 __all__ = [
     "QuadConfig",
@@ -156,39 +163,33 @@ def _philox_uniform(seed: int, count: int, dim: int) -> np.ndarray:
     Chunk c uses key (seed, c); consumers always read chunks in index
     order, so the stream does not depend on worker scheduling.
     """
-    rows_per_chunk = max(1, _CHUNK // max(1, dim))
-    chunks = []
-    produced = 0
-    index = 0
-    while produced < count:
-        bits = philox_stream(seed, index)
-        take = min(rows_per_chunk, count - produced)
-        chunks.append(bits.random((take, dim)))
-        produced += take
-        index += 1
+    rows = max(1, _CHUNK // max(1, dim))
+    chunks = [gen.random((take, dim)) for gen, take in philox_chunks(seed, count, rows)]
     return np.concatenate(chunks, axis=0) if len(chunks) > 1 else chunks[0]
 
 
-class _NodeSet:
+class _Rule(NamedTuple):
     """Built quadrature nodes with weights; zero weight marks 'never evaluate'.
 
     A rule of ``size`` nodes may build only some of them: ``index`` holds
     each built node's position in the full rule (None when all are built).
+    A deterministic rule carries its ``coarse`` companion, itself a rule
+    on the same box at half the points per axis, and its stderr is the gap
+    between the two.  A Monte Carlo rule has no companion: its stderr
+    comes from the spread of its sums over consecutive groups of
+    ``group_size`` nodes (whole lines for the boundary-graded rule).
     """
 
-    def __init__(self, points, weights, kind, group_size=1, index=None, size=None):
-        self.points = points
-        self.weights = weights
-        self.kind = kind  # "det" or "mc"
-        self.group_size = group_size
-        self.index = index
-        self.size = points.shape[0] if size is None else size
-        # (points, weights, index, size) of the deterministic error gap's rule
-        self.coarse = None
+    points: np.ndarray
+    weights: np.ndarray
+    index: np.ndarray | None
+    size: int
+    group_size: int = 1
+    coarse: _Rule | None = None
 
-    @property
-    def evaluations(self) -> int:
-        return self.size
+
+def _coarse_config(cfg: QuadConfig) -> QuadConfig:
+    return replace(cfg, points_per_axis=max(2, cfg.points_per_axis // 2))
 
 
 def _tensor_gauss_axes(box: np.ndarray, orders: Sequence[int]):
@@ -210,29 +211,26 @@ def _tensor_product(nodes_1d, weights_1d):
     return pts, w
 
 
-def _tensor_gauss_nodes(box, hs, ppa) -> tuple[np.ndarray, np.ndarray]:
+def _build_tensor_gauss(box, hs, cfg, companion=False) -> _Rule:
     n = box.shape[0]
+    ppa = cfg.points_per_axis
     _check_budget(ppa**n, f"tensor-gauss with {ppa} points per axis in {n} dimensions")
     pts, w = _tensor_product(*_tensor_gauss_axes(box, [ppa] * n))
     w = np.where(hs.distance(pts) > 0.0, w, 0.0)
-    return pts, w
+    coarse = None
+    if not companion:
+        coarse = _build_tensor_gauss(box, hs, _coarse_config(cfg), companion=True)
+    return _Rule(pts, w, None, pts.shape[0], coarse=coarse)
 
 
-def _build_tensor_gauss(box, hs, cfg) -> _NodeSet:
-    node_set = _NodeSet(*_tensor_gauss_nodes(box, hs, cfg.points_per_axis), "det")
-    cpts, cw = _tensor_gauss_nodes(box, hs, max(2, cfg.points_per_axis // 2))
-    node_set.coarse = (cpts, cw, None, cpts.shape[0])
-    return node_set
-
-
-def _build_monte_carlo(box, hs, cfg) -> _NodeSet:
+def _build_monte_carlo(box, hs, cfg) -> _Rule:
     n = box.shape[0]
     _check_budget(cfg.sample_count, "monte-carlo")
     u = _philox_uniform(cfg.seed, cfg.sample_count, n)
     pts = box[:, 0] + u * (box[:, 1] - box[:, 0])
     vol = float(np.prod(box[:, 1] - box[:, 0]))
     w = np.where(hs.distance(pts) > 0.0, vol / cfg.sample_count, 0.0)
-    return _NodeSet(pts, w, "mc", group_size=1)
+    return _Rule(pts, w, None, pts.shape[0])
 
 
 def _graded_s_axis(lo, hi, m, ppa, panels, panel_order):
@@ -261,7 +259,7 @@ def _graded_s_axis(lo, hi, m, ppa, panels, panel_order):
     return s, ws
 
 
-def _build_boundary_graded(box, hs, cfg, support, coarse_of=None) -> _NodeSet:
+def _build_boundary_graded(box, hs, cfg, support, companion=False) -> _Rule:
     n = box.shape[0]
     nu = hs.nu
     m = cfg.grading_exponent
@@ -275,18 +273,18 @@ def _build_boundary_graded(box, hs, cfg, support, coarse_of=None) -> _NodeSet:
     touching = corner_min <= 1e-12 * max(1.0, abs(corner_max))
     if touching:
         panels = min(60, max(8, (5 * cfg.points_per_axis) // 2))
-        order = _PANEL_ORDER if coarse_of is None else _PANEL_ORDER // 2
+        order = _PANEL_ORDER // 2 if companion else _PANEL_ORDER
         s_count = (panels + 1) * order
     else:
         panels = None
         order = None
         s_count = 2 * cfg.points_per_axis
 
-    kind = "det" if len(trans_axes) <= 4 else "mc"
-    if kind == "mc":
-        t_count = max(16, cfg.sample_count // s_count)
-    else:
+    deterministic = len(trans_axes) <= 4
+    if deterministic:
         t_count = cfg.points_per_axis ** len(trans_axes)
+    else:
+        t_count = max(16, cfg.sample_count // s_count)
     _check_budget(
         t_count * s_count,
         f"boundary-graded with {cfg.points_per_axis} points per axis in {n} dimensions",
@@ -295,7 +293,7 @@ def _build_boundary_graded(box, hs, cfg, support, coarse_of=None) -> _NodeSet:
     if not trans_axes:
         trans_pts = np.zeros((1, 0))
         trans_w = np.ones(1)
-    elif kind == "det":
+    elif deterministic:
         nodes_1d, weights_1d = _tensor_gauss_axes(box[trans_axes], [cfg.points_per_axis] * len(trans_axes))
         trans_pts, trans_w = _tensor_product(nodes_1d, weights_1d)
     else:
@@ -340,29 +338,21 @@ def _build_boundary_graded(box, hs, cfg, support, coarse_of=None) -> _NodeSet:
     # on or past the boundary, since integrands recompute distance that way
     flat_w = np.where(hs.distance(flat_pts) > 0.0, flat_w, 0.0)
 
-    node_set = _NodeSet(
+    coarse = None
+    if deterministic and not companion:
+        coarse = _build_boundary_graded(box, hs, _coarse_config(cfg), support, companion=True)
+    return _Rule(
         flat_pts,
         flat_w,
-        kind,
-        group_size=s_count if kind == "mc" else 1,
-        index=(lines[:, None] * s_count + np.arange(s_count)).reshape(-1),
-        size=t_count * s_count,
+        (lines[:, None] * s_count + np.arange(s_count)).reshape(-1),
+        t_count * s_count,
+        group_size=1 if deterministic else s_count,
+        coarse=coarse,
     )
-    if kind == "det" and coarse_of is None:
-        coarse_cfg = QuadConfig(
-            method=cfg.method,
-            points_per_axis=max(2, cfg.points_per_axis // 2),
-            sample_count=cfg.sample_count,
-            seed=cfg.seed,
-            grading_exponent=cfg.grading_exponent,
-        )
-        coarse = _build_boundary_graded(box, hs, coarse_cfg, support, coarse_of=cfg)
-        node_set.coarse = (coarse.points, coarse.weights, coarse.index, coarse.size)
-    return node_set
 
 
-def _build_nodes(box, hs, cfg, support) -> _NodeSet:
-    """The node set of ``cfg.method``; boundary-graded builds no line that misses ``support``."""
+def _build_nodes(box, hs, cfg, support) -> _Rule:
+    """The rule of ``cfg.method``; boundary-graded builds no line that misses ``support``."""
     if cfg.method == "boundary-graded":
         return _build_boundary_graded(box, hs, cfg, support)
     if cfg.method == "tensor-gauss":
@@ -370,54 +360,51 @@ def _build_nodes(box, hs, cfg, support) -> _NodeSet:
     return _build_monte_carlo(box, hs, cfg)
 
 
-def _live_nodes(points, weights, support) -> np.ndarray:
-    """Indices of the weight-carrying nodes inside ``support`` (all if None).
+def _contributions(fs, rule: _Rule, support, sample):
+    """weights * values of each integrand over the full rule of ``rule.size`` nodes.
 
-    The predicate runs on ``_EVAL_CHUNK`` slices so that its temporaries
-    stay as small as one integrand call's.
+    Only the weight-carrying nodes inside ``support`` (all of them if None)
+    are evaluated, zero elsewhere.  The predicate and the integrands run on
+    ``_EVAL_CHUNK`` slices, so that temporaries stay that small; each
+    integrand on ``sample(nodes)`` when ``sample`` is given and on the
+    nodes themselves otherwise.  Every
+    integrand is evaluated before this returns; the rows, one full-rule
+    array per integrand, are then built one at a time as they are
+    iterated, so sums and line sums over them are those of the full rule
+    bit for bit.
     """
+    points, weights = rule.points, rule.weights
     live = weights != 0.0
     if support is not None:
         for start in range(0, points.shape[0], _EVAL_CHUNK):
             part = slice(start, start + _EVAL_CHUNK)
             live[part] &= np.asarray(support(points[part]), dtype=bool)
-    return np.flatnonzero(live)
-
-
-def _evaluate(fs, points, live, sample) -> np.ndarray:
-    """Values of every integrand at the node indices ``live``; (len(fs), live.size).
-
-    Each integrand is called once per ``_EVAL_CHUNK`` slice of the live
-    nodes, on ``sample(nodes)`` when ``sample`` is given and on the nodes
-    themselves otherwise.
-    """
-    out = np.empty((len(fs), live.size))
+    live = np.flatnonzero(live)
+    vals = np.empty((len(fs), live.size))
     for start in range(0, live.size, _EVAL_CHUNK):
         idx = live[start : start + _EVAL_CHUNK]
-        arg = points[idx] if sample is None else sample(points[idx])
-        for i, f in enumerate(fs):
-            vals = np.asarray(f(arg), dtype=float)
-            bad = ~np.isfinite(vals)
-            if np.any(bad):
-                where = points[idx[bad][0]]
-                raise IntegrationError(
-                    f"integrand returned a non-finite value at point {where.tolist()}",
-                    point=where,
-                )
-            out[i, start : start + idx.size] = vals
-    return out
+        # a non-finite value raises IntegrationError; numpy's warning about
+        # the operation that made it would only repeat that
+        with np.errstate(all="ignore"):
+            arg = points[idx] if sample is None else sample(points[idx])
+            for i, f in enumerate(fs):
+                v = np.asarray(f(arg), dtype=float)
+                bad = ~np.isfinite(v)
+                if np.any(bad):
+                    where = points[idx[bad][0]]
+                    raise IntegrationError(
+                        f"integrand returned a non-finite value at point {where.tolist()}",
+                        point=where,
+                    )
+                vals[i, start : start + idx.size] = v
+    at = live if rule.index is None else rule.index[live]
 
+    def row(v):
+        out = np.zeros(rule.size)
+        out[at] = weights[live] * v
+        return out
 
-def _contributions(weights, index, size, live, vals) -> np.ndarray:
-    """weights * values over the full rule of ``size`` nodes, zero off ``live``.
-
-    ``live`` indexes the built nodes, ``index`` maps them into the full rule
-    (None: built and full rule coincide).  Sums and line sums over the
-    result are those of the full rule bit for bit.
-    """
-    out = np.zeros(size)
-    out[live if index is None else index[live]] = weights[live] * vals
-    return out
+    return map(row, vals)
 
 
 def integrate_many(
@@ -446,24 +433,18 @@ def integrate_many(
         spec, u = trial
         support = u.support
         sample = partial(sample_trial, spec, hs, u)
-    ns = _build_nodes(box, hs, cfg, support)
-    live = _live_nodes(ns.points, ns.weights, support)
-    fine = _evaluate(fs, ns.points, live, sample)
-    if ns.kind == "det":
-        cpts, cw, cindex, csize = ns.coarse
-        coarse_live = _live_nodes(cpts, cw, support)
-        coarse = _evaluate(fs, cpts, coarse_live, sample)
+    rule = _build_nodes(box, hs, cfg, support)
+    fine = _contributions(fs, rule, support, sample)
+    coarse = None if rule.coarse is None else _contributions(fs, rule.coarse, support, sample)
     out = []
-    for i in range(len(fs)):
-        contrib = _contributions(ns.weights, ns.index, ns.size, live, fine[i])
+    for contrib in fine:
         value = float(np.sum(contrib))
-        if ns.kind == "det":
-            coarse_contrib = _contributions(cw, cindex, csize, coarse_live, coarse[i])
-            stderr = abs(value - float(np.sum(coarse_contrib)))
+        if coarse is not None:
+            stderr = abs(value - float(np.sum(next(coarse))))
         else:
-            g = ns.group_size
+            g = rule.group_size
             lines = contrib.reshape(-1, g).sum(axis=1) if g > 1 else contrib
             t = lines.shape[0]
             stderr = float(np.sqrt(t) * np.std(lines, ddof=1)) if t > 1 else float("inf")
-        out.append(IntegralEstimate(value=value, stderr=stderr, evaluations=ns.evaluations))
+        out.append(IntegralEstimate(value=value, stderr=stderr, evaluations=rule.size))
     return out

@@ -60,6 +60,8 @@ class BumpSpec:
         object.__setattr__(self, "radius", float(self.radius))
         if self.radius <= 0:
             raise ValueError("bump radius must be positive")
+        if any(c - self.radius == c + self.radius for c in self.center):
+            raise ValueError(f"bump radius {self.radius!r} vanishes next to its center")
         if self.powers is not None:
             powers = tuple(int(q) for q in self.powers)
             if len(powers) != len(self.center):

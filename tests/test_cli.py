@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from strathardy import CSV_COLUMNS, Report
 from strathardy.cli import COMMANDS, main
@@ -291,6 +296,33 @@ class TestRejectedConfigs:
         assert code == 3 and out == ""
         assert err.count("\n") == 1 and name in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command, over, name",
+        [
+            # 2 points per axis on four transverse axes: every line passes
+            # 2/sqrt(3) radii from the bump's center and no node meets it
+            ("hardy", {"group": "heisenberg:2", "quadrature": {"points_per_axis": 2}}, "trivial"),
+            ("sobolev", {"group": "abelian:5", "quadrature": {"points_per_axis": 2}}, "trivial"),
+            # |grad_H u|^1000 overflows inside the bump
+            ("hardy", {"p": [1000]}, "non-finite"),
+            # the weighted integral of a 6.4e-107 cutoff squares to zero
+            ("sharpness", {"cutoff_radius": 6.4e-107}, "trivial"),
+            # a radius below the spacing of floats at the center: no box
+            ("hardy", {"trials": {"radius": [1e-300, 1e-300]}}, "vanishes next to its center"),
+        ],
+    )
+    def test_unverifiable_trials(self, tmp_path, capsys, command, over, name):
+        path = write_config(tmp_path, **{"trials": {"count": 1}, **over})
+        code, out, err = run([command, "--config", path], capsys)
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and name in err
+
+    def test_sharpness_on_a_half_line_runs(self, tmp_path, capsys):
+        path = write_config(tmp_path, group="abelian:1")
+        code, out, _ = run(["sharpness", "--config", path], capsys)
+        assert code in (0, 2)
+        assert len(out.strip().split("\n")) == 1 + 4
+
     def test_sharpness_on_the_validated_bound_runs(self, tmp_path, capsys):
         # p * eps = 0.1 exactly at p = 2: the exponent is -0.9, still validated
         path = write_config(tmp_path, p=[2.0, 3.0], eps=[0.05], cutoff_radius=1)
@@ -305,3 +337,92 @@ class TestRejectedConfigs:
         code, out, _ = run(["hardy", "--config", path], capsys)
         assert code == 0
         assert len(out.strip().split("\n")) == 1 + 2
+
+
+# small perturbations of every config key: odd numbers, small sizes and
+# wrong types.  Every size stays small (no huge number is drawn, not even
+# as a wrong value), since the CLI does not bound group size, identity
+# sizes, trial counts or fuzz samples yet
+_WRONG = st.sampled_from(["8", True, None, [], [1], {"a": 1}, -1, 0, 0.5, float("nan")])
+_SMALL_FLOAT = st.floats(-3.0, 8.0, allow_nan=False)
+_PERTURBED = {
+    "group": st.sampled_from(
+        ["heisenberg:1", "heisenberg:2", "heisenberg:3", "heisenberg:0"]
+        + ["abelian:1", "abelian:3", "abelian:5"]
+    ),
+    "halfspace": st.fixed_dictionaries(
+        {},
+        optional={
+            "preset": st.sampled_from(["t-axis", "x1-axis", "y-axis"]),
+            "nu": st.lists(_SMALL_FLOAT, min_size=1, max_size=4),
+            "d": _SMALL_FLOAT,
+        },
+    ),
+    "trials": st.fixed_dictionaries(
+        {},
+        optional={
+            "count": st.integers(-1, 3),
+            "radius": st.lists(st.floats(-0.1, 1.5), min_size=1, max_size=3),
+            "region": _SMALL_FLOAT,
+            "clearance": st.floats(-0.5, 0.5),
+        },
+    ),
+    "quadrature": st.fixed_dictionaries(
+        {},
+        optional={
+            "method": st.sampled_from(
+                ["boundary-graded", "tensor-gauss", "monte-carlo", "simpson"]
+            ),
+            "points_per_axis": st.integers(1, 5),
+            "sample_count": st.integers(8, 3000),
+            "grading_exponent": st.floats(0.5, 8.0),
+        },
+    ),
+    "p": st.lists(
+        st.sampled_from([0.5, 1.0, 1.01, 1.5, 2.0, 2.5, 3.0, 4.0, 7.5, 60.0]), max_size=2
+    ),
+    "beta": st.one_of(st.none(), st.lists(_SMALL_FLOAT, max_size=2)),
+    "eps": st.lists(st.floats(-0.1, 1.0), max_size=3),
+    "cutoff_radius": st.floats(-0.5, 2.0),
+    "samples": st.integers(-1, 2000),
+    "identity_points": st.integers(-1, 20),
+    "identity_indices": st.lists(st.integers(-1, 2), max_size=2),
+    "seed": st.integers(0, 2**64),
+}
+
+
+@st.composite
+def _perturbed_configs(draw):
+    cfg = {"trials": {"count": 2}, "quadrature": {"points_per_axis": 4, "sample_count": 2000}}
+    cfg["samples"], cfg["identity_points"], cfg["identity_indices"] = 2000, 20, [1, 2]
+    for key in draw(st.lists(st.sampled_from(sorted(_PERTURBED)), max_size=4, unique=True)):
+        value = draw(_PERTURBED[key])
+        if isinstance(value, dict):
+            cfg.setdefault(key, {}).update(value)
+        else:
+            cfg[key] = value
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(_PERTURBED)))
+        if isinstance(cfg.get(key), dict) and cfg[key] and draw(st.booleans()):
+            cfg[key][draw(st.sampled_from(sorted(cfg[key])))] = draw(_WRONG)
+        else:
+            cfg[key] = draw(_WRONG)
+    return cfg
+
+
+class TestPerturbedConfigs:
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(cfg=_perturbed_configs())
+    def test_verdict_or_one_line_exit(self, command, cfg):
+        # in process, a traceback is an exception escaping main: it fails here
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cfg.json"
+            path.write_text(json.dumps(cfg))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, "--config", str(path)])
+        assert code in (0, 2, 3), (code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if code == 3:
+            assert out.getvalue() == "" and err.getvalue().count("\n") == 1

@@ -427,11 +427,9 @@ class TestClipToSupport:
         cfg = QuadConfig(points_per_axis=8)
         full = _build_nodes(u.support_box, hs, cfg, None)
         clipped = _build_nodes(u.support_box, hs, cfg, u.support)
-        for (pts, w, index, size), (fpts, fw, findex, fsize) in [
-            ((clipped.points, clipped.weights, clipped.index, clipped.size),
-             (full.points, full.weights, full.index, full.size)),
-            (clipped.coarse, full.coarse),
-        ]:
+        for rule, frule in [(clipped, full), (clipped.coarse, full.coarse)]:
+            pts, w, index, size = rule.points, rule.weights, rule.index, rule.size
+            fpts, fw, findex, fsize = frule.points, frule.weights, frule.index, frule.size
             assert size == fsize and len(pts) < size
             # the nodes built are those of the full rule, bit for bit, and
             # the ones left out all lie outside the support
@@ -452,7 +450,7 @@ class TestClipToSupport:
         u = make_bump(BumpSpec(center=(0.0,) * 5, radius=0.5))
         cfg = QuadConfig(points_per_axis=2)
         ns = _build_nodes(u.support_box, hs, cfg, u.support)
-        assert len(ns.points) == 0 and len(ns.coarse[0]) == 0 and ns.size > 0
+        assert len(ns.points) == 0 and len(ns.coarse.points) == 0 and ns.size > 0
         with pytest.raises(ValueError, match="trivial"):
             hardy_quotient(h2, hs, u, 2.0, cfg)
 
