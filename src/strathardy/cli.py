@@ -7,7 +7,8 @@ rows, the contract that names the rows that fail, and the half-space
 preset used when the configuration names no normal.  Exit codes: 0 when
 every checked contract holds within tolerance, 2 when a contract is
 violated (one stderr line per failing row), 3 for configuration errors:
-among them a quadrature over its node budget, a trial the quadrature rule
+among them a size over its bound (``config.SIZE_BOUNDS``), a quadrature
+over its node budget, a trial the quadrature rule
 never sees (its denominator integral vanishes) and an integrand that
 overflows at a node (p too large, say).  All randomness is
 counter-based and derived from the seed, so identical configurations
@@ -22,7 +23,7 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 from . import experiments
-from .config import ConfigError, as_integer, as_number, build_trials, load_config, resolve
+from .config import ConfigError, as_count, as_number, build_trials, load_config, resolve
 from .identities import run_identity_suite
 from .quadrature import IntegrationError, NodeBudgetError
 from .reports import Report, config_digest, render_csv, render_json
@@ -33,8 +34,8 @@ from .trials import boundary_bump_spec
 
 
 def _identities(group, hs, quad, cfg, digest):
-    indices = tuple(as_integer(i, "identity_indices entry") for i in cfg["identity_indices"])
-    points = as_integer(cfg["identity_points"], "identity_points")
+    indices = tuple(as_count(i, "identity_indices entry") for i in cfg["identity_indices"])
+    points = as_count(cfg["identity_points"], "identity_points")
     if any(i < 1 for i in indices):
         raise ConfigError(f"identity_indices must be Heisenberg indices >= 1, got {list(indices)}")
     if points < 1:
@@ -59,33 +60,50 @@ def _identities(group, hs, quad, cfg, digest):
     ]
 
 
-def _each_trial(experiment, group, hs, quad, cfg, digest):
-    """``experiment`` on every trial for every p (p outer, trials inner)."""
-    trials = build_trials(group, hs, cfg)
-    return [experiment(group, hs, u, p, quad, config_digest=digest) for p in cfg["p"] for u in trials]
+def _each_trial(check, group, hs, quad, cfg, digest, **params):
+    """``check`` on every trial for every p: p outer, then the rows of one
+    (p, trial), then trials.
+
+    Each trial is integrated once, for all p together, so one rule and one
+    trial sample serve every p of a trial.  An error is raised where its
+    rows would have been: a trial's p-independent errors and the errors of
+    its first p when it is integrated, the errors of a later p once every
+    trial's rows of the earlier p are made.
+    """
+    outcomes = []
+    for u in build_trials(group, hs, cfg):
+        outcomes.append(experiments.each_p(check, group, hs, u, cfg["p"], quad, digest, **params))
+        _raise_errors(outcomes[-1][:1])
+    rows = []
+    for column in zip(*outcomes):  # one p, every trial
+        _raise_errors(column)
+        rows += [r for same in zip(*column) for r in same]
+    return rows
+
+
+def _raise_errors(outcomes):
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
 
 
 def _general_hardy(group, hs, quad, cfg, digest):
-    trials = build_trials(group, hs, cfg)
-    return [
-        experiments.general_hardy_margin(group, hs, u, p, float(beta), quad, config_digest=digest)
-        for p in cfg["p"]
-        for beta in (cfg["beta"] if cfg["beta"] is not None else [experiments.beta_star(p)])
-        for u in trials
-    ]
+    if cfg["beta"] == []:  # no rows asked for: integrate nothing
+        cfg = dict(cfg, p=[])
+    return _each_trial(experiments.GENERAL_HARDY, group, hs, quad, cfg, digest, betas=cfg["beta"])
 
 
 def _remainder(group, hs, quad, cfg, digest):
     if any(p < 2 for p in cfg["p"]):
         raise ConfigError("remainder checks need every p >= 2")
-    return _each_trial(experiments.remainder_check, group, hs, quad, cfg, digest)
+    return _each_trial(experiments.REMAINDER, group, hs, quad, cfg, digest)
 
 
 def _sobolev(group, hs, quad, cfg, digest):
     Q = group.homogeneous_dim
     if any(not 2 <= p < Q for p in cfg["p"]):
         raise ConfigError(f"sobolev needs 2 <= p < Q = {Q} for every p, got {cfg['p']}")
-    return _each_trial(experiments.hardy_sobolev_ratio, group, hs, quad, cfg, digest)
+    return _each_trial(experiments.SOBOLEV, group, hs, quad, cfg, digest)
 
 
 # the sharpness denominator behaves like dist^(p*eps - 1), and the
@@ -120,7 +138,7 @@ def _sharpness(group, hs, quad, cfg, digest):
 
 
 def _bft(group, hs, quad, cfg, digest):
-    samples = as_integer(cfg["samples"], "samples")
+    samples = as_count(cfg["samples"], "samples")
     if samples < 1:
         raise ConfigError(f"samples must be positive, got {samples}")
     return [experiments.bft_fuzz(samples=samples, seed=cfg["seed"], config_digest=digest)]
@@ -189,7 +207,7 @@ class Command(NamedTuple):
 
 COMMANDS = {
     "identities": Command(_identities, _identities_passed),
-    "hardy": Command(partial(_each_trial, experiments.hardy_quotient), _within_tolerance),
+    "hardy": Command(partial(_each_trial, experiments.HARDY), _within_tolerance),
     "general-hardy": Command(_general_hardy, _within_tolerance),
     "remainder": Command(_remainder, _within_tolerance),
     # sharpness verifies against the first-coordinate normal by default

@@ -5,7 +5,10 @@ the defaults below.  Unknown keys are rejected so typos fail loudly
 (exit code 3 at the CLI) instead of silently running the default, and so
 are scalar numeric keys that are not finite JSON numbers (a string or a
 boolean is not one) and list-valued keys that are not JSON arrays of
-finite numbers.
+finite numbers.  Every size a config sets (a count, a group index, the
+length of a list) has an upper bound in ``SIZE_BOUNDS``, checked before
+anything of that size is built or looped over; a larger one is a
+ConfigError too.
 
 {
   "group": "heisenberg:1",
@@ -42,6 +45,8 @@ from .trials import make_bump, random_interior_bumps
 __all__ = [
     "ConfigError",
     "DEFAULT_CONFIG",
+    "SIZE_BOUNDS",
+    "as_count",
     "as_integer",
     "as_number",
     "number_list",
@@ -68,6 +73,39 @@ def as_integer(value, name: str) -> int:
     if not _is_number(value) or (isinstance(value, float) and not value.is_integer()):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+# the largest size each key may ask for.  Each sits well above every
+# value the benchmark, the README and the tests use, and keeps a run to
+# minutes and a few hundred MB; the length of p also multiplies the
+# integrand rows that one integration holds.
+SIZE_BOUNDS = {
+    "trials.count": 1000,
+    "samples": 100_000_000,
+    "identity_points": 10_000,
+    "identity_indices entry": 8,
+    "group index": 8,
+    "length of p": 8,
+    "length of beta": 8,
+    "length of eps": 8,
+    "length of identity_indices": 8,
+}
+
+
+def _check_size(size, key: str, shown=None) -> None:
+    """Reject ``size`` when it is over ``SIZE_BOUNDS[key]``; the message
+    spells the value as ``shown`` when given."""
+    bound = SIZE_BOUNDS[key]
+    if size > bound:
+        raise ConfigError(f"{key} is {size if shown is None else shown!r}, over its bound of {bound}")
+
+
+def as_count(value, name: str) -> int:
+    """A size key as an int (see :func:`as_integer`) within its bound in
+    ``SIZE_BOUNDS``."""
+    count = as_integer(value, name)
+    _check_size(count, name, shown=value)
+    return count
 
 
 def as_number(value, name: str) -> float:
@@ -166,8 +204,12 @@ def resolve(config: dict, seed: int | None = None):
         cfg["seed"] = int(seed)
     cfg["seed"] = as_integer(cfg["seed"], "seed")
 
+    name = str(cfg["group"])
+    family, _, index = name.partition(":")
+    if family in ("heisenberg", "abelian") and index.isdecimal():
+        _check_size(float(index), "group index", shown=name)
     try:
-        group = group_from_name(str(cfg["group"]))
+        group = group_from_name(name)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -214,10 +256,9 @@ def resolve(config: dict, seed: int | None = None):
     cfg["p"] = number_list(cfg["p"], "p")
     if any(p <= 1 for p in cfg["p"]):
         raise ConfigError("every p must exceed 1")
-    if cfg["beta"] is not None:
-        number_list(cfg["beta"], "beta")
-    number_list(cfg["eps"], "eps")
-    number_list(cfg["identity_indices"], "identity_indices")
+    for key in ("p", "beta", "eps", "identity_indices"):
+        if key != "beta" or cfg[key] is not None:  # beta None: beta_star(p)
+            _check_size(len(number_list(cfg[key], key)), f"length of {key}")
     if len(number_list(cfg["trials"]["radius"], "trials.radius")) != 2:
         raise ConfigError("trials.radius must be [lo, hi]")
 
@@ -230,7 +271,7 @@ def build_trials(group: GroupSpec, hs: HalfSpace, cfg: dict):
     family = block.get("family", "bump")
     if family != "bump":
         raise ConfigError(f"unknown trial family {family!r}")
-    count = as_integer(block["count"], "trials.count")
+    count = as_count(block["count"], "trials.count")
     region = as_number(block["region"], "trials.region")
     clearance = as_number(block["clearance"], "trials.clearance")
     try:

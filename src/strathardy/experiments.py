@@ -4,13 +4,19 @@ Each runner integrates its numerator and denominator over the trial's
 support box on one shared rule, propagates a standard error, and returns a
 :class:`~strathardy.reports.Report`.  The integrands are array expressions
 over the :class:`~strathardy.calculus.TrialSample` that quadrature
-computes once per chunk of nodes.  The bounds these quantities are
+computes once per chunk of nodes.  A p-taking runner is a :class:`Check`
+(its integrands at one p, and its rows from their estimates) applied by
+:func:`each_p` to that one p; given several p, :func:`each_p` integrates
+the trial once for all of them, so one rule, one support mask and one
+trial sample serve every p of a trial.  The bounds these quantities are
 checked against are theorems for the Heisenberg and abelian families, so a
 contract violation beyond tolerance indicates a numerics bug, never a
 tunable.
 """
 
 from __future__ import annotations
+
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -22,7 +28,7 @@ from .calculus import (
     p_sub_laplacian_distance_many,
 )
 from .groups import GroupSpec
-from .quadrature import IntegralEstimate, QuadConfig, integrate_many
+from .quadrature import IntegralEstimate, IntegrationError, QuadConfig, integrate_many
 from .reports import Report
 from .streams import philox_chunks
 from .trials import BumpSpec, SharpnessSpec, ground_gradient, sharpness_trial
@@ -34,6 +40,12 @@ __all__ = [
     "remainder_constant",
     "sobolev_exponent",
     "TrivialTrialError",
+    "Check",
+    "each_p",
+    "HARDY",
+    "GENERAL_HARDY",
+    "REMAINDER",
+    "SOBOLEV",
     "hardy_quotient",
     "general_hardy_margin",
     "remainder_check",
@@ -98,28 +110,101 @@ class TrivialTrialError(ValueError):
     divide by: the bound would be checked against zero and verify nothing."""
 
 
-def _integrate(integrands, spec, hs, u: ScalarField, cfg, denominator: int = 1):
-    """The integrals of ``integrands`` over u's support box, on samples of u.
+class _Case(NamedTuple):
+    """One p of a check on one trial, with the run's rule and digest."""
 
-    Raises TrivialTrialError unless the integral at position
-    ``denominator`` is positive, with a square that does not underflow
-    (quotient stderrs divide by it).
+    spec: GroupSpec
+    hs: HalfSpace
+    u: ScalarField
+    p: float
+    cfg: QuadConfig
+    digest: str
+
+
+class Check(NamedTuple):
+    """A runner split at its integration, so that one integration serves
+    several p.
+
+    ``integrands(spec, hs, p)`` lists its integrands over a TrialSample at
+    one p, and raises ValueError for a p the check does not take.
+    ``rows(case, estimates, **params)`` builds that p's report rows from
+    the estimates of those integrands, once the one at ``denominator`` is
+    known to be an integral a quotient can divide by.
     """
+
+    integrands: Callable[[GroupSpec, HalfSpace, float], list]
+    rows: Callable[..., list[Report]]
+    denominator: int = 1
+
+
+def each_p(
+    check: Check,
+    spec: GroupSpec,
+    hs: HalfSpace,
+    u: ScalarField,
+    ps: Sequence[float],
+    cfg: QuadConfig | None = None,
+    config_digest: str = "",
+    **params,
+) -> list[list[Report] | Exception]:
+    """``check`` on trial u at each p of ``ps``, from one integration.
+
+    The integrands of every p go to one :func:`integrate_many` call over
+    u's support box, so one rule, one support mask and one trial sample
+    serve them all.  An integrand's estimate does not depend on the other
+    integrands of the call, so each p's rows are, bit for bit, those of
+    integrating that p alone.
+
+    Returns one entry per p, in order: that p's report rows, or the error
+    its check raised (a trivial trial or an overflowing integrand at that
+    p, say), for the caller to raise where those rows belong.  Errors that
+    do not depend on p (a trial without a support box, a rule over its
+    node budget) are raised.  An empty ``ps`` integrates nothing.
+    """
+    cfg = cfg or QuadConfig()
+    ps = [_check_p(p) for p in ps]
+    parts = [check.integrands(spec, hs, p) for p in ps]
+    if not parts:
+        return []
     if u.support_box is None:
         raise ValueError("no integration box: trial has unbounded support")
-    estimates = integrate_many(integrands, u.support_box, hs, cfg, trial=(spec, u))
-    den = estimates[denominator].value
-    if den <= 0.0 or den**2 == 0.0:
-        raise TrivialTrialError(
-            f"trivial trial function {u.label}: its denominator integral {den!r} "
-            "on this quadrature rule is too small to check a bound against"
+    try:
+        estimates = iter(
+            integrate_many([f for fs in parts for f in fs], u.support_box, hs, cfg, trial=(spec, u))
         )
-    return estimates
+    except IntegrationError as exc:
+        if len(ps) == 1:
+            return [exc]
+        # integrated alone, each p shows whether it is one that overflows
+        return [out for p in ps for out in each_p(check, spec, hs, u, [p], cfg, config_digest, **params)]
+    outcomes = []
+    for p, fs in zip(ps, parts):
+        mine = [next(estimates) for _ in fs]
+        den = mine[check.denominator].value
+        try:
+            # the quotient stderrs divide by den**2
+            if den <= 0.0 or den**2 == 0.0:
+                raise TrivialTrialError(
+                    f"trivial trial function {u.label}: its denominator integral {den!r} "
+                    "on this quadrature rule is too small to check a bound against"
+                )
+            outcomes.append(check.rows(_Case(spec, hs, u, p, cfg, config_digest), mine, **params))
+        except (ValueError, ArithmeticError) as exc:
+            outcomes.append(exc)
+    return outcomes
 
 
-def _hardy_integrands(p: float):
-    """The Hardy numerator |grad_H u|^p and weight (W |u| / dist)^p, as
-    integrands over a TrialSample."""
+def _one(check: Check, spec, hs, u, p, cfg, config_digest, **params) -> Report:
+    """The one report row of ``check`` on trial u at p."""
+    (outcome,) = each_p(check, spec, hs, u, [p], cfg, config_digest, **params)
+    if isinstance(outcome, Exception):
+        raise outcome
+    (report,) = outcome
+    return report
+
+
+def _hardy_integrands(spec, hs, p: float):
+    """The Hardy numerator |grad_H u|^p and weight (W |u| / dist)^p."""
     # (w |u| / d)^p rather than (w/d)^p * |u|^p: the factored form can
     # overflow its first factor at boundary-graded nodes even though the
     # product is tiny there
@@ -135,21 +220,208 @@ def _quotient_stderr(num: IntegralEstimate, den: IntegralEstimate) -> float:
     )
 
 
-def _report(inequality_id, spec, hs, u, p, cfg, digest, estimates, extras=None, **kw):
-    """A runner's report row: ``evaluations`` sums over ``estimates``, and
-    ``extras`` follow the trial's label."""
+def _report(inequality_id, case: _Case, estimates, extras=None, **kw):
+    """A report row: ``evaluations`` sums over ``estimates``, and ``extras``
+    follow the trial's label."""
     return Report(
         inequality_id=inequality_id,
-        p=float(p),
-        group=spec.name,
-        nu=tuple(float(v) for v in hs.nu),
-        d=float(hs.d),
-        seed=cfg.seed,
-        config_digest=digest,
+        p=float(case.p),
+        group=case.spec.name,
+        nu=tuple(float(v) for v in case.hs.nu),
+        d=float(case.hs.d),
+        seed=case.cfg.seed,
+        config_digest=case.digest,
         evaluations=sum(e.evaluations for e in estimates),
-        extras={"trial": u.label, **(extras or {})},
+        extras={"trial": case.u.label, **(extras or {})},
         **kw,
     )
+
+
+# -- checks --------------------------------------------------------------------
+
+
+def _hardy_rows(case, estimates, inequality_id="hardy"):
+    num, den = estimates
+    quotient = num.value / den.value
+    bound = sharp_hardy_constant(case.p)
+    return [
+        _report(
+            inequality_id,
+            case,
+            estimates,
+            quotient=quotient,
+            bound=bound,
+            margin=quotient - bound,
+            stderr=_quotient_stderr(num, den),
+            numerator=num,
+            denominator=den,
+        )
+    ]
+
+
+def _general_hardy_integrands(spec, hs, p):
+    """The Hardy integrands, and T2's unless the distance is p-harmonic."""
+    s1, s2 = distance_flux_parts(spec, hs)
+    integrands = _hardy_integrands(spec, hs, p)
+    if not (s1.is_zero and s2.is_zero):
+        integrands.append(
+            lambda s: p_sub_laplacian_distance_many(spec, hs, s.points, p)
+            / s.dist ** (p - 1.0)
+            * np.abs(s.u) ** p
+        )
+    return integrands
+
+
+def _general_hardy_rows(case, estimates, betas=None):
+    """One row per beta of ``betas`` (None: beta_star(p) alone)."""
+    p = case.p
+    t0, t1 = estimates[:2]
+    # no T2 integrand: the distance is p-harmonic and T2 an exact zero
+    p_harmonic = len(estimates) == 2
+    t2 = IntegralEstimate(0.0, 0.0, t1.evaluations) if p_harmonic else estimates[2]
+    quotient = t0.value / t1.value
+    rows = []
+    for beta in [beta_star(p)] if betas is None else betas:
+        beta = float(beta)
+        coeff = beta_form_coefficient(p, beta)
+        bound = coeff + beta * t2.value / t1.value
+        stderr = float(
+            _quotient_stderr(t0, t1)
+            + abs(beta) * (_quotient_stderr(t2, t1) if t2.stderr else 0.0)
+        )
+        rows.append(
+            _report(
+                "general-hardy",
+                case,
+                [t0, t1, t2],
+                extras={
+                    "beta": beta,
+                    "coefficient": coeff,
+                    "p_harmonic_distance": p_harmonic,
+                    "t2_value": t2.value,
+                },
+                quotient=quotient,
+                bound=bound,
+                margin=quotient - bound,
+                stderr=stderr,
+                numerator=t0,
+                denominator=t1,
+            )
+        )
+    return rows
+
+
+def _remainder_integrands(spec, hs, p):
+    """The Hardy integrands and dist^(p-1) |grad_H v|^p, v = ground transform of u."""
+    if p < 2.0:
+        raise ValueError("the remainder check needs p >= 2")
+
+    def r_integrand(s):
+        hor = horizontal_from_euclidean(spec, s.points, ground_gradient(s, hs, p))
+        return (s.dist ** ((p - 1.0) / p) * np.sqrt(np.sum(hor * hor, axis=1))) ** p
+
+    return _hardy_integrands(spec, hs, p) + [r_integrand]
+
+
+def _remainder_rows(case, estimates):
+    t0, t1, rem = estimates
+    sharp = sharp_hardy_constant(case.p)
+    cp = remainder_constant(case.p)
+    energy = t0.value - sharp * t1.value
+    slack = energy - cp * rem.value
+    stderr = float(t0.stderr + sharp * t1.stderr + cp * rem.stderr)
+    return [
+        _report(
+            "remainder",
+            case,
+            estimates,
+            extras={"energy": energy, "remainder_integral": rem.value},
+            quotient=energy / rem.value,
+            bound=cp,
+            margin=slack,
+            stderr=stderr,
+            numerator=t0,
+            denominator=rem,
+        )
+    ]
+
+
+def _sobolev_integrands(spec, hs, p):
+    """The Hardy integrands and |u|^p*, for 2 <= p < Q."""
+    pstar = sobolev_exponent(p, spec.homogeneous_dim)
+    return _hardy_integrands(spec, hs, p) + [lambda s: np.abs(s.u) ** pstar]
+
+
+def _sobolev_rows(case, estimates):
+    p = case.p
+    Q = case.spec.homogeneous_dim
+    pstar = sobolev_exponent(p, Q)
+    t0, t1, mass = estimates
+    sharp = sharp_hardy_constant(p)
+    energy = t0.value - sharp * t1.value
+    energy_err = t0.stderr + sharp * t1.stderr
+    if energy < -(3.0 * energy_err + 1e-3 * abs(t0.value)):
+        raise ValueError(
+            f"inconsistent remainder energy: E_p[u] = {energy} is negative beyond tolerance"
+        )
+    ratio = max(energy, 0.0) ** (1.0 / p) / mass.value ** (1.0 / pstar)
+    if energy > 0:
+        rel = energy_err / energy / p + mass.stderr / mass.value / pstar
+        stderr = ratio * rel
+    else:
+        stderr = float("inf")
+    return [
+        _report(
+            "sobolev",
+            case,
+            estimates,
+            extras={"energy": energy, "p_star": pstar, "Q": float(Q), "Q-convention": "homogeneous"},
+            quotient=ratio,
+            bound=0.0,
+            margin=ratio,
+            stderr=float(stderr),
+            numerator=t0,
+            denominator=mass,
+        )
+    ]
+
+
+def _luan_young_integrands(spec, hs, p):
+    """|grad_H u|^2 and ((|x|^2+|y|^2)/t^2) |u|^2; p is always 2."""
+    n = spec.heisenberg_n
+
+    def weight_integrand(s):
+        x = s.points[:, :n]
+        y = s.points[:, n : 2 * n]
+        t = s.points[:, 2 * n]
+        return (np.sum(x * x, axis=1) + np.sum(y * y, axis=1)) * (s.u / t) ** 2
+
+    return [_hardy_integrands(spec, hs, 2.0)[0], weight_integrand]
+
+
+def _luan_young_rows(case, estimates):
+    num, den = estimates
+    quotient = num.value / den.value
+    return [
+        _report(
+            "luan-young",
+            case,
+            estimates,
+            quotient=quotient,
+            bound=1.0,
+            margin=quotient - 1.0,
+            stderr=_quotient_stderr(num, den),
+            numerator=num,
+            denominator=den,
+        )
+    ]
+
+
+HARDY = Check(_hardy_integrands, _hardy_rows)
+GENERAL_HARDY = Check(_general_hardy_integrands, _general_hardy_rows)
+REMAINDER = Check(_remainder_integrands, _remainder_rows, denominator=2)
+SOBOLEV = Check(_sobolev_integrands, _sobolev_rows, denominator=2)
+_LUAN_YOUNG = Check(_luan_young_integrands, _luan_young_rows)
 
 
 # -- runners -------------------------------------------------------------------
@@ -169,27 +441,7 @@ def hardy_quotient(
     Raises on a trivial trial (zero denominator): a quotient against zero
     verifies nothing.
     """
-    p = _check_p(p)
-    cfg = cfg or QuadConfig()
-    num, den = _integrate(_hardy_integrands(p), spec, hs, u, cfg)
-    quotient = num.value / den.value
-    bound = sharp_hardy_constant(p)
-    return _report(
-        inequality_id,
-        spec,
-        hs,
-        u,
-        p,
-        cfg,
-        config_digest,
-        [num, den],
-        quotient=quotient,
-        bound=bound,
-        margin=quotient - bound,
-        stderr=_quotient_stderr(num, den),
-        numerator=num,
-        denominator=den,
-    )
+    return _one(HARDY, spec, hs, u, p, cfg, config_digest, inequality_id=inequality_id)
 
 
 def general_hardy_margin(
@@ -208,52 +460,7 @@ def general_hardy_margin(
     When the distance is p-harmonic (exact polynomial certificate), T2 is
     an exact zero rather than a numerically integrated one.
     """
-    p = _check_p(p)
-    beta = float(beta)
-    cfg = cfg or QuadConfig()
-    s1, s2 = distance_flux_parts(spec, hs)
-    p_harmonic = s1.is_zero and s2.is_zero
-
-    integrands = _hardy_integrands(p)
-    if not p_harmonic:
-        integrands.append(
-            lambda s: p_sub_laplacian_distance_many(spec, hs, s.points, p)
-            / s.dist ** (p - 1.0)
-            * np.abs(s.u) ** p
-        )
-    results = _integrate(integrands, spec, hs, u, cfg)
-    t0, t1 = results[0], results[1]
-    t2 = results[2] if not p_harmonic else IntegralEstimate(0.0, 0.0, t1.evaluations)
-    coeff = beta_form_coefficient(p, beta)
-    quotient = t0.value / t1.value
-    bound = coeff + beta * t2.value / t1.value
-    margin = quotient - bound
-    stderr = float(
-        _quotient_stderr(t0, t1)
-        + abs(beta) * (_quotient_stderr(t2, t1) if t2.stderr else 0.0)
-    )
-    return _report(
-        "general-hardy",
-        spec,
-        hs,
-        u,
-        p,
-        cfg,
-        config_digest,
-        [t0, t1, t2],
-        extras={
-            "beta": beta,
-            "coefficient": coeff,
-            "p_harmonic_distance": p_harmonic,
-            "t2_value": t2.value,
-        },
-        quotient=quotient,
-        bound=bound,
-        margin=margin,
-        stderr=stderr,
-        numerator=t0,
-        denominator=t1,
-    )
+    return _one(GENERAL_HARDY, spec, hs, u, p, cfg, config_digest, betas=[float(beta)])
 
 
 def remainder_check(
@@ -268,38 +475,7 @@ def remainder_check(
 
     v is the ground transform of u; the check needs p >= 2.
     """
-    p = _check_p(p)
-    if p < 2.0:
-        raise ValueError("the remainder check needs p >= 2")
-    cfg = cfg or QuadConfig()
-
-    def r_integrand(s):
-        hor = horizontal_from_euclidean(spec, s.points, ground_gradient(s, hs, p))
-        return (s.dist ** ((p - 1.0) / p) * np.sqrt(np.sum(hor * hor, axis=1))) ** p
-
-    t0, t1, rem = _integrate(_hardy_integrands(p) + [r_integrand], spec, hs, u, cfg, denominator=2)
-    sharp = sharp_hardy_constant(p)
-    cp = remainder_constant(p)
-    energy = t0.value - sharp * t1.value
-    slack = energy - cp * rem.value
-    stderr = float(t0.stderr + sharp * t1.stderr + cp * rem.stderr)
-    return _report(
-        "remainder",
-        spec,
-        hs,
-        u,
-        p,
-        cfg,
-        config_digest,
-        [t0, t1, rem],
-        extras={"energy": energy, "remainder_integral": rem.value},
-        quotient=energy / rem.value,
-        bound=cp,
-        margin=slack,
-        stderr=stderr,
-        numerator=t0,
-        denominator=rem,
-    )
+    return _one(REMAINDER, spec, hs, u, p, cfg, config_digest)
 
 
 def hardy_sobolev_ratio(
@@ -316,44 +492,7 @@ def hardy_sobolev_ratio(
     invariance under u -> 7u); no value of the embedding constant is
     asserted, the best constant is not computed here.
     """
-    p = _check_p(p)
-    Q = spec.homogeneous_dim
-    pstar = sobolev_exponent(p, Q)
-    cfg = cfg or QuadConfig()
-
-    t0, t1, mass = _integrate(
-        _hardy_integrands(p) + [lambda s: np.abs(s.u) ** pstar], spec, hs, u, cfg, denominator=2
-    )
-    sharp = sharp_hardy_constant(p)
-    energy = t0.value - sharp * t1.value
-    energy_err = t0.stderr + sharp * t1.stderr
-    if energy < -(3.0 * energy_err + 1e-3 * abs(t0.value)):
-        raise ValueError(
-            f"inconsistent remainder energy: E_p[u] = {energy} is negative beyond tolerance"
-        )
-    ratio = max(energy, 0.0) ** (1.0 / p) / mass.value ** (1.0 / pstar)
-    if energy > 0:
-        rel = energy_err / energy / p + mass.stderr / mass.value / pstar
-        stderr = ratio * rel
-    else:
-        stderr = float("inf")
-    return _report(
-        "sobolev",
-        spec,
-        hs,
-        u,
-        p,
-        cfg,
-        config_digest,
-        [t0, t1, mass],
-        extras={"energy": energy, "p_star": pstar, "Q": float(Q), "Q-convention": "homogeneous"},
-        quotient=ratio,
-        bound=0.0,
-        margin=ratio,
-        stderr=float(stderr),
-        numerator=t0,
-        denominator=mass,
-    )
+    return _one(SOBOLEV, spec, hs, u, p, cfg, config_digest)
 
 
 def luan_young_check(
@@ -371,34 +510,8 @@ def luan_young_check(
     """
     if not spec.is_heisenberg:
         raise ValueError("this check is specific to the Heisenberg family")
-    n = spec.heisenberg_n
-    hs = HalfSpace(nu=np.eye(2 * n + 1)[-1], d=0.0)
-    cfg = cfg or QuadConfig()
-
-    def weight_integrand(s):
-        x = s.points[:, :n]
-        y = s.points[:, n : 2 * n]
-        t = s.points[:, 2 * n]
-        return (np.sum(x * x, axis=1) + np.sum(y * y, axis=1)) * (s.u / t) ** 2
-
-    num, den = _integrate([_hardy_integrands(2.0)[0], weight_integrand], spec, hs, u, cfg)
-    quotient = num.value / den.value
-    return _report(
-        "luan-young",
-        spec,
-        hs,
-        u,
-        2.0,
-        cfg,
-        config_digest,
-        [num, den],
-        quotient=quotient,
-        bound=1.0,
-        margin=quotient - 1.0,
-        stderr=_quotient_stderr(num, den),
-        numerator=num,
-        denominator=den,
-    )
+    hs = HalfSpace(nu=np.eye(2 * spec.heisenberg_n + 1)[-1], d=0.0)
+    return _one(_LUAN_YOUNG, spec, hs, u, 2.0, cfg, config_digest)
 
 
 def bft_fuzz(

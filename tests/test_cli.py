@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from strathardy import CSV_COLUMNS, Report
+from strathardy import CSV_COLUMNS, Report, experiments, render_json
 from strathardy.cli import COMMANDS, main
+from strathardy.config import SIZE_BOUNDS, build_trials, load_config, resolve
+from strathardy.quadrature import NodeBudgetError
 
 
 SMALL = {
@@ -330,6 +332,28 @@ class TestRejectedConfigs:
         assert code in (0, 2)
         assert len(out.strip().split("\n")) == 1 + 2
 
+    @pytest.mark.parametrize(
+        "command, over, key, shown",
+        [
+            ("hardy", {"trials": {"count": 1001}}, "trials.count", "1001"),
+            ("hardy", {"trials": {"count": 1e300}}, "trials.count", "1e+300"),
+            ("bft-fuzz", {"samples": 100_000_001}, "samples", "100000001"),
+            ("identities", {"identity_points": 1e300}, "identity_points", "1e+300"),
+            ("identities", {"identity_indices": [1, 200]}, "identity_indices entry", "200"),
+            ("hardy", {"group": "heisenberg:9"}, "group index", "'heisenberg:9'"),
+            ("hardy", {"group": "abelian:" + "9" * 400}, "group index", "'abelian:999"),
+            ("hardy", {"p": [2.0] * 9}, "length of p", "9"),
+            ("general-hardy", {"beta": [-0.5] * 9}, "length of beta", "9"),
+            ("sharpness", {"eps": [0.5] * 9}, "length of eps", "9"),
+            ("identities", {"identity_indices": [1] * 9}, "length of identity_indices", "9"),
+        ],
+    )
+    def test_sizes_over_their_bounds(self, tmp_path, capsys, command, over, key, shown):
+        code, out, err = run([command, "--config", write_config(tmp_path, **over)], capsys)
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1
+        assert f"{key} is {shown}" in err and f"over its bound of {SIZE_BOUNDS[key]}" in err
+
     def test_integral_floats_still_run(self, tmp_path, capsys):
         path = write_config(
             tmp_path, seed=11.0, trials={"count": 2.0}, quadrature={"points_per_axis": 8.0}
@@ -339,16 +363,30 @@ class TestRejectedConfigs:
         assert len(out.strip().split("\n")) == 1 + 2
 
 
-# small perturbations of every config key: odd numbers, small sizes and
-# wrong types.  Every size stays small (no huge number is drawn, not even
-# as a wrong value), since the CLI does not bound group size, identity
-# sizes, trial counts or fuzz samples yet
+def _over(key):
+    """Sizes over the bound of ``key``, up to 1e300, as JSON ints and floats."""
+    bound = SIZE_BOUNDS[key]
+    return st.one_of(st.integers(bound + 1, 10**300), st.floats(bound + 1, 1e300))
+
+
+# perturbations of every config key: odd numbers, wrong types, and sizes
+# either small or over their bound (up to 1e300, and lists up to _LONG
+# entries, past their length bound); a size just under its bound is not
+# drawn, since it would only make the run long
 _WRONG = st.sampled_from(["8", True, None, [], [1], {"a": 1}, -1, 0, 0.5, float("nan")])
 _SMALL_FLOAT = st.floats(-3.0, 8.0, allow_nan=False)
+_LONG = SIZE_BOUNDS["length of p"] + 4
 _PERTURBED = {
-    "group": st.sampled_from(
-        ["heisenberg:1", "heisenberg:2", "heisenberg:3", "heisenberg:0"]
-        + ["abelian:1", "abelian:3", "abelian:5"]
+    "group": st.one_of(
+        st.sampled_from(
+            ["heisenberg:1", "heisenberg:2", "heisenberg:3", "heisenberg:0"]
+            + ["abelian:1", "abelian:3", "abelian:5"]
+        ),
+        st.builds(
+            "{}:{}".format,
+            st.sampled_from(["heisenberg", "abelian"]),
+            st.integers(SIZE_BOUNDS["group index"] + 1, 10**300),
+        ),
     ),
     "halfspace": st.fixed_dictionaries(
         {},
@@ -361,7 +399,7 @@ _PERTURBED = {
     "trials": st.fixed_dictionaries(
         {},
         optional={
-            "count": st.integers(-1, 3),
+            "count": st.one_of(st.integers(-1, 3), _over("trials.count")),
             "radius": st.lists(st.floats(-0.1, 1.5), min_size=1, max_size=3),
             "region": _SMALL_FLOAT,
             "clearance": st.floats(-0.5, 0.5),
@@ -379,14 +417,16 @@ _PERTURBED = {
         },
     ),
     "p": st.lists(
-        st.sampled_from([0.5, 1.0, 1.01, 1.5, 2.0, 2.5, 3.0, 4.0, 7.5, 60.0]), max_size=2
+        st.sampled_from([0.5, 1.0, 1.01, 1.5, 2.0, 2.5, 3.0, 4.0, 7.5, 60.0]), max_size=_LONG
     ),
-    "beta": st.one_of(st.none(), st.lists(_SMALL_FLOAT, max_size=2)),
-    "eps": st.lists(st.floats(-0.1, 1.0), max_size=3),
+    "beta": st.one_of(st.none(), st.lists(_SMALL_FLOAT, max_size=_LONG)),
+    "eps": st.lists(st.floats(-0.1, 1.0), max_size=_LONG),
     "cutoff_radius": st.floats(-0.5, 2.0),
-    "samples": st.integers(-1, 2000),
-    "identity_points": st.integers(-1, 20),
-    "identity_indices": st.lists(st.integers(-1, 2), max_size=2),
+    "samples": st.one_of(st.integers(-1, 2000), _over("samples")),
+    "identity_points": st.one_of(st.integers(-1, 20), _over("identity_points")),
+    "identity_indices": st.lists(
+        st.one_of(st.integers(-1, 2), _over("identity_indices entry")), max_size=_LONG
+    ),
     "seed": st.integers(0, 2**64),
 }
 
@@ -426,3 +466,91 @@ class TestPerturbedConfigs:
         assert "Traceback" not in err.getvalue()
         if code == 3:
             assert out.getvalue() == "" and err.getvalue().count("\n") == 1
+
+
+_RUNNERS = {
+    "hardy": experiments.hardy_quotient,
+    "remainder": experiments.remainder_check,
+    "sobolev": experiments.hardy_sobolev_ratio,
+}
+
+
+class TestOneIntegrationPerTrial:
+    """Each trial is integrated once for every p (and every beta), and each
+    row is the public runner's report for its (p, beta, trial), bit for bit."""
+
+    @pytest.mark.parametrize(
+        "command, ps, over",
+        [
+            ("hardy", [2.0, 3.0], {}),
+            ("hardy", [2.0, 2.0], {}),
+            ("hardy", [], {}),
+            ("remainder", [2.0, 3.0], {}),
+            ("sobolev", [2.0, 3.0], {}),
+            ("general-hardy", [2.0, 3.0], {"beta": [-0.5, -0.25]}),
+            ("general-hardy", [2.0, 2.0], {}),  # beta_star(p)
+            # an oblique normal: the distance is not p-harmonic, T2 is integrated
+            ("general-hardy", [3.0, 2.0], {"halfspace": {"nu": [0.3, 0.2, 1.0], "d": 0.1}}),
+        ],
+    )
+    def test_rows_are_the_runners(self, tmp_path, capsys, monkeypatch, command, ps, over):
+        calls = []
+        integrate = experiments.integrate_many
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "integrate_many", counted)
+        over = {"halfspace": {"preset": "t-axis", "d": 0.0}, **over}
+        path = write_config(tmp_path, group="heisenberg:1", p=ps, trials={"count": 2}, **over)
+        code, out, _ = run([command, "--config", path, "--format", "json"], capsys)
+        assert code in (0, 2)
+        assert len(calls) == (2 if ps else 0)  # one per trial; at the parent, one per row
+
+        rows = json.loads(out)["rows"]
+        group, hs, quad, cfg = resolve(load_config(path))
+        digest = rows[0]["config_digest"] if rows else ""
+        trials = build_trials(group, hs, cfg)
+        if command == "general-hardy":
+            expected = [
+                experiments.general_hardy_margin(group, hs, u, p, beta, quad, config_digest=digest)
+                for p in ps
+                for beta in cfg["beta"] or [experiments.beta_star(p)]
+                for u in trials
+            ]
+        else:
+            expected = [
+                _RUNNERS[command](group, hs, u, p, quad, config_digest=digest)
+                for p in ps
+                for u in trials
+            ]
+        assert rows == json.loads(render_json(expected, cfg))["rows"]
+
+    @pytest.mark.parametrize(
+        "outcomes, error, integrated",
+        [
+            # trial 0 fails at p = 3, trial 1 at p = 2: the (2, trial 1) row comes first
+            ([[[], "t0 p3"], ["t1 p2", []], [[], []]], "t1 p2", 2),
+            # a p-independent error at trial 1 comes before the rows of p = 3
+            ([[[], "t0 p3"], NodeBudgetError("t1 budget"), [[], []]], "t1 budget", 2),
+            ([[[], "t0 p3"], [[], "t1 p3"], [[], []]], "t0 p3", 3),
+        ],
+    )
+    def test_an_error_is_raised_at_its_row(self, tmp_path, capsys, monkeypatch, outcomes, error, integrated):
+        seen = []
+
+        def each_p(check, group, hs, u, ps, *args, **kwargs):
+            assert ps == [2.0, 3.0]
+            outcome = outcomes[len(seen)]
+            seen.append(u)
+            if isinstance(outcome, Exception):
+                raise outcome
+            return [experiments.TrivialTrialError(o) if isinstance(o, str) else o for o in outcome]
+
+        monkeypatch.setattr(experiments, "each_p", each_p)
+        path = write_config(tmp_path, p=[2.0, 3.0])
+        code, out, err = run(["hardy", "--config", path], capsys)
+        assert code == 3 and out == ""
+        assert err == f"configuration error: {error}\n"
+        assert len(seen) == integrated

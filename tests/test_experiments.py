@@ -28,6 +28,8 @@ from strathardy import (
     SharpnessSpec,
     sobolev_exponent,
 )
+from strathardy.experiments import HARDY, TrivialTrialError, each_p
+from strathardy.quadrature import IntegrationError
 
 
 @pytest.fixture
@@ -131,6 +133,21 @@ class TestHardyQuotient:
         q1 = hardy_quotient(h1, t_axis, v, 2.0, cfg)
         tol = 3 * (q0.stderr + q1.stderr) + 1e-3 * q0.quotient
         assert abs(q0.quotient - q1.quotient) < tol
+
+
+class TestEachP:
+    def test_a_failing_p_fails_alone(self, h1, t_axis, fast_cfg):
+        # on this bump (W |u| / dist)^300 underflows to a zero integral and
+        # |grad_H u|^1000 overflows; each p = 2 still gets its runner's row
+        u = make_bump(BumpSpec(center=(0.2, -0.1, 0.8), radius=0.15))
+        ps = [2.0, 300.0, 1000.0, 2.0]
+        first, trivial, overflow, again = each_p(HARDY, h1, t_axis, u, ps, fast_cfg)
+        assert first == again == [hardy_quotient(h1, t_axis, u, 2.0, fast_cfg)]
+        assert isinstance(trivial, TrivialTrialError) and isinstance(overflow, IntegrationError)
+
+    def test_no_p_integrates_nothing(self, h1, t_axis, fast_cfg):
+        no_box = ScalarField(3, lambda pts: np.ones(len(pts)))
+        assert each_p(HARDY, h1, t_axis, no_box, [], fast_cfg) == []
 
 
 class TestGeneralHardy:
