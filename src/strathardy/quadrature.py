@@ -28,7 +28,10 @@ rule:
     reproducible bit for bit regardless of how the host schedules work.
 
 Nodes with dist <= 0 are never evaluated: their weight is zero and
-integrands are only called on weight-carrying nodes.  Given a trial
+integrands are only called on weight-carrying nodes.  The boundary-graded
+rule also zeroes a node whose recomputed dist does not clear the
+rounding error of computing it, since it lies on the boundary to
+rounding.  Given a trial
 ``(spec, u)``, :func:`integrate_many` also skips the nodes outside
 ``u.support`` and calls each integrand on a
 :class:`~strathardy.calculus.TrialSample` (nodes, u, grad u and grad_H u,
@@ -334,9 +337,13 @@ def _build_boundary_graded(box, hs, cfg, support, companion=False) -> _Rule:
     flat_pts = pts.reshape(-1, n)
     flat_w = w.reshape(-1)
     # the round trip s -> coordinate -> distance cancels catastrophically
-    # near an offset boundary; drop nodes the half-space itself would place
-    # on or past the boundary, since integrands recompute distance that way
-    flat_w = np.where(hs.distance(flat_pts) > 0.0, flat_w, 0.0)
+    # near an offset or oblique boundary, and integrands recompute distance
+    # that way; drop the nodes whose recomputed distance does not clear the
+    # rounding error of <x, nu> - d (n ulps of sum |x_i nu_i| + |d|): they
+    # lie on the boundary to rounding, whatever s they were built from
+    reach = np.abs(xj * nuj) + (np.abs(trans_pts) @ np.abs(nu[trans_axes]) + abs(hs.d))[:, None]
+    floor = (n * np.finfo(float).eps) * reach.reshape(-1)
+    flat_w = np.where(hs.distance(flat_pts) > floor, flat_w, 0.0)
 
     coarse = None
     if deterministic and not companion:

@@ -140,6 +140,21 @@ class TestBoundaryGraded:
         assert pts.size > 0
         assert np.min(hs.distance(pts)) > 0.0
 
+    def test_nodes_on_the_boundary_to_rounding_carry_no_weight(self):
+        # an oblique normal with a vanishing offset: at small s most nodes'
+        # <x, nu> cancels to 0, so their recomputed distance is |d|, not
+        # s**m, and dist**-2 there overflows
+        nu = np.zeros(7)
+        nu[[3, 6]] = np.sqrt(0.5)
+        hs = HalfSpace(nu=nu, d=-1e-171)
+        box = np.tile([-0.5, 0.5], (7, 1))
+        cfg = QuadConfig(sample_count=64)
+        rule = _build_nodes(box, hs, cfg, None)
+        dist = hs.distance(rule.points[rule.weights != 0.0])
+        assert dist.size > 0 and np.min(dist) > 1e-100
+        (est,) = integrate_many([lambda p: hs.distance(p) ** -2.0], box, hs, cfg)
+        assert np.isfinite(est.value)
+
     def test_grading_exponent_one_still_works(self):
         hs = halfspace_preset(3, "t-axis", 0.0)
         cfg = QuadConfig(grading_exponent=1.0)
