@@ -120,20 +120,29 @@ class ScalarField:
     the support and skips the nodes outside it (see
     :func:`~strathardy.quadrature.integrate_many`).  ``None`` means the
     support is not known beyond ``support_box``.
+
+    A field whose values and gradients share their arithmetic is given by
+    ``fn_and_grad`` instead of ``fn`` and ``grad_fn``: it maps (M, n) to
+    the pair (values, exact gradients), and :meth:`values_and_gradients`
+    evaluates it once.
     """
 
     def __init__(
         self,
         dim: int,
-        fn: Callable[[np.ndarray], np.ndarray],
+        fn: Callable[[np.ndarray], np.ndarray] | None = None,
         grad_fn: Callable[[np.ndarray], np.ndarray] | None = None,
         support_box: np.ndarray | None = None,
         label: str = "field",
         support: Callable[[np.ndarray], np.ndarray] | None = None,
+        fn_and_grad: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None,
     ):
+        if (fn is None) == (fn_and_grad is None) or (fn is None and grad_fn is not None):
+            raise ValueError("give fn (with grad_fn or not), or fn_and_grad alone")
         self.dim = int(dim)
         self._fn = fn
         self._grad_fn = grad_fn
+        self._fn_and_grad = fn_and_grad
         self.support_box = None if support_box is None else np.asarray(support_box, float)
         if self.support_box is not None and self.support_box.shape != (self.dim, 2):
             raise ValueError(f"support_box must have shape ({self.dim}, 2)")
@@ -142,7 +151,7 @@ class ScalarField:
 
     @property
     def has_exact_grad(self) -> bool:
-        return self._grad_fn is not None
+        return self._grad_fn is not None or self._fn_and_grad is not None
 
     def _as_points(self, points) -> np.ndarray:
         points = np.asarray(points, dtype=float)
@@ -151,10 +160,14 @@ class ScalarField:
         return points
 
     def values(self, points) -> np.ndarray:
+        if self._fn is None:
+            return self.values_and_gradients(points)[0]
         return np.asarray(self._fn(self._as_points(points)), dtype=float)
 
     def gradients(self, points, h: float = H_STEP) -> np.ndarray:
         """Exact gradients when available, else central differences."""
+        if self._fn is None:
+            return self.values_and_gradients(points)[1]
         points = self._as_points(points)
         if self._grad_fn is not None:
             return np.asarray(self._grad_fn(points), dtype=float)
@@ -168,19 +181,33 @@ class ScalarField:
             out[:, j] = (np.asarray(up) - np.asarray(dn)) / (2.0 * steps)
         return out
 
+    def values_and_gradients(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """``(values(points), gradients(points))``, from one evaluation where
+        the field is given by ``fn_and_grad``."""
+        if self._fn_and_grad is None:
+            return self.values(points), self.gradients(points)
+        values, grads = self._fn_and_grad(self._as_points(points))
+        return np.asarray(values, dtype=float), np.asarray(grads, dtype=float)
+
     def scaled(self, factor: float) -> "ScalarField":
         """The field factor * self, with the gradient scaled to match."""
         factor = float(factor)
-        grad = None
-        if self._grad_fn is not None:
-            grad = lambda pts: factor * np.asarray(self._grad_fn(pts), dtype=float)
+        fn = fn_and_grad = None
+        if self.has_exact_grad:
+
+            def fn_and_grad(pts):
+                values, grads = self.values_and_gradients(pts)
+                return factor * values, factor * grads
+
+        else:
+            fn = lambda pts: factor * np.asarray(self._fn(pts), dtype=float)
         return ScalarField(
             self.dim,
-            fn=lambda pts: factor * np.asarray(self._fn(pts), dtype=float),
-            grad_fn=grad,
+            fn=fn,
             support_box=self.support_box,
             label=f"{factor!r}*{self.label}",
             support=self.support,
+            fn_and_grad=fn_and_grad,
         )
 
 
@@ -295,14 +322,15 @@ class TrialSample:
 
 
 def sample_trial(spec: GroupSpec, hs: HalfSpace, u: ScalarField, points) -> TrialSample:
-    """Evaluate u and its gradients once at (M, n) points; dist and W on demand."""
+    """Evaluate u and its gradients once at (M, n) points, in one call of
+    :meth:`ScalarField.values_and_gradients`; dist and W on demand."""
     points = np.asarray(points, dtype=float)
-    grad = u.gradients(points)
+    values, grad = u.values_and_gradients(points)
     return TrialSample(
         spec=spec,
         hs=hs,
         points=points,
-        u=u.values(points),
+        u=values,
         grad=grad,
         hgrad=horizontal_from_euclidean(spec, points, grad),
     )

@@ -9,8 +9,9 @@ every checked contract holds within tolerance, 2 when a contract is
 violated (one stderr line per failing row), 3 for configuration errors:
 among them a size over its bound (``config.SIZE_BOUNDS``), a quadrature
 over its node budget, a trial the quadrature rule
-never sees (its denominator integral vanishes) and an integrand that
-overflows at a node (p too large, say).  All randomness is
+never sees (its denominator integral vanishes), an integrand that
+overflows at a node (p too large, say) and a beta whose beta-form
+coefficient overflows.  All randomness is
 counter-based and derived from the seed, so identical configurations
 produce byte-identical reports.
 """
@@ -88,6 +89,14 @@ def _raise_errors(outcomes):
 
 
 def _general_hardy(group, hs, quad, cfg, digest):
+    for p in cfg["p"]:
+        for beta in cfg["beta"] or []:
+            try:
+                experiments.beta_form_coefficient(p, beta)
+            except OverflowError:
+                raise ConfigError(
+                    f"beta {beta!r} at p={p!r}: its beta-form coefficient is past the float range"
+                ) from None
     if cfg["beta"] == []:  # no rows asked for: integrate nothing
         cfg = dict(cfg, p=[])
     return _each_trial(experiments.GENERAL_HARDY, group, hs, quad, cfg, digest, betas=cfg["beta"])

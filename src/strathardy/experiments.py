@@ -16,6 +16,8 @@ tunable.
 
 from __future__ import annotations
 
+import math
+import os
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -183,7 +185,7 @@ def each_p(
         den = mine[check.denominator].value
         try:
             # the quotient stderrs divide by den**2
-            if den <= 0.0 or den**2 == 0.0:
+            if den <= 0.0 or den * den == 0.0:
                 raise TrivialTrialError(
                     f"trivial trial function {u.label}: its denominator integral {den!r} "
                     "on this quadrature rule is too small to check a bound against"
@@ -215,9 +217,19 @@ def _hardy_integrands(spec, hs, p: float):
 
 
 def _quotient_stderr(num: IntegralEstimate, den: IntegralEstimate) -> float:
-    return float(
-        np.hypot(num.stderr / den.value, num.value * den.stderr / den.value**2)
-    )
+    """The first-order stderr of num / den.
+
+    Its second term num * den.stderr / den**2 can leave the float range on
+    the way (den**2 raises OverflowError past 1.3e154, the product turns
+    inf) while the term itself does not; it is then regrouped.
+    """
+    try:
+        spread = num.value * den.stderr / den.value**2
+    except OverflowError:
+        spread = math.inf
+    if math.isinf(spread):
+        spread = num.value / den.value * (den.stderr / den.value)
+    return float(np.hypot(num.stderr / den.value, spread))
 
 
 def _report(inequality_id, case: _Case, estimates, extras=None, **kw):
@@ -514,6 +526,68 @@ def luan_young_check(
     return _one(_LUAN_YOUNG, spec, hs, u, 2.0, cfg, config_digest)
 
 
+# the fuzzer's Philox chunk (the stream's unit, fixed) and the rows of
+# one block of arithmetic, small enough that its temporaries stay in cache
+_FUZZ_CHUNK = 1 << 17
+_FUZZ_BLOCK = 1 << 13
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (all of them where affinity is unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _bft_defects(a, b, dims, p) -> np.ndarray:
+    """The relative defect of the vector inequality for each row of (a, b, dims, p).
+
+    Row i uses the first dims[i] columns of a and b; the norms and the dot
+    product are running sums over the columns, each power is taken once.
+    """
+    na2, nb2, nab2, dot = (np.zeros(p.size) for _ in range(4))
+    for j in range(a.shape[1]):
+        live = dims > j
+        aj = np.where(live, a[:, j], 0.0)
+        bj = np.where(live, b[:, j], 0.0)
+        na2 += aj * aj
+        nb2 += bj * bj
+        ab = aj + bj
+        nab2 += ab * ab
+        dot += aj * bj
+    na, nb, nab = np.sqrt(na2), np.sqrt(nb2), np.sqrt(nab2)
+    cp = 1.0 / (2.0 ** (p - 1.0) - 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross = np.where(na > 0.0, na ** (p - 2.0), 0.0) * dot
+    nab_p, na_p, cnb_p, pcross = nab**p, na**p, cp * nb**p, p * cross
+    return ((nab_p - na_p) - (cnb_p + pcross)) / (nab_p + na_p + cnb_p + np.abs(pcross) + 1e-300)
+
+
+def _bft_chunks(chunks, a, b, p, max_dim, lo_p, hi_p, rel_tol) -> tuple[int, float]:
+    """(violations, worst defect) over ``chunks``, drawn into the buffers a, b and p.
+
+    Each chunk draws a, b, the dimensions and p whole, in that order,
+    and then works through them in blocks of ``_FUZZ_BLOCK`` rows.
+    """
+    violations = 0
+    worst = 0.0
+    for gen, take in chunks:
+        va = gen.standard_normal(out=a[:take])
+        vb = gen.standard_normal(out=b[:take])
+        dims = gen.integers(1, max_dim + 1, size=take)
+        vp = gen.random(out=p[:take])
+        vp *= hi_p - lo_p
+        vp += lo_p
+        lowest = []
+        for start in range(0, take, _FUZZ_BLOCK):
+            rows = slice(start, start + _FUZZ_BLOCK)
+            defect = _bft_defects(va[rows], vb[rows], dims[rows], vp[rows])
+            violations += int(np.count_nonzero(defect < -rel_tol))
+            lowest.append(defect.min())
+        worst = min(worst, float(np.min(lowest)))
+    return violations, worst
+
+
 def bft_fuzz(
     samples: int = 1_000_000,
     seed: int = 42,
@@ -529,36 +603,40 @@ def bft_fuzz(
     when the defect is below -rel_tol relative to the magnitude of the
     terms involved.  For p >= 2 the inequality is a theorem, so the
     expected count is zero.
+
+    The samples come in chunks of ``_FUZZ_CHUNK`` rows, chunk c on Philox
+    key (seed, c), and the chunks run concurrently on one thread per CPU
+    this process may use (never more threads than chunks).  Each chunk's
+    draws and arithmetic do not depend on which thread runs it, and the
+    counts and the worst defect are combined in an order-free way, so the
+    report does not depend on the CPU count.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
     lo_p, hi_p = float(p_range[0]), float(p_range[1])
     if lo_p < 2.0:
         raise ValueError("the vector inequality is checked for p >= 2")
-    violations = 0
-    worst = 0.0
-    for gen, take in philox_chunks(seed, samples, 1 << 17):
-        a = gen.standard_normal((take, max_dim))
-        b = gen.standard_normal((take, max_dim))
-        dims = gen.integers(1, max_dim + 1, size=take)
-        p = gen.uniform(lo_p, hi_p, size=take)
-        mask = np.arange(max_dim)[None, :] < dims[:, None]
-        a = np.where(mask, a, 0.0)
-        b = np.where(mask, b, 0.0)
+    # imported here, not with the module: concurrent.futures brings in
+    # logging, about 8 ms of every import of the package, for the fuzzer alone
+    from concurrent.futures import ThreadPoolExecutor
 
-        na = np.linalg.norm(a, axis=1)
-        nb = np.linalg.norm(b, axis=1)
-        nab = np.linalg.norm(a + b, axis=1)
-        dot = np.sum(a * b, axis=1)
-        cp = 1.0 / (2.0 ** (p - 1.0) - 1.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cross = np.where(na > 0.0, na ** (p - 2.0), 0.0) * dot
-        lhs = nab**p - na**p
-        rhs = cp * nb**p + p * cross
-        scale = nab**p + na**p + cp * nb**p + np.abs(p * cross) + 1e-300
-        defect = (lhs - rhs) / scale
-        violations += int(np.sum(defect < -rel_tol))
-        worst = min(worst, float(defect.min()))
+    chunks = list(philox_chunks(seed, samples, _FUZZ_CHUNK))
+    workers = min(_usable_cpus(), len(chunks))
+    rows = min(samples, _FUZZ_CHUNK)
+    # each worker's draw buffers are made here, once, rather than in its
+    # thread: allocating them there raised the peak memory of a run
+    buffers = [
+        (np.empty((rows, max_dim)), np.empty((rows, max_dim)), np.empty(rows))
+        for _ in range(workers)
+    ]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [
+            pool.submit(_bft_chunks, chunks[k::workers], *buffers[k], max_dim, lo_p, hi_p, rel_tol)
+            for k in range(workers)
+        ]
+        results = [future.result() for future in futures]
+    violations = sum(count for count, _ in results)
+    worst = min([0.0] + [low for _, low in results])
     return Report(
         inequality_id="bft",
         p=lo_p,

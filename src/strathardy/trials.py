@@ -121,28 +121,23 @@ def make_bump(spec: BumpSpec) -> ScalarField:
     powers = np.full(center.size, 2.0) if spec.powers is None else np.asarray(spec.powers, float)
     support = BumpSupport(center, r, powers)
 
-    def fn(points):
-        s, _ = support.shape(points)
-        out = np.zeros(points.shape[0])
-        inside = s < 1.0
-        if np.any(inside):
-            out[inside] = np.exp(-1.0 / (1.0 - s[inside]))
-        return out
-
-    def grad(points):
+    def fn_and_grad(points):
         s, z = support.shape(points)
-        out = np.zeros_like(points)
         inside = s < 1.0
-        if np.any(inside):
-            si = s[inside]
-            f = np.exp(-1.0 / (1.0 - si))
-            dS = powers * np.abs(z[inside]) ** (powers - 1.0) * np.sign(z[inside]) / r
-            out[inside] = (-f / (1.0 - si) ** 2)[:, None] * dS
-        return out
+        # from here on only the nodes inside the support, so that the
+        # temporaries are theirs alone
+        s, z = s[inside], z[inside]
+        f = np.exp(-1.0 / (1.0 - s))
+        dS = powers * np.abs(z) ** (powers - 1.0) * np.sign(z) / r
+        values = np.zeros(points.shape[0])
+        values[inside] = f
+        grads = np.zeros_like(points)
+        grads[inside] = (-f / (1.0 - s) ** 2)[:, None] * dS
+        return values, grads
 
     box = np.stack([center - r, center + r], axis=1)
     return ScalarField(
-        center.size, fn=fn, grad_fn=grad, support_box=box, label=spec.label(), support=support
+        center.size, fn_and_grad=fn_and_grad, support_box=box, label=spec.label(), support=support
     )
 
 
@@ -190,12 +185,6 @@ def random_interior_bumps(
     return specs
 
 
-def _restricted(points, hs):
-    d = hs.distance(points)
-    inside = d > 0.0
-    return d, inside
-
-
 def ground_transform(u: ScalarField, hs: HalfSpace, p: float) -> ScalarField:
     """The substitution v = dist^(-(p-1)/p) u, defined inside the half-space.
 
@@ -214,7 +203,7 @@ def ground_gradient(sample: TrialSample, hs: HalfSpace, p: float) -> np.ndarray:
     the half-space (as quadrature nodes do); there it equals
     ``ground_transform(u, hs, p).gradients`` bit for bit.
     """
-    return _power_weighted_gradient(sample.dist, -(p - 1.0) / p, sample.u, sample.grad, hs.nu)
+    return _power_weighted_parts(sample.dist, -(p - 1.0) / p, sample.u, sample.grad, hs.nu)[1]
 
 
 def inverse_ground_transform(v: ScalarField, hs: HalfSpace, p: float) -> ScalarField:
@@ -232,32 +221,26 @@ def _power_weighted(u: ScalarField, hs: HalfSpace, a: float, label: str) -> Scal
     """
     nu = hs.nu
 
-    def fn(points):
-        d, inside = _restricted(points, hs)
-        out = np.zeros(points.shape[0])
+    def fn_and_grad(points):
+        d = hs.distance(points)
+        inside = d > 0.0
+        values = np.zeros(points.shape[0])
+        grads = np.zeros_like(points)
         if np.any(inside):
-            out[inside] = d[inside] ** a * u.values(points[inside])
-        return out
-
-    def grad(points):
-        d, inside = _restricted(points, hs)
-        out = np.zeros_like(points)
-        if np.any(inside):
-            pts = points[inside]
-            out[inside] = _power_weighted_gradient(
-                d[inside], a, u.values(pts), u.gradients(pts), nu
-            )
-        return out
+            u_in, grad_in = u.values_and_gradients(points[inside])
+            values[inside], grads[inside] = _power_weighted_parts(d[inside], a, u_in, grad_in, nu)
+        return values, grads
 
     return ScalarField(
-        u.dim, fn=fn, grad_fn=grad, support_box=u.support_box, label=label, support=u.support
+        u.dim, fn_and_grad=fn_and_grad, support_box=u.support_box, label=label, support=u.support
     )
 
 
-def _power_weighted_gradient(d, a, u, grad, nu) -> np.ndarray:
-    """dist^a grad u + a dist^(a-1) u nu from dist > 0, u and grad u at the same points."""
-    d = d[:, None]
-    return d**a * grad + a * d ** (a - 1.0) * u[:, None] * nu
+def _power_weighted_parts(d, a, u, grad, nu) -> tuple[np.ndarray, np.ndarray]:
+    """dist^a u and its gradient dist^a grad u + a dist^(a-1) u nu, from
+    dist > 0, u and grad u at the same points."""
+    da = d**a
+    return da * u, da[:, None] * grad + a * d[:, None] ** (a - 1.0) * u[:, None] * nu
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,14 @@ from strathardy import (
     sample_trial,
     sub_laplacian_distance_polynomial,
 )
+from strathardy.trials import (
+    BumpSupport,
+    SharpnessSpec,
+    boundary_bump_spec,
+    ground_transform,
+    inverse_ground_transform,
+    sharpness_trial,
+)
 
 
 def random_unit(rng, dim, tilt=True):
@@ -113,6 +121,16 @@ class TestScalarField:
         g = f.gradients(np.array([[3.0, 1.0]]))
         assert np.array_equal(g, [[6.0, 0.0]]) and calls
 
+    def test_needs_fn_or_fn_and_grad(self):
+        both = lambda pts: (pts[:, 0], np.ones_like(pts))
+        for parts in ({}, {"fn": both, "fn_and_grad": both}, {"grad_fn": both, "fn_and_grad": both}):
+            with pytest.raises(ValueError, match="fn_and_grad"):
+                ScalarField(2, **parts)
+        f = ScalarField(2, fn_and_grad=both)
+        assert f.has_exact_grad
+        assert np.array_equal(f.values([[3.0, 1.0]]), [3.0])
+        assert np.array_equal(f.gradients([[3.0, 1.0]]), [[1.0, 1.0]])
+
     def test_scaled(self):
         f = ScalarField(2, lambda pts: pts[:, 0], grad_fn=lambda pts: np.tile([1.0, 0.0], (len(pts), 1)))
         g = f.scaled(-3.0)
@@ -180,6 +198,24 @@ class TestPairings:
         assert np.allclose(hor[:, 1], grads[:, 1] - 2 * x * grads[:, 2], rtol=1e-15)
 
 
+_BUMP = BumpSpec(center=(0.2, -0.1, 0.8), radius=0.6)
+
+# (builder of a trial from a half-space, BumpSupport.shape calls per evaluation)
+_TRIALS = {
+    "bump": (lambda hs: make_bump(_BUMP), 1),
+    "bump-powers-4": (lambda hs: make_bump(BumpSpec(_BUMP.center, 0.6, powers=(4, 4, 4))), 1),
+    "ground": (lambda hs: ground_transform(make_bump(_BUMP), hs, 3.0), 1),
+    "unground": (lambda hs: inverse_ground_transform(make_bump(_BUMP), hs, 2.0), 1),
+    "sharpness": (
+        lambda hs: sharpness_trial(SharpnessSpec(2.0, 0.3, boundary_bump_spec(hs, 0.9)), hs),
+        1,
+    ),
+    "scaled": (lambda hs: make_bump(_BUMP).scaled(7.0), 1),
+    # no exact gradient: central differences of fn
+    "hand-built": (lambda hs: ScalarField(3, lambda pts: np.exp(-np.sum(pts * pts, axis=1))), 0),
+}
+
+
 class TestTrialSample:
     def test_fields_match_the_separate_batch_calls(self, h1, rng):
         hs = HalfSpace(nu=random_unit(rng, 3), d=0.1)
@@ -193,6 +229,21 @@ class TestTrialSample:
         assert np.array_equal(s.u, u.values(pts))
         assert np.array_equal(s.grad, u.gradients(pts))
         assert np.array_equal(s.hgrad, horizontal_gradient_many(h1, u, pts))
+
+    @pytest.mark.parametrize("name", sorted(_TRIALS))
+    def test_u_and_grad_u_come_from_one_evaluation(self, h1, rng, monkeypatch, name):
+        build, shapes = _TRIALS[name]
+        hs = HalfSpace(nu=random_unit(rng, 3), d=0.1)
+        u = build(hs)
+        pts = rng.uniform(-0.4, 1.4, size=(40, 3))
+        calls = []
+        shape = BumpSupport.shape
+        monkeypatch.setattr(BumpSupport, "shape", lambda *a: calls.append(1) or shape(*a))
+        s = sample_trial(h1, hs, u, pts)
+        assert len(calls) == shapes
+        assert np.any(s.u != 0.0)
+        assert np.array_equal(s.u, u.values(pts))
+        assert np.array_equal(s.grad, u.gradients(pts))
 
     def test_dist_and_w_are_computed_on_first_read(self, h1, rng):
         hs = HalfSpace(nu=random_unit(rng, 3), d=0.1)

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -318,6 +319,32 @@ class TestRejectedConfigs:
         code, out, err = run([command, "--config", path], capsys)
         assert code == 3 and out == ""
         assert err.count("\n") == 1 and name in err
+
+    @pytest.mark.parametrize(
+        "command, cfg, name",
+        [
+            # denominator integrals past 1e154 square past the float range in
+            # the trivial-trial test and the quotient stderr: finite rows
+            ("hardy", {"p": [300], "trials": {"count": 3}, "quadrature": {"points_per_axis": 8}}, None),
+            ("remainder", {"p": [2, 200]}, None),
+            # ... and at p = 400 the integrand overflows too
+            ("remainder", {"p": [2, 200, 400]}, "non-finite"),
+            ("general-hardy", {"beta": [-1e200]}, "beta -1e+200 at p=2.0"),
+        ],
+    )
+    def test_float_overflows(self, tmp_path, capsys, command, cfg, name):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run([command, "--config", str(path), "--seed", "42", "--format", "json"], capsys)
+        if name is None:
+            assert code in (0, 2) and "Traceback" not in err
+            rows = json.loads(out)["rows"]
+            assert len(rows) == len(cfg["p"]) * cfg.get("trials", {"count": 20})["count"]
+            for row in rows:
+                assert all(math.isfinite(row[k]) for k in ("quotient", "bound", "margin", "stderr"))
+        else:
+            assert code == 3 and out == ""
+            assert err.count("\n") == 1 and name in err
 
     def test_sharpness_on_a_half_line_runs(self, tmp_path, capsys):
         path = write_config(tmp_path, group="abelian:1")

@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -28,8 +30,10 @@ from strathardy import (
     SharpnessSpec,
     sobolev_exponent,
 )
+from strathardy import experiments
 from strathardy.experiments import HARDY, TrivialTrialError, each_p
 from strathardy.quadrature import IntegrationError
+from strathardy.streams import philox_chunks
 
 
 @pytest.fixture
@@ -281,6 +285,91 @@ class TestVectorInequality:
     def test_rejects_p_below_two(self):
         with pytest.raises(ValueError):
             bft_fuzz(samples=100, p_range=(1.5, 3.0))
+
+    @staticmethod
+    def reference_defects(samples, seed, max_dim=5, lo_p=2.0, hi_p=5.0):
+        """The fuzzer's per-chunk arithmetic before blocks and threads: whole
+        chunks, np.linalg.norm, each power taken where it is used."""
+        out = []
+        for gen, take in philox_chunks(seed, samples, 1 << 17):
+            a = gen.standard_normal((take, max_dim))
+            b = gen.standard_normal((take, max_dim))
+            dims = gen.integers(1, max_dim + 1, size=take)
+            p = gen.uniform(lo_p, hi_p, size=take)
+            mask = np.arange(max_dim)[None, :] < dims[:, None]
+            a = np.where(mask, a, 0.0)
+            b = np.where(mask, b, 0.0)
+            na = np.linalg.norm(a, axis=1)
+            nb = np.linalg.norm(b, axis=1)
+            nab = np.linalg.norm(a + b, axis=1)
+            dot = np.sum(a * b, axis=1)
+            cp = 1.0 / (2.0 ** (p - 1.0) - 1.0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cross = np.where(na > 0.0, na ** (p - 2.0), 0.0) * dot
+            lhs = nab**p - na**p
+            rhs = cp * nb**p + p * cross
+            scale = nab**p + na**p + cp * nb**p + np.abs(p * cross) + 1e-300
+            out.append((lhs - rhs) / scale)
+        return np.concatenate(out)
+
+    @pytest.mark.parametrize("samples", [1, 1000, 131072, 131073, 300000])
+    @pytest.mark.parametrize("seed", [1, 42])
+    def test_matches_the_chunk_arithmetic_bit_for_bit(self, monkeypatch, samples, seed):
+        want = self.reference_defects(samples, seed)
+        # near zero and at the median: thresholds that count many rows
+        tols = (1e-12, -1e-3, -float(np.median(want)))
+        seen = []
+        defects = experiments._bft_defects
+
+        def spy(*args):
+            seen.append(defects(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(experiments, "_bft_defects", spy)
+        for cpus in (1, 4):
+            monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            for rel_tol in tols:
+                seen.clear()
+                rep = bft_fuzz(samples=samples, seed=seed, rel_tol=rel_tol)
+                got = np.concatenate(seen)
+                # blocks finish in any order across threads: compare as multisets
+                assert np.array_equal(np.sort(got), np.sort(want))
+                assert rep.quotient == np.count_nonzero(want < -rel_tol)
+                assert rep.extras["worst_relative_defect"] == min(0.0, float(want.min()))
+
+    @pytest.mark.parametrize(
+        "affinity, cpu_count, samples, workers",
+        [
+            (64, None, 1000, 1),  # one chunk: one worker, whatever the CPUs
+            (None, 64, 1000, 1),  # no affinity call: os.cpu_count() instead
+            (None, 2, 300000, 2),
+            (None, 1, 300000, 1),
+            (None, None, 1000, 1),  # cpu_count() unknown
+        ],
+    )
+    def test_workers_are_bounded_by_chunks_and_cpus(
+        self, monkeypatch, affinity, cpu_count, samples, workers
+    ):
+        if affinity is None:
+            monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: set(range(affinity)))
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpu_count)
+        made = []
+
+        class Spy(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                super().__init__(max_workers=max_workers)
+                made.append([max_workers, 0])
+
+            def shutdown(self, *args, **kwargs):
+                made[-1][1] = len(self._threads)
+                super().shutdown(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Spy)
+        rep = bft_fuzz(samples=samples, seed=3)
+        assert made == [[workers, workers]]  # max_workers, and the threads it started
+        assert rep.quotient == 0.0
 
     def test_equality_cases_by_hand(self):
         # b = 0 and b = a are the two equality regimes at p = 2
