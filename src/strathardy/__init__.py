@@ -48,6 +48,7 @@ from .trials import (
     make_bump,
     ground_transform,
     ground_gradient,
+    power_weighted_sample,
     inverse_ground_transform,
     SharpnessSpec,
     sharpness_trial,
@@ -68,6 +69,7 @@ from .experiments import (
     luan_young_check,
     bft_fuzz,
     sharpness_sweep,
+    sharpness_grid,
 )
 from .identities import IdentityCheck, run_identity_suite
 from .reports import CSV_COLUMNS, Report, config_digest, render_csv, render_json

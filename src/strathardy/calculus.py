@@ -295,11 +295,12 @@ def angle_function_many(spec: GroupSpec, hs: HalfSpace, points) -> np.ndarray:
 class TrialSample:
     """A trial function u and the half-space geometry at a batch of points.
 
-    Rows follow ``points`` (M, n): ``u`` is the trial's values, ``grad``
-    its Euclidean gradient (M, n) and ``hgrad`` its horizontal gradient
-    (M, N); ``dist``, the boundary distance, and ``w``, the angle
-    function, are computed on first read, so integrands that do not read
-    them do not pay for them.  ``len(sample)`` is M.
+    Rows follow ``points`` (M, n): ``u`` is the trial's values and ``grad``
+    its Euclidean gradient (M, n).  ``hgrad``, its horizontal gradient
+    (M, N), ``dist``, the boundary distance, and ``w``, the angle function,
+    are computed on first read, so integrands that do not read them do not
+    pay for them.  A sample made by :meth:`with_trial` reads dist and W from
+    the ``source`` sample it was made from.  ``len(sample)`` is M.
     """
 
     spec: GroupSpec
@@ -307,15 +308,28 @@ class TrialSample:
     points: np.ndarray
     u: np.ndarray
     grad: np.ndarray
-    hgrad: np.ndarray
+    source: TrialSample | None = None
+
+    @cached_property
+    def hgrad(self) -> np.ndarray:
+        return horizontal_from_euclidean(self.spec, self.points, self.grad)
 
     @cached_property
     def dist(self) -> np.ndarray:
+        if self.source is not None:
+            return self.source.dist
         return self.hs.distance(self.points)
 
     @cached_property
     def w(self) -> np.ndarray:
+        if self.source is not None:
+            return self.source.w
         return angle_function_many(self.spec, self.hs, self.points)
+
+    def with_trial(self, u: np.ndarray, grad: np.ndarray) -> TrialSample:
+        """The sample of another trial at the same points, from its values
+        and Euclidean gradients; dist and W are computed once for both."""
+        return TrialSample(self.spec, self.hs, self.points, u, grad, source=self)
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -323,17 +337,10 @@ class TrialSample:
 
 def sample_trial(spec: GroupSpec, hs: HalfSpace, u: ScalarField, points) -> TrialSample:
     """Evaluate u and its gradients once at (M, n) points, in one call of
-    :meth:`ScalarField.values_and_gradients`; dist and W on demand."""
+    :meth:`ScalarField.values_and_gradients`; grad_H u, dist and W on demand."""
     points = np.asarray(points, dtype=float)
     values, grad = u.values_and_gradients(points)
-    return TrialSample(
-        spec=spec,
-        hs=hs,
-        points=points,
-        u=values,
-        grad=grad,
-        hgrad=horizontal_from_euclidean(spec, points, grad),
-    )
+    return TrialSample(spec=spec, hs=hs, points=points, u=values, grad=grad)
 
 
 def identity_Xi_pairing_many(

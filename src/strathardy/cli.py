@@ -74,18 +74,12 @@ def _each_trial(check, group, hs, quad, cfg, digest, **params):
     outcomes = []
     for u in build_trials(group, hs, cfg):
         outcomes.append(experiments.each_p(check, group, hs, u, cfg["p"], quad, digest, **params))
-        _raise_errors(outcomes[-1][:1])
+        experiments.raise_first_error(outcomes[-1][:1])
     rows = []
     for column in zip(*outcomes):  # one p, every trial
-        _raise_errors(column)
+        experiments.raise_first_error(column)
         rows += [r for same in zip(*column) for r in same]
     return rows
-
-
-def _raise_errors(outcomes):
-    for outcome in outcomes:
-        if isinstance(outcome, Exception):
-            raise outcome
 
 
 def _general_hardy(group, hs, quad, cfg, digest):
@@ -137,13 +131,7 @@ def _sharpness(group, hs, quad, cfg, digest):
                     "its denominator exponent p*eps - 1 is below -0.9, where quadrature "
                     "is not validated"
                 )
-    return [
-        report
-        for p in cfg["p"]
-        for report in experiments.sharpness_sweep(
-            group, hs, p, eps_list, cutoff, quad, config_digest=digest
-        )
-    ]
+    return experiments.sharpness_grid(group, hs, cfg["p"], eps_list, cutoff, quad, config_digest=digest)
 
 
 def _bft(group, hs, quad, cfg, digest):

@@ -8,16 +8,21 @@ computes once per chunk of nodes.  A p-taking runner is a :class:`Check`
 (its integrands at one p, and its rows from their estimates) applied by
 :func:`each_p` to that one p; given several p, :func:`each_p` integrates
 the trial once for all of them, so one rule, one support mask and one
-trial sample serve every p of a trial.  The bounds these quantities are
-checked against are theorems for the Heisenberg and abelian families, so a
-contract violation beyond tolerance indicates a numerics bug, never a
-tunable.
+trial sample serve every p of a trial.  The sharpness sweep
+(:func:`sharpness_grid`) goes further: its trials are powers of the
+distance times one cutoff, so every (p, eps) of a sweep is integrated
+over the cutoff's sample, from which each row's trial sample is derived.
+The bounds these quantities are checked against are theorems for the
+Heisenberg and abelian families, so a contract violation beyond tolerance
+indicates a numerics bug, never a tunable.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from functools import partial
+from itertools import product
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -33,7 +38,7 @@ from .groups import GroupSpec
 from .quadrature import IntegralEstimate, IntegrationError, QuadConfig, integrate_many
 from .reports import Report
 from .streams import philox_chunks
-from .trials import BumpSpec, SharpnessSpec, ground_gradient, sharpness_trial
+from .trials import BumpSpec, SharpnessSpec, ground_gradient, make_bump, power_weighted_sample
 
 __all__ = [
     "sharp_hardy_constant",
@@ -44,6 +49,7 @@ __all__ = [
     "TrivialTrialError",
     "Check",
     "each_p",
+    "raise_first_error",
     "HARDY",
     "GENERAL_HARDY",
     "REMAINDER",
@@ -55,6 +61,7 @@ __all__ = [
     "luan_young_check",
     "bft_fuzz",
     "sharpness_sweep",
+    "sharpness_grid",
 ]
 
 
@@ -113,11 +120,11 @@ class TrivialTrialError(ValueError):
 
 
 class _Case(NamedTuple):
-    """One p of a check on one trial, with the run's rule and digest."""
+    """One p of a check on one trial, named by its label, with the run's rule and digest."""
 
     spec: GroupSpec
     hs: HalfSpace
-    u: ScalarField
+    trial: str
     p: float
     cfg: QuadConfig
     digest: str
@@ -139,6 +146,74 @@ class Check(NamedTuple):
     denominator: int = 1
 
 
+class _Rows(NamedTuple):
+    """The integrands behind some report rows, and how the rows are made
+    from their estimates; ``label`` names the trial the rows are about."""
+
+    integrands: list
+    rows: Callable[[list[IntegralEstimate]], list[Report]]
+    denominator: int
+    label: str
+
+
+def _integrate_rows(
+    groups: list[_Rows], spec: GroupSpec, hs: HalfSpace, u: ScalarField, cfg: QuadConfig
+) -> list[list[Report] | Exception]:
+    """The rows of each group, from one integration of all their integrands.
+
+    The integrands, over samples of u, go to one :func:`integrate_many`
+    call over u's support box.  An integrand's estimate does not depend on
+    the other integrands of the call, so each group's rows are, bit for
+    bit, those of integrating that group alone.
+
+    Returns one entry per group, in order: its rows, or the error that
+    making them raised (a trivial trial or an overflowing integrand in that
+    group, say), for the caller to raise where those rows belong.  An
+    overflow is found per group by integrating the groups one at a time.
+    Errors that no group causes alone (a trial without a support box, a
+    rule over its node budget) are raised.  An empty ``groups`` integrates
+    nothing.
+    """
+    if not groups:
+        return []
+    if u.support_box is None:
+        raise ValueError("no integration box: trial has unbounded support")
+    try:
+        estimates = iter(
+            integrate_many(
+                [f for g in groups for f in g.integrands], u.support_box, hs, cfg, trial=(spec, u)
+            )
+        )
+    except IntegrationError as exc:
+        if len(groups) == 1:
+            return [exc]
+        # integrated alone, each group shows whether it is one that overflows
+        return [out for g in groups for out in _integrate_rows([g], spec, hs, u, cfg)]
+    outcomes = []
+    for g in groups:
+        mine = [next(estimates) for _ in g.integrands]
+        den = mine[g.denominator].value
+        try:
+            # the quotient stderrs divide by den**2
+            if den <= 0.0 or den * den == 0.0:
+                raise TrivialTrialError(
+                    f"trivial trial function {g.label}: its denominator integral {den!r} "
+                    "on this quadrature rule is too small to check a bound against"
+                )
+            outcomes.append(g.rows(mine))
+        except (ValueError, ArithmeticError) as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def raise_first_error(outcomes) -> None:
+    """Raise the first error among ``outcomes``, rows or errors as
+    :func:`each_p` returns them, if there is one."""
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+
+
 def each_p(
     check: Check,
     spec: GroupSpec,
@@ -153,8 +228,7 @@ def each_p(
 
     The integrands of every p go to one :func:`integrate_many` call over
     u's support box, so one rule, one support mask and one trial sample
-    serve them all.  An integrand's estimate does not depend on the other
-    integrands of the call, so each p's rows are, bit for bit, those of
+    serve them all, and each p's rows are, bit for bit, those of
     integrating that p alone.
 
     Returns one entry per p, in order: that p's report rows, or the error
@@ -165,43 +239,23 @@ def each_p(
     """
     cfg = cfg or QuadConfig()
     ps = [_check_p(p) for p in ps]
-    parts = [check.integrands(spec, hs, p) for p in ps]
-    if not parts:
-        return []
-    if u.support_box is None:
-        raise ValueError("no integration box: trial has unbounded support")
-    try:
-        estimates = iter(
-            integrate_many([f for fs in parts for f in fs], u.support_box, hs, cfg, trial=(spec, u))
+    groups = [
+        _Rows(
+            check.integrands(spec, hs, p),
+            partial(check.rows, _Case(spec, hs, u.label, p, cfg, config_digest), **params),
+            check.denominator,
+            u.label,
         )
-    except IntegrationError as exc:
-        if len(ps) == 1:
-            return [exc]
-        # integrated alone, each p shows whether it is one that overflows
-        return [out for p in ps for out in each_p(check, spec, hs, u, [p], cfg, config_digest, **params)]
-    outcomes = []
-    for p, fs in zip(ps, parts):
-        mine = [next(estimates) for _ in fs]
-        den = mine[check.denominator].value
-        try:
-            # the quotient stderrs divide by den**2
-            if den <= 0.0 or den * den == 0.0:
-                raise TrivialTrialError(
-                    f"trivial trial function {u.label}: its denominator integral {den!r} "
-                    "on this quadrature rule is too small to check a bound against"
-                )
-            outcomes.append(check.rows(_Case(spec, hs, u, p, cfg, config_digest), mine, **params))
-        except (ValueError, ArithmeticError) as exc:
-            outcomes.append(exc)
-    return outcomes
+        for p in ps
+    ]
+    return _integrate_rows(groups, spec, hs, u, cfg)
 
 
 def _one(check: Check, spec, hs, u, p, cfg, config_digest, **params) -> Report:
     """The one report row of ``check`` on trial u at p."""
-    (outcome,) = each_p(check, spec, hs, u, [p], cfg, config_digest, **params)
-    if isinstance(outcome, Exception):
-        raise outcome
-    (report,) = outcome
+    outcomes = each_p(check, spec, hs, u, [p], cfg, config_digest, **params)
+    raise_first_error(outcomes)
+    ((report,),) = outcomes
     return report
 
 
@@ -244,7 +298,7 @@ def _report(inequality_id, case: _Case, estimates, extras=None, **kw):
         seed=case.cfg.seed,
         config_digest=case.digest,
         evaluations=sum(e.evaluations for e in estimates),
-        extras={"trial": case.u.label, **(extras or {})},
+        extras={"trial": case.trial, **(extras or {})},
         **kw,
     )
 
@@ -659,6 +713,89 @@ def bft_fuzz(
     )
 
 
+# the (p, eps) rows of one sharpness integration: 16 integrands, as many
+# as hardy holds at the most p a config may give, so that the value rows
+# the rule evaluates stay that few however many rows a sweep has
+_SWEEP_ROWS = 8
+
+
+def sharpness_grid(
+    spec: GroupSpec,
+    hs: HalfSpace,
+    ps: Sequence[float],
+    eps_list,
+    cutoff: BumpSpec,
+    cfg: QuadConfig | None = None,
+    config_digest: str = "",
+) -> list[Report]:
+    """The sharpness sweep of every p of ``ps``, in order: the rows of
+    :func:`sharpness_sweep` for ps[0], then for ps[1], and so on.
+
+    Every trial is dist^alpha times the one cutoff bump, so the rows are
+    integrated together over the cutoff's support box, ``_SWEEP_ROWS``
+    (p, eps) rows to one :func:`integrate_many` call: one rule, one support
+    mask and one sample of the cutoff (with dist and W) serve them all.
+    Each row's integrands read its trial's sample, derived from the
+    cutoff's with the arithmetic of the trial field itself, and only one
+    such derived sample is kept at a time.  Each row is therefore, bit for
+    bit, the ``hardy_quotient`` of its ``sharpness_trial`` with inequality
+    id "sharpness", and the error of the first failing row (p outer, eps
+    inner) is raised, once the rows before it are known to hold none.
+    """
+    cfg = cfg or QuadConfig()
+    field = make_bump(cutoff)
+    verification = (
+        abs(hs.nu[0] - 1.0) < 1e-15
+        and not np.any(hs.nu[1:])
+        and hs.d == 0.0
+    )
+    trials = []
+    for p, eps in product(ps, eps_list):
+        try:
+            trials.append(SharpnessSpec(p=p, eps=float(eps), cutoff=cutoff))
+        except (TypeError, ValueError) as exc:  # the sweep ends at a row it cannot build
+            trials.append(exc)
+            break
+    slot = []  # (cutoff sample, row, that row's derived sample)
+
+    def on_trial(f, row, trial):
+        """Integrand f over the sample of the trial of ``row``, from the cutoff's sample."""
+
+        def integrand(sample):
+            if not slot or slot[0] is not sample or slot[1] != row:
+                slot.clear()  # before the next is made: one derived sample alive
+                slot.extend((sample, row, power_weighted_sample(sample, trial.exponent)))
+            return f(slot[2])
+
+        return integrand
+
+    def rows(case, eps, estimates):
+        (report,) = _hardy_rows(case, estimates, inequality_id="sharpness")
+        report.extras["eps"] = eps
+        report.extras["label"] = "verification" if verification else "probe"
+        return [report]
+
+    def group(row, trial):
+        p = _check_p(trial.p)
+        case = _Case(spec, hs, trial.label(), p, cfg, config_digest)
+        return _Rows(
+            [on_trial(f, row, trial) for f in _hardy_integrands(spec, hs, p)],
+            partial(rows, case, trial.eps),
+            HARDY.denominator,
+            case.trial,
+        )
+
+    reports = []
+    for start in range(0, len(trials), _SWEEP_ROWS):
+        batch = trials[start : start + _SWEEP_ROWS]
+        made = [t for t in batch if not isinstance(t, Exception)]
+        groups = [group(start + i, t) for i, t in enumerate(made)]
+        outcomes = _integrate_rows(groups, spec, hs, field, cfg) + batch[len(made) :]
+        raise_first_error(outcomes)
+        reports += [r for rs in outcomes for r in rs]
+    return reports
+
+
 def sharpness_sweep(
     spec: GroupSpec,
     hs: HalfSpace,
@@ -672,26 +809,8 @@ def sharpness_sweep(
 
     For the first-coordinate normal with offset 0 the sweep is a genuine
     verification (quotients must decrease toward the sharp constant as eps
-    shrinks); for other normals it is a labeled probe.
+    shrinks); for other normals it is a labeled probe.  The trials of every
+    eps are integrated together, as :func:`sharpness_grid` does for
+    several p.
     """
-    reports = []
-    verification = (
-        abs(hs.nu[0] - 1.0) < 1e-15
-        and not np.any(hs.nu[1:])
-        and hs.d == 0.0
-    )
-    for eps in eps_list:
-        trial = sharpness_trial(SharpnessSpec(p=p, eps=float(eps), cutoff=cutoff), hs)
-        rep = hardy_quotient(
-            spec,
-            hs,
-            trial,
-            p,
-            cfg,
-            config_digest=config_digest,
-            inequality_id="sharpness",
-        )
-        rep.extras["eps"] = float(eps)
-        rep.extras["label"] = "verification" if verification else "probe"
-        reports.append(rep)
-    return reports
+    return sharpness_grid(spec, hs, [p], eps_list, cutoff, cfg, config_digest)

@@ -34,8 +34,8 @@ rounding error of computing it, since it lies on the boundary to
 rounding.  Given a trial
 ``(spec, u)``, :func:`integrate_many` also skips the nodes outside
 ``u.support`` and calls each integrand on a
-:class:`~strathardy.calculus.TrialSample` (nodes, u, grad u and grad_H u,
-computed once per chunk of nodes and shared by all integrands, with dist
+:class:`~strathardy.calculus.TrialSample` (nodes, u and grad u, computed
+once per chunk of nodes and shared by all integrands, with grad_H u, dist
 and W on demand; ``len(sample)`` is its node count) instead of on the
 nodes.  Every such integrand must be exactly 0.0 where u and grad u are,
 so skipping those nodes changes no value and no stderr.

@@ -25,6 +25,7 @@ __all__ = [
     "make_bump",
     "ground_transform",
     "ground_gradient",
+    "power_weighted_sample",
     "inverse_ground_transform",
     "SharpnessSpec",
     "sharpness_trial",
@@ -199,11 +200,10 @@ def ground_transform(u: ScalarField, hs: HalfSpace, p: float) -> ScalarField:
 def ground_gradient(sample: TrialSample, hs: HalfSpace, p: float) -> np.ndarray:
     """The Euclidean gradient of the ground transform of a sampled trial.
 
-    Built from the sample's dist, u and grad u alone, which must lie inside
-    the half-space (as quadrature nodes do); there it equals
+    Built from the sample's dist, u and grad u alone; it equals
     ``ground_transform(u, hs, p).gradients`` bit for bit.
     """
-    return _power_weighted_parts(sample.dist, -(p - 1.0) / p, sample.u, sample.grad, hs.nu)[1]
+    return power_weighted_sample(sample, -(p - 1.0) / p).grad
 
 
 def inverse_ground_transform(v: ScalarField, hs: HalfSpace, p: float) -> ScalarField:
@@ -219,26 +219,48 @@ def _power_weighted(u: ScalarField, hs: HalfSpace, a: float, label: str) -> Scal
 
     Both vanish wherever u and grad u do, so the result keeps u's support.
     """
-    nu = hs.nu
 
     def fn_and_grad(points):
-        d = hs.distance(points)
-        inside = d > 0.0
-        values = np.zeros(points.shape[0])
-        grads = np.zeros_like(points)
-        if np.any(inside):
-            u_in, grad_in = u.values_and_gradients(points[inside])
-            values[inside], grads[inside] = _power_weighted_parts(d[inside], a, u_in, grad_in, nu)
-        return values, grads
+        return _power_weighted_parts(
+            hs.distance(points), a, hs.nu, lambda rows: u.values_and_gradients(points[rows])
+        )
 
     return ScalarField(
         u.dim, fn_and_grad=fn_and_grad, support_box=u.support_box, label=label, support=u.support
     )
 
 
-def _power_weighted_parts(d, a, u, grad, nu) -> tuple[np.ndarray, np.ndarray]:
-    """dist^a u and its gradient dist^a grad u + a dist^(a-1) u nu, from
-    dist > 0, u and grad u at the same points."""
+def power_weighted_sample(sample: TrialSample, a: float) -> TrialSample:
+    """The sample of dist^a * u at the points of a sample of u, sharing its dist and W.
+
+    At the sample's points it equals, bit for bit, the sample of the field
+    ``dist^a * u`` (as :func:`sharpness_trial` and the ground transforms
+    build it): the same arithmetic on the same dist, u and grad u.
+    """
+    values, grads = _power_weighted_parts(
+        sample.dist, a, sample.hs.nu, lambda rows: (sample.u[rows], sample.grad[rows])
+    )
+    return sample.with_trial(values, grads)
+
+
+def _power_weighted_parts(d, a, nu, inner) -> tuple[np.ndarray, np.ndarray]:
+    """dist^a u and its gradient dist^a grad u + a dist^(a-1) u nu at points
+    of boundary distance d, both 0.0 where d <= 0.
+
+    ``inner(rows)`` gives u and grad u at the points that ``rows`` (a bool
+    mask of d > 0, or every point) selects, the only points they are read at.
+    """
+    inside = d > 0.0
+    if inside.all():  # as at quadrature nodes: nothing to mask
+        return _weighted(d, a, nu, *inner(slice(None)))
+    values = np.zeros(d.shape[0])
+    grads = np.zeros((d.shape[0], nu.shape[0]))
+    if inside.any():
+        values[inside], grads[inside] = _weighted(d[inside], a, nu, *inner(inside))
+    return values, grads
+
+
+def _weighted(d, a, nu, u, grad) -> tuple[np.ndarray, np.ndarray]:
     da = d**a
     return da * u, da[:, None] * grad + a * d[:, None] ** (a - 1.0) * u[:, None] * nu
 
@@ -261,6 +283,11 @@ class SharpnessSpec:
         if self.eps <= 0:
             raise ValueError("eps must be positive")
 
+    @property
+    def exponent(self) -> float:
+        """alpha = (p-1)/p + eps, the power of the distance."""
+        return (self.p - 1.0) / self.p + self.eps
+
     def label(self) -> str:
         return f"sharpness(p={float(self.p)!r},eps={float(self.eps)!r},{self.cutoff.label()})"
 
@@ -271,7 +298,4 @@ def sharpness_trial(spec: SharpnessSpec, hs: HalfSpace) -> ScalarField:
     The gradient uses the chain rule with grad dist = nu; the field and its
     gradient vanish outside the half-space and outside the cutoff support.
     """
-    cutoff = make_bump(spec.cutoff)
-    alpha = (spec.p - 1.0) / spec.p + spec.eps
-    field = _power_weighted(cutoff, hs, alpha, spec.label())
-    return field
+    return _power_weighted(make_bump(spec.cutoff), hs, spec.exponent, spec.label())

@@ -249,7 +249,7 @@ class TestTrialSample:
         hs = HalfSpace(nu=random_unit(rng, 3), d=0.1)
         u = make_bump(BumpSpec(center=(0.2, -0.1, 0.8), radius=0.6))
         s = sample_trial(h1, hs, u, rng.uniform(-0.4, 1.4, size=(40, 3)))
-        assert "dist" not in vars(s) and "w" not in vars(s)
+        assert "dist" not in vars(s) and "w" not in vars(s) and "hgrad" not in vars(s)
         assert s.w is s.w and "w" in vars(s) and "dist" not in vars(s)
         assert s.dist is s.dist
 

@@ -330,6 +330,9 @@ class TestRejectedConfigs:
             # ... and at p = 400 the integrand overflows too
             ("remainder", {"p": [2, 200, 400]}, "non-finite"),
             ("general-hardy", {"beta": [-1e200]}, "beta -1e+200 at p=2.0"),
+            # the sharpness rows of p = 2 hold; the cutoff reaches dist 2, and
+            # dist^300.5 overflows at p = 6
+            ("sharpness", {"p": [2, 6], "eps": [0.5, 300], "cutoff_radius": 2}, "non-finite"),
         ],
     )
     def test_float_overflows(self, tmp_path, capsys, command, cfg, name):

@@ -5,6 +5,7 @@ import pytest
 
 from strathardy import (
     BumpSpec,
+    BumpSupport,
     HalfSpace,
     QuadConfig,
     ScalarField,
@@ -14,6 +15,7 @@ from strathardy import (
     boundary_bump_spec,
     distance_field,
     general_hardy_margin,
+    group_from_name,
     group_from_table,
     halfspace_preset,
     hardy_quotient,
@@ -25,6 +27,7 @@ from strathardy import (
     remainder_check,
     remainder_constant,
     sharp_hardy_constant,
+    sharpness_grid,
     sharpness_sweep,
     sharpness_trial,
     SharpnessSpec,
@@ -380,6 +383,56 @@ class TestVectorInequality:
             assert lhs == rhs
 
 
+# points per axis of the sweep tests on each group
+_SWEEP_GROUPS = {"heisenberg:1": 8, "heisenberg:2": 6, "abelian:3": 8}
+
+
+def _sweep_halfspace(spec, normal):
+    if normal == "x1-axis":
+        return halfspace_preset(spec, "x1-axis", 0.0)
+    if normal == "t-axis-offset":
+        return halfspace_preset(spec, "t-axis", 0.3)
+    return HalfSpace(nu=[1.0, -0.7, 0.4, 0.2, -0.5][: spec.total_dim], d=0.0)
+
+
+def _per_row(spec, hs, ps, eps_list, cutoff, cfg, label, digest=""):
+    """The sweep's rows, one hardy_quotient per (p, eps) as each trial is built."""
+    rows = []
+    for p in ps:
+        for eps in eps_list:
+            trial = sharpness_trial(SharpnessSpec(p=p, eps=eps, cutoff=cutoff), hs)
+            rep = hardy_quotient(spec, hs, trial, p, cfg, digest, inequality_id="sharpness")
+            rep.extras.update(eps=eps, label=label)
+            rows.append(rep)
+    return rows
+
+
+def _first_error(spec, hs, ps, eps_list, cutoff, cfg):
+    """The error of the first (p, eps) whose row cannot be made one at a time."""
+    for p in ps:
+        for eps in eps_list:
+            try:
+                trial = sharpness_trial(SharpnessSpec(p=p, eps=eps, cutoff=cutoff), hs)
+                hardy_quotient(spec, hs, trial, p, cfg, inequality_id="sharpness")
+            except (ValueError, ArithmeticError) as exc:
+                return exc
+    return None
+
+
+@pytest.fixture
+def integrations(monkeypatch):
+    """The integrand count of each integrate_many call the experiments make."""
+    counts = []
+    integrate = experiments.integrate_many
+
+    def spy(fs, *args, **kwargs):
+        counts.append(len(fs))
+        return integrate(fs, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "integrate_many", spy)
+    return counts
+
+
 class TestSharpnessSweep:
     def test_quotients_decrease_toward_bound(self, h1):
         hs = halfspace_preset(h1, "x1-axis", 0.0)
@@ -393,6 +446,77 @@ class TestSharpnessSweep:
         cutoff = BumpSpec(center=(0.0, 0.0, 0.0), radius=1.0)
         reports = sharpness_sweep(h1, t_axis, 2.0, (0.3,), cutoff, QuadConfig(points_per_axis=8))
         assert reports[0].extras["label"] == "probe"
+
+    @pytest.mark.parametrize("method", ["boundary-graded", "tensor-gauss", "monte-carlo"])
+    @pytest.mark.parametrize("normal", ["x1-axis", "t-axis-offset", "oblique"])
+    @pytest.mark.parametrize("group", sorted(_SWEEP_GROUPS))
+    def test_rows_are_the_per_row_runners_bit_for_bit(self, group, normal, method, integrations):
+        spec = group_from_name(group)
+        hs = _sweep_halfspace(spec, normal)
+        cutoff = boundary_bump_spec(hs, 1.0)
+        cfg = QuadConfig(method=method, points_per_axis=_SWEEP_GROUPS[group], sample_count=4000)
+        ps, eps_list = [2.0, 3.0], [0.5, 0.1]
+        label = "verification" if normal == "x1-axis" else "probe"
+        rows = sharpness_grid(spec, hs, ps, eps_list, cutoff, cfg, "digest")
+        assert integrations == [8]
+        assert rows == _per_row(spec, hs, ps, eps_list, cutoff, cfg, label, "digest")
+        assert all(r.denominator.value > 0.0 for r in rows)
+
+    def test_one_integration_serves_the_default_sweep(self, h1, x1_axis, integrations, monkeypatch):
+        shapes = []
+        shape = BumpSupport.shape
+        monkeypatch.setattr(BumpSupport, "shape", lambda *a: shapes.append(1) or shape(*a))
+        cutoff = boundary_bump_spec(x1_axis, 1.0)
+        rows = sharpness_grid(h1, x1_axis, [2.0, 3.0], [0.5, 0.2, 0.1, 0.05], cutoff, QuadConfig())
+        assert len(rows) == 8 and integrations == [16]
+        # the support mask and the cutoff, each on the fine and the coarse rule
+        assert len(shapes) == 4
+        shapes.clear()
+        trial = sharpness_trial(SharpnessSpec(p=2.0, eps=0.5, cutoff=cutoff), x1_axis)
+        hardy_quotient(h1, x1_axis, trial, 2.0, QuadConfig())
+        assert len(shapes) == 4  # as many as one row alone
+
+    def test_rows_are_integrated_eight_at_a_time(self, h1, x1_axis, integrations):
+        # the most rows a config may ask for: 8 p by 8 eps
+        ps = [2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5]
+        eps_list = [0.5, 0.45, 0.4, 0.35, 0.3, 0.25, 0.2, 0.15]
+        cutoff = boundary_bump_spec(x1_axis, 1.0)
+        cfg = QuadConfig(points_per_axis=6)
+        rows = sharpness_grid(h1, x1_axis, ps, eps_list, cutoff, cfg)
+        assert integrations == [16] * 8
+        assert rows == _per_row(h1, x1_axis, ps, eps_list, cutoff, cfg, "verification")
+
+    @pytest.mark.parametrize(
+        "ps, eps_list, error, calls",
+        [
+            # a cutoff of radius 2 reaches dist 2, where dist^300.5 raised to
+            # p = 6 overflows: the batch fails, and row by row only (6, 300) does
+            ([2.0, 6.0], [0.5, 300.0], IntegrationError, [8, 2, 2, 2, 2]),
+            # (400, 0.5) is trivial, and comes before the rows that overflow
+            ([2.0, 400.0, 6.0], [0.5, 300.0], TrivialTrialError, [12] + [2] * 6),
+            # 12 rows: the first 8 hold, the overflow is in the second batch
+            ([2.0, 3.0, 6.0], [0.5, 0.2, 0.1, 300.0], IntegrationError, [16, 8, 2, 2, 2, 2]),
+            # a row that cannot be built ends the sweep after the rows before it
+            ([2.0], [0.5, -1.0, 0.2], ValueError, [2]),
+            ([6.0], [300.0, -1.0], IntegrationError, [2]),
+        ],
+    )
+    def test_the_first_failing_row_raises_its_own_error(self, h1, x1_axis, integrations, ps, eps_list, error, calls):
+        cutoff = boundary_bump_spec(x1_axis, 2.0)
+        cfg = QuadConfig(points_per_axis=6)
+        expected = _first_error(h1, x1_axis, ps, eps_list, cutoff, cfg)
+        integrations.clear()
+        with pytest.raises(error) as got:
+            sharpness_grid(h1, x1_axis, ps, eps_list, cutoff, cfg)
+        assert type(got.value) is type(expected) and str(got.value) == str(expected)
+        assert integrations == calls
+
+    def test_no_rows_integrate_nothing(self, h1, x1_axis, integrations):
+        cutoff = boundary_bump_spec(x1_axis, 1.0)
+        assert sharpness_grid(h1, x1_axis, [], [0.5], cutoff) == []
+        assert sharpness_grid(h1, x1_axis, [2.0, 3.0], [], cutoff) == []
+        assert sharpness_sweep(h1, x1_axis, 2.0, [], cutoff) == []
+        assert integrations == []
 
     def test_trial_field_construction(self):
         hs = halfspace_preset(3, "x1-axis", 0.0)

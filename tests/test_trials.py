@@ -13,6 +13,7 @@ from strathardy import (
     heisenberg_group,
     inverse_ground_transform,
     make_bump,
+    power_weighted_sample,
     random_interior_bumps,
     sample_trial,
     sharpness_trial,
@@ -139,6 +140,26 @@ class TestGroundTransform:
         pts = pts[hs.distance(pts) > 0.0]
         sample = sample_trial(heisenberg_group(1), hs, u, pts)
         assert np.array_equal(ground_gradient(sample, hs, p), ground_transform(u, hs, p).gradients(pts))
+
+    @pytest.mark.parametrize("p, eps", [(2.0, 0.5), (3.0, 0.05)])
+    def test_a_derived_sample_is_the_trials_own_bit_for_bit(self, rng, p, eps):
+        # points on both sides of an oblique, offset boundary: the derived
+        # sample zeroes the same rows the trial field does
+        h1 = heisenberg_group(1)
+        hs = HalfSpace(nu=[1.0, -0.7, 0.4], d=0.1)
+        cutoff = boundary_bump_spec(hs, 0.8)
+        pts = rng.uniform(-0.8, 0.8, size=(200, 3)) + cutoff.center
+        base = sample_trial(h1, hs, make_bump(cutoff), pts)
+        trial = SharpnessSpec(p=p, eps=eps, cutoff=cutoff)
+        want = sample_trial(h1, hs, sharpness_trial(trial, hs), pts)
+        got = power_weighted_sample(base, trial.exponent)
+        assert np.any(hs.distance(pts) <= 0.0) and np.any(got.u != 0.0)
+        for name in ("u", "grad", "hgrad", "dist", "w"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert got.dist is base.dist and got.w is base.w
+        assert np.array_equal(
+            ground_gradient(base, hs, p), ground_transform(make_bump(cutoff), hs, p).gradients(pts)
+        )
 
     def test_rejects_small_p(self):
         hs = halfspace_preset(3, "t-axis", 0.0)
