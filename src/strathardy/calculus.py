@@ -113,13 +113,14 @@ class ScalarField:
     [lo, hi] rows), the evaluator must return 0 outside it; constructors in
     this package guarantee that.  If ``support`` is set, calling it on
     (M, n) points gives an (M,) bool mask, and the field and its gradient
-    must be exactly 0.0 wherever the mask is False; ``support.meets(points,
-    axis)`` gives an (M,) bool that may be True needlessly but must be True
-    wherever the line through the point along coordinate ``axis`` holds a
-    point of the mask.  Quadrature builds no node on a line that misses
-    the support and skips the nodes outside it (see
-    :func:`~strathardy.quadrature.integrate_many`).  ``None`` means the
-    support is not known beyond ``support_box``.
+    must be exactly 0.0 wherever the mask is False; ``support.chord(points,
+    axis)`` gives two (M,) arrays lo and hi such that every point of the
+    mask on the line through each point along coordinate ``axis`` has its
+    ``axis`` coordinate in [lo, hi] (lo > hi where the line holds none);
+    the interval may be wider than needed.  Quadrature builds no node
+    outside the chord of its line and skips the nodes outside the mask
+    (see :func:`~strathardy.quadrature.integrate_many`).  ``None`` means
+    the support is not known beyond ``support_box``.
 
     A field whose values and gradients share their arithmetic is given by
     ``fn_and_grad`` instead of ``fn`` and ``grad_fn``: it maps (M, n) to

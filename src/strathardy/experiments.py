@@ -624,7 +624,7 @@ def _bft_chunks(chunks, a, b, p, max_dim, lo_p, hi_p, rel_tol) -> tuple[int, flo
     and then works through them in blocks of ``_FUZZ_BLOCK`` rows.
     """
     violations = 0
-    worst = 0.0
+    worst = np.inf
     for gen, take in chunks:
         va = gen.standard_normal(out=a[:take])
         vb = gen.standard_normal(out=b[:take])
@@ -663,7 +663,9 @@ def bft_fuzz(
     this process may use (never more threads than chunks).  Each chunk's
     draws and arithmetic do not depend on which thread runs it, and the
     counts and the worst defect are combined in an order-free way, so the
-    report does not depend on the CPU count.
+    report does not depend on the CPU count.  ``worst_relative_defect`` is
+    the least defect drawn, which shows how close a draw came to a
+    violation.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
@@ -690,7 +692,7 @@ def bft_fuzz(
         ]
         results = [future.result() for future in futures]
     violations = sum(count for count, _ in results)
-    worst = min([0.0] + [low for _, low in results])
+    worst = min(low for _, low in results)
     return Report(
         inequality_id="bft",
         p=lo_p,

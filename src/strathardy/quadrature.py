@@ -40,14 +40,15 @@ and W on demand; ``len(sample)`` is its node count) instead of on the
 nodes.  Every such integrand must be exactly 0.0 where u and grad u are,
 so skipping those nodes changes no value and no stderr.
 
-The boundary-graded rule goes further and builds only the lines along
-the normal axis that reach into the half-space and that
-``u.support.meets`` (see :class:`~strathardy.calculus.ScalarField`); the
-other lines would carry zero weight or lie outside the support.  Every
-node that is built has the arithmetic of the full rule, and contributions
-are scattered back to their places in the full rule before any sum, so
-values, stderrs and Monte Carlo line sums are those of the full rule bit
-for bit.  The other two rules build every node.
+The boundary-graded rule goes further and builds only the nodes that
+lie in the support's chord through their line along the normal axis
+(``u.support.chord``, see :class:`~strathardy.calculus.ScalarField`), on
+the lines that reach into the half-space; the other nodes would carry
+zero weight or lie outside the support.  Every node that is built has
+the arithmetic of the full rule, and contributions are scattered back to
+their places in the full rule before any sum, so values, stderrs and
+Monte Carlo line sums are those of the full rule bit for bit.  The other
+two rules build every node.
 
 A deterministic rule (tensor-gauss, or boundary-graded with at most 4
 transverse axes) reports as stderr its gap to its coarse companion, which
@@ -91,6 +92,8 @@ _PANEL_RATIO = 0.5
 _PANEL_ORDER = 8
 _EVAL_CHUNK = 1 << 20
 _NODE_BUDGET = 20_000_000
+# relative slack of a chord's distance range against rounding (see _s_window)
+_WINDOW_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -160,22 +163,27 @@ def _as_box(box) -> np.ndarray:
     return box
 
 
+@lru_cache(maxsize=1)
 def _philox_uniform(seed: int, count: int, dim: int) -> np.ndarray:
-    """Uniform (count, dim) samples from fixed-size Philox chunks.
+    """Uniform (count, dim) samples from fixed-size Philox chunks, read-only.
 
     Chunk c uses key (seed, c); consumers always read chunks in index
-    order, so the stream does not depend on worker scheduling.
+    order, so the stream does not depend on worker scheduling.  The last
+    draw is kept: every trial of a command draws the same one.
     """
     rows = max(1, _CHUNK // max(1, dim))
     chunks = [gen.random((take, dim)) for gen, take in philox_chunks(seed, count, rows)]
-    return np.concatenate(chunks, axis=0) if len(chunks) > 1 else chunks[0]
+    out = np.concatenate(chunks, axis=0) if len(chunks) > 1 else chunks[0]
+    out.flags.writeable = False
+    return out
 
 
 class _Rule(NamedTuple):
     """Built quadrature nodes with weights; zero weight marks 'never evaluate'.
 
     A rule of ``size`` nodes may build only some of them: ``index`` holds
-    each built node's position in the full rule (None when all are built).
+    each built node's slot in the full rule (None when all are built), so
+    a line may keep any of its nodes.
     A deterministic rule carries its ``coarse`` companion, itself a rule
     on the same box at half the points per axis, and its stderr is the gap
     between the two.  A Monte Carlo rule has no companion: its stderr
@@ -262,6 +270,21 @@ def _graded_s_axis(lo, hi, m, ppa, panels, panel_order):
     return s, ws
 
 
+def _s_window(chord_lo, chord_hi, nuj, c, m):
+    """The s range, per line, of the nodes whose coordinate along the normal
+    axis, x = (s**m - c) / nuj, lies in [chord_lo, chord_hi].
+
+    The distance range is widened by a relative margin that dwarfs the
+    rounding of s**m, of x and of this mapping (the root's own rounding
+    included), so that no node of the chord falls outside.
+    """
+    ends = np.stack([nuj * chord_lo + c, nuj * chord_hi + c])
+    pad = _WINDOW_MARGIN * (np.abs(nuj) * (np.abs(chord_lo) + np.abs(chord_hi)) + np.abs(c))
+    d_lo = np.maximum(ends.min(axis=0) - pad, 0.0)
+    d_hi = np.maximum(ends.max(axis=0) + pad, 0.0)
+    return d_lo ** (1.0 / m), d_hi ** (1.0 / m)
+
+
 def _build_boundary_graded(box, hs, cfg, support, companion=False) -> _Rule:
     n = box.shape[0]
     nu = hs.nu
@@ -292,6 +315,11 @@ def _build_boundary_graded(box, hs, cfg, support, companion=False) -> _Rule:
         t_count * s_count,
         f"boundary-graded with {cfg.points_per_axis} points per axis in {n} dimensions",
     )
+    # the companion first, so that its build does not stack on this one's
+    # temporaries
+    coarse = None
+    if deterministic and not companion:
+        coarse = _build_boundary_graded(box, hs, _coarse_config(cfg), support, companion=True)
 
     if not trans_axes:
         trans_pts = np.zeros((1, 0))
@@ -314,44 +342,48 @@ def _build_boundary_graded(box, hs, cfg, support, companion=False) -> _Rule:
     keep = hi > np.maximum(lo, 0.0)
 
     # build only the lines that reach into the half-space and meet the
-    # support; the others would carry zero weight or be masked out
+    # support, and on them only the nodes in the support's chord; the
+    # others would carry zero weight or be masked out
     if support is not None:
         line_pts = np.zeros((t_count, n))
         line_pts[:, trans_axes] = trans_pts
-        keep &= support.meets(line_pts, jstar)
+        chord_lo, chord_hi = support.chord(line_pts, jstar)
+        keep &= chord_lo <= chord_hi
     lines = np.flatnonzero(keep)
     trans_pts, trans_w, c, lo, hi = (a[lines] for a in (trans_pts, trans_w, c, lo, hi))
 
     s, ws = _graded_s_axis(lo, hi, m, cfg.points_per_axis, panels, order)
+    if support is None:
+        rows, cols = np.nonzero(np.ones(s.shape, dtype=bool))
+    else:
+        s_lo, s_hi = _s_window(chord_lo[lines], chord_hi[lines], nuj, c, m)
+        rows, cols = np.nonzero((s >= s_lo[:, None]) & (s <= s_hi[:, None]))
+    s, ws = s[rows, cols], ws[rows, cols]
+    index = lines[rows] * s_count + cols
     dist = s**m
     ws = np.where(dist > 0.0, ws, 0.0)  # guard against underflow of s**m
     jac = (m * s ** (m - 1.0)) / abs(nuj)
-    xj = (dist - c[:, None]) / nuj
+    xj = (dist - c[rows]) / nuj
 
-    pts = np.empty((lines.size, s_count, n))
-    for ax_pos, ax in enumerate(trans_axes):
-        pts[:, :, ax] = trans_pts[:, ax_pos][:, None]
-    pts[:, :, jstar] = xj
-    w = trans_w[:, None] * ws * jac
+    pts = np.empty((rows.size, n))
+    pts[:, trans_axes] = trans_pts[rows]
+    pts[:, jstar] = xj
+    w = trans_w[rows] * ws * jac
+    # freed before the distance check below, where the build peaks
+    del cols, s, ws, dist, jac
 
-    flat_pts = pts.reshape(-1, n)
-    flat_w = w.reshape(-1)
     # the round trip s -> coordinate -> distance cancels catastrophically
     # near an offset or oblique boundary, and integrands recompute distance
     # that way; drop the nodes whose recomputed distance does not clear the
     # rounding error of <x, nu> - d (n ulps of sum |x_i nu_i| + |d|): they
     # lie on the boundary to rounding, whatever s they were built from
-    reach = np.abs(xj * nuj) + (np.abs(trans_pts) @ np.abs(nu[trans_axes]) + abs(hs.d))[:, None]
-    floor = (n * np.finfo(float).eps) * reach.reshape(-1)
-    flat_w = np.where(hs.distance(flat_pts) > floor, flat_w, 0.0)
-
-    coarse = None
-    if deterministic and not companion:
-        coarse = _build_boundary_graded(box, hs, _coarse_config(cfg), support, companion=True)
+    reach = np.abs(xj * nuj) + (np.abs(trans_pts) @ np.abs(nu[trans_axes]) + abs(hs.d))[rows]
+    floor = (n * np.finfo(float).eps) * reach
+    w = np.where(hs.distance(pts) > floor, w, 0.0)
     return _Rule(
-        flat_pts,
-        flat_w,
-        (lines[:, None] * s_count + np.arange(s_count)).reshape(-1),
+        pts,
+        w,
+        index,
         t_count * s_count,
         group_size=1 if deterministic else s_count,
         coarse=coarse,
@@ -359,7 +391,7 @@ def _build_boundary_graded(box, hs, cfg, support, companion=False) -> _Rule:
 
 
 def _build_nodes(box, hs, cfg, support) -> _Rule:
-    """The rule of ``cfg.method``; boundary-graded builds no line that misses ``support``."""
+    """The rule of ``cfg.method``; boundary-graded builds no node outside ``support``'s chords."""
     if cfg.method == "boundary-graded":
         return _build_boundary_graded(box, hs, cfg, support)
     if cfg.method == "tensor-gauss":
@@ -375,10 +407,12 @@ def _contributions(fs, rule: _Rule, support, sample):
     ``_EVAL_CHUNK`` slices, so that temporaries stay that small; each
     integrand on ``sample(nodes)`` when ``sample`` is given and on the
     nodes themselves otherwise.  Every
-    integrand is evaluated before this returns; the rows, one full-rule
-    array per integrand, are then built one at a time as they are
-    iterated, so sums and line sums over them are those of the full rule
-    bit for bit.
+    integrand is evaluated before this returns; the rows over the full
+    rule are then made one at a time as they are iterated, so sums and
+    line sums over them are those of the full rule bit for bit.  All rows
+    are written into one buffer: the evaluated slots are the same for
+    every row and the others stay 0.0, so a row is valid until the next
+    one is drawn.
     """
     points, weights = rule.points, rule.weights
     live = weights != 0.0
@@ -405,13 +439,15 @@ def _contributions(fs, rule: _Rule, support, sample):
                     )
                 vals[i, start : start + idx.size] = v
     at = live if rule.index is None else rule.index[live]
+    weights = weights[live]
 
-    def row(v):
-        out = np.zeros(rule.size)
-        out[at] = weights[live] * v
-        return out
+    def rows():
+        out = np.zeros(rule.size)  # made on the first row's request
+        for v in vals:
+            out[at] = weights * v
+            yield out
 
-    return map(row, vals)
+    return rows()
 
 
 def integrate_many(

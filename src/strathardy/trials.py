@@ -16,8 +16,8 @@ import numpy as np
 from .calculus import HalfSpace, ScalarField, TrialSample
 from .streams import philox_stream
 
-# relative slack of BumpSupport.meets against rounding in its sum
-_MEETS_MARGIN = 1e-12
+# relative slack of BumpSupport.chord against rounding in S and its root
+_CHORD_MARGIN = 1e-12
 
 __all__ = [
     "BumpSpec",
@@ -101,18 +101,26 @@ class BumpSupport:
     def __call__(self, points):
         return self.shape(points)[0] < 1.0
 
-    def meets(self, points, axis: int):
-        """Whether the line through each of the (M, n) points along ``axis`` meets the support.
+    def chord(self, points, axis: int):
+        """(lo, hi) on coordinate ``axis`` of the line through each of the (M, n)
+        points along ``axis``: every point of the line with S < 1 lies in
+        [lo, hi], and lo > hi where the line misses the support.
 
-        S without its ``axis`` term is at most S anywhere on the line,
-        also after rounding, since rounding is monotone; the relative
-        margin keeps a one-ulp difference in summation from dropping a
-        line that holds a point with S < 1.  A line kept needlessly costs
-        only its nodes.
+        S without its ``axis`` term, R, is at most S anywhere on the line,
+        also after rounding, since rounding is monotone; so the line's
+        points with S < 1 have |x - c| < r (1 - R)^(1/q) on ``axis``.  The
+        relative margin, on 1 - R and on the half-width, keeps a few ulps
+        of rounding in S and in the root from cutting off a point with
+        S < 1; the ends c -+ half-width need none, as a float below the
+        exact end is also below its rounding.  A point kept needlessly
+        costs only itself.
         """
         terms = np.abs((points - self.center) / self.radius) ** self.powers
         terms[:, axis] = 0.0
-        return np.sum(terms, axis=1) < 1.0 + _MEETS_MARGIN
+        slack = 1.0 + _CHORD_MARGIN - np.sum(terms, axis=1)
+        reach = self.radius * np.maximum(slack, 0.0) ** (1.0 / self.powers[axis])
+        half = np.where(slack > 0.0, reach * (1.0 + _CHORD_MARGIN), -np.inf)
+        return self.center[axis] - half, self.center[axis] + half
 
 
 def make_bump(spec: BumpSpec) -> ScalarField:

@@ -20,7 +20,7 @@ from strathardy import (
     sample_trial,
     sharpness_trial,
 )
-from strathardy.quadrature import _build_nodes
+from strathardy.quadrature import _build_nodes, _philox_uniform, _s_window
 
 
 UNIT_BOX = np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
@@ -434,12 +434,13 @@ class TestClipToSupport:
         )
         assert [_bits(e) for e in clipped] == [_bits(e) for e in plain]
 
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_interior_bump_builds_fewer_nodes_than_it_considers(self, k):
+    # heisenberg:1 at the default rule, heisenberg:2 at 8 points per axis
+    @pytest.mark.parametrize("k, ppa", [(1, 16), (2, 8)])
+    def test_interior_bump_builds_only_nodes_inside_the_support(self, k, ppa):
         n = 2 * k + 1
         u = make_bump(BumpSpec(center=(0.1,) * (n - 1) + (0.8,), radius=0.5))
         hs = halfspace_preset(n, "t-axis", 0.0)
-        cfg = QuadConfig(points_per_axis=8)
+        cfg = QuadConfig(points_per_axis=ppa)
         full = _build_nodes(u.support_box, hs, cfg, None)
         clipped = _build_nodes(u.support_box, hs, cfg, u.support)
         for rule, frule in [(clipped, full), (clipped.coarse, full.coarse)]:
@@ -453,6 +454,8 @@ class TestClipToSupport:
             assert np.array_equal(fpts[at], pts) and np.array_equal(fw[at], w)
             dropped = np.setdiff1d(np.arange(len(fpts)), at)
             assert dropped.size > 0 and not np.any(u.support(fpts[dropped]))
+            # the lines are clipped to their chords: no node outside the bump
+            assert np.all(u.support(pts))
         (est,) = integrate_many([lambda s: s.u], u.support_box, hs, cfg, trial=(_GROUPS[k], u))
         assert est.evaluations == full.size
 
@@ -469,14 +472,121 @@ class TestClipToSupport:
         with pytest.raises(ValueError, match="trivial"):
             hardy_quotient(h2, hs, u, 2.0, cfg)
 
-    def test_meets_keeps_every_line_with_a_live_point(self, rng):
-        spec = BumpSpec(center=(0.2, -0.1, 0.5), radius=0.4, powers=(2, 4, 2))
-        support = make_bump(spec).support
-        pts = rng.uniform(-0.3, 0.7, size=(5000, 3))
+    # at a power of 1e5, an ulp of z is 1e5 ulps of |z|^q: the margin on
+    # 1 - R then falls short, and the one on the half-width holds
+    @pytest.mark.parametrize("q", [2, 4, 6, 100_000])
+    @pytest.mark.parametrize("far", [0.0, 1e3, 1e5])
+    @pytest.mark.filterwarnings("ignore:overflow encountered in power")
+    def test_chord_holds_every_live_point_of_its_line(self, rng, q, far):
+        # far from the origin, x - c and c +- the half-width round to ulps
+        # of |c|, far coarser than the half-width's own rounding
+        center = np.array([0.2, -0.1, 0.5]) + far * np.array([1.0, -0.7, 0.4])
+        radius = 0.4
+        support = make_bump(BumpSpec(center=tuple(center), radius=radius, powers=(q, 2, q))).support
+        pts = center + rng.uniform(-1.2, 1.2, size=(4000, 3)) * radius
         for axis in range(3):
-            meets = support.meets(pts, axis)
-            along = np.repeat(pts, 65, axis=0)
-            along[:, axis] = np.tile(np.linspace(-0.3, 0.7, 65), len(pts))
-            live = support(along).reshape(len(pts), 65).any(axis=1)
-            assert np.all(meets[live])
+            lo, hi = support.chord(pts, axis)
+            on_line = lambda x: np.where(np.arange(3) == axis, x[:, None], pts)
+            meets = lo <= hi
             assert 0 < np.count_nonzero(meets) < len(pts)
+            # points along each line, and the outermost float with S < 1 on
+            # each side of the centre: bisect between the centre (inside
+            # wherever the line meets the support) and c +- 2r (outside)
+            along = center[axis] + np.linspace(-1.1, 1.1, 45) * radius
+            ends = []
+            for side in (-1.0, 1.0):
+                a = np.full(len(pts), center[axis])
+                b = a + side * 2.0 * radius
+                for _ in range(200):
+                    mid = a + 0.5 * (b - a)
+                    if np.all((mid == a) | (mid == b)):
+                        break
+                    live = support(on_line(mid))
+                    a, b = np.where(live, mid, a), np.where(live, b, mid)
+                ends.append(a)
+            for x in [*np.repeat(along[:, None], len(pts), axis=1), *ends]:
+                live = support(on_line(x))
+                assert np.all(meets[live])
+                assert np.all((lo[live] <= x[live]) & (x[live] <= hi[live]))
+            # each end is the outermost live float where the centre is live
+            centre_live = support(on_line(np.full(len(pts), center[axis])))
+            for end, side in zip(ends, (-np.inf, np.inf)):
+                assert np.array_equal(support(on_line(end)), centre_live)
+                assert not np.any(support(on_line(np.nextafter(end, side))))
+            # a line that misses the support has lo > hi and no live point
+            miss = np.sum(np.abs(np.delete(pts - center, axis, axis=1) / radius) ** q, axis=1) > 1.001
+            assert np.any(miss) and np.all(lo[miss] > hi[miss])
+            assert not np.any(centre_live[miss])
+
+    @pytest.mark.parametrize("m", [1.0, 2.0, 4.0, 7.5])
+    def test_s_window_holds_every_node_of_the_chord(self, rng, m):
+        # lines whose chord lies inside the half-space, offsets c up to 1e3
+        count = 4000
+        nuj = rng.choice([-1.0, 1.0], count) * rng.uniform(0.2, 1.0, count)
+        c = rng.uniform(-1.0, 1.0, count) * 10.0 ** rng.integers(0, 4, count)
+        d1, d2 = np.sort(rng.uniform(0.0, 2.0, (2, count)) ** 4, axis=0)
+        chord_lo, chord_hi = np.sort([(d1 - c) / nuj, (d2 - c) / nuj], axis=0)
+        s_lo, s_hi = _s_window(chord_lo, chord_hi, nuj, c, m)
+
+        def in_chord(s):
+            x = (s**m - c) / nuj  # as the builder computes a node's coordinate
+            return (chord_lo <= x) & (x <= chord_hi)
+
+        # the least and the greatest float s in the chord, by bisection
+        # from a point inside it towards 0 (itself in the chord where d1
+        # rounds away next to c) and towards 2 s_hi + 1
+        inside = (0.5 * (d1 + d2)) ** (1.0 / m)
+        assert np.all(in_chord(inside))
+        for outer in (np.zeros(count), 2.0 * s_hi + 1.0):
+            a, b = inside, outer
+            for _ in range(2000):
+                mid = a + 0.5 * (b - a)
+                if np.all((mid == a) | (mid == b)):
+                    break
+                ok = in_chord(mid)
+                a, b = np.where(ok, mid, a), np.where(ok, b, mid)
+            end = np.where(in_chord(b), b, a)
+            assert np.all(in_chord(end))
+            assert np.all((s_lo <= end) & (end <= s_hi))
+
+
+# heisenberg:2 takes the deterministic transverse branch, heisenberg:3 the
+# Monte Carlo one
+_MANY = [
+    lambda s, k=k: s.u * s.dist ** (0.25 * k) + (k % 3) * np.sum(s.grad**2, axis=1)
+    for k in range(16)
+]
+
+
+class TestSharedRowBuffer:
+    @pytest.mark.parametrize(
+        "k, cfg", [(2, QuadConfig(points_per_axis=4)), (3, QuadConfig(sample_count=3000))]
+    )
+    def test_sixteen_integrands_in_one_call_are_each_alone(self, k, cfg):
+        n = 2 * k + 1
+        hs = halfspace_preset(n, "t-axis", 0.0)
+        u = make_bump(boundary_bump_spec(hs, 0.7, powers=(2, 4) * k + (2,)))
+        trial = (_GROUPS[k], u)
+        together = integrate_many(_MANY, u.support_box, hs, cfg, trial=trial)
+        alone = [integrate_many([f], u.support_box, hs, cfg, trial=trial)[0] for f in _MANY]
+        assert [_bits(e) for e in together] == [_bits(e) for e in alone]
+        assert len({_bits(e) for e in together}) == len(_MANY)
+
+
+class TestCachedDraw:
+    def test_draw_is_read_only_and_equals_a_fresh_one(self):
+        hs = halfspace_preset(7, "t-axis", 0.0)
+        u = make_bump(BumpSpec(center=(0.1,) * 6 + (0.3,), radius=0.5))
+        cfg = QuadConfig(sample_count=5000, seed=3)
+        cached = _build_nodes(u.support_box, hs, cfg, u.support)
+        draw = _philox_uniform(cfg.seed, 16, 6)
+        with pytest.raises(ValueError):
+            draw[0, 0] = 0.5
+        _philox_uniform.cache_clear()
+        fresh = _build_nodes(u.support_box, hs, cfg, u.support)
+        assert cached.coarse is None and fresh.group_size == cached.group_size
+        for a, b in zip(fresh[:4], cached[:4]):
+            assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+        hits = _philox_uniform.cache_info().hits
+        _build_nodes(u.support_box, hs, cfg, u.support)
+        assert _philox_uniform.cache_info().hits == hits + 1
