@@ -37,7 +37,7 @@ from .calculus import (
 from .groups import GroupSpec
 from .quadrature import IntegralEstimate, IntegrationError, QuadConfig, integrate_many
 from .reports import Report
-from .streams import philox_chunks
+from .streams import FUZZER, philox_chunks
 from .trials import BumpSpec, SharpnessSpec, ground_gradient, make_bump, power_weighted_sample
 
 __all__ = [
@@ -593,53 +593,59 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _bft_defects(a, b, dims, p) -> np.ndarray:
-    """The relative defect of the vector inequality for each row of (a, b, dims, p).
+def _bft_defects(a, b, p) -> np.ndarray:
+    """The relative defect of the vector inequality for each row of (a, b, p).
 
-    Row i uses the first dims[i] columns of a and b; the norms and the dot
-    product are running sums over the columns, each power is taken once.
+    The squared norms and the dot product are running sums over the
+    columns of a and b, and each power is taken once: |a|^p is
+    |a|^(p-2) |a|^2, with |a|^(p-2) also the factor of the cross term.
     """
     na2, nb2, nab2, dot = (np.zeros(p.size) for _ in range(4))
     for j in range(a.shape[1]):
-        live = dims > j
-        aj = np.where(live, a[:, j], 0.0)
-        bj = np.where(live, b[:, j], 0.0)
+        aj, bj = a[:, j], b[:, j]
         na2 += aj * aj
         nb2 += bj * bj
         ab = aj + bj
         nab2 += ab * ab
         dot += aj * bj
-    na, nb, nab = np.sqrt(na2), np.sqrt(nb2), np.sqrt(nab2)
-    cp = 1.0 / (2.0 ** (p - 1.0) - 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cross = np.where(na > 0.0, na ** (p - 2.0), 0.0) * dot
-    nab_p, na_p, cnb_p, pcross = nab**p, na**p, cp * nb**p, p * cross
+    na_q = np.sqrt(na2) ** (p - 2.0)
+    cp = 1.0 / (np.exp2(p - 1.0) - 1.0)
+    nab_p, na_p = np.sqrt(nab2) ** p, na_q * na2
+    cnb_p, pcross = cp * np.sqrt(nb2) ** p, p * (na_q * dot)
     return ((nab_p - na_p) - (cnb_p + pcross)) / (nab_p + na_p + cnb_p + np.abs(pcross) + 1e-300)
 
 
 def _bft_chunks(chunks, a, b, p, max_dim, lo_p, hi_p, rel_tol) -> tuple[int, float]:
-    """(violations, worst defect) over ``chunks``, drawn into the buffers a, b and p.
+    """(violations, worst defect) over ``chunks``, drawn into the flat buffers
+    a, b and p.
 
-    Each chunk draws a, b, the dimensions and p whole, in that order,
-    and then works through them in blocks of ``_FUZZ_BLOCK`` rows.
+    Each chunk draws its rows' dimensions first; then, for each dimension
+    d in turn, a and b of its n_d rows, (n_d, d) each, and their p.  The
+    rows of each d are worked through in blocks of ``_FUZZ_BLOCK``.  A
+    defect that is not finite counts as a violation: it is NaN, or -inf,
+    as a defect is at most 1.
     """
     violations = 0
-    worst = np.inf
+    lowest = []
     for gen, take in chunks:
-        va = gen.standard_normal(out=a[:take])
-        vb = gen.standard_normal(out=b[:take])
-        dims = gen.integers(1, max_dim + 1, size=take)
-        vp = gen.random(out=p[:take])
-        vp *= hi_p - lo_p
-        vp += lo_p
-        lowest = []
-        for start in range(0, take, _FUZZ_BLOCK):
-            rows = slice(start, start + _FUZZ_BLOCK)
-            defect = _bft_defects(va[rows], vb[rows], dims[rows], vp[rows])
-            violations += int(np.count_nonzero(defect < -rel_tol))
-            lowest.append(defect.min())
-        worst = min(worst, float(np.min(lowest)))
-    return violations, worst
+        counts = np.bincount(gen.integers(1, max_dim + 1, size=take), minlength=max_dim + 1)
+        for d in range(1, max_dim + 1):
+            n_d = int(counts[d])
+            va = gen.standard_normal(out=a[: n_d * d].reshape(n_d, d))
+            vb = gen.standard_normal(out=b[: n_d * d].reshape(n_d, d))
+            vp = gen.random(out=p[:n_d])
+            vp *= hi_p - lo_p
+            vp += lo_p
+            for start in range(0, n_d, _FUZZ_BLOCK):
+                rows = slice(start, start + _FUZZ_BLOCK)
+                # a large p overflows the powers: counted below, not warned
+                with np.errstate(over="ignore", invalid="ignore"):
+                    defect = _bft_defects(va[rows], vb[rows], vp[rows])
+                # a NaN defect compares false, so it counts as a violation
+                violations += defect.size - int(np.count_nonzero(defect >= -rel_tol))
+                lowest.append(defect.min())
+    # np.min, unlike min(), keeps a NaN whatever its place in the list
+    return violations, float(np.min(lowest))
 
 
 def bft_fuzz(
@@ -655,34 +661,41 @@ def bft_fuzz(
     Dimensions 1..max_dim and exponents p in p_range are sampled along with
     normal vectors A, B from Philox streams; a draw counts as a violation
     when the defect is below -rel_tol relative to the magnitude of the
-    terms involved.  For p >= 2 the inequality is a theorem, so the
-    expected count is zero.
+    terms involved, or is not finite.  For p >= 2 the inequality is a
+    theorem, so the expected count is zero.  A p_range that is not finite
+    with 2 <= lo <= hi, a max_dim below 1 and a rel_tol that is negative
+    or not finite raise ValueError.
 
-    The samples come in chunks of ``_FUZZ_CHUNK`` rows, chunk c on Philox
-    key (seed, c), and the chunks run concurrently on one thread per CPU
-    this process may use (never more threads than chunks).  Each chunk's
-    draws and arithmetic do not depend on which thread runs it, and the
-    counts and the worst defect are combined in an order-free way, so the
-    report does not depend on the CPU count.  ``worst_relative_defect`` is
-    the least defect drawn, which shows how close a draw came to a
-    violation.
+    The samples come in chunks of ``_FUZZ_CHUNK`` rows, chunk c on stream
+    c of the fuzzer's key domain (``streams.FUZZER``); a chunk draws only
+    the d coordinates each of its rows checks.  The chunks run
+    concurrently on one thread per CPU this process may use (never more
+    threads than chunks).  Each chunk's draws and arithmetic do not depend
+    on which thread runs it, and the counts and the worst defect are
+    combined in an order-free way, so the report does not depend on the
+    CPU count.  ``worst_relative_defect`` is the least defect drawn, which
+    shows how close a draw came to a violation.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
+    if max_dim < 1:
+        raise ValueError(f"max_dim must be at least 1, got {max_dim}")
     lo_p, hi_p = float(p_range[0]), float(p_range[1])
-    if lo_p < 2.0:
-        raise ValueError("the vector inequality is checked for p >= 2")
+    if not (math.isfinite(hi_p) and 2.0 <= lo_p <= hi_p):
+        raise ValueError(f"p_range must be finite with 2 <= lo <= hi, got {p_range}")
+    if not (math.isfinite(rel_tol) and rel_tol >= 0.0):
+        raise ValueError(f"rel_tol must be finite and non-negative, got {rel_tol}")
     # imported here, not with the module: concurrent.futures brings in
     # logging, about 8 ms of every import of the package, for the fuzzer alone
     from concurrent.futures import ThreadPoolExecutor
 
-    chunks = list(philox_chunks(seed, samples, _FUZZ_CHUNK))
+    chunks = list(philox_chunks(seed, samples, _FUZZ_CHUNK, FUZZER))
     workers = min(_usable_cpus(), len(chunks))
     rows = min(samples, _FUZZ_CHUNK)
     # each worker's draw buffers are made here, once, rather than in its
     # thread: allocating them there raised the peak memory of a run
     buffers = [
-        (np.empty((rows, max_dim)), np.empty((rows, max_dim)), np.empty(rows))
+        (np.empty(rows * max_dim), np.empty(rows * max_dim), np.empty(rows))
         for _ in range(workers)
     ]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -692,7 +705,7 @@ def bft_fuzz(
         ]
         results = [future.result() for future in futures]
     violations = sum(count for count, _ in results)
-    worst = min(low for _, low in results)
+    worst = float(np.min([low for _, low in results]))
     return Report(
         inequality_id="bft",
         p=lo_p,

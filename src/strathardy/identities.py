@@ -39,7 +39,7 @@ from .groups import (
     left_translation_jacobian,
 )
 from .polynomials import Polynomial
-from .streams import philox_stream
+from .streams import IDENTITIES, philox_stream
 
 __all__ = ["IdentityCheck", "run_identity_suite"]
 
@@ -55,13 +55,20 @@ class IdentityCheck:
     passed: bool
 
 
-def _sample_points(seed: int, count: int, dim: int, halfwidth: float = 1.5) -> np.ndarray:
-    gen = philox_stream(seed, 0)
+# the suite's streams for each group index n: stream 3n + kind of the
+# identity domain
+_POINTS, _NORMALS, _PAIRS = range(3)
+
+
+def _stream(seed: int, n: int, kind: int) -> np.random.Generator:
+    return philox_stream(seed, 3 * n + kind, IDENTITIES)
+
+
+def _sample_points(gen, count: int, dim: int, halfwidth: float = 1.5) -> np.ndarray:
     return gen.uniform(-halfwidth, halfwidth, size=(count, dim))
 
 
-def _sample_normals(seed: int, count: int, dim: int) -> list[np.ndarray]:
-    gen = philox_stream(seed, 1)
+def _sample_normals(gen, count: int, dim: int) -> list[np.ndarray]:
     normals = []
     while len(normals) < count:
         v = gen.standard_normal(dim)
@@ -87,11 +94,11 @@ def run_identity_suite(
     for n in indices:
         spec = heisenberg_group(n)
         dim = spec.total_dim
-        pts = _sample_points(seed + n, points, dim)
+        pts = _sample_points(_stream(seed, n, _POINTS), points, dim)
         normals = [
             halfspace_preset(dim, "t-axis").nu,
             halfspace_preset(dim, "x1-axis").nu,
-        ] + _sample_normals(seed + 7 * n, random_normals, dim)
+        ] + _sample_normals(_stream(seed, n, _NORMALS), random_normals, dim)
         halfspaces = [HalfSpace(nu=nu, d=0.0) for nu in normals]
 
         res = max(
@@ -137,7 +144,7 @@ def run_identity_suite(
                 )
         checks.append(IdentityCheck("commutator", spec.name, res, 0.0, res == 0.0))
 
-        pairs = _sample_points(seed + 13 * n, 2 * points, dim)
+        pairs = _sample_points(_stream(seed, n, _PAIRS), 2 * points, dim)
         dets = left_translation_jacobian(pairs[:points], pairs[points:], n)
         res = float(np.max(np.abs(dets - 1.0)))
         checks.append(IdentityCheck("translation-jac", spec.name, res, 1e-10, res < 1e-10))

@@ -107,15 +107,18 @@ class BumpSupport:
         [lo, hi], and lo > hi where the line misses the support.
 
         S without its ``axis`` term, R, is at most S anywhere on the line,
-        also after rounding, since rounding is monotone; so the line's
-        points with S < 1 have |x - c| < r (1 - R)^(1/q) on ``axis``.  The
-        relative margin, on 1 - R and on the half-width, keeps a few ulps
-        of rounding in S and in the root from cutting off a point with
-        S < 1; the ends c -+ half-width need none, as a float below the
-        exact end is also below its rounding.  A point kept needlessly
+        up to rounding; so the line's points with S < 1 have
+        |x - c| < r (1 - R)^(1/q) on ``axis``.  The relative margin, on
+        1 - R and on the half-width, keeps a few ulps of rounding in S, in
+        R and in the root from cutting off a point with S < 1; the ends
+        c -+ half-width need none, as a float below the exact end is also
+        below its rounding.  So R need not agree with S bit for bit, and
+        where every power is 2 its terms are z * z, cheaper than the
+        array-exponent power of :meth:`shape`.  A point kept needlessly
         costs only itself.
         """
-        terms = np.abs((points - self.center) / self.radius) ** self.powers
+        z = (points - self.center) / self.radius
+        terms = np.square(z, out=z) if np.all(self.powers == 2.0) else np.abs(z) ** self.powers
         terms[:, axis] = 0.0
         slack = 1.0 + _CHORD_MARGIN - np.sum(terms, axis=1)
         reach = self.radius * np.maximum(slack, 0.0) ** (1.0 / self.powers[axis])

@@ -36,7 +36,7 @@ from strathardy import (
 from strathardy import experiments
 from strathardy.experiments import HARDY, TrivialTrialError, each_p
 from strathardy.quadrature import IntegrationError
-from strathardy.streams import philox_chunks
+from strathardy.streams import FUZZER, philox_chunks
 
 
 @pytest.fixture
@@ -289,30 +289,74 @@ class TestVectorInequality:
         with pytest.raises(ValueError):
             bft_fuzz(samples=100, p_range=(1.5, 3.0))
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"p_range": (2.0, float("inf"))},
+            {"p_range": (2.0, float("nan"))},
+            {"p_range": (float("nan"), 3.0)},
+            {"p_range": (3.0, 2.5)},
+            {"max_dim": 0},
+            {"rel_tol": float("nan")},
+            {"rel_tol": float("inf")},
+            {"rel_tol": -1e-12},
+        ],
+    )
+    def test_rejects_inputs_that_cannot_give_a_verdict(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            bft_fuzz(samples=100, **kwargs)
+
+    def test_a_defect_that_is_not_finite_is_a_violation(self, monkeypatch):
+        # past p of about 300 the powers of the norms overflow and the
+        # defects of many rows are inf - inf
+        rep = bft_fuzz(samples=1000, seed=3, p_range=(2.0, 2000.0))
+        assert rep.quotient > 0
+        assert np.isnan(rep.extras["worst_relative_defect"])
+        # one NaN in a block that is neither the first nor the last
+        calls = []
+        defects = experiments._bft_defects
+
+        def spy(*args):
+            out = defects(*args)
+            calls.append(None)
+            if len(calls) == 7:
+                out[3] = np.nan
+            return out
+
+        monkeypatch.setattr(experiments, "_bft_defects", spy)
+        for cpus in (1, 4):
+            monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            calls.clear()
+            rep = bft_fuzz(samples=300_000, seed=3)
+            assert len(calls) > 7
+            assert rep.quotient == 1.0
+            assert np.isnan(rep.extras["worst_relative_defect"])
+
     @staticmethod
     def reference_defects(samples, seed, max_dim=5, lo_p=2.0, hi_p=5.0):
         """The fuzzer's per-chunk arithmetic before blocks and threads: whole
-        chunks, np.linalg.norm, each power taken where it is used."""
+        chunks, one group of rows per dimension d, np.linalg.norm, and
+        |a|^p as |a|^(p-2) |a|^2."""
         out = []
-        for gen, take in philox_chunks(seed, samples, 1 << 17):
-            a = gen.standard_normal((take, max_dim))
-            b = gen.standard_normal((take, max_dim))
+        for gen, take in philox_chunks(seed, samples, 1 << 17, FUZZER):
             dims = gen.integers(1, max_dim + 1, size=take)
-            p = gen.uniform(lo_p, hi_p, size=take)
-            mask = np.arange(max_dim)[None, :] < dims[:, None]
-            a = np.where(mask, a, 0.0)
-            b = np.where(mask, b, 0.0)
-            na = np.linalg.norm(a, axis=1)
-            nb = np.linalg.norm(b, axis=1)
-            nab = np.linalg.norm(a + b, axis=1)
-            dot = np.sum(a * b, axis=1)
-            cp = 1.0 / (2.0 ** (p - 1.0) - 1.0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                cross = np.where(na > 0.0, na ** (p - 2.0), 0.0) * dot
-            lhs = nab**p - na**p
-            rhs = cp * nb**p + p * cross
-            scale = nab**p + na**p + cp * nb**p + np.abs(p * cross) + 1e-300
-            out.append((lhs - rhs) / scale)
+            for d in range(1, max_dim + 1):
+                rows = int(np.count_nonzero(dims == d))
+                a = gen.standard_normal((rows, d))
+                b = gen.standard_normal((rows, d))
+                p = gen.uniform(lo_p, hi_p, size=rows)
+                na = np.linalg.norm(a, axis=1)
+                nb = np.linalg.norm(b, axis=1)
+                nab = np.linalg.norm(a + b, axis=1)
+                dot = np.sum(a * b, axis=1)
+                cp = 1.0 / (np.exp2(p - 1.0) - 1.0)
+                na_q = na ** (p - 2.0)
+                na_p = na_q * np.sum(a * a, axis=1)
+                cross = p * (na_q * dot)
+                lhs = nab**p - na_p
+                rhs = cp * nb**p + cross
+                scale = nab**p + na_p + cp * nb**p + np.abs(cross) + 1e-300
+                out.append((lhs - rhs) / scale)
         return np.concatenate(out)
 
     @pytest.mark.parametrize("samples", [1, 1000, 131072, 131073, 300000])
@@ -331,14 +375,49 @@ class TestVectorInequality:
         monkeypatch.setattr(experiments, "_bft_defects", spy)
         for cpus in (1, 4):
             monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            seen.clear()
+            rep = bft_fuzz(samples=samples, seed=seed)
+            got = np.concatenate(seen)
+            # blocks finish in any order across threads: compare as multisets
+            assert np.array_equal(np.sort(got), np.sort(want))
+            assert rep.quotient == np.count_nonzero(want < -1e-12)
+            assert rep.extras["worst_relative_defect"] == float(want.min())
+            # bft_fuzz takes no negative rel_tol, so the thresholds that
+            # count many rows go to the workers' chunk loop, split as
+            # bft_fuzz splits the chunks among its workers
+            rows = min(samples, 1 << 17)
             for rel_tol in tols:
-                seen.clear()
-                rep = bft_fuzz(samples=samples, seed=seed, rel_tol=rel_tol)
-                got = np.concatenate(seen)
-                # blocks finish in any order across threads: compare as multisets
-                assert np.array_equal(np.sort(got), np.sort(want))
-                assert rep.quotient == np.count_nonzero(want < -rel_tol)
-                assert rep.extras["worst_relative_defect"] == float(want.min())
+                chunks = list(philox_chunks(seed, samples, 1 << 17, FUZZER))
+                counts, lows = zip(
+                    *(
+                        experiments._bft_chunks(
+                            chunks[k::cpus], np.empty(5 * rows), np.empty(5 * rows), np.empty(rows),
+                            5, 2.0, 5.0, rel_tol,
+                        )
+                        for k in range(min(cpus, len(chunks)))
+                    )
+                )
+                assert sum(counts) == np.count_nonzero(want < -rel_tol)
+                assert min(lows) == float(want.min())
+
+    @pytest.mark.parametrize("max_dim", [1, 5])
+    def test_blocks_hold_only_the_coordinates_they_check(self, monkeypatch, max_dim):
+        seen = []
+        defects = experiments._bft_defects
+
+        def spy(a, b, p):
+            seen.append((a.shape, b.shape, p.shape))
+            return defects(a, b, p)
+
+        monkeypatch.setattr(experiments, "_bft_defects", spy)
+        rep = bft_fuzz(samples=100_000, seed=11, max_dim=max_dim)
+        assert rep.quotient == 0.0
+        # one (rows, d) shape for a and b and (rows,) for p, in blocks of
+        # at most _FUZZ_BLOCK rows, d from 1 to max_dim, all rows checked once
+        assert all(sa == sb and sp == sa[:1] for sa, sb, sp in seen)
+        assert max(sa[0] for sa, _, _ in seen) <= experiments._FUZZ_BLOCK
+        assert {sa[1] for sa, _, _ in seen} == set(range(1, max_dim + 1))
+        assert sum(sa[0] for sa, _, _ in seen) == 100_000
 
     @pytest.mark.parametrize(
         "affinity, cpu_count, samples, workers",
