@@ -190,6 +190,12 @@ class ScalarField:
         values, grads = self._fn_and_grad(self._as_points(points))
         return np.asarray(values, dtype=float), np.asarray(grads, dtype=float)
 
+    def _sample(self, spec, hs: HalfSpace, points: np.ndarray, dist: np.ndarray) -> "TrialSample":
+        """This field's :class:`TrialSample` at points of boundary distance
+        dist; :func:`sample_trial` calls it."""
+        values, grad = self.values_and_gradients(points)
+        return TrialSample(spec, hs, points, dist, values, grad)
+
     def scaled(self, factor: float) -> "ScalarField":
         """The field factor * self, with the gradient scaled to match."""
         factor = float(factor)
@@ -294,32 +300,27 @@ def angle_function_many(spec: GroupSpec, hs: HalfSpace, points) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TrialSample:
-    """A trial function u and the half-space geometry at a batch of points.
+    """The half-space geometry at a batch of points, and a trial function u there.
 
-    Rows follow ``points`` (M, n): ``u`` is the trial's values and ``grad``
-    its Euclidean gradient (M, n).  ``hgrad``, its horizontal gradient
-    (M, N), ``dist``, the boundary distance, and ``w``, the angle function,
-    are computed on first read, so integrands that do not read them do not
-    pay for them.  A sample made by :meth:`with_trial` reads dist and W from
-    the ``source`` sample it was made from.  ``len(sample)`` is M.
+    Rows follow ``points`` (M, n).  ``dist`` is the boundary distance the
+    sample is given (at quadrature nodes, the rule's own).  ``u`` and its
+    Euclidean gradient ``grad`` (M, n) are None without a trial.
+    ``hgrad``, the horizontal gradient (M, N), and ``w``, the angle
+    function, are computed on first read; a sample made by
+    :meth:`with_trial` reads W from its ``source``.  ``len(sample)`` is M.
     """
 
-    spec: GroupSpec
+    spec: GroupSpec | None
     hs: HalfSpace
     points: np.ndarray
-    u: np.ndarray
-    grad: np.ndarray
+    dist: np.ndarray
+    u: np.ndarray | None = None
+    grad: np.ndarray | None = None
     source: TrialSample | None = None
 
     @cached_property
     def hgrad(self) -> np.ndarray:
         return horizontal_from_euclidean(self.spec, self.points, self.grad)
-
-    @cached_property
-    def dist(self) -> np.ndarray:
-        if self.source is not None:
-            return self.source.dist
-        return self.hs.distance(self.points)
 
     @cached_property
     def w(self) -> np.ndarray:
@@ -329,19 +330,26 @@ class TrialSample:
 
     def with_trial(self, u: np.ndarray, grad: np.ndarray) -> TrialSample:
         """The sample of another trial at the same points, from its values
-        and Euclidean gradients; dist and W are computed once for both."""
-        return TrialSample(self.spec, self.hs, self.points, u, grad, source=self)
+        and Euclidean gradients; dist and W are shared by both."""
+        return TrialSample(self.spec, self.hs, self.points, self.dist, u, grad, source=self)
 
     def __len__(self) -> int:
         return self.points.shape[0]
 
 
-def sample_trial(spec: GroupSpec, hs: HalfSpace, u: ScalarField, points) -> TrialSample:
-    """Evaluate u and its gradients once at (M, n) points, in one call of
-    :meth:`ScalarField.values_and_gradients`; grad_H u, dist and W on demand."""
+def sample_trial(spec: GroupSpec, hs: HalfSpace, u, points, dist=None) -> TrialSample:
+    """The sample of u (or of the points alone, for None) at (M, n) points
+    of boundary distance ``dist``, ``hs.distance(points)`` if None.
+
+    u and grad u come from one :meth:`ScalarField.values_and_gradients`
+    call, or, for a power of dist times another field, from that one's
+    sample (see :func:`~strathardy.trials.power_weighted_sample`).
+    """
     points = np.asarray(points, dtype=float)
-    values, grad = u.values_and_gradients(points)
-    return TrialSample(spec=spec, hs=hs, points=points, u=values, grad=grad)
+    dist = hs.distance(points) if dist is None else dist
+    if u is None:
+        return TrialSample(spec, hs, points, dist)
+    return u._sample(spec, hs, points, dist)
 
 
 def identity_Xi_pairing_many(

@@ -1,8 +1,8 @@
 """Quadrature over coordinate boxes clipped to a half-space.
 
-Three methods build one kind of rule record (nodes, weights, and where
-the built nodes sit in the full rule), and one function evaluates any
-rule:
+Three methods build one kind of rule record (nodes, their boundary
+distances, weights, and where the built nodes sit in the full rule), and
+one function evaluates any rule:
 
 ``boundary-graded`` (default)
     Integrates along the half-space normal with the substitution
@@ -27,18 +27,17 @@ rule:
     (seed, chunk index) over fixed-size chunks), so results are
     reproducible bit for bit regardless of how the host schedules work.
 
-Nodes with dist <= 0 are never evaluated: their weight is zero and
-integrands are only called on weight-carrying nodes.  The boundary-graded
-rule also zeroes a node whose recomputed dist does not clear the
-rounding error of computing it, since it lies on the boundary to
-rounding.  Given a trial
-``(spec, u)``, :func:`integrate_many` also skips the nodes outside
-``u.support`` and calls each integrand on a
-:class:`~strathardy.calculus.TrialSample` (nodes, u and grad u, computed
-once per chunk of nodes and shared by all integrands, with grad_H u, dist
-and W on demand; ``len(sample)`` is its node count) instead of on the
-nodes.  Every such integrand must be exactly 0.0 where u and grad u are,
-so skipping those nodes changes no value and no stderr.
+Every rule carries each built node's boundary distance: dist = s**m on
+the boundary-graded rule, exact however the node's coordinates round,
+and ``hs.distance`` of the node on the other two.  Nodes with dist <= 0
+carry zero weight and are never evaluated.  There is one evaluation
+path: each integrand is called on a
+:class:`~strathardy.calculus.TrialSample` of a chunk of weight-carrying
+nodes, whose ``dist`` is the rule's.  Given a trial ``(spec, u)`` the
+sample also holds u and grad u, computed once per chunk and shared by all
+integrands, and :func:`integrate_many` skips the nodes outside
+``u.support``; every such integrand must be exactly 0.0 where u and grad
+u are, so skipping those nodes changes no value and no stderr.
 
 The boundary-graded rule goes further and builds only the nodes that
 lie in the support's chord through their line along the normal axis
@@ -179,7 +178,8 @@ def _philox_uniform(seed: int, count: int, dim: int) -> np.ndarray:
 
 
 class _Rule(NamedTuple):
-    """Built quadrature nodes with weights; zero weight marks 'never evaluate'.
+    """Built quadrature nodes with their boundary distances and weights;
+    zero weight marks 'never evaluate'.
 
     A rule of ``size`` nodes may build only some of them: ``index`` holds
     each built node's slot in the full rule (None when all are built), so
@@ -192,6 +192,7 @@ class _Rule(NamedTuple):
     """
 
     points: np.ndarray
+    dist: np.ndarray
     weights: np.ndarray
     index: np.ndarray | None
     size: int
@@ -227,11 +228,12 @@ def _build_tensor_gauss(box, hs, cfg, companion=False) -> _Rule:
     ppa = cfg.points_per_axis
     _check_budget(ppa**n, f"tensor-gauss with {ppa} points per axis in {n} dimensions")
     pts, w = _tensor_product(*_tensor_gauss_axes(box, [ppa] * n))
-    w = np.where(hs.distance(pts) > 0.0, w, 0.0)
+    dist = hs.distance(pts)
+    w = np.where(dist > 0.0, w, 0.0)
     coarse = None
     if not companion:
         coarse = _build_tensor_gauss(box, hs, _coarse_config(cfg), companion=True)
-    return _Rule(pts, w, None, pts.shape[0], coarse=coarse)
+    return _Rule(pts, dist, w, None, pts.shape[0], coarse=coarse)
 
 
 def _build_monte_carlo(box, hs, cfg) -> _Rule:
@@ -240,8 +242,9 @@ def _build_monte_carlo(box, hs, cfg) -> _Rule:
     u = _philox_uniform(cfg.seed, cfg.sample_count, n)
     pts = box[:, 0] + u * (box[:, 1] - box[:, 0])
     vol = float(np.prod(box[:, 1] - box[:, 0]))
-    w = np.where(hs.distance(pts) > 0.0, vol / cfg.sample_count, 0.0)
-    return _Rule(pts, w, None, pts.shape[0])
+    dist = hs.distance(pts)
+    w = np.where(dist > 0.0, vol / cfg.sample_count, 0.0)
+    return _Rule(pts, dist, w, None, pts.shape[0])
 
 
 def _graded_s_axis(lo, hi, m, ppa, panels, panel_order):
@@ -363,31 +366,11 @@ def _build_boundary_graded(box, hs, cfg, support, companion=False) -> _Rule:
     dist = s**m
     ws = np.where(dist > 0.0, ws, 0.0)  # guard against underflow of s**m
     jac = (m * s ** (m - 1.0)) / abs(nuj)
-    xj = (dist - c[rows]) / nuj
-
     pts = np.empty((rows.size, n))
     pts[:, trans_axes] = trans_pts[rows]
-    pts[:, jstar] = xj
-    w = trans_w[rows] * ws * jac
-    # freed before the distance check below, where the build peaks
-    del cols, s, ws, dist, jac
-
-    # the round trip s -> coordinate -> distance cancels catastrophically
-    # near an offset or oblique boundary, and integrands recompute distance
-    # that way; drop the nodes whose recomputed distance does not clear the
-    # rounding error of <x, nu> - d (n ulps of sum |x_i nu_i| + |d|): they
-    # lie on the boundary to rounding, whatever s they were built from
-    reach = np.abs(xj * nuj) + (np.abs(trans_pts) @ np.abs(nu[trans_axes]) + abs(hs.d))[rows]
-    floor = (n * np.finfo(float).eps) * reach
-    w = np.where(hs.distance(pts) > floor, w, 0.0)
-    return _Rule(
-        pts,
-        w,
-        index,
-        t_count * s_count,
-        group_size=1 if deterministic else s_count,
-        coarse=coarse,
-    )
+    pts[:, jstar] = (dist - c[rows]) / nuj
+    group = 1 if deterministic else s_count
+    return _Rule(pts, dist, trans_w[rows] * ws * jac, index, t_count * s_count, group, coarse)
 
 
 def _build_nodes(box, hs, cfg, support) -> _Rule:
@@ -405,14 +388,13 @@ def _contributions(fs, rule: _Rule, support, sample):
     Only the weight-carrying nodes inside ``support`` (all of them if None)
     are evaluated, zero elsewhere.  The predicate and the integrands run on
     ``_EVAL_CHUNK`` slices, so that temporaries stay that small; each
-    integrand on ``sample(nodes)`` when ``sample`` is given and on the
-    nodes themselves otherwise.  Every
-    integrand is evaluated before this returns; the rows over the full
-    rule are then made one at a time as they are iterated, so sums and
-    line sums over them are those of the full rule bit for bit.  All rows
-    are written into one buffer: the evaluated slots are the same for
-    every row and the others stay 0.0, so a row is valid until the next
-    one is drawn.
+    integrand on ``sample(nodes, dist)``, the sample of a slice's nodes at
+    the distances the rule carries for them.  Every integrand is evaluated
+    before this returns; the rows over the full rule are then made one at
+    a time as they are iterated, so sums and line sums over them are those
+    of the full rule bit for bit.  All rows are written into one buffer:
+    the evaluated slots are the same for every row and the others stay
+    0.0, so a row is valid until the next one is drawn.
     """
     points, weights = rule.points, rule.weights
     live = weights != 0.0
@@ -427,7 +409,7 @@ def _contributions(fs, rule: _Rule, support, sample):
         # a non-finite value raises IntegrationError; numpy's warning about
         # the operation that made it would only repeat that
         with np.errstate(all="ignore"):
-            arg = points[idx] if sample is None else sample(points[idx])
+            arg = sample(points[idx], rule.dist[idx])
             for i, f in enumerate(fs):
                 v = np.asarray(f(arg), dtype=float)
                 bad = ~np.isfinite(v)
@@ -459,23 +441,23 @@ def integrate_many(
 ) -> list[IntegralEstimate]:
     """Integrate several integrands over box intersect {dist > 0} on one node set.
 
-    Without ``trial`` each integrand maps (M, n) points to (M,) values.
-    With ``trial = (spec, u)`` each integrand maps a
-    :class:`~strathardy.calculus.TrialSample` of u to (M,) values, must be
-    exactly 0.0 wherever u and grad u are, and is called only at nodes
-    inside ``u.support`` (all of them if it is None).  The estimates equal
-    those of the same integrands over raw points without ``trial`` bit for
-    bit, ``evaluations`` included.
+    Each integrand maps a :class:`~strathardy.calculus.TrialSample` of a
+    batch of M nodes to (M,) values.  The sample's ``dist`` is the
+    distance the rule carries for each node, exact on the boundary-graded
+    rule.  Without ``trial`` the sample holds the nodes and their dist
+    alone.  With ``trial = (spec, u)`` it is :func:`sample_trial` of u at
+    the nodes, each integrand must be exactly 0.0 wherever u and grad u
+    are, and it is called only at nodes inside ``u.support`` (all of them
+    if it is None).  The estimates equal those of the same integrands and
+    u without its support bit for bit, ``evaluations`` included.
     """
     cfg = cfg or QuadConfig()
     box = _as_box(box)
     if box.shape[0] != hs.dim:
         raise ValueError(f"box has {box.shape[0]} axes, half-space has {hs.dim}")
-    support = sample = None
-    if trial is not None:
-        spec, u = trial
-        support = u.support
-        sample = partial(sample_trial, spec, hs, u)
+    spec, u = (None, None) if trial is None else trial
+    support = None if u is None else u.support
+    sample = partial(sample_trial, spec, hs, u)
     rule = _build_nodes(box, hs, cfg, support)
     fine = _contributions(fs, rule, support, sample)
     coarse = None if rule.coarse is None else _contributions(fs, rule.coarse, support, sample)

@@ -176,11 +176,14 @@ def random_interior_bumps(
     """Randomized bumps supported strictly inside the half-space.
 
     Centers are drawn uniformly from a box and pushed along the normal
-    until the whole support ball clears the boundary by ``clearance``;
-    the Philox stream makes the family a pure function of the seed.
+    until the whole support ball clears the boundary by ``clearance``
+    (at 0 a ball may touch it, where the bump is flat); the Philox stream
+    makes the family a pure function of the seed.
     """
     if count < 1:
         raise ValueError("count must be positive")
+    if not clearance >= 0.0:
+        raise ValueError(f"clearance must be >= 0, got {clearance!r}")
     lo_r, hi_r = float(radius_range[0]), float(radius_range[1])
     if not 0 < lo_r <= hi_r:
         raise ValueError("radius_range must be 0 < lo <= hi")
@@ -205,7 +208,7 @@ def ground_transform(u: ScalarField, hs: HalfSpace, p: float) -> ScalarField:
     if p <= 1:
         raise ValueError("p must exceed 1")
     a = -(p - 1.0) / p
-    return _power_weighted(u, hs, a, f"ground(p={p!r},{u.label})")
+    return _PowerWeighted(u, hs, a, f"ground(p={p!r},{u.label})")
 
 
 def ground_gradient(sample: TrialSample, hs: HalfSpace, p: float) -> np.ndarray:
@@ -222,52 +225,57 @@ def inverse_ground_transform(v: ScalarField, hs: HalfSpace, p: float) -> ScalarF
     if p <= 1:
         raise ValueError("p must exceed 1")
     a = (p - 1.0) / p
-    return _power_weighted(v, hs, a, f"unground(p={p!r},{v.label})")
+    return _PowerWeighted(v, hs, a, f"unground(p={p!r},{v.label})")
 
 
-def _power_weighted(u: ScalarField, hs: HalfSpace, a: float, label: str) -> ScalarField:
+class _PowerWeighted(ScalarField):
     """dist^a * u with exact gradient dist^a grad u + a dist^(a-1) u nu.
 
     Both vanish wherever u and grad u do, so the result keeps u's support.
+    At arbitrary points dist comes from the coordinates; its sample on its
+    own half-space is :func:`power_weighted_sample` of u's, on the given dist.
     """
 
-    def fn_and_grad(points):
-        return _power_weighted_parts(
-            hs.distance(points), a, hs.nu, lambda rows: u.values_and_gradients(points[rows])
-        )
+    def __init__(self, u: ScalarField, hs: HalfSpace, a: float, label: str):
+        def fn_and_grad(points):
+            return _power_weighted_parts(hs.distance(points), a, hs.nu, *u.values_and_gradients(points))
 
-    return ScalarField(
-        u.dim, fn_and_grad=fn_and_grad, support_box=u.support_box, label=label, support=u.support
-    )
+        super().__init__(
+            u.dim, fn_and_grad=fn_and_grad, support_box=u.support_box, label=label, support=u.support
+        )
+        self._base, self._hs, self._a = u, hs, a
+
+    def _sample(self, spec, hs, points, dist):
+        if hs.d != self._hs.d or not np.array_equal(hs.nu, self._hs.nu):
+            return super()._sample(spec, hs, points, dist)
+        return power_weighted_sample(self._base._sample(spec, hs, points, dist), self._a)
+
+    def scaled(self, factor: float) -> ScalarField:
+        """dist^a * (factor * u), a field whose sample still reads the given dist."""
+        label = f"{float(factor)!r}*{self.label}"
+        return _PowerWeighted(self._base.scaled(factor), self._hs, self._a, label)
 
 
 def power_weighted_sample(sample: TrialSample, a: float) -> TrialSample:
     """The sample of dist^a * u at the points of a sample of u, sharing its dist and W.
 
-    At the sample's points it equals, bit for bit, the sample of the field
-    ``dist^a * u`` (as :func:`sharpness_trial` and the ground transforms
-    build it): the same arithmetic on the same dist, u and grad u.
+    It is how :func:`~strathardy.calculus.sample_trial` samples the field
+    ``dist^a * u`` that :func:`sharpness_trial` and the ground transforms
+    build, so a sample derived from u's equals that field's bit for bit.
     """
-    values, grads = _power_weighted_parts(
-        sample.dist, a, sample.hs.nu, lambda rows: (sample.u[rows], sample.grad[rows])
-    )
+    values, grads = _power_weighted_parts(sample.dist, a, sample.hs.nu, sample.u, sample.grad)
     return sample.with_trial(values, grads)
 
 
-def _power_weighted_parts(d, a, nu, inner) -> tuple[np.ndarray, np.ndarray]:
+def _power_weighted_parts(d, a, nu, u, grad) -> tuple[np.ndarray, np.ndarray]:
     """dist^a u and its gradient dist^a grad u + a dist^(a-1) u nu at points
-    of boundary distance d, both 0.0 where d <= 0.
-
-    ``inner(rows)`` gives u and grad u at the points that ``rows`` (a bool
-    mask of d > 0, or every point) selects, the only points they are read at.
-    """
+    of boundary distance d, from u and grad u there; both 0.0 where d <= 0."""
     inside = d > 0.0
     if inside.all():  # as at quadrature nodes: nothing to mask
-        return _weighted(d, a, nu, *inner(slice(None)))
+        return _weighted(d, a, nu, u, grad)
     values = np.zeros(d.shape[0])
     grads = np.zeros((d.shape[0], nu.shape[0]))
-    if inside.any():
-        values[inside], grads[inside] = _weighted(d[inside], a, nu, *inner(inside))
+    values[inside], grads[inside] = _weighted(d[inside], a, nu, u[inside], grad[inside])
     return values, grads
 
 
@@ -309,4 +317,4 @@ def sharpness_trial(spec: SharpnessSpec, hs: HalfSpace) -> ScalarField:
     The gradient uses the chain rule with grad dist = nu; the field and its
     gradient vanish outside the half-space and outside the cutoff support.
     """
-    return _power_weighted(make_bump(spec.cutoff), hs, spec.exponent, spec.label())
+    return _PowerWeighted(make_bump(spec.cutoff), hs, spec.exponent, spec.label())

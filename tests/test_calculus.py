@@ -245,13 +245,15 @@ class TestTrialSample:
         assert np.array_equal(s.u, u.values(pts))
         assert np.array_equal(s.grad, u.gradients(pts))
 
-    def test_dist_and_w_are_computed_on_first_read(self, h1, rng):
+    def test_w_and_hgrad_are_computed_on_first_read(self, h1, rng):
         hs = HalfSpace(nu=random_unit(rng, 3), d=0.1)
         u = make_bump(BumpSpec(center=(0.2, -0.1, 0.8), radius=0.6))
-        s = sample_trial(h1, hs, u, rng.uniform(-0.4, 1.4, size=(40, 3)))
-        assert "dist" not in vars(s) and "w" not in vars(s) and "hgrad" not in vars(s)
-        assert s.w is s.w and "w" in vars(s) and "dist" not in vars(s)
-        assert s.dist is s.dist
+        pts = rng.uniform(-0.4, 1.4, size=(40, 3))
+        dist = hs.distance(pts) + 1.0  # not the points' own: the sample reads what it is given
+        s = sample_trial(h1, hs, u, pts, dist)
+        assert "w" not in vars(s) and "hgrad" not in vars(s)
+        assert s.w is s.w and "w" in vars(s) and "hgrad" not in vars(s)
+        assert s.dist is dist
 
 
 class TestAngleFunction:

@@ -289,6 +289,8 @@ class TestRejectedConfigs:
             ("hardy", {"quadrature": {"grading_exponent": "4"}}, "grading_exponent"),
             ("hardy", {"trials": {"region": "1.2"}}, "trials.region"),
             ("hardy", {"trials": {"clearance": True}}, "trials.clearance"),
+            # bumps that cross the boundary would fail the theorem, not the code
+            ("hardy", {"trials": {"clearance": -0.3, "count": 3}}, "clearance must be >= 0"),
             ("sharpness", {"cutoff_radius": -1.0}, "cutoff_radius"),
             # p * eps = 0.002: the denominator exponent -0.998 is not validated
             ("sharpness", {"eps": [0.2, 1e-3]}, "p=2.0, eps=0.001"),

@@ -34,7 +34,15 @@ from strathardy import (
     sobolev_exponent,
 )
 from strathardy import experiments
-from strathardy.experiments import HARDY, TrivialTrialError, each_p
+from strathardy.experiments import (
+    GENERAL_HARDY,
+    HARDY,
+    REMAINDER,
+    SOBOLEV,
+    TrivialTrialError,
+    each_p,
+    raise_first_error,
+)
 from strathardy.quadrature import IntegrationError
 from strathardy.streams import FUZZER, philox_chunks
 
@@ -194,9 +202,9 @@ class TestGeneralHardy:
         dist = distance_field(hs)
         (ref,) = integrate_many(
             [
-                lambda pts: p_sub_laplacian_fd_many(skew, dist, pts, p)
-                / hs.distance(pts) ** (p - 1.0)
-                * np.abs(u.values(pts)) ** p
+                lambda s: p_sub_laplacian_fd_many(skew, dist, s.points, p)
+                / s.dist ** (p - 1.0)
+                * np.abs(u.values(s.points)) ** p
             ],
             u.support_box,
             hs,
@@ -602,3 +610,42 @@ class TestSharpnessSweep:
         u = sharpness_trial(SharpnessSpec(p=2.0, eps=0.5, cutoff=boundary_bump_spec(hs, 1.0)), hs)
         pts = np.array([[0.25, 0.0, 0.0]])
         assert u.values(pts)[0] > 0
+
+
+def _same_rows(rows, reference):
+    assert len(rows) == len(reference)
+    for row, ref in zip(rows, reference):
+        for name in ("quotient", "numerator", "denominator"):
+            got, want = getattr(row, name), getattr(ref, name)
+            if name != "quotient":
+                got, want = got.value, want.value
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), (row.extras["trial"], name)
+
+
+class TestTranslation:
+    """(x, y, t) -> (x, y, t + c) is a left translation of heisenberg:1 that
+    maps the t-axis half-space at offset 0 onto the one at offset c, so a
+    trial shifted with it has the same integrals."""
+
+    @staticmethod
+    def _interior_rows(h1, c):
+        hs = halfspace_preset(h1, "t-axis", c)
+        u = make_bump(BumpSpec(center=(0.1, -0.2, 0.45 + c), radius=0.35))
+        checks = (HARDY, GENERAL_HARDY, REMAINDER, SOBOLEV)
+        outcomes = [out for check in checks for out in each_p(check, h1, hs, u, [2.0, 3.0])]
+        raise_first_error(outcomes)
+        return [row for rows in outcomes for row in rows]
+
+    @staticmethod
+    def _sharpness_rows(h1, c):
+        hs = halfspace_preset(h1, "t-axis", c)
+        cutoff = BumpSpec(center=(0.0, 0.0, c), radius=1.0)
+        return sharpness_grid(h1, hs, [2.0, 3.0], [0.5, 0.2, 0.1, 0.05], cutoff)
+
+    @pytest.mark.parametrize("c", [0.3, 3.0, 30.0])
+    def test_interior_bump_rows(self, h1, c):
+        _same_rows(self._interior_rows(h1, c), self._interior_rows(h1, 0.0))
+
+    @pytest.mark.parametrize("c", [0.3, 3.0, 30.0])
+    def test_sharpness_rows(self, h1, c):
+        _same_rows(self._sharpness_rows(h1, c), self._sharpness_rows(h1, 0.0))

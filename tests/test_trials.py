@@ -161,6 +161,25 @@ class TestGroundTransform:
             ground_gradient(base, hs, p), ground_transform(make_bump(cutoff), hs, p).gradients(pts)
         )
 
+    def test_a_sample_on_another_half_space_keeps_the_fields_own_distance(self, rng):
+        hs = halfspace_preset(3, "t-axis", 0.0)
+        u = ground_transform(make_bump(BumpSpec(center=(0.0, 0.0, 0.6), radius=0.5)), hs, 2.0)
+        pts = rng.uniform(-0.4, 0.4, size=(60, 3)) + [0.0, 0.0, 0.6]
+        s = sample_trial(heisenberg_group(1), halfspace_preset(3, "t-axis", 0.2), u, pts)
+        assert np.array_equal(s.u, u.values(pts)) and np.array_equal(s.grad, u.gradients(pts))
+
+    def test_a_scaled_trial_reads_the_samples_dist(self, rng):
+        # a dist that is not the points' own shows which one the sample read
+        h1, hs = heisenberg_group(1), halfspace_preset(3, "t-axis", 0.0)
+        u = sharpness_trial(SharpnessSpec(2.0, 0.3, boundary_bump_spec(hs, 0.9)), hs)
+        pts = rng.uniform(-0.5, 0.5, size=(60, 3))
+        dist = rng.uniform(0.1, 1.0, size=60)
+        got = sample_trial(h1, hs, u.scaled(7.0), pts, dist)
+        want = sample_trial(h1, hs, u, pts, dist)
+        assert np.any(want.u != 0.0) and u.scaled(7.0).support is u.support
+        assert np.allclose(got.u, 7.0 * want.u, rtol=1e-14, atol=0.0)
+        assert np.allclose(got.grad, 7.0 * want.grad, rtol=1e-12, atol=1e-300)
+
     def test_rejects_small_p(self):
         hs = halfspace_preset(3, "t-axis", 0.0)
         u = make_bump(BumpSpec(center=(0.0, 0.0, 1.0), radius=0.5))

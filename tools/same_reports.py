@@ -7,7 +7,7 @@ Runs a fixed matrix of CLI commands on this checkout and on the tree at
 ``git worktree`` of the parent commit): the eight subcommands at their
 default configs, the configs of the benchmark's three workloads, oblique
 and offset normals, an oblique normal on heisenberg:4, and ``sharpness``
-on heisenberg:2 and on an oblique normal.  Each runs at seeds 1 and 42, in
+on heisenberg:2, on an oblique normal and on an offset t-axis.  Each runs at seeds 1 and 42, in
 CSV and in JSON, in a fresh interpreter.  Standard output, standard error
 (with each tree's own path replaced by ``<tree>``) and the exit code are
 compared; every run that differs is listed with the start of its diff.
@@ -88,6 +88,7 @@ def matrix() -> list[Case]:
             {"group": "heisenberg:2", "quadrature": {"points_per_axis": 8}},
         ),
         Case("sharpness:oblique", "sharpness", {"halfspace": {"nu": [0.6, 0.0, 0.8], "d": 0.1}}),
+        Case("sharpness:offset", "sharpness", {"halfspace": {"preset": "t-axis", "d": 0.3}}),
     ]
 
 
