@@ -1,7 +1,7 @@
 """Quadrature over coordinate boxes clipped to a half-space.
 
 Three methods build one kind of rule record (nodes, their boundary
-distances, weights, and where the built nodes sit in the full rule), and
+distances and weights, and for Monte Carlo the line of each node), and
 one function evaluates any rule:
 
 ``boundary-graded`` (default)
@@ -29,31 +29,26 @@ one function evaluates any rule:
 
 Every rule carries each built node's boundary distance: dist = s**m on
 the boundary-graded rule, exact however the node's coordinates round,
-and ``hs.distance`` of the node on the other two.  Nodes with dist <= 0
-carry zero weight and are never evaluated.  There is one evaluation
-path: each integrand is called on a
-:class:`~strathardy.calculus.TrialSample` of a chunk of weight-carrying
-nodes, whose ``dist`` is the rule's.  Given a trial ``(spec, u)`` the
-sample also holds u and grad u, computed once per chunk and shared by all
-integrands, and :func:`integrate_many` skips the nodes outside
-``u.support``; every such integrand must be exactly 0.0 where u and grad
-u are, so skipping those nodes changes no value and no stderr.
-
-The boundary-graded rule goes further and builds only the nodes that
-lie in the support's chord through their line along the normal axis
+and ``hs.distance`` of the node on the other two.  A rule holds only the
+nodes it evaluates, those with dist > 0 and, given a trial ``(spec, u)``,
+inside ``u.support``: the boundary-graded rule builds only the nodes in
+the support's chord through their line along the normal axis
 (``u.support.chord``, see :class:`~strathardy.calculus.ScalarField`), on
-the lines that reach into the half-space; the other nodes would carry
-zero weight or lie outside the support.  Every node that is built has
-the arithmetic of the full rule, and contributions are scattered back to
-their places in the full rule before any sum, so values, stderrs and
-Monte Carlo line sums are those of the full rule bit for bit.  The other
-two rules build every node.
+the lines that reach into the half-space, and the other two drop the
+nodes outside the support's mask as they are built.  A chord may be a
+little wider than the support; the integrands are 0.0 in that margin.
+Each integrand is called on a :class:`~strathardy.calculus.TrialSample`
+of a chunk of the rule's nodes, whose ``dist`` is the rule's; with a
+trial the sample also holds u and grad u, computed once per chunk and
+shared by all integrands.  Each integrand's weighted values are summed
+chunk by chunk, so memory does not grow with the integrand count.
 
 A deterministic rule (tensor-gauss, or boundary-graded with at most 4
 transverse axes) reports as stderr its gap to its coarse companion, which
 is a rule too: the same builder at half the points per axis (and half
 the panel order on graded panels), evaluated the same way.  A Monte Carlo
-rule has no companion and reports the spread of its node or line sums.
+rule has no companion and reports the spread of its sums over its lines
+(its samples on ``monte-carlo``), 0.0 on a line that holds no node.
 
 ``evaluations`` in the returned estimate counts the nodes considered,
 that is the nodes of the full rule, built or not.  A non-finite
@@ -61,8 +56,7 @@ integrand value raises IntegrationError naming the offending point.
 
 No rule considers more than 2e7 nodes (a coarse companion is counted on
 its own): the count is worked out before anything is allocated, and a
-larger request raises NodeBudgetError.  The bound holds for the full
-rule, since contributions are scattered into an array of that size.
+larger request raises NodeBudgetError.
 """
 
 from __future__ import annotations
@@ -178,25 +172,24 @@ def _philox_uniform(seed: int, count: int, dim: int) -> np.ndarray:
 
 
 class _Rule(NamedTuple):
-    """Built quadrature nodes with their boundary distances and weights;
-    zero weight marks 'never evaluate'.
+    """The nodes a rule evaluates, with their boundary distances and weights.
 
-    A rule of ``size`` nodes may build only some of them: ``index`` holds
-    each built node's slot in the full rule (None when all are built), so
-    a line may keep any of its nodes.
+    Every node has dist > 0; the full rule has ``size`` nodes, built or
+    not, which is what ``evaluations`` counts.
     A deterministic rule carries its ``coarse`` companion, itself a rule
     on the same box at half the points per axis, and its stderr is the gap
     between the two.  A Monte Carlo rule has no companion: its stderr
-    comes from the spread of its sums over consecutive groups of
-    ``group_size`` nodes (whole lines for the boundary-graded rule).
+    comes from the spread of its sums over the ``lines`` lines of the full
+    rule (its samples on ``monte-carlo``).  ``line`` numbers each node's
+    line among the lines that hold nodes, from 0; the others sum to 0.0.
     """
 
     points: np.ndarray
     dist: np.ndarray
     weights: np.ndarray
-    index: np.ndarray | None
     size: int
-    group_size: int = 1
+    line: np.ndarray | None = None
+    lines: int = 0
     coarse: _Rule | None = None
 
 
@@ -223,28 +216,41 @@ def _tensor_product(nodes_1d, weights_1d):
     return pts, w
 
 
-def _build_tensor_gauss(box, hs, cfg, companion=False) -> _Rule:
+def _kept(pts, hs, support) -> tuple[np.ndarray, np.ndarray]:
+    """The indices of the nodes with dist > 0 inside ``support`` (all of
+    them if None), and their distances.  The mask runs on ``_EVAL_CHUNK``
+    slices, so that its temporaries stay that small."""
+    dist = hs.distance(pts)
+    keep = dist > 0.0
+    if support is not None:
+        for start in range(0, pts.shape[0], _EVAL_CHUNK):
+            part = slice(start, start + _EVAL_CHUNK)
+            keep[part] &= support(pts[part])
+    keep = np.flatnonzero(keep)
+    return keep, dist[keep]
+
+
+def _build_tensor_gauss(box, hs, cfg, support, companion=False) -> _Rule:
     n = box.shape[0]
     ppa = cfg.points_per_axis
     _check_budget(ppa**n, f"tensor-gauss with {ppa} points per axis in {n} dimensions")
     pts, w = _tensor_product(*_tensor_gauss_axes(box, [ppa] * n))
-    dist = hs.distance(pts)
-    w = np.where(dist > 0.0, w, 0.0)
     coarse = None
     if not companion:
-        coarse = _build_tensor_gauss(box, hs, _coarse_config(cfg), companion=True)
-    return _Rule(pts, dist, w, None, pts.shape[0], coarse=coarse)
+        coarse = _build_tensor_gauss(box, hs, _coarse_config(cfg), support, companion=True)
+    keep, dist = _kept(pts, hs, support)
+    return _Rule(pts[keep], dist, w[keep], pts.shape[0], coarse=coarse)
 
 
-def _build_monte_carlo(box, hs, cfg) -> _Rule:
+def _build_monte_carlo(box, hs, cfg, support) -> _Rule:
     n = box.shape[0]
     _check_budget(cfg.sample_count, "monte-carlo")
     u = _philox_uniform(cfg.seed, cfg.sample_count, n)
     pts = box[:, 0] + u * (box[:, 1] - box[:, 0])
     vol = float(np.prod(box[:, 1] - box[:, 0]))
-    dist = hs.distance(pts)
-    w = np.where(dist > 0.0, vol / cfg.sample_count, 0.0)
-    return _Rule(pts, dist, w, None, pts.shape[0])
+    keep, dist = _kept(pts, hs, support)
+    w = np.full(keep.size, vol / cfg.sample_count)
+    return _Rule(pts[keep], dist, w, cfg.sample_count, np.arange(keep.size), cfg.sample_count)
 
 
 def _graded_s_axis(lo, hi, m, ppa, panels, panel_order):
@@ -346,7 +352,7 @@ def _build_boundary_graded(box, hs, cfg, support, companion=False) -> _Rule:
 
     # build only the lines that reach into the half-space and meet the
     # support, and on them only the nodes in the support's chord; the
-    # others would carry zero weight or be masked out
+    # others would carry zero weight or lie outside the support
     if support is not None:
         line_pts = np.zeros((t_count, n))
         line_pts[:, trans_axes] = trans_pts
@@ -362,74 +368,60 @@ def _build_boundary_graded(box, hs, cfg, support, companion=False) -> _Rule:
         s_lo, s_hi = _s_window(chord_lo[lines], chord_hi[lines], nuj, c, m)
         rows, cols = np.nonzero((s >= s_lo[:, None]) & (s <= s_hi[:, None]))
     s, ws = s[rows, cols], ws[rows, cols]
-    index = lines[rows] * s_count + cols
     dist = s**m
-    ws = np.where(dist > 0.0, ws, 0.0)  # guard against underflow of s**m
+    live = np.flatnonzero(dist > 0.0)  # s**m underflows at the smallest s
+    rows, s, ws, dist = rows[live], s[live], ws[live], dist[live]
     jac = (m * s ** (m - 1.0)) / abs(nuj)
     pts = np.empty((rows.size, n))
     pts[:, trans_axes] = trans_pts[rows]
     pts[:, jstar] = (dist - c[rows]) / nuj
-    group = 1 if deterministic else s_count
-    return _Rule(pts, dist, trans_w[rows] * ws * jac, index, t_count * s_count, group, coarse)
+    # a Monte Carlo rule's lines, numbered among those built
+    line, lines = (None, 0) if deterministic else (rows, t_count)
+    return _Rule(pts, dist, trans_w[rows] * ws * jac, t_count * s_count, line, lines, coarse)
 
 
 def _build_nodes(box, hs, cfg, support) -> _Rule:
-    """The rule of ``cfg.method``; boundary-graded builds no node outside ``support``'s chords."""
+    """The rule of ``cfg.method``, holding only the nodes with dist > 0 that
+    ``support`` (None: no support known) may hold."""
     if cfg.method == "boundary-graded":
         return _build_boundary_graded(box, hs, cfg, support)
     if cfg.method == "tensor-gauss":
-        return _build_tensor_gauss(box, hs, cfg)
-    return _build_monte_carlo(box, hs, cfg)
+        return _build_tensor_gauss(box, hs, cfg, support)
+    return _build_monte_carlo(box, hs, cfg, support)
 
 
-def _contributions(fs, rule: _Rule, support, sample):
-    """weights * values of each integrand over the full rule of ``rule.size`` nodes.
+def _sums(fs, rule: _Rule, sample) -> np.ndarray:
+    """The sum of weights * values of each integrand over the rule's nodes,
+    (len(fs),); for a Monte Carlo rule its sums over each line numbered in
+    ``rule.line`` instead, (len(fs), rule.line.max() + 1).
 
-    Only the weight-carrying nodes inside ``support`` (all of them if None)
-    are evaluated, zero elsewhere.  The predicate and the integrands run on
-    ``_EVAL_CHUNK`` slices, so that temporaries stay that small; each
-    integrand on ``sample(nodes, dist)``, the sample of a slice's nodes at
-    the distances the rule carries for them.  Every integrand is evaluated
-    before this returns; the rows over the full rule are then made one at
-    a time as they are iterated, so sums and line sums over them are those
-    of the full rule bit for bit.  All rows are written into one buffer:
-    the evaluated slots are the same for every row and the others stay
-    0.0, so a row is valid until the next one is drawn.
+    The integrands run on ``_EVAL_CHUNK`` slices, so that temporaries stay
+    that small; each on ``sample(nodes, dist)``, the sample of a slice's
+    nodes at the distances the rule carries for them.
     """
-    points, weights = rule.points, rule.weights
-    live = weights != 0.0
-    if support is not None:
-        for start in range(0, points.shape[0], _EVAL_CHUNK):
-            part = slice(start, start + _EVAL_CHUNK)
-            live[part] &= np.asarray(support(points[part]), dtype=bool)
-    live = np.flatnonzero(live)
-    vals = np.empty((len(fs), live.size))
-    for start in range(0, live.size, _EVAL_CHUNK):
-        idx = live[start : start + _EVAL_CHUNK]
+    line = rule.line
+    sums = np.zeros(len(fs) if line is None else (len(fs), int(line.max(initial=-1)) + 1))
+    for start in range(0, rule.points.shape[0], _EVAL_CHUNK):
+        part = slice(start, start + _EVAL_CHUNK)
+        points, weights = rule.points[part], rule.weights[part]
         # a non-finite value raises IntegrationError; numpy's warning about
         # the operation that made it would only repeat that
         with np.errstate(all="ignore"):
-            arg = sample(points[idx], rule.dist[idx])
+            arg = sample(points, rule.dist[part])
             for i, f in enumerate(fs):
                 v = np.asarray(f(arg), dtype=float)
                 bad = ~np.isfinite(v)
                 if np.any(bad):
-                    where = points[idx[bad][0]]
+                    where = points[np.flatnonzero(bad)[0]]
                     raise IntegrationError(
                         f"integrand returned a non-finite value at point {where.tolist()}",
                         point=where,
                     )
-                vals[i, start : start + idx.size] = v
-    at = live if rule.index is None else rule.index[live]
-    weights = weights[live]
-
-    def rows():
-        out = np.zeros(rule.size)  # made on the first row's request
-        for v in vals:
-            out[at] = weights * v
-            yield out
-
-    return rows()
+                if line is None:
+                    sums[i] += np.sum(weights * v)
+                else:
+                    sums[i] += np.bincount(line[part], weights=weights * v, minlength=sums.shape[1])
+    return sums
 
 
 def integrate_many(
@@ -448,8 +440,10 @@ def integrate_many(
     alone.  With ``trial = (spec, u)`` it is :func:`sample_trial` of u at
     the nodes, each integrand must be exactly 0.0 wherever u and grad u
     are, and it is called only at nodes inside ``u.support`` (all of them
-    if it is None).  The estimates equal those of the same integrands and
-    u without its support bit for bit, ``evaluations`` included.
+    if it is None), or in the margin of a chord (see the module
+    docstring).  The estimates equal those of the same integrands and u
+    without its support up to the order of their float additions, and
+    ``evaluations`` exactly.
     """
     cfg = cfg or QuadConfig()
     box = _as_box(box)
@@ -459,17 +453,15 @@ def integrate_many(
     support = None if u is None else u.support
     sample = partial(sample_trial, spec, hs, u)
     rule = _build_nodes(box, hs, cfg, support)
-    fine = _contributions(fs, rule, support, sample)
-    coarse = None if rule.coarse is None else _contributions(fs, rule.coarse, support, sample)
-    out = []
-    for contrib in fine:
-        value = float(np.sum(contrib))
-        if coarse is not None:
-            stderr = abs(value - float(np.sum(next(coarse))))
-        else:
-            g = rule.group_size
-            lines = contrib.reshape(-1, g).sum(axis=1) if g > 1 else contrib
-            t = lines.shape[0]
-            stderr = float(np.sqrt(t) * np.std(lines, ddof=1)) if t > 1 else float("inf")
-        out.append(IntegralEstimate(value=value, stderr=stderr, evaluations=rule.size))
-    return out
+    sums = _sums(fs, rule, sample)
+    if rule.coarse is not None:
+        values, stderrs = sums, np.abs(sums - _sums(fs, rule.coarse, sample))
+    else:
+        # the spread over all t >= 16 lines: those without a node add
+        # (0 - mean)**2 each
+        t = rule.lines
+        values = sums.sum(axis=1)
+        mean = values / t
+        spread = np.sum((sums - mean[:, None]) ** 2, axis=1) + (t - sums.shape[1]) * mean**2
+        stderrs = np.sqrt(t * spread / (t - 1))
+    return [IntegralEstimate(float(v), float(e), rule.size) for v, e in zip(values, stderrs)]

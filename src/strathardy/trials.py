@@ -85,7 +85,8 @@ class BumpSupport:
 
     Called on (M, n) points it returns the (M,) bool mask S < 1.
     :meth:`shape` is the arithmetic behind the mask and the bump's values
-    and gradients alike, so all three agree bit for bit.
+    and gradients alike, so all three agree bit for bit.  S adds its terms
+    one column at a time, in axis order, and a term of power 2 is z * z.
     """
 
     def __init__(self, center: np.ndarray, radius: float, powers: np.ndarray):
@@ -96,7 +97,16 @@ class BumpSupport:
     def shape(self, points):
         """S at (M, n) points and the scaled offsets z = (x - c) / r."""
         z = (points - self.center) / self.radius
-        return np.sum(np.abs(z) ** self.powers, axis=1), z
+        return self._sum(z), z
+
+    def _sum(self, z, skip=None):
+        """The sum of the terms |z_i|^(q_i) of S over every axis i but ``skip``."""
+        total = np.zeros(z.shape[0])
+        for i, q in enumerate(self.powers):
+            if i != skip:
+                col = z[:, i]
+                total += col * col if q == 2.0 else np.abs(col) ** q
+        return total
 
     def __call__(self, points):
         return self.shape(points)[0] < 1.0
@@ -112,15 +122,10 @@ class BumpSupport:
         1 - R and on the half-width, keeps a few ulps of rounding in S, in
         R and in the root from cutting off a point with S < 1; the ends
         c -+ half-width need none, as a float below the exact end is also
-        below its rounding.  So R need not agree with S bit for bit, and
-        where every power is 2 its terms are z * z, cheaper than the
-        array-exponent power of :meth:`shape`.  A point kept needlessly
-        costs only itself.
+        below its rounding.  A point kept needlessly costs only itself.
         """
         z = (points - self.center) / self.radius
-        terms = np.square(z, out=z) if np.all(self.powers == 2.0) else np.abs(z) ** self.powers
-        terms[:, axis] = 0.0
-        slack = 1.0 + _CHORD_MARGIN - np.sum(terms, axis=1)
+        slack = 1.0 + _CHORD_MARGIN - self._sum(z, skip=axis)
         reach = self.radius * np.maximum(slack, 0.0) ** (1.0 / self.powers[axis])
         half = np.where(slack > 0.0, reach * (1.0 + _CHORD_MARGIN), -np.inf)
         return self.center[axis] - half, self.center[axis] + half
@@ -132,20 +137,20 @@ def make_bump(spec: BumpSpec) -> ScalarField:
     r = spec.radius
     powers = np.full(center.size, 2.0) if spec.powers is None else np.asarray(spec.powers, float)
     support = BumpSupport(center, r, powers)
+    squares = bool(np.all(powers == 2.0))
 
     def fn_and_grad(points):
         s, z = support.shape(points)
         inside = s < 1.0
-        # from here on only the nodes inside the support, so that the
-        # temporaries are theirs alone
-        s, z = s[inside], z[inside]
-        f = np.exp(-1.0 / (1.0 - s))
-        dS = powers * np.abs(z) ** (powers - 1.0) * np.sign(z) / r
-        values = np.zeros(points.shape[0])
-        values[inside] = f
-        grads = np.zeros_like(points)
-        grads[inside] = (-f / (1.0 - s) ** 2)[:, None] * dS
-        return values, grads
+        # 1 - S, and inf outside the support, where f and its gradient are 0.0
+        gap = np.where(inside, 1.0 - s, np.inf)
+        f = np.where(inside, np.exp(-1.0 / gap), 0.0)
+        if squares:
+            dS = 2.0 * z / r
+        else:
+            # |z_i| < 1 inside, and outside the bound keeps |z_i|^(q_i - 1) finite
+            dS = powers * np.minimum(np.abs(z), 1.0) ** (powers - 1.0) * np.sign(z) / r
+        return f, (-f / (gap * gap))[:, None] * dS
 
     box = np.stack([center - r, center + r], axis=1)
     return ScalarField(

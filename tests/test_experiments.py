@@ -556,12 +556,12 @@ class TestSharpnessSweep:
         cutoff = boundary_bump_spec(x1_axis, 1.0)
         rows = sharpness_grid(h1, x1_axis, [2.0, 3.0], [0.5, 0.2, 0.1, 0.05], cutoff, QuadConfig())
         assert len(rows) == 8 and integrations == [16]
-        # the support mask and the cutoff, each on the fine and the coarse rule
-        assert len(shapes) == 4
+        # the cutoff, on the fine and on the coarse rule
+        assert len(shapes) == 2
         shapes.clear()
         trial = sharpness_trial(SharpnessSpec(p=2.0, eps=0.5, cutoff=cutoff), x1_axis)
         hardy_quotient(h1, x1_axis, trial, 2.0, QuadConfig())
-        assert len(shapes) == 4  # as many as one row alone
+        assert len(shapes) == 2  # as many as one row alone
 
     def test_rows_are_integrated_eight_at_a_time(self, h1, x1_axis, integrations):
         # the most rows a config may ask for: 8 p by 8 eps

@@ -25,7 +25,7 @@ def test_matrix_covers_every_subcommand_and_workload():
 
 def test_the_tree_matches_itself():
     cases = _cases("hardy:oblique", "bft-fuzz:default")
-    assert same_reports.compare(ROOT, ROOT, cases) == []
+    assert same_reports.compare(ROOT, ROOT, cases) == ([], [])
 
 
 def test_a_different_tree_is_reported(tmp_path, monkeypatch, capsys):
@@ -46,3 +46,61 @@ def test_a_different_tree_is_reported(tmp_path, monkeypatch, capsys):
 def test_rejects_a_tree_without_the_package(tmp_path):
     with pytest.raises(SystemExit, match="no package"):
         same_reports.main(["--against", str(tmp_path)])
+
+
+def _report_tree(root, quotient, evaluations=16384, label="hardy"):
+    """A tree whose CLI prints one report row in the format it is asked for."""
+    package = root / "src" / "strathardy"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text(
+        "import json\n"
+        "def main(argv):\n"
+        f"    row = {{'inequality_id': {label!r}, 'quotient': {quotient!r}, 'evaluations': {evaluations}}}\n"
+        "    if argv[argv.index('--format') + 1] == 'json':\n"
+        "        print(json.dumps({'rows': [row]}))\n"
+        "    else:\n"
+        "        print(','.join(row))\n"
+        "        print(','.join(str(v) for v in row.values()))\n"
+        "    return 0\n"
+    )
+    return root
+
+
+@pytest.mark.parametrize(
+    "theirs, passes",
+    [
+        ({"quotient": 0.1 * (1 + 1e-15)}, True),
+        ({"quotient": 0.1 * (1 + 1e-9)}, False),
+        ({"quotient": 0.1 * (1 + 1e-15), "evaluations": 16385}, False),
+        ({"quotient": 0.1 * (1 + 1e-15), "label": "hardy:other"}, False),
+    ],
+)
+def test_rtol_lets_only_numbers_differ(tmp_path, monkeypatch, capsys, theirs, passes):
+    cases = _cases("sharpness:default")
+    monkeypatch.setattr(same_reports, "ROOT", _report_tree(tmp_path / "ours", 0.1))
+    monkeypatch.setattr(same_reports, "matrix", lambda: cases)
+    other = str(_report_tree(tmp_path / "theirs", **theirs))
+    assert same_reports.main(["--against", other, "--rtol", "1e-12"]) == (0 if passes else 1)
+    out = capsys.readouterr().out
+    if passes:
+        assert out == "0 of 4 runs identical, 4 within relative 1e-12 (worst 1.1e-15) (1 configs)\n"
+    # without the flag every run differs
+    assert same_reports.main(["--against", other]) == 1
+    assert capsys.readouterr().out.endswith("0 of 4 runs identical (1 configs)\n")
+
+
+@pytest.mark.parametrize(
+    "ours, theirs, gap",
+    [
+        ('{"a": [1.0, 2.0], "evaluations": 3}', '{"a": [1.0, 2.0000000002], "evaluations": 3}', 1e-10),
+        ('{"a": 1.0}', '{"b": 1.0}', float("inf")),
+        ('{"a": NaN}', '{"a": NaN}', 0.0),
+        ('{"a": 0.0}', '{"a": 1e-300}', 1.0),
+        ('{"a": true}', '{"a": 1}', float("inf")),
+        ('{"evaluations": 3}', '{"evaluations": 4}', float("inf")),
+        ("not json", "not json either", float("inf")),
+    ],
+)
+def test_report_gap(ours, theirs, gap):
+    assert same_reports.report_gap(ours, theirs, "json") == pytest.approx(gap, rel=1e-6)

@@ -239,6 +239,23 @@ class TestSupportPredicate:
         assert np.all(u.values(pts[~inside]) == 0.0)
         assert np.all(u.gradients(pts[~inside]) == 0.0)
 
+    @pytest.mark.parametrize("powers", [(2, 2, 2, 2, 2), (2, 4, 2, 6, 2)])
+    def test_shape_adds_the_terms_in_axis_order(self, rng, powers):
+        support = make_bump(BumpSpec(center=(0.1,) * 5, radius=0.6, powers=powers)).support
+        pts = rng.uniform(-1.0, 1.0, size=(3000, 5))
+        s, z = support.shape(pts)
+        if set(powers) == {2}:
+            assert np.array_equal(s, np.sum(z * z, axis=1))
+        else:
+            assert np.allclose(s, np.sum(np.abs(z) ** np.array(powers, float), axis=1), rtol=1e-15, atol=0.0)
+
+    def test_gradient_is_zero_far_outside(self):
+        # |z|^3 overflows 1e110 radii away at power 4; the gradient stays 0.0
+        u = make_bump(BumpSpec(center=(0.0, 0.0), radius=1e-120, powers=(4, 2)))
+        with np.errstate(over="ignore"):
+            values, grads = u.values_and_gradients(np.array([[1e-10, 0.0], [0.0, 1e-10]]))
+        assert np.array_equal(values, [0.0, 0.0]) and np.array_equal(grads, np.zeros((2, 2)))
+
     def test_derived_trials_keep_the_bump_support(self):
         hs = halfspace_preset(3, "t-axis", 0.0)
         spec = BumpSpec(center=(0.0, 0.0, 0.7), radius=0.5)

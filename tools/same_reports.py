@@ -1,6 +1,6 @@
 """Check that two source trees print the same CLI reports, byte for byte.
 
-    python3 tools/same_reports.py --against ../other-checkout
+    python3 tools/same_reports.py --against ../other-checkout [--rtol 1e-12]
 
 Runs a fixed matrix of CLI commands on this checkout and on the tree at
 ``--against`` (any directory with the package under ``src/``, such as a
@@ -13,15 +13,25 @@ CSV and in JSON, in a fresh interpreter.  Standard output, standard error
 compared; every run that differs is listed with the start of its diff.
 Exits 0 when every run is identical and 1 otherwise.
 
-A change that keeps the arithmetic must keep these reports identical.
+A change that keeps the arithmetic must keep these reports identical.  A
+change that only reorders float additions may move numbers in their last
+bits: with ``--rtol X`` a run whose exit code and standard error are
+identical also passes when its JSON or CSV report differs only in
+numbers, each within relative X of the other tree's.  The keys, the
+labels, the column layout and the ``evaluations``, ``seed`` and
+``config_digest`` fields must still be identical.  The worst relative
+difference of the runs that pass this way is printed.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import difflib
 import importlib.util
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -45,6 +55,9 @@ SUBCOMMANDS = (
 )
 _OBLIQUE_H1 = {"nu": [0.36, -0.48, 0.8], "d": 0.0}
 _OBLIQUE_H4 = {"nu": [0.1, -0.2, 0.3, 0.15, -0.25, 0.2, -0.1, 0.35, 0.75], "d": 0.2}
+
+# report fields that --rtol still compares exactly
+_EXACT = ("inequality_id", "evaluations", "seed", "config_digest")
 
 # runs in a fresh interpreter, on the tree its PYTHONPATH names
 _RUNNER = "import sys; from strathardy.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -122,8 +135,72 @@ def _diff(name: str, ours: str, theirs: str) -> list[str]:
     return [f"    {line[:160]}" for _, line in zip(range(8), diff)]
 
 
-def compare(ours: Path, theirs: Path, cases: list[Case]) -> list[str]:
-    """Run ``cases`` on both trees; one message per run that differs, [] if none."""
+def _relative(a: float, b: float) -> float:
+    """|a - b| relative to the larger of |a| and |b|: 0.0 where they are equal
+    (two nan included), inf where one is not finite and the other differs."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    gap = abs(a - b) / max(abs(a), abs(b))
+    return gap if math.isfinite(gap) else math.inf
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _json_gap(ours, theirs, key=None) -> float:
+    """The worst relative difference between the numbers of two parsed JSON
+    values; inf where they differ in anything else."""
+    if isinstance(ours, dict) and isinstance(theirs, dict):
+        if ours.keys() != theirs.keys():
+            return math.inf
+        return max((_json_gap(ours[k], theirs[k], k) for k in ours), default=0.0)
+    if isinstance(ours, list) and isinstance(theirs, list):
+        if len(ours) != len(theirs):
+            return math.inf
+        return max((_json_gap(a, b, key) for a, b in zip(ours, theirs)), default=0.0)
+    if _is_number(ours) and _is_number(theirs) and key not in _EXACT:
+        return _relative(float(ours), float(theirs))
+    return 0.0 if type(ours) is type(theirs) and ours == theirs else math.inf
+
+
+def _csv_gap(ours: str, theirs: str) -> float:
+    """The worst relative difference between the numbers of two CSV reports;
+    inf where they differ in anything else."""
+    a, b = (list(csv.reader(io.StringIO(text))) for text in (ours, theirs))
+    if not a or len(a) != len(b) or a[0] != b[0]:
+        return math.inf
+    header, worst = a[0], 0.0
+    for row_a, row_b in zip(a[1:], b[1:]):
+        if not len(row_a) == len(row_b) == len(header):
+            return math.inf
+        for column, x, y in zip(header, row_a, row_b):
+            if x == y:
+                continue
+            if column in _EXACT:
+                return math.inf
+            try:
+                worst = max(worst, _relative(float(x), float(y)))
+            except ValueError:
+                return math.inf
+    return worst
+
+
+def report_gap(ours: str, theirs: str, fmt: str) -> float:
+    """The worst relative difference between the numbers of two reports in
+    ``fmt``; inf where they differ in anything else or do not parse."""
+    if fmt == "csv":
+        return _csv_gap(ours, theirs)
+    try:
+        return _json_gap(json.loads(ours), json.loads(theirs))
+    except json.JSONDecodeError:
+        return math.inf
+
+
+def compare(ours: Path, theirs: Path, cases: list[Case], rtol: float | None = None):
+    """Run ``cases`` on both trees.  Returns one message per run that differs
+    ([] if none) and, with ``rtol``, the worst relative difference of each
+    run that differs only in numbers, each within relative ``rtol``."""
     jobs = [(case, seed, fmt) for case in cases for seed in SEEDS for fmt in FORMATS]
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
@@ -138,11 +215,16 @@ def compare(ours: Path, theirs: Path, cases: list[Case]) -> list[str]:
                 for tree in (ours, theirs)
             ]
             results = [(job, future.result()) for job, future in futures]
-    differences = []
+    differences, gaps = [], []
     for (job, a), (_, b) in zip(results[::2], results[1::2]):
         case, seed, fmt = job
         if a == b:
             continue
+        if rtol is not None and (a.code, a.stderr) == (b.code, b.stderr):
+            gap = report_gap(a.stdout, b.stdout, fmt)
+            if gap <= rtol:
+                gaps.append(gap)
+                continue
         lines = [f"{case.label} seed {seed} {fmt}:"]
         if a.code != b.code:
             lines.append(f"    exit code {b.code} -> {a.code}")
@@ -150,22 +232,31 @@ def compare(ours: Path, theirs: Path, cases: list[Case]) -> list[str]:
             if getattr(a, name) != getattr(b, name):
                 lines += _diff(name, getattr(a, name), getattr(b, name))
         differences.append("\n".join(lines))
-    return differences
+    return differences, gaps
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--against", required=True, type=Path, help="the other source tree")
+    parser.add_argument(
+        "--rtol", type=float, help="let report numbers differ by this relative amount"
+    )
     args = parser.parse_args(argv)
+    if args.rtol is not None and not args.rtol >= 0.0:
+        parser.error(f"--rtol must be a number >= 0, got {args.rtol!r}")
     theirs = args.against.resolve()
     if not (theirs / "src" / "strathardy" / "__init__.py").is_file():
         sys.exit(f"same_reports: no package at {theirs / 'src' / 'strathardy'}")
     cases = matrix()
-    differences = compare(ROOT, theirs, cases)
+    differences, gaps = compare(ROOT, theirs, cases, args.rtol)
     for message in differences:
         print(message)
     runs = len(cases) * len(SEEDS) * len(FORMATS)
-    print(f"{runs - len(differences)} of {runs} runs identical ({len(cases)} configs)")
+    identical = runs - len(differences) - len(gaps)
+    close = ""
+    if args.rtol is not None:
+        close = f", {len(gaps)} within relative {args.rtol:g} (worst {max(gaps, default=0.0):.2g})"
+    print(f"{identical} of {runs} runs identical{close} ({len(cases)} configs)")
     return 1 if differences else 0
 
 
