@@ -16,6 +16,18 @@ one function evaluates any rule:
     Transverse directions use a tensor Gauss rule up to 4 axes and
     deterministic-seeded Monte Carlo above that.
 
+    Given the support of a round bump (a ``BumpSupport`` of powers 2) in
+    at most 5 dimensions, whose closed ball lies inside the box and
+    strictly inside the half-space, the method takes a ball rule instead:
+    nodes c + r rho w about the bump's centre c, rho by Gauss-Legendre on
+    (0, 1) with weight rho**(n-1) r**n, w by a product Gauss rule on the
+    sphere (Stroud 1971; the trapezoid rule on the circle, Gauss-Jacobi
+    from Golub-Welsch on each polar angle).  The bump is radial, so its
+    essential singularity at the ball's edge meets only the radial rule.
+    At 16 points per axis it has 24 radii and sphere order 8 (16 x 8
+    directions) up to 3 dimensions, order 6 (12 x 6**3) in 4 and 5; the
+    orders scale with the points per axis.
+
 ``tensor-gauss``
     Plain tensor-product Gauss-Legendre over the box with a half-space
     indicator.  Cheap and fine for integrands that vanish smoothly inside
@@ -29,30 +41,33 @@ one function evaluates any rule:
 
 Every rule carries each built node's boundary distance: dist = s**m on
 the boundary-graded rule, exact however the node's coordinates round,
-and ``hs.distance`` of the node on the other two.  A rule holds only the
+and ``hs.distance`` of the node on the others.  A rule holds only the
 nodes it evaluates, those with dist > 0 and, given a trial ``(spec, u)``,
-inside ``u.support``: the boundary-graded rule builds only the nodes in
-the support's chord through their line along the normal axis
-(``u.support.chord``, see :class:`~strathardy.calculus.ScalarField`), on
-the lines that reach into the half-space, and the other two drop the
-nodes outside the support's mask as they are built.  A chord may be a
-little wider than the support; the integrands are 0.0 in that margin.
+inside ``u.support``: the ball rule has no others, the boundary-graded
+rule builds only the nodes in the support's chord through their line
+along the normal axis (``u.support.chord``, see
+:class:`~strathardy.calculus.ScalarField`), on the lines that reach into
+the half-space, and the other two drop the nodes outside the support's
+mask as they are built.  A chord may be a little wider than the
+support; the integrands are 0.0 in that margin.
 Each integrand is called on a :class:`~strathardy.calculus.TrialSample`
 of a chunk of the rule's nodes, whose ``dist`` is the rule's; with a
 trial the sample also holds u and grad u, computed once per chunk and
 shared by all integrands.  Each integrand's weighted values are summed
 chunk by chunk, so memory does not grow with the integrand count.
 
-A deterministic rule (tensor-gauss, or boundary-graded with at most 4
-transverse axes) reports as stderr its gap to its coarse companion, which
-is a rule too: the same builder at half the points per axis (and half
-the panel order on graded panels), evaluated the same way.  A Monte Carlo
-rule has no companion and reports the spread of its sums over its lines
-(its samples on ``monte-carlo``), 0.0 on a line that holds no node.
+A deterministic rule (tensor-gauss, the ball rule, or boundary-graded
+with at most 4 transverse axes) reports as stderr its gap to its coarse
+companion, which is a rule too: the same builder at half the points per
+axis (and half the panel order on graded panels; half the radial nodes
+and sphere order on the ball rule), evaluated the same way.  A Monte
+Carlo rule has no companion and reports the spread of its sums over its
+lines (its samples on ``monte-carlo``), 0.0 on a line that holds no node.
 
 ``evaluations`` in the returned estimate counts the nodes considered,
-that is the nodes of the full rule, built or not.  A non-finite
-integrand value raises IntegrationError naming the offending point.
+that is the nodes of the full rule, built or not (the ball rule's own
+nodes on the ball rule).  A non-finite integrand value raises
+IntegrationError naming the offending point.
 
 No rule considers more than 2e7 nodes (a coarse companion is counted on
 its own): the count is worked out before anything is allocated, and a
@@ -61,6 +76,7 @@ larger request raises NodeBudgetError.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple, Sequence
@@ -70,6 +86,7 @@ import numpy as np
 from .calculus import HalfSpace, ScalarField, sample_trial
 from .groups import GroupSpec
 from .streams import philox_chunks
+from .trials import BumpSupport
 
 __all__ = [
     "QuadConfig",
@@ -87,6 +104,8 @@ _EVAL_CHUNK = 1 << 20
 _NODE_BUDGET = 20_000_000
 # relative slack of a chord's distance range against rounding (see _s_window)
 _WINDOW_MARGIN = 1e-12
+# relative clearance below which a ball counts as touching the boundary
+_BALL_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -380,10 +399,119 @@ def _build_boundary_graded(box, hs, cfg, support, companion=False) -> _Rule:
     return _Rule(pts, dist, trans_w[rows] * ws * jac, t_count * s_count, line, lines, coarse)
 
 
+def _gauss_jacobi(order: int, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss nodes and weights for the weight (1 - x^2)^a on (-1, 1), a >= 0.
+
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric tridiagonal
+    Jacobi matrix of the orthogonal polynomials of that weight, whose
+    recurrence coefficients are b_k = k (k + 2a) / ((2k + 2a)^2 - 1), and
+    each weight is the weight's total mass times the squared first
+    component of its eigenvector.  The weight is even, so the rule is
+    symmetrized about 0.
+    """
+    k = np.arange(1.0, order)
+    b = k * (k + 2.0 * a) / ((2.0 * k + 2.0 * a) ** 2 - 1.0)
+    x, vectors = np.linalg.eigh(np.diag(np.sqrt(b), -1))
+    mass = math.exp(math.lgamma(0.5) + math.lgamma(a + 1.0) - math.lgamma(a + 1.5))
+    w = mass * vectors[0] ** 2
+    return 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
+
+
+def _sphere_rule(dim: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """A product Gauss rule on the unit sphere S^(dim-1): directions
+    (K, dim) and weights (K,), exact on polynomials of degree up to
+    2 order - 1.
+
+    Hyperspherical coordinates: S^1 takes the trapezoid rule with 2 order
+    angles on the last two axes.  S^(k-1) is built from S^(k-2) by a new
+    first coordinate c, the others sqrt(1 - c^2) times a direction of
+    S^(k-2), with the surface weight (1 - c^2)^((k-3)/2) on c taken by
+    Gauss-Jacobi with ``order`` nodes.  S^0 is {-1, 1}.
+    """
+    if dim == 1:
+        return np.array([[-1.0], [1.0]]), np.ones(2)
+    angle = np.pi * np.arange(2 * order) / order
+    dirs = np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    w = np.full(2 * order, np.pi / order)
+    for k in range(3, dim + 1):
+        c, wc = _gauss_jacobi(order, 0.5 * (k - 3))
+        ring = np.sqrt(1.0 - c * c)[:, None, None] * dirs[None, :, :]
+        first = np.broadcast_to(c[:, None, None], (order, w.size, 1))
+        dirs = np.concatenate([first, ring], axis=2).reshape(-1, k)
+        w = (wc[:, None] * w[None, :]).reshape(-1)
+    return dirs, w
+
+
+def _ball_resolution(dim: int, ppa: int) -> tuple[int, int]:
+    """(radial nodes, sphere order) of the ball rule at ``ppa`` points per
+    axis: (24, 8) up to 3 dimensions and (24, 6) in 4 and 5 at 16, halved
+    with it."""
+    sphere = ppa if dim <= 3 else (3 * ppa) // 4
+    return max(2, (3 * ppa) // 2), max(1, sphere // 2)
+
+
+def _takes_ball(box, hs, support) -> bool:
+    """Whether the boundary-graded rule integrates over ``support`` on the
+    ball rule: a bump of square powers, a round ball, in at most 5
+    dimensions, inside ``box`` and with its closure strictly inside the
+    half-space.  A ball whose clearance <c, nu> - d - r lies within
+    ``_BALL_MARGIN`` of its terms counts as touching: a centre placed at
+    distance r clears the boundary by a rounding error of either sign."""
+    if not isinstance(support, BumpSupport) or support.center.size > 5:
+        return False
+    c, r = support.center, support.radius
+    height = float(c @ hs.nu)
+    return bool(
+        np.all(support.powers == 2.0)
+        and height - hs.d - r > _BALL_MARGIN * (abs(height) + abs(hs.d) + r)
+        and np.all(box[:, 0] <= c - r)
+        and np.all(c + r <= box[:, 1])
+    )
+
+
+@lru_cache(maxsize=16)
+def _unit_ball(dim: int, radial: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The spherical-radial rule on the unit ball: nodes rho w, (K, dim), rho
+    by Gauss-Legendre on (0, 1) with weight rho^(dim-1), w by
+    :func:`_sphere_rule`; and their weights (K,).  Read-only, as every
+    caller shares them."""
+    dirs, w_dir = _sphere_rule(dim, order)
+    x, w = _gauss(radial)
+    rho = 0.5 * (1.0 + x)
+    w_rho = 0.5 * w * rho ** (dim - 1)
+    nodes = (rho[:, None, None] * dirs[None, :, :]).reshape(-1, dim)
+    weights = (w_rho[:, None] * w_dir[None, :]).reshape(-1)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _build_ball(hs, cfg, support, companion=False) -> _Rule:
+    """The unit ball rule moved onto the support ball, c + r z, with weights
+    times r^n.  The bump is radial about c, so its essential singularity at
+    the edge meets only the radial rule."""
+    n = support.center.size
+    radial, order = _ball_resolution(n, cfg.points_per_axis)
+    count = radial * (2 if n == 1 else 2 * order ** (n - 1))
+    _check_budget(count, f"the ball rule with {cfg.points_per_axis} points per axis in {n} dimensions")
+    coarse = None if companion else _build_ball(hs, _coarse_config(cfg), support, companion=True)
+    nodes, weights = _unit_ball(n, radial, order)
+    pts = nodes * support.radius
+    pts += support.center
+    dist = hs.distance(pts)
+    weights = weights * support.radius**n
+    # only rounding in <x, nu> - d, far from the origin, could reach 0
+    if not np.all(dist > 0.0):
+        keep = np.flatnonzero(dist > 0.0)
+        pts, dist, weights = pts[keep], dist[keep], weights[keep]
+    return _Rule(pts, dist, weights, count, coarse=coarse)
+
+
 def _build_nodes(box, hs, cfg, support) -> _Rule:
     """The rule of ``cfg.method``, holding only the nodes with dist > 0 that
     ``support`` (None: no support known) may hold."""
     if cfg.method == "boundary-graded":
+        if _takes_ball(box, hs, support):
+            return _build_ball(hs, cfg, support)
         return _build_boundary_graded(box, hs, cfg, support)
     if cfg.method == "tensor-gauss":
         return _build_tensor_gauss(box, hs, cfg, support)
@@ -441,9 +569,11 @@ def integrate_many(
     the nodes, each integrand must be exactly 0.0 wherever u and grad u
     are, and it is called only at nodes inside ``u.support`` (all of them
     if it is None), or in the margin of a chord (see the module
-    docstring).  The estimates equal those of the same integrands and u
-    without its support up to the order of their float additions, and
-    ``evaluations`` exactly.
+    docstring).  Where the support takes the ball rule (a round bump
+    inside the half-space, in at most 5 dimensions, on
+    ``boundary-graded``), the estimates are the ball rule's.  Otherwise
+    they equal those of the same integrands and u without its support up
+    to the order of their float additions, and ``evaluations`` exactly.
     """
     cfg = cfg or QuadConfig()
     box = _as_box(box)

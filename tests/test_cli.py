@@ -218,13 +218,17 @@ class TestOutput:
         assert d1 != d2
 
 
+_TENSOR_GAUSS_2 = {"method": "tensor-gauss", "points_per_axis": 2}
+
+
 class TestRejectedConfigs:
     """Configs that must exit 3 with one line on stderr and no report."""
 
     @pytest.mark.parametrize(
         "command, over",
         [
-            # 64^4 x 128 nodes would be about 2.1e9; rejected before allocation
+            # the ball rule's 96 radii x 48 x 24^3 directions, about 6.4e7;
+            # rejected before allocation
             ("hardy", {"group": "heisenberg:2", "quadrature": {"points_per_axis": 64}}),
             ("hardy", {"quadrature": {"method": "tensor-gauss", "points_per_axis": 300}}),
             ("hardy", {"quadrature": {"method": "monte-carlo", "sample_count": 30_000_000}}),
@@ -304,10 +308,11 @@ class TestRejectedConfigs:
     @pytest.mark.parametrize(
         "command, over, name",
         [
-            # 2 points per axis on four transverse axes: every line passes
-            # 2/sqrt(3) radii from the bump's center and no node meets it
-            ("hardy", {"group": "heisenberg:2", "quadrature": {"points_per_axis": 2}}, "trivial"),
-            ("sobolev", {"group": "abelian:5", "quadrature": {"points_per_axis": 2}}, "trivial"),
+            # 2 tensor-Gauss points per axis in five dimensions: every node
+            # lies sqrt(5/3) radii from the bump's center and none meets it
+            # (the default rule integrates an interior bump on its ball)
+            ("hardy", {"group": "heisenberg:2", "quadrature": _TENSOR_GAUSS_2}, "trivial"),
+            ("sobolev", {"group": "abelian:5", "quadrature": _TENSOR_GAUSS_2}, "trivial"),
             # |grad_H u|^1000 overflows inside the bump
             ("hardy", {"p": [1000]}, "non-finite"),
             # the weighted integral of a 6.4e-107 cutoff squares to zero

@@ -209,6 +209,8 @@ class TestGeneralHardy:
             u.support_box,
             hs,
             cfg,
+            # on the trial's own rule, the ball rule of an interior bump
+            trial=(skew, u),
         )
         assert ref.value > 0.0
         assert rep.extras["t2_value"] == pytest.approx(ref.value, rel=1e-8)

@@ -1,4 +1,8 @@
+import ast
+import itertools
+import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,10 +23,20 @@ from strathardy import (
     heisenberg_group,
     integrate_many,
     make_bump,
+    random_interior_bumps,
     sample_trial,
     sharpness_trial,
 )
-from strathardy.quadrature import _build_nodes, _philox_uniform, _s_window
+from strathardy.config import build_trials, load_config, resolve
+from strathardy.quadrature import (
+    _build_boundary_graded,
+    _build_nodes,
+    _gauss_jacobi,
+    _philox_uniform,
+    _s_window,
+    _sphere_rule,
+    _takes_ball,
+)
 
 
 UNIT_BOX = np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
@@ -319,7 +333,9 @@ def _without_support(u):
 
 _H1 = heisenberg_group(1)
 _T_AXIS = halfspace_preset(3, "t-axis", 0.0)
-_INTERIOR = BumpSpec(center=(0.1, -0.2, 0.8), radius=0.5)
+# not a round ball: the boundary-graded rule integrates a ball inside the
+# half-space on a rule of its own, which has no unmasked twin
+_INTERIOR = BumpSpec(center=(0.1, -0.2, 0.8), radius=0.5, powers=(2, 4, 2))
 _ON_BOUNDARY = boundary_bump_spec(_T_AXIS, 0.6)
 _TRIALS = {
     "bump": lambda spec: make_bump(spec),
@@ -428,6 +444,10 @@ def _clip_cases(draw):
     # near 0 the boundary crosses the bump
     shift = draw(st.floats(-3.0, 0.9))
     hs = HalfSpace(nu=nu, d=float(nu @ center) + shift * radius)
+    if k < 3 and shift < -0.9:
+        # a round ball inside the half-space would take the ball rule, which
+        # has no unclipped twin: make it a bump of another shape
+        powers[draw(st.integers(0, n - 1))] = 4
     u = make_bump(BumpSpec(center=tuple(center), radius=radius, powers=tuple(powers)))
     if k == 3:
         cfg = QuadConfig(sample_count=draw(st.integers(64, 3000)), seed=draw(st.integers(0, 99)))
@@ -469,7 +489,8 @@ class TestClipToSupport:
     @pytest.mark.parametrize("k, ppa", [(1, 16), (2, 8)])
     def test_interior_bump_builds_only_nodes_inside_the_support(self, k, ppa):
         n = 2 * k + 1
-        u = make_bump(BumpSpec(center=(0.1,) * (n - 1) + (0.8,), radius=0.5))
+        # not a round ball, which would take the ball rule
+        u = make_bump(BumpSpec(center=(0.1,) * (n - 1) + (0.8,), radius=0.5, powers=(2,) * (n - 1) + (4,)))
         hs = halfspace_preset(n, "t-axis", 0.0)
         cfg = QuadConfig(points_per_axis=ppa)
         full = _build_nodes(u.support_box, hs, cfg, None)
@@ -608,7 +629,7 @@ class TestManyIntegrands:
         assert len({_bits(e) for e in together}) == len(_MANY)
 
     # each integrand is summed before the next is evaluated, so 16 cost
-    # what 2 do: an interior bump on heisenberg:2, boundary ones on
+    # what 2 do: an interior bump on heisenberg:2 (the ball rule), boundary ones on
     # heisenberg:3 and on heisenberg:1 with ``monte-carlo``
     @pytest.mark.parametrize(
         "k, cfg", [(2, QuadConfig()), (3, QuadConfig()), (1, QuadConfig(method="monte-carlo"))]
@@ -670,3 +691,204 @@ class TestCachedDraw:
         hits = _philox_uniform.cache_info().hits
         _build_nodes(u.support_box, hs, cfg, u.support)
         assert _philox_uniform.cache_info().hits == hits + 1
+
+
+def _sphere_moment(alpha) -> float:
+    """The integral of prod x_i^alpha_i over the unit sphere in len(alpha) dimensions."""
+    if any(a % 2 for a in alpha):
+        return 0.0
+    b = [0.5 * (a + 1) for a in alpha]
+    return 2.0 * math.prod(math.gamma(x) for x in b) / math.gamma(sum(b))
+
+
+def _interior_ball(k, clearance=0.3, radius=0.45, powers=None):
+    """heisenberg:k, its t-axis half-space and a bump whose support ball
+    clears the boundary by ``clearance``."""
+    n = 2 * k + 1
+    hs = halfspace_preset(n, "t-axis", 0.0)
+    spec = BumpSpec(center=(0.1, -0.2) * k + (radius + clearance,), radius=radius, powers=powers)
+    return _GROUPS[k], hs, make_bump(spec)
+
+
+class TestSphereRule:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("order", [1, 2, 5, 8])
+    def test_weights_sum_to_the_sphere_area(self, dim, order):
+        dirs, w = _sphere_rule(dim, order)
+        assert dirs.shape == (w.size, dim) and np.all(w > 0.0)
+        assert np.sum(w) == pytest.approx(2.0 * math.pi ** (dim / 2) / math.gamma(dim / 2), rel=1e-14)
+        assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_exact_on_monomials_below_degree_two_order(self, dim, order):
+        dirs, w = _sphere_rule(dim, order)
+        misses = 0
+        for alpha in itertools.product(range(2 * order + 1), repeat=dim):
+            degree = sum(alpha)
+            if degree > 2 * order:
+                continue
+            value = np.sum(w * np.prod(dirs**np.array(alpha), axis=1))
+            exact = _sphere_moment(alpha)
+            if degree < 2 * order:
+                assert value == pytest.approx(exact, rel=1e-13, abs=1e-14), alpha
+            else:
+                misses += abs(value - exact) > 1e-6
+        # and not beyond
+        assert misses > 0
+
+    @pytest.mark.parametrize("a", [0.0, 0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("order", [1, 2, 3, 6, 8, 12, 24])
+    def test_gauss_jacobi_matches_scipy(self, a, order):
+        special = pytest.importorskip("scipy.special")
+        x, w = _gauss_jacobi(order, a)
+        x_ref, w_ref = special.roots_jacobi(order, a, a)
+        assert np.allclose(x, x_ref, rtol=0.0, atol=1e-14)
+        # to 1e-14 of the weight's mass (the smallest weights lose digits
+        # relative to themselves)
+        assert np.allclose(w, w_ref, rtol=0.0, atol=1e-14 * np.sum(w_ref))
+
+    def test_library_shares_no_code_with_the_benchmark_reference(self):
+        # the benchmark checks the ball rule against bench/reference.py, so
+        # the library must reach its figures apart from it
+        for path in (Path(__file__).parent.parent / "src" / "strathardy").glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                for name in names:
+                    assert name.split(".")[0] not in ("scipy", "bench", "reference"), (path.name, name)
+
+
+_H1_NORMALS = {
+    "t-axis": halfspace_preset(3, "t-axis", 0.0),
+    "oblique": HalfSpace(nu=[0.36, -0.48, 0.8], d=0.0),
+}
+
+
+class TestBallRule:
+    @pytest.mark.parametrize("normal", sorted(_H1_NORMALS))
+    def test_agrees_with_the_unmasked_graded_rule(self, normal):
+        # the ball rule at the default resolution against the box rule at
+        # 32 points per axis: within 2e-3 relative (measured 2.1e-4 on the
+        # t-axis and 1.25e-3 on the oblique normal, where the box rule is
+        # the coarser of the two), and within the sum of their stderrs
+        hs = _H1_NORMALS[normal]
+        center = np.array([0.1, -0.2, 0.0])
+        center += (0.6 - float(hs.distance(center))) * hs.nu
+        u = make_bump(BumpSpec(center=tuple(center), radius=0.45))
+        assert _takes_ball(u.support_box, hs, u.support)
+        ball = integrate_many(_CLIP_INTEGRANDS, u.support_box, hs, QuadConfig(), trial=(_H1, u))
+        box_cfg = QuadConfig(points_per_axis=32)
+        box = integrate_many(_CLIP_INTEGRANDS, u.support_box, hs, box_cfg, trial=(_H1, _without_support(u)))
+        for a, b in zip(ball, box, strict=True):
+            assert abs(a.value - b.value) <= 2e-3 * abs(b.value)
+            assert abs(a.value - b.value) <= a.stderr + b.stderr
+            # 24 radii x 16 x 8 directions
+            assert a.evaluations == 24 * 16 * 8
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_taken_inside_the_half_space_up_to_five_dimensions(self, dim):
+        hs = HalfSpace(nu=np.eye(dim)[-1], d=0.0)
+        center = np.full(dim, 0.1)
+        center += (0.5 - float(hs.distance(center))) * hs.nu
+        u = make_bump(BumpSpec(center=tuple(center), radius=0.4))
+        assert _takes_ball(u.support_box, hs, u.support)
+        cfg = QuadConfig(points_per_axis=8)
+        rule = _build_nodes(u.support_box, hs, cfg, u.support)
+        for r in (rule, rule.coarse):
+            # every node lies inside the support, and off the boundary
+            assert r.size == len(r.points) == len(r.dist) == len(r.weights)
+            assert np.all(r.dist > 0.0) and np.array_equal(r.dist, hs.distance(r.points))
+            assert np.all(u.support(r.points)) and np.all(r.weights > 0.0)
+            # the weights add up to the volume of the ball
+            volume = math.pi ** (dim / 2) / math.gamma(dim / 2 + 1) * 0.4**dim
+            assert np.sum(r.weights) == pytest.approx(volume, rel=1e-13)
+        assert rule.coarse.coarse is None and rule.coarse.size < rule.size
+
+    def test_resolution_grows_with_points_per_axis(self):
+        _, hs, u = _interior_ball(2)
+        sizes = [
+            _build_nodes(u.support_box, hs, QuadConfig(points_per_axis=ppa), u.support).size
+            for ppa in (2, 4, 8, 16, 32)
+        ]
+        assert sizes == sorted(set(sizes))
+        # 24 radii x 12 x 6^3 directions at the default, 12 x 6 x 3^3 at 8
+        assert sizes[2:4] == [12 * 6 * 27, 24 * 12 * 216]
+
+    def test_over_budget_before_allocation(self):
+        _, hs, u = _interior_ball(2)
+        with pytest.raises(NodeBudgetError, match="ball rule"):
+            _build_nodes(u.support_box, hs, QuadConfig(points_per_axis=64), u.support)
+
+    @pytest.mark.parametrize(
+        "why",
+        ["clearance 0", "powers (2, 4, 2)", "heisenberg:3", "no support", "box inside the ball", "sharpness"],
+    )
+    def test_other_supports_keep_the_graded_rule(self, why):
+        if why == "clearance 0":
+            spec, hs, u = _interior_ball(1, clearance=0.0)
+        elif why == "powers (2, 4, 2)":
+            spec, hs, u = _interior_ball(1, powers=(2, 4, 2))
+        elif why == "heisenberg:3":
+            spec, hs, u = _interior_ball(3)
+        else:
+            spec, hs, u = _interior_ball(1)
+        box, support = u.support_box, u.support
+        if why == "no support":
+            u, support = _without_support(u), None
+        elif why == "box inside the ball":
+            box = 0.5 * (box + box.mean(axis=1, keepdims=True))
+        elif why == "sharpness":
+            u = sharpness_trial(SharpnessSpec(p=2.0, eps=0.2, cutoff=boundary_bump_spec(hs, 0.45)), hs)
+            box, support = u.support_box, u.support
+        assert not _takes_ball(box, hs, support)
+        cfg = QuadConfig(points_per_axis=6, sample_count=2000)
+        rule = _build_nodes(box, hs, cfg, support)
+        graded = _build_boundary_graded(box, hs, cfg, support)
+        pairs = [(rule, graded)] if rule.coarse is None else [(rule, graded), (rule.coarse, graded.coarse)]
+        for a, b in pairs:
+            for x, y in zip(a[:3], b[:3]):
+                assert np.array_equal(x, y)
+            assert a.size == b.size
+        (est,) = integrate_many([_CLIP_INTEGRANDS[1]], box, hs, cfg, trial=(spec, u))
+        assert est.evaluations == graded.size
+
+    @pytest.mark.parametrize("normal", sorted(_H1_NORMALS))
+    def test_balls_pushed_onto_the_boundary_touch_it(self, normal):
+        # a centre pushed to distance r clears the boundary by a rounding
+        # error of either sign; every such ball keeps the graded rule
+        hs = _H1_NORMALS[normal]
+        specs = random_interior_bumps(hs, 40, 1, region_halfwidth=0.05, clearance=0.0)
+        clearances = [float(np.array(s.center) @ hs.nu) - hs.d - s.radius for s in specs]
+        assert max(clearances) > 0.0 and max(map(abs, clearances)) < 1e-15
+        for spec in specs:
+            u = make_bump(spec)
+            assert not _takes_ball(u.support_box, hs, u.support)
+
+    @pytest.mark.parametrize("preset", ["t-axis", "x1-axis", "oblique", "offset"])
+    def test_no_sharpness_trial_takes_it(self, preset):
+        # a sharpness cutoff is centred on the boundary
+        hs = {
+            "oblique": HalfSpace(nu=[0.6, 0.0, 0.8], d=0.1),
+            "offset": halfspace_preset(3, "t-axis", 0.3),
+        }.get(preset) or halfspace_preset(3, preset, 0.0)
+        u = sharpness_trial(SharpnessSpec(p=3.0, eps=0.1, cutoff=boundary_bump_spec(hs, 1.0)), hs)
+        assert not _takes_ball(u.support_box, hs, u.support)
+
+
+class TestHardyRow15:
+    def test_seed_42_trial_15_lies_within_its_stderr_of_the_reference(self):
+        # hardy on heisenberg:1 at the default config and seed 42, p = 2,
+        # trial 15 of 20: the box rule put it 11 stderr from the reference
+        # of bench/reference.py at its fine resolution
+        group, hs, quad, cfg = resolve(load_config(None), seed=42)
+        u = build_trials(group, hs, cfg)[15]
+        assert u.label.startswith("bump(center=(-0.8907742505038627,")
+        rep = hardy_quotient(group, hs, u, 2.0, quad)
+        reference = 103.903155092839
+        assert abs(rep.quotient - reference) <= 3.0 * rep.stderr
+        assert abs(rep.quotient - reference) <= 1e-5 * reference

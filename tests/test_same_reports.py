@@ -21,6 +21,8 @@ def test_matrix_covers_every_subcommand_and_workload():
     assert len(set(labels)) == len(labels)
     assert {f"{c}:default" for c in COMMANDS} <= set(labels)
     assert {"h2-hardy:hardy", "h3-hardy-mc:hardy"} <= set(labels)
+    # a ball that touches the boundary keeps the graded rule; abelian:5 takes the ball rule
+    assert {"hardy:touching", "sobolev:abelian5"} <= set(labels)
 
 
 def test_the_tree_matches_itself():

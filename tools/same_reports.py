@@ -6,8 +6,10 @@ Runs a fixed matrix of CLI commands on this checkout and on the tree at
 ``--against`` (any directory with the package under ``src/``, such as a
 ``git worktree`` of the parent commit): the eight subcommands at their
 default configs, the configs of the benchmark's three workloads, oblique
-and offset normals, an oblique normal on heisenberg:4, and ``sharpness``
-on heisenberg:2, on an oblique normal and on an offset t-axis.  Each runs at seeds 1 and 42, in
+and offset normals, an oblique normal on heisenberg:4, ``hardy`` on bumps
+that touch the boundary (clearance 0), ``sobolev`` on abelian:5, and
+``sharpness`` on heisenberg:2, on an oblique normal and on an offset
+t-axis.  Each runs at seeds 1 and 42, in
 CSV and in JSON, in a fresh interpreter.  Standard output, standard error
 (with each tree's own path replaced by ``<tree>``) and the exit code are
 compared; every run that differs is listed with the start of its diff.
@@ -95,6 +97,9 @@ def matrix() -> list[Case]:
             "hardy",
             {"group": "heisenberg:4", "halfspace": _OBLIQUE_H4, "trials": {"count": 4}},
         ),
+        # every centre drawn within 0.05 of the boundary, so every ball touches it
+        Case("hardy:touching", "hardy", {"trials": {"clearance": 0, "region": 0.05}}),
+        Case("sobolev:abelian5", "sobolev", {"group": "abelian:5"}),
         Case(
             "sharpness:heisenberg2",
             "sharpness",
