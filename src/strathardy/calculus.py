@@ -18,7 +18,7 @@ differentiates is itself produced by a first derivative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -244,7 +244,7 @@ def _check_dims(spec: GroupSpec, hs: HalfSpace) -> None:
         )
 
 
-def pairing_polynomials(spec: GroupSpec, hs: HalfSpace) -> list[Polynomial]:
+def pairing_polynomials(spec: GroupSpec, hs: HalfSpace) -> tuple[Polynomial, ...]:
     """Exact polynomials P_k(x) = <X_k(x), nu>, one per horizontal field.
 
     P_k is the horizontal component k of the gradient of the boundary
@@ -252,14 +252,21 @@ def pairing_polynomials(spec: GroupSpec, hs: HalfSpace) -> list[Polynomial]:
     of field k contracted with the upper-strata part of nu.
     """
     _check_dims(spec, hs)
+    return _pairing_polynomials(spec, tuple(hs.nu.tolist()))
+
+
+# every sample of a trial reads W, so the polynomials of a (group, normal)
+# pair are built once
+@lru_cache(maxsize=16)
+def _pairing_polynomials(spec: GroupSpec, nu: tuple[float, ...]) -> tuple[Polynomial, ...]:
     n = spec.total_dim
     out = []
     for k in range(spec.horizontal_dim):
-        p = Polynomial.constant(n, hs.nu[k])
+        p = Polynomial.constant(n, nu[k])
         for slot, poly in spec.coeffs[k]:
-            p = p + poly.scale(hs.nu[slot])
+            p = p + poly.scale(nu[slot])
         out.append(p)
-    return out
+    return tuple(out)
 
 
 def field_pairings(spec: GroupSpec, hs: HalfSpace, points) -> np.ndarray:

@@ -16,17 +16,23 @@ one function evaluates any rule:
     Transverse directions use a tensor Gauss rule up to 4 axes and
     deterministic-seeded Monte Carlo above that.
 
-    Given the support of a round bump (a ``BumpSupport`` of powers 2) in
-    at most 5 dimensions, whose closed ball lies inside the box and
-    strictly inside the half-space, the method takes a ball rule instead:
-    nodes c + r rho w about the bump's centre c, rho by Gauss-Legendre on
-    (0, 1) with weight rho**(n-1) r**n, w by a product Gauss rule on the
-    sphere (Stroud 1971; the trapezoid rule on the circle, Gauss-Jacobi
-    from Golub-Welsch on each polar angle).  The bump is radial, so its
-    essential singularity at the ball's edge meets only the radial rule.
-    At 16 points per axis it has 24 radii and sphere order 8 (16 x 8
-    directions) up to 3 dimensions, order 6 (12 x 6**3) in 4 and 5; the
-    orders scale with the points per axis.
+    Given the support of a round bump (a ``BumpSupport`` of powers 2)
+    whose closed ball lies inside the box and strictly inside the
+    half-space, the method takes a ball rule instead: nodes c + r rho w
+    about the bump's centre c, rho by Gauss-Legendre on (0, 1) with weight
+    rho**(n-1) r**n, w by a rule on the sphere (Stroud 1971).  The bump is
+    radial, so its essential singularity at the ball's edge meets only the
+    radial rule.  Up to 5 dimensions the sphere takes a product Gauss rule
+    (the trapezoid rule on the circle, Gauss-Jacobi from Golub-Welsch on
+    each polar angle): at 16 points per axis 24 radii and sphere order 8
+    (16 x 8 directions) up to 3 dimensions, order 6 (12 x 6**3) in 4 and 5,
+    the orders scaling with the points per axis.  A product rule grows as
+    order**(n-1), so from 6 dimensions on the sphere takes Stroud's fully
+    symmetric rule of degree 5 (2n + 2**n directions) from 16 points per
+    axis, against degree 3 (the 2n directions +-e_i) on the coarse
+    companion; below 16, and where the ball rule would have more nodes
+    than ``sample_count`` (past 13 dimensions at the default), the box
+    stays on the graded rule.
 
 ``tensor-gauss``
     Plain tensor-product Gauss-Legendre over the box with a half-space
@@ -35,9 +41,10 @@ one function evaluates any rule:
     boundary.
 
 ``monte-carlo``
-    Uniform sampling from counter-based streams (Philox keyed by
-    (seed, chunk index) over fixed-size chunks), so results are
-    reproducible bit for bit regardless of how the host schedules work.
+    Uniform sampling from counter-based streams (Philox keyed by the seed
+    and the chunk index in the ``streams.MONTE_CARLO`` key domain, over
+    fixed-size chunks), so results are reproducible bit for bit
+    regardless of how the host schedules work.
 
 Every rule carries each built node's boundary distance: dist = s**m on
 the boundary-graded rule, exact however the node's coordinates round,
@@ -60,7 +67,8 @@ A deterministic rule (tensor-gauss, the ball rule, or boundary-graded
 with at most 4 transverse axes) reports as stderr its gap to its coarse
 companion, which is a rule too: the same builder at half the points per
 axis (and half the panel order on graded panels; half the radial nodes
-and sphere order on the ball rule), evaluated the same way.  A Monte
+and sphere order on the ball rule, and sphere degree 3 from 6
+dimensions on), evaluated the same way.  A Monte
 Carlo rule has no companion and reports the spread of its sums over its
 lines (its samples on ``monte-carlo``), 0.0 on a line that holds no node.
 
@@ -85,7 +93,7 @@ import numpy as np
 
 from .calculus import HalfSpace, ScalarField, sample_trial
 from .groups import GroupSpec
-from .streams import philox_chunks
+from .streams import MONTE_CARLO, philox_chunks
 from .trials import BumpSupport
 
 __all__ = [
@@ -179,12 +187,13 @@ def _as_box(box) -> np.ndarray:
 def _philox_uniform(seed: int, count: int, dim: int) -> np.ndarray:
     """Uniform (count, dim) samples from fixed-size Philox chunks, read-only.
 
-    Chunk c uses key (seed, c); consumers always read chunks in index
-    order, so the stream does not depend on worker scheduling.  The last
-    draw is kept: every trial of a command draws the same one.
+    Chunk c uses the key of stream c in the ``MONTE_CARLO`` domain
+    (:func:`~strathardy.streams.philox_key`); consumers always read chunks
+    in index order, so the stream does not depend on worker scheduling.
+    The last draw is kept: every trial of a command draws the same one.
     """
     rows = max(1, _CHUNK // max(1, dim))
-    chunks = [gen.random((take, dim)) for gen, take in philox_chunks(seed, count, rows)]
+    chunks = [gen.random((take, dim)) for gen, take in philox_chunks(seed, count, rows, MONTE_CARLO)]
     out = np.concatenate(chunks, axis=0) if len(chunks) > 1 else chunks[0]
     out.flags.writeable = False
     return out
@@ -442,24 +451,75 @@ def _sphere_rule(dim: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     return dirs, w
 
 
-def _ball_resolution(dim: int, ppa: int) -> tuple[int, int]:
-    """(radial nodes, sphere order) of the ball rule at ``ppa`` points per
-    axis: (24, 8) up to 3 dimensions and (24, 6) in 4 and 5 at 16, halved
-    with it."""
+def _symmetric_sphere_rule(dim: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """A fully symmetric rule on the unit sphere S^(dim-1), exact on
+    polynomials of degree up to ``degree``, 3 or 5: directions (K, dim) and
+    weights (K,), all positive (Stroud 1971, rules U_n 3-1 and U_n 5-2).
+
+    With |S| the sphere's area, degree 3 puts |S| / (2 dim) on each of the
+    2 dim directions +-e_i.  Degree 5 puts |S| / (dim (dim + 2)) on each
+    +-e_i and |S| dim / (2^dim (dim + 2)) on each of the 2^dim directions
+    (+-1, ..., +-1) / sqrt(dim).
+    """
+    area = 2.0 * math.pi ** (dim / 2) / math.gamma(dim / 2)
+    axes = np.concatenate([np.eye(dim), -np.eye(dim)])
+    if degree == 3:
+        return axes, np.full(2 * dim, area / (2 * dim))
+    signs = 1.0 - 2.0 * ((np.arange(2**dim)[:, None] >> np.arange(dim)) & 1)
+    dirs = np.concatenate([axes, signs / math.sqrt(dim)])
+    w = np.concatenate(
+        [np.full(2 * dim, area / (dim * (dim + 2))), np.full(2**dim, area * dim / (2**dim * (dim + 2)))]
+    )
+    return dirs, w
+
+
+def _ball_resolution(dim: int, ppa: int, companion: bool = False) -> tuple[int, int]:
+    """(radial nodes, sphere) of the ball rule at ``ppa`` points per axis:
+    sphere is the order of :func:`_sphere_rule` up to 5 dimensions and the
+    degree of :func:`_symmetric_sphere_rule` above.  At 16 that is (24, 8)
+    up to 3 dimensions and (24, 6) in 4 and 5, halved with it; and
+    (24, degree 5) in 6 or more, degree 3 below 16 and on every coarse
+    companion, whose degree must stay below its fine rule's for the stderr
+    to see the angular error."""
+    radial = max(2, (3 * ppa) // 2)
+    if dim >= 6:
+        return radial, 5 if ppa >= 16 and not companion else 3
     sphere = ppa if dim <= 3 else (3 * ppa) // 4
-    return max(2, (3 * ppa) // 2), max(1, sphere // 2)
+    return radial, max(1, sphere // 2)
 
 
-def _takes_ball(box, hs, support) -> bool:
+def _ball_size(dim: int, radial: int, sphere: int) -> int:
+    """The node count of the ball rule of :func:`_ball_resolution`."""
+    if dim == 1:
+        directions = 2
+    elif dim <= 5:
+        directions = 2 * sphere ** (dim - 1)
+    else:
+        directions = 2 * dim + (2**dim if sphere == 5 else 0)
+    return radial * directions
+
+
+def _takes_ball(box, hs, support, cfg: QuadConfig) -> bool:
     """Whether the boundary-graded rule integrates over ``support`` on the
-    ball rule: a bump of square powers, a round ball, in at most 5
-    dimensions, inside ``box`` and with its closure strictly inside the
-    half-space.  A ball whose clearance <c, nu> - d - r lies within
-    ``_BALL_MARGIN`` of its terms counts as touching: a centre placed at
-    distance r clears the boundary by a rounding error of either sign."""
-    if not isinstance(support, BumpSupport) or support.center.size > 5:
+    ball rule: a bump of square powers, a round ball, inside ``box`` and
+    with its closure strictly inside the half-space.  A ball whose
+    clearance <c, nu> - d - r lies within ``_BALL_MARGIN`` of its terms
+    counts as touching: a centre placed at distance r clears the boundary
+    by a rounding error of either sign.
+
+    In 6 or more dimensions the ball rule is taken only where its sphere
+    degree exceeds its coarse companion's degree 3 (from 16 points per
+    axis), and where it has at most ``cfg.sample_count`` nodes, the count
+    of the Monte Carlo branch it replaces (up to 13 dimensions at the
+    default)."""
+    if not isinstance(support, BumpSupport):
         return False
     c, r = support.center, support.radius
+    n = c.size
+    if n >= 6:
+        radial, degree = _ball_resolution(n, cfg.points_per_axis)
+        if degree == 3 or _ball_size(n, radial, degree) > cfg.sample_count:
+            return False
     height = float(c @ hs.nu)
     return bool(
         np.all(support.powers == 2.0)
@@ -469,13 +529,12 @@ def _takes_ball(box, hs, support) -> bool:
     )
 
 
-@lru_cache(maxsize=16)
-def _unit_ball(dim: int, radial: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+def _unit_ball(dim: int, radial: int, sphere: int) -> tuple[np.ndarray, np.ndarray]:
     """The spherical-radial rule on the unit ball: nodes rho w, (K, dim), rho
     by Gauss-Legendre on (0, 1) with weight rho^(dim-1), w by
-    :func:`_sphere_rule`; and their weights (K,).  Read-only, as every
-    caller shares them."""
-    dirs, w_dir = _sphere_rule(dim, order)
+    :func:`_sphere_rule` up to 5 dimensions and :func:`_symmetric_sphere_rule`
+    above; and their weights (K,).  Read-only, as a cached rule is shared."""
+    dirs, w_dir = _sphere_rule(dim, sphere) if dim <= 5 else _symmetric_sphere_rule(dim, sphere)
     x, w = _gauss(radial)
     rho = 0.5 * (1.0 + x)
     w_rho = 0.5 * w * rho ** (dim - 1)
@@ -485,16 +544,21 @@ def _unit_ball(dim: int, radial: int, order: int) -> tuple[np.ndarray, np.ndarra
     return nodes, weights
 
 
+# up to 5 dimensions; above, a rule grows as 2^dim and costs no more to
+# build than to move onto the ball, so it is not kept
+_cached_unit_ball = lru_cache(maxsize=16)(_unit_ball)
+
+
 def _build_ball(hs, cfg, support, companion=False) -> _Rule:
     """The unit ball rule moved onto the support ball, c + r z, with weights
     times r^n.  The bump is radial about c, so its essential singularity at
     the edge meets only the radial rule."""
     n = support.center.size
-    radial, order = _ball_resolution(n, cfg.points_per_axis)
-    count = radial * (2 if n == 1 else 2 * order ** (n - 1))
+    radial, sphere = _ball_resolution(n, cfg.points_per_axis, companion)
+    count = _ball_size(n, radial, sphere)
     _check_budget(count, f"the ball rule with {cfg.points_per_axis} points per axis in {n} dimensions")
     coarse = None if companion else _build_ball(hs, _coarse_config(cfg), support, companion=True)
-    nodes, weights = _unit_ball(n, radial, order)
+    nodes, weights = (_cached_unit_ball if n <= 5 else _unit_ball)(n, radial, sphere)
     pts = nodes * support.radius
     pts += support.center
     dist = hs.distance(pts)
@@ -510,7 +574,7 @@ def _build_nodes(box, hs, cfg, support) -> _Rule:
     """The rule of ``cfg.method``, holding only the nodes with dist > 0 that
     ``support`` (None: no support known) may hold."""
     if cfg.method == "boundary-graded":
-        if _takes_ball(box, hs, support):
+        if _takes_ball(box, hs, support, cfg):
             return _build_ball(hs, cfg, support)
         return _build_boundary_graded(box, hs, cfg, support)
     if cfg.method == "tensor-gauss":
@@ -570,10 +634,11 @@ def integrate_many(
     are, and it is called only at nodes inside ``u.support`` (all of them
     if it is None), or in the margin of a chord (see the module
     docstring).  Where the support takes the ball rule (a round bump
-    inside the half-space, in at most 5 dimensions, on
-    ``boundary-graded``), the estimates are the ball rule's.  Otherwise
-    they equal those of the same integrands and u without its support up
-    to the order of their float additions, and ``evaluations`` exactly.
+    inside the half-space on ``boundary-graded``; the module docstring
+    gives the resolutions and dimensions), the estimates are the ball
+    rule's.  Otherwise they equal those of the same integrands and u
+    without its support up to the order of their float additions, and
+    ``evaluations`` exactly.
     """
     cfg = cfg or QuadConfig()
     box = _as_box(box)

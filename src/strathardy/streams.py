@@ -4,9 +4,8 @@ from :func:`philox_stream`, so all stream keys are decided here.
 A key is (seed mod 2**64, domain * 2**32 + index): each purpose draws
 from a domain of its own, so streams that serve different purposes never
 share a key (Salmon et al., "Parallel random numbers: as easy as 1, 2,
-3", SC'11).  Domain 0 holds the keys in use before domains existed:
-trial placement on index 2 and Monte Carlo chunk c on index c, which
-therefore still share the key of index 2.
+3", SC'11).  Domain 0 holds the key in use before domains existed, trial
+placement on index 2.
 """
 
 from __future__ import annotations
@@ -15,12 +14,13 @@ from collections.abc import Iterator
 
 import numpy as np
 
-__all__ = ["BASE", "FUZZER", "IDENTITIES", "philox_key", "philox_stream", "philox_chunks"]
+__all__ = ["BASE", "FUZZER", "IDENTITIES", "MONTE_CARLO", "philox_key", "philox_stream", "philox_chunks"]
 
 # the key domains
 BASE = 0
 FUZZER = 1
 IDENTITIES = 2
+MONTE_CARLO = 3
 
 _INDICES = 1 << 32
 

@@ -119,6 +119,19 @@ class TestCommands:
         code, _, err = run(["remainder", "--config", path], capsys)
         assert code == 3 and "p >= 2" in err
 
+    @pytest.mark.parametrize("k", [4, 5, 6])
+    def test_hardy_above_heisenberg_3_gives_a_usable_verdict(self, tmp_path, capsys, k):
+        # at the default resolution these interior bumps take the ball rule;
+        # the graded rule's Monte Carlo lines missed the bump on heisenberg:6
+        # (a zero denominator, exit 3) and left error bars of 50-90% on 4 and 5
+        path = write_config(tmp_path, group=f"heisenberg:{k}", quadrature={"points_per_axis": 16}, seed=42)
+        code, out, err = run(["hardy", "--config", path], capsys)
+        assert code == 0 and err == ""
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert len(rows) == 3
+        for row in rows:
+            assert float(row[6]) < 0.1 * abs(float(row[2]))
+
     def test_sobolev(self, tmp_path, capsys):
         path = write_config(tmp_path, trials={"count": 2})
         code, out, _ = run(["sobolev", "--config", path], capsys)
@@ -232,7 +245,9 @@ class TestRejectedConfigs:
             ("hardy", {"group": "heisenberg:2", "quadrature": {"points_per_axis": 64}}),
             ("hardy", {"quadrature": {"method": "tensor-gauss", "points_per_axis": 300}}),
             ("hardy", {"quadrature": {"method": "monte-carlo", "sample_count": 30_000_000}}),
-            ("hardy", {"group": "heisenberg:3", "quadrature": {"sample_count": 30_000_000}}),
+            # the boundary-graded rule's Monte Carlo branch: a sharpness
+            # cutoff sits on the boundary, so it never takes the ball rule
+            ("sharpness", {"group": "heisenberg:3", "quadrature": {"sample_count": 30_000_000}}),
         ],
     )
     def test_node_budget(self, tmp_path, capsys, command, over):

@@ -2,6 +2,7 @@ import ast
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,8 @@ from strathardy import (
     sharpness_trial,
 )
 from strathardy.config import build_trials, load_config, resolve
+from strathardy.experiments import HARDY, each_p
+from strathardy import quadrature
 from strathardy.quadrature import (
     _build_boundary_graded,
     _build_nodes,
@@ -35,6 +38,7 @@ from strathardy.quadrature import (
     _philox_uniform,
     _s_window,
     _sphere_rule,
+    _symmetric_sphere_rule,
     _takes_ball,
 )
 
@@ -707,7 +711,7 @@ def _interior_ball(k, clearance=0.3, radius=0.45, powers=None):
     n = 2 * k + 1
     hs = halfspace_preset(n, "t-axis", 0.0)
     spec = BumpSpec(center=(0.1, -0.2) * k + (radius + clearance,), radius=radius, powers=powers)
-    return _GROUPS[k], hs, make_bump(spec)
+    return heisenberg_group(k), hs, make_bump(spec)
 
 
 class TestSphereRule:
@@ -763,6 +767,54 @@ class TestSphereRule:
                     assert name.split(".")[0] not in ("scipy", "bench", "reference"), (path.name, name)
 
 
+def _partitions(total, most):
+    """The partitions of ``total`` into at most ``most`` positive parts."""
+    if total == 0:
+        yield ()
+        return
+    for first in range(min(total, most), 0, -1):
+        for rest in _partitions(total - first, first):
+            yield (first,) + rest
+
+
+def _rows(w, dirs):
+    """The weighted directions as one array, its rows in a canonical order."""
+    table = np.column_stack([w, dirs])
+    return table[np.lexsort(table.T[::-1])]
+
+
+class TestSymmetricSphereRule:
+    @pytest.mark.parametrize("dim", range(6, 18))
+    @pytest.mark.parametrize("degree", [3, 5])
+    def test_exact_on_every_monomial_up_to_its_degree(self, dim, degree):
+        dirs, w = _symmetric_sphere_rule(dim, degree)
+        assert dirs.shape == (w.size, dim) and w.size == 2 * dim + (2**dim if degree == 5 else 0)
+        assert np.all(w > 0.0)
+        assert np.sum(w) == pytest.approx(2.0 * math.pi ** (dim / 2) / math.gamma(dim / 2), rel=1e-14)
+        assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, rtol=0.0, atol=1e-15)
+        # the weighted directions are mapped onto themselves by a sign flip
+        # of the first axis, a swap of the first two and a cyclic shift,
+        # which generate every permutation and sign change of the axes; so
+        # a monomial integrates as the one of its sorted exponents on the
+        # first axes does, and those are all checked
+        table = _rows(w, dirs)
+        flip = dirs * np.r_[-1.0, np.ones(dim - 1)]
+        for moved in (flip, dirs[:, [1, 0, *range(2, dim)]], np.roll(dirs, 1, axis=1)):
+            assert np.array_equal(_rows(w, moved), table)
+        for total in range(degree + 2):
+            misses = 0
+            for parts in _partitions(total, dim):
+                alpha = parts + (0,) * (dim - len(parts))
+                value = np.sum(w * np.prod(dirs[:, : len(parts)] ** np.array(parts), axis=1))
+                exact = _sphere_moment(alpha)
+                if total <= degree:
+                    assert value == pytest.approx(exact, rel=1e-13, abs=1e-14), alpha
+                else:
+                    misses += abs(value - exact) > 1e-6
+            # and not beyond
+            assert total <= degree or misses > 0
+
+
 _H1_NORMALS = {
     "t-axis": halfspace_preset(3, "t-axis", 0.0),
     "oblique": HalfSpace(nu=[0.36, -0.48, 0.8], d=0.0),
@@ -780,7 +832,7 @@ class TestBallRule:
         center = np.array([0.1, -0.2, 0.0])
         center += (0.6 - float(hs.distance(center))) * hs.nu
         u = make_bump(BumpSpec(center=tuple(center), radius=0.45))
-        assert _takes_ball(u.support_box, hs, u.support)
+        assert _takes_ball(u.support_box, hs, u.support, QuadConfig())
         ball = integrate_many(_CLIP_INTEGRANDS, u.support_box, hs, QuadConfig(), trial=(_H1, u))
         box_cfg = QuadConfig(points_per_axis=32)
         box = integrate_many(_CLIP_INTEGRANDS, u.support_box, hs, box_cfg, trial=(_H1, _without_support(u)))
@@ -790,14 +842,15 @@ class TestBallRule:
             # 24 radii x 16 x 8 directions
             assert a.evaluations == 24 * 16 * 8
 
-    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
-    def test_taken_inside_the_half_space_up_to_five_dimensions(self, dim):
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6, 7, 13])
+    def test_taken_inside_the_half_space(self, dim):
         hs = HalfSpace(nu=np.eye(dim)[-1], d=0.0)
         center = np.full(dim, 0.1)
         center += (0.5 - float(hs.distance(center))) * hs.nu
         u = make_bump(BumpSpec(center=tuple(center), radius=0.4))
-        assert _takes_ball(u.support_box, hs, u.support)
-        cfg = QuadConfig(points_per_axis=8)
+        assert _takes_ball(u.support_box, hs, u.support, QuadConfig())
+        # from 6 dimensions on only from 16 points per axis
+        cfg = QuadConfig(points_per_axis=8 if dim <= 5 else 16)
         rule = _build_nodes(u.support_box, hs, cfg, u.support)
         for r in (rule, rule.coarse):
             # every node lies inside the support, and off the boundary
@@ -808,6 +861,37 @@ class TestBallRule:
             volume = math.pi ** (dim / 2) / math.gamma(dim / 2 + 1) * 0.4**dim
             assert np.sum(r.weights) == pytest.approx(volume, rel=1e-13)
         assert rule.coarse.coarse is None and rule.coarse.size < rule.size
+        if dim >= 6:
+            # 24 radii x (2 dim + 2^dim) directions of degree 5, and
+            # 12 x 2 dim of degree 3 on the companion; at 32 points per axis
+            # twice the radii, the companion still of degree 3, where
+            # sample_count admits that many nodes
+            assert rule.size == 24 * (2 * dim + 2**dim) and rule.coarse.size == 12 * 2 * dim
+            size = 48 * (2 * dim + 2**dim)
+            finer = QuadConfig(points_per_axis=32, sample_count=size)
+            rule = _build_nodes(u.support_box, hs, finer, u.support)
+            assert rule.size == size and rule.coarse.size == 24 * 2 * dim
+            assert not _takes_ball(u.support_box, hs, u.support, replace(finer, sample_count=size - 1))
+
+    def test_agrees_with_the_product_sphere_rule_on_h3_bumps(self, monkeypatch):
+        # hardy at seed 42 on heisenberg:3 (20 bumps, p 2 and 3), against
+        # the same radial rule on the product sphere rule of order 4 (degree
+        # 7, 8 x 4^5 directions): measured within 3.5% relative, and the
+        # stderr at least 13 times the gap
+        config = load_config(None)
+        config["group"] = "heisenberg:3"
+        group, hs, quad, cfg = resolve(config, seed=42)
+        trials = build_trials(group, hs, cfg)
+
+        def quotients(u):
+            return [reports[0] for reports in each_p(HARDY, group, hs, u, (2.0, 3.0), quad)]
+
+        rows = [quotients(u) for u in trials]
+        monkeypatch.setattr(quadrature, "_symmetric_sphere_rule", lambda dim, degree: _sphere_rule(dim, 4))
+        for u, reports in zip(trials, rows):
+            for rep, reference in zip(reports, quotients(u), strict=True):
+                assert reference.quotient != rep.quotient
+                assert abs(rep.quotient - reference.quotient) <= rep.stderr
 
     def test_resolution_grows_with_points_per_axis(self):
         _, hs, u = _interior_ball(2)
@@ -826,15 +910,34 @@ class TestBallRule:
 
     @pytest.mark.parametrize(
         "why",
-        ["clearance 0", "powers (2, 4, 2)", "heisenberg:3", "no support", "box inside the ball", "sharpness"],
+        [
+            "clearance 0",
+            "powers (2, 4, 2)",
+            "heisenberg:3 at 8 points per axis",
+            "heisenberg:7",
+            "no support",
+            "box inside the ball",
+            "sharpness",
+        ],
     )
     def test_other_supports_keep_the_graded_rule(self, why):
+        cfg = QuadConfig(points_per_axis=6, sample_count=2000)
         if why == "clearance 0":
             spec, hs, u = _interior_ball(1, clearance=0.0)
         elif why == "powers (2, 4, 2)":
             spec, hs, u = _interior_ball(1, powers=(2, 4, 2))
-        elif why == "heisenberg:3":
+        elif why == "heisenberg:3 at 8 points per axis":
+            # degree 3 against its companion's degree 3: the stderr would
+            # not see the angular error
             spec, hs, u = _interior_ball(3)
+            cfg = QuadConfig(points_per_axis=8)
+            assert _takes_ball(u.support_box, hs, u.support, QuadConfig())
+        elif why == "heisenberg:7":
+            # 24 radii x (30 + 2^15) directions, more than the Monte Carlo
+            # nodes of the rule it would replace
+            spec, hs, u = _interior_ball(7)
+            cfg = QuadConfig(sample_count=20_000)
+            assert _takes_ball(u.support_box, hs, u.support, QuadConfig(sample_count=24 * (30 + 2**15)))
         else:
             spec, hs, u = _interior_ball(1)
         box, support = u.support_box, u.support
@@ -845,8 +948,7 @@ class TestBallRule:
         elif why == "sharpness":
             u = sharpness_trial(SharpnessSpec(p=2.0, eps=0.2, cutoff=boundary_bump_spec(hs, 0.45)), hs)
             box, support = u.support_box, u.support
-        assert not _takes_ball(box, hs, support)
-        cfg = QuadConfig(points_per_axis=6, sample_count=2000)
+        assert not _takes_ball(box, hs, support, cfg)
         rule = _build_nodes(box, hs, cfg, support)
         graded = _build_boundary_graded(box, hs, cfg, support)
         pairs = [(rule, graded)] if rule.coarse is None else [(rule, graded), (rule.coarse, graded.coarse)]
@@ -867,7 +969,7 @@ class TestBallRule:
         assert max(clearances) > 0.0 and max(map(abs, clearances)) < 1e-15
         for spec in specs:
             u = make_bump(spec)
-            assert not _takes_ball(u.support_box, hs, u.support)
+            assert not _takes_ball(u.support_box, hs, u.support, QuadConfig())
 
     @pytest.mark.parametrize("preset", ["t-axis", "x1-axis", "oblique", "offset"])
     def test_no_sharpness_trial_takes_it(self, preset):
@@ -877,7 +979,7 @@ class TestBallRule:
             "offset": halfspace_preset(3, "t-axis", 0.3),
         }.get(preset) or halfspace_preset(3, preset, 0.0)
         u = sharpness_trial(SharpnessSpec(p=3.0, eps=0.1, cutoff=boundary_bump_spec(hs, 1.0)), hs)
-        assert not _takes_ball(u.support_box, hs, u.support)
+        assert not _takes_ball(u.support_box, hs, u.support, QuadConfig())
 
 
 class TestHardyRow15:

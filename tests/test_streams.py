@@ -58,9 +58,6 @@ def test_no_two_purposes_share_a_key(monkeypatch, keys, seed):
     by_purpose["identities"] = set(identity)
 
     shared = {(a, b): by_purpose[a] & by_purpose[b] for a, b in combinations(by_purpose, 2)}
-    # the one key left shared: Monte Carlo chunk 2 draws on the placement
-    # key, both kept so that trial sets and Monte Carlo samples stay put
-    assert shared.pop(("placement", "monte-carlo")) == {streams.philox_key(seed, 2)}
     assert shared == {pair: set() for pair in shared}
 
 
@@ -69,6 +66,7 @@ def test_domains_keep_the_keys_of_domain_zero():
     assert streams.philox_key(-1, 5) == (2**64 - 1, 5)
     assert streams.philox_key(7, 2, streams.FUZZER) == (7, 2**32 + 2)
     assert streams.philox_key(7, 2**32 - 1, streams.IDENTITIES) == (7, 3 * 2**32 - 1)
+    assert streams.philox_key(7, 2, streams.MONTE_CARLO) == (7, 3 * 2**32 + 2)
 
 
 @pytest.mark.parametrize("index", [-1, 2**32])
