@@ -82,9 +82,13 @@ class HalfSpace:
         return self.nu.shape[0]
 
     def distance(self, points) -> np.ndarray:
-        """Affine boundary distance <x, nu> - d; positive inside."""
+        """Affine boundary distance <x, nu> - d; positive inside.  The same bits
+        in any layout: one column on an axis normal, else over row-major points."""
         points = np.asarray(points, dtype=float)
-        return points @ self.nu - self.d
+        (axes,) = np.nonzero(self.nu)
+        if axes.size == 1:
+            return points[..., axes[0]] * self.nu[axes[0]] - self.d
+        return np.ascontiguousarray(points) @ self.nu - self.d
 
     def contains(self, points) -> np.ndarray:
         return self.distance(points) > 0.0
@@ -285,7 +289,7 @@ def horizontal_from_euclidean(spec: GroupSpec, points, grads) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     grads = np.asarray(grads, dtype=float)
     nh = spec.horizontal_dim
-    out = grads[:, :nh].copy()
+    out = grads[:, :nh].copy(order="K")
     for k in range(nh):
         for slot, poly in spec.coeffs[k]:
             out[:, k] += poly.eval_many(points) * grads[:, slot]
@@ -302,20 +306,32 @@ def horizontal_gradient_many(
 
 def angle_function_many(spec: GroupSpec, hs: HalfSpace, points) -> np.ndarray:
     """The angle function W, the horizontal norm of the distance gradient."""
-    pair = field_pairings(spec, hs, points)
-    return np.sqrt(np.sum(pair * pair, axis=1))
+    pairs = (poly.eval_many(points) for poly in pairing_polynomials(spec, hs))
+    return np.sqrt(_sum_squares(pairs, len(points)))
+
+
+def _sum_squares(columns, m: int) -> np.ndarray:
+    """The sum of the squares of (m,) columns, added in order: below 8 columns the bits
+    of ``np.sum(a * a, axis=1)``, which adds 8 or more row-major ones pairwise."""
+    total = np.zeros(m)
+    for col in columns:
+        total += col * col
+    return total
 
 
 @dataclass(frozen=True)
 class TrialSample:
     """The half-space geometry at a batch of points, and a trial function u there.
 
-    Rows follow ``points`` (M, n).  ``dist`` is the boundary distance the
-    sample is given (at quadrature nodes, the rule's own).  ``u`` and its
-    Euclidean gradient ``grad`` (M, n) are None without a trial.
-    ``hgrad``, the horizontal gradient (M, N), and ``w``, the angle
-    function, are computed on first read; a sample made by
-    :meth:`with_trial` reads W from its ``source``.  ``len(sample)`` is M.
+    Rows follow ``points`` (M, n), in any layout (quadrature nodes are
+    column-major) with the same values.  ``dist`` is the boundary distance
+    the sample is given (at quadrature nodes, the rule's own).  ``u`` and
+    its Euclidean gradient ``grad`` (M, n) are None without a trial.
+    ``hgrad``, the horizontal gradient (M, N), ``w``, the angle function
+    (read from ``source`` on a sample made by :meth:`with_trial`), and the
+    bases the Hardy integrands of every p share, ``hgrad_sq`` = |grad_H u|^2
+    and ``weighted_u`` = W |u| / dist, are computed on first read.
+    ``len(sample)`` is M.
     """
 
     spec: GroupSpec | None
@@ -335,6 +351,14 @@ class TrialSample:
         if self.source is not None:
             return self.source.w
         return angle_function_many(self.spec, self.hs, self.points)
+
+    @cached_property
+    def hgrad_sq(self) -> np.ndarray:
+        return _sum_squares(self.hgrad.T, len(self))
+
+    @cached_property
+    def weighted_u(self) -> np.ndarray:
+        return self.w * np.abs(self.u) / self.dist
 
     def with_trial(self, u: np.ndarray, grad: np.ndarray) -> TrialSample:
         """The sample of another trial at the same points, from its values

@@ -260,14 +260,11 @@ def _one(check: Check, spec, hs, u, p, cfg, config_digest, **params) -> Report:
 
 
 def _hardy_integrands(spec, hs, p: float):
-    """The Hardy numerator |grad_H u|^p and weight (W |u| / dist)^p."""
+    """The Hardy numerator |grad_H u|^p and weight (W |u| / dist)^p, from bases every p shares."""
     # (w |u| / d)^p rather than (w/d)^p * |u|^p: the factored form can
     # overflow its first factor at boundary-graded nodes even though the
     # product is tiny there
-    return [
-        lambda s: np.sum(s.hgrad * s.hgrad, axis=1) ** (p / 2.0),
-        lambda s: (s.w * np.abs(s.u) / s.dist) ** p,
-    ]
+    return [lambda s: s.hgrad_sq ** (p / 2.0), lambda s: s.weighted_u**p]
 
 
 def _quotient_stderr(num: IntegralEstimate, den: IntegralEstimate) -> float:

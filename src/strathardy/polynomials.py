@@ -186,10 +186,10 @@ class Polynomial:
             raise ValueError(f"expected (M, {self._nvars}) array, got {points.shape}")
         out = np.zeros(points.shape[0])
         for exps, coeff in self._terms.items():
-            term = np.full(points.shape[0], coeff)
+            term = coeff
             for i, e in enumerate(exps):
                 if e:
-                    term = term * points[:, i] ** e
+                    term = term * (points[:, i] if e == 1 else points[:, i] ** e)
             out += term
         return out
 

@@ -72,6 +72,10 @@ dimensions on), evaluated the same way.  A Monte
 Carlo rule has no companion and reports the spread of its sums over its
 lines (its samples on ``monte-carlo``), 0.0 on a line that holds no node.
 
+Every rule stores its nodes column-major.  The ball rule caches up to 16
+unit-ball templates of at most 4 MiB each (``_BALL_CACHE_BYTES``, nodes
+and weights): at 16 points per axis those up to 10 dimensions.
+
 ``evaluations`` in the returned estimate counts the nodes considered,
 that is the nodes of the full rule, built or not (the ball rule's own
 nodes on the ball rule).  A non-finite integrand value raises
@@ -200,7 +204,7 @@ def _philox_uniform(seed: int, count: int, dim: int) -> np.ndarray:
 
 
 class _Rule(NamedTuple):
-    """The nodes a rule evaluates, with their boundary distances and weights.
+    """The nodes a rule evaluates, column-major, with their boundary distances and weights.
 
     Every node has dist > 0; the full rule has ``size`` nodes, built or
     not, which is what ``evaluations`` counts.
@@ -267,7 +271,7 @@ def _build_tensor_gauss(box, hs, cfg, support, companion=False) -> _Rule:
     if not companion:
         coarse = _build_tensor_gauss(box, hs, _coarse_config(cfg), support, companion=True)
     keep, dist = _kept(pts, hs, support)
-    return _Rule(pts[keep], dist, w[keep], pts.shape[0], coarse=coarse)
+    return _Rule(np.asfortranarray(pts[keep]), dist, w[keep], pts.shape[0], coarse=coarse)
 
 
 def _build_monte_carlo(box, hs, cfg, support) -> _Rule:
@@ -278,7 +282,8 @@ def _build_monte_carlo(box, hs, cfg, support) -> _Rule:
     vol = float(np.prod(box[:, 1] - box[:, 0]))
     keep, dist = _kept(pts, hs, support)
     w = np.full(keep.size, vol / cfg.sample_count)
-    return _Rule(pts[keep], dist, w, cfg.sample_count, np.arange(keep.size), cfg.sample_count)
+    pts = np.asfortranarray(pts[keep])
+    return _Rule(pts, dist, w, cfg.sample_count, np.arange(keep.size), cfg.sample_count)
 
 
 def _graded_s_axis(lo, hi, m, ppa, panels, panel_order):
@@ -382,7 +387,7 @@ def _build_boundary_graded(box, hs, cfg, support, companion=False) -> _Rule:
     # support, and on them only the nodes in the support's chord; the
     # others would carry zero weight or lie outside the support
     if support is not None:
-        line_pts = np.zeros((t_count, n))
+        line_pts = np.zeros((t_count, n), order="F")
         line_pts[:, trans_axes] = trans_pts
         chord_lo, chord_hi = support.chord(line_pts, jstar)
         keep &= chord_lo <= chord_hi
@@ -400,7 +405,7 @@ def _build_boundary_graded(box, hs, cfg, support, companion=False) -> _Rule:
     live = np.flatnonzero(dist > 0.0)  # s**m underflows at the smallest s
     rows, s, ws, dist = rows[live], s[live], ws[live], dist[live]
     jac = (m * s ** (m - 1.0)) / abs(nuj)
-    pts = np.empty((rows.size, n))
+    pts = np.empty((rows.size, n), order="F")
     pts[:, trans_axes] = trans_pts[rows]
     pts[:, jstar] = (dist - c[rows]) / nuj
     # a Monte Carlo rule's lines, numbered among those built
@@ -530,22 +535,23 @@ def _takes_ball(box, hs, support, cfg: QuadConfig) -> bool:
 
 
 def _unit_ball(dim: int, radial: int, sphere: int) -> tuple[np.ndarray, np.ndarray]:
-    """The spherical-radial rule on the unit ball: nodes rho w, (K, dim), rho
-    by Gauss-Legendre on (0, 1) with weight rho^(dim-1), w by
-    :func:`_sphere_rule` up to 5 dimensions and :func:`_symmetric_sphere_rule`
-    above; and their weights (K,).  Read-only, as a cached rule is shared."""
+    """The spherical-radial rule on the unit ball: nodes rho w, (K, dim)
+    column-major, rho by Gauss-Legendre on (0, 1) with weight rho^(dim-1), w
+    by :func:`_sphere_rule` up to 5 dimensions and
+    :func:`_symmetric_sphere_rule` above; and their weights (K,).
+    Read-only, as a cached rule is shared."""
     dirs, w_dir = _sphere_rule(dim, sphere) if dim <= 5 else _symmetric_sphere_rule(dim, sphere)
     x, w = _gauss(radial)
     rho = 0.5 * (1.0 + x)
     w_rho = 0.5 * w * rho ** (dim - 1)
-    nodes = (rho[:, None, None] * dirs[None, :, :]).reshape(-1, dim)
+    nodes = np.asfortranarray((rho[:, None, None] * dirs[None, :, :]).reshape(-1, dim))
     weights = (w_rho[:, None] * w_dir[None, :]).reshape(-1)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
 
-# up to 5 dimensions; above, a rule grows as 2^dim and costs no more to
-# build than to move onto the ball, so it is not kept
+# the cache holds at most 16 x 4 MiB (see the module docstring)
+_BALL_CACHE_BYTES = 1 << 22
 _cached_unit_ball = lru_cache(maxsize=16)(_unit_ball)
 
 
@@ -558,7 +564,8 @@ def _build_ball(hs, cfg, support, companion=False) -> _Rule:
     count = _ball_size(n, radial, sphere)
     _check_budget(count, f"the ball rule with {cfg.points_per_axis} points per axis in {n} dimensions")
     coarse = None if companion else _build_ball(hs, _coarse_config(cfg), support, companion=True)
-    nodes, weights = (_cached_unit_ball if n <= 5 else _unit_ball)(n, radial, sphere)
+    cached = count * (n + 1) * 8 <= _BALL_CACHE_BYTES
+    nodes, weights = (_cached_unit_ball if cached else _unit_ball)(n, radial, sphere)
     pts = nodes * support.radius
     pts += support.center
     dist = hs.distance(pts)
@@ -566,7 +573,7 @@ def _build_ball(hs, cfg, support, companion=False) -> _Rule:
     # only rounding in <x, nu> - d, far from the origin, could reach 0
     if not np.all(dist > 0.0):
         keep = np.flatnonzero(dist > 0.0)
-        pts, dist, weights = pts[keep], dist[keep], weights[keep]
+        pts, dist, weights = np.asfortranarray(pts[keep]), dist[keep], weights[keep]
     return _Rule(pts, dist, weights, count, coarse=coarse)
 
 
@@ -602,18 +609,26 @@ def _sums(fs, rule: _Rule, sample) -> np.ndarray:
             arg = sample(points, rule.dist[part])
             for i, f in enumerate(fs):
                 v = np.asarray(f(arg), dtype=float)
-                bad = ~np.isfinite(v)
-                if np.any(bad):
-                    where = points[np.flatnonzero(bad)[0]]
-                    raise IntegrationError(
-                        f"integrand returned a non-finite value at point {where.tolist()}",
-                        point=where,
-                    )
                 if line is None:
-                    sums[i] += np.sum(weights * v)
+                    # a non-finite value makes the sum non-finite; finite
+                    # values that overflow it are no error
+                    total = np.sum(weights * v)
+                    if not np.isfinite(total):
+                        _check_finite(v, points)
+                    sums[i] += total
                 else:
+                    _check_finite(v, points)
                     sums[i] += np.bincount(line[part], weights=weights * v, minlength=sums.shape[1])
     return sums
+
+
+def _check_finite(v, points) -> None:
+    """Raise IntegrationError naming the first of ``points`` where v is not finite."""
+    bad = ~np.isfinite(v)
+    if np.any(bad):
+        where = points[np.flatnonzero(bad)[0]]
+        message = f"integrand returned a non-finite value at point {where.tolist()}"
+        raise IntegrationError(message, point=where)
 
 
 def integrate_many(

@@ -146,11 +146,13 @@ def make_bump(spec: BumpSpec) -> ScalarField:
         gap = np.where(inside, 1.0 - s, np.inf)
         f = np.where(inside, np.exp(-1.0 / gap), 0.0)
         if squares:
-            dS = 2.0 * z / r
+            dS = np.multiply(z, 2.0, out=z)  # z is this call's own
         else:
             # |z_i| < 1 inside, and outside the bound keeps |z_i|^(q_i - 1) finite
-            dS = powers * np.minimum(np.abs(z), 1.0) ** (powers - 1.0) * np.sign(z) / r
-        return f, (-f / (gap * gap))[:, None] * dS
+            dS = powers * np.minimum(np.abs(z), 1.0) ** (powers - 1.0) * np.sign(z)
+        dS /= r
+        dS *= (-f / (gap * gap))[:, None]
+        return f, dS
 
     box = np.stack([center - r, center + r], axis=1)
     return ScalarField(

@@ -27,6 +27,8 @@ from strathardy import (
     sample_trial,
     sub_laplacian_distance_polynomial,
 )
+from strathardy.experiments import _LUAN_YOUNG, GENERAL_HARDY, HARDY, REMAINDER, SOBOLEV
+from strathardy.quadrature import QuadConfig, _build_nodes
 from strathardy.trials import (
     BumpSupport,
     SharpnessSpec,
@@ -400,3 +402,58 @@ class TestApplyField:
     def test_index_out_of_range(self, h1):
         with pytest.raises(ValueError):
             apply_field_to_polynomial(h1, 5, Polynomial.variable(3, 0))
+
+
+def _layout_trial(name, hs, center):
+    bump = BumpSpec(center=tuple(center), radius=0.6)
+    if name == "bump":
+        return make_bump(bump)
+    if name == "sharpness":
+        return sharpness_trial(SharpnessSpec(p=3.0, eps=0.1, cutoff=bump), hs)
+    return ground_transform(make_bump(bump), hs, 3.0)
+
+
+class TestNodeLayout:
+    """Quadrature stores its nodes by coordinate (column-major); a sample
+    must not depend on that."""
+
+    _BASES = ("dist", "u", "grad", "hgrad", "w", "hgrad_sq", "weighted_u")
+    _CHECKS = (HARDY, GENERAL_HARDY, REMAINDER, SOBOLEV, _LUAN_YOUNG)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("normal", ["t-axis", "oblique"])
+    @pytest.mark.parametrize("trial", ["bump", "sharpness", "ground"])
+    def test_row_and_column_major_nodes_give_the_same_sample(self, k, normal, trial, rng):
+        spec = heisenberg_group(k)
+        n = spec.total_dim
+        hs = halfspace_preset(spec, "t-axis", 0.1) if normal == "t-axis" else HalfSpace(random_unit(rng, n), 0.1)
+        center = hs.nu * (hs.d + 0.3)
+        pts = center + rng.uniform(-0.6, 0.6, size=(400, n))
+        pts = pts[hs.distance(pts) > 0.0]
+        u = _layout_trial(trial, hs, center)
+        by_row = sample_trial(spec, hs, u, np.ascontiguousarray(pts))
+        by_column = sample_trial(spec, hs, u, np.asfortranarray(pts))
+        assert by_column.points.flags.f_contiguous and not by_row.points.flags.f_contiguous
+        assert np.any(by_row.u != 0.0)
+        for name in self._BASES:
+            assert np.array_equal(getattr(by_row, name), getattr(by_column, name)), name
+        for check in self._CHECKS:
+            for p in (2.0, 3.0):
+                for f in check.integrands(spec, hs, p):
+                    assert np.array_equal(f(by_row), f(by_column), equal_nan=True)
+
+    @pytest.mark.parametrize("method", ["boundary-graded", "tensor-gauss", "monte-carlo"])
+    @pytest.mark.parametrize("normal", ["t-axis", "oblique"])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_every_rule_stores_its_nodes_by_coordinate(self, method, normal, k, rng):
+        n = 2 * k + 1
+        hs = halfspace_preset(n, "t-axis", 0.0) if normal == "t-axis" else HalfSpace(random_unit(rng, n), 0.0)
+        cfg = QuadConfig(method=method, points_per_axis=16 if method == "boundary-graded" else 6, sample_count=5000)
+        # a bump across the boundary (the graded rule) and one inside (the ball rule)
+        for clearance in (0.0, 0.5):
+            u = make_bump(BumpSpec(center=tuple(hs.nu * clearance), radius=0.4))
+            rule = _build_nodes(u.support_box, hs, cfg, u.support)
+            # one row would be both row- and column-major
+            assert len(rule.points) > 1
+            for r in (rule, rule.coarse):
+                assert r is None or r.points.flags.f_contiguous

@@ -165,6 +165,35 @@ class TestEachP:
         assert each_p(HARDY, h1, t_axis, no_box, [], fast_cfg) == []
 
 
+class TestSharedBases:
+    # an interior bump takes the ball rule, a boundary one the graded rule;
+    # each rule and its coarse companion make one sample apiece
+    @pytest.mark.parametrize("interior", [True, False])
+    def test_each_sample_computes_grad_h_u_and_w_once(self, h1, t_axis, interior, monkeypatch):
+        from strathardy import calculus, quadrature
+
+        calls = {"sample": 0, "hgrad": 0, "w": 0, "squares": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(quadrature, "sample_trial", counting("sample", quadrature.sample_trial))
+        monkeypatch.setattr(
+            calculus, "horizontal_from_euclidean", counting("hgrad", calculus.horizontal_from_euclidean)
+        )
+        monkeypatch.setattr(calculus, "angle_function_many", counting("w", calculus.angle_function_many))
+        # W's squared pairings and |grad_H u|^2, each shared by both p
+        monkeypatch.setattr(calculus, "_sum_squares", counting("squares", calculus._sum_squares))
+        spec = BumpSpec(center=(0.2, -0.1, 0.8), radius=0.45) if interior else boundary_bump_spec(t_axis, 0.5)
+        outcomes = each_p(HARDY, h1, t_axis, make_bump(spec), (2.0, 3.0), QuadConfig())
+        raise_first_error(outcomes)
+        assert calls == {"sample": 2, "hgrad": 2, "w": 2, "squares": 4}
+
+
 class TestGeneralHardy:
     def test_reduces_to_sharp_at_beta_star(self, h1, t_axis, interior_bump, fast_cfg):
         rep = general_hardy_margin(h1, t_axis, interior_bump, 2.0, beta_star(2.0), fast_cfg)

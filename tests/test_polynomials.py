@@ -109,6 +109,50 @@ class TestEvaluation:
         assert p.eval_many(np.array([[2.0, 5.0]]))[0] == 59.0
 
 
+def _term_by_term(poly, pts):
+    """Each term as a filled array of its coefficient times x_i ** e, term by term."""
+    out = np.zeros(pts.shape[0])
+    for exps, coeff in poly.terms.items():
+        term = np.full(pts.shape[0], coeff)
+        for i, e in enumerate(exps):
+            if e:
+                term = term * pts[:, i] ** e
+        out += term
+    return out
+
+
+_coeffs = st.floats(-1e3, 1e3, allow_nan=False).filter(lambda c: c != 0.0)
+
+
+@st.composite
+def _covering_polys(draw):
+    """Polynomials in 3 variables that hold a constant term, a linear one,
+    one with exponents of 2 and more, and a negative coefficient."""
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 4)] * 3), _coeffs, max_size=5))
+    terms.update(
+        {
+            (0, 0, 0): draw(_coeffs),
+            (0, 1, 0): draw(_coeffs),
+            (2, 0, 3): -abs(draw(_coeffs)),
+        }
+    )
+    return Polynomial(3, terms)
+
+
+class TestEvalManyArithmetic:
+    @given(
+        _covering_polys(),
+        st.lists(st.tuples(*[st.floats(-1e3, 1e3)] * 3), min_size=1, max_size=6),
+        st.booleans(),
+    )
+    def test_equals_the_term_by_term_formula_bit_for_bit(self, poly, rows, column_major):
+        pts = np.array(rows, dtype=float, order="F" if column_major else "C")
+        want = _term_by_term(poly, np.ascontiguousarray(pts))
+        got = poly.eval_many(pts)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 class TestText:
     @given(int_polys(3))
     def test_round_trip_integer(self, a):

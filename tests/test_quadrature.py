@@ -3,6 +3,7 @@ import itertools
 import math
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -34,9 +35,11 @@ from strathardy import quadrature
 from strathardy.quadrature import (
     _build_boundary_graded,
     _build_nodes,
+    _cached_unit_ball,
     _gauss_jacobi,
     _philox_uniform,
     _s_window,
+    _sums,
     _sphere_rule,
     _symmetric_sphere_rule,
     _takes_ball,
@@ -283,6 +286,51 @@ class TestFailureModes:
         hs = far_halfspace()
         with pytest.raises((ValueError, IntegrationError)):
             integrate_many([lambda s: np.ones((len(s), 2))], UNIT_BOX, hs, QuadConfig())
+
+
+class TestFiniteSums:
+    """``_sums`` scans an integrand's values only when their weighted sum
+    is not finite; the error is the one a scan of every value would raise."""
+
+    _HS = halfspace_preset(3, "t-axis", 0.0)
+    _BOX = np.array([[-2.0, 2.0], [-2.0, 2.0], [-1.0, 3.0]])
+
+    def _rules(self, cfg):
+        rule = _build_nodes(self._BOX, self._HS, cfg, None)
+        return [rule] if rule.coarse is None else [rule, rule.coarse]
+
+    def _sums(self, f, rule):
+        return _sums([lambda s: np.ones(len(s)), f], rule, partial(sample_trial, None, self._HS, None))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("method", ["boundary-graded", "tensor-gauss", "monte-carlo"])
+    def test_a_non_finite_value_names_its_node(self, bad, method):
+        for rule in self._rules(QuadConfig(method=method, points_per_axis=6, sample_count=2000)):
+            target = rule.points[len(rule.points) // 3]
+
+            def f(s):
+                out = np.ones(len(s))
+                out[np.all(s.points == target, axis=1)] = bad
+                return out
+
+            with pytest.raises(IntegrationError, match="non-finite") as err:
+                self._sums(f, rule)
+            assert np.array_equal(err.value.point, target)
+
+    @pytest.mark.parametrize("method", ["boundary-graded", "tensor-gauss"])
+    def test_finite_values_whose_sum_overflows_do_not_raise(self, method):
+        # the rules cover about 48 units of volume: 1e308 at each node sums to inf
+        for rule in self._rules(QuadConfig(method=method, points_per_axis=6)):
+            sums = self._sums(lambda s: np.full(len(s), 1e308), rule)
+            assert 40.0 < sums[0] < 50.0 and sums[1] == np.inf
+
+    def test_a_monte_carlo_rule_checks_each_value(self, monkeypatch):
+        (rule,) = self._rules(QuadConfig(method="monte-carlo", sample_count=2000))
+        checked = []
+        check = quadrature._check_finite
+        monkeypatch.setattr(quadrature, "_check_finite", lambda v, pts: checked.append(v.size) or check(v, pts))
+        self._sums(lambda s: np.ones(len(s)), rule)
+        assert checked == [len(rule.points)] * 2
 
 
 class TestNodeBudget:
@@ -887,11 +935,37 @@ class TestBallRule:
             return [reports[0] for reports in each_p(HARDY, group, hs, u, (2.0, 3.0), quad)]
 
         rows = [quotients(u) for u in trials]
+        # the 7-dimension templates are cached: cleared before the patch, so
+        # that the patched rule is read, and after, so that no later test
+        # reads a template it built
+        quadrature._cached_unit_ball.cache_clear()
         monkeypatch.setattr(quadrature, "_symmetric_sphere_rule", lambda dim, degree: _sphere_rule(dim, 4))
-        for u, reports in zip(trials, rows):
-            for rep, reference in zip(reports, quotients(u), strict=True):
-                assert reference.quotient != rep.quotient
-                assert abs(rep.quotient - reference.quotient) <= rep.stderr
+        try:
+            for u, reports in zip(trials, rows):
+                for rep, reference in zip(reports, quotients(u), strict=True):
+                    assert reference.quotient != rep.quotient
+                    assert abs(rep.quotient - reference.quotient) <= rep.stderr
+        finally:
+            quadrature._cached_unit_ball.cache_clear()
+
+    @pytest.mark.parametrize("k", [2, 3, 6])
+    def test_templates_are_cached_up_to_the_cap(self, k):
+        # heisenberg:2's 62,208 x 5 and heisenberg:3's 3,408 x 7 are kept,
+        # heisenberg:6's 197,232 x 13 (21 MB) is not
+        spec, hs, u = _interior_ball(k)
+        _cached_unit_ball.cache_clear()
+        try:
+            first = _build_nodes(u.support_box, hs, QuadConfig(), u.support)
+            again = _build_nodes(u.support_box, hs, QuadConfig(), u.support)
+            assert _takes_ball(u.support_box, hs, u.support, QuadConfig())
+            assert np.array_equal(first.points, again.points)
+            info = _cached_unit_ball.cache_info()
+            if k == 6:
+                assert first.size == 197_232 and info.currsize == 1  # the companion's only
+            else:
+                assert info.currsize == 2 and info.hits == 2
+        finally:
+            _cached_unit_ball.cache_clear()
 
     def test_resolution_grows_with_points_per_axis(self):
         _, hs, u = _interior_ball(2)

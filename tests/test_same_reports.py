@@ -23,6 +23,8 @@ def test_matrix_covers_every_subcommand_and_workload():
     assert {"h2-hardy:hardy", "h3-hardy-mc:hardy"} <= set(labels)
     # a ball that touches the boundary keeps the graded rule; abelian:5 takes the ball rule
     assert {"hardy:touching", "sobolev:abelian5"} <= set(labels)
+    # oblique distances on the cached 5- and 7-dimension ball templates
+    assert {"hardy:heisenberg2-oblique", "hardy:heisenberg3-oblique"} <= set(labels)
 
 
 def test_the_tree_matches_itself():

@@ -6,7 +6,7 @@ Runs a fixed matrix of CLI commands on this checkout and on the tree at
 ``--against`` (any directory with the package under ``src/``, such as a
 ``git worktree`` of the parent commit): the eight subcommands at their
 default configs, the configs of the benchmark's three workloads, oblique
-and offset normals, an oblique normal on heisenberg:4, ``hardy`` on bumps
+and offset normals, oblique normals on heisenberg:2 to :4, ``hardy`` on bumps
 that touch the boundary (clearance 0), ``sobolev`` on abelian:5, and
 ``sharpness`` on heisenberg:2, on an oblique normal and on an offset
 t-axis.  Each runs at seeds 1 and 42, in
@@ -56,6 +56,8 @@ SUBCOMMANDS = (
     "luan-young",
 )
 _OBLIQUE_H1 = {"nu": [0.36, -0.48, 0.8], "d": 0.0}
+_OBLIQUE_H2 = {"nu": [0.3, -0.2, 0.4, 0.1, 0.8], "d": 0.1}
+_OBLIQUE_H3 = {"nu": [0.2, -0.3, 0.1, 0.25, -0.15, 0.3, 0.8], "d": -0.1}
 _OBLIQUE_H4 = {"nu": [0.1, -0.2, 0.3, 0.15, -0.25, 0.2, -0.1, 0.35, 0.75], "d": 0.2}
 
 # report fields that --rtol still compares exactly
@@ -92,6 +94,17 @@ def matrix() -> list[Case]:
         Case("hardy:offset", "hardy", {"halfspace": {"preset": "t-axis", "d": 0.3}}),
         Case("general-hardy:oblique-offset", "general-hardy", {"halfspace": {**_OBLIQUE_H1, "d": -0.25}}),
         Case("remainder:oblique", "remainder", {"halfspace": _OBLIQUE_H1, "p": [2.0, 3.0]}),
+        # interior bumps on the cached 5- and 7-dimension ball templates
+        Case(
+            "hardy:heisenberg2-oblique",
+            "hardy",
+            {"group": "heisenberg:2", "halfspace": _OBLIQUE_H2, "trials": {"count": 4}},
+        ),
+        Case(
+            "hardy:heisenberg3-oblique",
+            "hardy",
+            {"group": "heisenberg:3", "halfspace": _OBLIQUE_H3, "trials": {"count": 4}},
+        ),
         Case(
             "hardy:heisenberg4-oblique",
             "hardy",
