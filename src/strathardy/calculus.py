@@ -426,7 +426,14 @@ def distance_flux_parts(spec: GroupSpec, hs: HalfSpace) -> tuple[Polynomial, Pol
     both exact polynomials.  If both are zero, dist is p-harmonic for every
     p wherever W > 0.
     """
-    polys = pairing_polynomials(spec, hs)
+    _check_dims(spec, hs)
+    return _distance_flux_parts(spec, tuple(hs.nu.tolist()))
+
+
+# depends only on (group, normal), and every trial and p of a command reads it
+@lru_cache(maxsize=16)
+def _distance_flux_parts(spec: GroupSpec, nu: tuple[float, ...]) -> tuple[Polynomial, Polynomial]:
+    polys = _pairing_polynomials(spec, nu)
     n = spec.total_dim
     s1 = Polynomial.zero(n)
     s2 = Polynomial.zero(n)

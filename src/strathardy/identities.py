@@ -112,11 +112,10 @@ def run_identity_suite(
         checks.append(IdentityCheck("harmonic-dist", spec.name, res, 0.0, res == 0.0))
 
         dist_fields = [distance_field(hs) for hs in halfspaces]
+        goods = [pts[angle_function_many(spec, hs, pts) >= W_FLOOR] for hs in halfspaces]
         for p in (2.0, 3.0):
             res = 0.0
-            for hs, f in zip(halfspaces, dist_fields):
-                w = angle_function_many(spec, hs, pts)
-                good = pts[w >= W_FLOOR]
+            for f, good in zip(dist_fields, goods):
                 vals = p_sub_laplacian_fd_many(spec, f, good, p)
                 res = max(res, float(np.max(np.abs(vals))))
             name = f"p-harmonic-fd(p={p:g})"

@@ -1,15 +1,22 @@
 import contextlib
+import ctypes
+import functools
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from strathardy import CSV_COLUMNS, Report, experiments, render_json
-from strathardy.cli import COMMANDS, main
+import strathardy
+from strathardy import CSV_COLUMNS, Report, calculus, experiments, render_json
+from strathardy.cli import COMMANDS, fix_malloc_thresholds, main
 from strathardy.config import SIZE_BOUNDS, build_trials, load_config, resolve
 from strathardy.quadrature import NodeBudgetError
 
@@ -579,6 +586,20 @@ class TestOneIntegrationPerTrial:
             ]
         assert rows == json.loads(render_json(expected, cfg))["rows"]
 
+    def test_general_hardy_builds_the_flux_parts_once(self, tmp_path, capsys, monkeypatch):
+        builds = []
+        build = calculus._distance_flux_parts.__wrapped__
+
+        def counted(spec, nu):
+            builds.append(nu)
+            return build(spec, nu)
+
+        monkeypatch.setattr(calculus, "_distance_flux_parts", functools.lru_cache(maxsize=16)(counted))
+        path = write_config(tmp_path, p=[2.0, 3.0], trials={"count": 20})
+        code, out, _ = run(["general-hardy", "--config", path], capsys)
+        assert code == 0 and len(out.splitlines()) == 1 + 2 * 20
+        assert builds == [(0.0, 0.0, 1.0)]
+
     @pytest.mark.parametrize(
         "outcomes, error, integrated",
         [
@@ -606,3 +627,89 @@ class TestOneIntegrationPerTrial:
         assert code == 3 and out == ""
         assert err == f"configuration error: {error}\n"
         assert len(seen) == integrated
+
+
+# one heisenberg:2 trial integrated twice; prints the minor faults of the second
+_REPEATED_INTEGRATION = """
+import resource
+from strathardy import experiments
+from strathardy.cli import fix_malloc_thresholds
+from strathardy.config import build_trials, load_config, resolve
+from strathardy.quadrature import integrate_many
+
+if not fix_malloc_thresholds():
+    raise SystemExit(print("no mallopt"))
+cfg = load_config(None)
+cfg["group"], cfg["trials"]["count"] = "heisenberg:2", 1
+group, hs, quad, cfg = resolve(cfg, seed=42)
+(u,) = build_trials(group, hs, cfg)
+fs = [f for p in (2.0, 3.0) for f in experiments._hardy_integrands(group, hs, p)]
+first = integrate_many(fs, u.support_box, hs, quad, trial=(group, u))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+second = integrate_many(fs, u.support_box, hs, quad, trial=(group, u))
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+assert second == first and first[0].evaluations == 62_208
+print(faults)
+"""
+
+
+class _FakeLibc:
+    """A C library whose mallopt records its calls, or has none, or fails to load."""
+
+    def __init__(self, mallopt=True):
+        self.calls = []
+        if mallopt:
+            self.mallopt = lambda param, value: self.calls.append((param, value)) or 1
+
+    def load(self, name):
+        assert name is None
+        return self
+
+
+class TestMallocThresholds:
+    @pytest.fixture(autouse=True)
+    def fresh_helper(self):
+        fix_malloc_thresholds.cache_clear()
+        yield
+        fix_malloc_thresholds.cache_clear()
+        fix_malloc_thresholds()
+
+    def test_repeated_integration_keeps_its_pages(self):
+        """On glibc, a second integration of one heisenberg:2 trial faults in
+        almost no pages: its temporaries come from heap that stayed mapped.
+
+        Measured in a fresh interpreter: one whose glibc already raised its
+        dynamic thresholds past these arrays keeps them mapped anyway.
+        """
+        src = str(Path(strathardy.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", _REPEATED_INTEGRATION],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120, check=True,
+        )
+        if done.stdout == "no mallopt\n":
+            pytest.skip("the C library has no mallopt")
+        # about 2,000 with glibc's dynamic thresholds
+        assert int(done.stdout) <= 50
+
+    @pytest.mark.parametrize(
+        "libc",
+        [
+            pytest.param(_FakeLibc(mallopt=False).load, id="no-mallopt"),
+            pytest.param(mock.Mock(side_effect=OSError("no C library")), id="no-libc"),
+        ],
+    )
+    def test_cli_runs_without_mallopt(self, tmp_path, capsys, monkeypatch, libc):
+        path = write_config(tmp_path, p=[2.0, 3.0])
+        expected = run(["hardy", "--config", path], capsys)
+        fix_malloc_thresholds.cache_clear()
+        monkeypatch.setattr(ctypes, "CDLL", libc)
+        assert run(["hardy", "--config", path], capsys) == expected
+        assert expected[0] == 0
+        assert fix_malloc_thresholds() is False
+
+    def test_thresholds_are_set_once(self, monkeypatch):
+        libc = _FakeLibc()
+        monkeypatch.setattr(ctypes, "CDLL", libc.load)
+        assert fix_malloc_thresholds() and fix_malloc_thresholds()
+        # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+        assert libc.calls == [(-3, 4 << 20), (-1, 16 << 20)]

@@ -1,4 +1,7 @@
+import copy
+import functools
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -108,3 +111,44 @@ def test_rtol_lets_only_numbers_differ(tmp_path, monkeypatch, capsys, theirs, pa
 )
 def test_report_gap(ours, theirs, gap):
     assert same_reports.report_gap(ours, theirs, "json") == pytest.approx(gap, rel=1e-6)
+
+
+
+_ROW = {"quotient": 0.25, "stderr": 1e-6, "numerator": {"value": 0.5, "stderr": 1e-7, "evaluations": 9216}}
+# a row of large numbers and a large config entry scale only themselves
+_BIG = {"quotient": 1e6, "stderr": 1.0, "numerator": None}
+_CONFIG = {"sample_count": 1e9}
+
+
+@pytest.mark.parametrize(
+    "path, factor, passes",
+    [
+        # 1e-10 of the stderr is 2e-16 of the row's largest number
+        (("stderr",), 1 + 1e-10, True),
+        (("numerator", "stderr"), 1 + 1e-10, True),
+        (("numerator", "value"), 1 + 1e-9, False),
+        (("quotient",), 1 + 1e-9, False),
+    ],
+)
+def test_rtol_scales_each_number_by_its_json_row(path, factor, passes):
+    moved = copy.deepcopy(_ROW)
+    *parents, last = path
+    functools.reduce(dict.__getitem__, parents, moved)[last] *= factor
+    ours, theirs = ({"config": _CONFIG, "rows": [_BIG, row]} for row in (_ROW, moved))
+    assert (same_reports.report_gap(json.dumps(ours), json.dumps(theirs), "json") <= 1e-12) == passes
+
+
+@pytest.mark.parametrize(
+    "column, factor, passes",
+    [("stderr", 1 + 1e-10, True), ("numerator", 1 + 1e-9, False)],
+)
+def test_rtol_scales_each_number_by_its_csv_line(column, factor, passes):
+    columns = ("quotient_or_margin", "numerator", "stderr")
+
+    def report(**moved):
+        values = {"quotient_or_margin": 0.25, "numerator": 0.5, "stderr": 1e-6, **moved}
+        line = ",".join(repr(values[c]) for c in columns)
+        return f"inequality_id,{','.join(columns)},evaluations\nhardy,1000000.0,,1.0,9216\nhardy,{line},9216\n"
+
+    theirs = report(**{column: {"numerator": 0.5, "stderr": 1e-6}[column] * factor})
+    assert (same_reports.report_gap(report(), theirs, "csv") <= 1e-12) == passes

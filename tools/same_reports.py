@@ -19,10 +19,15 @@ A change that keeps the arithmetic must keep these reports identical.  A
 change that only reorders float additions may move numbers in their last
 bits: with ``--rtol X`` a run whose exit code and standard error are
 identical also passes when its JSON or CSV report differs only in
-numbers, each within relative X of the other tree's.  The keys, the
-labels, the column layout and the ``evaluations``, ``seed`` and
-``config_digest`` fields must still be identical.  The worst relative
-difference of the runs that pass this way is printed.
+numbers, each within X times the largest magnitude in its own report row
+(an element of the JSON ``rows``, nested ``numerator`` and
+``denominator`` included, or a CSV line; the rest of a JSON report is
+one more row).  A stderr |fine - coarse| or a margin near 0 is a
+difference of nearly equal sums, so it is measured against the sums it
+came from, not against itself.  The keys, the labels, the column layout
+and the ``evaluations``, ``seed`` and ``config_digest`` fields must still
+be identical.  The worst relative difference of the runs that pass this
+way is printed.
 """
 
 from __future__ import annotations
@@ -153,12 +158,13 @@ def _diff(name: str, ours: str, theirs: str) -> list[str]:
     return [f"    {line[:160]}" for _, line in zip(range(8), diff)]
 
 
-def _relative(a: float, b: float) -> float:
-    """|a - b| relative to the larger of |a| and |b|: 0.0 where they are equal
-    (two nan included), inf where one is not finite and the other differs."""
+def _relative(a: float, b: float, scale: float) -> float:
+    """|a - b| relative to the larger of |a|, |b| and ``scale``: 0.0 where
+    they are equal (two nan included), inf where one is not finite and the
+    other differs."""
     if a == b or (math.isnan(a) and math.isnan(b)):
         return 0.0
-    gap = abs(a - b) / max(abs(a), abs(b))
+    gap = abs(a - b) / max(abs(a), abs(b), scale)
     return gap if math.isfinite(gap) else math.inf
 
 
@@ -166,42 +172,63 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _json_gap(ours, theirs, key=None) -> float:
-    """The worst relative difference between the numbers of two parsed JSON
-    values; inf where they differ in anything else."""
+def _magnitude(value, key=None) -> float:
+    """The largest finite magnitude among the numbers of a parsed JSON
+    value that are compared relatively, outside any ``rows``."""
+    if isinstance(value, dict):
+        return max((_magnitude(v, k) for k, v in value.items() if k != "rows"), default=0.0)
+    if isinstance(value, list):
+        return max((_magnitude(v, key) for v in value), default=0.0)
+    if _is_number(value) and key not in _EXACT and math.isfinite(value):
+        return abs(float(value))
+    return 0.0
+
+
+def _json_gap(ours, theirs, key=None, scale=None) -> float:
+    """The worst difference between the numbers of two parsed JSON values,
+    relative to the largest magnitude of their row (each element of a
+    ``rows`` list is one, the rest of the document another); inf where
+    they differ in anything else."""
+    if scale is None:
+        scale = max(_magnitude(ours), _magnitude(theirs))
     if isinstance(ours, dict) and isinstance(theirs, dict):
         if ours.keys() != theirs.keys():
             return math.inf
-        return max((_json_gap(ours[k], theirs[k], k) for k in ours), default=0.0)
+        return max((_json_gap(ours[k], theirs[k], k, scale) for k in ours), default=0.0)
     if isinstance(ours, list) and isinstance(theirs, list):
         if len(ours) != len(theirs):
             return math.inf
-        return max((_json_gap(a, b, key) for a, b in zip(ours, theirs)), default=0.0)
+        row_scale = None if key == "rows" else scale
+        return max((_json_gap(a, b, key, row_scale) for a, b in zip(ours, theirs)), default=0.0)
     if _is_number(ours) and _is_number(theirs) and key not in _EXACT:
-        return _relative(float(ours), float(theirs))
+        return _relative(float(ours), float(theirs), scale)
     return 0.0 if type(ours) is type(theirs) and ours == theirs else math.inf
 
 
+def _csv_cell(column: str, text: str):
+    """A CSV field as a number where it parses as one, outside the exact columns."""
+    if column in _EXACT:
+        return text
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
 def _csv_gap(ours: str, theirs: str) -> float:
-    """The worst relative difference between the numbers of two CSV reports;
-    inf where they differ in anything else."""
+    """The worst relative difference between the numbers of two CSV reports,
+    each line a row; inf where they differ in anything else."""
     a, b = (list(csv.reader(io.StringIO(text))) for text in (ours, theirs))
     if not a or len(a) != len(b) or a[0] != b[0]:
         return math.inf
-    header, worst = a[0], 0.0
-    for row_a, row_b in zip(a[1:], b[1:]):
-        if not len(row_a) == len(row_b) == len(header):
-            return math.inf
-        for column, x, y in zip(header, row_a, row_b):
-            if x == y:
-                continue
-            if column in _EXACT:
-                return math.inf
-            try:
-                worst = max(worst, _relative(float(x), float(y)))
-            except ValueError:
-                return math.inf
-    return worst
+    header = a[0]
+    if any(len(line) != len(header) for line in a[1:] + b[1:]):
+        return math.inf
+    rows_a, rows_b = (
+        [{column: _csv_cell(column, text) for column, text in zip(header, line)} for line in lines[1:]]
+        for lines in (a, b)
+    )
+    return _json_gap({"rows": rows_a}, {"rows": rows_b})
 
 
 def report_gap(ours: str, theirs: str, fmt: str) -> float:
