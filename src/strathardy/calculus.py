@@ -122,9 +122,9 @@ class ScalarField:
     mask on the line through each point along coordinate ``axis`` has its
     ``axis`` coordinate in [lo, hi] (lo > hi where the line holds none);
     the interval may be wider than needed.  Quadrature builds no node
-    outside the chord of its line on the boundary-graded rule, nor outside
-    the mask on the other rules, and sums each integrand over the nodes it
-    builds (see :func:`~strathardy.quadrature.integrate_many`).  ``None``
+    outside the chord of its line on the boundary-graded rule (the ball
+    rule has none outside the support), and sums each integrand over the
+    nodes it builds (see :func:`~strathardy.quadrature.integrate_many`).  ``None``
     means the support is not known beyond ``support_box``.
 
     A field whose values and gradients share their arithmetic is given by

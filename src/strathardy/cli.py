@@ -8,10 +8,12 @@ preset used when the configuration names no normal.  Exit codes: 0 when
 every checked contract holds within tolerance, 2 when a contract is
 violated (one stderr line per failing row), 3 for configuration errors:
 among them a size over its bound (``config.SIZE_BOUNDS``), a quadrature
-over its node budget, a trial the quadrature rule
-never sees (its denominator integral vanishes), an integrand that
-overflows at a node (p too large, say) and a beta whose beta-form
-coefficient overflows.  All randomness is
+method other than ``boundary-graded``, a quadrature over its node
+budget, a trial the quadrature rule never sees (its denominator integral
+vanishes; the line names the trial and p), an integrand that overflows
+at a node (p too large, say; the line names the trial, the p integrated
+with it and the node) and a beta whose beta-form coefficient overflows.
+The first such error ends the run with its one line.  All randomness is
 counter-based and derived from the seed, so identical configurations
 produce byte-identical reports.
 
@@ -77,20 +79,14 @@ def _each_trial(check, group, hs, quad, cfg, digest, **params):
     (p, trial), then trials.
 
     Each trial is integrated once, for all p together, so one rule and one
-    trial sample serve every p of a trial.  An error is raised where its
-    rows would have been: a trial's p-independent errors and the errors of
-    its first p when it is integrated, the errors of a later p once every
-    trial's rows of the earlier p are made.
+    trial sample serve every p of a trial.  The first error raises.
     """
-    outcomes = []
-    for u in build_trials(group, hs, cfg):
-        outcomes.append(experiments.each_p(check, group, hs, u, cfg["p"], quad, digest, **params))
-        experiments.raise_first_error(outcomes[-1][:1])
-    rows = []
-    for column in zip(*outcomes):  # one p, every trial
-        experiments.raise_first_error(column)
-        rows += [r for same in zip(*column) for r in same]
-    return rows
+    per_trial = [
+        experiments.each_p(check, group, hs, u, cfg["p"], quad, digest, **params)
+        for u in build_trials(group, hs, cfg)
+    ]
+    # one p, every trial
+    return [r for column in zip(*per_trial) for same in zip(*column) for r in same]
 
 
 def _general_hardy(group, hs, quad, cfg, digest):

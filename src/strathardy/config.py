@@ -239,12 +239,13 @@ def resolve(config: dict, seed: int | None = None):
         raise ConfigError(f"bad halfspace block: {exc}") from exc
 
     qblock = cfg["quadrature"]
+    if qblock["method"] != "boundary-graded":
+        raise ConfigError(f"quadrature.method {qblock['method']!r}: the one method is 'boundary-graded'")
     points_per_axis = as_integer(qblock["points_per_axis"], "quadrature.points_per_axis")
     sample_count = as_integer(qblock["sample_count"], "quadrature.sample_count")
     grading_exponent = as_number(qblock["grading_exponent"], "quadrature.grading_exponent")
     try:
         quad = QuadConfig(
-            method=str(qblock["method"]),
             points_per_axis=points_per_axis,
             sample_count=sample_count,
             seed=cfg["seed"],

@@ -8,7 +8,11 @@ computes once per chunk of nodes.  A p-taking runner is a :class:`Check`
 (its integrands at one p, and its rows from their estimates) applied by
 :func:`each_p` to that one p; given several p, :func:`each_p` integrates
 the trial once for all of them, so one rule, one support mask and one
-trial sample serve every p of a trial.  The sharpness sweep
+trial sample serve every p of a trial.  The first error raises.  An
+integrand that is not finite at a node raises an IntegrationError naming
+the integrated trial and the p of that integration; a denominator
+integral too small to divide by raises a TrivialTrialError naming the
+trial and its p.  The sharpness sweep
 (:func:`sharpness_grid`) goes further: its trials are powers of the
 distance times one cutoff, so every (p, eps) of a sweep is integrated
 over the cutoff's sample, from which each row's trial sample is derived.
@@ -49,7 +53,6 @@ __all__ = [
     "TrivialTrialError",
     "Check",
     "each_p",
-    "raise_first_error",
     "HARDY",
     "GENERAL_HARDY",
     "REMAINDER",
@@ -148,17 +151,19 @@ class Check(NamedTuple):
 
 class _Rows(NamedTuple):
     """The integrands behind some report rows, and how the rows are made
-    from their estimates; ``label`` names the trial the rows are about."""
+    from their estimates; ``label`` and ``p`` name the trial and the p the
+    rows are about."""
 
     integrands: list
     rows: Callable[[list[IntegralEstimate]], list[Report]]
     denominator: int
     label: str
+    p: float
 
 
 def _integrate_rows(
     groups: list[_Rows], spec: GroupSpec, hs: HalfSpace, u: ScalarField, cfg: QuadConfig
-) -> list[list[Report] | Exception]:
+) -> list[list[Report]]:
     """The rows of each group, from one integration of all their integrands.
 
     The integrands, over samples of u, go to one :func:`integrate_many`
@@ -166,52 +171,32 @@ def _integrate_rows(
     the other integrands of the call, so each group's rows are, bit for
     bit, those of integrating that group alone.
 
-    Returns one entry per group, in order: its rows, or the error that
-    making them raised (a trivial trial or an overflowing integrand in that
-    group, say), for the caller to raise where those rows belong.  An
-    overflow is found per group by integrating the groups one at a time.
-    Errors that no group causes alone (a trial without a support box, a
-    rule over its node budget) are raised.  An empty ``groups`` integrates
-    nothing.
+    The first error raises: an IntegrationError names u and the p of the
+    call, a TrivialTrialError its group's trial and p.  An empty ``groups``
+    integrates nothing.
     """
     if not groups:
         return []
     if u.support_box is None:
         raise ValueError("no integration box: trial has unbounded support")
+    fs = [f for g in groups for f in g.integrands]
     try:
-        estimates = iter(
-            integrate_many(
-                [f for g in groups for f in g.integrands], u.support_box, hs, cfg, trial=(spec, u)
-            )
-        )
+        estimates = iter(integrate_many(fs, u.support_box, hs, cfg, trial=(spec, u)))
     except IntegrationError as exc:
-        if len(groups) == 1:
-            return [exc]
-        # integrated alone, each group shows whether it is one that overflows
-        return [out for g in groups for out in _integrate_rows([g], spec, hs, u, cfg)]
-    outcomes = []
+        ps = list(dict.fromkeys(g.p for g in groups))
+        raise IntegrationError(f"trial {u.label} at p {ps}: {exc}", exc.point) from exc
+    rows = []
     for g in groups:
         mine = [next(estimates) for _ in g.integrands]
         den = mine[g.denominator].value
-        try:
-            # the quotient stderrs divide by den**2
-            if den <= 0.0 or den * den == 0.0:
-                raise TrivialTrialError(
-                    f"trivial trial function {g.label}: its denominator integral {den!r} "
-                    "on this quadrature rule is too small to check a bound against"
-                )
-            outcomes.append(g.rows(mine))
-        except (ValueError, ArithmeticError) as exc:
-            outcomes.append(exc)
-    return outcomes
-
-
-def raise_first_error(outcomes) -> None:
-    """Raise the first error among ``outcomes``, rows or errors as
-    :func:`each_p` returns them, if there is one."""
-    for outcome in outcomes:
-        if isinstance(outcome, Exception):
-            raise outcome
+        # the quotient stderrs divide by den**2
+        if den <= 0.0 or den * den == 0.0:
+            raise TrivialTrialError(
+                f"trivial trial function {g.label} at p {g.p!r}: its denominator integral "
+                f"{den!r} on this quadrature rule is too small to check a bound against"
+            )
+        rows.append(g.rows(mine))
+    return rows
 
 
 def each_p(
@@ -223,7 +208,7 @@ def each_p(
     cfg: QuadConfig | None = None,
     config_digest: str = "",
     **params,
-) -> list[list[Report] | Exception]:
+) -> list[list[Report]]:
     """``check`` on trial u at each p of ``ps``, from one integration.
 
     The integrands of every p go to one :func:`integrate_many` call over
@@ -231,11 +216,8 @@ def each_p(
     serve them all, and each p's rows are, bit for bit, those of
     integrating that p alone.
 
-    Returns one entry per p, in order: that p's report rows, or the error
-    its check raised (a trivial trial or an overflowing integrand at that
-    p, say), for the caller to raise where those rows belong.  Errors that
-    do not depend on p (a trial without a support box, a rule over its
-    node budget) are raised.  An empty ``ps`` integrates nothing.
+    Returns each p's report rows, in order.  The first error raises (see
+    :func:`_integrate_rows`).  An empty ``ps`` integrates nothing.
     """
     cfg = cfg or QuadConfig()
     ps = [_check_p(p) for p in ps]
@@ -245,6 +227,7 @@ def each_p(
             partial(check.rows, _Case(spec, hs, u.label, p, cfg, config_digest), **params),
             check.denominator,
             u.label,
+            p,
         )
         for p in ps
     ]
@@ -253,9 +236,7 @@ def each_p(
 
 def _one(check: Check, spec, hs, u, p, cfg, config_digest, **params) -> Report:
     """The one report row of ``check`` on trial u at p."""
-    outcomes = each_p(check, spec, hs, u, [p], cfg, config_digest, **params)
-    raise_first_error(outcomes)
-    ((report,),) = outcomes
+    ((report,),) = each_p(check, spec, hs, u, [p], cfg, config_digest, **params)
     return report
 
 
@@ -751,8 +732,9 @@ def sharpness_grid(
     cutoff's with the arithmetic of the trial field itself, and only one
     such derived sample is kept at a time.  Each row is therefore, bit for
     bit, the ``hardy_quotient`` of its ``sharpness_trial`` with inequality
-    id "sharpness", and the error of the first failing row (p outer, eps
-    inner) is raised, once the rows before it are known to hold none.
+    id "sharpness".  Every (p, eps) is built before anything is
+    integrated, so one that cannot be raises at once; then the first error
+    of an integration raises (see :func:`_integrate_rows`).
     """
     cfg = cfg or QuadConfig()
     field = make_bump(cutoff)
@@ -761,13 +743,7 @@ def sharpness_grid(
         and not np.any(hs.nu[1:])
         and hs.d == 0.0
     )
-    trials = []
-    for p, eps in product(ps, eps_list):
-        try:
-            trials.append(SharpnessSpec(p=p, eps=float(eps), cutoff=cutoff))
-        except (TypeError, ValueError) as exc:  # the sweep ends at a row it cannot build
-            trials.append(exc)
-            break
+    trials = [SharpnessSpec(p=p, eps=float(eps), cutoff=cutoff) for p, eps in product(ps, eps_list)]
     slot = []  # (cutoff sample, row, that row's derived sample)
 
     def on_trial(f, row, trial):
@@ -795,16 +771,13 @@ def sharpness_grid(
             partial(rows, case, trial.eps),
             HARDY.denominator,
             case.trial,
+            p,
         )
 
     reports = []
     for start in range(0, len(trials), _SWEEP_ROWS):
-        batch = trials[start : start + _SWEEP_ROWS]
-        made = [t for t in batch if not isinstance(t, Exception)]
-        groups = [group(start + i, t) for i, t in enumerate(made)]
-        outcomes = _integrate_rows(groups, spec, hs, field, cfg) + batch[len(made) :]
-        raise_first_error(outcomes)
-        reports += [r for rs in outcomes for r in rs]
+        groups = [group(start + i, t) for i, t in enumerate(trials[start : start + _SWEEP_ROWS])]
+        reports += [r for rs in _integrate_rows(groups, spec, hs, field, cfg) for r in rs]
     return reports
 
 

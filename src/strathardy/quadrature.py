@@ -1,76 +1,62 @@
 """Quadrature over coordinate boxes clipped to a half-space.
 
-Three methods build one kind of rule record (nodes, their boundary
-distances and weights, and for Monte Carlo the line of each node), and
-one function evaluates any rule:
+One method, ``boundary-graded``, builds a rule record (nodes, their
+boundary distances and weights, and on its Monte Carlo branch the line
+of each node), and one function evaluates it.
 
-``boundary-graded`` (default)
-    Integrates along the half-space normal with the substitution
-    dist = s**m (grading exponent m), which turns integrable boundary
-    singularities dist**g, g > -1, into something Gauss rules can handle.
-    When the box touches the boundary the s-axis additionally uses
-    composite Gauss panels graded geometrically toward s = 0, because a
-    single Gauss rule cannot absorb the leftover algebraic singularity at
-    strongly negative g.  Accuracy degrades as g approaches -1 (the
-    integral itself blows up); the property tests pin g in [-0.9, 3].
-    Transverse directions use a tensor Gauss rule up to 4 axes and
-    deterministic-seeded Monte Carlo above that.
+The box rule integrates along the half-space normal with the
+substitution dist = s**m (grading exponent m), which turns integrable
+boundary singularities dist**g, g > -1, into something Gauss rules can
+handle.  When the box touches the boundary the s-axis additionally uses
+composite Gauss panels graded geometrically toward s = 0, because a
+single Gauss rule cannot absorb the leftover algebraic singularity at
+strongly negative g.  Accuracy degrades as g approaches -1 (the integral
+itself blows up); the property tests pin g in [-0.9, 3].  Transverse
+directions use a tensor Gauss rule up to 4 axes and deterministic-seeded
+Monte Carlo above that: Philox streams keyed by the seed and the chunk
+index in the ``streams.MONTE_CARLO`` key domain, over fixed-size chunks,
+so results are reproducible bit for bit however the host schedules work.
 
-    Given the support of a round bump (a ``BumpSupport`` of powers 2)
-    whose closed ball lies inside the box and strictly inside the
-    half-space, the method takes a ball rule instead: nodes c + r rho w
-    about the bump's centre c, rho by Gauss-Legendre on (0, 1) with weight
-    rho**(n-1) r**n, w by a rule on the sphere (Stroud 1971).  The bump is
-    radial, so its essential singularity at the ball's edge meets only the
-    radial rule.  Up to 5 dimensions the sphere takes a product Gauss rule
-    (the trapezoid rule on the circle, Gauss-Jacobi from Golub-Welsch on
-    each polar angle): at 16 points per axis 24 radii and sphere order 8
-    (16 x 8 directions) up to 3 dimensions, order 6 (12 x 6**3) in 4 and 5,
-    the orders scaling with the points per axis.  A product rule grows as
-    order**(n-1), so from 6 dimensions on the sphere takes Stroud's fully
-    symmetric rule of degree 5 (2n + 2**n directions) from 16 points per
-    axis, against degree 3 (the 2n directions +-e_i) on the coarse
-    companion; below 16, and where the ball rule would have more nodes
-    than ``sample_count`` (past 13 dimensions at the default), the box
-    stays on the graded rule.
-
-``tensor-gauss``
-    Plain tensor-product Gauss-Legendre over the box with a half-space
-    indicator.  Cheap and fine for integrands that vanish smoothly inside
-    the box; the indicator makes it first-order for anything touching the
-    boundary.
-
-``monte-carlo``
-    Uniform sampling from counter-based streams (Philox keyed by the seed
-    and the chunk index in the ``streams.MONTE_CARLO`` key domain, over
-    fixed-size chunks), so results are reproducible bit for bit
-    regardless of how the host schedules work.
+Given the support of a round bump (a ``BumpSupport`` of powers 2) whose
+closed ball lies inside the box and strictly inside the half-space, the
+method takes a ball rule instead: nodes c + r rho w about the bump's
+centre c, rho by Gauss-Legendre on (0, 1) with weight rho**(n-1) r**n, w
+by a rule on the sphere (Stroud 1971).  The bump is radial, so its
+essential singularity at the ball's edge meets only the radial rule.  Up
+to 5 dimensions the sphere takes a product Gauss rule (the trapezoid rule
+on the circle, Gauss-Jacobi from Golub-Welsch on each polar angle): at 16
+points per axis 24 radii and sphere order 8 (16 x 8 directions) up to 3
+dimensions, order 6 (12 x 6**3) in 4 and 5, the orders scaling with the
+points per axis.  A product rule grows as order**(n-1), so from 6
+dimensions on the sphere takes Stroud's fully symmetric rule of degree 5
+(2n + 2**n directions) from 16 points per axis, against degree 3 (the 2n
+directions +-e_i) on the coarse companion; below 16, and where the ball
+rule would have more nodes than ``sample_count`` (past 13 dimensions at
+the default), the box stays on the graded rule.
 
 Every rule carries each built node's boundary distance: dist = s**m on
-the boundary-graded rule, exact however the node's coordinates round,
-and ``hs.distance`` of the node on the others.  A rule holds only the
+the box rule, exact however the node's coordinates round, and
+``hs.distance`` of the node on the ball rule.  A rule holds only the
 nodes it evaluates, those with dist > 0 and, given a trial ``(spec, u)``,
-inside ``u.support``: the ball rule has no others, the boundary-graded
-rule builds only the nodes in the support's chord through their line
-along the normal axis (``u.support.chord``, see
+inside ``u.support``: the ball rule has no others, and the box rule
+builds only the nodes in the support's chord through their line along
+the normal axis (``u.support.chord``, see
 :class:`~strathardy.calculus.ScalarField`), on the lines that reach into
-the half-space, and the other two drop the nodes outside the support's
-mask as they are built.  A chord may be a little wider than the
-support; the integrands are 0.0 in that margin.
+the half-space.  A chord may be a little wider than the support; the
+integrands are 0.0 in that margin.
 Each integrand is called on a :class:`~strathardy.calculus.TrialSample`
 of a chunk of the rule's nodes, whose ``dist`` is the rule's; with a
 trial the sample also holds u and grad u, computed once per chunk and
 shared by all integrands.  Each integrand's weighted values are summed
 chunk by chunk, so memory does not grow with the integrand count.
 
-A deterministic rule (tensor-gauss, the ball rule, or boundary-graded
-with at most 4 transverse axes) reports as stderr its gap to its coarse
-companion, which is a rule too: the same builder at half the points per
-axis (and half the panel order on graded panels; half the radial nodes
-and sphere order on the ball rule, and sphere degree 3 from 6
-dimensions on), evaluated the same way.  A Monte
-Carlo rule has no companion and reports the spread of its sums over its
-lines (its samples on ``monte-carlo``), 0.0 on a line that holds no node.
+A deterministic rule (the ball rule, or the box rule with at most 4
+transverse axes) reports as stderr its gap to its coarse companion,
+which is a rule too: the same builder at half the points per axis (and
+half the panel order on graded panels; half the radial nodes and sphere
+order on the ball rule, and sphere degree 3 from 6 dimensions on),
+evaluated the same way.  A Monte Carlo rule has no companion and reports
+the spread of its sums over its lines, 0.0 on a line that holds no node.
 
 Every rule stores its nodes column-major.  The ball rule caches up to 16
 unit-ball templates of at most 4 MiB each (``_BALL_CACHE_BYTES``, nodes
@@ -108,7 +94,6 @@ __all__ = [
     "integrate_many",
 ]
 
-_METHODS = ("boundary-graded", "tensor-gauss", "monte-carlo")
 _CHUNK = 1 << 16
 _PANEL_RATIO = 0.5
 _PANEL_ORDER = 8
@@ -122,21 +107,19 @@ _BALL_MARGIN = 1e-12
 
 @dataclass(frozen=True)
 class QuadConfig:
-    """Resolution and method knobs shared by all integrators.
+    """Resolution knobs of the boundary-graded rule.
 
     ``points_per_axis`` drives the deterministic rules, ``sample_count``
-    the Monte Carlo ones; ``grading_exponent`` is the m in dist = s**m.
+    the Monte Carlo branch and the size cap of the ball rule above 5
+    dimensions; ``grading_exponent`` is the m in dist = s**m.
     """
 
-    method: str = "boundary-graded"
     points_per_axis: int = 16
     sample_count: int = 200_000
     seed: int = 42
     grading_exponent: float = 4.0
 
     def __post_init__(self):
-        if self.method not in _METHODS:
-            raise ValueError(f"unknown quadrature method {self.method!r}; pick from {_METHODS}")
         if self.points_per_axis < 2:
             raise ValueError("points_per_axis must be >= 2")
         if self.sample_count < 16:
@@ -210,10 +193,10 @@ class _Rule(NamedTuple):
     not, which is what ``evaluations`` counts.
     A deterministic rule carries its ``coarse`` companion, itself a rule
     on the same box at half the points per axis, and its stderr is the gap
-    between the two.  A Monte Carlo rule has no companion: its stderr
-    comes from the spread of its sums over the ``lines`` lines of the full
-    rule (its samples on ``monte-carlo``).  ``line`` numbers each node's
-    line among the lines that hold nodes, from 0; the others sum to 0.0.
+    between the two.  The box rule's Monte Carlo branch has no companion:
+    its stderr comes from the spread of its sums over the ``lines`` lines
+    of the full rule.  ``line`` numbers each node's line among the lines
+    that hold nodes, from 0; the others sum to 0.0.
     """
 
     points: np.ndarray
@@ -229,61 +212,16 @@ def _coarse_config(cfg: QuadConfig) -> QuadConfig:
     return replace(cfg, points_per_axis=max(2, cfg.points_per_axis // 2))
 
 
-def _tensor_gauss_axes(box: np.ndarray, orders: Sequence[int]):
-    nodes_1d, weights_1d = [], []
-    for (lo, hi), order in zip(box, orders):
-        x, w = _gauss(int(order))
-        nodes_1d.append(0.5 * (lo + hi) + 0.5 * (hi - lo) * x)
-        weights_1d.append(0.5 * (hi - lo) * w)
-    return nodes_1d, weights_1d
-
-
-def _tensor_product(nodes_1d, weights_1d):
-    grids = np.meshgrid(*nodes_1d, indexing="ij")
+def _tensor_product(box: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor Gauss-Legendre nodes (K, n) and weights (K,) over ``box``, ``order`` per axis."""
+    x, w = _gauss(order)
+    half = 0.5 * (box[:, 1] - box[:, 0])
+    grids = np.meshgrid(*(0.5 * (box[:, 0] + box[:, 1])[:, None] + half[:, None] * x), indexing="ij")
     pts = np.stack([g.reshape(-1) for g in grids], axis=1)
-    wgrids = np.meshgrid(*weights_1d, indexing="ij")
-    w = np.ones(pts.shape[0])
-    for g in wgrids:
-        w = w * g.reshape(-1)
-    return pts, w
-
-
-def _kept(pts, hs, support) -> tuple[np.ndarray, np.ndarray]:
-    """The indices of the nodes with dist > 0 inside ``support`` (all of
-    them if None), and their distances.  The mask runs on ``_EVAL_CHUNK``
-    slices, so that its temporaries stay that small."""
-    dist = hs.distance(pts)
-    keep = dist > 0.0
-    if support is not None:
-        for start in range(0, pts.shape[0], _EVAL_CHUNK):
-            part = slice(start, start + _EVAL_CHUNK)
-            keep[part] &= support(pts[part])
-    keep = np.flatnonzero(keep)
-    return keep, dist[keep]
-
-
-def _build_tensor_gauss(box, hs, cfg, support, companion=False) -> _Rule:
-    n = box.shape[0]
-    ppa = cfg.points_per_axis
-    _check_budget(ppa**n, f"tensor-gauss with {ppa} points per axis in {n} dimensions")
-    pts, w = _tensor_product(*_tensor_gauss_axes(box, [ppa] * n))
-    coarse = None
-    if not companion:
-        coarse = _build_tensor_gauss(box, hs, _coarse_config(cfg), support, companion=True)
-    keep, dist = _kept(pts, hs, support)
-    return _Rule(np.asfortranarray(pts[keep]), dist, w[keep], pts.shape[0], coarse=coarse)
-
-
-def _build_monte_carlo(box, hs, cfg, support) -> _Rule:
-    n = box.shape[0]
-    _check_budget(cfg.sample_count, "monte-carlo")
-    u = _philox_uniform(cfg.seed, cfg.sample_count, n)
-    pts = box[:, 0] + u * (box[:, 1] - box[:, 0])
-    vol = float(np.prod(box[:, 1] - box[:, 0]))
-    keep, dist = _kept(pts, hs, support)
-    w = np.full(keep.size, vol / cfg.sample_count)
-    pts = np.asfortranarray(pts[keep])
-    return _Rule(pts, dist, w, cfg.sample_count, np.arange(keep.size), cfg.sample_count)
+    weights = np.ones(pts.shape[0])
+    for g in np.meshgrid(*(half[:, None] * w), indexing="ij"):
+        weights = weights * g.reshape(-1)
+    return pts, weights
 
 
 def _graded_s_axis(lo, hi, m, ppa, panels, panel_order):
@@ -367,8 +305,7 @@ def _build_boundary_graded(box, hs, cfg, support, companion=False) -> _Rule:
         trans_pts = np.zeros((1, 0))
         trans_w = np.ones(1)
     elif deterministic:
-        nodes_1d, weights_1d = _tensor_gauss_axes(box[trans_axes], [cfg.points_per_axis] * len(trans_axes))
-        trans_pts, trans_w = _tensor_product(nodes_1d, weights_1d)
+        trans_pts, trans_w = _tensor_product(box[trans_axes], cfg.points_per_axis)
     else:
         u = _philox_uniform(cfg.seed, t_count, len(trans_axes))
         sub = box[trans_axes]
@@ -578,15 +515,12 @@ def _build_ball(hs, cfg, support, companion=False) -> _Rule:
 
 
 def _build_nodes(box, hs, cfg, support) -> _Rule:
-    """The rule of ``cfg.method``, holding only the nodes with dist > 0 that
-    ``support`` (None: no support known) may hold."""
-    if cfg.method == "boundary-graded":
-        if _takes_ball(box, hs, support, cfg):
-            return _build_ball(hs, cfg, support)
-        return _build_boundary_graded(box, hs, cfg, support)
-    if cfg.method == "tensor-gauss":
-        return _build_tensor_gauss(box, hs, cfg, support)
-    return _build_monte_carlo(box, hs, cfg, support)
+    """The ball rule where ``support`` takes it, else the box rule, holding
+    only the nodes with dist > 0 that ``support`` (None: no support known)
+    may hold."""
+    if _takes_ball(box, hs, support, cfg):
+        return _build_ball(hs, cfg, support)
+    return _build_boundary_graded(box, hs, cfg, support)
 
 
 def _sums(fs, rule: _Rule, sample) -> np.ndarray:
@@ -649,11 +583,10 @@ def integrate_many(
     are, and it is called only at nodes inside ``u.support`` (all of them
     if it is None), or in the margin of a chord (see the module
     docstring).  Where the support takes the ball rule (a round bump
-    inside the half-space on ``boundary-graded``; the module docstring
-    gives the resolutions and dimensions), the estimates are the ball
-    rule's.  Otherwise they equal those of the same integrands and u
-    without its support up to the order of their float additions, and
-    ``evaluations`` exactly.
+    inside the half-space; the module docstring gives the resolutions and
+    dimensions), the estimates are the ball rule's.  Otherwise they equal
+    those of the same integrands and u without its support up to the order
+    of their float additions, and ``evaluations`` exactly.
     """
     cfg = cfg or QuadConfig()
     box = _as_box(box)

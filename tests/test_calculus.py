@@ -442,13 +442,12 @@ class TestNodeLayout:
                 for f in check.integrands(spec, hs, p):
                     assert np.array_equal(f(by_row), f(by_column), equal_nan=True)
 
-    @pytest.mark.parametrize("method", ["boundary-graded", "tensor-gauss", "monte-carlo"])
     @pytest.mark.parametrize("normal", ["t-axis", "oblique"])
     @pytest.mark.parametrize("k", [1, 3])
-    def test_every_rule_stores_its_nodes_by_coordinate(self, method, normal, k, rng):
+    def test_every_rule_stores_its_nodes_by_coordinate(self, normal, k, rng):
         n = 2 * k + 1
         hs = halfspace_preset(n, "t-axis", 0.0) if normal == "t-axis" else HalfSpace(random_unit(rng, n), 0.0)
-        cfg = QuadConfig(method=method, points_per_axis=16 if method == "boundary-graded" else 6, sample_count=5000)
+        cfg = QuadConfig(sample_count=5000)
         # a bump across the boundary (the graded rule) and one inside (the ball rule)
         for clearance in (0.0, 0.5):
             u = make_bump(BumpSpec(center=tuple(hs.nu * clearance), radius=0.4))

@@ -18,7 +18,6 @@ import strathardy
 from strathardy import CSV_COLUMNS, Report, calculus, experiments, render_json
 from strathardy.cli import COMMANDS, fix_malloc_thresholds, main
 from strathardy.config import SIZE_BOUNDS, build_trials, load_config, resolve
-from strathardy.quadrature import NodeBudgetError
 
 
 SMALL = {
@@ -238,9 +237,6 @@ class TestOutput:
         assert d1 != d2
 
 
-_TENSOR_GAUSS_2 = {"method": "tensor-gauss", "points_per_axis": 2}
-
-
 class TestRejectedConfigs:
     """Configs that must exit 3 with one line on stderr and no report."""
 
@@ -250,8 +246,6 @@ class TestRejectedConfigs:
             # the ball rule's 96 radii x 48 x 24^3 directions, about 6.4e7;
             # rejected before allocation
             ("hardy", {"group": "heisenberg:2", "quadrature": {"points_per_axis": 64}}),
-            ("hardy", {"quadrature": {"method": "tensor-gauss", "points_per_axis": 300}}),
-            ("hardy", {"quadrature": {"method": "monte-carlo", "sample_count": 30_000_000}}),
             # the boundary-graded rule's Monte Carlo branch: a sharpness
             # cutoff sits on the boundary, so it never takes the ball rule
             ("sharpness", {"group": "heisenberg:3", "quadrature": {"sample_count": 30_000_000}}),
@@ -330,11 +324,15 @@ class TestRejectedConfigs:
     @pytest.mark.parametrize(
         "command, over, name",
         [
-            # 2 tensor-Gauss points per axis in five dimensions: every node
-            # lies sqrt(5/3) radii from the bump's center and none meets it
-            # (the default rule integrates an interior bump on its ball)
-            ("hardy", {"group": "heisenberg:2", "quadrature": _TENSOR_GAUSS_2}, "trivial"),
-            ("sobolev", {"group": "abelian:5", "quadrature": _TENSOR_GAUSS_2}, "trivial"),
+            # a ball 1 from the boundary and near the t-axis, where W is
+            # small: (W |u| / dist)^300 integrates to 1e-292, too small to square
+            (
+                "hardy",
+                {"group": "heisenberg:2", "p": [300], "trials": {"region": 0.1, "clearance": 1.0}},
+                "at p 300.0: its denominator integral",
+            ),
+            # |u|^p* underflows to zero at p* = 2495
+            ("sobolev", {"group": "abelian:5", "p": [4.99]}, "at p 4.99: its denominator integral 0.0"),
             # |grad_H u|^1000 overflows inside the bump
             ("hardy", {"p": [1000]}, "non-finite"),
             # the weighted integral of a 6.4e-107 cutoff squares to zero
@@ -348,6 +346,23 @@ class TestRejectedConfigs:
         code, out, err = run([command, "--config", path], capsys)
         assert code == 3 and out == ""
         assert err.count("\n") == 1 and name in err
+
+    @pytest.mark.parametrize("method", ["tensor-gauss", "monte-carlo", "simpson"])
+    def test_only_the_boundary_graded_method(self, tmp_path, capsys, method):
+        path = write_config(tmp_path, quadrature={"method": method})
+        code, out, err = run(["hardy", "--config", path], capsys)
+        assert code == 3 and out == ""
+        assert err == (
+            f"configuration error: quadrature.method {method!r}: the one method is 'boundary-graded'\n"
+        )
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_naming_the_method_changes_no_byte(self, tmp_path, capsys, fmt):
+        named = write_config(tmp_path, "named.json", quadrature={"method": "boundary-graded"})
+        plain = write_config(tmp_path)
+        assert "method" in Path(named).read_text() and "method" not in Path(plain).read_text()
+        outputs = [run(["hardy", "--config", path, "--format", fmt], capsys) for path in (named, plain)]
+        assert outputs[0] == outputs[1] and outputs[0][0] == 0
 
     @pytest.mark.parametrize(
         "command, cfg, name",
@@ -600,33 +615,29 @@ class TestOneIntegrationPerTrial:
         assert code == 0 and len(out.splitlines()) == 1 + 2 * 20
         assert builds == [(0.0, 0.0, 1.0)]
 
-    @pytest.mark.parametrize(
-        "outcomes, error, integrated",
-        [
-            # trial 0 fails at p = 3, trial 1 at p = 2: the (2, trial 1) row comes first
-            ([[[], "t0 p3"], ["t1 p2", []], [[], []]], "t1 p2", 2),
-            # a p-independent error at trial 1 comes before the rows of p = 3
-            ([[[], "t0 p3"], NodeBudgetError("t1 budget"), [[], []]], "t1 budget", 2),
-            ([[[], "t0 p3"], [[], "t1 p3"], [[], []]], "t0 p3", 3),
-        ],
-    )
-    def test_an_error_is_raised_at_its_row(self, tmp_path, capsys, monkeypatch, outcomes, error, integrated):
-        seen = []
+    # at p 400 |grad_H u|^p overflows on trial 1 of seed 1 and on trial 0 of seed 11
+    @pytest.mark.parametrize("seed, failing", [(1, 1), (11, 0)])
+    def test_an_overflow_names_its_trial_and_p(self, tmp_path, capsys, monkeypatch, seed, failing):
+        calls = []
+        integrate = experiments.integrate_many
 
-        def each_p(check, group, hs, u, ps, *args, **kwargs):
-            assert ps == [2.0, 3.0]
-            outcome = outcomes[len(seen)]
-            seen.append(u)
-            if isinstance(outcome, Exception):
-                raise outcome
-            return [experiments.TrivialTrialError(o) if isinstance(o, str) else o for o in outcome]
+        def counted(fs, box, *args, **kwargs):
+            calls.append(box.tobytes())
+            return integrate(fs, box, *args, **kwargs)
 
-        monkeypatch.setattr(experiments, "each_p", each_p)
-        path = write_config(tmp_path, p=[2.0, 3.0])
+        monkeypatch.setattr(experiments, "integrate_many", counted)
+        path = write_config(tmp_path, p=[2.0, 400.0], trials={"count": 2}, seed=seed)
         code, out, err = run(["hardy", "--config", path], capsys)
         assert code == 3 and out == ""
-        assert err == f"configuration error: {error}\n"
-        assert len(seen) == integrated
+        group, hs, _, cfg = resolve(load_config(path))
+        trials = build_trials(group, hs, cfg)
+        line = (
+            f"configuration error: trial {trials[failing].label} at p [2.0, 400.0]: "
+            "integrand returned a non-finite value at point ["
+        )
+        assert err.startswith(line) and err.endswith("]\n") and err.count("\n") == 1
+        # each trial up to the failing one integrated once
+        assert calls == [u.support_box.tobytes() for u in trials[: failing + 1]]
 
 
 # one heisenberg:2 trial integrated twice; prints the minor faults of the second

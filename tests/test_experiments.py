@@ -41,7 +41,6 @@ from strathardy.experiments import (
     SOBOLEV,
     TrivialTrialError,
     each_p,
-    raise_first_error,
 )
 from strathardy.quadrature import IntegrationError
 from strathardy.streams import FUZZER, philox_chunks
@@ -151,14 +150,26 @@ class TestHardyQuotient:
 
 
 class TestEachP:
-    def test_a_failing_p_fails_alone(self, h1, t_axis, fast_cfg):
-        # on this bump (W |u| / dist)^300 underflows to a zero integral and
-        # |grad_H u|^1000 overflows; each p = 2 still gets its runner's row
-        u = make_bump(BumpSpec(center=(0.2, -0.1, 0.8), radius=0.15))
-        ps = [2.0, 300.0, 1000.0, 2.0]
-        first, trivial, overflow, again = each_p(HARDY, h1, t_axis, u, ps, fast_cfg)
-        assert first == again == [hardy_quotient(h1, t_axis, u, 2.0, fast_cfg)]
-        assert isinstance(trivial, TrivialTrialError) and isinstance(overflow, IntegrationError)
+    # on this bump (W |u| / dist)^300 underflows to a zero integral and
+    # |grad_H u|^1000 overflows
+    _SMALL = BumpSpec(center=(0.2, -0.1, 0.8), radius=0.15)
+
+    def test_a_trivial_p_names_its_trial_and_p(self, h1, t_axis, fast_cfg):
+        u = make_bump(self._SMALL)
+        with pytest.raises(TrivialTrialError) as got:
+            each_p(HARDY, h1, t_axis, u, [2.0, 300.0], fast_cfg)
+        assert str(got.value).startswith(f"trivial trial function {u.label} at p 300.0: ")
+
+    def test_an_overflow_names_the_trial_and_the_p_of_its_one_integration(
+        self, h1, t_axis, fast_cfg, integrations
+    ):
+        u = make_bump(self._SMALL)
+        with pytest.raises(IntegrationError) as got:
+            each_p(HARDY, h1, t_axis, u, [2.0, 1000.0], fast_cfg)
+        message = f"trial {u.label} at p [2.0, 1000.0]: integrand returned a non-finite value at point "
+        assert str(got.value).startswith(message)
+        assert got.value.point is not None and got.value.point.shape == (3,)
+        assert integrations == [4]
 
     def test_no_p_integrates_nothing(self, h1, t_axis, fast_cfg):
         no_box = ScalarField(3, lambda pts: np.ones(len(pts)))
@@ -189,8 +200,7 @@ class TestSharedBases:
         # W's squared pairings and |grad_H u|^2, each shared by both p
         monkeypatch.setattr(calculus, "_sum_squares", counting("squares", calculus._sum_squares))
         spec = BumpSpec(center=(0.2, -0.1, 0.8), radius=0.45) if interior else boundary_bump_spec(t_axis, 0.5)
-        outcomes = each_p(HARDY, h1, t_axis, make_bump(spec), (2.0, 3.0), QuadConfig())
-        raise_first_error(outcomes)
+        each_p(HARDY, h1, t_axis, make_bump(spec), (2.0, 3.0), QuadConfig())
         assert calls == {"sample": 2, "hgrad": 2, "w": 2, "squares": 4}
 
 
@@ -525,18 +535,6 @@ def _per_row(spec, hs, ps, eps_list, cutoff, cfg, label, digest=""):
     return rows
 
 
-def _first_error(spec, hs, ps, eps_list, cutoff, cfg):
-    """The error of the first (p, eps) whose row cannot be made one at a time."""
-    for p in ps:
-        for eps in eps_list:
-            try:
-                trial = sharpness_trial(SharpnessSpec(p=p, eps=eps, cutoff=cutoff), hs)
-                hardy_quotient(spec, hs, trial, p, cfg, inequality_id="sharpness")
-            except (ValueError, ArithmeticError) as exc:
-                return exc
-    return None
-
-
 @pytest.fixture
 def integrations(monkeypatch):
     """The integrand count of each integrate_many call the experiments make."""
@@ -565,14 +563,13 @@ class TestSharpnessSweep:
         reports = sharpness_sweep(h1, t_axis, 2.0, (0.3,), cutoff, QuadConfig(points_per_axis=8))
         assert reports[0].extras["label"] == "probe"
 
-    @pytest.mark.parametrize("method", ["boundary-graded", "tensor-gauss", "monte-carlo"])
     @pytest.mark.parametrize("normal", ["x1-axis", "t-axis-offset", "oblique"])
     @pytest.mark.parametrize("group", sorted(_SWEEP_GROUPS))
-    def test_rows_are_the_per_row_runners_bit_for_bit(self, group, normal, method, integrations):
+    def test_rows_are_the_per_row_runners_bit_for_bit(self, group, normal, integrations):
         spec = group_from_name(group)
         hs = _sweep_halfspace(spec, normal)
         cutoff = boundary_bump_spec(hs, 1.0)
-        cfg = QuadConfig(method=method, points_per_axis=_SWEEP_GROUPS[group], sample_count=4000)
+        cfg = QuadConfig(points_per_axis=_SWEEP_GROUPS[group])
         ps, eps_list = [2.0, 3.0], [0.5, 0.1]
         label = "verification" if normal == "x1-axis" else "probe"
         rows = sharpness_grid(spec, hs, ps, eps_list, cutoff, cfg, "digest")
@@ -605,28 +602,33 @@ class TestSharpnessSweep:
         assert rows == _per_row(h1, x1_axis, ps, eps_list, cutoff, cfg, "verification")
 
     @pytest.mark.parametrize(
-        "ps, eps_list, error, calls",
+        "ps, eps_list, error, calls, batch_ps",
         [
             # a cutoff of radius 2 reaches dist 2, where dist^300.5 raised to
-            # p = 6 overflows: the batch fails, and row by row only (6, 300) does
-            ([2.0, 6.0], [0.5, 300.0], IntegrationError, [8, 2, 2, 2, 2]),
-            # (400, 0.5) is trivial, and comes before the rows that overflow
-            ([2.0, 400.0, 6.0], [0.5, 300.0], TrivialTrialError, [12] + [2] * 6),
+            # p = 6 overflows: the one batch fails
+            ([2.0, 6.0], [0.5, 300.0], IntegrationError, [8], [2.0, 6.0]),
+            # (400, 0.5) is trivial, but its batch overflows before any row is made
+            ([2.0, 400.0, 6.0], [0.5, 300.0], IntegrationError, [12], [2.0, 400.0, 6.0]),
             # 12 rows: the first 8 hold, the overflow is in the second batch
-            ([2.0, 3.0, 6.0], [0.5, 0.2, 0.1, 300.0], IntegrationError, [16, 8, 2, 2, 2, 2]),
-            # a row that cannot be built ends the sweep after the rows before it
-            ([2.0], [0.5, -1.0, 0.2], ValueError, [2]),
-            ([6.0], [300.0, -1.0], IntegrationError, [2]),
+            ([2.0, 3.0, 6.0], [0.5, 0.2, 0.1, 300.0], IntegrationError, [16, 8], [6.0]),
+            # a row that cannot be built fails the sweep before anything is integrated
+            ([2.0], [0.5, -1.0, 0.2], ValueError, [], None),
+            ([6.0], [300.0, -1.0], ValueError, [], None),
         ],
     )
-    def test_the_first_failing_row_raises_its_own_error(self, h1, x1_axis, integrations, ps, eps_list, error, calls):
+    def test_the_first_failing_row_raises_its_own_error(
+        self, h1, x1_axis, integrations, ps, eps_list, error, calls, batch_ps
+    ):
         cutoff = boundary_bump_spec(x1_axis, 2.0)
         cfg = QuadConfig(points_per_axis=6)
-        expected = _first_error(h1, x1_axis, ps, eps_list, cutoff, cfg)
-        integrations.clear()
         with pytest.raises(error) as got:
             sharpness_grid(h1, x1_axis, ps, eps_list, cutoff, cfg)
-        assert type(got.value) is type(expected) and str(got.value) == str(expected)
+        assert type(got.value) is error
+        if error is IntegrationError:
+            assert str(got.value).startswith(f"trial {make_bump(cutoff).label} at p {batch_ps}: ")
+            assert got.value.point is not None
+        else:
+            assert str(got.value) == "eps must be positive"
         assert integrations == calls
 
     def test_no_rows_integrate_nothing(self, h1, x1_axis, integrations):
@@ -663,9 +665,7 @@ class TestTranslation:
         hs = halfspace_preset(h1, "t-axis", c)
         u = make_bump(BumpSpec(center=(0.1, -0.2, 0.45 + c), radius=0.35))
         checks = (HARDY, GENERAL_HARDY, REMAINDER, SOBOLEV)
-        outcomes = [out for check in checks for out in each_p(check, h1, hs, u, [2.0, 3.0])]
-        raise_first_error(outcomes)
-        return [row for rows in outcomes for row in rows]
+        return [row for check in checks for rows in each_p(check, h1, hs, u, [2.0, 3.0]) for row in rows]
 
     @staticmethod
     def _sharpness_rows(h1, c):

@@ -57,13 +57,11 @@ def far_halfspace(dim=3):
 class TestConfig:
     def test_defaults(self):
         cfg = QuadConfig()
-        assert cfg.method == "boundary-graded"
         assert cfg.points_per_axis == 16
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"method": "simpson"},
             {"points_per_axis": 1},
             {"sample_count": 4},
             {"grading_exponent": 0.5},
@@ -79,31 +77,6 @@ class TestConfig:
             integrate_many([lambda s: s.points[:, 0]], np.array([[0.0, 1.0, 2.0]]), far_halfspace(), cfg)
         with pytest.raises(ValueError):
             integrate_many([lambda s: s.points[:, 0]], np.array([[1.0, 0.0]]), far_halfspace(), cfg)
-
-
-class TestTensorGauss:
-    def test_polynomial_exactness(self):
-        cfg = QuadConfig(method="tensor-gauss", points_per_axis=6)
-        est = integrate_many(
-            [lambda s: s.points[:, 0] ** 4 * s.points[:, 1] ** 2 + s.points[:, 2]],
-            UNIT_BOX,
-            far_halfspace(),
-            cfg,
-        )[0]
-        assert est.value == pytest.approx(1.0 / 15.0 + 0.5, rel=1e-14)
-        assert est.evaluations == 6**3
-
-    def test_interior_clipping_converges(self):
-        hs = halfspace_preset(3, "x1-axis", 0.5)
-        exact = 0.5  # volume of the clipped unit box
-        coarse = integrate_many(
-            [lambda s: np.ones(len(s))], UNIT_BOX, hs, QuadConfig(method="tensor-gauss", points_per_axis=8)
-        )[0]
-        fine = integrate_many(
-            [lambda s: np.ones(len(s))], UNIT_BOX, hs, QuadConfig(method="tensor-gauss", points_per_axis=64)
-        )[0]
-        assert abs(fine.value - exact) < abs(coarse.value - exact) + 1e-12
-        assert abs(fine.value - exact) < 5e-3
 
 
 class TestBoundaryGraded:
@@ -195,42 +168,44 @@ class TestBoundaryGraded:
         assert abs(est.value - 1.0) < max(4.0 * est.stderr, 2e-2)
 
 
+# 7 coordinates against the x1-axis at offset 0.5: the graded rule's
+# transverse plane has 6 axes, beyond the tensor cap, and takes Monte Carlo
+_MC_BOX = np.tile([0.0, 1.0], (7, 1))
+_MC_HS = halfspace_preset(7, "x1-axis", 0.5)
+
+
 class TestMonteCarlo:
     def test_value_within_error_bars(self):
-        cfg = QuadConfig(method="monte-carlo", sample_count=200_000, seed=3)
-        hs = halfspace_preset(3, "x1-axis", 0.5)
-        est = integrate_many([lambda s: s.points[:, 0]], UNIT_BOX, hs, cfg)[0]
-        exact = 0.375
-        assert abs(est.value - exact) < 4.0 * est.stderr
-        assert est.evaluations == 200_000
+        cfg = QuadConfig(sample_count=200_000, seed=3)
+        est = integrate_many([lambda s: s.points[:, 0] * s.points[:, 1]], _MC_BOX, _MC_HS, cfg)[0]
+        # (the integral of x over [0.5, 1]) x (the integral of y over [0, 1])
+        exact = 0.375 * 0.5
+        assert 0.0 < abs(est.value - exact) < 4.0 * est.stderr
 
     def test_stderr_scales_with_samples(self):
-        hs = far_halfspace()
         errs = {}
         for count in (20_000, 80_000):
             vals = []
             for seed in range(8):
-                cfg = QuadConfig(method="monte-carlo", sample_count=count, seed=seed)
-                vals.append(integrate_many([lambda s: np.sin(s.points).sum(axis=1)], UNIT_BOX, hs, cfg)[0].stderr)
+                cfg = QuadConfig(sample_count=count, seed=seed)
+                f = lambda s: np.sin(s.points).sum(axis=1)
+                vals.append(integrate_many([f], _MC_BOX, _MC_HS, cfg)[0].stderr)
             errs[count] = np.mean(vals)
         ratio = errs[80_000] / errs[20_000]
         assert 0.35 < ratio < 0.65
 
     def test_deterministic(self):
-        cfg = QuadConfig(method="monte-carlo", sample_count=30_000, seed=11)
-        hs = far_halfspace()
-        a = integrate_many([lambda s: np.cos(s.points[:, 0] * s.points[:, 1])], UNIT_BOX, hs, cfg)[0]
-        b = integrate_many([lambda s: np.cos(s.points[:, 0] * s.points[:, 1])], UNIT_BOX, hs, cfg)[0]
+        cfg = QuadConfig(sample_count=30_000, seed=11)
+        f = lambda s: np.cos(s.points[:, 1] * s.points[:, 2])
+        a = integrate_many([f], _MC_BOX, _MC_HS, cfg)[0]
+        _philox_uniform.cache_clear()
+        b = integrate_many([f], _MC_BOX, _MC_HS, cfg)[0]
         assert a == b
 
     def test_seed_changes_value(self):
-        hs = far_halfspace()
         ests = [
             integrate_many(
-                [lambda s: np.cos(s.points[:, 0])],
-                UNIT_BOX,
-                hs,
-                QuadConfig(method="monte-carlo", sample_count=5_000, seed=s),
+                [lambda s: np.cos(s.points[:, 1])], _MC_BOX, _MC_HS, QuadConfig(sample_count=5_000, seed=s)
             )[0].value
             for s in (1, 2)
         ]
@@ -303,9 +278,8 @@ class TestFiniteSums:
         return _sums([lambda s: np.ones(len(s)), f], rule, partial(sample_trial, None, self._HS, None))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("method", ["boundary-graded", "tensor-gauss", "monte-carlo"])
-    def test_a_non_finite_value_names_its_node(self, bad, method):
-        for rule in self._rules(QuadConfig(method=method, points_per_axis=6, sample_count=2000)):
+    def test_a_non_finite_value_names_its_node(self, bad):
+        for rule in self._rules(QuadConfig(points_per_axis=6)):
             target = rule.points[len(rule.points) // 3]
 
             def f(s):
@@ -317,19 +291,20 @@ class TestFiniteSums:
                 self._sums(f, rule)
             assert np.array_equal(err.value.point, target)
 
-    @pytest.mark.parametrize("method", ["boundary-graded", "tensor-gauss"])
-    def test_finite_values_whose_sum_overflows_do_not_raise(self, method):
+    def test_finite_values_whose_sum_overflows_do_not_raise(self):
         # the rules cover about 48 units of volume: 1e308 at each node sums to inf
-        for rule in self._rules(QuadConfig(method=method, points_per_axis=6)):
+        for rule in self._rules(QuadConfig(points_per_axis=6)):
             sums = self._sums(lambda s: np.full(len(s), 1e308), rule)
             assert 40.0 < sums[0] < 50.0 and sums[1] == np.inf
 
     def test_a_monte_carlo_rule_checks_each_value(self, monkeypatch):
-        (rule,) = self._rules(QuadConfig(method="monte-carlo", sample_count=2000))
+        rule = _build_nodes(_MC_BOX, _MC_HS, QuadConfig(sample_count=2000), None)
+        assert rule.coarse is None and rule.line is not None
         checked = []
         check = quadrature._check_finite
         monkeypatch.setattr(quadrature, "_check_finite", lambda v, pts: checked.append(v.size) or check(v, pts))
-        self._sums(lambda s: np.ones(len(s)), rule)
+        ones = lambda s: np.ones(len(s))
+        _sums([ones, ones], rule, partial(sample_trial, None, _MC_HS, None))
         assert checked == [len(rule.points)] * 2
 
 
@@ -338,8 +313,6 @@ class TestNodeBudget:
     @pytest.mark.parametrize(
         "dim, cfg",
         [
-            (3, QuadConfig(method="tensor-gauss", points_per_axis=300)),
-            (3, QuadConfig(method="monte-carlo", sample_count=20_000_001)),
             # 64^4 transverse nodes x 128 s-nodes, about 2.1e9
             (5, QuadConfig(points_per_axis=64)),
             # the Monte Carlo transverse branch: 30e6 // 32 lines of 32 nodes
@@ -395,11 +368,7 @@ _TRIALS = {
     "sharpness": lambda spec: sharpness_trial(SharpnessSpec(p=2.0, eps=0.2, cutoff=spec), _T_AXIS),
     "scaled": lambda spec: make_bump(spec).scaled(7.0),
 }
-_RULES = {
-    "tensor-gauss": QuadConfig(method="tensor-gauss", points_per_axis=12),
-    "monte-carlo": QuadConfig(method="monte-carlo", sample_count=20_000, seed=5),
-    "boundary-graded": QuadConfig(points_per_axis=10),
-}
+_CFG = QuadConfig(points_per_axis=10)
 
 
 # each has a factor of u or grad u, so it is exactly 0.0 outside u.support
@@ -412,21 +381,18 @@ _INTEGRANDS = [
 
 class TestSupportMask:
     @pytest.mark.parametrize("box_kind", ["interior", "boundary"])
-    @pytest.mark.parametrize("rule", sorted(_RULES))
     @pytest.mark.parametrize("trial", sorted(_TRIALS))
-    def test_masked_equals_unmasked(self, trial, rule, box_kind):
+    def test_masked_equals_unmasked(self, trial, box_kind):
         u = _TRIALS[trial](_INTERIOR if box_kind == "interior" else _ON_BOUNDARY)
         assert u.support is not None
-        cfg = _RULES[rule]
-        masked = integrate_many(_INTEGRANDS, u.support_box, _T_AXIS, cfg, trial=(_H1, u))
+        masked = integrate_many(_INTEGRANDS, u.support_box, _T_AXIS, _CFG, trial=(_H1, u))
         plain = integrate_many(
-            _INTEGRANDS, u.support_box, _T_AXIS, cfg, trial=(_H1, _without_support(u))
+            _INTEGRANDS, u.support_box, _T_AXIS, _CFG, trial=(_H1, _without_support(u))
         )
         _assert_close(masked, plain)
         assert masked[0].value > 0.0
 
-    @pytest.mark.parametrize("rule", sorted(_RULES))
-    def test_integrand_never_sees_points_outside_support(self, rule):
+    def test_integrand_never_sees_points_outside_support(self):
         u = make_bump(_ON_BOUNDARY)
         seen = []
 
@@ -434,7 +400,7 @@ class TestSupportMask:
             seen.append(s.points.copy())
             return s.u
 
-        integrate_many([spy], u.support_box, _T_AXIS, _RULES[rule], trial=(_H1, u))
+        integrate_many([spy], u.support_box, _T_AXIS, _CFG, trial=(_H1, u))
         pts = np.concatenate(seen)
         assert pts.shape[0] > 0
         assert np.all(u.support(pts))
@@ -449,11 +415,11 @@ class TestSupportMask:
             seen.append(len(s))
             return s.u
 
-        cfg = QuadConfig(method="tensor-gauss", points_per_axis=8)
+        cfg = QuadConfig(points_per_axis=8)
         (est,) = integrate_many([spy], UNIT_BOX, far_halfspace(), cfg, trial=(_H1, f))
-        # every node carries weight: 8^3 fine and 4^3 coarse
-        assert sum(seen) == 8**3 + 4**3
-        assert est.evaluations == 8**3
+        # every node carries weight: 8^2 lines of 16 s-nodes fine, 4^2 of 8 coarse
+        assert sum(seen) == 8**2 * 16 + 4**2 * 8
+        assert est.evaluations == 8**2 * 16
 
     def test_infinite_p_fails_at_the_same_point(self):
         # |grad_H u|^inf overflows inside the support; the first such node is
@@ -681,12 +647,11 @@ class TestManyIntegrands:
         assert len({_bits(e) for e in together}) == len(_MANY)
 
     # each integrand is summed before the next is evaluated, so 16 cost
-    # what 2 do: an interior bump on heisenberg:2 (the ball rule), boundary ones on
-    # heisenberg:3 and on heisenberg:1 with ``monte-carlo``
-    @pytest.mark.parametrize(
-        "k, cfg", [(2, QuadConfig()), (3, QuadConfig()), (1, QuadConfig(method="monte-carlo"))]
-    )
-    def test_peak_memory_does_not_grow_with_the_integrand_count(self, k, cfg):
+    # what 2 do: an interior bump on heisenberg:2 (the ball rule), a boundary
+    # one on heisenberg:3 (the graded rule's Monte Carlo branch)
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_peak_memory_does_not_grow_with_the_integrand_count(self, k):
+        cfg = QuadConfig()
         hs = halfspace_preset(2 * k + 1, "t-axis", 0.0)
         spec = BumpSpec(center=(0.1,) * 2 * k + (0.8,), radius=0.5) if k == 2 else boundary_bump_spec(hs, 0.7)
         u = make_bump(spec)
@@ -706,12 +671,9 @@ class TestManyIntegrands:
 
 class TestMonteCarloLines:
     # heisenberg:3 takes the graded rule's Monte Carlo transverse branch,
-    # whose lines are the transverse draws; on ``monte-carlo`` each sample
-    # is a line of its own
-    @pytest.mark.parametrize(
-        "cfg", [QuadConfig(sample_count=20_000, seed=5), QuadConfig(method="monte-carlo", sample_count=20_000)]
-    )
-    def test_lines_without_a_built_node_count_in_the_stderr(self, cfg):
+    # whose lines are the transverse draws
+    def test_lines_without_a_built_node_count_in_the_stderr(self):
+        cfg = QuadConfig(sample_count=20_000, seed=5)
         hs, u, trial = _boundary_trial(3)
         f = _MANY[1]
         (est,) = integrate_many([f], u.support_box, hs, cfg, trial=trial)

@@ -28,6 +28,8 @@ def test_matrix_covers_every_subcommand_and_workload():
     assert {"hardy:touching", "sobolev:abelian5"} <= set(labels)
     # oblique distances on the cached 5- and 7-dimension ball templates
     assert {"hardy:heisenberg2-oblique", "hardy:heisenberg3-oblique"} <= set(labels)
+    # a config that names the one quadrature method keeps the digest of one that does not
+    assert "hardy:explicit-method" in labels
 
 
 def test_the_tree_matches_itself():

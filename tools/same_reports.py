@@ -6,7 +6,8 @@ Runs a fixed matrix of CLI commands on this checkout and on the tree at
 ``--against`` (any directory with the package under ``src/``, such as a
 ``git worktree`` of the parent commit): the eight subcommands at their
 default configs, the configs of the benchmark's three workloads, oblique
-and offset normals, oblique normals on heisenberg:2 to :4, ``hardy`` on bumps
+and offset normals, ``hardy`` with the quadrature method spelled out,
+oblique normals on heisenberg:2 to :4, ``hardy`` on bumps
 that touch the boundary (clearance 0), ``sobolev`` on abelian:5, and
 ``sharpness`` on heisenberg:2, on an oblique normal and on an offset
 t-axis.  Each runs at seeds 1 and 42, in
@@ -97,6 +98,8 @@ def matrix() -> list[Case]:
         *_workload_cases(),
         Case("hardy:oblique", "hardy", {"halfspace": _OBLIQUE_H1}),
         Case("hardy:offset", "hardy", {"halfspace": {"preset": "t-axis", "d": 0.3}}),
+        # the method key spelled out: the same digest as when it is left out
+        Case("hardy:explicit-method", "hardy", {"quadrature": {"method": "boundary-graded"}}),
         Case("general-hardy:oblique-offset", "general-hardy", {"halfspace": {**_OBLIQUE_H1, "d": -0.25}}),
         Case("remainder:oblique", "remainder", {"halfspace": _OBLIQUE_H1, "p": [2.0, 3.0]}),
         # interior bumps on the cached 5- and 7-dimension ball templates
