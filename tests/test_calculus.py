@@ -442,13 +442,18 @@ class TestNodeLayout:
                 for f in check.integrands(spec, hs, p):
                     assert np.array_equal(f(by_row), f(by_column), equal_nan=True)
 
+    # below 16 points per axis a bump inside the half-space on heisenberg:3
+    # takes the graded rule's Monte Carlo branch, not the ball rule; 5 has
+    # the smallest coarse companion, at 2
+    @pytest.mark.parametrize("ppa", [5, 8, 16])
     @pytest.mark.parametrize("normal", ["t-axis", "oblique"])
     @pytest.mark.parametrize("k", [1, 3])
-    def test_every_rule_stores_its_nodes_by_coordinate(self, normal, k, rng):
+    def test_every_rule_stores_its_nodes_by_coordinate(self, normal, k, ppa, rng):
         n = 2 * k + 1
         hs = halfspace_preset(n, "t-axis", 0.0) if normal == "t-axis" else HalfSpace(random_unit(rng, n), 0.0)
-        cfg = QuadConfig(sample_count=5000)
-        # a bump across the boundary (the graded rule) and one inside (the ball rule)
+        cfg = QuadConfig(points_per_axis=ppa, sample_count=5000)
+        # a bump across the boundary (the graded rule) and one inside (the
+        # ball rule, or the graded rule's Monte Carlo branch)
         for clearance in (0.0, 0.5):
             u = make_bump(BumpSpec(center=tuple(hs.nu * clearance), radius=0.4))
             rule = _build_nodes(u.support_box, hs, cfg, u.support)

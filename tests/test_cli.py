@@ -249,6 +249,11 @@ class TestRejectedConfigs:
             # the boundary-graded rule's Monte Carlo branch: a sharpness
             # cutoff sits on the boundary, so it never takes the ball rule
             ("sharpness", {"group": "heisenberg:3", "quadrature": {"sample_count": 30_000_000}}),
+            # its tensor branch: 64^4 transverse nodes on lines of 61 panels
+            # of 8, about 8.2e9
+            ("sharpness", {"group": "heisenberg:2", "quadrature": {"points_per_axis": 64}}),
+            # the ball rule of an interior bump in five abelian dimensions
+            ("sobolev", {"group": "abelian:5", "quadrature": {"points_per_axis": 64}}),
         ],
     )
     def test_node_budget(self, tmp_path, capsys, command, over):

@@ -563,13 +563,15 @@ class TestSharpnessSweep:
         reports = sharpness_sweep(h1, t_axis, 2.0, (0.3,), cutoff, QuadConfig(points_per_axis=8))
         assert reports[0].extras["label"] == "probe"
 
+    # the grading exponent m moves every node of the s-axis, dist = s**m
+    @pytest.mark.parametrize("m", [1.0, 2.5, 4.0])
     @pytest.mark.parametrize("normal", ["x1-axis", "t-axis-offset", "oblique"])
     @pytest.mark.parametrize("group", sorted(_SWEEP_GROUPS))
-    def test_rows_are_the_per_row_runners_bit_for_bit(self, group, normal, integrations):
+    def test_rows_are_the_per_row_runners_bit_for_bit(self, group, normal, m, integrations):
         spec = group_from_name(group)
         hs = _sweep_halfspace(spec, normal)
         cutoff = boundary_bump_spec(hs, 1.0)
-        cfg = QuadConfig(points_per_axis=_SWEEP_GROUPS[group])
+        cfg = QuadConfig(points_per_axis=_SWEEP_GROUPS[group], grading_exponent=m)
         ps, eps_list = [2.0, 3.0], [0.5, 0.1]
         label = "verification" if normal == "x1-axis" else "probe"
         rows = sharpness_grid(spec, hs, ps, eps_list, cutoff, cfg, "digest")

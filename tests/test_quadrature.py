@@ -80,6 +80,32 @@ class TestConfig:
 
 
 class TestBoundaryGraded:
+    def test_polynomial_exactness_without_grading(self):
+        # away from the boundary and with m = 1 the rule is tensor Gauss:
+        # 12 nodes along the normal axis, 6 along each other axis
+        cfg = QuadConfig(points_per_axis=6, grading_exponent=1.0)
+        est = integrate_many(
+            [lambda s: s.points[:, 0] ** 4 * s.points[:, 1] ** 2 + s.points[:, 2]],
+            UNIT_BOX,
+            far_halfspace(),
+            cfg,
+        )[0]
+        assert est.value == pytest.approx(1.0 / 15.0 + 0.5, rel=1e-14)
+        assert est.evaluations == 6**2 * 12
+
+    def test_oblique_clipping_converges(self):
+        # x + 0.9 y > 1.2 cuts a triangle of area 0.7 x (7/9) / 2 = 49/180
+        # from the unit square; the lines along x leave the box for y < 2/9,
+        # a kink that the transverse rule resolves only as it refines
+        nu = np.array([1.0, 0.9, 0.0])
+        hs = HalfSpace(nu=nu / np.linalg.norm(nu), d=1.2 / np.linalg.norm(nu))
+        exact = 49.0 / 180.0
+        ones = [lambda s: np.ones(len(s))]
+        coarse = integrate_many(ones, UNIT_BOX, hs, QuadConfig(points_per_axis=8))[0]
+        fine = integrate_many(ones, UNIT_BOX, hs, QuadConfig(points_per_axis=32))[0]
+        assert abs(fine.value - exact) < abs(coarse.value - exact)
+        assert abs(fine.value - exact) < min(fine.stderr, 5e-3)
+
     @pytest.mark.parametrize("gamma", [-0.9, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0])
     def test_axis_aligned_power(self, gamma):
         # dist = t over [0,1]^3 against the t-axis: integral is 1/(gamma+1)
@@ -269,17 +295,30 @@ class TestFiniteSums:
 
     _HS = halfspace_preset(3, "t-axis", 0.0)
     _BOX = np.array([[-2.0, 2.0], [-2.0, 2.0], [-1.0, 3.0]])
+    # the box rule over the box, the ball rule over a unit ball inside it,
+    # and the box rule's Monte Carlo branch in 7 dimensions, with the
+    # volume each covers (about 48, 4 pi / 3, and 1/2)
+    _RULES = {
+        "box": (_BOX, _HS, QuadConfig(points_per_axis=6), None, (40.0, 50.0)),
+        "ball": (_BOX, _HS, QuadConfig(points_per_axis=6), make_bump(BumpSpec((0.0, 0.0, 2.0), 1.0)).support, (4.1, 4.3)),
+        "monte-carlo": (_MC_BOX, _MC_HS, QuadConfig(sample_count=2000), None, (0.45, 0.55)),
+    }
 
-    def _rules(self, cfg):
-        rule = _build_nodes(self._BOX, self._HS, cfg, None)
+    def _rules(self, name):
+        box, hs, cfg, support, _ = self._RULES[name]
+        assert _takes_ball(box, hs, support, cfg) == (name == "ball")
+        rule = _build_nodes(box, hs, cfg, support)
+        assert (rule.line is not None) == (name == "monte-carlo")
         return [rule] if rule.coarse is None else [rule, rule.coarse]
 
-    def _sums(self, f, rule):
-        return _sums([lambda s: np.ones(len(s)), f], rule, partial(sample_trial, None, self._HS, None))
+    def _sums(self, f, rule, name):
+        hs = self._RULES[name][1]
+        return _sums([lambda s: np.ones(len(s)), f], rule, partial(sample_trial, None, hs, None))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_a_non_finite_value_names_its_node(self, bad):
-        for rule in self._rules(QuadConfig(points_per_axis=6)):
+    @pytest.mark.parametrize("name", sorted(_RULES))
+    def test_a_non_finite_value_names_its_node(self, bad, name):
+        for rule in self._rules(name):
             target = rule.points[len(rule.points) // 3]
 
             def f(s):
@@ -288,14 +327,17 @@ class TestFiniteSums:
                 return out
 
             with pytest.raises(IntegrationError, match="non-finite") as err:
-                self._sums(f, rule)
+                self._sums(f, rule, name)
             assert np.array_equal(err.value.point, target)
 
-    def test_finite_values_whose_sum_overflows_do_not_raise(self):
-        # the rules cover about 48 units of volume: 1e308 at each node sums to inf
-        for rule in self._rules(QuadConfig(points_per_axis=6)):
-            sums = self._sums(lambda s: np.full(len(s), 1e308), rule)
-            assert 40.0 < sums[0] < 50.0 and sums[1] == np.inf
+    # a deterministic rule sums each integrand's weighted values at once
+    @pytest.mark.parametrize("name", ["ball", "box"])
+    def test_finite_values_whose_sum_overflows_do_not_raise(self, name):
+        # 1e308 at each node sums to inf over more than 1.8 units of volume
+        low, high = self._RULES[name][-1]
+        for rule in self._rules(name):
+            sums = self._sums(lambda s: np.full(len(s), 1e308), rule, name)
+            assert low < sums[0] < high and sums[1] == np.inf
 
     def test_a_monte_carlo_rule_checks_each_value(self, monkeypatch):
         rule = _build_nodes(_MC_BOX, _MC_HS, QuadConfig(sample_count=2000), None)
@@ -324,6 +366,19 @@ class TestNodeBudget:
         box = np.tile([0.0, 1.0], (dim, 1))
         with pytest.raises(NodeBudgetError, match="budget"):
             integrate_many([lambda s: np.ones(len(s))], box, hs, cfg)
+
+    # the ball rule checks its own count: 1.5 ppa radii x 2 (ppa / 2)^2
+    # directions in 3 dimensions, 1.5 ppa x (2n + 2^n) in 6
+    @pytest.mark.parametrize(
+        "dim, cfg",
+        [(3, QuadConfig(points_per_axis=400)), (6, QuadConfig(points_per_axis=200_000, sample_count=10**8))],
+    )
+    def test_ball_rule_over_budget_rejected(self, dim, cfg):
+        hs = halfspace_preset(dim, "t-axis", 0.0)
+        u = make_bump(BumpSpec(center=(0.0,) * (dim - 1) + (1.0,), radius=0.5))
+        assert _takes_ball(u.support_box, hs, u.support, cfg)
+        with pytest.raises(NodeBudgetError, match="the ball rule .* budget"):
+            _build_nodes(u.support_box, hs, cfg, u.support)
 
     def test_h2_default_is_far_under_budget(self):
         # the largest default rule: 16^4 x 32 nodes, plus the coarse companion
@@ -368,7 +423,13 @@ _TRIALS = {
     "sharpness": lambda spec: sharpness_trial(SharpnessSpec(p=2.0, eps=0.2, cutoff=spec), _T_AXIS),
     "scaled": lambda spec: make_bump(spec).scaled(7.0),
 }
-_CFG = QuadConfig(points_per_axis=10)
+# the support's chord window in s = dist**(1/m) moves with the points per
+# axis (panels, and the coarse companion at half of them) and with m
+_RULES = {
+    "ppa10": QuadConfig(points_per_axis=10),
+    "ppa7": QuadConfig(points_per_axis=7),
+    "m2": QuadConfig(points_per_axis=10, grading_exponent=2.0),
+}
 
 
 # each has a factor of u or grad u, so it is exactly 0.0 outside u.support
@@ -381,18 +442,21 @@ _INTEGRANDS = [
 
 class TestSupportMask:
     @pytest.mark.parametrize("box_kind", ["interior", "boundary"])
+    @pytest.mark.parametrize("rule", sorted(_RULES))
     @pytest.mark.parametrize("trial", sorted(_TRIALS))
-    def test_masked_equals_unmasked(self, trial, box_kind):
+    def test_masked_equals_unmasked(self, trial, rule, box_kind):
         u = _TRIALS[trial](_INTERIOR if box_kind == "interior" else _ON_BOUNDARY)
         assert u.support is not None
-        masked = integrate_many(_INTEGRANDS, u.support_box, _T_AXIS, _CFG, trial=(_H1, u))
+        cfg = _RULES[rule]
+        masked = integrate_many(_INTEGRANDS, u.support_box, _T_AXIS, cfg, trial=(_H1, u))
         plain = integrate_many(
-            _INTEGRANDS, u.support_box, _T_AXIS, _CFG, trial=(_H1, _without_support(u))
+            _INTEGRANDS, u.support_box, _T_AXIS, cfg, trial=(_H1, _without_support(u))
         )
         _assert_close(masked, plain)
         assert masked[0].value > 0.0
 
-    def test_integrand_never_sees_points_outside_support(self):
+    @pytest.mark.parametrize("rule", sorted(_RULES))
+    def test_integrand_never_sees_points_outside_support(self, rule):
         u = make_bump(_ON_BOUNDARY)
         seen = []
 
@@ -400,7 +464,7 @@ class TestSupportMask:
             seen.append(s.points.copy())
             return s.u
 
-        integrate_many([spy], u.support_box, _T_AXIS, _CFG, trial=(_H1, u))
+        integrate_many([spy], u.support_box, _T_AXIS, _RULES[rule], trial=(_H1, u))
         pts = np.concatenate(seen)
         assert pts.shape[0] > 0
         assert np.all(u.support(pts))
@@ -437,7 +501,7 @@ class TestSupportMask:
 
 # heisenberg:1 and :2 take the deterministic transverse branch, :3 the
 # Monte Carlo one
-_GROUPS = {k: heisenberg_group(k) for k in (1, 2, 3)}
+_GROUPS = {k: heisenberg_group(k) for k in (1, 2, 3, 4)}
 _CLIP_INTEGRANDS = [
     lambda s: np.sum(s.grad**2, axis=1),
     lambda s: (np.abs(s.u) / s.dist) ** 2,
@@ -647,9 +711,10 @@ class TestManyIntegrands:
         assert len({_bits(e) for e in together}) == len(_MANY)
 
     # each integrand is summed before the next is evaluated, so 16 cost
-    # what 2 do: an interior bump on heisenberg:2 (the ball rule), a boundary
-    # one on heisenberg:3 (the graded rule's Monte Carlo branch)
-    @pytest.mark.parametrize("k", [2, 3])
+    # what 2 do: an interior bump on heisenberg:2 (the ball rule), boundary
+    # ones on heisenberg:1 (the graded rule with its coarse companion) and on
+    # heisenberg:3 (the graded rule's Monte Carlo branch)
+    @pytest.mark.parametrize("k", [1, 2, 3])
     def test_peak_memory_does_not_grow_with_the_integrand_count(self, k):
         cfg = QuadConfig()
         hs = halfspace_preset(2 * k + 1, "t-axis", 0.0)
@@ -670,16 +735,18 @@ class TestManyIntegrands:
 
 
 class TestMonteCarloLines:
-    # heisenberg:3 takes the graded rule's Monte Carlo transverse branch,
-    # whose lines are the transverse draws
-    def test_lines_without_a_built_node_count_in_the_stderr(self):
-        cfg = QuadConfig(sample_count=20_000, seed=5)
-        hs, u, trial = _boundary_trial(3)
+    # heisenberg:3 and :4 take the graded rule's Monte Carlo transverse
+    # branch, whose lines are the transverse draws; the bump fills about 1.6 %
+    # of its box's 8 transverse axes on heisenberg:4, so that takes more lines
+    @pytest.mark.parametrize("k, samples", [(3, 20_000), (4, 200_000)])
+    def test_lines_without_a_built_node_count_in_the_stderr(self, k, samples):
+        cfg = QuadConfig(sample_count=samples, seed=5)
+        hs, u, trial = _boundary_trial(k)
         f = _MANY[1]
         (est,) = integrate_many([f], u.support_box, hs, cfg, trial=trial)
         rule = _build_nodes(u.support_box, hs, cfg, u.support)
         assert rule.coarse is None and 0 < np.unique(rule.line).size < rule.lines
-        contrib = rule.weights * f(sample_trial(_GROUPS[3], hs, u, rule.points, rule.dist))
+        contrib = rule.weights * f(sample_trial(_GROUPS[k], hs, u, rule.points, rule.dist))
         # every line of the full rule, 0.0 where the rule built no node
         full = np.zeros(rule.lines)
         np.add.at(full, rule.line, contrib)
