@@ -179,9 +179,7 @@ class ScalarField:
             return np.asarray(self._grad_fn(points), dtype=float)
         steps = h * _fd_scale(points)
         out = np.empty_like(points)
-        for j in range(self.dim):
-            shift = np.zeros(self.dim)
-            shift[j] = 1.0
+        for j, shift in enumerate(np.eye(self.dim)):
             up = self._fn(points + steps[:, None] * shift)
             dn = self._fn(points - steps[:, None] * shift)
             out[:, j] = (np.asarray(up) - np.asarray(dn)) / (2.0 * steps)
@@ -243,9 +241,7 @@ def distance_field(hs: HalfSpace) -> ScalarField:
 
 def _check_dims(spec: GroupSpec, hs: HalfSpace) -> None:
     if hs.dim != spec.total_dim:
-        raise ValueError(
-            f"half-space normal has {hs.dim} coordinates, group has {spec.total_dim}"
-        )
+        raise ValueError(f"half-space normal has {hs.dim} coordinates, group has {spec.total_dim}")
 
 
 def pairing_polynomials(spec: GroupSpec, hs: HalfSpace) -> tuple[Polynomial, ...]:
@@ -455,9 +451,7 @@ def _distance_flux_parts(spec: GroupSpec, nu: tuple[float, ...]) -> tuple[Polyno
     return s1, s2
 
 
-def p_sub_laplacian_distance_many(
-    spec: GroupSpec, hs: HalfSpace, points, p: float
-) -> np.ndarray:
+def p_sub_laplacian_distance_many(spec: GroupSpec, hs: HalfSpace, points, p: float) -> np.ndarray:
     """Closed-form p-sub-Laplacian of the boundary distance at (M, n) points.
 
     Valid wherever the angle function is positive; points with W = 0 get nan.
@@ -479,15 +473,19 @@ def p_sub_laplacian_distance_many(
 
 
 def p_sub_laplacian_fd_many(
-    spec: GroupSpec, f: ScalarField, points, p: float, h: float = H_STEP
+    spec: GroupSpec, f: ScalarField, points, ps, h: float = H_STEP
 ) -> np.ndarray:
     """Generic nested-FD p-sub-Laplacian sum_k X_k(|grad_H f|^(p-2) X_k f)
-    at (M, n) points.
+    at (M, n) points, one row for each p of ``ps``: shape (len(ps), M).
 
-    For p < 2 a vanishing horizontal gradient at any probe point makes the
-    flux singular; the result is then nan rather than a fake number.
+    The probes, the horizontal gradient of f at them, its squared norm and
+    the coefficient polynomials at the points are computed once for every
+    p; each row equals, bit for bit, a call with its p alone.  For p < 2 a
+    vanishing horizontal gradient at any probe point makes the flux
+    singular; the row is then nan rather than a fake number.
     """
-    if p <= 1:
+    ps = [float(p) for p in ps]
+    if any(p <= 1 for p in ps):
         raise ValueError("p must exceed 1")
     points = np.asarray(points, dtype=float)
     m, n = points.shape
@@ -503,21 +501,23 @@ def p_sub_laplacian_fd_many(
 
     hor = horizontal_from_euclidean(spec, flat, f.gradients(flat, h))
     w2 = np.sum(hor * hor, axis=1)
-    if p == 2.0:
-        flux = hor
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            flux = np.where(w2[:, None] > 0.0, w2[:, None] ** ((p - 2.0) / 2.0), 0.0) * hor
-        if p < 2.0:
-            flux[w2 == 0.0] = np.nan
-    flux = flux.reshape(m, 2 * n, nh)
+    coeffs = [(k, slot, poly.eval_many(points)) for k in range(nh) for slot, poly in spec.coeffs[k]]
+    out = np.empty((len(ps), m))
+    for row, p in zip(out, ps):
+        if p == 2.0:
+            flux = hor
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                flux = np.where(w2[:, None] > 0.0, w2[:, None] ** ((p - 2.0) / 2.0), 0.0) * hor
+            if p < 2.0:
+                flux[w2 == 0.0] = np.nan
+        flux = flux.reshape(m, 2 * n, nh)
 
-    dflux = (flux[:, 2 * idx, :] - flux[:, 2 * idx + 1, :]) / (2.0 * outer[:, None, None])
-    # dflux[q, j, k] = d(flux_k)/dx_j at point q
-    out = np.einsum("qkk->q", dflux[:, :nh, :])
-    for k in range(nh):
-        for slot, poly in spec.coeffs[k]:
-            out += poly.eval_many(points) * dflux[:, slot, k]
+        dflux = (flux[:, 2 * idx, :] - flux[:, 2 * idx + 1, :]) / (2.0 * outer[:, None, None])
+        # dflux[q, j, k] = d(flux_k)/dx_j at point q
+        row[:] = np.einsum("qkk->q", dflux[:, :nh, :])
+        for k, slot, c in coeffs:
+            row += c * dflux[:, slot, k]
     return out
 
 

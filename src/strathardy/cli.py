@@ -10,9 +10,10 @@ violated (one stderr line per failing row), 3 for configuration errors:
 among them a size over its bound (``config.SIZE_BOUNDS``), a quadrature
 method other than ``boundary-graded``, a quadrature over its node
 budget, a trial the quadrature rule never sees (its denominator integral
-vanishes; the line names the trial and p), an integrand that overflows
-at a node (p too large, say; the line names the trial, the p integrated
-with it and the node) and a beta whose beta-form coefficient overflows.
+vanishes, or its quotient or stderr is not finite; the line names the
+trial and p), an integrand that overflows at a node (p too large, say;
+the line names the trial, the p integrated with it and the node) and a
+beta whose beta-form coefficient overflows.
 The first such error ends the run with its one line.  All randomness is
 counter-based and derived from the seed, so identical configurations
 produce byte-identical reports.
@@ -249,6 +250,7 @@ def fix_malloc_thresholds() -> bool:
     return mmap_set and trim_set
 
 
+@cache  # once per process: each main() call of a process parses with it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="strathardy",
@@ -281,11 +283,7 @@ def main(argv=None) -> int:
     except (ConfigError, NodeBudgetError, experiments.TrivialTrialError, IntegrationError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 3
-    text = (
-        render_csv(reports)
-        if args.format == "csv"
-        else render_json(reports, resolved)
-    )
+    text = render_csv(reports) if args.format == "csv" else render_json(reports, resolved)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

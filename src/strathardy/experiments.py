@@ -11,14 +11,14 @@ the trial once for all of them, so one rule, one support mask and one
 trial sample serve every p of a trial.  The first error raises.  An
 integrand that is not finite at a node raises an IntegrationError naming
 the integrated trial and the p of that integration; a denominator
-integral too small to divide by raises a TrivialTrialError naming the
-trial and its p.  The sharpness sweep
-(:func:`sharpness_grid`) goes further: its trials are powers of the
-distance times one cutoff, so every (p, eps) of a sweep is integrated
-over the cutoff's sample, from which each row's trial sample is derived.
-The bounds these quantities are checked against are theorems for the
-Heisenberg and abelian families, so a contract violation beyond tolerance
-indicates a numerics bug, never a tunable.
+integral too small to divide by, or a row whose quotient or stderr is
+not finite, raises a TrivialTrialError naming the trial and its p.  The
+sharpness sweep (:func:`sharpness_grid`) goes further: its trials are
+powers of the distance times one cutoff, so every (p, eps) of a sweep is
+integrated over the cutoff's sample, from which each row's trial sample
+is derived.  The bounds these quantities are checked against are
+theorems for the Heisenberg and abelian families, so a contract
+violation beyond tolerance indicates a numerics bug, never a tunable.
 """
 
 from __future__ import annotations
@@ -119,7 +119,8 @@ def sobolev_exponent(p: float, Q: float) -> float:
 
 class TrivialTrialError(ValueError):
     """The trial's denominator integral is zero on the rule, or too small to
-    divide by: the bound would be checked against zero and verify nothing."""
+    divide by: a quotient or stderr against zero or past the float range
+    verifies nothing."""
 
 
 class _Case(NamedTuple):
@@ -172,8 +173,8 @@ def _integrate_rows(
     bit, those of integrating that group alone.
 
     The first error raises: an IntegrationError names u and the p of the
-    call, a TrivialTrialError its group's trial and p.  An empty ``groups``
-    integrates nothing.
+    call, a TrivialTrialError its group's trial and p, also for a row whose
+    quotient or stderr is not finite.  An empty ``groups`` integrates nothing.
     """
     if not groups:
         return []
@@ -195,7 +196,14 @@ def _integrate_rows(
                 f"trivial trial function {g.label} at p {g.p!r}: its denominator integral "
                 f"{den!r} on this quadrature rule is too small to check a bound against"
             )
-        rows.append(g.rows(mine))
+        made = g.rows(mine)
+        bad = [r for r in made if not (math.isfinite(r.quotient) and math.isfinite(r.stderr))]
+        if bad:
+            raise TrivialTrialError(
+                f"trial {g.label} at p {g.p!r}: its quotient {bad[0].quotient!r} and stderr "
+                f"{bad[0].stderr!r} are not both finite, so they check no bound"
+            )
+        rows.append(made)
     return rows
 
 
@@ -571,37 +579,50 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _bft_defects(a, b, p) -> np.ndarray:
-    """The relative defect of the vector inequality for each row of (a, b, p).
+def _bft_defects(a2, z, b2, p) -> np.ndarray:
+    """The relative defect of the vector inequality for each row of the
+    plane pairs A = (c1, 0), B = (z, c2), given as a2 = c1^2, z, b2 = c2^2.
 
-    The squared norms and the dot product are running sums over the
-    columns of a and b, and each power is taken once: |a|^p is
-    |a|^(p-2) |a|^2, with |a|^(p-2) also the factor of the cross term.
+    |A+B|^2 = (c1 + z)^2 + c2^2 is a sum of squares, which does not cancel
+    near B = -A.  Each power is taken once: |A|^p is |A|^(p-2) |A|^2, with
+    |A|^(p-2) also the factor of the cross term p |A|^(p-2) c1 z.
     """
-    na2, nb2, nab2, dot = (np.zeros(p.size) for _ in range(4))
-    for j in range(a.shape[1]):
-        aj, bj = a[:, j], b[:, j]
-        na2 += aj * aj
-        nb2 += bj * bj
-        ab = aj + bj
-        nab2 += ab * ab
-        dot += aj * bj
-    na_q = np.sqrt(na2) ** (p - 2.0)
+    na = np.sqrt(a2)
+    na_q = na ** (p - 2.0)
     cp = 1.0 / (np.exp2(p - 1.0) - 1.0)
-    nab_p, na_p = np.sqrt(nab2) ** p, na_q * na2
-    cnb_p, pcross = cp * np.sqrt(nb2) ** p, p * (na_q * dot)
+    nab_p, na_p = np.sqrt((na + z) ** 2 + b2) ** p, na_q * a2
+    cnb_p, pcross = cp * np.sqrt(z * z + b2) ** p, p * (na_q * (na * z))
     return ((nab_p - na_p) - (cnb_p + pcross)) / (nab_p + na_p + cnb_p + np.abs(pcross) + 1e-300)
 
 
-def _bft_chunks(chunks, a, b, p, max_dim, lo_p, hi_p, rel_tol) -> tuple[int, float]:
-    """(violations, worst defect) over ``chunks``, drawn into the flat buffers
-    a, b and p.
+def _draw_gram(gen, d: int, a2, z, b2) -> None:
+    """The Gram matrices of pairs A, B of independent N(0, I_d) vectors,
+    drawn into a2, z and b2 in that order: by Bartlett's decomposition, up
+    to a rotation, A = (c1, 0) and B = (z, c2) with independent
+    c1^2 ~ chi^2_d, z ~ N(0, 1) and c2^2 ~ chi^2_(d-1).  chi^2_1 is a
+    squared normal (standard_gamma's shape-1/2 branch is 4x slower), any
+    other chi^2_k is 2 Gamma(k/2), which at k = 0 is 0 and draws nothing.
+    """
+
+    def chi2(k, out):
+        if k == 1:
+            np.square(gen.standard_normal(out=out), out=out)
+        else:
+            np.multiply(gen.standard_gamma(k / 2.0, out=out), 2.0, out=out)
+
+    chi2(d, a2)
+    gen.standard_normal(out=z)
+    chi2(d - 1, b2)
+
+
+def _bft_chunks(chunks, buffer, max_dim, lo_p, hi_p, rel_tol) -> tuple[int, float]:
+    """(violations, worst defect) over ``chunks``, drawn into ``buffer``, (4, rows).
 
     Each chunk draws its rows' dimensions first; then, for each dimension
-    d in turn, a and b of its n_d rows, (n_d, d) each, and their p.  The
-    rows of each d are worked through in blocks of ``_FUZZ_BLOCK``.  A
-    defect that is not finite counts as a violation: it is NaN, or -inf,
-    as a defect is at most 1.
+    d in turn, the Gram matrices of its n_d rows and their p.  The rows of
+    each d are worked through in blocks of ``_FUZZ_BLOCK``.  A defect that
+    is not finite counts as a violation: it is NaN, or -inf, as a defect
+    is at most 1.
     """
     violations = 0
     lowest = []
@@ -609,16 +630,16 @@ def _bft_chunks(chunks, a, b, p, max_dim, lo_p, hi_p, rel_tol) -> tuple[int, flo
         counts = np.bincount(gen.integers(1, max_dim + 1, size=take), minlength=max_dim + 1)
         for d in range(1, max_dim + 1):
             n_d = int(counts[d])
-            va = gen.standard_normal(out=a[: n_d * d].reshape(n_d, d))
-            vb = gen.standard_normal(out=b[: n_d * d].reshape(n_d, d))
-            vp = gen.random(out=p[:n_d])
+            a2, z, b2, vp = buffer[:, :n_d]
+            _draw_gram(gen, d, a2, z, b2)
+            gen.random(out=vp)
             vp *= hi_p - lo_p
             vp += lo_p
             for start in range(0, n_d, _FUZZ_BLOCK):
                 rows = slice(start, start + _FUZZ_BLOCK)
                 # a large p overflows the powers: counted below, not warned
                 with np.errstate(over="ignore", invalid="ignore"):
-                    defect = _bft_defects(va[rows], vb[rows], vp[rows])
+                    defect = _bft_defects(a2[rows], z[rows], b2[rows], vp[rows])
                 # a NaN defect compares false, so it counts as a violation
                 violations += defect.size - int(np.count_nonzero(defect >= -rel_tol))
                 lowest.append(defect.min())
@@ -645,14 +666,16 @@ def bft_fuzz(
     or not finite raise ValueError.
 
     The samples come in chunks of ``_FUZZ_CHUNK`` rows, chunk c on stream
-    c of the fuzzer's key domain (``streams.FUZZER``); a chunk draws only
-    the d coordinates each of its rows checks.  The chunks run
-    concurrently on one thread per CPU this process may use (never more
-    threads than chunks).  Each chunk's draws and arithmetic do not depend
-    on which thread runs it, and the counts and the worst defect are
-    combined in an order-free way, so the report does not depend on the
-    CPU count.  ``worst_relative_defect`` is the least defect drawn, which
-    shows how close a draw came to a violation.
+    c of the fuzzer's key domain (``streams.FUZZER``).  The defect depends
+    on A and B only through their Gram matrix, so a row draws that, three
+    numbers whatever its d (:func:`_draw_gram`): the cost of a sample does
+    not grow with max_dim.  The chunks run concurrently on one thread per
+    CPU this process may use (never more threads than chunks).  Each
+    chunk's draws and arithmetic do not depend on which thread runs it,
+    and the counts and the worst defect are combined in an order-free
+    way, so the report does not depend on the CPU count.
+    ``worst_relative_defect`` is the least defect drawn, which shows how
+    close a draw came to a violation.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
@@ -672,13 +695,10 @@ def bft_fuzz(
     rows = min(samples, _FUZZ_CHUNK)
     # each worker's draw buffers are made here, once, rather than in its
     # thread: allocating them there raised the peak memory of a run
-    buffers = [
-        (np.empty(rows * max_dim), np.empty(rows * max_dim), np.empty(rows))
-        for _ in range(workers)
-    ]
+    buffers = [np.empty((4, rows)) for _ in range(workers)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [
-            pool.submit(_bft_chunks, chunks[k::workers], *buffers[k], max_dim, lo_p, hi_p, rel_tol)
+            pool.submit(_bft_chunks, chunks[k::workers], buffers[k], max_dim, lo_p, hi_p, rel_tol)
             for k in range(workers)
         ]
         results = [future.result() for future in futures]
@@ -738,11 +758,7 @@ def sharpness_grid(
     """
     cfg = cfg or QuadConfig()
     field = make_bump(cutoff)
-    verification = (
-        abs(hs.nu[0] - 1.0) < 1e-15
-        and not np.any(hs.nu[1:])
-        and hs.d == 0.0
-    )
+    verification = abs(hs.nu[0] - 1.0) < 1e-15 and not np.any(hs.nu[1:]) and hs.d == 0.0
     trials = [SharpnessSpec(p=p, eps=float(eps), cutoff=cutoff) for p, eps in product(ps, eps_list)]
     slot = []  # (cutoff sample, row, that row's derived sample)
 

@@ -125,10 +125,6 @@ class GroupSpec:
         """Sum of l * dim(stratum l); the scaling weight of the volume form."""
         return sum(l * d for l, d in enumerate(self.strata_dims, start=1))
 
-    def stratum_of(self, slot: int) -> int:
-        """1-based stratum index of coordinate ``slot`` (0-based)."""
-        return self._stratum_of(slot, self.strata_dims)
-
     def stratum_weights(self) -> np.ndarray:
         """Per-coordinate dilation weights (stratum index of each slot)."""
         return np.concatenate(

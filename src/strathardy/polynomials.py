@@ -113,9 +113,7 @@ class Polynomial:
 
     def _check_compatible(self, other: "Polynomial") -> None:
         if self._nvars != other._nvars:
-            raise ValueError(
-                f"operands have different nvars: {self._nvars} vs {other._nvars}"
-            )
+            raise ValueError(f"operands have different nvars: {self._nvars} vs {other._nvars}")
 
     def __add__(self, other):
         if isinstance(other, (int, float)):

@@ -287,8 +287,8 @@ def _power_weighted_parts(d, a, nu, u, grad) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _weighted(d, a, nu, u, grad) -> tuple[np.ndarray, np.ndarray]:
-    da = d**a
-    return da * u, da[:, None] * grad + a * d[:, None] ** (a - 1.0) * u[:, None] * nu
+    da = d**a  # d > 0: d^(a-1) is da / d, one power a node
+    return da * u, da[:, None] * grad + a * (da / d)[:, None] * u[:, None] * nu
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from strathardy import (
     distance_field,
     distance_flux_parts,
     field_pairings,
+    group_from_name,
     group_from_table,
     halfspace_preset,
     heisenberg_group,
@@ -328,26 +329,78 @@ class TestDistanceOperators:
         hs = HalfSpace(nu=np.array([0.6, 0.0, 0.8]), d=0.0)
         pts = rng.uniform(0.5, 1.5, size=(20, 3))
         closed = p_sub_laplacian_distance_many(skew_table, hs, pts, p)
-        fd = p_sub_laplacian_fd_many(skew_table, distance_field(hs), pts, p)
+        (fd,) = p_sub_laplacian_fd_many(skew_table, distance_field(hs), pts, [p])
         assert np.all(np.isfinite(closed))
         assert np.max(np.abs(closed - fd)) < 1e-5 * (1.0 + np.max(np.abs(closed)))
 
     def test_fd_route_near_zero_on_heisenberg(self, h1, t_axis, rng):
         pts = rng.uniform(0.5, 2.0, size=(15, 3))
-        out = p_sub_laplacian_fd_many(h1, distance_field(t_axis), pts, 2.0)
+        (out,) = p_sub_laplacian_fd_many(h1, distance_field(t_axis), pts, [2.0])
         assert np.max(np.abs(out)) < 1e-6
 
     def test_rejects_small_p(self, h1, t_axis):
         with pytest.raises(ValueError):
             p_sub_laplacian_distance_many(h1, t_axis, np.zeros((1, 3)), 1.0)
         with pytest.raises(ValueError):
-            p_sub_laplacian_fd_many(h1, distance_field(t_axis), np.zeros((1, 3)), 0.5)
+            p_sub_laplacian_fd_many(h1, distance_field(t_axis), np.zeros((1, 3)), [2.0, 0.5])
 
     def test_singular_flux_is_nan_below_two(self, h1):
         flat = ScalarField(3, lambda pts: np.ones(len(pts)), grad_fn=lambda pts: np.zeros_like(pts))
         x = np.array([[1.0, 1.0, 1.0]])
-        assert np.isnan(p_sub_laplacian_fd_many(h1, flat, x, 1.5)[0])
-        assert p_sub_laplacian_fd_many(h1, flat, x, 3.0)[0] == 0.0
+        below, above = p_sub_laplacian_fd_many(h1, flat, x, [1.5, 3.0])
+        assert np.isnan(below[0])
+        assert above[0] == 0.0
+
+    @staticmethod
+    def fd_one_p(spec, f, points, p, h=1e-4):
+        """The nested-FD p-sub-Laplacian at one p, as it was computed before
+        one call served several p."""
+        m, n = points.shape
+        nh = spec.horizontal_dim
+        outer = np.sqrt(h) * 1e-2 * np.maximum(1.0, np.max(np.abs(points), axis=1))
+        probes = np.repeat(points[:, None, :], 2 * n, axis=1)
+        idx = np.arange(n)
+        probes[:, 2 * idx, idx] += outer[:, None]
+        probes[:, 2 * idx + 1, idx] -= outer[:, None]
+        flat = probes.reshape(m * 2 * n, n)
+        hor = horizontal_from_euclidean(spec, flat, f.gradients(flat, h))
+        w2 = np.sum(hor * hor, axis=1)
+        if p == 2.0:
+            flux = hor
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                flux = np.where(w2[:, None] > 0.0, w2[:, None] ** ((p - 2.0) / 2.0), 0.0) * hor
+            if p < 2.0:
+                flux[w2 == 0.0] = np.nan
+        flux = flux.reshape(m, 2 * n, nh)
+        dflux = (flux[:, 2 * idx, :] - flux[:, 2 * idx + 1, :]) / (2.0 * outer[:, None, None])
+        out = np.einsum("qkk->q", dflux[:, :nh, :])
+        for k in range(nh):
+            for slot, poly in spec.coeffs[k]:
+                out += poly.eval_many(points) * dflux[:, slot, k]
+        return out
+
+    @pytest.mark.parametrize("group", ["skew", "heisenberg:1", "heisenberg:2"])
+    def test_each_row_is_its_p_alone_bit_for_bit(self, skew_table, rng, group):
+        spec = skew_table if group == "skew" else group_from_name(group)
+        dim = spec.total_dim
+        pts = rng.uniform(-1.5, 1.5, size=(40, dim))
+        pts[::4, 0] = 0.0  # x1 = 0 at every probe of these points but one pair
+        fields = [
+            distance_field(HalfSpace(nu=random_unit(rng, dim), d=0.0)),
+            # grad_H vanishes where x1 does: nan at p = 1.5 there
+            ScalarField(dim, lambda q: q[:, 0] ** 2, grad_fn=lambda q: 2.0 * q * (np.arange(dim) == 0)),
+        ]
+        ps = [1.5, 2.0, 3.0]
+        for f in fields:
+            rows = p_sub_laplacian_fd_many(spec, f, pts, ps)
+            assert rows.shape == (3, 40)
+            for row, p in zip(rows, ps):
+                want = self.fd_one_p(spec, f, pts, p)
+                assert np.array_equal(row, want, equal_nan=True)
+                assert np.array_equal(p_sub_laplacian_fd_many(spec, f, pts, [p])[0], want, equal_nan=True)
+        # the second field at p = 1.5: nan at the points with x1 = 0 alone
+        assert np.array_equal(np.isnan(rows[0]), pts[:, 0] == 0.0)
 
     def test_nan_where_angle_vanishes(self, h1, t_axis):
         out = p_sub_laplacian_distance_many(h1, t_axis, np.array([[0.0, 0.0, 1.0]]), 2.0)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import ctypes
 import functools
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import strathardy
-from strathardy import CSV_COLUMNS, Report, calculus, experiments, render_json
+from strathardy import CSV_COLUMNS, Report, calculus, cli, experiments, render_json
 from strathardy.cli import COMMANDS, fix_malloc_thresholds, main
 from strathardy.config import SIZE_BOUNDS, build_trials, load_config, resolve
 
@@ -197,6 +198,22 @@ class TestCommands:
 
 
 class TestOutput:
+    def test_the_parser_is_built_once_per_process(self, tmp_path, capsys, monkeypatch):
+        cli.build_parser.cache_clear()
+        made = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(parser, *args, **kwargs):
+            made.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        path = write_config(tmp_path)
+        first, second = (run(["hardy", "--config", path], capsys) for _ in range(2))
+        assert first == second and first[0] == 0
+        # the parser and one subparser per command, all built by the first call
+        assert made.count("strathardy") == 1 and len(made) == 1 + len(COMMANDS)
+
     def test_out_file_and_determinism(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -643,6 +660,26 @@ class TestOneIntegrationPerTrial:
         assert err.startswith(line) and err.endswith("]\n") and err.count("\n") == 1
         # each trial up to the failing one integrated once
         assert calls == [u.support_box.tobytes() for u in trials[: failing + 1]]
+
+    # trial 1 at p 300: a numerator of 4.1e200 over a denominator of 3.2e-132
+    @pytest.mark.parametrize("command", ["hardy", "general-hardy"])
+    def test_a_quotient_past_the_float_range_is_no_verdict(self, tmp_path, capsys, command):
+        path = write_config(
+            tmp_path,
+            group="heisenberg:2",
+            p=[2, 300],
+            trials={"count": 2, "region": 0.3, "clearance": 0.5},
+            quadrature={"points_per_axis": 8},
+            seed=11,
+        )
+        code, out, err = run([command, "--config", path], capsys)
+        group, hs, _, cfg = resolve(load_config(path))
+        label = build_trials(group, hs, cfg)[1].label
+        assert (code, out) == (3, "")
+        assert err == (
+            f"configuration error: trial {label} at p 300.0: its quotient inf and stderr inf "
+            "are not both finite, so they check no bound\n"
+        )
 
 
 # one heisenberg:2 trial integrated twice; prints the minor faults of the second

@@ -241,7 +241,7 @@ class TestGeneralHardy:
         dist = distance_field(hs)
         (ref,) = integrate_many(
             [
-                lambda s: p_sub_laplacian_fd_many(skew, dist, s.points, p)
+                lambda s: p_sub_laplacian_fd_many(skew, dist, s.points, [p])[0]
                 / s.dist ** (p - 1.0)
                 * np.abs(u.values(s.points)) ** p
             ],
@@ -382,30 +382,51 @@ class TestVectorInequality:
             assert np.isnan(rep.extras["worst_relative_defect"])
 
     @staticmethod
-    def reference_defects(samples, seed, max_dim=5, lo_p=2.0, hi_p=5.0):
-        """The fuzzer's per-chunk arithmetic before blocks and threads: whole
-        chunks, one group of rows per dimension d, np.linalg.norm, and
-        |a|^p as |a|^(p-2) |a|^2."""
+    def gram_defects(a2, z, b2, p, cp_scale=1.0):
+        """The relative defect of the inequality with C_p scaled by cp_scale,
+        for A = (c1, 0), B = (z, c2) given as a2 = c1^2, z and b2 = c2^2."""
+        na = np.sqrt(a2)
+        nb = np.sqrt(z**2 + b2)
+        nab = np.sqrt((na + z) ** 2 + b2)
+        cp = 1.0 / (np.exp2(p - 1.0) - 1.0) * cp_scale
+        na_q = na ** (p - 2.0)
+        na_p = na_q * a2
+        cross = p * (na_q * (na * z))
+        lhs = nab**p - na_p
+        rhs = cp * nb**p + cross
+        return (lhs - rhs) / (nab**p + na_p + cp * nb**p + np.abs(cross) + 1e-300)
+
+    @staticmethod
+    def explicit_defects(a, b, p):
+        """The relative defect from d-dimensional vectors a, b, (rows, d)."""
+        na = np.linalg.norm(a, axis=1)
+        nab = np.linalg.norm(a + b, axis=1)
+        cnb = np.linalg.norm(b, axis=1) ** p / (np.exp2(p - 1.0) - 1.0)
+        cross = p * na ** (p - 2.0) * np.sum(a * b, axis=1)
+        return (nab**p - na**p - cnb - cross) / (nab**p + na**p + cnb + np.abs(cross) + 1e-300)
+
+    @classmethod
+    def reference_defects(cls, samples, seed, max_dim=5, lo_p=2.0, hi_p=5.0):
+        """The fuzzer's draws and arithmetic before blocks, buffers and
+        threads: whole chunks, one group of rows per dimension d, each row
+        the Gram matrix of A, B ~ N(0, I_d) as c1^2 ~ chi^2_d, z ~ N(0, 1)
+        and c2^2 ~ chi^2_(d-1), chi^2_1 being a squared normal."""
+
+        def chi2(gen, k, rows):
+            if k == 0:
+                return np.zeros(rows)
+            return gen.standard_normal(rows) ** 2 if k == 1 else gen.chisquare(k, rows)
+
         out = []
         for gen, take in philox_chunks(seed, samples, 1 << 17, FUZZER):
             dims = gen.integers(1, max_dim + 1, size=take)
             for d in range(1, max_dim + 1):
                 rows = int(np.count_nonzero(dims == d))
-                a = gen.standard_normal((rows, d))
-                b = gen.standard_normal((rows, d))
+                a2 = chi2(gen, d, rows)
+                z = gen.standard_normal(rows)
+                b2 = chi2(gen, d - 1, rows)
                 p = gen.uniform(lo_p, hi_p, size=rows)
-                na = np.linalg.norm(a, axis=1)
-                nb = np.linalg.norm(b, axis=1)
-                nab = np.linalg.norm(a + b, axis=1)
-                dot = np.sum(a * b, axis=1)
-                cp = 1.0 / (np.exp2(p - 1.0) - 1.0)
-                na_q = na ** (p - 2.0)
-                na_p = na_q * np.sum(a * a, axis=1)
-                cross = p * (na_q * dot)
-                lhs = nab**p - na_p
-                rhs = cp * nb**p + cross
-                scale = nab**p + na_p + cp * nb**p + np.abs(cross) + 1e-300
-                out.append((lhs - rhs) / scale)
+                out.append(cls.gram_defects(a2, z, b2, p))
         return np.concatenate(out)
 
     @pytest.mark.parametrize("samples", [1, 1000, 131072, 131073, 300000])
@@ -440,8 +461,7 @@ class TestVectorInequality:
                 counts, lows = zip(
                     *(
                         experiments._bft_chunks(
-                            chunks[k::cpus], np.empty(5 * rows), np.empty(5 * rows), np.empty(rows),
-                            5, 2.0, 5.0, rel_tol,
+                            chunks[k::cpus], np.empty((4, rows)), 5, 2.0, 5.0, rel_tol
                         )
                         for k in range(min(cpus, len(chunks)))
                     )
@@ -451,22 +471,61 @@ class TestVectorInequality:
 
     @pytest.mark.parametrize("max_dim", [1, 5])
     def test_blocks_hold_only_the_coordinates_they_check(self, monkeypatch, max_dim):
-        seen = []
-        defects = experiments._bft_defects
+        drawn, seen = [], []
+        draw_gram, defects = experiments._draw_gram, experiments._bft_defects
 
-        def spy(a, b, p):
-            seen.append((a.shape, b.shape, p.shape))
-            return defects(a, b, p)
+        def draw_spy(gen, d, *columns):
+            drawn.append((d, columns[0].shape))
+            return draw_gram(gen, d, *columns)
 
+        def spy(*columns):
+            seen.append([c.shape for c in columns])
+            return defects(*columns)
+
+        monkeypatch.setattr(experiments, "_draw_gram", draw_spy)
         monkeypatch.setattr(experiments, "_bft_defects", spy)
         rep = bft_fuzz(samples=100_000, seed=11, max_dim=max_dim)
         assert rep.quotient == 0.0
-        # one (rows, d) shape for a and b and (rows,) for p, in blocks of
-        # at most _FUZZ_BLOCK rows, d from 1 to max_dim, all rows checked once
-        assert all(sa == sb and sp == sa[:1] for sa, sb, sp in seen)
-        assert max(sa[0] for sa, _, _ in seen) <= experiments._FUZZ_BLOCK
-        assert {sa[1] for sa, _, _ in seen} == set(range(1, max_dim + 1))
-        assert sum(sa[0] for sa, _, _ in seen) == 100_000
+        # the Gram matrices of every d from 1 to max_dim, one row a sample
+        assert {d for d, _ in drawn} == set(range(1, max_dim + 1))
+        assert sum(shape[0] for _, shape in drawn) == 100_000
+        # four (rows,) columns a block, at most _FUZZ_BLOCK rows, every row checked once
+        assert all(len(shapes) == 4 and len(set(shapes)) == 1 and len(shapes[0]) == 1 for shapes in seen)
+        assert max(shapes[0][0] for shapes in seen) <= experiments._FUZZ_BLOCK
+        assert sum(shapes[0][0] for shapes in seen) == 100_000
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_gram_draws_have_the_law_of_explicit_vectors(self, d):
+        stats = pytest.importorskip("scipy.stats")
+        rows = 20_000
+        gen = np.random.Generator(np.random.Philox(key=[d, 1]))
+        a2, z, b2 = np.empty((3, rows))
+        experiments._draw_gram(gen, d, a2, z, b2)
+        p = gen.uniform(2.0, 5.0, size=rows)
+        gram = experiments._bft_defects(a2, z, b2, p)
+        other = np.random.Generator(np.random.Philox(key=[d, 2]))
+        a, b = other.standard_normal((2, rows, d))
+        explicit = self.explicit_defects(a, b, other.uniform(2.0, 5.0, size=rows))
+        assert stats.ks_2samp(gram, explicit).pvalue > 1e-3
+        # |A|^2, <A, B> and |B|^2 have means d, 0 and d
+        for value, mean in ((a2, d), (np.sqrt(a2) * z, 0.0), (z * z + b2, d)):
+            assert abs(value.mean() - mean) < 4.0 * value.std() / np.sqrt(rows)
+
+    def test_a_constant_raised_by_a_thousandth_is_violated(self, monkeypatch):
+        seen = []
+        defects = experiments._bft_defects
+
+        def spy(*columns):
+            seen.append([c.copy() for c in columns])
+            return defects(*columns)
+
+        monkeypatch.setattr(experiments, "_bft_defects", spy)
+        rep = bft_fuzz(samples=100_000, seed=5)
+        a2, z, b2, p = (np.concatenate(column) for column in zip(*seen))
+        assert len(p) == 100_000 and rep.quotient == 0.0
+        assert np.count_nonzero(self.gram_defects(a2, z, b2, p) < -1e-12) == 0
+        # C_p is sharp: 0.1 % more is violated by the draws the fuzzer checks
+        assert np.count_nonzero(self.gram_defects(a2, z, b2, p, cp_scale=1.001) < -1e-12) > 0
 
     @pytest.mark.parametrize(
         "affinity, cpu_count, samples, workers",
