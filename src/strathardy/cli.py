@@ -152,10 +152,8 @@ def _bft(group, hs, quad, cfg, digest):
 def _luan_young(group, hs, quad, cfg, digest):
     if not group.is_heisenberg:
         raise ConfigError(f"luan-young needs a Heisenberg group, got {group.name}")
-    return [
-        experiments.luan_young_check(group, u, quad, config_digest=digest)
-        for u in build_trials(group, hs, cfg)
-    ]
+    # the check is at p = 2 alone; a p the config gives is ignored
+    return _each_trial(experiments.LUAN_YOUNG, group, hs, quad, dict(cfg, p=[2.0]), digest)
 
 
 # -- contracts: report rows -> one line per failing row --------------------------

@@ -1,14 +1,15 @@
 """Inequality experiments: Hardy quotients, remainder and Sobolev checks.
 
-Each runner integrates its numerator and denominator over the trial's
-support box on one shared rule, propagates a standard error, and returns a
-:class:`~strathardy.reports.Report`.  The integrands are array expressions
-over the :class:`~strathardy.calculus.TrialSample` that quadrature
-computes once per chunk of nodes.  A p-taking runner is a :class:`Check`
-(its integrands at one p, and its rows from their estimates) applied by
-:func:`each_p` to that one p; given several p, :func:`each_p` integrates
-the trial once for all of them, so one rule, one support mask and one
-trial sample serve every p of a trial.  The first error raises.  An
+Each check of a trial u at some p (:data:`HARDY`, :data:`GENERAL_HARDY`,
+:data:`REMAINDER`, :data:`SOBOLEV` and :data:`LUAN_YOUNG`) is a
+:class:`Check`: its integrands at one p, and its report rows from their
+estimates.  :func:`each_p` runs one, for any list of p: it integrates
+the integrands of every p over the trial's support box on one shared
+rule, so one rule, one support mask and one trial sample serve every p of
+a trial, and propagates a standard error into each
+:class:`~strathardy.reports.Report`.  The integrands are array
+expressions over the :class:`~strathardy.calculus.TrialSample` that
+quadrature computes once per chunk of nodes.  The first error raises.  An
 integrand that is not finite at a node raises an IntegrationError naming
 the integrated trial and the p of that integration; a denominator
 integral too small to divide by, or a row whose quotient or stderr is
@@ -57,13 +58,9 @@ __all__ = [
     "GENERAL_HARDY",
     "REMAINDER",
     "SOBOLEV",
-    "hardy_quotient",
-    "general_hardy_margin",
-    "remainder_check",
+    "LUAN_YOUNG",
     "hardy_sobolev_ratio",
-    "luan_young_check",
     "bft_fuzz",
-    "sharpness_sweep",
     "sharpness_grid",
 ]
 
@@ -135,8 +132,8 @@ class _Case(NamedTuple):
 
 
 class Check(NamedTuple):
-    """A runner split at its integration, so that one integration serves
-    several p.
+    """One inequality check, split at its integration, so that one
+    integration (:func:`each_p`) serves several p.
 
     ``integrands(spec, hs, p)`` lists its integrands over a TrialSample at
     one p, and raises ValueError for a p the check does not take.
@@ -242,12 +239,6 @@ def each_p(
     return _integrate_rows(groups, spec, hs, u, cfg)
 
 
-def _one(check: Check, spec, hs, u, p, cfg, config_digest, **params) -> Report:
-    """The one report row of ``check`` on trial u at p."""
-    ((report,),) = each_p(check, spec, hs, u, [p], cfg, config_digest, **params)
-    return report
-
-
 def _hardy_integrands(spec, hs, p: float):
     """The Hardy numerator |grad_H u|^p and weight (W |u| / dist)^p, from bases every p shares."""
     # (w |u| / d)^p rather than (w/d)^p * |u|^p: the factored form can
@@ -292,10 +283,11 @@ def _report(inequality_id, case: _Case, estimates, extras=None, **kw):
 # -- checks --------------------------------------------------------------------
 
 
-def _hardy_rows(case, estimates, inequality_id="hardy"):
+def _hardy_rows(case, estimates, inequality_id="hardy", bound=None):
+    """The quotient num / den against ``bound`` (None: the sharp constant at p)."""
     num, den = estimates
     quotient = num.value / den.value
-    bound = sharp_hardy_constant(case.p)
+    bound = sharp_hardy_constant(case.p) if bound is None else bound
     return [
         _report(
             inequality_id,
@@ -325,7 +317,8 @@ def _general_hardy_integrands(spec, hs, p):
 
 
 def _general_hardy_rows(case, estimates, betas=None):
-    """One row per beta of ``betas`` (None: beta_star(p) alone)."""
+    """One row per beta of ``betas`` (None: beta_star(p) alone): T0 / T1
+    against coeff(beta) + beta T2 / T1, T2 = int (L_p dist / dist^(p-1)) |u|^p."""
     p = case.p
     t0, t1 = estimates[:2]
     # no T2 integrand: the distance is p-harmonic and T2 an exact zero
@@ -376,6 +369,8 @@ def _remainder_integrands(spec, hs, p):
 
 
 def _remainder_rows(case, estimates):
+    """The slack of E_p[u] >= C_p int dist^(p-1) |grad_H v|^p, with E_p[u]
+    the Hardy numerator less the sharp constant times its weight integral."""
     t0, t1, rem = estimates
     sharp = sharp_hardy_constant(case.p)
     cp = remainder_constant(case.p)
@@ -439,7 +434,16 @@ def _sobolev_rows(case, estimates):
 
 
 def _luan_young_integrands(spec, hs, p):
-    """|grad_H u|^2 and ((|x|^2+|y|^2)/t^2) |u|^2; p is always 2."""
+    """|grad_H u|^2 and ((|x|^2+|y|^2)/t^2) |u|^2, the weight in coordinates.
+
+    Only the setting of the classical two-weight inequality is taken: a
+    Heisenberg group, the half-space t > 0 and p = 2; else ValueError."""
+    if not spec.is_heisenberg:
+        raise ValueError("this check is specific to the Heisenberg family")
+    if not (hs.d == 0.0 and np.array_equal(hs.nu, np.eye(spec.total_dim)[-1])):
+        raise ValueError("this check is on the half-space t > 0: the t-axis normal with d = 0")
+    if p != 2.0:
+        raise ValueError(f"this check is at p = 2, got p = {p!r}")
     n = spec.heisenberg_n
 
     def weight_integrand(s):
@@ -451,83 +455,14 @@ def _luan_young_integrands(spec, hs, p):
     return [_hardy_integrands(spec, hs, 2.0)[0], weight_integrand]
 
 
-def _luan_young_rows(case, estimates):
-    num, den = estimates
-    quotient = num.value / den.value
-    return [
-        _report(
-            "luan-young",
-            case,
-            estimates,
-            quotient=quotient,
-            bound=1.0,
-            margin=quotient - 1.0,
-            stderr=_quotient_stderr(num, den),
-            numerator=num,
-            denominator=den,
-        )
-    ]
-
-
 HARDY = Check(_hardy_integrands, _hardy_rows)
 GENERAL_HARDY = Check(_general_hardy_integrands, _general_hardy_rows)
 REMAINDER = Check(_remainder_integrands, _remainder_rows, denominator=2)
 SOBOLEV = Check(_sobolev_integrands, _sobolev_rows, denominator=2)
-_LUAN_YOUNG = Check(_luan_young_integrands, _luan_young_rows)
+LUAN_YOUNG = Check(_luan_young_integrands, partial(_hardy_rows, inequality_id="luan-young", bound=1.0))
 
 
 # -- runners -------------------------------------------------------------------
-
-
-def hardy_quotient(
-    spec: GroupSpec,
-    hs: HalfSpace,
-    u: ScalarField,
-    p: float,
-    cfg: QuadConfig | None = None,
-    config_digest: str = "",
-    inequality_id: str = "hardy",
-) -> Report:
-    """Quotient int |grad_H u|^p / int (W/dist)^p |u|^p against the sharp bound.
-
-    Raises on a trivial trial (zero denominator): a quotient against zero
-    verifies nothing.
-    """
-    return _one(HARDY, spec, hs, u, p, cfg, config_digest, inequality_id=inequality_id)
-
-
-def general_hardy_margin(
-    spec: GroupSpec,
-    hs: HalfSpace,
-    u: ScalarField,
-    p: float,
-    beta: float,
-    cfg: QuadConfig | None = None,
-    config_digest: str = "",
-) -> Report:
-    """Margin of the beta-form bound, normalized by the weighted integral.
-
-    The right-hand side is coeff(beta) * T1 + beta * T2 with
-    T1 = int (W/dist)^p |u|^p and T2 = int (L_p dist / dist^(p-1)) |u|^p.
-    When the distance is p-harmonic (exact polynomial certificate), T2 is
-    an exact zero rather than a numerically integrated one.
-    """
-    return _one(GENERAL_HARDY, spec, hs, u, p, cfg, config_digest, betas=[float(beta)])
-
-
-def remainder_check(
-    spec: GroupSpec,
-    hs: HalfSpace,
-    u: ScalarField,
-    p: float,
-    cfg: QuadConfig | None = None,
-    config_digest: str = "",
-) -> Report:
-    """Slack of the remainder bound E_p[u] >= C_p int dist^(p-1) |grad_H v|^p.
-
-    v is the ground transform of u; the check needs p >= 2.
-    """
-    return _one(REMAINDER, spec, hs, u, p, cfg, config_digest)
 
 
 def hardy_sobolev_ratio(
@@ -538,32 +473,13 @@ def hardy_sobolev_ratio(
     cfg: QuadConfig | None = None,
     config_digest: str = "",
 ) -> Report:
-    """S[u] = E_p[u]^(1/p) / (int |u|^p*)^(1/p*), scaling-invariant in u.
+    """The one SOBOLEV row of trial u at p: S[u] = E_p[u]^(1/p) / (int |u|^p*)^(1/p*).
 
-    Only consistency properties are checked downstream (positivity,
-    invariance under u -> 7u); no value of the embedding constant is
-    asserted, the best constant is not computed here.
+    Kept for the benchmark harness (``bench/run.py``) alone; everything
+    else calls :func:`each_p`.  The best constant is not computed here.
     """
-    return _one(SOBOLEV, spec, hs, u, p, cfg, config_digest)
-
-
-def luan_young_check(
-    spec: GroupSpec,
-    u: ScalarField,
-    cfg: QuadConfig | None = None,
-    config_digest: str = "",
-) -> Report:
-    """Quotient of int |grad_H u|^2 over int ((|x|^2+|y|^2)/t^2) |u|^2 vs 1.
-
-    The weight is written directly in coordinates (the angle-function route
-    is compared against it in the tests), with the normal fixed to the
-    t-axis and offset 0; that is the configuration the classical two-weight
-    inequality addresses.
-    """
-    if not spec.is_heisenberg:
-        raise ValueError("this check is specific to the Heisenberg family")
-    hs = HalfSpace(nu=np.eye(2 * spec.heisenberg_n + 1)[-1], d=0.0)
-    return _one(_LUAN_YOUNG, spec, hs, u, 2.0, cfg, config_digest)
+    ((report,),) = each_p(SOBOLEV, spec, hs, u, [p], cfg, config_digest)
+    return report
 
 
 # the fuzzer's Philox chunk (the stream's unit, fixed) and the rows of
@@ -741,18 +657,21 @@ def sharpness_grid(
     cfg: QuadConfig | None = None,
     config_digest: str = "",
 ) -> list[Report]:
-    """The sharpness sweep of every p of ``ps``, in order: the rows of
-    :func:`sharpness_sweep` for ps[0], then for ps[1], and so on.
+    """Hardy quotients of the near-extremal family, for each p of ``ps``
+    and each eps of ``eps_list``: p outer, eps inner, each in order.
 
-    Every trial is dist^alpha times the one cutoff bump, so the rows are
-    integrated together over the cutoff's support box, ``_SWEEP_ROWS``
-    (p, eps) rows to one :func:`integrate_many` call: one rule, one support
-    mask and one sample of the cutoff (with dist and W) serve them all.
-    Each row's integrands read its trial's sample, derived from the
-    cutoff's with the arithmetic of the trial field itself, and only one
-    such derived sample is kept at a time.  Each row is therefore, bit for
-    bit, the ``hardy_quotient`` of its ``sharpness_trial`` with inequality
-    id "sharpness".  Every (p, eps) is built before anything is
+    For the first-coordinate normal with offset 0 the sweep is a genuine
+    verification (quotients must decrease toward the sharp constant as eps
+    shrinks); for other normals it is a labeled probe.  Every trial is
+    dist^alpha times the one cutoff bump, so the rows are integrated
+    together over the cutoff's support box, ``_SWEEP_ROWS`` (p, eps) rows
+    to one :func:`integrate_many` call: one rule, one support mask and one
+    sample of the cutoff (with dist and W) serve them all.  Each row's
+    integrands read its trial's sample, derived from the cutoff's with the
+    arithmetic of the trial field itself, and only one such derived sample
+    is kept at a time.  Each row is therefore, bit for bit, the
+    :data:`HARDY` row (:func:`each_p`) of its ``sharpness_trial`` with
+    inequality id "sharpness".  Every (p, eps) is built before anything is
     integrated, so one that cannot be raises at once; then the first error
     of an integration raises (see :func:`_integrate_rows`).
     """
@@ -796,22 +715,3 @@ def sharpness_grid(
         reports += [r for rs in _integrate_rows(groups, spec, hs, field, cfg) for r in rs]
     return reports
 
-
-def sharpness_sweep(
-    spec: GroupSpec,
-    hs: HalfSpace,
-    p: float,
-    eps_list,
-    cutoff: BumpSpec,
-    cfg: QuadConfig | None = None,
-    config_digest: str = "",
-) -> list[Report]:
-    """Hardy quotients of the near-extremal family for each eps, in order.
-
-    For the first-coordinate normal with offset 0 the sweep is a genuine
-    verification (quotients must decrease toward the sharp constant as eps
-    shrinks); for other normals it is a labeled probe.  The trials of every
-    eps are integrated together, as :func:`sharpness_grid` does for
-    several p.
-    """
-    return sharpness_grid(spec, hs, [p], eps_list, cutoff, cfg, config_digest)

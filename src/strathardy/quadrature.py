@@ -52,10 +52,10 @@ chunk by chunk, so memory does not grow with the integrand count.
 
 A deterministic rule (the ball rule, or the box rule with at most 4
 transverse axes) reports as stderr its gap to its coarse companion,
-which is a rule too: the same builder at half the points per axis (and
-half the panel order on graded panels; half the radial nodes and sphere
-order on the ball rule, and sphere degree 3 from 6 dimensions on),
-evaluated the same way.  A Monte Carlo rule has no companion and reports
+which is a rule too: the same builder at half the points per axis (at
+least 2: ``points_per_axis`` is at least 4), half the panel order on
+graded panels, and on the ball rule half the radial nodes and sphere
+order, sphere degree 3 from 6 dimensions on; it is evaluated alike.  A Monte Carlo rule has no companion and reports
 the spread of its sums over its lines, 0.0 on a line that holds no node.
 
 Every rule stores its nodes column-major.  The ball rule caches up to 16
@@ -75,7 +75,7 @@ larger request raises NodeBudgetError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple, Sequence
 
@@ -109,9 +109,9 @@ _BALL_MARGIN = 1e-12
 class QuadConfig:
     """Resolution knobs of the boundary-graded rule.
 
-    ``points_per_axis`` drives the deterministic rules, ``sample_count``
-    the Monte Carlo branch and the size cap of the ball rule above 5
-    dimensions; ``grading_exponent`` is the m in dist = s**m.
+    ``points_per_axis`` (at least 4) drives the deterministic rules,
+    ``sample_count`` the Monte Carlo branch and the size cap of the ball
+    rule above 5 dimensions; ``grading_exponent`` is the m in dist = s**m.
     """
 
     points_per_axis: int = 16
@@ -120,8 +120,9 @@ class QuadConfig:
     grading_exponent: float = 4.0
 
     def __post_init__(self):
-        if self.points_per_axis < 2:
-            raise ValueError("points_per_axis must be >= 2")
+        # the coarse companion takes half as many, and needs 2 of its own
+        if self.points_per_axis < 4:
+            raise ValueError(f"points_per_axis must be >= 4, got {self.points_per_axis}")
         if self.sample_count < 16:
             raise ValueError("sample_count must be >= 16")
         if self.grading_exponent < 1.0:
@@ -191,9 +192,9 @@ class _Rule(NamedTuple):
 
     Every node has dist > 0; the full rule has ``size`` nodes, built or
     not, which is what ``evaluations`` counts.
-    A deterministic rule carries its ``coarse`` companion, itself a rule
-    on the same box at half the points per axis, and its stderr is the gap
-    between the two.  The box rule's Monte Carlo branch has no companion:
+    A deterministic rule carries its ``coarse`` companion, a rule on the
+    same box from the same builder at half the points per axis, and its
+    stderr is the gap between the two.  The box rule's Monte Carlo branch has no companion:
     its stderr comes from the spread of its sums over the ``lines`` lines
     of the full rule.  ``line`` numbers each node's line among the lines
     that hold nodes, from 0; the others sum to 0.0.
@@ -206,10 +207,6 @@ class _Rule(NamedTuple):
     line: np.ndarray | None = None
     lines: int = 0
     coarse: _Rule | None = None
-
-
-def _coarse_config(cfg: QuadConfig) -> QuadConfig:
-    return replace(cfg, points_per_axis=max(2, cfg.points_per_axis // 2))
 
 
 def _tensor_product(box: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -269,6 +266,7 @@ def _build_boundary_graded(box, hs, cfg, support, companion=False) -> _Rule:
     n = box.shape[0]
     nu = hs.nu
     m = cfg.grading_exponent
+    ppa = cfg.points_per_axis // 2 if companion else cfg.points_per_axis
     jstar = int(np.argmax(np.abs(nu)))
     nuj = nu[jstar]
     trans_axes = [j for j in range(n) if j != jstar]
@@ -278,34 +276,34 @@ def _build_boundary_graded(box, hs, cfg, support, companion=False) -> _Rule:
     corner_max = float(np.sum(np.maximum(nu * box[:, 0], nu * box[:, 1])) - hs.d)
     touching = corner_min <= 1e-12 * max(1.0, abs(corner_max))
     if touching:
-        panels = min(60, max(8, (5 * cfg.points_per_axis) // 2))
+        panels = min(60, max(8, (5 * ppa) // 2))
         order = _PANEL_ORDER // 2 if companion else _PANEL_ORDER
         s_count = (panels + 1) * order
     else:
         panels = None
         order = None
-        s_count = 2 * cfg.points_per_axis
+        s_count = 2 * ppa
 
     deterministic = len(trans_axes) <= 4
     if deterministic:
-        t_count = cfg.points_per_axis ** len(trans_axes)
+        t_count = ppa ** len(trans_axes)
     else:
         t_count = max(16, cfg.sample_count // s_count)
     _check_budget(
         t_count * s_count,
-        f"boundary-graded with {cfg.points_per_axis} points per axis in {n} dimensions",
+        f"boundary-graded with {ppa} points per axis in {n} dimensions",
     )
     # the companion first, so that its build does not stack on this one's
     # temporaries
     coarse = None
     if deterministic and not companion:
-        coarse = _build_boundary_graded(box, hs, _coarse_config(cfg), support, companion=True)
+        coarse = _build_boundary_graded(box, hs, cfg, support, companion=True)
 
     if not trans_axes:
         trans_pts = np.zeros((1, 0))
         trans_w = np.ones(1)
     elif deterministic:
-        trans_pts, trans_w = _tensor_product(box[trans_axes], cfg.points_per_axis)
+        trans_pts, trans_w = _tensor_product(box[trans_axes], ppa)
     else:
         u = _philox_uniform(cfg.seed, t_count, len(trans_axes))
         sub = box[trans_axes]
@@ -331,7 +329,7 @@ def _build_boundary_graded(box, hs, cfg, support, companion=False) -> _Rule:
     lines = np.flatnonzero(keep)
     trans_pts, trans_w, c, lo, hi = (a[lines] for a in (trans_pts, trans_w, c, lo, hi))
 
-    s, ws = _graded_s_axis(lo, hi, m, cfg.points_per_axis, panels, order)
+    s, ws = _graded_s_axis(lo, hi, m, ppa, panels, order)
     if support is None:
         rows, cols = np.nonzero(np.ones(s.shape, dtype=bool))
     else:
@@ -497,10 +495,11 @@ def _build_ball(hs, cfg, support, companion=False) -> _Rule:
     times r^n.  The bump is radial about c, so its essential singularity at
     the edge meets only the radial rule."""
     n = support.center.size
-    radial, sphere = _ball_resolution(n, cfg.points_per_axis, companion)
+    ppa = cfg.points_per_axis // 2 if companion else cfg.points_per_axis
+    radial, sphere = _ball_resolution(n, ppa, companion)
     count = _ball_size(n, radial, sphere)
-    _check_budget(count, f"the ball rule with {cfg.points_per_axis} points per axis in {n} dimensions")
-    coarse = None if companion else _build_ball(hs, _coarse_config(cfg), support, companion=True)
+    _check_budget(count, f"the ball rule with {ppa} points per axis in {n} dimensions")
+    coarse = None if companion else _build_ball(hs, cfg, support, companion=True)
     cached = count * (n + 1) * 8 <= _BALL_CACHE_BYTES
     nodes, weights = (_cached_unit_ball if cached else _unit_ball)(n, radial, sphere)
     pts = nodes * support.radius

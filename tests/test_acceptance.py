@@ -22,19 +22,18 @@ from strathardy import (
     bft_fuzz,
     boundary_bump_spec,
     halfspace_preset,
-    hardy_quotient,
     hardy_sobolev_ratio,
     heisenberg_group,
     make_bump,
     random_interior_bumps,
-    remainder_check,
     remainder_constant,
     run_identity_suite,
     sharp_hardy_constant,
-    sharpness_sweep,
+    sharpness_grid,
     sobolev_exponent,
 )
 from strathardy.cli import main
+from strathardy.experiments import HARDY, REMAINDER, each_p
 
 RESULTS: list[str] = []
 
@@ -105,7 +104,7 @@ def test_03_hardy_battery():
         bumps = [make_bump(s) for s in random_interior_bumps(hs, 50, seed=42)]
         for p in (2.0, 3.0):
             for u in bumps:
-                rep = hardy_quotient(h1, hs, u, p, cfg)
+                ((rep,),) = each_p(HARDY, h1, hs, u, [p], cfg)
                 min_slack = min(min_slack, rep.margin + 3 * rep.stderr)
                 count += 1
     wall = time.perf_counter() - t0
@@ -130,7 +129,7 @@ def test_04_abelian_degeneration():
     cfg = QuadConfig()
     min_slack = np.inf
     for s in random_interior_bumps(hs, 20, seed=42):
-        rep = hardy_quotient(r3, hs, make_bump(s), 2.0, cfg)
+        ((rep,),) = each_p(HARDY, r3, hs, make_bump(s), [2.0], cfg)
         min_slack = min(min_slack, rep.quotient - 0.25 + 3 * rep.stderr)
     record(
         4,
@@ -145,7 +144,7 @@ def test_05_sharpness():
     hs = halfspace_preset(h1, "x1-axis", 0.0)
     cutoff = boundary_bump_spec(hs, radius=1.0)
     eps = sorted(SHARPNESS_REFERENCE, reverse=True)
-    reps = sharpness_sweep(h1, hs, 2.0, eps, cutoff, QuadConfig())
+    reps = sharpness_grid(h1, hs, [2.0], eps, cutoff, QuadConfig())
     q = [r.quotient for r in reps]
     decreasing = all(a > b for a, b in zip(q, q[1:]))
     rel = max(abs(qi - SHARPNESS_REFERENCE[e]) / SHARPNESS_REFERENCE[e] for qi, e in zip(q, eps))
@@ -168,7 +167,7 @@ def test_06_remainder():
     min_slack = np.inf
     for p in (2.0, 3.0):
         for u in bumps:
-            rep = remainder_check(h1, hs, u, p, cfg)
+            ((rep,),) = each_p(REMAINDER, h1, hs, u, [p], cfg)
             min_slack = min(min_slack, rep.margin + rep.contract_tolerance())
     record(
         6,

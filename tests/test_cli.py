@@ -336,6 +336,9 @@ class TestRejectedConfigs:
             ("sharpness", {"cutoff_radius": -1.0}, "cutoff_radius"),
             # p * eps = 0.002: the denominator exponent -0.998 is not validated
             ("sharpness", {"eps": [0.2, 1e-3]}, "p=2.0, eps=0.001"),
+            # the coarse companion behind every stderr takes half the points, at least 2
+            ("remainder", {"quadrature": {"points_per_axis": 2}}, "points_per_axis must be >= 4"),
+            ("sharpness", {"quadrature": {"points_per_axis": 3}}, "points_per_axis must be >= 4"),
         ],
     )
     def test_bad_values(self, tmp_path, capsys, command, over, name):
@@ -564,16 +567,18 @@ class TestPerturbedConfigs:
             assert out.getvalue() == "" and err.getvalue().count("\n") == 1
 
 
-_RUNNERS = {
-    "hardy": experiments.hardy_quotient,
-    "remainder": experiments.remainder_check,
-    "sobolev": experiments.hardy_sobolev_ratio,
+_CHECKS = {
+    "hardy": experiments.HARDY,
+    "remainder": experiments.REMAINDER,
+    "sobolev": experiments.SOBOLEV,
+    "luan-young": experiments.LUAN_YOUNG,
 }
 
 
 class TestOneIntegrationPerTrial:
     """Each trial is integrated once for every p (and every beta), and each
-    row is the public runner's report for its (p, beta, trial), bit for bit."""
+    row is, bit for bit, the report of ``each_p`` on its (p, beta, trial)
+    alone."""
 
     @pytest.mark.parametrize(
         "command, ps, over",
@@ -583,6 +588,8 @@ class TestOneIntegrationPerTrial:
             ("hardy", [], {}),
             ("remainder", [2.0, 3.0], {}),
             ("sobolev", [2.0, 3.0], {}),
+            # luan-young is at p = 2 alone, whatever p the config gives
+            ("luan-young", [2.0, 3.0], {}),
             ("general-hardy", [2.0, 3.0], {"beta": [-0.5, -0.25]}),
             ("general-hardy", [2.0, 2.0], {}),  # beta_star(p)
             # an oblique normal: the distance is not p-harmonic, T2 is integrated
@@ -610,16 +617,20 @@ class TestOneIntegrationPerTrial:
         trials = build_trials(group, hs, cfg)
         if command == "general-hardy":
             expected = [
-                experiments.general_hardy_margin(group, hs, u, p, beta, quad, config_digest=digest)
+                row
                 for p in ps
                 for beta in cfg["beta"] or [experiments.beta_star(p)]
                 for u in trials
+                for (row,) in experiments.each_p(
+                    experiments.GENERAL_HARDY, group, hs, u, [p], quad, digest, betas=[beta]
+                )
             ]
         else:
             expected = [
-                _RUNNERS[command](group, hs, u, p, quad, config_digest=digest)
-                for p in ps
+                row
+                for p in ([2.0] if command == "luan-young" else ps)
                 for u in trials
+                for (row,) in experiments.each_p(_CHECKS[command], group, hs, u, [p], quad, digest)
             ]
         assert rows == json.loads(render_json(expected, cfg))["rows"]
 

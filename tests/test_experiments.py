@@ -14,21 +14,16 @@ from strathardy import (
     bft_fuzz,
     boundary_bump_spec,
     distance_field,
-    general_hardy_margin,
     group_from_name,
     group_from_table,
     halfspace_preset,
-    hardy_quotient,
     hardy_sobolev_ratio,
     integrate_many,
-    luan_young_check,
     make_bump,
     p_sub_laplacian_fd_many,
-    remainder_check,
     remainder_constant,
     sharp_hardy_constant,
     sharpness_grid,
-    sharpness_sweep,
     sharpness_trial,
     SharpnessSpec,
     sobolev_exponent,
@@ -37,6 +32,7 @@ from strathardy import experiments
 from strathardy.experiments import (
     GENERAL_HARDY,
     HARDY,
+    LUAN_YOUNG,
     REMAINDER,
     SOBOLEV,
     TrivialTrialError,
@@ -101,7 +97,7 @@ class TestConstants:
 class TestHardyQuotient:
     @pytest.mark.parametrize("p", [2.0, 3.0])
     def test_interior_bump_beats_bound(self, h1, t_axis, interior_bump, fast_cfg, p):
-        rep = hardy_quotient(h1, t_axis, interior_bump, p, fast_cfg)
+        ((rep,),) = each_p(HARDY, h1, t_axis, interior_bump, [p], fast_cfg)
         assert rep.margin > -rep.contract_tolerance()
         assert rep.quotient > 0
         assert rep.bound == sharp_hardy_constant(p)
@@ -111,18 +107,18 @@ class TestHardyQuotient:
     def test_abelian_quotient(self, r3, fast_cfg):
         hs = halfspace_preset(3, "x1-axis", 0.0)
         u = make_bump(BumpSpec(center=(0.9, 0.0, 0.0), radius=0.4))
-        rep = hardy_quotient(r3, hs, u, 2.0, fast_cfg)
+        ((rep,),) = each_p(HARDY, r3, hs, u, [2.0], fast_cfg)
         assert rep.quotient >= 0.25 - rep.contract_tolerance()
 
     def test_trivial_trial_rejected(self, h1, t_axis, fast_cfg):
         outside = make_bump(BumpSpec(center=(0.0, 0.0, -2.0), radius=0.5))
         with pytest.raises(ValueError, match="trivial"):
-            hardy_quotient(h1, t_axis, outside, 2.0, fast_cfg)
+            each_p(HARDY, h1, t_axis, outside, [2.0], fast_cfg)
 
     def test_missing_box_rejected(self, h1, t_axis, fast_cfg):
         no_box = ScalarField(3, lambda pts: np.ones(len(pts)))
         with pytest.raises(ValueError):
-            hardy_quotient(h1, t_axis, no_box, 2.0, fast_cfg)
+            each_p(HARDY, h1, t_axis, no_box, [2.0], fast_cfg)
 
     def test_dilation_covariance(self, h1, t_axis):
         # the quotient is invariant under u -> u o dilation for this weight
@@ -143,8 +139,8 @@ class TestHardyQuotient:
         lo, hi = u.support_box[:, 0], u.support_box[:, 1]
         box = np.stack([lo / [lam, lam, lam**2], hi / [lam, lam, lam**2]], axis=1)
         v = ScalarField(3, scaled_fn, grad_fn=scaled_grad, support_box=box)
-        q0 = hardy_quotient(h1, t_axis, u, 2.0, cfg)
-        q1 = hardy_quotient(h1, t_axis, v, 2.0, cfg)
+        ((q0,),) = each_p(HARDY, h1, t_axis, u, [2.0], cfg)
+        ((q1,),) = each_p(HARDY, h1, t_axis, v, [2.0], cfg)
         tol = 3 * (q0.stderr + q1.stderr) + 1e-3 * q0.quotient
         assert abs(q0.quotient - q1.quotient) < tol
 
@@ -206,8 +202,10 @@ class TestSharedBases:
 
 class TestGeneralHardy:
     def test_reduces_to_sharp_at_beta_star(self, h1, t_axis, interior_bump, fast_cfg):
-        rep = general_hardy_margin(h1, t_axis, interior_bump, 2.0, beta_star(2.0), fast_cfg)
-        base = hardy_quotient(h1, t_axis, interior_bump, 2.0, fast_cfg)
+        ((rep,),) = each_p(
+            GENERAL_HARDY, h1, t_axis, interior_bump, [2.0], fast_cfg, betas=[beta_star(2.0)]
+        )
+        ((base,),) = each_p(HARDY, h1, t_axis, interior_bump, [2.0], fast_cfg)
         assert rep.extras["p_harmonic_distance"] is True
         assert rep.extras["t2_value"] == 0.0
         assert rep.bound == pytest.approx(0.25, abs=1e-15)
@@ -216,7 +214,7 @@ class TestGeneralHardy:
 
     @pytest.mark.parametrize("beta", [-1.5, -0.25, 0.6])
     def test_holds_off_peak(self, h1, t_axis, interior_bump, fast_cfg, beta):
-        rep = general_hardy_margin(h1, t_axis, interior_bump, 2.0, beta, fast_cfg)
+        ((rep,),) = each_p(GENERAL_HARDY, h1, t_axis, interior_bump, [2.0], fast_cfg, betas=[beta])
         assert rep.margin > -rep.contract_tolerance()
         assert rep.bound <= 0.25 + 1e-15
 
@@ -224,7 +222,7 @@ class TestGeneralHardy:
         nu = rng.normal(size=3)
         hs = HalfSpace(nu=nu, d=-0.3)
         u = make_bump(BumpSpec(center=(0.2, -0.1, 0.8), radius=0.45))
-        rep = general_hardy_margin(h1, hs, u, 3.0, beta_star(3.0), fast_cfg)
+        ((rep,),) = each_p(GENERAL_HARDY, h1, hs, u, [3.0], fast_cfg, betas=[beta_star(3.0)])
         assert rep.extras["p_harmonic_distance"] is True
 
     @pytest.mark.parametrize("p", [2.0, 3.0])
@@ -235,7 +233,7 @@ class TestGeneralHardy:
         hs = halfspace_preset(3, "t-axis", 0.0)
         u = make_bump(BumpSpec(center=(0.1, 0.2, 0.8), radius=0.3))
         cfg = QuadConfig(points_per_axis=8)
-        rep = general_hardy_margin(skew, hs, u, p, beta_star(p), cfg)
+        ((rep,),) = each_p(GENERAL_HARDY, skew, hs, u, [p], cfg, betas=[beta_star(p)])
         assert rep.extras["p_harmonic_distance"] is False
 
         dist = distance_field(hs)
@@ -258,18 +256,18 @@ class TestGeneralHardy:
 class TestRemainder:
     def test_p2_is_an_identity(self, h1, t_axis, interior_bump):
         # at p = 2 the energy equals the remainder integral exactly
-        rep = remainder_check(h1, t_axis, interior_bump, 2.0, QuadConfig(points_per_axis=12))
+        ((rep,),) = each_p(REMAINDER, h1, t_axis, interior_bump, [2.0], QuadConfig(points_per_axis=12))
         scale = abs(rep.extras["energy"]) + abs(rep.extras["remainder_integral"])
         assert abs(rep.margin) < 3 * rep.stderr + 1e-6 * scale
 
     def test_p3_has_positive_slack(self, h1, t_axis, interior_bump, fast_cfg):
-        rep = remainder_check(h1, t_axis, interior_bump, 3.0, fast_cfg)
+        ((rep,),) = each_p(REMAINDER, h1, t_axis, interior_bump, [3.0], fast_cfg)
         assert rep.margin > 0
         assert rep.bound == remainder_constant(3.0)
 
     def test_rejects_p_below_two(self, h1, t_axis, interior_bump):
         with pytest.raises(ValueError):
-            remainder_check(h1, t_axis, interior_bump, 1.5)
+            each_p(REMAINDER, h1, t_axis, interior_bump, [1.5])
 
 
 class TestSobolev:
@@ -301,9 +299,9 @@ class TestSobolev:
 
 
 class TestLuanYoung:
-    def test_quotient_at_least_one(self, h1, fast_cfg):
+    def test_quotient_at_least_one(self, h1, t_axis, fast_cfg):
         u = make_bump(BumpSpec(center=(0.2, -0.1, 0.8), radius=0.45))
-        rep = luan_young_check(h1, u, fast_cfg)
+        ((rep,),) = each_p(LUAN_YOUNG, h1, t_axis, u, [2.0], fast_cfg)
         assert rep.margin > -rep.contract_tolerance()
         assert rep.bound == 1.0
 
@@ -318,8 +316,21 @@ class TestLuanYoung:
 
     def test_rejects_non_heisenberg(self, r3, fast_cfg):
         u = make_bump(BumpSpec(center=(0.9, 0.0, 0.0), radius=0.4))
-        with pytest.raises(ValueError):
-            luan_young_check(r3, u, fast_cfg)
+        with pytest.raises(ValueError, match="Heisenberg family"):
+            each_p(LUAN_YOUNG, r3, halfspace_preset(r3, "t-axis"), u, [2.0], fast_cfg)
+
+    # the classical two-weight inequality is on t > 0 at p = 2 alone
+    @pytest.mark.parametrize(
+        "preset, d, p, message",
+        [("x1-axis", 0.0, 2.0, "t > 0"), ("t-axis", 0.3, 2.0, "t > 0"), ("t-axis", 0.0, 3.0, "p = 2")],
+    )
+    def test_rejects_outside_its_setting(
+        self, h1, interior_bump, fast_cfg, integrations, preset, d, p, message
+    ):
+        with pytest.raises(ValueError, match=message) as got:
+            each_p(LUAN_YOUNG, h1, halfspace_preset(h1, preset, d), interior_bump, [p], fast_cfg)
+        assert type(got.value) is ValueError
+        assert integrations == []
 
 
 class TestVectorInequality:
@@ -583,12 +594,12 @@ def _sweep_halfspace(spec, normal):
 
 
 def _per_row(spec, hs, ps, eps_list, cutoff, cfg, label, digest=""):
-    """The sweep's rows, one hardy_quotient per (p, eps) as each trial is built."""
+    """The sweep's rows, one HARDY row per (p, eps) integrated alone, as each trial is built."""
     rows = []
     for p in ps:
         for eps in eps_list:
             trial = sharpness_trial(SharpnessSpec(p=p, eps=eps, cutoff=cutoff), hs)
-            rep = hardy_quotient(spec, hs, trial, p, cfg, digest, inequality_id="sharpness")
+            ((rep,),) = each_p(HARDY, spec, hs, trial, [p], cfg, digest, inequality_id="sharpness")
             rep.extras.update(eps=eps, label=label)
             rows.append(rep)
     return rows
@@ -612,14 +623,14 @@ class TestSharpnessSweep:
     def test_quotients_decrease_toward_bound(self, h1):
         hs = halfspace_preset(h1, "x1-axis", 0.0)
         cutoff = boundary_bump_spec(hs, 1.0)
-        reports = sharpness_sweep(h1, hs, 2.0, (0.4, 0.1), cutoff, QuadConfig(points_per_axis=12))
+        reports = sharpness_grid(h1, hs, [2.0], (0.4, 0.1), cutoff, QuadConfig(points_per_axis=12))
         assert [r.extras["eps"] for r in reports] == [0.4, 0.1]
         assert reports[0].quotient > reports[1].quotient > 0.25
         assert all(r.extras["label"] == "verification" for r in reports)
 
     def test_probe_role_off_axis(self, h1, t_axis):
         cutoff = BumpSpec(center=(0.0, 0.0, 0.0), radius=1.0)
-        reports = sharpness_sweep(h1, t_axis, 2.0, (0.3,), cutoff, QuadConfig(points_per_axis=8))
+        reports = sharpness_grid(h1, t_axis, [2.0], (0.3,), cutoff, QuadConfig(points_per_axis=8))
         assert reports[0].extras["label"] == "probe"
 
     # the grading exponent m moves every node of the s-axis, dist = s**m
@@ -649,7 +660,7 @@ class TestSharpnessSweep:
         assert len(shapes) == 2
         shapes.clear()
         trial = sharpness_trial(SharpnessSpec(p=2.0, eps=0.5, cutoff=cutoff), x1_axis)
-        hardy_quotient(h1, x1_axis, trial, 2.0, QuadConfig())
+        each_p(HARDY, h1, x1_axis, trial, [2.0], QuadConfig())
         assert len(shapes) == 2  # as many as one row alone
 
     def test_rows_are_integrated_eight_at_a_time(self, h1, x1_axis, integrations):
@@ -696,7 +707,7 @@ class TestSharpnessSweep:
         cutoff = boundary_bump_spec(x1_axis, 1.0)
         assert sharpness_grid(h1, x1_axis, [], [0.5], cutoff) == []
         assert sharpness_grid(h1, x1_axis, [2.0, 3.0], [], cutoff) == []
-        assert sharpness_sweep(h1, x1_axis, 2.0, [], cutoff) == []
+        assert sharpness_grid(h1, x1_axis, [2.0], [], cutoff) == []
         assert integrations == []
 
     def test_trial_field_construction(self):

@@ -31,8 +31,8 @@ _EXPORTS = {
     ),
     "experiments": (
         "sharp_hardy_constant beta_star beta_form_coefficient remainder_constant sobolev_exponent "
-        "TrivialTrialError hardy_quotient general_hardy_margin remainder_check hardy_sobolev_ratio "
-        "luan_young_check bft_fuzz sharpness_sweep sharpness_grid"
+        "TrivialTrialError Check each_p HARDY GENERAL_HARDY REMAINDER SOBOLEV LUAN_YOUNG "
+        "hardy_sobolev_ratio bft_fuzz sharpness_grid"
     ),
     "identities": "IdentityCheck run_identity_suite",
     "reports": "CSV_COLUMNS Report config_digest render_csv render_json",

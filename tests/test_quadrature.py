@@ -21,7 +21,6 @@ from strathardy import (
     boundary_bump_spec,
     ground_transform,
     halfspace_preset,
-    hardy_quotient,
     heisenberg_group,
     integrate_many,
     make_bump,
@@ -63,6 +62,8 @@ class TestConfig:
         "kwargs",
         [
             {"points_per_axis": 1},
+            {"points_per_axis": 2},
+            {"points_per_axis": 3},
             {"sample_count": 4},
             {"grading_exponent": 0.5},
         ],
@@ -492,9 +493,9 @@ class TestSupportMask:
         u = make_bump(_INTERIOR)
         cfg = QuadConfig(points_per_axis=8)
         with pytest.raises(IntegrationError) as masked:
-            hardy_quotient(h1, _T_AXIS, u, np.inf, cfg)
+            each_p(HARDY, h1, _T_AXIS, u, [np.inf], cfg)
         with pytest.raises(IntegrationError) as plain:
-            hardy_quotient(h1, _T_AXIS, _without_support(u), np.inf, cfg)
+            each_p(HARDY, h1, _T_AXIS, _without_support(u), [np.inf], cfg)
         assert masked.value.point is not None
         assert np.array_equal(masked.value.point, plain.value.point)
 
@@ -534,7 +535,7 @@ def _clip_cases(draw):
     if k == 3:
         cfg = QuadConfig(sample_count=draw(st.integers(64, 3000)), seed=draw(st.integers(0, 99)))
     else:
-        cfg = QuadConfig(points_per_axis=draw(st.integers(2, 7 if k == 1 else 4)))
+        cfg = QuadConfig(points_per_axis=draw(st.integers(4, 7 if k == 1 else 5)))
     return _GROUPS[k], hs, u, cfg
 
 
@@ -594,17 +595,23 @@ class TestClipToSupport:
         assert est.evaluations == full.size
 
     def test_no_line_meets_the_support(self):
-        # 2 points per axis on four transverse axes: every line passes at
-        # 2/sqrt(3) radii from the center, outside the ball, and the box
-        # touches the boundary, so the graded panels get zero rows
+        # a support box 3 times the ball, 4 points per axis on four
+        # transverse axes: every Gauss line passes at 0.34 or 0.86 times the
+        # box's half-width, 1.5, from the center on each axis (0.58 times it
+        # on the coarse companion), outside the ball of radius 0.5, and the
+        # box touches the boundary, so the graded panels get zero rows
         h2 = _GROUPS[2]
         hs = halfspace_preset(h2, "t-axis", 0.0)
-        u = make_bump(BumpSpec(center=(0.0,) * 5, radius=0.5))
-        cfg = QuadConfig(points_per_axis=2)
+        ball = make_bump(BumpSpec(center=(0.0,) * 5, radius=0.5))
+        u = ScalarField(
+            5, fn_and_grad=ball.values_and_gradients, support_box=3.0 * ball.support_box,
+            label=ball.label, support=ball.support,
+        )
+        cfg = QuadConfig(points_per_axis=4)
         ns = _build_nodes(u.support_box, hs, cfg, u.support)
         assert len(ns.points) == 0 and len(ns.coarse.points) == 0 and ns.size > 0
         with pytest.raises(ValueError, match="trivial"):
-            hardy_quotient(h2, hs, u, 2.0, cfg)
+            each_p(HARDY, h2, hs, u, [2.0], cfg)
 
     # at a power of 1e5, an ulp of z is 1e5 ulps of |z|^q: the margin on
     # 1 - R then falls short, and the one on the half-width holds
@@ -1000,11 +1007,11 @@ class TestBallRule:
         _, hs, u = _interior_ball(2)
         sizes = [
             _build_nodes(u.support_box, hs, QuadConfig(points_per_axis=ppa), u.support).size
-            for ppa in (2, 4, 8, 16, 32)
+            for ppa in (4, 8, 16, 32)
         ]
         assert sizes == sorted(set(sizes))
         # 24 radii x 12 x 6^3 directions at the default, 12 x 6 x 3^3 at 8
-        assert sizes[2:4] == [12 * 6 * 27, 24 * 12 * 216]
+        assert sizes[1:3] == [12 * 6 * 27, 24 * 12 * 216]
 
     def test_over_budget_before_allocation(self):
         _, hs, u = _interior_ball(2)
@@ -1093,7 +1100,7 @@ class TestHardyRow15:
         group, hs, quad, cfg = resolve(load_config(None), seed=42)
         u = build_trials(group, hs, cfg)[15]
         assert u.label.startswith("bump(center=(-0.8907742505038627,")
-        rep = hardy_quotient(group, hs, u, 2.0, quad)
+        ((rep,),) = each_p(HARDY, group, hs, u, [2.0], quad)
         reference = 103.903155092839
         assert abs(rep.quotient - reference) <= 3.0 * rep.stderr
         assert abs(rep.quotient - reference) <= 1e-5 * reference

@@ -30,6 +30,9 @@ def test_matrix_covers_every_subcommand_and_workload():
     assert {"hardy:heisenberg2-oblique", "hardy:heisenberg3-oblique"} <= set(labels)
     # a config that names the one quadrature method keeps the digest of one that does not
     assert "hardy:explicit-method" in labels
+    # luan-young on a normal and a p the command overrides; the smallest ball companion
+    new = {"luan-young:heisenberg2-oblique", "luan-young:p-2-3", "hardy:heisenberg2-4-points"}
+    assert new <= set(labels)
 
 
 def test_the_tree_matches_itself():

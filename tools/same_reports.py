@@ -8,9 +8,12 @@ Runs a fixed matrix of CLI commands on this checkout and on the tree at
 default configs, the configs of the benchmark's three workloads, oblique
 and offset normals, ``hardy`` with the quadrature method spelled out,
 oblique normals on heisenberg:2 to :4, ``hardy`` on bumps
-that touch the boundary (clearance 0), ``sobolev`` on abelian:5, and
+that touch the boundary (clearance 0), ``hardy`` on heisenberg:2 at 4
+points per axis (the smallest ball companion), ``sobolev`` on abelian:5,
 ``sharpness`` on heisenberg:2, on an oblique normal and on an offset
-t-axis.  Each runs at seeds 1 and 42, in
+t-axis, and ``luan-young`` on heisenberg:2 with an oblique normal, which
+the command pins to the t-axis, and with ``p: [2, 3]``, which it
+ignores.  Each runs at seeds 1 and 42, in
 CSV and in JSON, in a fresh interpreter.  Standard output, standard error
 (with each tree's own path replaced by ``<tree>``) and the exit code are
 compared; every run that differs is listed with the start of its diff.
@@ -128,6 +131,18 @@ def matrix() -> list[Case]:
         ),
         Case("sharpness:oblique", "sharpness", {"halfspace": {"nu": [0.6, 0.0, 0.8], "d": 0.1}}),
         Case("sharpness:offset", "sharpness", {"halfspace": {"preset": "t-axis", "d": 0.3}}),
+        Case(
+            "hardy:heisenberg2-4-points",
+            "hardy",
+            {"group": "heisenberg:2", "quadrature": {"points_per_axis": 4}, "trials": {"count": 4}},
+        ),
+        # luan-young runs at p = 2 on the t-axis, whatever the config gives
+        Case(
+            "luan-young:heisenberg2-oblique",
+            "luan-young",
+            {"group": "heisenberg:2", "halfspace": _OBLIQUE_H2, "trials": {"count": 4}},
+        ),
+        Case("luan-young:p-2-3", "luan-young", {"p": [2.0, 3.0]}),
     ]
 
 
