@@ -36,7 +36,6 @@ __all__ = [
     "field_pairings",
     "horizontal_from_euclidean",
     "apply_field_to_polynomial",
-    "horizontal_gradient_many",
     "angle_function_many",
     "TrialSample",
     "sample_trial",
@@ -45,7 +44,6 @@ __all__ = [
     "distance_flux_parts",
     "p_sub_laplacian_distance_many",
     "p_sub_laplacian_fd_many",
-    "angle_gradient_many",
     "orthogonality_identity_many",
 ]
 
@@ -270,10 +268,10 @@ def _pairing_polynomials(spec: GroupSpec, nu: tuple[float, ...]) -> tuple[Polyno
 
 
 def field_pairings(spec: GroupSpec, hs: HalfSpace, points) -> np.ndarray:
-    """Evaluate all pairings <X_k(x), nu> at (M, n) points; returns (M, N)."""
+    """Evaluate all pairings <X_k(x), nu> at (M, n) points; returns (M, N), column-major."""
     points = np.asarray(points, dtype=float)
     polys = pairing_polynomials(spec, hs)
-    return np.stack([p.eval_many(points) for p in polys], axis=1)
+    return np.stack([p.eval_many(points) for p in polys]).T
 
 
 def horizontal_from_euclidean(spec: GroupSpec, points, grads) -> np.ndarray:
@@ -290,14 +288,6 @@ def horizontal_from_euclidean(spec: GroupSpec, points, grads) -> np.ndarray:
         for slot, poly in spec.coeffs[k]:
             out[:, k] += poly.eval_many(points) * grads[:, slot]
     return out
-
-
-def horizontal_gradient_many(
-    spec: GroupSpec, f: ScalarField, points, h: float = H_STEP
-) -> np.ndarray:
-    """The horizontal gradients (X_1 f, ..., X_N f) at (M, n) points; (M, N)."""
-    points = np.asarray(points, dtype=float)
-    return horizontal_from_euclidean(spec, points, f.gradients(points, h))
 
 
 def angle_function_many(spec: GroupSpec, hs: HalfSpace, points) -> np.ndarray:
@@ -322,11 +312,13 @@ class TrialSample:
     Rows follow ``points`` (M, n), in any layout (quadrature nodes are
     column-major) with the same values.  ``dist`` is the boundary distance
     the sample is given (at quadrature nodes, the rule's own).  ``u`` and
-    its Euclidean gradient ``grad`` (M, n) are None without a trial.
-    ``hgrad``, the horizontal gradient (M, N), ``w``, the angle function
-    (read from ``source`` on a sample made by :meth:`with_trial`), and the
-    bases the Hardy integrands of every p share, ``hgrad_sq`` = |grad_H u|^2
-    and ``weighted_u`` = W |u| / dist, are computed on first read.
+    its Euclidean gradient ``grad`` (M, n) are None without a trial, and a
+    sample made by :meth:`with_trial` is given ``hgrad`` for ``grad``.
+    ``hgrad``, the horizontal gradient (M, N), the pairings P = <X_k, nu>
+    (M, N) and ``w`` = |P| (both read from ``source`` on a sample made by
+    :meth:`with_trial`; W from P if it is held), and the bases the Hardy
+    integrands of every p share, ``hgrad_sq`` = |grad_H u|^2 and
+    ``weighted_u`` = W |u| / dist, are computed on first read.
     ``len(sample)`` is M.
     """
 
@@ -343,9 +335,17 @@ class TrialSample:
         return horizontal_from_euclidean(self.spec, self.points, self.grad)
 
     @cached_property
+    def pairings(self) -> np.ndarray:
+        if self.source is not None:
+            return self.source.pairings
+        return field_pairings(self.spec, self.hs, self.points)
+
+    @cached_property
     def w(self) -> np.ndarray:
         if self.source is not None:
             return self.source.w
+        if "pairings" in vars(self):  # held: not evaluated a second time
+            return np.sqrt(_sum_squares(self.pairings.T, len(self)))
         return angle_function_many(self.spec, self.hs, self.points)
 
     @cached_property
@@ -356,10 +356,18 @@ class TrialSample:
     def weighted_u(self) -> np.ndarray:
         return self.w * np.abs(self.u) / self.dist
 
-    def with_trial(self, u: np.ndarray, grad: np.ndarray) -> TrialSample:
+    def horizontal_split(self, a: float) -> tuple[np.ndarray, np.ndarray]:
+        """(A, B), both (M, N): A = a (u / dist) P and B = grad_H u - A.  At
+        a = (p-1)/p, |B|^p is dist^(p-1) |grad_H v|^p, v = dist^(-a) u."""
+        a_part = (a * (self.u / self.dist))[:, None] * self.pairings
+        return a_part, self.hgrad - a_part
+
+    def with_trial(self, u: np.ndarray, hgrad: np.ndarray) -> TrialSample:
         """The sample of another trial at the same points, from its values
-        and Euclidean gradients; dist and W are shared by both."""
-        return TrialSample(self.spec, self.hs, self.points, self.dist, u, grad, source=self)
+        and horizontal gradients; dist, P and W are shared by both."""
+        derived = TrialSample(self.spec, self.hs, self.points, self.dist, u, source=self)
+        derived.__dict__["hgrad"] = hgrad  # given, so never converted from a grad
+        return derived
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -370,8 +378,8 @@ def sample_trial(spec: GroupSpec, hs: HalfSpace, u, points, dist=None) -> TrialS
     of boundary distance ``dist``, ``hs.distance(points)`` if None.
 
     u and grad u come from one :meth:`ScalarField.values_and_gradients`
-    call, or, for a power of dist times another field, from that one's
-    sample (see :func:`~strathardy.trials.power_weighted_sample`).
+    call, or, for a power of dist times another field, u and grad_H u from
+    that one's sample (see :func:`~strathardy.trials.power_weighted_sample`).
     """
     points = np.asarray(points, dtype=float)
     dist = hs.distance(points) if dist is None else dist
@@ -524,33 +532,6 @@ def p_sub_laplacian_fd_many(
 # -- Heisenberg closed forms ---------------------------------------------------
 
 
-def _split_heisenberg(hs: HalfSpace, points: np.ndarray, n: int):
-    x = points[:, :n]
-    y = points[:, n : 2 * n]
-    nux = hs.nu[:n]
-    nuy = hs.nu[n : 2 * n]
-    nut = hs.nu[2 * n]
-    gx = nux + 2.0 * y * nut
-    gy = nuy - 2.0 * x * nut
-    return gx, gy, nut
-
-
-def angle_gradient_many(n: int, hs: HalfSpace, points) -> np.ndarray:
-    """Closed-form horizontal gradient of the angle function on index-n
-    Heisenberg coordinates; rows are (X_1 W .. X_n W, Y_1 W .. Y_n W).
-
-    Undefined (nan) where the angle function vanishes.
-    """
-    points = np.asarray(points, dtype=float)
-    if hs.dim != 2 * n + 1 or points.shape[1] != 2 * n + 1:
-        raise ValueError("dimension mismatch for Heisenberg closed form")
-    gx, gy, nut = _split_heisenberg(hs, points, n)
-    w = np.sqrt(np.sum(gx * gx, axis=1) + np.sum(gy * gy, axis=1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        factor = np.where(w > 0.0, 2.0 * nut / w, np.nan)
-    return np.concatenate([-gy, gx], axis=1) * factor[:, None]
-
-
 def orthogonality_identity_many(n: int, hs: HalfSpace, points) -> np.ndarray:
     """|<grad_H dist, grad_H W>| at (M, n) points; exactly 0 in floats.
 
@@ -561,7 +542,10 @@ def orthogonality_identity_many(n: int, hs: HalfSpace, points) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     if hs.dim != 2 * n + 1 or points.shape[1] != 2 * n + 1:
         raise ValueError("dimension mismatch for Heisenberg closed form")
-    gx, gy, nut = _split_heisenberg(hs, points, n)
+    nut = hs.nu[2 * n]
+    # the pairings with X_i and Y_i: grad_H dist
+    gx = hs.nu[:n] + 2.0 * points[:, n : 2 * n] * nut
+    gy = hs.nu[n : 2 * n] - 2.0 * points[:, :n] * nut
     w = np.sqrt(np.sum(gx * gx, axis=1) + np.sum(gy * gy, axis=1))
     # sum_i [gx_i * (-gy_i) + gy_i * gx_i]: each i cancels exactly in IEEE floats
     paired = np.sum(gx * (-gy) + gy * gx, axis=1)

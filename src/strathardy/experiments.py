@@ -13,7 +13,8 @@ quadrature computes once per chunk of nodes.  The first error raises.  An
 integrand that is not finite at a node raises an IntegrationError naming
 the integrated trial and the p of that integration; a denominator
 integral too small to divide by, or a row whose quotient or stderr is
-not finite, raises a TrivialTrialError naming the trial and its p.  The
+not finite or whose numerator or denominator has a stderr as large as
+itself, raises a TrivialTrialError naming the trial and its p.  The
 sharpness sweep (:func:`sharpness_grid`) goes further: its trials are
 powers of the distance times one cutoff, so every (p, eps) of a sweep is
 integrated over the cutoff's sample, from which each row's trial sample
@@ -36,14 +37,13 @@ from .calculus import (
     HalfSpace,
     ScalarField,
     distance_flux_parts,
-    horizontal_from_euclidean,
     p_sub_laplacian_distance_many,
 )
 from .groups import GroupSpec
 from .quadrature import IntegralEstimate, IntegrationError, QuadConfig, integrate_many
 from .reports import Report
 from .streams import FUZZER, philox_chunks
-from .trials import BumpSpec, SharpnessSpec, ground_gradient, make_bump, power_weighted_sample
+from .trials import BumpSpec, SharpnessSpec, make_bump, power_weighted_sample
 
 __all__ = [
     "sharp_hardy_constant",
@@ -171,7 +171,8 @@ def _integrate_rows(
 
     The first error raises: an IntegrationError names u and the p of the
     call, a TrivialTrialError its group's trial and p, also for a row whose
-    quotient or stderr is not finite.  An empty ``groups`` integrates nothing.
+    quotient or stderr is not finite or whose numerator or denominator has
+    a stderr equal to its size (not 0).  An empty ``groups`` integrates nothing.
     """
     if not groups:
         return []
@@ -199,6 +200,13 @@ def _integrate_rows(
             raise TrivialTrialError(
                 f"trial {g.label} at p {g.p!r}: its quotient {bad[0].quotient!r} and stderr "
                 f"{bad[0].stderr!r} are not both finite, so they check no bound"
+            )
+        # a stderr |fine - coarse| that is all of |fine|: the coarse rule read 0
+        vacuous = [e for r in made for e in (r.numerator, r.denominator) if e.stderr == abs(e.value) != 0]
+        if vacuous:
+            raise TrivialTrialError(
+                f"trial {g.label} at p {g.p!r}: an integral {vacuous[0].value!r} with a stderr as large "
+                "as itself checks no bound"
             )
         rows.append(made)
     return rows
@@ -357,21 +365,24 @@ def _general_hardy_rows(case, estimates, betas=None):
 
 
 def _remainder_integrands(spec, hs, p):
-    """The Hardy integrands and dist^(p-1) |grad_H v|^p, v = ground transform of u."""
+    """dist^(p-1) |grad_H v|^p, v = dist^(-a) u, as |B|^p for the horizontal
+    split at a = (p-1)/p, then the Hardy integrands: the split caches P
+    before the Hardy weight reads W, which is then its norm."""
     if p < 2.0:
         raise ValueError("the remainder check needs p >= 2")
+    a = (p - 1.0) / p
 
     def r_integrand(s):
-        hor = horizontal_from_euclidean(spec, s.points, ground_gradient(s, hs, p))
-        return (s.dist ** ((p - 1.0) / p) * np.sqrt(np.sum(hor * hor, axis=1))) ** p
+        b = s.horizontal_split(a)[1]
+        return np.sum(b * b, axis=1) ** (p / 2.0)
 
-    return _hardy_integrands(spec, hs, p) + [r_integrand]
+    return [r_integrand] + _hardy_integrands(spec, hs, p)
 
 
 def _remainder_rows(case, estimates):
     """The slack of E_p[u] >= C_p int dist^(p-1) |grad_H v|^p, with E_p[u]
     the Hardy numerator less the sharp constant times its weight integral."""
-    t0, t1, rem = estimates
+    rem, t0, t1 = estimates
     sharp = sharp_hardy_constant(case.p)
     cp = remainder_constant(case.p)
     energy = t0.value - sharp * t1.value
@@ -457,7 +468,7 @@ def _luan_young_integrands(spec, hs, p):
 
 HARDY = Check(_hardy_integrands, _hardy_rows)
 GENERAL_HARDY = Check(_general_hardy_integrands, _general_hardy_rows)
-REMAINDER = Check(_remainder_integrands, _remainder_rows, denominator=2)
+REMAINDER = Check(_remainder_integrands, _remainder_rows, denominator=0)
 SOBOLEV = Check(_sobolev_integrands, _sobolev_rows, denominator=2)
 LUAN_YOUNG = Check(_luan_young_integrands, partial(_hardy_rows, inequality_id="luan-young", bound=1.0))
 

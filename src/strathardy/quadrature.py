@@ -46,8 +46,8 @@ the half-space.  A chord may be a little wider than the support; the
 integrands are 0.0 in that margin.
 Each integrand is called on a :class:`~strathardy.calculus.TrialSample`
 of a chunk of the rule's nodes, whose ``dist`` is the rule's; with a
-trial the sample also holds u and grad u, computed once per chunk and
-shared by all integrands.  Each integrand's weighted values are summed
+trial the sample also holds u and grad u (``hgrad`` alone on a derived
+sample), computed once per chunk and shared by all integrands.  Each integrand's weighted values are summed
 chunk by chunk, so memory does not grow with the integrand count.
 
 A deterministic rule (the ball rule, or the box rule with at most 4
@@ -578,9 +578,10 @@ def integrate_many(
     distance the rule carries for each node, exact on the boundary-graded
     rule.  Without ``trial`` the sample holds the nodes and their dist
     alone.  With ``trial = (spec, u)`` it is :func:`sample_trial` of u at
-    the nodes, each integrand must be exactly 0.0 wherever u and grad u
-    are, and it is called only at nodes inside ``u.support`` (all of them
-    if it is None), or in the margin of a chord (see the module
+    the nodes (a sample derived from another's holds ``hgrad``, not
+    ``grad``), each integrand must be exactly 0.0 wherever u and its
+    gradient are, and it is called only at nodes inside ``u.support`` (all
+    of them if it is None), or in the margin of a chord (see the module
     docstring).  Where the support takes the ball rule (a round bump
     inside the half-space; the module docstring gives the resolutions and
     dimensions), the estimates are the ball rule's.  Otherwise they equal

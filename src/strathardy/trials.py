@@ -1,10 +1,11 @@
-"""Trial functions: smooth bumps, the ground-state substitution, and the
-near-extremal power family used to probe sharpness of the Hardy constant.
+"""Trial functions: smooth bumps and the near-extremal power family used
+to probe sharpness of the Hardy constant.
 
 Every constructor returns a :class:`~strathardy.calculus.ScalarField` with
 an exact gradient, so quadrature never stacks finite differences on top of
-cutoff functions.  Labels are deterministic strings built from the
-defining parameters; reports hash them into their config digests.
+cutoff functions; a sample derived from a bump's (:func:`power_weighted_sample`)
+holds ``hgrad``, not ``grad``.  Labels are deterministic strings built
+from the defining parameters; reports hash them into their config digests.
 """
 
 from __future__ import annotations
@@ -23,10 +24,7 @@ __all__ = [
     "BumpSpec",
     "BumpSupport",
     "make_bump",
-    "ground_transform",
-    "ground_gradient",
     "power_weighted_sample",
-    "inverse_ground_transform",
     "SharpnessSpec",
     "sharpness_trial",
     "boundary_bump_spec",
@@ -207,34 +205,6 @@ def random_interior_bumps(
     return specs
 
 
-def ground_transform(u: ScalarField, hs: HalfSpace, p: float) -> ScalarField:
-    """The substitution v = dist^(-(p-1)/p) u, defined inside the half-space.
-
-    Inverse of :func:`inverse_ground_transform`; both vanish where dist <= 0.
-    """
-    if p <= 1:
-        raise ValueError("p must exceed 1")
-    a = -(p - 1.0) / p
-    return _PowerWeighted(u, hs, a, f"ground(p={p!r},{u.label})")
-
-
-def ground_gradient(sample: TrialSample, hs: HalfSpace, p: float) -> np.ndarray:
-    """The Euclidean gradient of the ground transform of a sampled trial.
-
-    Built from the sample's dist, u and grad u alone; it equals
-    ``ground_transform(u, hs, p).gradients`` bit for bit.
-    """
-    return power_weighted_sample(sample, -(p - 1.0) / p).grad
-
-
-def inverse_ground_transform(v: ScalarField, hs: HalfSpace, p: float) -> ScalarField:
-    """u = dist^((p-1)/p) v, the inverse of :func:`ground_transform`."""
-    if p <= 1:
-        raise ValueError("p must exceed 1")
-    a = (p - 1.0) / p
-    return _PowerWeighted(v, hs, a, f"unground(p={p!r},{v.label})")
-
-
 class _PowerWeighted(ScalarField):
     """dist^a * u with exact gradient dist^a grad u + a dist^(a-1) u nu.
 
@@ -245,7 +215,11 @@ class _PowerWeighted(ScalarField):
 
     def __init__(self, u: ScalarField, hs: HalfSpace, a: float, label: str):
         def fn_and_grad(points):
-            return _power_weighted_parts(hs.distance(points), a, hs.nu, *u.values_and_gradients(points))
+            d = hs.distance(points)
+            f, grad = u.values_and_gradients(points)
+            with np.errstate(divide="ignore", invalid="ignore"):  # at d <= 0: zeroed
+                da = d**a  # d^(a-1) is da / d, one power a point
+                return _inside(d, da * f, da[:, None] * grad + a * (da / d)[:, None] * f[:, None] * hs.nu)
 
         super().__init__(
             u.dim, fn_and_grad=fn_and_grad, support_box=u.support_box, label=label, support=u.support
@@ -264,31 +238,27 @@ class _PowerWeighted(ScalarField):
 
 
 def power_weighted_sample(sample: TrialSample, a: float) -> TrialSample:
-    """The sample of dist^a * u at the points of a sample of u, sharing its dist and W.
+    """The sample of dist^a * u at the points of a sample of u, sharing its dist, P and W.
 
+    Its ``hgrad`` is dist^a (grad_H u + a (u / dist) P), dist^a times the
+    B of ``sample.horizontal_split(-a)``: no Euclidean gradient is formed.
     It is how :func:`~strathardy.calculus.sample_trial` samples the field
-    ``dist^a * u`` that :func:`sharpness_trial` and the ground transforms
-    build, so a sample derived from u's equals that field's bit for bit.
+    dist^a * u of :func:`sharpness_trial`, which it equals bit for bit.
     """
-    values, grads = _power_weighted_parts(sample.dist, a, sample.hs.nu, sample.u, sample.grad)
-    return sample.with_trial(values, grads)
+    d = sample.dist
+    with np.errstate(divide="ignore", invalid="ignore"):  # at d <= 0: zeroed
+        da = d**a
+        hgrad = sample.horizontal_split(-a)[1]
+        hgrad *= da[:, None]
+        return sample.with_trial(*_inside(d, da * sample.u, hgrad))
 
 
-def _power_weighted_parts(d, a, nu, u, grad) -> tuple[np.ndarray, np.ndarray]:
-    """dist^a u and its gradient dist^a grad u + a dist^(a-1) u nu at points
-    of boundary distance d, from u and grad u there; both 0.0 where d <= 0."""
+def _inside(d, values, grads) -> tuple[np.ndarray, np.ndarray]:
+    """(M,) values and (M, k) gradients, both 0.0 on the rows where d <= 0."""
     inside = d > 0.0
     if inside.all():  # as at quadrature nodes: nothing to mask
-        return _weighted(d, a, nu, u, grad)
-    values = np.zeros(d.shape[0])
-    grads = np.zeros((d.shape[0], nu.shape[0]))
-    values[inside], grads[inside] = _weighted(d[inside], a, nu, u[inside], grad[inside])
-    return values, grads
-
-
-def _weighted(d, a, nu, u, grad) -> tuple[np.ndarray, np.ndarray]:
-    da = d**a  # d > 0: d^(a-1) is da / d, one power a node
-    return da * u, da[:, None] * grad + a * (da / d)[:, None] * u[:, None] * nu
+        return values, grads
+    return np.where(inside, values, 0.0), np.where(inside[:, None], grads, 0.0)
 
 
 @dataclass(frozen=True)

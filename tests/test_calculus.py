@@ -8,7 +8,6 @@ from strathardy import (
     BumpSpec,
     abelian_group,
     angle_function_many,
-    angle_gradient_many,
     apply_field_to_polynomial,
     distance_field,
     distance_flux_parts,
@@ -18,7 +17,6 @@ from strathardy import (
     halfspace_preset,
     heisenberg_group,
     horizontal_from_euclidean,
-    horizontal_gradient_many,
     make_bump,
     identity_Xi_pairing_many,
     orthogonality_identity_many,
@@ -34,8 +32,6 @@ from strathardy.trials import (
     BumpSupport,
     SharpnessSpec,
     boundary_bump_spec,
-    ground_transform,
-    inverse_ground_transform,
     sharpness_trial,
 )
 
@@ -207,8 +203,6 @@ _BUMP = BumpSpec(center=(0.2, -0.1, 0.8), radius=0.6)
 _TRIALS = {
     "bump": (lambda hs: make_bump(_BUMP), 1),
     "bump-powers-4": (lambda hs: make_bump(BumpSpec(_BUMP.center, 0.6, powers=(4, 4, 4))), 1),
-    "ground": (lambda hs: ground_transform(make_bump(_BUMP), hs, 3.0), 1),
-    "unground": (lambda hs: inverse_ground_transform(make_bump(_BUMP), hs, 2.0), 1),
     "sharpness": (
         lambda hs: sharpness_trial(SharpnessSpec(2.0, 0.3, boundary_bump_spec(hs, 0.9)), hs),
         1,
@@ -231,7 +225,7 @@ class TestTrialSample:
         assert np.array_equal(s.w, angle_function_many(h1, hs, pts))
         assert np.array_equal(s.u, u.values(pts))
         assert np.array_equal(s.grad, u.gradients(pts))
-        assert np.array_equal(s.hgrad, horizontal_gradient_many(h1, u, pts))
+        assert np.array_equal(s.hgrad, horizontal_from_euclidean(h1, pts, u.gradients(pts)))
 
     @pytest.mark.parametrize("name", sorted(_TRIALS))
     def test_u_and_grad_u_come_from_one_evaluation(self, h1, rng, monkeypatch, name):
@@ -246,7 +240,13 @@ class TestTrialSample:
         assert len(calls) == shapes
         assert np.any(s.u != 0.0)
         assert np.array_equal(s.u, u.values(pts))
-        assert np.array_equal(s.grad, u.gradients(pts))
+        if name == "sharpness":
+            # derived from the cutoff's sample: grad_H u without a Euclidean grad
+            want = horizontal_from_euclidean(h1, pts, u.gradients(pts))
+            assert s.grad is None
+            assert np.max(np.abs(s.hgrad - want)) <= 1e-14 * np.max(np.abs(want))
+        else:
+            assert np.array_equal(s.grad, u.gradients(pts))
 
     def test_w_and_hgrad_are_computed_on_first_read(self, h1, rng):
         hs = HalfSpace(nu=random_unit(rng, 3), d=0.1)
@@ -255,8 +255,31 @@ class TestTrialSample:
         dist = hs.distance(pts) + 1.0  # not the points' own: the sample reads what it is given
         s = sample_trial(h1, hs, u, pts, dist)
         assert "w" not in vars(s) and "hgrad" not in vars(s)
-        assert s.w is s.w and "w" in vars(s) and "hgrad" not in vars(s)
+        assert s.w is s.w and "w" in vars(s) and "hgrad" not in vars(s) and "pairings" not in vars(s)
         assert s.dist is dist
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_w_is_the_norm_of_the_pairings_a_sample_holds(self, rng, monkeypatch, k):
+        from strathardy import calculus
+
+        spec = heisenberg_group(k)
+        hs = HalfSpace(nu=random_unit(rng, spec.total_dim), d=0.1)
+        pts = np.asfortranarray(rng.uniform(-1.0, 1.0, size=(50, spec.total_dim)))
+        want = angle_function_many(spec, hs, pts)
+        s = sample_trial(spec, hs, None, pts)
+        assert np.array_equal(s.pairings, field_pairings(spec, hs, pts))
+        monkeypatch.setattr(calculus, "angle_function_many", None)  # W must not evaluate P again
+        assert np.array_equal(s.w, want)
+
+    def test_the_split_adds_up_to_grad_h_u(self, h1, rng):
+        hs = HalfSpace(nu=random_unit(rng, 3), d=0.1)
+        u = make_bump(BumpSpec(center=(0.2, -0.1, 0.8), radius=0.6))
+        pts = rng.uniform(-0.4, 1.4, size=(40, 3))
+        s = sample_trial(h1, hs, u, pts[hs.distance(pts) > 0.0])
+        a_part, b_part = s.horizontal_split(2.0 / 3.0)
+        weight = 2.0 / 3.0 * s.w * np.abs(s.u) / s.dist
+        assert np.allclose(np.sqrt(np.sum(a_part**2, axis=1)), weight, rtol=1e-14, atol=0.0)
+        assert np.allclose(a_part + b_part, s.hgrad, rtol=1e-14, atol=1e-14 * np.max(np.abs(s.hgrad)))
 
 
 class TestAngleFunction:
@@ -274,22 +297,6 @@ class TestAngleFunction:
         hs = HalfSpace(nu=random_unit(rng, 3, tilt=False), d=0.0)
         pts = rng.uniform(-2, 2, size=(40, 3))
         assert np.max(np.abs(angle_function_many(r3, hs, pts) - 1.0)) < 1e-15
-
-    def test_gradient_closed_form_vs_fd(self, h1, rng):
-        hs = HalfSpace(nu=random_unit(rng, 3), d=0.0)
-        pts = rng.uniform(0.5, 2.0, size=(30, 3))
-        w = angle_function_many(h1, hs, pts)
-        keep = w > 0.3
-        pts = pts[keep]
-        closed = angle_gradient_many(1, hs, pts)
-        w_field = ScalarField(3, lambda q: angle_function_many(h1, hs, q))
-        fd = horizontal_gradient_many(h1, w_field, pts)
-        scale = 1.0 + np.max(np.abs(closed))
-        assert np.max(np.abs(closed - fd)) < 1e-5 * scale
-
-    def test_gradient_nan_where_angle_vanishes(self, h1, t_axis):
-        out = angle_gradient_many(1, t_axis, np.array([[0.0, 0.0, 5.0]]))
-        assert np.all(np.isnan(out))
 
 
 class TestDistanceOperators:
@@ -438,7 +445,7 @@ class TestApplyField:
         polys = pairing_polynomials(h1, hs)
         for _ in range(10):
             x = rng.uniform(-2, 2, size=(1, 3))
-            hor = horizontal_gradient_many(h1, f, x)[0]
+            hor = horizontal_from_euclidean(h1, x, f.gradients(x))[0]
             for k in range(2):
                 assert np.isclose(hor[k], polys[k].eval_many(x)[0], rtol=1e-12, atol=1e-14)
 
@@ -447,7 +454,7 @@ class TestApplyField:
         f = ScalarField(5, lambda pts: g.eval_many(pts))
         for _ in range(5):
             x = rng.uniform(-1.5, 1.5, size=(1, 5))
-            hor = horizontal_gradient_many(h2, f, x)[0]
+            hor = horizontal_from_euclidean(h2, x, f.gradients(x))[0]
             for k in range(4):
                 exact = apply_field_to_polynomial(h2, k, g).eval_many(x)[0]
                 assert abs(hor[k] - exact) < 1e-5 * (1 + abs(exact))
@@ -461,21 +468,19 @@ def _layout_trial(name, hs, center):
     bump = BumpSpec(center=tuple(center), radius=0.6)
     if name == "bump":
         return make_bump(bump)
-    if name == "sharpness":
-        return sharpness_trial(SharpnessSpec(p=3.0, eps=0.1, cutoff=bump), hs)
-    return ground_transform(make_bump(bump), hs, 3.0)
+    return sharpness_trial(SharpnessSpec(p=3.0, eps=0.1, cutoff=bump), hs)
 
 
 class TestNodeLayout:
     """Quadrature stores its nodes by coordinate (column-major); a sample
     must not depend on that."""
 
-    _BASES = ("dist", "u", "grad", "hgrad", "w", "hgrad_sq", "weighted_u")
+    _BASES = ("dist", "u", "grad", "hgrad", "pairings", "w", "hgrad_sq", "weighted_u")
     _CHECKS = (HARDY, GENERAL_HARDY, REMAINDER, SOBOLEV)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("normal", ["t-axis", "oblique"])
-    @pytest.mark.parametrize("trial", ["bump", "sharpness", "ground"])
+    @pytest.mark.parametrize("trial", ["bump", "sharpness"])
     def test_row_and_column_major_nodes_give_the_same_sample(self, k, normal, trial, rng):
         spec = heisenberg_group(k)
         n = spec.total_dim

@@ -393,8 +393,25 @@ class TestRejectedConfigs:
         "command, cfg, name",
         [
             # denominator integrals past 1e154 square past the float range in
-            # the trivial-trial test and the quotient stderr: finite rows
-            ("hardy", {"p": [300], "trials": {"count": 3}, "quadrature": {"points_per_axis": 8}}, None),
+            # the trivial-trial test and the quotient stderr, but at 8 points
+            # per axis the coarse rule reads each numerator as 0
+            (
+                "hardy",
+                {"p": [300], "trials": {"count": 3}, "quadrature": {"points_per_axis": 8}},
+                "at p 300.0: an integral",
+            ),
+            # ... and so does the remainder numerator on heisenberg:2
+            (
+                "remainder",
+                {
+                    "group": "heisenberg:2",
+                    "p": [2, 300],
+                    "trials": {"count": 2, "region": 0.3, "clearance": 0.5},
+                    "quadrature": {"points_per_axis": 8},
+                },
+                "at p 300.0: an integral",
+            ),
+            # ... at the default rule the rows are finite
             ("remainder", {"p": [2, 200]}, None),
             # ... and at p = 400 the integrand overflows too
             ("remainder", {"p": [2, 200, 400]}, "non-finite"),
@@ -648,8 +665,9 @@ class TestOneIntegrationPerTrial:
         assert code == 0 and len(out.splitlines()) == 1 + 2 * 20
         assert builds == [(0.0, 0.0, 1.0)]
 
-    # at p 400 |grad_H u|^p overflows on trial 1 of seed 1 and on trial 0 of seed 11
-    @pytest.mark.parametrize("seed, failing", [(1, 1), (11, 0)])
+    # at p 400 |grad_H u|^p overflows on trial 1 of seed 10 and on trial 0 of
+    # seed 11 (seed 1's trial 0 stops first: its coarse rule reads 0)
+    @pytest.mark.parametrize("seed, failing", [(10, 1), (11, 0)])
     def test_an_overflow_names_its_trial_and_p(self, tmp_path, capsys, monkeypatch, seed, failing):
         calls = []
         integrate = experiments.integrate_many
@@ -672,7 +690,8 @@ class TestOneIntegrationPerTrial:
         # each trial up to the failing one integrated once
         assert calls == [u.support_box.tobytes() for u in trials[: failing + 1]]
 
-    # trial 1 at p 300: a numerator of 4.1e200 over a denominator of 3.2e-132
+    # trial 1 at p 300: a numerator of 4.1e200 over a denominator of 3.2e-132;
+    # before it, the coarse rule reads trial 0's numerator at p 300 as 0
     @pytest.mark.parametrize("command", ["hardy", "general-hardy"])
     def test_a_quotient_past_the_float_range_is_no_verdict(self, tmp_path, capsys, command):
         path = write_config(
@@ -684,12 +703,18 @@ class TestOneIntegrationPerTrial:
             seed=11,
         )
         code, out, err = run([command, "--config", path], capsys)
-        group, hs, _, cfg = resolve(load_config(path))
-        label = build_trials(group, hs, cfg)[1].label
+        group, hs, quad, cfg = resolve(load_config(path))
+        trials = build_trials(group, hs, cfg)
         assert (code, out) == (3, "")
-        assert err == (
-            f"configuration error: trial {label} at p 300.0: its quotient inf and stderr inf "
-            "are not both finite, so they check no bound\n"
+        assert err.startswith(f"configuration error: trial {trials[0].label} at p 300.0: an integral ")
+        assert err.endswith(" with a stderr as large as itself checks no bound\n") and err.count("\n") == 1
+        check = {"hardy": experiments.HARDY, "general-hardy": experiments.GENERAL_HARDY}[command]
+        params = {"betas": cfg["beta"]} if command == "general-hardy" else {}
+        with pytest.raises(experiments.TrivialTrialError) as got:
+            experiments.each_p(check, group, hs, trials[1], cfg["p"], quad, **params)
+        assert str(got.value) == (
+            f"trial {trials[1].label} at p 300.0: its quotient inf and stderr inf "
+            "are not both finite, so they check no bound"
         )
 
 

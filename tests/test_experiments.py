@@ -173,13 +173,11 @@ class TestEachP:
 
 
 class TestSharedBases:
-    # an interior bump takes the ball rule, a boundary one the graded rule;
-    # each rule and its coarse companion make one sample apiece
-    @pytest.mark.parametrize("interior", [True, False])
-    def test_each_sample_computes_grad_h_u_and_w_once(self, h1, t_axis, interior, monkeypatch):
+    @pytest.fixture
+    def calls(self, monkeypatch):
         from strathardy import calculus, quadrature
 
-        calls = {"sample": 0, "hgrad": 0, "w": 0, "squares": 0}
+        calls = {"sample": 0, "hgrad": 0, "w": 0, "pairings": 0, "squares": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -193,11 +191,28 @@ class TestSharedBases:
             calculus, "horizontal_from_euclidean", counting("hgrad", calculus.horizontal_from_euclidean)
         )
         monkeypatch.setattr(calculus, "angle_function_many", counting("w", calculus.angle_function_many))
+        monkeypatch.setattr(calculus, "field_pairings", counting("pairings", calculus.field_pairings))
         # W's squared pairings and |grad_H u|^2, each shared by both p
         monkeypatch.setattr(calculus, "_sum_squares", counting("squares", calculus._sum_squares))
-        spec = BumpSpec(center=(0.2, -0.1, 0.8), radius=0.45) if interior else boundary_bump_spec(t_axis, 0.5)
-        each_p(HARDY, h1, t_axis, make_bump(spec), (2.0, 3.0), QuadConfig())
-        assert calls == {"sample": 2, "hgrad": 2, "w": 2, "squares": 4}
+        return calls
+
+    # an interior bump takes the ball rule, one touching the boundary the
+    # graded rule; each rule and its coarse companion make one sample apiece
+    _BUMPS = {
+        True: BumpSpec(center=(0.2, -0.1, 0.8), radius=0.45),
+        False: BumpSpec(center=(0.2, -0.1, 0.45), radius=0.45),
+    }
+
+    @pytest.mark.parametrize("interior", [True, False])
+    def test_each_sample_computes_grad_h_u_and_w_once(self, h1, t_axis, interior, calls):
+        each_p(HARDY, h1, t_axis, make_bump(self._BUMPS[interior]), (2.0, 3.0), QuadConfig())
+        assert calls == {"sample": 2, "hgrad": 2, "w": 2, "pairings": 0, "squares": 4}
+
+    # the split of both p reads one P a sample, and W is its norm
+    @pytest.mark.parametrize("interior", [True, False])
+    def test_remainder_evaluates_the_pairings_once_per_sample(self, h1, t_axis, interior, calls):
+        each_p(REMAINDER, h1, t_axis, make_bump(self._BUMPS[interior]), (2.0, 3.0), QuadConfig())
+        assert calls == {"sample": 2, "hgrad": 2, "w": 0, "pairings": 2, "squares": 4}
 
 
 class TestGeneralHardy:
@@ -221,7 +236,8 @@ class TestGeneralHardy:
     def test_oblique_normal_still_p_harmonic(self, h1, fast_cfg, rng):
         nu = rng.normal(size=3)
         hs = HalfSpace(nu=nu, d=-0.3)
-        u = make_bump(BumpSpec(center=(0.2, -0.1, 0.8), radius=0.45))
+        # inside the half-space: across its boundary the weight integral diverges
+        u = make_bump(BumpSpec(center=tuple(hs.nu * (hs.d + 0.6)), radius=0.45))
         ((rep,),) = each_p(GENERAL_HARDY, h1, hs, u, [3.0], fast_cfg, betas=[beta_star(3.0)])
         assert rep.extras["p_harmonic_distance"] is True
 
@@ -268,6 +284,38 @@ class TestRemainder:
     def test_rejects_p_below_two(self, h1, t_axis, interior_bump):
         with pytest.raises(ValueError):
             each_p(REMAINDER, h1, t_axis, interior_bump, [1.5])
+
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+    @pytest.mark.parametrize(
+        "group, nu, d",
+        [
+            ("heisenberg:1", (0.0, 0.0, 1.0), 0.0),
+            ("heisenberg:1", (0.36, -0.48, 0.8), -0.2),
+            ("heisenberg:2", (0.3, -0.2, 0.4, 0.1, 0.8), 0.1),
+        ],
+    )
+    def test_the_split_integrates_as_the_ground_state_gradient(self, group, nu, d, p):
+        # dist^(p-1) |grad_H v|^p with v = dist^(-(p-1)/p) u, the long way:
+        # through the Euclidean gradient of v, then its horizontal form
+        from strathardy import horizontal_from_euclidean
+
+        spec, hs = group_from_name(group), HalfSpace(nu=nu, d=d)
+
+        def ground_r_integrand(s):
+            a = -(p - 1.0) / p
+            da = s.dist**a
+            grad_v = da[:, None] * s.grad + a * (da / s.dist)[:, None] * s.u[:, None] * hs.nu
+            hor = horizontal_from_euclidean(spec, s.points, grad_v)
+            return (s.dist ** ((p - 1.0) / p) * np.sqrt(np.sum(hor * hor, axis=1))) ** p
+
+        center = tuple(np.asarray(hs.nu) * (hs.d + 0.5) + 0.1)
+        u = make_bump(BumpSpec(center=center, radius=0.4))
+        (rem, *_) = REMAINDER.integrands(spec, hs, p)
+        cfg = QuadConfig(points_per_axis=8)
+        split, ref = integrate_many([rem, ground_r_integrand], u.support_box, hs, cfg, trial=(spec, u))
+        assert ref.value > 0.0
+        assert abs(split.value - ref.value) <= 1e-14 * ref.value
+        assert abs(split.stderr - ref.stderr) <= 1e-14 * ref.value
 
 
 class TestSobolev:

@@ -177,15 +177,16 @@ class TestVectorFields:
 
     def test_left_invariance_fd(self, h1, rng):
         # X_k(f . L_xi) at eta equals (X_k f) at xi o eta for smooth f.
-        from strathardy.calculus import ScalarField, horizontal_gradient_many
+        from strathardy.calculus import ScalarField, horizontal_from_euclidean
 
         f = Polynomial(3, {(2, 1, 0): 1.0, (0, 0, 1): 2.0, (1, 0, 1): -0.5})
         xi = rng.uniform(-1, 1, size=3)
         eta = rng.uniform(-1, 1, size=(15, 3))
         field = ScalarField(3, lambda pts: f.eval_many(pts))
         shifted = ScalarField(3, lambda pts: f.eval_many(h_multiply(xi, pts, 1)))
-        lhs = horizontal_gradient_many(h1, shifted, eta)
-        rhs = horizontal_gradient_many(h1, field, h_multiply(xi, eta, 1))
+        moved = h_multiply(xi, eta, 1)
+        lhs = horizontal_from_euclidean(h1, eta, shifted.gradients(eta))
+        rhs = horizontal_from_euclidean(h1, moved, field.gradients(moved))
         for k in range(2):
             assert np.max(np.abs(lhs[:, k] - rhs[:, k])) < 1e-6
 

@@ -18,15 +18,15 @@ _EXPORTS = {
     "calculus": (
         "H_STEP HalfSpace halfspace_preset ScalarField distance_field pairing_polynomials "
         "field_pairings horizontal_from_euclidean apply_field_to_polynomial "
-        "horizontal_gradient_many angle_function_many TrialSample sample_trial "
-        "angle_gradient_many identity_Xi_pairing_many sub_laplacian_distance_polynomial "
+        "angle_function_many TrialSample sample_trial "
+        "identity_Xi_pairing_many sub_laplacian_distance_polynomial "
         "distance_flux_parts p_sub_laplacian_fd_many p_sub_laplacian_distance_many "
         "orthogonality_identity_many"
     ),
     "quadrature": "QuadConfig IntegralEstimate IntegrationError NodeBudgetError integrate_many",
     "trials": (
-        "BumpSpec BumpSupport make_bump ground_transform ground_gradient power_weighted_sample "
-        "inverse_ground_transform SharpnessSpec sharpness_trial boundary_bump_spec "
+        "BumpSpec BumpSupport make_bump power_weighted_sample "
+        "SharpnessSpec sharpness_trial boundary_bump_spec "
         "random_interior_bumps"
     ),
     "experiments": (

@@ -19,7 +19,6 @@ from strathardy import (
     ScalarField,
     SharpnessSpec,
     boundary_bump_spec,
-    ground_transform,
     halfspace_preset,
     heisenberg_group,
     integrate_many,
@@ -420,7 +419,6 @@ _INTERIOR = BumpSpec(center=(0.1, -0.2, 0.8), radius=0.5, powers=(2, 4, 2))
 _ON_BOUNDARY = boundary_bump_spec(_T_AXIS, 0.6)
 _TRIALS = {
     "bump": lambda spec: make_bump(spec),
-    "ground": lambda spec: ground_transform(make_bump(spec), _T_AXIS, 3.0),
     "sharpness": lambda spec: sharpness_trial(SharpnessSpec(p=2.0, eps=0.2, cutoff=spec), _T_AXIS),
     "scaled": lambda spec: make_bump(spec).scaled(7.0),
 }
@@ -433,9 +431,9 @@ _RULES = {
 }
 
 
-# each has a factor of u or grad u, so it is exactly 0.0 outside u.support
+# each has a factor of u or grad_H u, so it is exactly 0.0 outside u.support
 _INTEGRANDS = [
-    lambda s: np.sum(s.grad**2, axis=1),
+    lambda s: np.sum(s.hgrad**2, axis=1),
     lambda s: (np.abs(s.u) / s.dist) ** 2,
     lambda s: np.exp(s.points[:, 0]) * s.u,
 ]

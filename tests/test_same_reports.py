@@ -33,6 +33,8 @@ def test_matrix_covers_every_subcommand_and_workload():
     # luan-young on a normal and a p the command overrides; the smallest ball companion
     new = {"luan-young:heisenberg2-oblique", "luan-young:p-2-3", "hardy:heisenberg2-4-points"}
     assert new <= set(labels)
+    # the horizontal split on an offset normal up to p = 4, and on heisenberg:2
+    assert {"remainder:offset", "remainder:heisenberg2"} <= set(labels)
 
 
 def test_the_tree_matches_itself():

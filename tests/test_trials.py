@@ -7,11 +7,9 @@ from strathardy import (
     ScalarField,
     SharpnessSpec,
     boundary_bump_spec,
-    ground_gradient,
-    ground_transform,
     halfspace_preset,
     heisenberg_group,
-    inverse_ground_transform,
+    horizontal_from_euclidean,
     make_bump,
     power_weighted_sample,
     random_interior_bumps,
@@ -109,38 +107,7 @@ class TestFamilies:
             random_interior_bumps(hs, 3, seed=1, radius_range=(0.5, 0.1))
 
 
-class TestGroundTransform:
-    def test_round_trip(self, rng):
-        hs = halfspace_preset(3, "t-axis", 0.0)
-        u = make_bump(BumpSpec(center=(0.0, 0.0, 1.0), radius=0.6))
-        back = inverse_ground_transform(ground_transform(u, hs, 3.0), hs, 3.0)
-        pts = rng.uniform(-0.4, 0.4, size=(60, 3)) + [0.0, 0.0, 1.0]
-        orig = u.values(pts)
-        assert np.max(np.abs(back.values(pts) - orig)) < 1e-14 * (1 + np.max(np.abs(orig)))
-
-    def test_vanishes_outside_halfspace(self):
-        hs = halfspace_preset(3, "t-axis", 0.0)
-        u = make_bump(BumpSpec(center=(0.0, 0.0, 0.2), radius=0.6))
-        v = ground_transform(u, hs, 2.0)
-        pts = np.array([[0.0, 0.0, -0.1], [0.1, 0.0, -0.3]])
-        assert np.array_equal(v.values(pts), [0.0, 0.0])
-
-    def test_gradient_matches_fd_inside(self, rng):
-        hs = halfspace_preset(3, "t-axis", 0.0)
-        u = make_bump(BumpSpec(center=(0.0, 0.0, 1.0), radius=0.5))
-        v = ground_transform(u, hs, 2.0)
-        pts = rng.uniform(-0.3, 0.3, size=(40, 3)) + [0.0, 0.0, 1.0]
-        assert np.max(np.abs(v.gradients(pts) - fd_gradients(v, pts))) < 1e-6
-
-    @pytest.mark.parametrize("p", [2.0, 3.0])
-    def test_gradient_from_a_sample_is_bitwise_the_fields(self, rng, p):
-        hs = halfspace_preset(3, "t-axis", 0.0)
-        u = make_bump(BumpSpec(center=(0.0, 0.0, 0.3), radius=0.5))
-        pts = rng.uniform(-0.5, 0.5, size=(60, 3)) + [0.0, 0.0, 0.3]
-        pts = pts[hs.distance(pts) > 0.0]
-        sample = sample_trial(heisenberg_group(1), hs, u, pts)
-        assert np.array_equal(ground_gradient(sample, hs, p), ground_transform(u, hs, p).gradients(pts))
-
+class TestPowerWeightedSample:
     @pytest.mark.parametrize("p, eps", [(2.0, 0.5), (3.0, 0.05)])
     def test_a_derived_sample_is_the_trials_own_bit_for_bit(self, rng, p, eps):
         # points on both sides of an oblique, offset boundary: the derived
@@ -154,16 +121,30 @@ class TestGroundTransform:
         want = sample_trial(h1, hs, sharpness_trial(trial, hs), pts)
         got = power_weighted_sample(base, trial.exponent)
         assert np.any(hs.distance(pts) <= 0.0) and np.any(got.u != 0.0)
-        for name in ("u", "grad", "hgrad", "dist", "w"):
+        for name in ("u", "hgrad", "dist", "w", "pairings"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
-        assert got.dist is base.dist and got.w is base.w
-        assert np.array_equal(
-            ground_gradient(base, hs, p), ground_transform(make_bump(cutoff), hs, p).gradients(pts)
-        )
+        assert got.grad is None and want.grad is None
+        assert got.dist is base.dist and got.w is base.w and got.pairings is base.pairings
+
+    @pytest.mark.parametrize("p, eps", [(2.0, 0.5), (3.0, 0.05)])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_hgrad_is_the_horizontal_form_of_the_fields_gradient(self, rng, k, p, eps):
+        spec = heisenberg_group(k)
+        n = spec.total_dim
+        hs = HalfSpace(nu=rng.normal(size=n), d=0.1)
+        cutoff = boundary_bump_spec(hs, 0.8)
+        pts = rng.uniform(-0.8, 0.8, size=(400, n)) + cutoff.center
+        u = sharpness_trial(SharpnessSpec(p=p, eps=eps, cutoff=cutoff), hs)
+        got = sample_trial(spec, hs, u, pts).hgrad
+        want = horizontal_from_euclidean(spec, pts, u.gradients(pts))
+        outside = hs.distance(pts) <= 0.0
+        assert np.any(outside) and np.any(got != 0.0)
+        assert np.all(got[outside] == 0.0)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_a_sample_on_another_half_space_keeps_the_fields_own_distance(self, rng):
         hs = halfspace_preset(3, "t-axis", 0.0)
-        u = ground_transform(make_bump(BumpSpec(center=(0.0, 0.0, 0.6), radius=0.5)), hs, 2.0)
+        u = sharpness_trial(SharpnessSpec(2.0, 0.3, BumpSpec(center=(0.0, 0.0, 0.6), radius=0.5)), hs)
         pts = rng.uniform(-0.4, 0.4, size=(60, 3)) + [0.0, 0.0, 0.6]
         s = sample_trial(heisenberg_group(1), halfspace_preset(3, "t-axis", 0.2), u, pts)
         assert np.array_equal(s.u, u.values(pts)) and np.array_equal(s.grad, u.gradients(pts))
@@ -178,15 +159,7 @@ class TestGroundTransform:
         want = sample_trial(h1, hs, u, pts, dist)
         assert np.any(want.u != 0.0) and u.scaled(7.0).support is u.support
         assert np.allclose(got.u, 7.0 * want.u, rtol=1e-14, atol=0.0)
-        assert np.allclose(got.grad, 7.0 * want.grad, rtol=1e-12, atol=1e-300)
-
-    def test_rejects_small_p(self):
-        hs = halfspace_preset(3, "t-axis", 0.0)
-        u = make_bump(BumpSpec(center=(0.0, 0.0, 1.0), radius=0.5))
-        with pytest.raises(ValueError):
-            ground_transform(u, hs, 1.0)
-        with pytest.raises(ValueError):
-            inverse_ground_transform(u, hs, 0.5)
+        assert np.allclose(got.hgrad, 7.0 * want.hgrad, rtol=1e-12, atol=1e-300)
 
 
 class TestSharpnessTrial:
@@ -260,9 +233,6 @@ class TestSupportPredicate:
         hs = halfspace_preset(3, "t-axis", 0.0)
         spec = BumpSpec(center=(0.0, 0.0, 0.7), radius=0.5)
         u = make_bump(spec)
-        v = ground_transform(u, hs, 2.0)
-        assert v.support is u.support
-        assert inverse_ground_transform(v, hs, 2.0).support is u.support
         assert u.scaled(7.0).support is u.support
         w = sharpness_trial(SharpnessSpec(p=2.0, eps=0.1, cutoff=spec), hs)
         pts = np.array([[0.0, 0.0, 0.7], [0.0, 0.0, 1.3], [0.45, 0.0, 0.7]])

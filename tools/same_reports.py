@@ -6,7 +6,8 @@ Runs a fixed matrix of CLI commands on this checkout and on the tree at
 ``--against`` (any directory with the package under ``src/``, such as a
 ``git worktree`` of the parent commit): the eight subcommands at their
 default configs, the configs of the benchmark's three workloads, oblique
-and offset normals, ``hardy`` with the quadrature method spelled out,
+and offset normals, ``remainder`` at p = 4 and on heisenberg:2,
+``hardy`` with the quadrature method spelled out,
 oblique normals on heisenberg:2 to :4, ``hardy`` on bumps
 that touch the boundary (clearance 0), ``hardy`` on heisenberg:2 at 4
 points per axis (the smallest ball companion), ``sobolev`` on abelian:5,
@@ -105,6 +106,12 @@ def matrix() -> list[Case]:
         Case("hardy:explicit-method", "hardy", {"quadrature": {"method": "boundary-graded"}}),
         Case("general-hardy:oblique-offset", "general-hardy", {"halfspace": {**_OBLIQUE_H1, "d": -0.25}}),
         Case("remainder:oblique", "remainder", {"halfspace": _OBLIQUE_H1, "p": [2.0, 3.0]}),
+        Case(
+            "remainder:offset",
+            "remainder",
+            {"halfspace": {"preset": "t-axis", "d": 0.3}, "p": [2.0, 3.0, 4.0]},
+        ),
+        Case("remainder:heisenberg2", "remainder", {"group": "heisenberg:2", "trials": {"count": 4}}),
         # interior bumps on the cached 5- and 7-dimension ball templates
         Case(
             "hardy:heisenberg2-oblique",
