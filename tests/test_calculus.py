@@ -31,6 +31,7 @@ from strathardy.quadrature import QuadConfig, _build_nodes
 from strathardy.trials import (
     BumpSupport,
     SharpnessSpec,
+    _PowerWeighted,
     boundary_bump_spec,
     sharpness_trial,
 )
@@ -199,10 +200,21 @@ class TestPairings:
 
 _BUMP = BumpSpec(center=(0.2, -0.1, 0.8), radius=0.6)
 
+
+def _ground(u, hs, p, inverse=False):
+    """The ground-state substitution v = dist^(-(p-1)/p) u behind the remainder
+    (or, inverse, dist^((p-1)/p) u): a power of dist times a field."""
+    a = (p - 1.0) / p
+    name = "unground" if inverse else "ground"
+    return _PowerWeighted(u, hs, a if inverse else -a, f"{name}(p={p!r},{u.label})")
+
+
 # (builder of a trial from a half-space, BumpSupport.shape calls per evaluation)
 _TRIALS = {
     "bump": (lambda hs: make_bump(_BUMP), 1),
     "bump-powers-4": (lambda hs: make_bump(BumpSpec(_BUMP.center, 0.6, powers=(4, 4, 4))), 1),
+    "ground": (lambda hs: _ground(make_bump(_BUMP), hs, 3.0), 1),
+    "unground": (lambda hs: _ground(make_bump(_BUMP), hs, 2.0, inverse=True), 1),
     "sharpness": (
         lambda hs: sharpness_trial(SharpnessSpec(2.0, 0.3, boundary_bump_spec(hs, 0.9)), hs),
         1,
@@ -240,8 +252,8 @@ class TestTrialSample:
         assert len(calls) == shapes
         assert np.any(s.u != 0.0)
         assert np.array_equal(s.u, u.values(pts))
-        if name == "sharpness":
-            # derived from the cutoff's sample: grad_H u without a Euclidean grad
+        if isinstance(u, _PowerWeighted):
+            # derived from the base field's sample: grad_H u without a Euclidean grad
             want = horizontal_from_euclidean(h1, pts, u.gradients(pts))
             assert s.grad is None
             assert np.max(np.abs(s.hgrad - want)) <= 1e-14 * np.max(np.abs(want))
@@ -468,6 +480,8 @@ def _layout_trial(name, hs, center):
     bump = BumpSpec(center=tuple(center), radius=0.6)
     if name == "bump":
         return make_bump(bump)
+    if name == "ground":
+        return _ground(make_bump(bump), hs, 3.0)
     return sharpness_trial(SharpnessSpec(p=3.0, eps=0.1, cutoff=bump), hs)
 
 
@@ -480,7 +494,7 @@ class TestNodeLayout:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("normal", ["t-axis", "oblique"])
-    @pytest.mark.parametrize("trial", ["bump", "sharpness"])
+    @pytest.mark.parametrize("trial", ["bump", "sharpness", "ground"])
     def test_row_and_column_major_nodes_give_the_same_sample(self, k, normal, trial, rng):
         spec = heisenberg_group(k)
         n = spec.total_dim

@@ -42,6 +42,7 @@ from strathardy.quadrature import (
     _symmetric_sphere_rule,
     _takes_ball,
 )
+from strathardy.trials import _PowerWeighted
 
 
 UNIT_BOX = np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
@@ -419,6 +420,8 @@ _INTERIOR = BumpSpec(center=(0.1, -0.2, 0.8), radius=0.5, powers=(2, 4, 2))
 _ON_BOUNDARY = boundary_bump_spec(_T_AXIS, 0.6)
 _TRIALS = {
     "bump": lambda spec: make_bump(spec),
+    # the ground-state substitution dist^(-2/3) u of the remainder at p = 3
+    "ground": lambda spec: _PowerWeighted(make_bump(spec), _T_AXIS, -2.0 / 3.0, "ground"),
     "sharpness": lambda spec: sharpness_trial(SharpnessSpec(p=2.0, eps=0.2, cutoff=spec), _T_AXIS),
     "scaled": lambda spec: make_bump(spec).scaled(7.0),
 }

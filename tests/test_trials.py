@@ -108,6 +108,21 @@ class TestFamilies:
 
 
 class TestPowerWeightedSample:
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_round_trip(self, rng, k):
+        # the ground substitution v = dist^(-a) u and back: dist^a v is u again
+        spec = heisenberg_group(k)
+        hs = halfspace_preset(spec, "t-axis", 0.0)
+        center = hs.nu * 1.0
+        u = make_bump(BumpSpec(center=tuple(center), radius=0.6))
+        pts = rng.uniform(-0.4, 0.4, size=(60, spec.total_dim)) + center
+        s = sample_trial(spec, hs, u, pts)
+        a = 2.0 / 3.0
+        back = power_weighted_sample(power_weighted_sample(s, -a), a)
+        assert np.any(s.u != 0.0) and back.dist is s.dist
+        assert np.max(np.abs(back.u - s.u)) < 1e-14 * np.max(np.abs(s.u))
+        assert np.max(np.abs(back.hgrad - s.hgrad)) < 1e-14 * np.max(np.abs(s.hgrad))
+
     @pytest.mark.parametrize("p, eps", [(2.0, 0.5), (3.0, 0.05)])
     def test_a_derived_sample_is_the_trials_own_bit_for_bit(self, rng, p, eps):
         # points on both sides of an oblique, offset boundary: the derived
