@@ -508,7 +508,7 @@ def p_sub_laplacian_fd_many(
     flat = probes.reshape(m * 2 * n, n)
 
     hor = horizontal_from_euclidean(spec, flat, f.gradients(flat, h))
-    w2 = np.sum(hor * hor, axis=1)
+    w2 = _sum_squares(hor.T, len(hor))
     coeffs = [(k, slot, poly.eval_many(points)) for k in range(nh) for slot, poly in spec.coeffs[k]]
     out = np.empty((len(ps), m))
     for row, p in zip(out, ps):

@@ -494,7 +494,8 @@ def hardy_sobolev_ratio(
 
 
 # the fuzzer's Philox chunk (the stream's unit, fixed) and the rows of
-# one block of arithmetic, small enough that its temporaries stay in cache
+# one block, the size of each worker's one draw buffer: small enough that
+# the buffer and the block's temporaries stay in cache
 _FUZZ_CHUNK = 1 << 17
 _FUZZ_BLOCK = 1 << 13
 
@@ -512,13 +513,15 @@ def _bft_defects(a2, z, b2, p) -> np.ndarray:
 
     |A+B|^2 = (c1 + z)^2 + c2^2 is a sum of squares, which does not cancel
     near B = -A.  Each power is taken once: |A|^p is |A|^(p-2) |A|^2, with
-    |A|^(p-2) also the factor of the cross term p |A|^(p-2) c1 z.
+    |A|^(p-2) also the factor of the cross term p |A|^(p-2) c1 z.  |A| and
+    |A|^(p-2) are dropped once used, so a block holds few arrays at a time.
     """
     na = np.sqrt(a2)
     na_q = na ** (p - 2.0)
-    cp = 1.0 / (np.exp2(p - 1.0) - 1.0)
     nab_p, na_p = np.sqrt((na + z) ** 2 + b2) ** p, na_q * a2
-    cnb_p, pcross = cp * np.sqrt(z * z + b2) ** p, p * (na_q * (na * z))
+    pcross = p * (na_q * (na * z))
+    del na, na_q
+    cnb_p = 1.0 / (np.exp2(p - 1.0) - 1.0) * np.sqrt(z * z + b2) ** p
     return ((nab_p - na_p) - (cnb_p + pcross)) / (nab_p + na_p + cnb_p + np.abs(pcross) + 1e-300)
 
 
@@ -542,31 +545,30 @@ def _draw_gram(gen, d: int, a2, z, b2) -> None:
     chi2(d - 1, b2)
 
 
-def _bft_chunks(chunks, buffer, max_dim, lo_p, hi_p, rel_tol) -> tuple[int, float]:
-    """(violations, worst defect) over ``chunks``, drawn into ``buffer``, (4, rows).
+def _bft_chunks(chunks, max_dim, lo_p, hi_p, rel_tol) -> tuple[int, float]:
+    """(violations, worst defect) over ``chunks``, drawn into one buffer of
+    (4, ``_FUZZ_BLOCK``) that this worker makes for itself.
 
-    Each chunk draws its rows' dimensions first; then, for each dimension
-    d in turn, the Gram matrices of its n_d rows and their p.  The rows of
-    each d are worked through in blocks of ``_FUZZ_BLOCK``.  A defect that
-    is not finite counts as a violation: it is NaN, or -inf, as a defect
-    is at most 1.
+    Each chunk draws how many of its rows have each dimension d, one
+    multinomial draw; then, for each d in turn and each block of at most
+    ``_FUZZ_BLOCK`` of its rows, the block's Gram matrices and their p,
+    which are checked at once.  A defect that is not finite counts as a
+    violation: it is NaN, or -inf, as a defect is at most 1.
     """
+    buffer = np.empty((4, _FUZZ_BLOCK))
     violations = 0
     lowest = []
     for gen, take in chunks:
-        counts = np.bincount(gen.integers(1, max_dim + 1, size=take), minlength=max_dim + 1)
-        for d in range(1, max_dim + 1):
-            n_d = int(counts[d])
-            a2, z, b2, vp = buffer[:, :n_d]
-            _draw_gram(gen, d, a2, z, b2)
-            gen.random(out=vp)
-            vp *= hi_p - lo_p
-            vp += lo_p
+        for d, n_d in enumerate(gen.multinomial(take, [1.0 / max_dim] * max_dim), 1):
             for start in range(0, n_d, _FUZZ_BLOCK):
-                rows = slice(start, start + _FUZZ_BLOCK)
+                a2, z, b2, vp = buffer[:, : min(_FUZZ_BLOCK, n_d - start)]
+                _draw_gram(gen, d, a2, z, b2)
+                gen.random(out=vp)
+                vp *= hi_p - lo_p
+                vp += lo_p
                 # a large p overflows the powers: counted below, not warned
                 with np.errstate(over="ignore", invalid="ignore"):
-                    defect = _bft_defects(a2[rows], z[rows], b2[rows], vp[rows])
+                    defect = _bft_defects(a2, z, b2, vp)
                 # a NaN defect compares false, so it counts as a violation
                 violations += defect.size - int(np.count_nonzero(defect >= -rel_tol))
                 lowest.append(defect.min())
@@ -597,7 +599,9 @@ def bft_fuzz(
     on A and B only through their Gram matrix, so a row draws that, three
     numbers whatever its d (:func:`_draw_gram`): the cost of a sample does
     not grow with max_dim.  The chunks run concurrently on one thread per
-    CPU this process may use (never more threads than chunks).  Each
+    CPU this process may use (never more threads than chunks), each
+    drawing block by block into one buffer of ``_FUZZ_BLOCK`` rows, so
+    memory does not grow with ``samples`` (:func:`_bft_chunks`).  Each
     chunk's draws and arithmetic do not depend on which thread runs it,
     and the counts and the worst defect are combined in an order-free
     way, so the report does not depend on the CPU count.
@@ -619,13 +623,9 @@ def bft_fuzz(
 
     chunks = list(philox_chunks(seed, samples, _FUZZ_CHUNK, FUZZER))
     workers = min(_usable_cpus(), len(chunks))
-    rows = min(samples, _FUZZ_CHUNK)
-    # each worker's draw buffers are made here, once, rather than in its
-    # thread: allocating them there raised the peak memory of a run
-    buffers = [np.empty((4, rows)) for _ in range(workers)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [
-            pool.submit(_bft_chunks, chunks[k::workers], buffers[k], max_dim, lo_p, hi_p, rel_tol)
+            pool.submit(_bft_chunks, chunks[k::workers], max_dim, lo_p, hi_p, rel_tol)
             for k in range(workers)
         ]
         results = [future.result() for future in futures]

@@ -1,4 +1,5 @@
 import concurrent.futures
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -466,10 +467,12 @@ class TestVectorInequality:
 
     @classmethod
     def reference_defects(cls, samples, seed, max_dim=5, lo_p=2.0, hi_p=5.0):
-        """The fuzzer's draws and arithmetic before blocks, buffers and
-        threads: whole chunks, one group of rows per dimension d, each row
-        the Gram matrix of A, B ~ N(0, I_d) as c1^2 ~ chi^2_d, z ~ N(0, 1)
-        and c2^2 ~ chi^2_(d-1), chi^2_1 being a squared normal."""
+        """The fuzzer's draws and arithmetic without its buffers and
+        threads: per chunk, the rows of each dimension d counted by one
+        multinomial draw, then per d and per block of at most 8,192 of its
+        rows the Gram matrices of A, B ~ N(0, I_d) as c1^2 ~ chi^2_d,
+        z ~ N(0, 1) and c2^2 ~ chi^2_(d-1), chi^2_1 being a squared
+        normal, and the block's p."""
 
         def chi2(gen, k, rows):
             if k == 0:
@@ -478,14 +481,15 @@ class TestVectorInequality:
 
         out = []
         for gen, take in philox_chunks(seed, samples, 1 << 17, FUZZER):
-            dims = gen.integers(1, max_dim + 1, size=take)
-            for d in range(1, max_dim + 1):
-                rows = int(np.count_nonzero(dims == d))
-                a2 = chi2(gen, d, rows)
-                z = gen.standard_normal(rows)
-                b2 = chi2(gen, d - 1, rows)
-                p = gen.uniform(lo_p, hi_p, size=rows)
-                out.append(cls.gram_defects(a2, z, b2, p))
+            counts = gen.multinomial(take, [1.0 / max_dim] * max_dim)
+            for d, n_d in enumerate(counts, 1):
+                for start in range(0, n_d, 1 << 13):
+                    rows = min(1 << 13, n_d - start)
+                    a2 = chi2(gen, d, rows)
+                    z = gen.standard_normal(rows)
+                    b2 = chi2(gen, d - 1, rows)
+                    p = gen.uniform(lo_p, hi_p, size=rows)
+                    out.append(cls.gram_defects(a2, z, b2, p))
         return np.concatenate(out)
 
     @pytest.mark.parametrize("samples", [1, 1000, 131072, 131073, 300000])
@@ -514,14 +518,11 @@ class TestVectorInequality:
             # bft_fuzz takes no negative rel_tol, so the thresholds that
             # count many rows go to the workers' chunk loop, split as
             # bft_fuzz splits the chunks among its workers
-            rows = min(samples, 1 << 17)
             for rel_tol in tols:
                 chunks = list(philox_chunks(seed, samples, 1 << 17, FUZZER))
                 counts, lows = zip(
                     *(
-                        experiments._bft_chunks(
-                            chunks[k::cpus], np.empty((4, rows)), 5, 2.0, 5.0, rel_tol
-                        )
+                        experiments._bft_chunks(chunks[k::cpus], 5, 2.0, 5.0, rel_tol)
                         for k in range(min(cpus, len(chunks)))
                     )
                 )
@@ -552,6 +553,50 @@ class TestVectorInequality:
         assert all(len(shapes) == 4 and len(set(shapes)) == 1 and len(shapes[0]) == 1 for shapes in seen)
         assert max(shapes[0][0] for shapes in seen) <= experiments._FUZZ_BLOCK
         assert sum(shapes[0][0] for shapes in seen) == 100_000
+
+    @pytest.mark.parametrize("max_dim", [1, 5])
+    def test_dimension_counts_have_the_law_of_uniform_dimensions(self, monkeypatch, max_dim):
+        drawn = []
+        draw_gram = experiments._draw_gram
+
+        def draw_spy(gen, d, *columns):
+            drawn.append((d, len(columns[0])))
+            return draw_gram(gen, d, *columns)
+
+        monkeypatch.setattr(experiments, "_draw_gram", draw_spy)
+        samples = 10**6
+        per_d = np.zeros(max_dim + 1, dtype=int)
+        for chunk in philox_chunks(42, samples, 1 << 17, FUZZER):
+            drawn.clear()
+            experiments._bft_chunks([chunk], max_dim, 2.0, 5.0, 1e-12)
+            # every row of the chunk has one dimension in 1..max_dim
+            assert sum(rows for _, rows in drawn) == chunk[1]
+            for d, rows in drawn:
+                per_d[d] += rows
+        assert per_d[0] == 0 and per_d.sum() == samples
+        # each d a share 1/max_dim, binomially spread: at max_dim 1 every row
+        share, expected = per_d[1:] / samples, 1.0 / max_dim
+        sigma = np.sqrt(expected * (1.0 - expected) / samples)
+        assert np.all(np.abs(share - expected) <= 4.0 * sigma)
+
+    def test_memory_does_not_grow_with_samples(self, monkeypatch):
+        def traced_peak(samples):
+            tracemalloc.start()
+            try:
+                bft_fuzz(samples=samples)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        bft_fuzz(samples=1000)  # first-call imports stay out of the traced runs
+        for cpus in (4, 1):
+            monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            # each worker holds one (4, _FUZZ_BLOCK) buffer and one block's temporaries
+            assert traced_peak(10**6) < 4 * 2**20
+        # at 2e5 samples only two chunks, so two workers, run: the growth is
+        # checked on the one worker left patched, and stays below one block's draws
+        block = 4 * experiments._FUZZ_BLOCK * np.dtype(float).itemsize
+        assert traced_peak(10**6) - traced_peak(2 * 10**5) < block
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_gram_draws_have_the_law_of_explicit_vectors(self, d):
