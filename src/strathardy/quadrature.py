@@ -21,18 +21,17 @@ Given the support of a round bump (a ``BumpSupport`` of powers 2) whose
 closed ball lies inside the box and strictly inside the half-space, the
 method takes a ball rule instead: nodes c + r rho w about the bump's
 centre c, rho by Gauss-Legendre on (0, 1) with weight rho**(n-1) r**n, w
-by a rule on the sphere (Stroud 1971).  The bump is radial, so its
-essential singularity at the ball's edge meets only the radial rule.  Up
-to 5 dimensions the sphere takes a product Gauss rule (the trapezoid rule
-on the circle, Gauss-Jacobi from Golub-Welsch on each polar angle): at 16
-points per axis 24 radii and sphere order 8 (16 x 8 directions) up to 3
-dimensions, order 6 (12 x 6**3) in 4 and 5, the orders scaling with the
-points per axis.  A product rule grows as order**(n-1), so from 6
-dimensions on the sphere takes Stroud's fully symmetric rule of degree 5
-(2n + 2**n directions) from 16 points per axis, against degree 3 (the 2n
-directions +-e_i) on the coarse companion; below 16, and where the ball
-rule would have more nodes than ``sample_count`` (past 13 dimensions at
-the default), the box stays on the graded rule.
+by a rule on the sphere (Stroud 1971), at the resolutions of
+``_ball_resolution``.  The bump is radial, so its essential singularity
+at the ball's edge meets only the radial rule.  Up to 5 dimensions the
+sphere takes a product Gauss rule (the trapezoid rule on the circle,
+Gauss-Jacobi from Golub-Welsch on each polar angle).  A product rule
+grows as order**(n-1), so from 6 dimensions on the sphere takes Stroud's
+fully symmetric rule of degree 5 (2n + 2**n directions) from 16 points
+per axis, against degree 3 (the 2n directions +-e_i) on the companion;
+below 16, and where the ball rule would have more nodes than
+``sample_count`` (past 13 dimensions at the default), the box stays on
+the graded rule.
 
 Every rule carries each built node's boundary distance: dist = s**m on
 the box rule, exact however the node's coordinates round, and
@@ -44,32 +43,34 @@ the normal axis (``u.support.chord``, see
 :class:`~strathardy.calculus.ScalarField`), on the lines that reach into
 the half-space.  A chord may be a little wider than the support; the
 integrands are 0.0 in that margin.
-Each integrand is called on a :class:`~strathardy.calculus.TrialSample`
-of a chunk of the rule's nodes, whose ``dist`` is the rule's; with a
-trial the sample also holds u and grad u (``hgrad`` alone on a derived
-sample), computed once per chunk and shared by all integrands.  Each integrand's weighted values are summed
-chunk by chunk, so memory does not grow with the integrand count.
 
 A deterministic rule (the ball rule, or the box rule with at most 4
-transverse axes) reports as stderr its gap to its coarse companion,
-which is a rule too: the same builder at half the points per axis (at
-least 2: ``points_per_axis`` is at least 4), half the panel order on
-graded panels, and on the ball rule half the radial nodes and sphere
-order, sphere degree 3 from 6 dimensions on; it is evaluated alike.  A Monte Carlo rule has no companion and reports
-the spread of its sums over its lines, 0.0 on a line that holds no node.
+transverse axes) reports as stderr its gap to its companion: the same
+builder at half the points per axis (at least 2: ``points_per_axis`` is
+at least 4), half the panel order on graded panels, and on the ball rule
+half the radial nodes and sphere order, sphere degree 3 from 6
+dimensions on.  One node set holds the rule's nodes, then its
+companion's.  A Monte Carlo rule has no companion and reports the spread
+of its sums over its lines, 0.0 on a line that holds no node.  Each
+integrand is called on one :class:`~strathardy.calculus.TrialSample` of
+the node set (of each 2**20-node piece of a larger one), whose ``dist``
+is the rule's; with a trial it also holds u and grad u (``hgrad`` alone
+on a derived sample), computed once and shared by all integrands.  Each
+integrand is summed over the rule and over its companion alone before
+the next is called, so memory does not grow with the integrand count.
 
 Every rule stores its nodes column-major.  The ball rule caches up to 16
-unit-ball templates of at most 4 MiB each (``_BALL_CACHE_BYTES``, nodes
-and weights): at 16 points per axis those up to 10 dimensions.
+unit-ball templates (a rule and its companion) of at most 4 MiB each
+(``_BALL_CACHE_BYTES``, nodes and weights): at 16 points per axis those
+up to 10 dimensions.
 
 ``evaluations`` in the returned estimate counts the nodes considered,
 that is the nodes of the full rule, built or not (the ball rule's own
 nodes on the ball rule).  A non-finite integrand value raises
-IntegrationError naming the offending point.
-
-No rule considers more than 2e7 nodes (a coarse companion is counted on
-its own): the count is worked out before anything is allocated, and a
-larger request raises NodeBudgetError.
+IntegrationError naming the offending point.  No rule considers more
+than 2e7 nodes (a companion is counted on its own): the count is worked
+out before anything is allocated, and a larger request raises
+NodeBudgetError.
 """
 
 from __future__ import annotations
@@ -158,17 +159,7 @@ def _check_budget(count: int, rule: str) -> None:
 
 @lru_cache(maxsize=64)
 def _gauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
-
-
-def _as_box(box) -> np.ndarray:
-    box = np.asarray(box, dtype=float)
-    if box.ndim != 2 or box.shape[1] != 2:
-        raise ValueError(f"box must be an (n, 2) array of [lo, hi] rows, got {box.shape}")
-    if np.any(box[:, 1] <= box[:, 0]):
-        raise ValueError("box must have hi > lo on every axis")
-    return box
+    return np.polynomial.legendre.leggauss(order)
 
 
 @lru_cache(maxsize=1)
@@ -192,21 +183,23 @@ class _Rule(NamedTuple):
 
     Every node has dist > 0; the full rule has ``size`` nodes, built or
     not, which is what ``evaluations`` counts.
-    A deterministic rule carries its ``coarse`` companion, a rule on the
-    same box from the same builder at half the points per axis, and its
-    stderr is the gap between the two.  The box rule's Monte Carlo branch has no companion:
-    its stderr comes from the spread of its sums over the ``lines`` lines
-    of the full rule.  ``line`` numbers each node's line among the lines
-    that hold nodes, from 0; the others sum to 0.0.
+    A deterministic rule holds its ``split`` nodes, then those of its
+    companion (a rule on the same box from the same builder at half the
+    points per axis), and its stderr is the gap between the two.  The box
+    rule's Monte Carlo branch has no companion (``split`` None): its
+    stderr is the spread of its sums over the ``lines`` lines of the full
+    rule.  ``line`` numbers each node's line among the lines that hold
+    nodes, from 0; the others sum to 0.0.
     """
 
     points: np.ndarray
     dist: np.ndarray
     weights: np.ndarray
     size: int
+    split: int | None = None
     line: np.ndarray | None = None
     lines: int = 0
-    coarse: _Rule | None = None
+    coarse = None  # the companion shares the rule's arrays
 
 
 def _tensor_product(box: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -262,11 +255,10 @@ def _s_window(chord_lo, chord_hi, nuj, c, m):
     return d_lo ** (1.0 / m), d_hi ** (1.0 / m)
 
 
-def _build_boundary_graded(box, hs, cfg, support, companion=False) -> _Rule:
+def _build_boundary_graded(box, hs, cfg, support) -> _Rule:
     n = box.shape[0]
     nu = hs.nu
     m = cfg.grading_exponent
-    ppa = cfg.points_per_axis // 2 if companion else cfg.points_per_axis
     jstar = int(np.argmax(np.abs(nu)))
     nuj = nu[jstar]
     trans_axes = [j for j in range(n) if j != jstar]
@@ -275,77 +267,76 @@ def _build_boundary_graded(box, hs, cfg, support, companion=False) -> _Rule:
     corner_min = float(np.sum(np.minimum(nu * box[:, 0], nu * box[:, 1])) - hs.d)
     corner_max = float(np.sum(np.maximum(nu * box[:, 0], nu * box[:, 1])) - hs.d)
     touching = corner_min <= 1e-12 * max(1.0, abs(corner_max))
-    if touching:
-        panels = min(60, max(8, (5 * ppa) // 2))
-        order = _PANEL_ORDER // 2 if companion else _PANEL_ORDER
-        s_count = (panels + 1) * order
-    else:
-        panels = None
-        order = None
-        s_count = 2 * ppa
-
     deterministic = len(trans_axes) <= 4
+    # the rule, then on a deterministic rule its companion at half the points and panel order
+    levels = [(cfg.points_per_axis, _PANEL_ORDER), (cfg.points_per_axis // 2, _PANEL_ORDER // 2)]
+    grids, sizes = [], []
+    for ppa, order in levels[: 2 if deterministic else 1]:
+        panels = min(60, max(8, (5 * ppa) // 2)) if touching else None
+        s_count = (panels + 1) * order if touching else 2 * ppa
+        t_count = ppa ** len(trans_axes) if deterministic else max(16, cfg.sample_count // s_count)
+        sizes.append(t_count * s_count)
+        _check_budget(sizes[-1], f"boundary-graded with {ppa} points per axis in {n} dimensions")
+        grids.append((ppa, panels, order, t_count))
+
+    def nodes(ppa, panels, order, t_count):
+        """The lines' transverse nodes, weights and offsets c; each node's line, s, s-weight and dist."""
+        if not trans_axes:
+            trans_pts, trans_w = np.zeros((1, 0)), np.ones(1)
+        elif deterministic:
+            trans_pts, trans_w = _tensor_product(box[trans_axes], ppa)
+        else:
+            u = _philox_uniform(cfg.seed, t_count, len(trans_axes))
+            sub = box[trans_axes]
+            trans_pts = sub[:, 0] + u * (sub[:, 1] - sub[:, 0])
+            trans_w = np.full(t_count, float(np.prod(sub[:, 1] - sub[:, 0])) / t_count)
+
+        # distance range along axis jstar for each transverse node
+        c = trans_pts @ nu[trans_axes] - hs.d
+        da = nuj * box[jstar, 0] + c
+        db = nuj * box[jstar, 1] + c
+        lo = np.maximum(0.0, np.minimum(da, db))
+        hi = np.maximum(da, db)
+        keep = hi > np.maximum(lo, 0.0)
+
+        # build only the lines that reach into the half-space and meet the
+        # support, and on them only the nodes in the support's chord; the
+        # others would carry zero weight or lie outside the support
+        if support is not None:
+            line_pts = np.zeros((t_count, n), order="F")
+            line_pts[:, trans_axes] = trans_pts
+            chord_lo, chord_hi = support.chord(line_pts, jstar)
+            keep &= chord_lo <= chord_hi
+        lines = np.flatnonzero(keep)
+        trans_pts, trans_w, c, lo, hi = (a[lines] for a in (trans_pts, trans_w, c, lo, hi))
+
+        s, ws = _graded_s_axis(lo, hi, m, ppa, panels, order)
+        if support is None:
+            rows, cols = np.nonzero(np.ones(s.shape, dtype=bool))
+        else:
+            s_lo, s_hi = _s_window(chord_lo[lines], chord_hi[lines], nuj, c, m)
+            rows, cols = np.nonzero((s >= s_lo[:, None]) & (s <= s_hi[:, None]))
+        s, ws = s[rows, cols], ws[rows, cols]
+        dist = s**m
+        live = np.flatnonzero(dist > 0.0)  # s**m underflows at the smallest s
+        rows, s, ws, dist = rows[live], s[live], ws[live], dist[live]
+        return trans_pts, trans_w, c, rows, s, ws, dist
+
+    # the companion's nodes first, so that they do not stack on the rule's temporaries
+    parts = [nodes(*grid) for grid in grids[::-1]][::-1]
+    split = parts[0][3].size
+    total = sum(part[3].size for part in parts)
+    pts, dist, weights = np.empty((total, n), order="F"), np.empty(total), np.empty(total)
+    for (trans_pts, trans_w, c, rows, s, ws, part_dist), at in zip(parts, (slice(0, split), slice(split, None))):
+        pts[at, trans_axes] = trans_pts[rows]
+        pts[at, jstar] = (part_dist - c[rows]) / nuj
+        dist[at] = part_dist
+        np.multiply(trans_w[rows], ws, out=weights[at])
+        weights[at] *= (m * s ** (m - 1.0)) / abs(nuj)
     if deterministic:
-        t_count = ppa ** len(trans_axes)
-    else:
-        t_count = max(16, cfg.sample_count // s_count)
-    _check_budget(
-        t_count * s_count,
-        f"boundary-graded with {ppa} points per axis in {n} dimensions",
-    )
-    # the companion first, so that its build does not stack on this one's
-    # temporaries
-    coarse = None
-    if deterministic and not companion:
-        coarse = _build_boundary_graded(box, hs, cfg, support, companion=True)
-
-    if not trans_axes:
-        trans_pts = np.zeros((1, 0))
-        trans_w = np.ones(1)
-    elif deterministic:
-        trans_pts, trans_w = _tensor_product(box[trans_axes], ppa)
-    else:
-        u = _philox_uniform(cfg.seed, t_count, len(trans_axes))
-        sub = box[trans_axes]
-        trans_pts = sub[:, 0] + u * (sub[:, 1] - sub[:, 0])
-        trans_w = np.full(t_count, float(np.prod(sub[:, 1] - sub[:, 0])) / t_count)
-
-    # distance range along axis jstar for each transverse node
-    c = trans_pts @ nu[trans_axes] - hs.d
-    da = nuj * box[jstar, 0] + c
-    db = nuj * box[jstar, 1] + c
-    lo = np.maximum(0.0, np.minimum(da, db))
-    hi = np.maximum(da, db)
-    keep = hi > np.maximum(lo, 0.0)
-
-    # build only the lines that reach into the half-space and meet the
-    # support, and on them only the nodes in the support's chord; the
-    # others would carry zero weight or lie outside the support
-    if support is not None:
-        line_pts = np.zeros((t_count, n), order="F")
-        line_pts[:, trans_axes] = trans_pts
-        chord_lo, chord_hi = support.chord(line_pts, jstar)
-        keep &= chord_lo <= chord_hi
-    lines = np.flatnonzero(keep)
-    trans_pts, trans_w, c, lo, hi = (a[lines] for a in (trans_pts, trans_w, c, lo, hi))
-
-    s, ws = _graded_s_axis(lo, hi, m, ppa, panels, order)
-    if support is None:
-        rows, cols = np.nonzero(np.ones(s.shape, dtype=bool))
-    else:
-        s_lo, s_hi = _s_window(chord_lo[lines], chord_hi[lines], nuj, c, m)
-        rows, cols = np.nonzero((s >= s_lo[:, None]) & (s <= s_hi[:, None]))
-    s, ws = s[rows, cols], ws[rows, cols]
-    dist = s**m
-    live = np.flatnonzero(dist > 0.0)  # s**m underflows at the smallest s
-    rows, s, ws, dist = rows[live], s[live], ws[live], dist[live]
-    jac = (m * s ** (m - 1.0)) / abs(nuj)
-    pts = np.empty((rows.size, n), order="F")
-    pts[:, trans_axes] = trans_pts[rows]
-    pts[:, jstar] = (dist - c[rows]) / nuj
+        return _Rule(pts, dist, weights, sizes[0], split)
     # a Monte Carlo rule's lines, numbered among those built
-    line, lines = (None, 0) if deterministic else (rows, t_count)
-    return _Rule(pts, dist, trans_w[rows] * ws * jac, t_count * s_count, line, lines, coarse)
+    return _Rule(pts, dist, weights, sizes[0], line=parts[0][3], lines=grids[0][3])
 
 
 def _gauss_jacobi(order: int, a: float) -> tuple[np.ndarray, np.ndarray]:
@@ -430,13 +421,7 @@ def _ball_resolution(dim: int, ppa: int, companion: bool = False) -> tuple[int, 
 
 def _ball_size(dim: int, radial: int, sphere: int) -> int:
     """The node count of the ball rule of :func:`_ball_resolution`."""
-    if dim == 1:
-        directions = 2
-    elif dim <= 5:
-        directions = 2 * sphere ** (dim - 1)
-    else:
-        directions = 2 * dim + (2**dim if sphere == 5 else 0)
-    return radial * directions
+    return radial * (2 * sphere ** (dim - 1) if dim <= 5 else 2 * dim + (2**dim if sphere == 5 else 0))
 
 
 def _takes_ball(box, hs, support, cfg: QuadConfig) -> bool:
@@ -469,20 +454,26 @@ def _takes_ball(box, hs, support, cfg: QuadConfig) -> bool:
     )
 
 
-def _unit_ball(dim: int, radial: int, sphere: int) -> tuple[np.ndarray, np.ndarray]:
-    """The spherical-radial rule on the unit ball: nodes rho w, (K, dim)
-    column-major, rho by Gauss-Legendre on (0, 1) with weight rho^(dim-1), w
-    by :func:`_sphere_rule` up to 5 dimensions and
-    :func:`_symmetric_sphere_rule` above; and their weights (K,).
-    Read-only, as a cached rule is shared."""
-    dirs, w_dir = _sphere_rule(dim, sphere) if dim <= 5 else _symmetric_sphere_rule(dim, sphere)
-    x, w = _gauss(radial)
-    rho = 0.5 * (1.0 + x)
-    w_rho = 0.5 * w * rho ** (dim - 1)
-    nodes = np.asfortranarray((rho[:, None, None] * dirs[None, :, :]).reshape(-1, dim))
-    weights = (w_rho[:, None] * w_dir[None, :]).reshape(-1)
+def _unit_ball(dim: int, parts: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.ndarray, int]:
+    """The spherical-radial rule on the unit ball at each of ``parts``, the
+    (radial nodes, sphere) of a rule and its companion, one after the other:
+    nodes rho w, (K, dim) column-major, rho by Gauss-Legendre on (0, 1) with
+    weight rho^(dim-1), w by :func:`_sphere_rule` up to 5 dimensions and
+    :func:`_symmetric_sphere_rule` above; their weights (K,); and the node
+    count of the rule.  Read-only, as a cached rule is shared."""
+    rules = []
+    for radial, sphere in parts:
+        dirs, w_dir = _sphere_rule(dim, sphere) if dim <= 5 else _symmetric_sphere_rule(dim, sphere)
+        x, w = _gauss(radial)
+        rho = 0.5 * (1.0 + x)
+        rules.append((rho, 0.5 * w * rho ** (dim - 1), dirs, w_dir))
+    sizes = [rho.size * w_dir.size for rho, _, _, w_dir in rules]
+    nodes, weights = np.empty((sum(sizes), dim), order="F"), np.empty(sum(sizes))
+    for (rho, w_rho, dirs, w_dir), at in zip(rules, (slice(0, sizes[0]), slice(sizes[0], None))):
+        nodes[at] = (rho[:, None, None] * dirs[None, :, :]).reshape(-1, dim)
+        weights[at] = (w_rho[:, None] * w_dir[None, :]).reshape(-1)
     nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
+    return nodes, weights, sizes[0]
 
 
 # the cache holds at most 16 x 4 MiB (see the module docstring)
@@ -490,18 +481,18 @@ _BALL_CACHE_BYTES = 1 << 22
 _cached_unit_ball = lru_cache(maxsize=16)(_unit_ball)
 
 
-def _build_ball(hs, cfg, support, companion=False) -> _Rule:
-    """The unit ball rule moved onto the support ball, c + r z, with weights
-    times r^n.  The bump is radial about c, so its essential singularity at
-    the edge meets only the radial rule."""
+def _build_ball(hs, cfg, support) -> _Rule:
+    """The unit ball rule and its companion moved onto the support ball,
+    c + r z, with weights times r^n.  The bump is radial about c, so its
+    essential singularity at the edge meets only the radial rule."""
     n = support.center.size
-    ppa = cfg.points_per_axis // 2 if companion else cfg.points_per_axis
-    radial, sphere = _ball_resolution(n, ppa, companion)
-    count = _ball_size(n, radial, sphere)
-    _check_budget(count, f"the ball rule with {ppa} points per axis in {n} dimensions")
-    coarse = None if companion else _build_ball(hs, cfg, support, companion=True)
-    cached = count * (n + 1) * 8 <= _BALL_CACHE_BYTES
-    nodes, weights = (_cached_unit_ball if cached else _unit_ball)(n, radial, sphere)
+    ppa = cfg.points_per_axis
+    parts = (_ball_resolution(n, ppa), _ball_resolution(n, ppa // 2, companion=True))
+    counts = [_ball_size(n, *part) for part in parts]
+    for points, count in zip((ppa, ppa // 2), counts):
+        _check_budget(count, f"the ball rule with {points} points per axis in {n} dimensions")
+    cached = sum(counts) * (n + 1) * 8 <= _BALL_CACHE_BYTES
+    nodes, weights, split = (_cached_unit_ball if cached else _unit_ball)(n, parts)
     pts = nodes * support.radius
     pts += support.center
     dist = hs.distance(pts)
@@ -509,8 +500,9 @@ def _build_ball(hs, cfg, support, companion=False) -> _Rule:
     # only rounding in <x, nu> - d, far from the origin, could reach 0
     if not np.all(dist > 0.0):
         keep = np.flatnonzero(dist > 0.0)
+        split = int(np.searchsorted(keep, split))
         pts, dist, weights = np.asfortranarray(pts[keep]), dist[keep], weights[keep]
-    return _Rule(pts, dist, weights, count, coarse=coarse)
+    return _Rule(pts, dist, weights, counts[0], split)
 
 
 def _build_nodes(box, hs, cfg, support) -> _Rule:
@@ -523,35 +515,39 @@ def _build_nodes(box, hs, cfg, support) -> _Rule:
 
 
 def _sums(fs, rule: _Rule, sample) -> np.ndarray:
-    """The sum of weights * values of each integrand over the rule's nodes,
-    (len(fs),); for a Monte Carlo rule its sums over each line numbered in
+    """The sum of weights * values of each integrand over the rule's own
+    nodes, then over its companion's, (2, len(fs)) ((1, len(fs)) without a
+    split); for a Monte Carlo rule its sums over each line numbered in
     ``rule.line`` instead, (len(fs), rule.line.max() + 1).
 
-    The integrands run on ``_EVAL_CHUNK`` slices, so that temporaries stay
-    that small; each on ``sample(nodes, dist)``, the sample of a slice's
-    nodes at the distances the rule carries for them.
-    """
+    Each part is summed in ``_EVAL_CHUNK`` pieces from its own start, so no
+    sum mixes the parts.  The integrands run on ``sample(nodes, dist)`` of
+    all the nodes where they fit in one chunk, else of each piece alone."""
     line = rule.line
-    sums = np.zeros(len(fs) if line is None else (len(fs), int(line.max(initial=-1)) + 1))
-    for start in range(0, rule.points.shape[0], _EVAL_CHUNK):
-        part = slice(start, start + _EVAL_CHUNK)
-        points, weights = rule.points[part], rule.weights[part]
+    ends = [len(rule.points)] if rule.split is None else [rule.split, len(rule.points)]
+    sums = np.zeros((len(ends), len(fs)) if line is None else (len(fs), int(line.max(initial=-1)) + 1))
+    bounds = enumerate(zip([0] + ends, ends))
+    pieces = [(part, a, min(a + _EVAL_CHUNK, hi)) for part, (lo, hi) in bounds for a in range(lo, hi, _EVAL_CHUNK)]
+    for window in [pieces] if 0 < len(rule.points) <= _EVAL_CHUNK else [[piece] for piece in pieces]:
+        first, last = window[0][1], window[-1][2]
         # a non-finite value raises IntegrationError; numpy's warning about
         # the operation that made it would only repeat that
         with np.errstate(all="ignore"):
-            arg = sample(points, rule.dist[part])
+            arg = sample(rule.points[first:last], rule.dist[first:last])
             for i, f in enumerate(fs):
-                v = np.asarray(f(arg), dtype=float)
-                if line is None:
-                    # a non-finite value makes the sum non-finite; finite
-                    # values that overflow it are no error
-                    total = np.sum(weights * v)
-                    if not np.isfinite(total):
+                values = np.asarray(f(arg), dtype=float)
+                for part, lo, hi in window:
+                    points, weights, v = rule.points[lo:hi], rule.weights[lo:hi], values[lo - first : hi - first]
+                    if line is None:
+                        # a non-finite value makes the sum non-finite; finite
+                        # values that overflow it are no error
+                        total = np.sum(weights * v)
+                        if not np.isfinite(total):
+                            _check_finite(v, points)
+                        sums[part, i] += total
+                    else:
                         _check_finite(v, points)
-                    sums[i] += total
-                else:
-                    _check_finite(v, points)
-                    sums[i] += np.bincount(line[part], weights=weights * v, minlength=sums.shape[1])
+                        sums[i] += np.bincount(line[lo:hi], weights=weights * v, minlength=sums.shape[1])
     return sums
 
 
@@ -574,7 +570,7 @@ def integrate_many(
     """Integrate several integrands over box intersect {dist > 0} on one node set.
 
     Each integrand maps a :class:`~strathardy.calculus.TrialSample` of a
-    batch of M nodes to (M,) values.  The sample's ``dist`` is the
+    batch of M nodes (a rule's and its companion's) to (M,) values.  The sample's ``dist`` is the
     distance the rule carries for each node, exact on the boundary-graded
     rule.  Without ``trial`` the sample holds the nodes and their dist
     alone.  With ``trial = (spec, u)`` it is :func:`sample_trial` of u at
@@ -589,7 +585,11 @@ def integrate_many(
     of their float additions, and ``evaluations`` exactly.
     """
     cfg = cfg or QuadConfig()
-    box = _as_box(box)
+    box = np.asarray(box, dtype=float)
+    if box.ndim != 2 or box.shape[1] != 2:
+        raise ValueError(f"box must be an (n, 2) array of [lo, hi] rows, got {box.shape}")
+    if np.any(box[:, 1] <= box[:, 0]):
+        raise ValueError("box must have hi > lo on every axis")
     if box.shape[0] != hs.dim:
         raise ValueError(f"box has {box.shape[0]} axes, half-space has {hs.dim}")
     spec, u = (None, None) if trial is None else trial
@@ -597,8 +597,8 @@ def integrate_many(
     sample = partial(sample_trial, spec, hs, u)
     rule = _build_nodes(box, hs, cfg, support)
     sums = _sums(fs, rule, sample)
-    if rule.coarse is not None:
-        values, stderrs = sums, np.abs(sums - _sums(fs, rule.coarse, sample))
+    if rule.line is None:
+        values, stderrs = sums[0], np.abs(sums[0] - sums[1])
     else:
         # the spread over all t >= 16 lines: those without a node add
         # (0 - mean)**2 each

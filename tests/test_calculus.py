@@ -534,5 +534,5 @@ class TestNodeLayout:
             rule = _build_nodes(u.support_box, hs, cfg, u.support)
             # one row would be both row- and column-major
             assert len(rule.points) > 1
-            for r in (rule, rule.coarse):
-                assert r is None or r.points.flags.f_contiguous
+            # the rule's nodes and its companion's, in one array
+            assert rule.points.flags.f_contiguous

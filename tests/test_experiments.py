@@ -198,7 +198,7 @@ class TestSharedBases:
         return calls
 
     # an interior bump takes the ball rule, one touching the boundary the
-    # graded rule; each rule and its coarse companion make one sample apiece
+    # graded rule; each rule and its companion make one sample together
     _BUMPS = {
         True: BumpSpec(center=(0.2, -0.1, 0.8), radius=0.45),
         False: BumpSpec(center=(0.2, -0.1, 0.45), radius=0.45),
@@ -207,13 +207,13 @@ class TestSharedBases:
     @pytest.mark.parametrize("interior", [True, False])
     def test_each_sample_computes_grad_h_u_and_w_once(self, h1, t_axis, interior, calls):
         each_p(HARDY, h1, t_axis, make_bump(self._BUMPS[interior]), (2.0, 3.0), QuadConfig())
-        assert calls == {"sample": 2, "hgrad": 2, "w": 2, "pairings": 0, "squares": 4}
+        assert calls == {"sample": 1, "hgrad": 1, "w": 1, "pairings": 0, "squares": 2}
 
     # the split of both p reads one P a sample, and W is its norm
     @pytest.mark.parametrize("interior", [True, False])
     def test_remainder_evaluates_the_pairings_once_per_sample(self, h1, t_axis, interior, calls):
         each_p(REMAINDER, h1, t_axis, make_bump(self._BUMPS[interior]), (2.0, 3.0), QuadConfig())
-        assert calls == {"sample": 2, "hgrad": 2, "w": 0, "pairings": 2, "squares": 4}
+        assert calls == {"sample": 1, "hgrad": 1, "w": 0, "pairings": 1, "squares": 2}
 
 
 class TestGeneralHardy:
@@ -749,12 +749,12 @@ class TestSharpnessSweep:
         cutoff = boundary_bump_spec(x1_axis, 1.0)
         rows = sharpness_grid(h1, x1_axis, [2.0, 3.0], [0.5, 0.2, 0.1, 0.05], cutoff, QuadConfig())
         assert len(rows) == 8 and integrations == [16]
-        # the cutoff, on the fine and on the coarse rule
-        assert len(shapes) == 2
+        # the cutoff, on the rule and its companion together
+        assert len(shapes) == 1
         shapes.clear()
         trial = sharpness_trial(SharpnessSpec(p=2.0, eps=0.5, cutoff=cutoff), x1_axis)
         each_p(HARDY, h1, x1_axis, trial, [2.0], QuadConfig())
-        assert len(shapes) == 2  # as many as one row alone
+        assert len(shapes) == 1  # as many as one row alone
 
     def test_rows_are_integrated_eight_at_a_time(self, h1, x1_axis, integrations):
         # the most rows a config may ask for: 8 p by 8 eps

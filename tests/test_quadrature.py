@@ -37,6 +37,7 @@ from strathardy.quadrature import (
     _gauss_jacobi,
     _philox_uniform,
     _s_window,
+    _Rule,
     _sums,
     _sphere_rule,
     _symmetric_sphere_rule,
@@ -46,6 +47,17 @@ from strathardy.trials import _PowerWeighted
 
 
 UNIT_BOX = np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
+
+
+def _parts(rule):
+    """The rule's own nodes, then its companion's on a deterministic rule,
+    each as a rule without a split."""
+    if rule.split is None:
+        return [rule]
+    return [
+        _Rule(rule.points[cut], rule.dist[cut], rule.weights[cut], rule.size)
+        for cut in (slice(None, rule.split), slice(rule.split, None))
+    ]
 
 
 def far_halfspace(dim=3):
@@ -309,8 +321,8 @@ class TestFiniteSums:
         box, hs, cfg, support, _ = self._RULES[name]
         assert _takes_ball(box, hs, support, cfg) == (name == "ball")
         rule = _build_nodes(box, hs, cfg, support)
-        assert (rule.line is not None) == (name == "monte-carlo")
-        return [rule] if rule.coarse is None else [rule, rule.coarse]
+        assert (rule.line is not None) == (rule.split is None) == (name == "monte-carlo")
+        return rule
 
     def _sums(self, f, rule, name):
         hs = self._RULES[name][1]
@@ -319,8 +331,10 @@ class TestFiniteSums:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("name", sorted(_RULES))
     def test_a_non_finite_value_names_its_node(self, bad, name):
-        for rule in self._rules(name):
-            target = rule.points[len(rule.points) // 3]
+        rule = self._rules(name)
+        # a node of the rule's own, and one of its companion's
+        for part in _parts(rule):
+            target = part.points[len(part.points) // 3]
 
             def f(s):
                 out = np.ones(len(s))
@@ -336,13 +350,15 @@ class TestFiniteSums:
     def test_finite_values_whose_sum_overflows_do_not_raise(self, name):
         # 1e308 at each node sums to inf over more than 1.8 units of volume
         low, high = self._RULES[name][-1]
-        for rule in self._rules(name):
-            sums = self._sums(lambda s: np.full(len(s), 1e308), rule, name)
-            assert low < sums[0] < high and sums[1] == np.inf
+        # the rule's sums, then its companion's
+        sums = self._sums(lambda s: np.full(len(s), 1e308), self._rules(name), name)
+        assert sums.shape == (2, 2)
+        for part in sums:
+            assert low < part[0] < high and part[1] == np.inf
 
     def test_a_monte_carlo_rule_checks_each_value(self, monkeypatch):
         rule = _build_nodes(_MC_BOX, _MC_HS, QuadConfig(sample_count=2000), None)
-        assert rule.coarse is None and rule.line is not None
+        assert rule.split is None and rule.line is not None
         checked = []
         check = quadrature._check_finite
         monkeypatch.setattr(quadrature, "_check_finite", lambda v, pts: checked.append(v.size) or check(v, pts))
@@ -483,8 +499,9 @@ class TestSupportMask:
 
         cfg = QuadConfig(points_per_axis=8)
         (est,) = integrate_many([spy], UNIT_BOX, far_halfspace(), cfg, trial=(_H1, f))
-        # every node carries weight: 8^2 lines of 16 s-nodes fine, 4^2 of 8 coarse
-        assert sum(seen) == 8**2 * 16 + 4**2 * 8
+        # every node carries weight: 8^2 lines of 16 s-nodes fine, 4^2 of 8
+        # on the companion, in one sample
+        assert seen == [8**2 * 16 + 4**2 * 8]
         assert est.evaluations == 8**2 * 16
 
     def test_infinite_p_fails_at_the_same_point(self):
@@ -579,11 +596,15 @@ class TestClipToSupport:
         cfg = QuadConfig(points_per_axis=ppa)
         full = _build_nodes(u.support_box, hs, cfg, None)
         clipped = _build_nodes(u.support_box, hs, cfg, u.support)
-        for rule, frule in [(clipped, full), (clipped.coarse, full.coarse)]:
-            pts, w, size = rule.points, rule.weights, rule.size
-            fpts, fw, fsize = frule.points, frule.weights, frule.size
+        # every node of the full rule and of its companion, (ppa / 2)^(n-1)
+        # lines of ppa s-nodes, lies inside the half-space
+        assert full.size == clipped.size == full.split
+        assert len(full.points) - full.split == (ppa // 2) ** (n - 1) * ppa
+        for rule, frule in zip(_parts(clipped), _parts(full), strict=True):
+            pts, w = rule.points, rule.weights
+            fpts, fw = frule.points, frule.weights
             # every node of the full rule lies inside the half-space
-            assert size == fsize == len(fpts) and len(pts) < size
+            assert len(pts) < len(fpts)
             # the nodes built are those of the full rule, bit for bit, and
             # the ones left out all lie outside the support
             at = _matching_rows(pts, fpts)
@@ -610,7 +631,7 @@ class TestClipToSupport:
         )
         cfg = QuadConfig(points_per_axis=4)
         ns = _build_nodes(u.support_box, hs, cfg, u.support)
-        assert len(ns.points) == 0 and len(ns.coarse.points) == 0 and ns.size > 0
+        assert len(ns.points) == 0 and ns.split == 0 and ns.size > 0
         with pytest.raises(ValueError, match="trivial"):
             each_p(HARDY, h2, hs, u, [2.0], cfg)
 
@@ -753,7 +774,7 @@ class TestMonteCarloLines:
         f = _MANY[1]
         (est,) = integrate_many([f], u.support_box, hs, cfg, trial=trial)
         rule = _build_nodes(u.support_box, hs, cfg, u.support)
-        assert rule.coarse is None and 0 < np.unique(rule.line).size < rule.lines
+        assert rule.split is None and 0 < np.unique(rule.line).size < rule.lines
         contrib = rule.weights * f(sample_trial(_GROUPS[k], hs, u, rule.points, rule.dist))
         # every line of the full rule, 0.0 where the rule built no node
         full = np.zeros(rule.lines)
@@ -774,7 +795,7 @@ class TestCachedDraw:
             draw[0, 0] = 0.5
         _philox_uniform.cache_clear()
         fresh = _build_nodes(u.support_box, hs, cfg, u.support)
-        assert cached.coarse is None and fresh.lines == cached.lines
+        assert cached.split is None and fresh.lines == cached.lines
         for a, b in zip(fresh[:3] + (fresh.line,), cached[:3] + (cached.line,)):
             assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
         hits = _philox_uniform.cache_info().hits
@@ -937,25 +958,26 @@ class TestBallRule:
         # from 6 dimensions on only from 16 points per axis
         cfg = QuadConfig(points_per_axis=8 if dim <= 5 else 16)
         rule = _build_nodes(u.support_box, hs, cfg, u.support)
-        for r in (rule, rule.coarse):
+        assert rule.size == rule.split and len(rule.points) == len(rule.dist) == len(rule.weights)
+        companion = len(rule.points) - rule.split
+        for r in _parts(rule):
             # every node lies inside the support, and off the boundary
-            assert r.size == len(r.points) == len(r.dist) == len(r.weights)
             assert np.all(r.dist > 0.0) and np.array_equal(r.dist, hs.distance(r.points))
             assert np.all(u.support(r.points)) and np.all(r.weights > 0.0)
             # the weights add up to the volume of the ball
             volume = math.pi ** (dim / 2) / math.gamma(dim / 2 + 1) * 0.4**dim
             assert np.sum(r.weights) == pytest.approx(volume, rel=1e-13)
-        assert rule.coarse.coarse is None and rule.coarse.size < rule.size
+        assert 0 < companion < rule.size
         if dim >= 6:
             # 24 radii x (2 dim + 2^dim) directions of degree 5, and
             # 12 x 2 dim of degree 3 on the companion; at 32 points per axis
             # twice the radii, the companion still of degree 3, where
             # sample_count admits that many nodes
-            assert rule.size == 24 * (2 * dim + 2**dim) and rule.coarse.size == 12 * 2 * dim
+            assert rule.size == 24 * (2 * dim + 2**dim) and companion == 12 * 2 * dim
             size = 48 * (2 * dim + 2**dim)
             finer = QuadConfig(points_per_axis=32, sample_count=size)
             rule = _build_nodes(u.support_box, hs, finer, u.support)
-            assert rule.size == size and rule.coarse.size == 24 * 2 * dim
+            assert rule.size == rule.split == size and len(rule.points) - size == 24 * 2 * dim
             assert not _takes_ball(u.support_box, hs, u.support, replace(finer, sample_count=size - 1))
 
     def test_agrees_with_the_product_sphere_rule_on_h3_bumps(self, monkeypatch):
@@ -987,8 +1009,9 @@ class TestBallRule:
 
     @pytest.mark.parametrize("k", [2, 3, 6])
     def test_templates_are_cached_up_to_the_cap(self, k):
-        # heisenberg:2's 62,208 x 5 and heisenberg:3's 3,408 x 7 are kept,
-        # heisenberg:6's 197,232 x 13 (21 MB) is not
+        # the rule and its companion in one template: heisenberg:2's
+        # (62,208 + 1,944) x 5 and heisenberg:3's (3,408 + 168) x 7 are kept,
+        # heisenberg:6's (197,232 + 312) x 13 (21 MB) is not
         spec, hs, u = _interior_ball(k)
         _cached_unit_ball.cache_clear()
         try:
@@ -998,9 +1021,9 @@ class TestBallRule:
             assert np.array_equal(first.points, again.points)
             info = _cached_unit_ball.cache_info()
             if k == 6:
-                assert first.size == 197_232 and info.currsize == 1  # the companion's only
+                assert first.size == 197_232 and len(first.points) == 197_544 and info.currsize == 0
             else:
-                assert info.currsize == 2 and info.hits == 2
+                assert info.currsize == 1 and info.hits == 1
         finally:
             _cached_unit_ball.cache_clear()
 
@@ -1062,11 +1085,9 @@ class TestBallRule:
         assert not _takes_ball(box, hs, support, cfg)
         rule = _build_nodes(box, hs, cfg, support)
         graded = _build_boundary_graded(box, hs, cfg, support)
-        pairs = [(rule, graded)] if rule.coarse is None else [(rule, graded), (rule.coarse, graded.coarse)]
-        for a, b in pairs:
-            for x, y in zip(a[:3], b[:3]):
-                assert np.array_equal(x, y)
-            assert a.size == b.size
+        for x, y in zip(rule[:3], graded[:3]):
+            assert np.array_equal(x, y)
+        assert rule.size == graded.size and rule.split == graded.split
         (est,) = integrate_many([_CLIP_INTEGRANDS[1]], box, hs, cfg, trial=(spec, u))
         assert est.evaluations == graded.size
 
@@ -1091,6 +1112,66 @@ class TestBallRule:
         }.get(preset) or halfspace_preset(3, preset, 0.0)
         u = sharpness_trial(SharpnessSpec(p=3.0, eps=0.1, cutoff=boundary_bump_spec(hs, 1.0)), hs)
         assert not _takes_ball(u.support_box, hs, u.support, QuadConfig())
+
+
+class _Shaved(HalfSpace):
+    """A half-space whose distance reads 0.0 at every 7th node, nodes that
+    the ball rule drops as it would ones that round onto the boundary."""
+
+    def distance(self, points):
+        dist = super().distance(points)
+        dist[::7] = 0.0
+        return dist
+
+
+def _sharpness_case(hs):
+    cutoff = boundary_bump_spec(hs, 0.45)
+    return _H1, hs, sharpness_trial(SharpnessSpec(p=2.0, eps=0.2, cutoff=cutoff), hs)
+
+
+# (group, half-space, trial) and the chunk size: the product ball rule in
+# 3 and 5 dimensions, the symmetric one in 7, the graded rule on an interior
+# box and on a boundary-touching sharpness trial; chunks of 300 nodes,
+# which cut the nodes of both rules and their companions unevenly, so that
+# a chunk grid laid over the whole node set would sum the companion in
+# other pieces; and a ball whose dist > 0 filter drops nodes
+_JOINT_CASES = {
+    "ball-3": lambda: (_interior_ball(1), None),
+    "ball-5": lambda: (_interior_ball(2), None),
+    "ball-7": lambda: (_interior_ball(3), None),
+    "box-interior": lambda: (_interior_ball(1, powers=(2, 4, 2)), None),
+    "box-touching": lambda: (_sharpness_case(_T_AXIS), None),
+    "ball-3-chunks": lambda: (_interior_ball(1), 300),
+    "box-touching-chunks": lambda: (_sharpness_case(_T_AXIS), 300),
+    "ball-3-shaved": lambda: ((_H1, _Shaved(nu=[0.0, 0.0, 1.0]), _interior_ball(1)[2]), None),
+}
+
+
+class TestJointSample:
+    @pytest.mark.parametrize("name", sorted(_JOINT_CASES))
+    def test_each_part_sums_as_if_sampled_alone(self, name, monkeypatch):
+        # one sample of a rule and its companion, summed part by part, gives
+        # the bits of each part's nodes sampled and summed on their own
+        (spec, hs, u), chunk = _JOINT_CASES[name]()
+        if chunk is not None:
+            monkeypatch.setattr(quadrature, "_EVAL_CHUNK", chunk)
+        cfg = QuadConfig()
+        rule = _build_nodes(u.support_box, hs, cfg, u.support)
+        assert _takes_ball(u.support_box, hs, u.support, cfg) == name.startswith("ball")
+        assert rule.line is None and 0 < rule.split < len(rule.points)
+        if chunk is not None:
+            assert rule.split % chunk != 0 and len(rule.points) > chunk
+        if name.endswith("shaved"):
+            # every 7th of the 3,072 + 384 nodes dropped, the split recounted
+            assert rule.split == 3072 - len(range(0, 3072, 7)) and len(rule.points) == 3456 - len(range(0, 3456, 7))
+            assert np.all(rule.dist > 0.0)
+        sample = partial(sample_trial, spec, hs, u)
+        # none reads grad u, which a sharpness trial's sample does not hold
+        fs = _CLIP_INTEGRANDS[1:]
+        fine, coarse = (_sums(fs, part, sample)[0] for part in _parts(rule))
+        joint = integrate_many(fs, u.support_box, hs, cfg, trial=(spec, u))
+        assert [_bits(e) for e in joint] == [(f.hex(), abs(f - c).hex(), rule.size) for f, c in zip(fine, coarse)]
+        assert all(e.stderr > 0.0 for e in joint)
 
 
 class TestHardyRow15:

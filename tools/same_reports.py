@@ -8,7 +8,8 @@ Runs a fixed matrix of CLI commands on this checkout and on the tree at
 default configs, the configs of the benchmark's three workloads, oblique
 and offset normals, ``remainder`` at p = 4 and on heisenberg:2,
 ``hardy`` with the quadrature method spelled out,
-oblique normals on heisenberg:2 to :4, ``hardy`` on bumps
+oblique normals on heisenberg:2 to :4, ``hardy`` on heisenberg:5
+(whose ball template is too large to cache), ``hardy`` on bumps
 that touch the boundary (clearance 0), ``hardy`` on heisenberg:2 at 4
 points per axis (the smallest ball companion), ``sobolev`` on abelian:5,
 ``sharpness`` on heisenberg:2, on an oblique normal and on an offset
@@ -128,6 +129,9 @@ def matrix() -> list[Case]:
             "hardy",
             {"group": "heisenberg:4", "halfspace": _OBLIQUE_H4, "trials": {"count": 4}},
         ),
+        # interior bumps on an 11-dimension ball template above the cache cap,
+        # rebuilt on each call
+        Case("hardy:heisenberg5", "hardy", {"group": "heisenberg:5", "trials": {"count": 2}}),
         # every centre drawn within 0.05 of the boundary, so every ball touches it
         Case("hardy:touching", "hardy", {"trials": {"clearance": 0, "region": 0.05}}),
         Case("sobolev:abelian5", "sobolev", {"group": "abelian:5"}),
