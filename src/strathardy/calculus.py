@@ -191,9 +191,12 @@ class ScalarField:
         values, grads = self._fn_and_grad(self._as_points(points))
         return np.asarray(values, dtype=float), np.asarray(grads, dtype=float)
 
-    def _sample(self, spec, hs: HalfSpace, points: np.ndarray, dist: np.ndarray) -> "TrialSample":
+    def _sample(self, spec, hs: HalfSpace, points: np.ndarray, dist: np.ndarray, local=None) -> "TrialSample":
         """This field's :class:`TrialSample` at points of boundary distance
-        dist; :func:`sample_trial` calls it."""
+        dist; :func:`sample_trial` calls it.  ``local``, the points' offsets
+        in the frame of the rule that placed them (see
+        :func:`sample_trial`), is ignored here: a field that can read it
+        overrides this method."""
         values, grad = self.values_and_gradients(points)
         return TrialSample(spec, hs, points, dist, values, grad)
 
@@ -313,7 +316,10 @@ class TrialSample:
     column-major) with the same values.  ``dist`` is the boundary distance
     the sample is given (at quadrature nodes, the rule's own).  ``u`` and
     its Euclidean gradient ``grad`` (M, n) are None without a trial, and a
-    sample made by :meth:`with_trial` is given ``hgrad`` for ``grad``.
+    sample made by :meth:`with_trial` is given ``hgrad`` for ``grad``.  At
+    the nodes of the ball rule a bump's u and grad come from the rule's
+    local coordinates, not from ``points``; they agree with
+    :meth:`ScalarField.values_and_gradients` of ``points`` to rounding.
     ``hgrad``, the horizontal gradient (M, N), the pairings P = <X_k, nu>
     (M, N) and ``w`` = |P| (both read from ``source`` on a sample made by
     :meth:`with_trial`; W from P if it is held), and the bases the Hardy
@@ -373,19 +379,24 @@ class TrialSample:
         return self.points.shape[0]
 
 
-def sample_trial(spec: GroupSpec, hs: HalfSpace, u, points, dist=None) -> TrialSample:
+def sample_trial(spec: GroupSpec, hs: HalfSpace, u, points, dist=None, local=None) -> TrialSample:
     """The sample of u (or of the points alone, for None) at (M, n) points
     of boundary distance ``dist``, ``hs.distance(points)`` if None.
 
     u and grad u come from one :meth:`ScalarField.values_and_gradients`
     call, or, for a power of dist times another field, u and grad_H u from
     that one's sample (see :func:`~strathardy.trials.power_weighted_sample`).
+    ``local`` is what the rule that placed the points knows of them in its
+    own frame: on the ball rule the pair (z, S) of the unit-ball offsets
+    z = (x - c) / r, (M, n), and S = |z|^2, (M,).  A bump about that ball's
+    centre evaluates itself from it, never from the rounded points; any
+    other field ignores it.
     """
     points = np.asarray(points, dtype=float)
     dist = hs.distance(points) if dist is None else dist
     if u is None:
         return TrialSample(spec, hs, points, dist)
-    return u._sample(spec, hs, points, dist)
+    return u._sample(spec, hs, points, dist, local)
 
 
 def identity_Xi_pairing_many(

@@ -59,10 +59,14 @@ on a derived sample), computed once and shared by all integrands.  Each
 integrand is summed over the rule and over its companion alone before
 the next is called, so memory does not grow with the integrand count.
 
-Every rule stores its nodes column-major.  The ball rule caches up to 16
-unit-ball templates (a rule and its companion) of at most 4 MiB each
-(``_BALL_CACHE_BYTES``, nodes and weights): at 16 points per axis those
-up to 10 dimensions.
+The ball rule hands the sample its nodes' local coordinates, (z, S) of
+its unit-ball template, with z = (x - c) / r and S = |z|^2 summed once
+per template, so a bump about c is evaluated from them and never works
+them back out of the rounded nodes (see
+:func:`~strathardy.calculus.sample_trial`).  Every rule stores its nodes
+column-major.  The ball rule caches up to 16 unit-ball templates (a rule
+and its companion) of at most 4 MiB each (``_BALL_CACHE_BYTES``: nodes, S
+and weights): at 16 points per axis those up to 10 dimensions.
 
 ``evaluations`` in the returned estimate counts the nodes considered,
 that is the nodes of the full rule, built or not (the ball rule's own
@@ -189,7 +193,9 @@ class _Rule(NamedTuple):
     rule's Monte Carlo branch has no companion (``split`` None): its
     stderr is the spread of its sums over the ``lines`` lines of the full
     rule.  ``line`` numbers each node's line among the lines that hold
-    nodes, from 0; the others sum to 0.0.
+    nodes, from 0; the others sum to 0.0.  ``local`` is the ball rule's
+    (z, S) of each node, its unit-ball offset z (x = c + r z), column-major
+    and read-only, and S = |z|^2; the box rule has none.
     """
 
     points: np.ndarray
@@ -199,6 +205,7 @@ class _Rule(NamedTuple):
     split: int | None = None
     line: np.ndarray | None = None
     lines: int = 0
+    local: tuple[np.ndarray, np.ndarray] | None = None
     coarse = None  # the companion shares the rule's arrays
 
 
@@ -454,13 +461,15 @@ def _takes_ball(box, hs, support, cfg: QuadConfig) -> bool:
     )
 
 
-def _unit_ball(dim: int, parts: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.ndarray, int]:
+def _unit_ball(dim: int, parts: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """The spherical-radial rule on the unit ball at each of ``parts``, the
     (radial nodes, sphere) of a rule and its companion, one after the other:
-    nodes rho w, (K, dim) column-major, rho by Gauss-Legendre on (0, 1) with
-    weight rho^(dim-1), w by :func:`_sphere_rule` up to 5 dimensions and
-    :func:`_symmetric_sphere_rule` above; their weights (K,); and the node
-    count of the rule.  Read-only, as a cached rule is shared."""
+    nodes z = rho w, (K, dim) column-major, rho by Gauss-Legendre on (0, 1)
+    with weight rho^(dim-1), w by :func:`_sphere_rule` up to 5 dimensions
+    and :func:`_symmetric_sphere_rule` above; S = |z|^2 (K,), its terms
+    z_i * z_i added in axis order as ``BumpSupport`` adds them; their
+    weights (K,); and the node count of the rule.  Read-only, as a cached
+    rule is shared."""
     rules = []
     for radial, sphere in parts:
         dirs, w_dir = _sphere_rule(dim, sphere) if dim <= 5 else _symmetric_sphere_rule(dim, sphere)
@@ -472,8 +481,11 @@ def _unit_ball(dim: int, parts: tuple[tuple[int, int], ...]) -> tuple[np.ndarray
     for (rho, w_rho, dirs, w_dir), at in zip(rules, (slice(0, sizes[0]), slice(sizes[0], None))):
         nodes[at] = (rho[:, None, None] * dirs[None, :, :]).reshape(-1, dim)
         weights[at] = (w_rho[:, None] * w_dir[None, :]).reshape(-1)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights, sizes[0]
+    squares = np.zeros(sum(sizes))
+    for col in nodes.T:
+        squares += col * col
+    nodes.flags.writeable = squares.flags.writeable = weights.flags.writeable = False
+    return nodes, squares, weights, sizes[0]
 
 
 # the cache holds at most 16 x 4 MiB (see the module docstring)
@@ -483,7 +495,8 @@ _cached_unit_ball = lru_cache(maxsize=16)(_unit_ball)
 
 def _build_ball(hs, cfg, support) -> _Rule:
     """The unit ball rule and its companion moved onto the support ball,
-    c + r z, with weights times r^n.  The bump is radial about c, so its
+    c + r z, with weights times r^n, and with the template's (z, S) as the
+    nodes' local coordinates.  The bump is radial about c, so its
     essential singularity at the edge meets only the radial rule."""
     n = support.center.size
     ppa = cfg.points_per_axis
@@ -491,8 +504,9 @@ def _build_ball(hs, cfg, support) -> _Rule:
     counts = [_ball_size(n, *part) for part in parts]
     for points, count in zip((ppa, ppa // 2), counts):
         _check_budget(count, f"the ball rule with {points} points per axis in {n} dimensions")
-    cached = sum(counts) * (n + 1) * 8 <= _BALL_CACHE_BYTES
-    nodes, weights, split = (_cached_unit_ball if cached else _unit_ball)(n, parts)
+    # nodes, S and weights
+    cached = sum(counts) * (n + 2) * 8 <= _BALL_CACHE_BYTES
+    nodes, squares, weights, split = (_cached_unit_ball if cached else _unit_ball)(n, parts)
     pts = nodes * support.radius
     pts += support.center
     dist = hs.distance(pts)
@@ -501,8 +515,9 @@ def _build_ball(hs, cfg, support) -> _Rule:
     if not np.all(dist > 0.0):
         keep = np.flatnonzero(dist > 0.0)
         split = int(np.searchsorted(keep, split))
-        pts, dist, weights = np.asfortranarray(pts[keep]), dist[keep], weights[keep]
-    return _Rule(pts, dist, weights, counts[0], split)
+        pts, nodes = np.asfortranarray(pts[keep]), np.asfortranarray(nodes[keep])
+        dist, weights, squares = dist[keep], weights[keep], squares[keep]
+    return _Rule(pts, dist, weights, counts[0], split, local=(nodes, squares))
 
 
 def _build_nodes(box, hs, cfg, support) -> _Rule:
@@ -521,8 +536,10 @@ def _sums(fs, rule: _Rule, sample) -> np.ndarray:
     ``rule.line`` instead, (len(fs), rule.line.max() + 1).
 
     Each part is summed in ``_EVAL_CHUNK`` pieces from its own start, so no
-    sum mixes the parts.  The integrands run on ``sample(nodes, dist)`` of
-    all the nodes where they fit in one chunk, else of each piece alone."""
+    sum mixes the parts.  The integrands run on ``sample(nodes, dist,
+    local=local)`` of all the nodes where they fit in one chunk, else of
+    each piece alone, ``local`` the same rows of ``rule.local`` (None on
+    the box rule)."""
     line = rule.line
     ends = [len(rule.points)] if rule.split is None else [rule.split, len(rule.points)]
     sums = np.zeros((len(ends), len(fs)) if line is None else (len(fs), int(line.max(initial=-1)) + 1))
@@ -533,7 +550,8 @@ def _sums(fs, rule: _Rule, sample) -> np.ndarray:
         # a non-finite value raises IntegrationError; numpy's warning about
         # the operation that made it would only repeat that
         with np.errstate(all="ignore"):
-            arg = sample(rule.points[first:last], rule.dist[first:last])
+            local = None if rule.local is None else tuple(a[first:last] for a in rule.local)
+            arg = sample(rule.points[first:last], rule.dist[first:last], local=local)
             for i, f in enumerate(fs):
                 values = np.asarray(f(arg), dtype=float)
                 for part, lo, hi in window:

@@ -4,8 +4,10 @@ to probe sharpness of the Hardy constant.
 Every constructor returns a :class:`~strathardy.calculus.ScalarField` with
 an exact gradient, so quadrature never stacks finite differences on top of
 cutoff functions; a sample derived from a bump's (:func:`power_weighted_sample`)
-holds ``hgrad``, not ``grad``.  Labels are deterministic strings built
-from the defining parameters; reports hash them into their config digests.
+holds ``hgrad``, not ``grad``.  At the ball rule's nodes a bump, scaled or
+not, is evaluated from the rule's local coordinates (z, S), not from the
+nodes.  Labels are deterministic strings built from the defining
+parameters; reports hash them into their config digests.
 """
 
 from __future__ import annotations
@@ -132,30 +134,66 @@ class BumpSupport:
 def make_bump(spec: BumpSpec) -> ScalarField:
     """Build the bump field with exact gradient, tight support box and support."""
     center = np.asarray(spec.center, dtype=float)
-    r = spec.radius
     powers = np.full(center.size, 2.0) if spec.powers is None else np.asarray(spec.powers, float)
-    support = BumpSupport(center, r, powers)
-    squares = bool(np.all(powers == 2.0))
+    return _Bump(BumpSupport(center, spec.radius, powers), spec.label())
 
-    def fn_and_grad(points):
-        s, z = support.shape(points)
+
+class _Bump(ScalarField):
+    """The bump exp(-1 / (1 - S)) on its support, times ``factors`` in turn.
+
+    One profile routine, :meth:`_profile`, turns S and z into the values
+    and gradients, from two sources: ``support.shape`` of the points, and
+    on the ball rule the rule's local (z, S) (see
+    :func:`~strathardy.calculus.sample_trial`), which is not worked back
+    out of the rounded nodes.
+    """
+
+    def __init__(self, support: BumpSupport, label: str, factors: tuple[float, ...] = ()):
+        c, r = support.center, support.radius
+        super().__init__(
+            c.size, fn_and_grad=self._at_points, support_box=np.stack([c - r, c + r], axis=1),
+            label=label, support=support,
+        )
+        self._squares = bool(np.all(support.powers == 2.0))
+        self._factors = factors
+
+    def _at_points(self, points):
+        return self._profile(*self.support.shape(points), own=True)
+
+    def _profile(self, s, z, own: bool):
+        """The values and gradients at S = s and offsets z; ``own`` says that
+        z is this call's to overwrite, and a template's is not."""
+        r, powers = self.support.radius, self.support.powers
         inside = s < 1.0
         # 1 - S, and inf outside the support, where f and its gradient are 0.0
         gap = np.where(inside, 1.0 - s, np.inf)
         f = np.where(inside, np.exp(-1.0 / gap), 0.0)
-        if squares:
-            dS = np.multiply(z, 2.0, out=z)  # z is this call's own
+        slope = -f / (gap * gap)
+        if self._squares and not own:
+            # a template's z is read-only: one pass, with 2 / r folded in
+            dS = z * ((2.0 / r) * slope)[:, None]
         else:
-            # |z_i| < 1 inside, and outside the bound keeps |z_i|^(q_i - 1) finite
-            dS = powers * np.minimum(np.abs(z), 1.0) ** (powers - 1.0) * np.sign(z)
-        dS /= r
-        dS *= (-f / (gap * gap))[:, None]
+            if self._squares:
+                dS = np.multiply(z, 2.0, out=z)
+            else:
+                # |z_i| < 1 inside, and outside the bound keeps |z_i|^(q_i - 1) finite
+                dS = powers * np.minimum(np.abs(z), 1.0) ** (powers - 1.0) * np.sign(z)
+            dS /= r
+            dS *= slope[:, None]
+        for factor in self._factors:
+            f, dS = factor * f, factor * dS
         return f, dS
 
-    box = np.stack([center - r, center + r], axis=1)
-    return ScalarField(
-        center.size, fn_and_grad=fn_and_grad, support_box=box, label=spec.label(), support=support
-    )
+    def _sample(self, spec, hs, points, dist, local=None):
+        if local is None:
+            return super()._sample(spec, hs, points, dist)
+        z, s = local
+        return TrialSample(spec, hs, points, dist, *self._profile(s, z, own=False))
+
+    def scaled(self, factor: float) -> ScalarField:
+        """factor * this bump, a bump that still reads the ball rule's local coordinates."""
+        factor = float(factor)
+        return _Bump(self.support, f"{factor!r}*{self.label}", self._factors + (factor,))
 
 
 def boundary_bump_spec(hs: HalfSpace, radius: float, powers=None) -> BumpSpec:
@@ -226,10 +264,10 @@ class _PowerWeighted(ScalarField):
         )
         self._base, self._hs, self._a = u, hs, a
 
-    def _sample(self, spec, hs, points, dist):
+    def _sample(self, spec, hs, points, dist, local=None):
         if hs.d != self._hs.d or not np.array_equal(hs.nu, self._hs.nu):
             return super()._sample(spec, hs, points, dist)
-        return power_weighted_sample(self._base._sample(spec, hs, points, dist), self._a)
+        return power_weighted_sample(self._base._sample(spec, hs, points, dist, local), self._a)
 
     def scaled(self, factor: float) -> ScalarField:
         """dist^a * (factor * u), a field whose sample still reads the given dist."""

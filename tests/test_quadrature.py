@@ -28,9 +28,11 @@ from strathardy import (
     sharpness_trial,
 )
 from strathardy.config import build_trials, load_config, resolve
-from strathardy.experiments import HARDY, each_p
+from strathardy.experiments import HARDY, each_p, hardy_sobolev_ratio
 from strathardy import quadrature
 from strathardy.quadrature import (
+    _ball_resolution,
+    _ball_size,
     _build_boundary_graded,
     _build_nodes,
     _cached_unit_ball,
@@ -43,7 +45,7 @@ from strathardy.quadrature import (
     _symmetric_sphere_rule,
     _takes_ball,
 )
-from strathardy.trials import _PowerWeighted
+from strathardy.trials import _PowerWeighted, power_weighted_sample
 
 
 UNIT_BOX = np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
@@ -51,11 +53,15 @@ UNIT_BOX = np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
 
 def _parts(rule):
     """The rule's own nodes, then its companion's on a deterministic rule,
-    each as a rule without a split."""
+    each as a rule without a split, with its rows of the ball rule's local
+    coordinates."""
     if rule.split is None:
         return [rule]
     return [
-        _Rule(rule.points[cut], rule.dist[cut], rule.weights[cut], rule.size)
+        _Rule(
+            rule.points[cut], rule.dist[cut], rule.weights[cut], rule.size,
+            local=None if rule.local is None else tuple(a[cut] for a in rule.local),
+        )
         for cut in (slice(None, rule.split), slice(rule.split, None))
     ]
 
@@ -523,7 +529,9 @@ class TestSupportMask:
 _GROUPS = {k: heisenberg_group(k) for k in (1, 2, 3, 4)}
 _CLIP_INTEGRANDS = [
     lambda s: np.sum(s.grad**2, axis=1),
-    lambda s: (np.abs(s.u) / s.dist) ** 2,
+    # singular at the boundary where a half-space crosses the bump, but
+    # integrable there; (|u| / dist)**2 is not (see _CROSSING_CASE)
+    lambda s: np.abs(s.u) / np.sqrt(s.dist),
     lambda s: s.w * np.sum(s.hgrad**2, axis=1),
     lambda s: np.exp(s.points[:, 0]) * s.u,
 ]
@@ -572,12 +580,21 @@ _H4_CASE = (
     ),
     QuadConfig(sample_count=817, seed=31),
 )
+# a draw whose half-space crosses the bump: its support reaches 0.59 along
+# the normal, past the centre's distance 0.5625
+_CROSSING_CASE = (
+    heisenberg_group(1),
+    HalfSpace(nu=[0.0, 1.0, 1.0], d=-0.5625),
+    make_bump(BumpSpec(center=(0.0, 0.0, 0.0), radius=0.5, powers=(2, 4, 4))),
+    QuadConfig(points_per_axis=6),
+)
 
 
 class TestClipToSupport:
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(_clip_cases())
     @example(_H4_CASE)
+    @example(_CROSSING_CASE)
     def test_clipped_equals_unclipped(self, case):
         spec, hs, u, cfg = case
         clipped = integrate_many(_CLIP_INTEGRANDS, u.support_box, hs, cfg, trial=(spec, u))
@@ -585,6 +602,19 @@ class TestClipToSupport:
             _CLIP_INTEGRANDS, u.support_box, hs, cfg, trial=(spec, _without_support(u))
         )
         _assert_close(clipped, plain)
+
+    def test_a_crossing_bump_has_no_finite_hardy_weight(self):
+        # (|u| / dist)**2 diverges where u is not 0 on the boundary: the
+        # rule and its companion disagree by 1e11 times the value, so an
+        # ulp of the stderr, all that two orders of the same sums may
+        # differ by, is 2e-5 of the value, past _assert_close's 1e-14;
+        # |u| / sqrt(dist) is integrable there
+        spec, hs, u, cfg = _CROSSING_CASE
+        hardy = lambda s: (np.abs(s.u) / s.dist) ** 2
+        (est,) = integrate_many([hardy], u.support_box, hs, cfg, trial=(spec, u))
+        assert 0.0 < est.value and est.stderr > 1e9 * est.value
+        (est,) = integrate_many([_CLIP_INTEGRANDS[1]], u.support_box, hs, cfg, trial=(spec, u))
+        assert 0.0 < est.stderr < est.value
 
     # heisenberg:1 at the default rule, heisenberg:2 at 8 points per axis
     @pytest.mark.parametrize("k, ppa", [(1, 16), (2, 8)])
@@ -1007,11 +1037,13 @@ class TestBallRule:
         finally:
             quadrature._cached_unit_ball.cache_clear()
 
-    @pytest.mark.parametrize("k", [2, 3, 6])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     def test_templates_are_cached_up_to_the_cap(self, k):
-        # the rule and its companion in one template: heisenberg:2's
-        # (62,208 + 1,944) x 5 and heisenberg:3's (3,408 + 168) x 7 are kept,
-        # heisenberg:6's (197,232 + 312) x 13 (21 MB) is not
+        # the rule and its companion in one template, nodes, S and weights:
+        # heisenberg:2's (62,208 + 1,944) x (5 + 2) x 8 bytes (3.6 MB),
+        # heisenberg:3's (3,408 + 168) x 9 x 8 and heisenberg:4's
+        # (12,720 + 216) x 11 x 8 are kept; heisenberg:5's (49,680 + 264)
+        # x 13 x 8 (5.2 MB) and heisenberg:6's (197,232 + 312) x 15 x 8 are not
         spec, hs, u = _interior_ball(k)
         _cached_unit_ball.cache_clear()
         try:
@@ -1020,7 +1052,9 @@ class TestBallRule:
             assert _takes_ball(u.support_box, hs, u.support, QuadConfig())
             assert np.array_equal(first.points, again.points)
             info = _cached_unit_ball.cache_info()
-            if k == 6:
+            if k == 5:
+                assert first.size == 49_680 and len(first.points) == 49_944 and info.currsize == 0
+            elif k == 6:
                 assert first.size == 197_232 and len(first.points) == 197_544 and info.currsize == 0
             else:
                 assert info.currsize == 1 and info.hits == 1
@@ -1172,6 +1206,108 @@ class TestJointSample:
         joint = integrate_many(fs, u.support_box, hs, cfg, trial=(spec, u))
         assert [_bits(e) for e in joint] == [(f.hex(), abs(f - c).hex(), rule.size) for f, c in zip(fine, coarse)]
         assert all(e.stderr > 0.0 for e in joint)
+
+
+# the ball rule's local coordinates: the product sphere rule in 3 and 5
+# dimensions, the symmetric one on a cached template in 7 and on one too
+# large to cache in 11, and a rule whose dist > 0 filter drops nodes
+_LOCAL_CASES = {
+    "ball-3": lambda: _interior_ball(1),
+    "ball-5": lambda: _interior_ball(2),
+    "ball-7": lambda: _interior_ball(3),
+    "ball-11": lambda: _interior_ball(5),
+    "ball-3-shaved": lambda: (_H1, _Shaved(nu=[0.0, 0.0, 1.0]), _interior_ball(1)[2]),
+}
+
+
+def _no_shape(points):
+    raise AssertionError("the bump worked z back out of the nodes")
+
+
+class TestLocalFrame:
+    @pytest.mark.parametrize("name", sorted(_LOCAL_CASES))
+    def test_local_sample_matches_the_points(self, name, monkeypatch):
+        spec, hs, u = _LOCAL_CASES[name]()
+        cfg = QuadConfig()
+        assert _takes_ball(u.support_box, hs, u.support, cfg)
+        _cached_unit_ball.cache_clear()
+        try:
+            rule = _build_nodes(u.support_box, hs, cfg, u.support)
+            assert _cached_unit_ball.cache_info().currsize == (0 if name == "ball-11" else 1)
+        finally:
+            _cached_unit_ball.cache_clear()
+        z, s = rule.local
+        assert z.shape == rule.points.shape and s.shape == rule.dist.shape and z.flags.f_contiguous
+        # a shared template is read-only; a filtered rule holds its own rows
+        assert z.flags.writeable == s.flags.writeable == name.endswith("shaved")
+        # the nodes are c + r z, and S adds z_i * z_i in axis order
+        support = u.support
+        assert np.array_equal(rule.points, z * support.radius + support.center)
+        assert np.array_equal(s, support._sum(z))
+        want_u, want_grad = u.values_and_gradients(rule.points)
+        before = z.copy()
+        monkeypatch.setattr(support, "shape", _no_shape)
+        got = sample_trial(spec, hs, u, rule.points, rule.dist, local=rule.local)
+        assert np.array_equal(z, before)
+        assert np.max(np.abs(got.u - want_u)) <= 1e-14 * np.max(np.abs(want_u))
+        assert np.max(np.abs(got.grad - want_grad)) <= 1e-14 * np.max(np.abs(want_grad))
+
+    def test_scaled_and_power_weighted_bumps_keep_the_local_path(self, monkeypatch):
+        spec, hs, u = _interior_ball(1)
+        cfg = QuadConfig()
+        rule = _build_nodes(u.support_box, hs, cfg, u.support)
+        sample = partial(sample_trial, spec, hs, points=rule.points, dist=rule.dist, local=rule.local)
+        # the unscaled ratio first: the patch below shows that no sample
+        # afterwards evaluates the bump at the nodes
+        once = hardy_sobolev_ratio(spec, hs, u, 2.0, cfg).quotient
+        base = sample(u)
+        monkeypatch.setattr(u.support, "shape", _no_shape)
+        seven = sample(u.scaled(7.0))
+        assert np.array_equal(seven.u, 7.0 * base.u) and np.array_equal(seven.grad, 7.0 * base.grad)
+        ground = sample(_PowerWeighted(u, hs, -2.0 / 3.0, "ground"))
+        want = power_weighted_sample(base, -2.0 / 3.0)
+        assert np.array_equal(ground.u, want.u) and np.array_equal(ground.hgrad, want.hgrad)
+        # so S(7u) / S(u) of the Sobolev quotient is 1 to rounding
+        scaled = hardy_sobolev_ratio(spec, hs, u.scaled(7.0), 2.0, cfg).quotient
+        assert abs(scaled / once - 1.0) <= 4 * np.finfo(float).eps
+
+    def test_a_hand_built_field_samples_through_its_points(self):
+        # a round BumpSupport makes the ball rule, but only the bump itself
+        # reads the local coordinates
+        spec, hs, ball = _interior_ball(1)
+        seen = []
+
+        def fn_and_grad(points):
+            seen.append(points)
+            return ball.values_and_gradients(points)
+
+        u = ScalarField(
+            3, fn_and_grad=fn_and_grad, support_box=ball.support_box, label=ball.label, support=ball.support
+        )
+        cfg = QuadConfig()
+        assert _takes_ball(u.support_box, hs, u.support, cfg)
+        rule = _build_nodes(u.support_box, hs, cfg, u.support)
+        (est,) = integrate_many([lambda s: s.u], u.support_box, hs, cfg, trial=(spec, u))
+        assert len(seen) == 1 and np.array_equal(seen[0], rule.points)
+        (ref,) = integrate_many([lambda s: s.u], ball.support_box, hs, cfg, trial=(spec, ball))
+        assert est.evaluations == ref.evaluations and abs(est.value - ref.value) <= 1e-14 * ref.value
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_the_cache_cap_counts_the_squares(self, k, monkeypatch):
+        # a template is cached at (nodes + S + weights) x 8 bytes a node,
+        # and not one byte below
+        spec, hs, u = _interior_ball(k)
+        n = 2 * k + 1
+        parts = (_ball_resolution(n, 16), _ball_resolution(n, 8, companion=True))
+        need = sum(_ball_size(n, *part) for part in parts) * (n + 2) * 8
+        for cap, kept in ((need, 1), (need - 1, 0)):
+            monkeypatch.setattr(quadrature, "_BALL_CACHE_BYTES", cap)
+            _cached_unit_ball.cache_clear()
+            try:
+                _build_nodes(u.support_box, hs, QuadConfig(), u.support)
+                assert _cached_unit_ball.cache_info().currsize == kept
+            finally:
+                _cached_unit_ball.cache_clear()
 
 
 class TestHardyRow15:

@@ -36,6 +36,8 @@ def test_matrix_covers_every_subcommand_and_workload():
     assert new <= set(labels)
     # the horizontal split on an offset normal up to p = 4, and on heisenberg:2
     assert {"remainder:offset", "remainder:heisenberg2"} <= set(labels)
+    # the split and the p* integrand on heisenberg:3's symmetric sphere rule
+    assert {"remainder:heisenberg3", "sobolev:heisenberg3"} <= set(labels)
 
 
 def test_the_tree_matches_itself():

@@ -27,7 +27,47 @@ def fd_gradients(field, pts, h=1e-6):
     return out
 
 
+def _frozen_bump(spec):
+    """The bump's values and gradients at points, as the field computed them
+    before it read the ball rule's local coordinates: the formula the points
+    path must keep bit for bit."""
+    center, r = np.asarray(spec.center, float), spec.radius
+    powers = np.full(center.size, 2.0) if spec.powers is None else np.asarray(spec.powers, float)
+
+    def fn_and_grad(points):
+        z = (points - center) / r
+        s = np.zeros(len(points))
+        for i, q in enumerate(powers):
+            col = z[:, i]
+            s += col * col if q == 2.0 else np.abs(col) ** q
+        inside = s < 1.0
+        gap = np.where(inside, 1.0 - s, np.inf)
+        f = np.where(inside, np.exp(-1.0 / gap), 0.0)
+        if np.all(powers == 2.0):
+            dS = np.multiply(z, 2.0, out=z)
+        else:
+            dS = powers * np.minimum(np.abs(z), 1.0) ** (powers - 1.0) * np.sign(z)
+        dS /= r
+        dS *= (-f / (gap * gap))[:, None]
+        return f, dS
+
+    return fn_and_grad
+
+
 class TestBump:
+    @pytest.mark.parametrize("powers", [None, (2, 4, 2), (6, 2, 4)])
+    def test_values_and_gradients_keep_the_frozen_formula(self, rng, powers):
+        spec = BumpSpec(center=(0.3, -0.1, 0.7), radius=0.45, powers=powers)
+        u = make_bump(spec)
+        pts = np.asfortranarray(rng.uniform(-1.2, 1.2, size=(3000, 3)) * 0.45 + [0.3, -0.1, 0.7])
+        f, grad = _frozen_bump(spec)(pts)
+        assert 0 < np.count_nonzero(f) < len(pts)
+        got = u.values_and_gradients(pts)
+        assert np.array_equal(got[0], f) and np.array_equal(got[1], grad)
+        # a scaled bump scales those bits, at points as on the ball rule
+        got = u.scaled(7.0).values_and_gradients(pts)
+        assert np.array_equal(got[0], 7.0 * f) and np.array_equal(got[1], 7.0 * grad)
+
     def test_center_value(self):
         u = make_bump(BumpSpec(center=(0.3, -0.1, 2.0), radius=0.5))
         assert u.values([[0.3, -0.1, 2.0]])[0] == np.exp(-1.0)

@@ -7,6 +7,8 @@ Runs a fixed matrix of CLI commands on this checkout and on the tree at
 ``git worktree`` of the parent commit): the eight subcommands at their
 default configs, the configs of the benchmark's three workloads, oblique
 and offset normals, ``remainder`` at p = 4 and on heisenberg:2,
+``remainder`` and ``sobolev`` on heisenberg:3 (the horizontal split and
+the p* integrand on the symmetric sphere rule's bumps),
 ``hardy`` with the quadrature method spelled out,
 oblique normals on heisenberg:2 to :4, ``hardy`` on heisenberg:5
 (whose ball template is too large to cache), ``hardy`` on bumps
@@ -113,6 +115,9 @@ def matrix() -> list[Case]:
             {"halfspace": {"preset": "t-axis", "d": 0.3}, "p": [2.0, 3.0, 4.0]},
         ),
         Case("remainder:heisenberg2", "remainder", {"group": "heisenberg:2", "trials": {"count": 4}}),
+        # the split and the p* integrand on the 7-dimension symmetric sphere rule
+        Case("remainder:heisenberg3", "remainder", {"group": "heisenberg:3"}),
+        Case("sobolev:heisenberg3", "sobolev", {"group": "heisenberg:3"}),
         # interior bumps on the cached 5- and 7-dimension ball templates
         Case(
             "hardy:heisenberg2-oblique",
