@@ -200,27 +200,6 @@ class ScalarField:
         values, grad = self.values_and_gradients(points)
         return TrialSample(spec, hs, points, dist, values, grad)
 
-    def scaled(self, factor: float) -> "ScalarField":
-        """The field factor * self, with the gradient scaled to match."""
-        factor = float(factor)
-        fn = fn_and_grad = None
-        if self.has_exact_grad:
-
-            def fn_and_grad(pts):
-                values, grads = self.values_and_gradients(pts)
-                return factor * values, factor * grads
-
-        else:
-            fn = lambda pts: factor * np.asarray(self._fn(pts), dtype=float)
-        return ScalarField(
-            self.dim,
-            fn=fn,
-            support_box=self.support_box,
-            label=f"{factor!r}*{self.label}",
-            support=self.support,
-            fn_and_grad=fn_and_grad,
-        )
-
 
 def distance_field(hs: HalfSpace) -> ScalarField:
     """The boundary distance as a ScalarField with exact gradient nu."""
@@ -384,8 +363,9 @@ def sample_trial(spec: GroupSpec, hs: HalfSpace, u, points, dist=None, local=Non
     of boundary distance ``dist``, ``hs.distance(points)`` if None.
 
     u and grad u come from one :meth:`ScalarField.values_and_gradients`
-    call, or, for a power of dist times another field, u and grad_H u from
-    that one's sample (see :func:`~strathardy.trials.power_weighted_sample`).
+    call.  (A power of dist times a field is not sampled here: its sample
+    is derived from the field's, see
+    :func:`~strathardy.trials.power_weighted_sample`.)
     ``local`` is what the rule that placed the points knows of them in its
     own frame: on the ball rule the pair (z, S) of the unit-ball offsets
     z = (x - c) / r, (M, n), and S = |z|^2, (M,).  A bump about that ball's

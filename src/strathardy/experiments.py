@@ -15,12 +15,13 @@ the integrated trial and the p of that integration; a denominator
 integral too small to divide by, or a row whose quotient or stderr is
 not finite or whose numerator or denominator has a stderr as large as
 itself, raises a TrivialTrialError naming the trial and its p.  The
-sharpness sweep (:func:`sharpness_grid`) goes further: its trials are
-powers of the distance times one cutoff, so every (p, eps) of a sweep is
-integrated over the cutoff's sample, from which each row's trial sample
-is derived.  The bounds these quantities are checked against are
-theorems for the Heisenberg and abelian families, so a contract
-violation beyond tolerance indicates a numerics bug, never a tunable.
+sharpness sweep (:func:`sharpness_grid`) runs on the same runner: its
+trials are powers of the distance times one cutoff, so each (p, eps) of a
+sweep is a :data:`HARDY` row of the cutoff whose integrands read a view
+of the cutoff's sample, the trial's sample derived from it.  The bounds
+these quantities are checked against are theorems for the Heisenberg and
+abelian families, so a contract violation beyond tolerance indicates a
+numerics bug, never a tunable.
 """
 
 from __future__ import annotations
@@ -150,24 +151,53 @@ class Check(NamedTuple):
 class _Rows(NamedTuple):
     """The integrands behind some report rows, and how the rows are made
     from their estimates; ``label`` and ``p`` name the trial and the p the
-    rows are about."""
+    rows are about.  ``view`` maps the sample of the integrated trial to
+    the sample the integrands read (None: that sample itself)."""
 
     integrands: list
     rows: Callable[[list[IntegralEstimate]], list[Report]]
     denominator: int
     label: str
     p: float
+    view: Callable | None = None
+
+
+# the groups of one integrate_many call: the most p a config may give, so
+# that each_p never splits, and 16 hardy integrands, so that the value rows
+# the rule evaluates stay that few however many rows a sharpness sweep has
+_CALL_GROUPS = 8
+
+
+def _read_through_views(groups: list[_Rows]) -> list:
+    """The integrands of ``groups`` in order, each reading its group's view
+    of the sample it is given.  A view is made on its group's first read
+    of a sample and dropped before the next is made, so one is alive at a
+    time; the sample is held with it and matched by identity, so a later
+    sample is never taken for it."""
+    held = []  # (sample, group, the group's view of it), for these integrands alone
+
+    def viewed(f, group):
+        def integrand(sample):
+            if not held or held[0] is not sample or held[1] is not group:
+                held.clear()
+                held.extend((sample, group, group.view(sample)))
+            return f(held[2])
+
+        return integrand
+
+    return [f if g.view is None else viewed(f, g) for g in groups for f in g.integrands]
 
 
 def _integrate_rows(
     groups: list[_Rows], spec: GroupSpec, hs: HalfSpace, u: ScalarField, cfg: QuadConfig
 ) -> list[list[Report]]:
-    """The rows of each group, from one integration of all their integrands.
+    """The rows of each group, ``_CALL_GROUPS`` groups to one integration.
 
-    The integrands, over samples of u, go to one :func:`integrate_many`
-    call over u's support box.  An integrand's estimate does not depend on
-    the other integrands of the call, so each group's rows are, bit for
-    bit, those of integrating that group alone.
+    The integrands of the groups of a call, over samples of u, each
+    through its group's view (:func:`_read_through_views`), go to one
+    :func:`integrate_many` call over u's support box.  An integrand's
+    estimate does not depend on the other integrands of the call, so each
+    group's rows are, bit for bit, those of integrating that group alone.
 
     The first error raises: an IntegrationError names u and the p of the
     call, a TrivialTrialError its group's trial and p, also for a row whose
@@ -178,37 +208,40 @@ def _integrate_rows(
         return []
     if u.support_box is None:
         raise ValueError("no integration box: trial has unbounded support")
-    fs = [f for g in groups for f in g.integrands]
-    try:
-        estimates = iter(integrate_many(fs, u.support_box, hs, cfg, trial=(spec, u)))
-    except IntegrationError as exc:
-        ps = list(dict.fromkeys(g.p for g in groups))
-        raise IntegrationError(f"trial {u.label} at p {ps}: {exc}", exc.point) from exc
     rows = []
-    for g in groups:
-        mine = [next(estimates) for _ in g.integrands]
-        den = mine[g.denominator].value
-        # the quotient stderrs divide by den**2
-        if den <= 0.0 or den * den == 0.0:
-            raise TrivialTrialError(
-                f"trivial trial function {g.label} at p {g.p!r}: its denominator integral "
-                f"{den!r} on this quadrature rule is too small to check a bound against"
+    for start in range(0, len(groups), _CALL_GROUPS):
+        call = groups[start : start + _CALL_GROUPS]
+        try:
+            estimates = iter(
+                integrate_many(_read_through_views(call), u.support_box, hs, cfg, trial=(spec, u))
             )
-        made = g.rows(mine)
-        bad = [r for r in made if not (math.isfinite(r.quotient) and math.isfinite(r.stderr))]
-        if bad:
-            raise TrivialTrialError(
-                f"trial {g.label} at p {g.p!r}: its quotient {bad[0].quotient!r} and stderr "
-                f"{bad[0].stderr!r} are not both finite, so they check no bound"
-            )
-        # a stderr |fine - coarse| that is all of |fine|: the coarse rule read 0
-        vacuous = [e for r in made for e in (r.numerator, r.denominator) if e.stderr == abs(e.value) != 0]
-        if vacuous:
-            raise TrivialTrialError(
-                f"trial {g.label} at p {g.p!r}: an integral {vacuous[0].value!r} with a stderr as large "
-                "as itself checks no bound"
-            )
-        rows.append(made)
+        except IntegrationError as exc:
+            ps = list(dict.fromkeys(g.p for g in call))
+            raise IntegrationError(f"trial {u.label} at p {ps}: {exc}", exc.point) from exc
+        for g in call:
+            mine = [next(estimates) for _ in g.integrands]
+            den = mine[g.denominator].value
+            # the quotient stderrs divide by den**2
+            if den <= 0.0 or den * den == 0.0:
+                raise TrivialTrialError(
+                    f"trivial trial function {g.label} at p {g.p!r}: its denominator integral "
+                    f"{den!r} on this quadrature rule is too small to check a bound against"
+                )
+            made = g.rows(mine)
+            bad = [r for r in made if not (math.isfinite(r.quotient) and math.isfinite(r.stderr))]
+            if bad:
+                raise TrivialTrialError(
+                    f"trial {g.label} at p {g.p!r}: its quotient {bad[0].quotient!r} and stderr "
+                    f"{bad[0].stderr!r} are not both finite, so they check no bound"
+                )
+            # a stderr |fine - coarse| that is all of |fine|: the coarse rule read 0
+            vacuous = [e for r in made for e in (r.numerator, r.denominator) if e.stderr == abs(e.value) != 0]
+            if vacuous:
+                raise TrivialTrialError(
+                    f"trial {g.label} at p {g.p!r}: an integral {vacuous[0].value!r} with a stderr as large "
+                    "as itself checks no bound"
+                )
+            rows.append(made)
     return rows
 
 
@@ -225,7 +258,8 @@ def each_p(
     """``check`` on trial u at each p of ``ps``, from one integration.
 
     The integrands of every p go to one :func:`integrate_many` call over
-    u's support box, so one rule, one support mask and one trial sample
+    u's support box (for up to 8 p, the most a config may give; more take
+    a call per 8), so one rule, one support mask and one trial sample
     serve them all, and each p's rows are, bit for bit, those of
     integrating that p alone.
 
@@ -291,7 +325,7 @@ def _report(inequality_id, case: _Case, estimates, extras=None, **kw):
 # -- checks --------------------------------------------------------------------
 
 
-def _hardy_rows(case, estimates, inequality_id="hardy", bound=None):
+def _hardy_rows(case, estimates, inequality_id="hardy", bound=None, extras=None):
     """The quotient num / den against ``bound`` (None: the sharp constant at p)."""
     num, den = estimates
     quotient = num.value / den.value
@@ -301,6 +335,7 @@ def _hardy_rows(case, estimates, inequality_id="hardy", bound=None):
             inequality_id,
             case,
             estimates,
+            extras,
             quotient=quotient,
             bound=bound,
             margin=quotient - bound,
@@ -653,12 +688,6 @@ def bft_fuzz(
     )
 
 
-# the (p, eps) rows of one sharpness integration: 16 integrands, as many
-# as hardy holds at the most p a config may give, so that the value rows
-# the rule evaluates stay that few however many rows a sweep has
-_SWEEP_ROWS = 8
-
-
 def sharpness_grid(
     spec: GroupSpec,
     hs: HalfSpace,
@@ -674,55 +703,25 @@ def sharpness_grid(
     For the first-coordinate normal with offset 0 the sweep is a genuine
     verification (quotients must decrease toward the sharp constant as eps
     shrinks); for other normals it is a labeled probe.  Every trial is
-    dist^alpha times the one cutoff bump, so the rows are integrated
-    together over the cutoff's support box, ``_SWEEP_ROWS`` (p, eps) rows
-    to one :func:`integrate_many` call: one rule, one support mask and one
-    sample of the cutoff (with dist and W) serve them all.  Each row's
-    integrands read its trial's sample, derived from the cutoff's with the
-    arithmetic of the trial field itself, and only one such derived sample
-    is kept at a time.  Each row is therefore, bit for bit, the
-    :data:`HARDY` row (:func:`each_p`) of its ``sharpness_trial`` with
-    inequality id "sharpness".  Every (p, eps) is built before anything is
-    integrated, so one that cannot be raises at once; then the first error
-    of an integration raises (see :func:`_integrate_rows`).
+    dist^alpha times the one cutoff bump, so each (p, eps) is a
+    :data:`HARDY` row of the cutoff, with inequality id "sharpness", whose
+    integrands read the view :func:`power_weighted_sample` at alpha of the
+    cutoff's sample.  The rows run on :func:`_integrate_rows`, 8 to one
+    :func:`integrate_many` call: one rule, one support mask and one sample
+    of the cutoff (with dist and W) serve them all.  Every (p, eps) is
+    built before anything is integrated, so one that cannot be raises at
+    once; then the first error of an integration raises.
     """
     cfg = cfg or QuadConfig()
-    field = make_bump(cutoff)
     verification = abs(hs.nu[0] - 1.0) < 1e-15 and not np.any(hs.nu[1:]) and hs.d == 0.0
-    trials = [SharpnessSpec(p=p, eps=float(eps), cutoff=cutoff) for p, eps in product(ps, eps_list)]
-    slot = []  # (cutoff sample, row, that row's derived sample)
+    label = "verification" if verification else "probe"
 
-    def on_trial(f, row, trial):
-        """Integrand f over the sample of the trial of ``row``, from the cutoff's sample."""
+    def group(trial):
+        case = _Case(spec, hs, trial.label(), _check_p(trial.p), cfg, config_digest)
+        extras = {"eps": trial.eps, "label": label}
+        rows = partial(_hardy_rows, case, inequality_id="sharpness", extras=extras)
+        view = partial(power_weighted_sample, a=trial.exponent)
+        return _Rows(_hardy_integrands(spec, hs, case.p), rows, HARDY.denominator, case.trial, case.p, view)
 
-        def integrand(sample):
-            if not slot or slot[0] is not sample or slot[1] != row:
-                slot.clear()  # before the next is made: one derived sample alive
-                slot.extend((sample, row, power_weighted_sample(sample, trial.exponent)))
-            return f(slot[2])
-
-        return integrand
-
-    def rows(case, eps, estimates):
-        (report,) = _hardy_rows(case, estimates, inequality_id="sharpness")
-        report.extras["eps"] = eps
-        report.extras["label"] = "verification" if verification else "probe"
-        return [report]
-
-    def group(row, trial):
-        p = _check_p(trial.p)
-        case = _Case(spec, hs, trial.label(), p, cfg, config_digest)
-        return _Rows(
-            [on_trial(f, row, trial) for f in _hardy_integrands(spec, hs, p)],
-            partial(rows, case, trial.eps),
-            HARDY.denominator,
-            case.trial,
-            p,
-        )
-
-    reports = []
-    for start in range(0, len(trials), _SWEEP_ROWS):
-        groups = [group(start + i, t) for i, t in enumerate(trials[start : start + _SWEEP_ROWS])]
-        reports += [r for rs in _integrate_rows(groups, spec, hs, field, cfg) for r in rs]
-    return reports
-
+    groups = [group(SharpnessSpec(p=p, eps=float(eps), cutoff=cutoff)) for p, eps in product(ps, eps_list)]
+    return [r for rs in _integrate_rows(groups, spec, hs, make_bump(cutoff), cfg) for r in rs]

@@ -3,11 +3,13 @@ to probe sharpness of the Hardy constant.
 
 Every constructor returns a :class:`~strathardy.calculus.ScalarField` with
 an exact gradient, so quadrature never stacks finite differences on top of
-cutoff functions; a sample derived from a bump's (:func:`power_weighted_sample`)
-holds ``hgrad``, not ``grad``.  At the ball rule's nodes a bump, scaled or
-not, is evaluated from the rule's local coordinates (z, S), not from the
-nodes.  Labels are deterministic strings built from the defining
-parameters; reports hash them into their config digests.
+cutoff functions.  A member dist^alpha * cutoff of the power family
+(:class:`SharpnessSpec`) is not a field: its sample is derived from the
+cutoff's (:func:`power_weighted_sample`) and holds ``hgrad``, not
+``grad``.  At the ball rule's nodes a bump, scaled or not, is evaluated
+from the rule's local coordinates (z, S), not from the nodes.  Labels are
+deterministic strings built from the defining parameters; reports hash
+them into their config digests.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ __all__ = [
     "make_bump",
     "power_weighted_sample",
     "SharpnessSpec",
-    "sharpness_trial",
     "boundary_bump_spec",
     "random_interior_bumps",
 ]
@@ -243,60 +244,24 @@ def random_interior_bumps(
     return specs
 
 
-class _PowerWeighted(ScalarField):
-    """dist^a * u with exact gradient dist^a grad u + a dist^(a-1) u nu.
-
-    Both vanish wherever u and grad u do, so the result keeps u's support.
-    At arbitrary points dist comes from the coordinates; its sample on its
-    own half-space is :func:`power_weighted_sample` of u's, on the given dist.
-    """
-
-    def __init__(self, u: ScalarField, hs: HalfSpace, a: float, label: str):
-        def fn_and_grad(points):
-            d = hs.distance(points)
-            f, grad = u.values_and_gradients(points)
-            with np.errstate(divide="ignore", invalid="ignore"):  # at d <= 0: zeroed
-                da = d**a  # d^(a-1) is da / d, one power a point
-                return _inside(d, da * f, da[:, None] * grad + a * (da / d)[:, None] * f[:, None] * hs.nu)
-
-        super().__init__(
-            u.dim, fn_and_grad=fn_and_grad, support_box=u.support_box, label=label, support=u.support
-        )
-        self._base, self._hs, self._a = u, hs, a
-
-    def _sample(self, spec, hs, points, dist, local=None):
-        if hs.d != self._hs.d or not np.array_equal(hs.nu, self._hs.nu):
-            return super()._sample(spec, hs, points, dist)
-        return power_weighted_sample(self._base._sample(spec, hs, points, dist, local), self._a)
-
-    def scaled(self, factor: float) -> ScalarField:
-        """dist^a * (factor * u), a field whose sample still reads the given dist."""
-        label = f"{float(factor)!r}*{self.label}"
-        return _PowerWeighted(self._base.scaled(factor), self._hs, self._a, label)
-
-
 def power_weighted_sample(sample: TrialSample, a: float) -> TrialSample:
     """The sample of dist^a * u at the points of a sample of u, sharing its dist, P and W.
 
     Its ``hgrad`` is dist^a (grad_H u + a (u / dist) P), dist^a times the
     B of ``sample.horizontal_split(-a)``: no Euclidean gradient is formed.
-    It is how :func:`~strathardy.calculus.sample_trial` samples the field
-    dist^a * u of :func:`sharpness_trial`, which it equals bit for bit.
+    Both are 0.0 where dist <= 0.  It is the view through which each row
+    of :func:`~strathardy.experiments.sharpness_grid` reads the sample of
+    its cutoff.
     """
     d = sample.dist
-    with np.errstate(divide="ignore", invalid="ignore"):  # at d <= 0: zeroed
+    with np.errstate(divide="ignore", invalid="ignore"):  # at d <= 0: zeroed below
         da = d**a
-        hgrad = sample.horizontal_split(-a)[1]
+        u, hgrad = da * sample.u, sample.horizontal_split(-a)[1]
         hgrad *= da[:, None]
-        return sample.with_trial(*_inside(d, da * sample.u, hgrad))
-
-
-def _inside(d, values, grads) -> tuple[np.ndarray, np.ndarray]:
-    """(M,) values and (M, k) gradients, both 0.0 on the rows where d <= 0."""
     inside = d > 0.0
-    if inside.all():  # as at quadrature nodes: nothing to mask
-        return values, grads
-    return np.where(inside, values, 0.0), np.where(inside[:, None], grads, 0.0)
+    if not inside.all():  # at quadrature nodes every d > 0: nothing to mask
+        u, hgrad = np.where(inside, u, 0.0), np.where(inside[:, None], hgrad, 0.0)
+    return sample.with_trial(u, hgrad)
 
 
 @dataclass(frozen=True)
@@ -324,12 +289,3 @@ class SharpnessSpec:
 
     def label(self) -> str:
         return f"sharpness(p={float(self.p)!r},eps={float(self.eps)!r},{self.cutoff.label()})"
-
-
-def sharpness_trial(spec: SharpnessSpec, hs: HalfSpace) -> ScalarField:
-    """Build dist^alpha * cutoff with alpha = (p-1)/p + eps, exact gradient.
-
-    The gradient uses the chain rule with grad dist = nu; the field and its
-    gradient vanish outside the half-space and outside the cutoff support.
-    """
-    return _PowerWeighted(make_bump(spec.cutoff), hs, spec.exponent, spec.label())

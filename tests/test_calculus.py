@@ -23,18 +23,15 @@ from strathardy import (
     p_sub_laplacian_distance_many,
     p_sub_laplacian_fd_many,
     pairing_polynomials,
+    power_weighted_sample,
     sample_trial,
     sub_laplacian_distance_polynomial,
 )
 from strathardy.experiments import GENERAL_HARDY, HARDY, LUAN_YOUNG, REMAINDER, SOBOLEV
 from strathardy.quadrature import QuadConfig, _build_nodes
-from strathardy.trials import (
-    BumpSupport,
-    SharpnessSpec,
-    _PowerWeighted,
-    boundary_bump_spec,
-    sharpness_trial,
-)
+from strathardy.trials import BumpSupport, SharpnessSpec, boundary_bump_spec
+
+from chain_rule import power_weighted_field
 
 
 def random_unit(rng, dim, tilt=True):
@@ -131,13 +128,6 @@ class TestScalarField:
         assert np.array_equal(f.values([[3.0, 1.0]]), [3.0])
         assert np.array_equal(f.gradients([[3.0, 1.0]]), [[1.0, 1.0]])
 
-    def test_scaled(self):
-        f = ScalarField(2, lambda pts: pts[:, 0], grad_fn=lambda pts: np.tile([1.0, 0.0], (len(pts), 1)))
-        g = f.scaled(-3.0)
-        pts = np.array([[2.0, 5.0]])
-        assert g.values(pts)[0] == -6.0
-        assert np.array_equal(g.gradients(pts), [[-3.0, 0.0]])
-
 
 class TestPairings:
     def test_heisenberg_pairing_polynomials(self, h1, rng):
@@ -201,27 +191,21 @@ class TestPairings:
 _BUMP = BumpSpec(center=(0.2, -0.1, 0.8), radius=0.6)
 
 
-def _ground(u, hs, p, inverse=False):
-    """The ground-state substitution v = dist^(-(p-1)/p) u behind the remainder
-    (or, inverse, dist^((p-1)/p) u): a power of dist times a field."""
-    a = (p - 1.0) / p
-    name = "unground" if inverse else "ground"
-    return _PowerWeighted(u, hs, a if inverse else -a, f"{name}(p={p!r},{u.label})")
-
-
-# (builder of a trial from a half-space, BumpSupport.shape calls per evaluation)
+# (builder of a trial from a half-space, BumpSupport.shape calls per
+# evaluation, and a for a sample viewed as that of dist^a times the trial's)
 _TRIALS = {
-    "bump": (lambda hs: make_bump(_BUMP), 1),
-    "bump-powers-4": (lambda hs: make_bump(BumpSpec(_BUMP.center, 0.6, powers=(4, 4, 4))), 1),
-    "ground": (lambda hs: _ground(make_bump(_BUMP), hs, 3.0), 1),
-    "unground": (lambda hs: _ground(make_bump(_BUMP), hs, 2.0, inverse=True), 1),
+    "bump": (lambda hs: make_bump(_BUMP), 1, None),
+    "bump-powers-4": (lambda hs: make_bump(BumpSpec(_BUMP.center, 0.6, powers=(4, 4, 4))), 1, None),
+    # the ground-state substitution v = dist^(-(p-1)/p) u behind the
+    # remainder at p = 3, and dist^((p-1)/p) u at p = 2
+    "ground": (lambda hs: make_bump(_BUMP), 1, -2.0 / 3.0),
+    "unground": (lambda hs: make_bump(_BUMP), 1, 0.5),
     "sharpness": (
-        lambda hs: sharpness_trial(SharpnessSpec(2.0, 0.3, boundary_bump_spec(hs, 0.9)), hs),
-        1,
+        lambda hs: make_bump(boundary_bump_spec(hs, 0.9)), 1, SharpnessSpec(2.0, 0.3, _BUMP).exponent
     ),
-    "scaled": (lambda hs: make_bump(_BUMP).scaled(7.0), 1),
+    "scaled": (lambda hs: make_bump(_BUMP).scaled(7.0), 1, None),
     # no exact gradient: central differences of fn
-    "hand-built": (lambda hs: ScalarField(3, lambda pts: np.exp(-np.sum(pts * pts, axis=1))), 0),
+    "hand-built": (lambda hs: ScalarField(3, lambda pts: np.exp(-np.sum(pts * pts, axis=1))), 0, None),
 }
 
 
@@ -241,7 +225,7 @@ class TestTrialSample:
 
     @pytest.mark.parametrize("name", sorted(_TRIALS))
     def test_u_and_grad_u_come_from_one_evaluation(self, h1, rng, monkeypatch, name):
-        build, shapes = _TRIALS[name]
+        build, shapes, a = _TRIALS[name]
         hs = HalfSpace(nu=random_unit(rng, 3), d=0.1)
         u = build(hs)
         pts = rng.uniform(-0.4, 1.4, size=(40, 3))
@@ -249,16 +233,20 @@ class TestTrialSample:
         shape = BumpSupport.shape
         monkeypatch.setattr(BumpSupport, "shape", lambda *a: calls.append(1) or shape(*a))
         s = sample_trial(h1, hs, u, pts)
+        if a is not None:
+            s = power_weighted_sample(s, a)
         assert len(calls) == shapes
         assert np.any(s.u != 0.0)
-        assert np.array_equal(s.u, u.values(pts))
-        if isinstance(u, _PowerWeighted):
-            # derived from the base field's sample: grad_H u without a Euclidean grad
-            want = horizontal_from_euclidean(h1, pts, u.gradients(pts))
-            assert s.grad is None
-            assert np.max(np.abs(s.hgrad - want)) <= 1e-14 * np.max(np.abs(want))
-        else:
+        if a is None:
+            assert np.array_equal(s.u, u.values(pts))
             assert np.array_equal(s.grad, u.gradients(pts))
+        else:
+            # derived from u's sample: grad_H (dist^a u) without a Euclidean grad
+            want_u, want_grad = power_weighted_field(u, hs, a).values_and_gradients(pts)
+            want = horizontal_from_euclidean(h1, pts, want_grad)
+            assert s.grad is None
+            assert np.max(np.abs(s.u - want_u)) <= 1e-14 * np.max(np.abs(want_u))
+            assert np.max(np.abs(s.hgrad - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_w_and_hgrad_are_computed_on_first_read(self, h1, rng):
         hs = HalfSpace(nu=random_unit(rng, 3), d=0.1)
@@ -476,13 +464,15 @@ class TestApplyField:
             apply_field_to_polynomial(h1, 5, Polynomial.variable(3, 0))
 
 
-def _layout_trial(name, hs, center):
+def _layout_sample(name, spec, hs, center, pts):
+    """The sample at pts of a bump about center, or its view as dist^a times
+    the bump: the ground substitution at p = 3, or a sharpness trial."""
     bump = BumpSpec(center=tuple(center), radius=0.6)
+    s = sample_trial(spec, hs, make_bump(bump), pts)
     if name == "bump":
-        return make_bump(bump)
-    if name == "ground":
-        return _ground(make_bump(bump), hs, 3.0)
-    return sharpness_trial(SharpnessSpec(p=3.0, eps=0.1, cutoff=bump), hs)
+        return s
+    a = -2.0 / 3.0 if name == "ground" else SharpnessSpec(p=3.0, eps=0.1, cutoff=bump).exponent
+    return power_weighted_sample(s, a)
 
 
 class TestNodeLayout:
@@ -502,9 +492,8 @@ class TestNodeLayout:
         center = hs.nu * (hs.d + 0.3)
         pts = center + rng.uniform(-0.6, 0.6, size=(400, n))
         pts = pts[hs.distance(pts) > 0.0]
-        u = _layout_trial(trial, hs, center)
-        by_row = sample_trial(spec, hs, u, np.ascontiguousarray(pts))
-        by_column = sample_trial(spec, hs, u, np.asfortranarray(pts))
+        by_row = _layout_sample(trial, spec, hs, center, np.ascontiguousarray(pts))
+        by_column = _layout_sample(trial, spec, hs, center, np.asfortranarray(pts))
         assert by_column.points.flags.f_contiguous and not by_row.points.flags.f_contiguous
         assert np.any(by_row.u != 0.0)
         for name in self._BASES:

@@ -1,5 +1,7 @@
 import concurrent.futures
 import tracemalloc
+import weakref
+from itertools import product
 
 import numpy as np
 import pytest
@@ -22,10 +24,11 @@ from strathardy import (
     integrate_many,
     make_bump,
     p_sub_laplacian_fd_many,
+    power_weighted_sample,
     remainder_constant,
+    sample_trial,
     sharp_hardy_constant,
     sharpness_grid,
-    sharpness_trial,
     SharpnessSpec,
     sobolev_exponent,
 )
@@ -41,6 +44,8 @@ from strathardy.experiments import (
 )
 from strathardy.quadrature import IntegrationError
 from strathardy.streams import FUZZER, philox_chunks
+
+from chain_rule import power_weighted_field
 
 
 @pytest.fixture
@@ -171,6 +176,13 @@ class TestEachP:
     def test_no_p_integrates_nothing(self, h1, t_axis, fast_cfg):
         no_box = ScalarField(3, lambda pts: np.ones(len(pts)))
         assert each_p(HARDY, h1, t_axis, no_box, [], fast_cfg) == []
+
+    def test_the_most_p_a_config_gives_take_one_integration(
+        self, h1, t_axis, interior_bump, fast_cfg, integrations
+    ):
+        ps = [2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5]
+        rows = each_p(HARDY, h1, t_axis, interior_bump, ps, fast_cfg)
+        assert [row.p for (row,) in rows] == ps and integrations == [16]
 
 
 class TestSharedBases:
@@ -686,15 +698,21 @@ def _sweep_halfspace(spec, normal):
     return HalfSpace(nu=[1.0, -0.7, 0.4, 0.2, -0.5][: spec.total_dim], d=0.0)
 
 
-def _per_row(spec, hs, ps, eps_list, cutoff, cfg, label, digest=""):
-    """The sweep's rows, one HARDY row per (p, eps) integrated alone, as each trial is built."""
+def _per_row(spec, hs, ps, eps_list, cutoff, cfg, digest=""):
+    """The sweep's rows, each (p, eps) integrated alone, p outer and eps inner."""
+    return [
+        row for p, eps in product(ps, eps_list) for row in sharpness_grid(spec, hs, [p], [eps], cutoff, cfg, digest)
+    ]
+
+
+def _field_rows(spec, hs, ps, eps_list, cutoff, cfg):
+    """The HARDY row of each (p, eps) of the field dist^alpha * cutoff, by the chain rule."""
     rows = []
-    for p in ps:
-        for eps in eps_list:
-            trial = sharpness_trial(SharpnessSpec(p=p, eps=eps, cutoff=cutoff), hs)
-            ((rep,),) = each_p(HARDY, spec, hs, trial, [p], cfg, digest, inequality_id="sharpness")
-            rep.extras.update(eps=eps, label=label)
-            rows.append(rep)
+    for p, eps in product(ps, eps_list):
+        a = SharpnessSpec(p=p, eps=eps, cutoff=cutoff).exponent
+        field = power_weighted_field(make_bump(cutoff), hs, a)
+        ((row,),) = each_p(HARDY, spec, hs, field, [p], cfg)
+        rows.append(row)
     return rows
 
 
@@ -739,8 +757,25 @@ class TestSharpnessSweep:
         label = "verification" if normal == "x1-axis" else "probe"
         rows = sharpness_grid(spec, hs, ps, eps_list, cutoff, cfg, "digest")
         assert integrations == [8]
-        assert rows == _per_row(spec, hs, ps, eps_list, cutoff, cfg, label, "digest")
+        extras = [(r.extras["eps"], r.extras["label"]) for r in rows]
+        assert extras == [(eps, label) for _ in ps for eps in eps_list]
+        assert rows == _per_row(spec, hs, ps, eps_list, cutoff, cfg, "digest")
         assert all(r.denominator.value > 0.0 for r in rows)
+
+    # the field takes dist from the nodes, the view the rule's own; they
+    # agree where a node's coordinate along the normal is its dist, on an
+    # axis normal with offset 0 (elsewhere the dist worked back out of the
+    # nodes rounds away from the rule's near the boundary)
+    @pytest.mark.parametrize("m", [1.0, 2.5, 4.0])
+    @pytest.mark.parametrize("normal", ["x1-axis", "t-axis"])
+    @pytest.mark.parametrize("group", sorted(_SWEEP_GROUPS))
+    def test_rows_are_the_hardy_rows_of_the_power_weighted_field(self, group, normal, m):
+        spec = group_from_name(group)
+        hs = halfspace_preset(spec, normal, 0.0)
+        cutoff = boundary_bump_spec(hs, 1.0)
+        cfg = QuadConfig(points_per_axis=_SWEEP_GROUPS[group], grading_exponent=m)
+        rows = sharpness_grid(spec, hs, [2.0, 3.0], [0.5, 0.1], cutoff, cfg)
+        _same_rows(rows, _field_rows(spec, hs, [2.0, 3.0], [0.5, 0.1], cutoff, cfg))
 
     def test_one_integration_serves_the_default_sweep(self, h1, x1_axis, integrations, monkeypatch):
         shapes = []
@@ -752,9 +787,26 @@ class TestSharpnessSweep:
         # the cutoff, on the rule and its companion together
         assert len(shapes) == 1
         shapes.clear()
-        trial = sharpness_trial(SharpnessSpec(p=2.0, eps=0.5, cutoff=cutoff), x1_axis)
-        each_p(HARDY, h1, x1_axis, trial, [2.0], QuadConfig())
+        sharpness_grid(h1, x1_axis, [2.0], [0.5], cutoff, QuadConfig())
         assert len(shapes) == 1  # as many as one row alone
+
+    def test_each_row_reads_one_view_that_it_alone_holds(self, h1, x1_axis, integrations, monkeypatch):
+        # the default sweep's 8 rows: each row's view of the cutoff's sample
+        # is made once, and dropped before the next row's is made
+        made = []
+        view = experiments.power_weighted_sample
+
+        def spy(sample, a):
+            assert all(ref() is None for ref in made)
+            derived = view(sample, a)
+            made.append(weakref.ref(derived))
+            return derived
+
+        monkeypatch.setattr(experiments, "power_weighted_sample", spy)
+        cutoff = boundary_bump_spec(x1_axis, 1.0)
+        rows = sharpness_grid(h1, x1_axis, [2.0, 3.0], [0.5, 0.2, 0.1, 0.05], cutoff, QuadConfig())
+        assert len(rows) == 8 and integrations == [16] and len(made) == 8
+        assert all(ref() is None for ref in made)
 
     def test_rows_are_integrated_eight_at_a_time(self, h1, x1_axis, integrations):
         # the most rows a config may ask for: 8 p by 8 eps
@@ -764,7 +816,7 @@ class TestSharpnessSweep:
         cfg = QuadConfig(points_per_axis=6)
         rows = sharpness_grid(h1, x1_axis, ps, eps_list, cutoff, cfg)
         assert integrations == [16] * 8
-        assert rows == _per_row(h1, x1_axis, ps, eps_list, cutoff, cfg, "verification")
+        assert rows == _per_row(h1, x1_axis, ps, eps_list, cutoff, cfg)
 
     @pytest.mark.parametrize(
         "ps, eps_list, error, calls, batch_ps",
@@ -803,11 +855,11 @@ class TestSharpnessSweep:
         assert sharpness_grid(h1, x1_axis, [2.0], [], cutoff) == []
         assert integrations == []
 
-    def test_trial_field_construction(self):
+    def test_trial_field_construction(self, h1):
         hs = halfspace_preset(3, "x1-axis", 0.0)
-        u = sharpness_trial(SharpnessSpec(p=2.0, eps=0.5, cutoff=boundary_bump_spec(hs, 1.0)), hs)
-        pts = np.array([[0.25, 0.0, 0.0]])
-        assert u.values(pts)[0] > 0
+        trial = SharpnessSpec(p=2.0, eps=0.5, cutoff=boundary_bump_spec(hs, 1.0))
+        base = sample_trial(h1, hs, make_bump(trial.cutoff), np.array([[0.25, 0.0, 0.0]]))
+        assert power_weighted_sample(base, trial.exponent).u[0] > 0
 
 
 def _same_rows(rows, reference):

@@ -26,7 +26,7 @@ _EXPORTS = {
     "quadrature": "QuadConfig IntegralEstimate IntegrationError NodeBudgetError integrate_many",
     "trials": (
         "BumpSpec BumpSupport make_bump power_weighted_sample "
-        "SharpnessSpec sharpness_trial boundary_bump_spec "
+        "SharpnessSpec boundary_bump_spec "
         "random_interior_bumps"
     ),
     "experiments": (

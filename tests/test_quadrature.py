@@ -25,7 +25,6 @@ from strathardy import (
     make_bump,
     random_interior_bumps,
     sample_trial,
-    sharpness_trial,
 )
 from strathardy.config import build_trials, load_config, resolve
 from strathardy.experiments import HARDY, each_p, hardy_sobolev_ratio
@@ -45,7 +44,8 @@ from strathardy.quadrature import (
     _symmetric_sphere_rule,
     _takes_ball,
 )
-from strathardy.trials import _PowerWeighted, power_weighted_sample
+
+from chain_rule import power_weighted_field, viewed
 
 
 UNIT_BOX = np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
@@ -440,12 +440,16 @@ _T_AXIS = halfspace_preset(3, "t-axis", 0.0)
 # half-space on a rule of its own, which has no unmasked twin
 _INTERIOR = BumpSpec(center=(0.1, -0.2, 0.8), radius=0.5, powers=(2, 4, 2))
 _ON_BOUNDARY = boundary_bump_spec(_T_AXIS, 0.6)
+# the power of dist of a sharpness trial at p = 2, eps = 0.2
+_SHARPNESS_A = SharpnessSpec(p=2.0, eps=0.2, cutoff=_ON_BOUNDARY).exponent
+# (the trial, and a for integrands that read the view of its sample as
+# that of dist^a times it, or None)
 _TRIALS = {
-    "bump": lambda spec: make_bump(spec),
+    "bump": (make_bump, None),
     # the ground-state substitution dist^(-2/3) u of the remainder at p = 3
-    "ground": lambda spec: _PowerWeighted(make_bump(spec), _T_AXIS, -2.0 / 3.0, "ground"),
-    "sharpness": lambda spec: sharpness_trial(SharpnessSpec(p=2.0, eps=0.2, cutoff=spec), _T_AXIS),
-    "scaled": lambda spec: make_bump(spec).scaled(7.0),
+    "ground": (make_bump, -2.0 / 3.0),
+    "sharpness": (make_bump, _SHARPNESS_A),
+    "scaled": (lambda spec: make_bump(spec).scaled(7.0), None),
 }
 # the support's chord window in s = dist**(1/m) moves with the points per
 # axis (panels, and the coarse companion at half of them) and with m
@@ -469,12 +473,16 @@ class TestSupportMask:
     @pytest.mark.parametrize("rule", sorted(_RULES))
     @pytest.mark.parametrize("trial", sorted(_TRIALS))
     def test_masked_equals_unmasked(self, trial, rule, box_kind):
-        u = _TRIALS[trial](_INTERIOR if box_kind == "interior" else _ON_BOUNDARY)
+        build, a = _TRIALS[trial]
+        u = build(_INTERIOR if box_kind == "interior" else _ON_BOUNDARY)
         assert u.support is not None
         cfg = _RULES[rule]
-        masked = integrate_many(_INTEGRANDS, u.support_box, _T_AXIS, cfg, trial=(_H1, u))
+        fs = _INTEGRANDS if a is None else viewed(_INTEGRANDS, a)
+        masked = integrate_many(fs, u.support_box, _T_AXIS, cfg, trial=(_H1, u))
+        # unmasked, a view's trial is the field dist^a u by the chain rule
+        field = u if a is None else power_weighted_field(u, _T_AXIS, a)
         plain = integrate_many(
-            _INTEGRANDS, u.support_box, _T_AXIS, cfg, trial=(_H1, _without_support(u))
+            _INTEGRANDS, u.support_box, _T_AXIS, cfg, trial=(_H1, _without_support(field))
         )
         _assert_close(masked, plain)
         assert masked[0].value > 0.0
@@ -1114,7 +1122,8 @@ class TestBallRule:
         elif why == "box inside the ball":
             box = 0.5 * (box + box.mean(axis=1, keepdims=True))
         elif why == "sharpness":
-            u = sharpness_trial(SharpnessSpec(p=2.0, eps=0.2, cutoff=boundary_bump_spec(hs, 0.45)), hs)
+            # the cutoff a sharpness sweep integrates over
+            u = make_bump(boundary_bump_spec(hs, 0.45))
             box, support = u.support_box, u.support
         assert not _takes_ball(box, hs, support, cfg)
         rule = _build_nodes(box, hs, cfg, support)
@@ -1144,7 +1153,7 @@ class TestBallRule:
             "oblique": HalfSpace(nu=[0.6, 0.0, 0.8], d=0.1),
             "offset": halfspace_preset(3, "t-axis", 0.3),
         }.get(preset) or halfspace_preset(3, preset, 0.0)
-        u = sharpness_trial(SharpnessSpec(p=3.0, eps=0.1, cutoff=boundary_bump_spec(hs, 1.0)), hs)
+        u = make_bump(boundary_bump_spec(hs, 1.0))
         assert not _takes_ball(u.support_box, hs, u.support, QuadConfig())
 
 
@@ -1159,8 +1168,8 @@ class _Shaved(HalfSpace):
 
 
 def _sharpness_case(hs):
-    cutoff = boundary_bump_spec(hs, 0.45)
-    return _H1, hs, sharpness_trial(SharpnessSpec(p=2.0, eps=0.2, cutoff=cutoff), hs)
+    """heisenberg:1, hs and a sharpness cutoff, whose sample the integrands read through a view."""
+    return _H1, hs, make_bump(boundary_bump_spec(hs, 0.45))
 
 
 # (group, half-space, trial) and the chunk size: the product ball rule in
@@ -1202,6 +1211,8 @@ class TestJointSample:
         sample = partial(sample_trial, spec, hs, u)
         # none reads grad u, which a sharpness trial's sample does not hold
         fs = _CLIP_INTEGRANDS[1:]
+        if name.startswith("box-touching"):
+            fs = viewed(fs, _SHARPNESS_A)
         fine, coarse = (_sums(fs, part, sample)[0] for part in _parts(rule))
         joint = integrate_many(fs, u.support_box, hs, cfg, trial=(spec, u))
         assert [_bits(e) for e in joint] == [(f.hex(), abs(f - c).hex(), rule.size) for f, c in zip(fine, coarse)]
@@ -1252,7 +1263,7 @@ class TestLocalFrame:
         assert np.max(np.abs(got.u - want_u)) <= 1e-14 * np.max(np.abs(want_u))
         assert np.max(np.abs(got.grad - want_grad)) <= 1e-14 * np.max(np.abs(want_grad))
 
-    def test_scaled_and_power_weighted_bumps_keep_the_local_path(self, monkeypatch):
+    def test_scaled_bumps_keep_the_local_path(self, monkeypatch):
         spec, hs, u = _interior_ball(1)
         cfg = QuadConfig()
         rule = _build_nodes(u.support_box, hs, cfg, u.support)
@@ -1264,9 +1275,6 @@ class TestLocalFrame:
         monkeypatch.setattr(u.support, "shape", _no_shape)
         seven = sample(u.scaled(7.0))
         assert np.array_equal(seven.u, 7.0 * base.u) and np.array_equal(seven.grad, 7.0 * base.grad)
-        ground = sample(_PowerWeighted(u, hs, -2.0 / 3.0, "ground"))
-        want = power_weighted_sample(base, -2.0 / 3.0)
-        assert np.array_equal(ground.u, want.u) and np.array_equal(ground.hgrad, want.hgrad)
         # so S(7u) / S(u) of the Sobolev quotient is 1 to rounding
         scaled = hardy_sobolev_ratio(spec, hs, u.scaled(7.0), 2.0, cfg).quotient
         assert abs(scaled / once - 1.0) <= 4 * np.finfo(float).eps

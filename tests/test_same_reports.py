@@ -38,6 +38,8 @@ def test_matrix_covers_every_subcommand_and_workload():
     assert {"remainder:offset", "remainder:heisenberg2"} <= set(labels)
     # the split and the p* integrand on heisenberg:3's symmetric sphere rule
     assert {"remainder:heisenberg3", "sobolev:heisenberg3"} <= set(labels)
+    # a sharpness sweep of more rows than one integration takes
+    assert "sharpness:two-calls" in labels
 
 
 def test_the_tree_matches_itself():

@@ -14,8 +14,9 @@ from strathardy import (
     power_weighted_sample,
     random_interior_bumps,
     sample_trial,
-    sharpness_trial,
 )
+
+from chain_rule import power_weighted_field
 
 
 def fd_gradients(field, pts, h=1e-6):
@@ -164,21 +165,26 @@ class TestPowerWeightedSample:
         assert np.max(np.abs(back.hgrad - s.hgrad)) < 1e-14 * np.max(np.abs(s.hgrad))
 
     @pytest.mark.parametrize("p, eps", [(2.0, 0.5), (3.0, 0.05)])
-    def test_a_derived_sample_is_the_trials_own_bit_for_bit(self, rng, p, eps):
+    def test_a_derived_sample_is_the_power_weighted_fields(self, rng, p, eps):
         # points on both sides of an oblique, offset boundary: the derived
-        # sample zeroes the same rows the trial field does
+        # sample zeroes the rows the field dist^alpha * cutoff does
         h1 = heisenberg_group(1)
         hs = HalfSpace(nu=[1.0, -0.7, 0.4], d=0.1)
         cutoff = boundary_bump_spec(hs, 0.8)
         pts = rng.uniform(-0.8, 0.8, size=(200, 3)) + cutoff.center
         base = sample_trial(h1, hs, make_bump(cutoff), pts)
         trial = SharpnessSpec(p=p, eps=eps, cutoff=cutoff)
-        want = sample_trial(h1, hs, sharpness_trial(trial, hs), pts)
+        want = sample_trial(h1, hs, power_weighted_field(make_bump(cutoff), hs, trial.exponent), pts)
         got = power_weighted_sample(base, trial.exponent)
-        assert np.any(hs.distance(pts) <= 0.0) and np.any(got.u != 0.0)
-        for name in ("u", "hgrad", "dist", "w", "pairings"):
+        outside = hs.distance(pts) <= 0.0
+        assert np.any(outside) and np.any(got.u != 0.0)
+        assert np.all(got.u[outside] == 0.0) and np.all(got.hgrad[outside] == 0.0)
+        for name in ("u", "hgrad"):
+            ours, theirs = getattr(got, name), getattr(want, name)
+            assert np.max(np.abs(ours - theirs)) <= 1e-14 * np.max(np.abs(theirs)), name
+        for name in ("dist", "w", "pairings"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
-        assert got.grad is None and want.grad is None
+        assert got.grad is None
         assert got.dist is base.dist and got.w is base.w and got.pairings is base.pairings
 
     @pytest.mark.parametrize("p, eps", [(2.0, 0.5), (3.0, 0.05)])
@@ -187,34 +193,15 @@ class TestPowerWeightedSample:
         spec = heisenberg_group(k)
         n = spec.total_dim
         hs = HalfSpace(nu=rng.normal(size=n), d=0.1)
-        cutoff = boundary_bump_spec(hs, 0.8)
-        pts = rng.uniform(-0.8, 0.8, size=(400, n)) + cutoff.center
-        u = sharpness_trial(SharpnessSpec(p=p, eps=eps, cutoff=cutoff), hs)
-        got = sample_trial(spec, hs, u, pts).hgrad
-        want = horizontal_from_euclidean(spec, pts, u.gradients(pts))
+        trial = SharpnessSpec(p=p, eps=eps, cutoff=boundary_bump_spec(hs, 0.8))
+        cutoff, a = make_bump(trial.cutoff), trial.exponent
+        pts = rng.uniform(-0.8, 0.8, size=(400, n)) + trial.cutoff.center
+        got = power_weighted_sample(sample_trial(spec, hs, cutoff, pts), a).hgrad
+        want = horizontal_from_euclidean(spec, pts, power_weighted_field(cutoff, hs, a).gradients(pts))
         outside = hs.distance(pts) <= 0.0
         assert np.any(outside) and np.any(got != 0.0)
         assert np.all(got[outside] == 0.0)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-
-    def test_a_sample_on_another_half_space_keeps_the_fields_own_distance(self, rng):
-        hs = halfspace_preset(3, "t-axis", 0.0)
-        u = sharpness_trial(SharpnessSpec(2.0, 0.3, BumpSpec(center=(0.0, 0.0, 0.6), radius=0.5)), hs)
-        pts = rng.uniform(-0.4, 0.4, size=(60, 3)) + [0.0, 0.0, 0.6]
-        s = sample_trial(heisenberg_group(1), halfspace_preset(3, "t-axis", 0.2), u, pts)
-        assert np.array_equal(s.u, u.values(pts)) and np.array_equal(s.grad, u.gradients(pts))
-
-    def test_a_scaled_trial_reads_the_samples_dist(self, rng):
-        # a dist that is not the points' own shows which one the sample read
-        h1, hs = heisenberg_group(1), halfspace_preset(3, "t-axis", 0.0)
-        u = sharpness_trial(SharpnessSpec(2.0, 0.3, boundary_bump_spec(hs, 0.9)), hs)
-        pts = rng.uniform(-0.5, 0.5, size=(60, 3))
-        dist = rng.uniform(0.1, 1.0, size=60)
-        got = sample_trial(h1, hs, u.scaled(7.0), pts, dist)
-        want = sample_trial(h1, hs, u, pts, dist)
-        assert np.any(want.u != 0.0) and u.scaled(7.0).support is u.support
-        assert np.allclose(got.u, 7.0 * want.u, rtol=1e-14, atol=0.0)
-        assert np.allclose(got.hgrad, 7.0 * want.hgrad, rtol=1e-12, atol=1e-300)
 
 
 class TestSharpnessTrial:
@@ -229,28 +216,36 @@ class TestSharpnessTrial:
         spec = SharpnessSpec(p=2.0, eps=0.05, cutoff=BumpSpec(center=(0.0,), radius=1.0))
         assert "0.05" in spec.label() and "2.0" in spec.label()
 
+    @staticmethod
+    def _sample(trial, hs, pts):
+        """The sample of the trial at pts, viewed from its cutoff's."""
+        base = sample_trial(heisenberg_group(1), hs, make_bump(trial.cutoff), pts)
+        return power_weighted_sample(base, trial.exponent)
+
     def test_vanishes_outside_halfspace(self):
         hs = halfspace_preset(3, "x1-axis", 0.0)
         spec = SharpnessSpec(p=2.0, eps=0.1, cutoff=boundary_bump_spec(hs, 1.0))
-        u = sharpness_trial(spec, hs)
-        pts = np.array([[-0.2, 0.1, 0.0], [-0.5, 0.0, 0.0]])
-        assert np.array_equal(u.values(pts), [0.0, 0.0])
+        s = self._sample(spec, hs, np.array([[-0.2, 0.1, 0.0], [-0.5, 0.0, 0.0]]))
+        assert np.array_equal(s.u, [0.0, 0.0]) and np.array_equal(s.hgrad, np.zeros((2, 2)))
 
     def test_power_times_cutoff(self):
         hs = halfspace_preset(3, "x1-axis", 0.0)
         cut_spec = boundary_bump_spec(hs, 1.0)
-        u = sharpness_trial(SharpnessSpec(p=2.0, eps=0.25, cutoff=cut_spec), hs)
         cutoff = make_bump(cut_spec)
         pts = np.array([[0.3, 0.1, -0.2], [0.6, -0.4, 0.1]])
         expected = hs.distance(pts) ** 0.75 * cutoff.values(pts)
-        assert np.allclose(u.values(pts), expected, rtol=1e-15)
+        s = self._sample(SharpnessSpec(p=2.0, eps=0.25, cutoff=cut_spec), hs, pts)
+        assert np.allclose(s.u, expected, rtol=1e-15)
 
     def test_gradient_matches_fd(self, rng):
+        # grad_H of dist^alpha * cutoff by central differences of its values
         hs = halfspace_preset(3, "x1-axis", 0.0)
         spec = SharpnessSpec(p=3.0, eps=0.2, cutoff=boundary_bump_spec(hs, 1.0))
-        u = sharpness_trial(spec, hs)
+        field = power_weighted_field(make_bump(spec.cutoff), hs, spec.exponent)
         pts = rng.uniform(0.2, 0.7, size=(40, 3))
-        assert np.max(np.abs(u.gradients(pts) - fd_gradients(u, pts))) < 1e-6
+        want = horizontal_from_euclidean(heisenberg_group(1), pts, fd_gradients(field, pts))
+        assert np.max(np.abs(field.gradients(pts) - fd_gradients(field, pts))) < 1e-6
+        assert np.max(np.abs(self._sample(spec, hs, pts).hgrad - want)) < 1e-6
 
 
 class TestSupportPredicate:
@@ -289,11 +284,13 @@ class TestSupportPredicate:
         spec = BumpSpec(center=(0.0, 0.0, 0.7), radius=0.5)
         u = make_bump(spec)
         assert u.scaled(7.0).support is u.support
-        w = sharpness_trial(SharpnessSpec(p=2.0, eps=0.1, cutoff=spec), hs)
+        # a sharpness trial's sample, viewed from the bump's, is 0.0 off its support
         pts = np.array([[0.0, 0.0, 0.7], [0.0, 0.0, 1.3], [0.45, 0.0, 0.7]])
-        assert np.array_equal(w.support(pts), u.support(pts))
+        a = SharpnessSpec(p=2.0, eps=0.1, cutoff=spec).exponent
+        w = power_weighted_sample(sample_trial(heisenberg_group(1), hs, u, pts), a)
+        assert np.array_equal(w.u != 0.0, u.support(pts))
+        assert np.all(w.hgrad[~u.support(pts)] == 0.0)
 
     def test_hand_built_field_has_no_predicate(self):
         f = ScalarField(2, fn=lambda p: np.ones(len(p)))
         assert f.support is None
-        assert f.scaled(2.0).support is None

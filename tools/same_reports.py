@@ -14,11 +14,11 @@ oblique normals on heisenberg:2 to :4, ``hardy`` on heisenberg:5
 (whose ball template is too large to cache), ``hardy`` on bumps
 that touch the boundary (clearance 0), ``hardy`` on heisenberg:2 at 4
 points per axis (the smallest ball companion), ``sobolev`` on abelian:5,
-``sharpness`` on heisenberg:2, on an oblique normal and on an offset
-t-axis, and ``luan-young`` on heisenberg:2 with an oblique normal, which
-the command pins to the t-axis, and with ``p: [2, 3]``, which it
-ignores.  Each runs at seeds 1 and 42, in
-CSV and in JSON, in a fresh interpreter.  Standard output, standard error
+``sharpness`` on heisenberg:2, on an oblique normal, on an offset
+t-axis and at three p (12 rows, integrated in two calls), and
+``luan-young`` on heisenberg:2 with an oblique normal, which the command
+pins to the t-axis, and with ``p: [2, 3]``, which it ignores.  Each runs
+at seeds 1 and 42, in CSV and in JSON, in a fresh interpreter.  Standard output, standard error
 (with each tree's own path replaced by ``<tree>``) and the exit code are
 compared; every run that differs is listed with the start of its diff.
 Exits 0 when every run is identical and 1 otherwise.
@@ -147,6 +147,8 @@ def matrix() -> list[Case]:
         ),
         Case("sharpness:oblique", "sharpness", {"halfspace": {"nu": [0.6, 0.0, 0.8], "d": 0.1}}),
         Case("sharpness:offset", "sharpness", {"halfspace": {"preset": "t-axis", "d": 0.3}}),
+        # 12 (p, eps) rows: two integrations, of 8 rows and of 4
+        Case("sharpness:two-calls", "sharpness", {"p": [2.0, 3.0, 4.0]}),
         Case(
             "hardy:heisenberg2-4-points",
             "hardy",
