@@ -12,8 +12,8 @@ method other than ``boundary-graded``, a quadrature over its node
 budget, a trial the quadrature rule never sees (its denominator integral
 vanishes, or its quotient or stderr is not finite; the line names the
 trial and p), an integrand that overflows at a node (p too large, say;
-the line names the trial, the p integrated with it and the node) and a
-beta whose beta-form coefficient overflows.
+the line names the trial and p of its row and the node) and a beta
+whose beta-form coefficient overflows.
 The first such error ends the run with its one line.  All randomness is
 counter-based and derived from the seed, so identical configurations
 produce byte-identical reports.

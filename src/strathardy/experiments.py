@@ -9,9 +9,9 @@ rule, so one rule, one support mask and one trial sample serve every p of
 a trial, and propagates a standard error into each
 :class:`~strathardy.reports.Report`.  The integrands are array
 expressions over the :class:`~strathardy.calculus.TrialSample` that
-quadrature computes once per chunk of nodes.  The first error raises.  An
-integrand that is not finite at a node raises an IntegrationError naming
-the integrated trial and the p of that integration; a denominator
+quadrature computes once per block of at most 16,384 nodes.  The first
+error raises.  An integrand that is not finite at a node raises an
+IntegrationError naming the trial and the p of its row; a denominator
 integral too small to divide by, or a row whose quotient or stderr is
 not finite or whose numerator or denominator has a stderr as large as
 itself, raises a TrivialTrialError naming the trial and its p.  The
@@ -199,8 +199,8 @@ def _integrate_rows(
     estimate does not depend on the other integrands of the call, so each
     group's rows are, bit for bit, those of integrating that group alone.
 
-    The first error raises: an IntegrationError names u and the p of the
-    call, a TrivialTrialError its group's trial and p, also for a row whose
+    The first error raises: an IntegrationError names the trial and p of
+    its integrand's group, a TrivialTrialError its group's, also for a row whose
     quotient or stderr is not finite or whose numerator or denominator has
     a stderr equal to its size (not 0).  An empty ``groups`` integrates nothing.
     """
@@ -216,8 +216,8 @@ def _integrate_rows(
                 integrate_many(_read_through_views(call), u.support_box, hs, cfg, trial=(spec, u))
             )
         except IntegrationError as exc:
-            ps = list(dict.fromkeys(g.p for g in call))
-            raise IntegrationError(f"trial {u.label} at p {ps}: {exc}", exc.point) from exc
+            group = [g for g in call for _ in g.integrands][exc.index]
+            raise IntegrationError(f"trial {group.label} at p {group.p!r}: {exc}", exc.point, exc.index) from exc
         for g in call:
             mine = [next(estimates) for _ in g.integrands]
             den = mine[g.denominator].value

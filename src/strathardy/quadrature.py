@@ -53,11 +53,12 @@ dimensions on.  One node set holds the rule's nodes, then its
 companion's.  A Monte Carlo rule has no companion and reports the spread
 of its sums over its lines, 0.0 on a line that holds no node.  Each
 integrand is called on one :class:`~strathardy.calculus.TrialSample` of
-the node set (of each 2**20-node piece of a larger one), whose ``dist``
-is the rule's; with a trial it also holds u and grad u (``hgrad`` alone
-on a derived sample), computed once and shared by all integrands.  Each
-integrand is summed over the rule and over its companion alone before
-the next is called, so memory does not grow with the integrand count.
+each block of at most 2**14 nodes, cut from the start of the rule's
+nodes and of its companion's (one block for both where they fit); with a
+trial it holds u and grad u (``hgrad`` alone on a derived sample),
+shared by all integrands, each summed before the next is called.  So
+memory is the rule's arrays and one block's sample; a part of several
+blocks (the heisenberg:2 ball rule's, say) moves in its last bits.
 
 The ball rule hands the sample its nodes' local coordinates, (z, S) of
 its unit-ball template, with z = (x - c) / r and S = |z|^2 summed once
@@ -102,7 +103,7 @@ __all__ = [
 _CHUNK = 1 << 16
 _PANEL_RATIO = 0.5
 _PANEL_ORDER = 8
-_EVAL_CHUNK = 1 << 20
+_EVAL_CHUNK = 1 << 14
 _NODE_BUDGET = 20_000_000
 # relative slack of a chord's distance range against rounding (see _s_window)
 _WINDOW_MARGIN = 1e-12
@@ -142,11 +143,11 @@ class IntegralEstimate:
 
 
 class IntegrationError(ValueError):
-    """Raised when an integrand returns a non-finite value at a node."""
+    """Raised when integrand ``index`` of a call returns a non-finite value at node ``point``."""
 
-    def __init__(self, message: str, point: np.ndarray | None = None):
+    def __init__(self, message: str, point: np.ndarray | None = None, index: int | None = None):
         super().__init__(message)
-        self.point = point
+        self.point, self.index = point, index
 
 
 class NodeBudgetError(ValueError):
@@ -538,11 +539,11 @@ def _sums(fs, rule: _Rule, sample) -> np.ndarray:
     split); for a Monte Carlo rule its sums over each line numbered in
     ``rule.line`` instead, (len(fs), rule.line.max() + 1).
 
-    Each part is summed in ``_EVAL_CHUNK`` pieces from its own start, so no
-    sum mixes the parts.  The integrands run on ``sample(nodes, dist,
-    local=local)`` of all the nodes where they fit in one chunk, else of
-    each piece alone, ``local`` the same rows of ``rule.local`` (None on
-    the box rule)."""
+    The integrands run on ``sample(nodes, dist, local=local)`` of each
+    block of at most ``_EVAL_CHUNK`` nodes (see the module docstring),
+    ``local`` the same rows of ``rule.local`` (None on the box rule), and
+    each block's sums are added to its part's.  A non-finite value raises
+    IntegrationError with ``index`` its integrand's place in ``fs``."""
     line = rule.line
     ends = [len(rule.points)] if rule.split is None else [rule.split, len(rule.points)]
     sums = np.zeros((len(ends), len(fs)) if line is None else (len(fs), int(line.max(initial=-1)) + 1))
@@ -564,21 +565,20 @@ def _sums(fs, rule: _Rule, sample) -> np.ndarray:
                         # values that overflow it are no error
                         total = np.sum(weights * v)
                         if not np.isfinite(total):
-                            _check_finite(v, points)
+                            _check_finite(v, points, i)
                         sums[part, i] += total
                     else:
-                        _check_finite(v, points)
+                        _check_finite(v, points, i)
                         sums[i] += np.bincount(line[lo:hi], weights=weights * v, minlength=sums.shape[1])
     return sums
 
 
-def _check_finite(v, points) -> None:
-    """Raise IntegrationError naming the first of ``points`` where v is not finite."""
+def _check_finite(v, points, index: int) -> None:
+    """Raise IntegrationError naming integrand ``index`` and the first of ``points`` where v is not finite."""
     bad = ~np.isfinite(v)
     if np.any(bad):
         where = points[np.flatnonzero(bad)[0]]
-        message = f"integrand returned a non-finite value at point {where.tolist()}"
-        raise IntegrationError(message, point=where)
+        raise IntegrationError(f"integrand returned a non-finite value at point {where.tolist()}", where, index)
 
 
 def integrate_many(
@@ -591,7 +591,7 @@ def integrate_many(
     """Integrate several integrands over box intersect {dist > 0} on one node set.
 
     Each integrand maps a :class:`~strathardy.calculus.TrialSample` of a
-    batch of M nodes (a rule's and its companion's) to (M,) values.  The sample's ``dist`` is the
+    block of M <= 16,384 nodes to (M,) values.  The sample's ``dist`` is the
     distance the rule carries for each node, exact on the boundary-graded
     rule.  Without ``trial`` the sample holds the nodes and their dist
     alone.  With ``trial = (spec, u)`` it is :func:`sample_trial` of u at

@@ -693,7 +693,7 @@ class TestOneIntegrationPerTrial:
         group, hs, _, cfg = resolve(load_config(path))
         trials = build_trials(group, hs, cfg)
         line = (
-            f"configuration error: trial {trials[failing].label} at p [2.0, 400.0]: "
+            f"configuration error: trial {trials[failing].label} at p 400.0: "
             "integrand returned a non-finite value at point ["
         )
         assert err.startswith(line) and err.endswith("]\n") and err.count("\n") == 1

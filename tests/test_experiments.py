@@ -42,7 +42,8 @@ from strathardy.experiments import (
     TrivialTrialError,
     each_p,
 )
-from strathardy.quadrature import IntegrationError
+from strathardy import quadrature
+from strathardy.quadrature import IntegrationError, _build_nodes
 from strathardy.streams import FUZZER, philox_chunks
 
 from chain_rule import power_weighted_field
@@ -162,13 +163,11 @@ class TestEachP:
             each_p(HARDY, h1, t_axis, u, [2.0, 300.0], fast_cfg)
         assert str(got.value).startswith(f"trivial trial function {u.label} at p 300.0: ")
 
-    def test_an_overflow_names_the_trial_and_the_p_of_its_one_integration(
-        self, h1, t_axis, fast_cfg, integrations
-    ):
+    def test_an_overflow_names_the_trial_and_the_p_of_its_row(self, h1, t_axis, fast_cfg, integrations):
         u = make_bump(self._SMALL)
         with pytest.raises(IntegrationError) as got:
             each_p(HARDY, h1, t_axis, u, [2.0, 1000.0], fast_cfg)
-        message = f"trial {u.label} at p [2.0, 1000.0]: integrand returned a non-finite value at point "
+        message = f"trial {u.label} at p 1000.0: integrand returned a non-finite value at point "
         assert str(got.value).startswith(message)
         assert got.value.point is not None and got.value.point.shape == (3,)
         assert integrations == [4]
@@ -730,6 +729,14 @@ def integrations(monkeypatch):
     return counts
 
 
+def _sweep_blocks(hs, cutoff):
+    """The blocks that integrate_many samples the sweep's rule and its companion in, at the default config."""
+    u = make_bump(cutoff)
+    rule = _build_nodes(u.support_box, hs, QuadConfig(), u.support)
+    parts = (rule.split, len(rule.points) - rule.split)
+    return sum(-(-size // quadrature._EVAL_CHUNK) for size in parts)
+
+
 class TestSharpnessSweep:
     def test_quotients_decrease_toward_bound(self, h1):
         hs = halfspace_preset(h1, "x1-axis", 0.0)
@@ -784,15 +791,16 @@ class TestSharpnessSweep:
         cutoff = boundary_bump_spec(x1_axis, 1.0)
         rows = sharpness_grid(h1, x1_axis, [2.0, 3.0], [0.5, 0.2, 0.1, 0.05], cutoff, QuadConfig())
         assert len(rows) == 8 and integrations == [16]
-        # the cutoff, on the rule and its companion together
-        assert len(shapes) == 1
+        # one sample of the cutoff per block of the rule and its companion
+        blocks = _sweep_blocks(x1_axis, cutoff)
+        assert blocks > 2 and len(shapes) == blocks
         shapes.clear()
         sharpness_grid(h1, x1_axis, [2.0], [0.5], cutoff, QuadConfig())
-        assert len(shapes) == 1  # as many as one row alone
+        assert len(shapes) == blocks  # as many as one row alone
 
     def test_each_row_reads_one_view_that_it_alone_holds(self, h1, x1_axis, integrations, monkeypatch):
-        # the default sweep's 8 rows: each row's view of the cutoff's sample
-        # is made once, and dropped before the next row's is made
+        # the default sweep's 8 rows: each row's view of a block's sample of
+        # the cutoff is made once, and dropped before the next view is made
         made = []
         view = experiments.power_weighted_sample
 
@@ -805,7 +813,7 @@ class TestSharpnessSweep:
         monkeypatch.setattr(experiments, "power_weighted_sample", spy)
         cutoff = boundary_bump_spec(x1_axis, 1.0)
         rows = sharpness_grid(h1, x1_axis, [2.0, 3.0], [0.5, 0.2, 0.1, 0.05], cutoff, QuadConfig())
-        assert len(rows) == 8 and integrations == [16] and len(made) == 8
+        assert len(rows) == 8 and integrations == [16] and len(made) == 8 * _sweep_blocks(x1_axis, cutoff)
         assert all(ref() is None for ref in made)
 
     def test_rows_are_integrated_eight_at_a_time(self, h1, x1_axis, integrations):
@@ -819,22 +827,23 @@ class TestSharpnessSweep:
         assert rows == _per_row(h1, x1_axis, ps, eps_list, cutoff, cfg)
 
     @pytest.mark.parametrize(
-        "ps, eps_list, error, calls, batch_ps",
+        "ps, eps_list, error, calls, row",
         [
             # a cutoff of radius 2 reaches dist 2, where dist^300.5 raised to
-            # p = 6 overflows: the one batch fails
-            ([2.0, 6.0], [0.5, 300.0], IntegrationError, [8], [2.0, 6.0]),
-            # (400, 0.5) is trivial, but its batch overflows before any row is made
-            ([2.0, 400.0, 6.0], [0.5, 300.0], IntegrationError, [12], [2.0, 400.0, 6.0]),
+            # p = 6 overflows: the one batch fails, naming that row
+            ([2.0, 6.0], [0.5, 300.0], IntegrationError, [8], (6.0, 300.0)),
+            # (400, 0.5) is trivial, but its batch overflows at (400, 300)
+            # before any row is made
+            ([2.0, 400.0, 6.0], [0.5, 300.0], IntegrationError, [12], (400.0, 300.0)),
             # 12 rows: the first 8 hold, the overflow is in the second batch
-            ([2.0, 3.0, 6.0], [0.5, 0.2, 0.1, 300.0], IntegrationError, [16, 8], [6.0]),
+            ([2.0, 3.0, 6.0], [0.5, 0.2, 0.1, 300.0], IntegrationError, [16, 8], (6.0, 300.0)),
             # a row that cannot be built fails the sweep before anything is integrated
             ([2.0], [0.5, -1.0, 0.2], ValueError, [], None),
             ([6.0], [300.0, -1.0], ValueError, [], None),
         ],
     )
     def test_the_first_failing_row_raises_its_own_error(
-        self, h1, x1_axis, integrations, ps, eps_list, error, calls, batch_ps
+        self, h1, x1_axis, integrations, ps, eps_list, error, calls, row
     ):
         cutoff = boundary_bump_spec(x1_axis, 2.0)
         cfg = QuadConfig(points_per_axis=6)
@@ -842,7 +851,9 @@ class TestSharpnessSweep:
             sharpness_grid(h1, x1_axis, ps, eps_list, cutoff, cfg)
         assert type(got.value) is error
         if error is IntegrationError:
-            assert str(got.value).startswith(f"trial {make_bump(cutoff).label} at p {batch_ps}: ")
+            p, eps = row
+            label = SharpnessSpec(p=p, eps=eps, cutoff=cutoff).label()
+            assert str(got.value).startswith(f"trial {label} at p {p!r}: integrand returned a non-finite value")
             assert got.value.point is not None
         else:
             assert str(got.value) == "eps must be positive"

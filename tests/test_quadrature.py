@@ -349,7 +349,8 @@ class TestFiniteSums:
 
             with pytest.raises(IntegrationError, match="non-finite") as err:
                 self._sums(f, rule, name)
-            assert np.array_equal(err.value.point, target)
+            # and its integrand, the second of the call
+            assert np.array_equal(err.value.point, target) and err.value.index == 1
 
     # a deterministic rule sums each integrand's weighted values at once
     @pytest.mark.parametrize("name", ["ball", "box"])
@@ -367,7 +368,7 @@ class TestFiniteSums:
         assert rule.split is None and rule.line is not None
         checked = []
         check = quadrature._check_finite
-        monkeypatch.setattr(quadrature, "_check_finite", lambda v, pts: checked.append(v.size) or check(v, pts))
+        monkeypatch.setattr(quadrature, "_check_finite", lambda v, *args: checked.append(v.size) or check(v, *args))
         ones = lambda s: np.ones(len(s))
         _sums([ones, ones], rule, partial(sample_trial, None, _MC_HS, None))
         assert checked == [len(rule.points)] * 2
@@ -1172,15 +1173,17 @@ def _sharpness_case(hs):
     return _H1, hs, make_bump(boundary_bump_spec(hs, 0.45))
 
 
-# (group, half-space, trial) and the chunk size: the product ball rule in
-# 3 and 5 dimensions, the symmetric one in 7, the graded rule on an interior
-# box and on a boundary-touching sharpness trial; chunks of 300 nodes,
-# which cut the nodes of both rules and their companions unevenly, so that
-# a chunk grid laid over the whole node set would sum the companion in
-# other pieces; and a ball whose dist > 0 filter drops nodes
+# (group, half-space, trial) and the chunk size (None: the real block
+# size): the product ball rule in 3 and 5 dimensions, the symmetric one in
+# 7, the graded rule on an interior box and on a boundary-touching
+# sharpness trial; the 5-dimension ball rule (heisenberg:2's default) and
+# the sharpness trial's rule are larger than one real block; chunks of 300
+# nodes, which cut the nodes of both rules and their companions unevenly,
+# so that a chunk grid laid over the whole node set would sum the
+# companion in other pieces; and a ball whose dist > 0 filter drops nodes
 _JOINT_CASES = {
     "ball-3": lambda: (_interior_ball(1), None),
-    "ball-5": lambda: (_interior_ball(2), None),
+    "ball-5-blocks": lambda: (_interior_ball(2), None),
     "ball-7": lambda: (_interior_ball(3), None),
     "box-interior": lambda: (_interior_ball(1, powers=(2, 4, 2)), None),
     "box-touching": lambda: (_sharpness_case(_T_AXIS), None),
@@ -1204,6 +1207,10 @@ class TestJointSample:
         assert rule.line is None and 0 < rule.split < len(rule.points)
         if chunk is not None:
             assert rule.split % chunk != 0 and len(rule.points) > chunk
+        if name.endswith("blocks"):
+            # unpatched: the rule's 62,208 nodes take 4 blocks, its companion's 1,944 one
+            assert (rule.split, len(rule.points)) == (62_208, 64_152)
+            assert quadrature._EVAL_CHUNK < rule.split < 4 * quadrature._EVAL_CHUNK
         if name.endswith("shaved"):
             # every 7th of the 3,072 + 384 nodes dropped, the split recounted
             assert rule.split == 3072 - len(range(0, 3072, 7)) and len(rule.points) == 3456 - len(range(0, 3456, 7))
@@ -1217,6 +1224,37 @@ class TestJointSample:
         joint = integrate_many(fs, u.support_box, hs, cfg, trial=(spec, u))
         assert [_bits(e) for e in joint] == [(f.hex(), abs(f - c).hex(), rule.size) for f, c in zip(fine, coarse)]
         assert all(e.stderr > 0.0 for e in joint)
+
+
+class TestBlockMemory:
+    # the heisenberg:2 ball rule (64,152 and 481,608 nodes) and the
+    # heisenberg:1 sharpness box rule (50,132 and 287,364), each larger than
+    # one block at both resolutions
+    @pytest.mark.parametrize(
+        "case, resolutions",
+        [(lambda: _interior_ball(2), (16, 24)), (lambda: _sharpness_case(_T_AXIS), (16, 32))],
+        ids=["ball-5", "box-touching"],
+    )
+    def test_peak_memory_past_the_rule_does_not_grow_with_the_rule(self, case, resolutions, monkeypatch):
+        spec, hs, u = case()
+        build = quadrature._build_nodes
+        peaks = {}
+        for ppa in resolutions:
+            cfg = QuadConfig(points_per_axis=ppa)
+            # the rule is built before tracing, so the peak is what its
+            # integration holds past the rule's own arrays
+            rule = build(u.support_box, hs, cfg, u.support)
+            assert len(rule.points) > 2 * quadrature._EVAL_CHUNK
+            monkeypatch.setattr(quadrature, "_build_nodes", lambda *args: rule)
+            integrate_many(_MANY[:2], u.support_box, hs, cfg, trial=(spec, u))
+            tracemalloc.start()
+            try:
+                integrate_many(_MANY[:2], u.support_box, hs, cfg, trial=(spec, u))
+                peaks[ppa] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        small, large = resolutions
+        assert peaks[large] <= 1.05 * peaks[small]
 
 
 # the ball rule's local coordinates: the product sphere rule in 3 and 5

@@ -40,6 +40,8 @@ def test_matrix_covers_every_subcommand_and_workload():
     assert {"remainder:heisenberg3", "sobolev:heisenberg3"} <= set(labels)
     # a sharpness sweep of more rows than one integration takes
     assert "sharpness:two-calls" in labels
+    # a ball rule integrated in many blocks, on a template too large to cache
+    assert "hardy:heisenberg2-24-points" in labels
 
 
 def test_the_tree_matches_itself():

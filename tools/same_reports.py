@@ -13,7 +13,8 @@ the p* integrand on the symmetric sphere rule's bumps),
 oblique normals on heisenberg:2 to :4, ``hardy`` on heisenberg:5
 (whose ball template is too large to cache), ``hardy`` on bumps
 that touch the boundary (clearance 0), ``hardy`` on heisenberg:2 at 4
-points per axis (the smallest ball companion), ``sobolev`` on abelian:5,
+points per axis (the smallest ball companion) and at 24 (a ball rule of
+many blocks), ``sobolev`` on abelian:5,
 ``sharpness`` on heisenberg:2, on an oblique normal, on an offset
 t-axis and at three p (12 rows, integrated in two calls), and
 ``luan-young`` on heisenberg:2 with an oblique normal, which the command
@@ -149,6 +150,13 @@ def matrix() -> list[Case]:
         Case("sharpness:offset", "sharpness", {"halfspace": {"preset": "t-axis", "d": 0.3}}),
         # 12 (p, eps) rows: two integrations, of 8 rows and of 4
         Case("sharpness:two-calls", "sharpness", {"p": [2.0, 3.0, 4.0]}),
+        # a 481,608-node ball rule on a template too large to cache,
+        # integrated in many blocks
+        Case(
+            "hardy:heisenberg2-24-points",
+            "hardy",
+            {"group": "heisenberg:2", "quadrature": {"points_per_axis": 24}, "trials": {"count": 4}},
+        ),
         Case(
             "hardy:heisenberg2-4-points",
             "hardy",
