@@ -119,11 +119,9 @@ class ScalarField:
     axis)`` gives two (M,) arrays lo and hi such that every point of the
     mask on the line through each point along coordinate ``axis`` has its
     ``axis`` coordinate in [lo, hi] (lo > hi where the line holds none);
-    the interval may be wider than needed.  Quadrature builds no node
-    outside the chord of its line on the boundary-graded rule (the ball
-    rule has none outside the support), and sums each integrand over the
-    nodes it builds (see :func:`~strathardy.quadrature.integrate_many`).  ``None``
-    means the support is not known beyond ``support_box``.
+    the interval may be wider than needed (quadrature builds no node
+    outside it, see :func:`~strathardy.quadrature.integrate_many`).
+    ``None`` means the support is not known beyond ``support_box``.
 
     A field whose values and gradients share their arithmetic is given by
     ``fn_and_grad`` instead of ``fn`` and ``grad_fn``: it maps (M, n) to
@@ -363,9 +361,11 @@ def sample_trial(spec: GroupSpec, hs: HalfSpace, u, points, dist=None, local=Non
     of boundary distance ``dist``, ``hs.distance(points)`` if None.
 
     u and grad u come from one :meth:`ScalarField.values_and_gradients`
-    call.  (A power of dist times a field is not sampled here: its sample
-    is derived from the field's, see
-    :func:`~strathardy.trials.power_weighted_sample`.)
+    call.  A field that depends on dist is not sampled here, where it
+    would work dist back out of the points, which round by about
+    1e-16 |x| while a quadrature rule's exact dist reaches 1e-32: its
+    sample is derived from one that reads the sample's ``dist`` (as
+    :func:`~strathardy.trials.power_weighted_sample` does for dist^a u).
     ``local`` is what the rule that placed the points knows of them in its
     own frame: on the ball rule the pair (z, S) of the unit-ball offsets
     z = (x - c) / r, (M, n), and S = |z|^2, (M,).  A bump about that ball's

@@ -1,81 +1,60 @@
 """Quadrature over coordinate boxes clipped to a half-space.
 
-One method, ``boundary-graded``, builds a rule record (nodes, their
-boundary distances and weights, and on its Monte Carlo branch the line
-of each node), and one function evaluates it.
+The one method, ``boundary-graded``, builds a rule record and one
+function evaluates it.  Its box rule integrates along the half-space
+normal with the substitution dist = s**m (grading exponent m), which
+turns integrable boundary singularities dist**g, g > -1, into something
+Gauss rules can handle.  When the box touches the boundary the s-axis
+additionally uses composite Gauss panels graded geometrically toward
+s = 0, because a single Gauss rule cannot absorb the leftover algebraic
+singularity at strongly negative g.  Accuracy degrades as g approaches
+-1 (the integral itself blows up); the property tests pin g in [-0.9, 3].
+Transverse directions use a tensor Gauss rule up to 4 axes and seeded
+Monte Carlo, reproducible bit for bit, above that (``_philox_uniform``).
 
-The box rule integrates along the half-space normal with the
-substitution dist = s**m (grading exponent m), which turns integrable
-boundary singularities dist**g, g > -1, into something Gauss rules can
-handle.  When the box touches the boundary the s-axis additionally uses
-composite Gauss panels graded geometrically toward s = 0, because a
-single Gauss rule cannot absorb the leftover algebraic singularity at
-strongly negative g.  Accuracy degrades as g approaches -1 (the integral
-itself blows up); the property tests pin g in [-0.9, 3].  Transverse
-directions use a tensor Gauss rule up to 4 axes and deterministic-seeded
-Monte Carlo above that: Philox streams keyed by the seed and the chunk
-index in the ``streams.MONTE_CARLO`` key domain, over fixed-size chunks,
-so results are reproducible bit for bit however the host schedules work.
+Given the support of a round bump whose closed ball lies inside the box
+and strictly inside the half-space (see ``_takes_ball``), the method
+takes a ball rule instead: a spherical-radial rule about the bump's
+centre, Gauss-Legendre in the radius and a rule on the sphere (Stroud
+1971) at the resolutions of ``_ball_resolution``.  The bump is radial, so
+its essential singularity at the ball's edge meets only the radial rule.
 
-Given the support of a round bump (a ``BumpSupport`` of powers 2) whose
-closed ball lies inside the box and strictly inside the half-space, the
-method takes a ball rule instead: nodes c + r rho w about the bump's
-centre c, rho by Gauss-Legendre on (0, 1) with weight rho**(n-1) r**n, w
-by a rule on the sphere (Stroud 1971), at the resolutions of
-``_ball_resolution``.  The bump is radial, so its essential singularity
-at the ball's edge meets only the radial rule.  Up to 5 dimensions the
-sphere takes a product Gauss rule (the trapezoid rule on the circle,
-Gauss-Jacobi from Golub-Welsch on each polar angle).  A product rule
-grows as order**(n-1), so from 6 dimensions on the sphere takes Stroud's
-fully symmetric rule of degree 5 (2n + 2**n directions) from 16 points
-per axis, against degree 3 (the 2n directions +-e_i) on the companion;
-below 16, and where the ball rule would have more nodes than
-``sample_count`` (past 13 dimensions at the default), the box stays on
-the graded rule.
-
-Every rule carries each built node's boundary distance: dist = s**m on
-the box rule, exact however the node's coordinates round, and
-``hs.distance`` of the node on the ball rule.  A rule holds only the
-nodes it evaluates, those with dist > 0 and, given a trial ``(spec, u)``,
-inside ``u.support``: the ball rule has no others, and the box rule
-builds only the nodes in the support's chord through their line along
-the normal axis (``u.support.chord``, see
-:class:`~strathardy.calculus.ScalarField`), on the lines that reach into
-the half-space.  A chord may be a little wider than the support; the
-integrands are 0.0 in that margin.
+Every rule carries each node's boundary distance: dist = s**m on the box
+rule, exact however the node's coordinates round, and ``hs.distance`` of
+the node on the ball rule.  A rule evaluates only nodes with dist > 0
+and, given a trial ``(spec, u)``, inside ``u.support``: the ball rule has
+no others, and the box rule builds, a chunk of lines at a time straight
+into its arrays, only the nodes in the support's chord through their
+line along the normal axis (``u.support.chord``), on the lines that
+reach into the half-space.  The integrands are 0.0 in the margin by
+which a chord may be wider than the support.
 
 A deterministic rule (the ball rule, or the box rule with at most 4
-transverse axes) reports as stderr its gap to its companion: the same
-builder at half the points per axis (at least 2: ``points_per_axis`` is
-at least 4), half the panel order on graded panels, and on the ball rule
-half the radial nodes and sphere order, sphere degree 3 from 6
-dimensions on.  One node set holds the rule's nodes, then its
-companion's.  A Monte Carlo rule has no companion and reports the spread
-of its sums over its lines, 0.0 on a line that holds no node.  Each
-integrand is called on one :class:`~strathardy.calculus.TrialSample` of
-each block of at most 2**14 nodes, cut from the start of the rule's
-nodes and of its companion's (one block for both where they fit); with a
-trial it holds u and grad u (``hgrad`` alone on a derived sample),
-shared by all integrands, each summed before the next is called.  So
-memory is the rule's arrays and one block's sample; a part of several
-blocks (the heisenberg:2 ball rule's, say) moves in its last bits.
+transverse axes) reports as stderr its gap to its companion, the same
+builder at half the resolution (``_ball_resolution``; half the points per
+axis and panel order on the box).  One node set holds the rule's nodes,
+then its companion's.  A Monte Carlo rule reports the spread of its sums
+over its lines, 0.0 on a line that holds no node.  Each integrand is
+called on one :class:`~strathardy.calculus.TrialSample` of each block of
+at most 2**14 nodes, cut from the start of the rule's nodes and of its
+companion's (one block for both where they fit), shared by all
+integrands, each summed before the next is called; a part of several
+blocks moves in its last bits against one sum.
 
-The ball rule hands the sample its nodes' local coordinates, (z, S) of
-its unit-ball template, with z = (x - c) / r and S = |z|^2 summed once
-per template, so a bump about c is evaluated from them and never works
-them back out of the rounded nodes (see
+The ball rule holds of its nodes only their dist, and places each block
+from its unit-ball template (z, S, weights), z = (x - c) / r and
+S = |z|^2: the points c + r z and the weights times r^n.  So integration
+holds one block's sample past the template and dist, or past the box
+rule's arrays.  The sample gets (z, S) as the nodes' local coordinates,
+so a bump about c never works them back out of the rounded nodes (see
 :func:`~strathardy.calculus.sample_trial`).  Every rule stores its nodes
-column-major.  The ball rule caches up to 16 unit-ball templates (a rule
-and its companion) of at most 4 MiB each (``_BALL_CACHE_BYTES``: nodes, S
-and weights): at 16 points per axis those up to 10 dimensions.
+column-major.  Up to 16 templates of at most 4 MiB (``_BALL_CACHE_BYTES``)
+are cached: at 16 points per axis those up to 10 dimensions.
 
-``evaluations`` in the returned estimate counts the nodes considered,
-that is the nodes of the full rule, built or not (the ball rule's own
-nodes on the ball rule).  A non-finite integrand value raises
-IntegrationError naming the offending point.  No rule considers more
-than 2e7 nodes (a companion is counted on its own): the count is worked
-out before anything is allocated, and a larger request raises
-NodeBudgetError.
+``evaluations`` counts the nodes of the full rule, built or not (the
+ball rule's own on the ball rule).  A non-finite integrand value raises
+IntegrationError naming its point.  A rule or companion of more than 2e7
+nodes raises NodeBudgetError before anything is allocated.
 """
 
 from __future__ import annotations
@@ -184,19 +163,13 @@ def _philox_uniform(seed: int, count: int, dim: int) -> np.ndarray:
 
 
 class _Rule(NamedTuple):
-    """The nodes a rule evaluates, column-major, with their boundary distances and weights.
+    """The nodes a rule evaluates, column-major, with their dist (> 0) and weights.
 
-    Every node has dist > 0; the full rule has ``size`` nodes, built or
-    not, which is what ``evaluations`` counts.
-    A deterministic rule holds its ``split`` nodes, then those of its
-    companion (a rule on the same box from the same builder at half the
-    points per axis), and its stderr is the gap between the two.  The box
-    rule's Monte Carlo branch has no companion (``split`` None): its
-    stderr is the spread of its sums over the ``lines`` lines of the full
-    rule.  ``line`` numbers each node's line among the lines that hold
-    nodes, from 0; the others sum to 0.0.  ``local`` is the ball rule's
-    (z, S) of each node, its unit-ball offset z (x = c + r z), column-major
-    and read-only, and S = |z|^2; the box rule has none.
+    The full rule has ``size`` nodes on ``lines`` lines, built or not:
+    ``evaluations`` counts them.  A deterministic rule holds its ``split``
+    nodes, then its companion's.  The Monte Carlo branch has none (``split``
+    None): its stderr is the spread of its sums over the lines, ``line``
+    numbering each node's line among those that hold nodes, from 0.
     """
 
     points: np.ndarray
@@ -206,8 +179,36 @@ class _Rule(NamedTuple):
     split: int | None = None
     line: np.ndarray | None = None
     lines: int = 0
-    local: tuple[np.ndarray, np.ndarray] | None = None
     coarse = None  # the companion shares the rule's arrays
+
+    def place(self, lo: int, hi: int):
+        """The points, dist, weights and local coordinates (none) of nodes lo:hi."""
+        return self.points[lo:hi], self.dist[lo:hi], self.weights[lo:hi], None
+
+
+class _BallRule(NamedTuple):
+    """A :class:`_Rule` that holds of its nodes only their dist: ``place``
+    puts rows of its unit-ball ``template`` (z, S, weights) on the ball
+    about ``center``, points c + r z and weights times r^n, with local
+    coordinates (z, S).  ``points``, ``weights`` and ``local`` place all."""
+
+    template: tuple[np.ndarray, np.ndarray, np.ndarray]
+    center: np.ndarray
+    radius: float
+    dist: np.ndarray
+    size: int
+    split: int
+    line = lines = coarse = None
+
+    def place(self, lo: int, hi: int):
+        z, squares, weights = (a[lo:hi] for a in self.template)
+        points = z * self.radius
+        points += self.center
+        return points, self.dist[lo:hi], weights * self.radius ** z.shape[1], (z, squares)
+
+    points = property(lambda self: self.place(0, len(self.dist))[0])
+    weights = property(lambda self: self.place(0, len(self.dist))[2])
+    local = property(lambda self: self.place(0, len(self.dist))[3])
 
 
 def _tensor_product(box: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -250,12 +251,9 @@ def _graded_s_axis(lo, hi, m, ppa, panels, panel_order):
 
 def _s_window(chord_lo, chord_hi, nuj, c, m):
     """The s range, per line, of the nodes whose coordinate along the normal
-    axis, x = (s**m - c) / nuj, lies in [chord_lo, chord_hi].
-
-    The distance range is widened by a relative margin that dwarfs the
-    rounding of s**m, of x and of this mapping (the root's own rounding
-    included), so that no node of the chord falls outside.
-    """
+    axis, x = (s**m - c) / nuj, lies in [chord_lo, chord_hi], widened by a
+    relative margin that dwarfs the rounding of s**m, of x and of this
+    mapping (the root's included), so that no node of the chord falls outside."""
     ends = np.stack([nuj * chord_lo + c, nuj * chord_hi + c])
     pad = _WINDOW_MARGIN * (np.abs(nuj) * (np.abs(chord_lo) + np.abs(chord_hi)) + np.abs(c))
     d_lo = np.maximum(ends.min(axis=0) - pad, 0.0)
@@ -287,8 +285,8 @@ def _build_boundary_graded(box, hs, cfg, support) -> _Rule:
         _check_budget(sizes[-1], f"boundary-graded with {ppa} points per axis in {n} dimensions")
         grids.append((ppa, panels, order, t_count))
 
-    def nodes(ppa, panels, order, t_count):
-        """The lines' transverse nodes, weights and offsets c; each node's line, s, s-weight and dist."""
+    def kept_lines(ppa, panels, order, t_count):
+        """The kept lines' transverse nodes, weights, offsets c, dist ranges and s windows."""
         if not trans_axes:
             trans_pts, trans_w = np.zeros((1, 0)), np.ones(1)
         elif deterministic:
@@ -317,34 +315,42 @@ def _build_boundary_graded(box, hs, cfg, support) -> _Rule:
             keep &= chord_lo <= chord_hi
         lines = np.flatnonzero(keep)
         trans_pts, trans_w, c, lo, hi = (a[lines] for a in (trans_pts, trans_w, c, lo, hi))
+        window = None if support is None else _s_window(chord_lo[lines], chord_hi[lines], nuj, c, m)
+        return trans_pts, trans_w, c, lo, hi, window
 
-        s, ws = _graded_s_axis(lo, hi, m, ppa, panels, order)
-        if support is None:
-            rows, cols = np.nonzero(np.ones(s.shape, dtype=bool))
-        else:
-            s_lo, s_hi = _s_window(chord_lo[lines], chord_hi[lines], nuj, c, m)
-            rows, cols = np.nonzero((s >= s_lo[:, None]) & (s <= s_hi[:, None]))
-        s, ws = s[rows, cols], ws[rows, cols]
-        dist = s**m
-        live = np.flatnonzero(dist > 0.0)  # s**m underflows at the smallest s
-        rows, s, ws, dist = rows[live], s[live], ws[live], dist[live]
-        return trans_pts, trans_w, c, rows, s, ws, dist
+    def chunks(ppa, panels, order, lo, hi, window):
+        """(a, s, s-weights, kept mask) of lines a:a + step, at most ``_EVAL_CHUNK``
+        s nodes; each step is line by line, so chunks give the whole grid's bits."""
+        step = max(1, _EVAL_CHUNK // ((panels + 1) * order if panels else 2 * ppa))
+        for a in range(0, lo.size, step):
+            cut = slice(a, a + step)
+            s, ws = _graded_s_axis(lo[cut], hi[cut], m, ppa, panels, order)
+            kept = s**m > 0.0  # s**m underflows at the smallest s
+            if window is not None:
+                kept &= (s >= window[0][cut, None]) & (s <= window[1][cut, None])
+            yield a, s, ws, kept
 
-    # the companion's nodes first, so that they do not stack on the rule's temporaries
-    parts = [nodes(*grid) for grid in grids[::-1]][::-1]
-    split = parts[0][3].size
-    total = sum(part[3].size for part in parts)
+    # the nodes are counted, then built straight into the rule's arrays
+    parts = [(grid[:3], kept_lines(*grid)) for grid in grids]
+    counts = [sum(int(np.count_nonzero(chunk[3])) for chunk in chunks(*grid, *part[3:])) for grid, part in parts]
+    total = sum(counts)
     pts, dist, weights = np.empty((total, n), order="F"), np.empty(total), np.empty(total)
-    for (trans_pts, trans_w, c, rows, s, ws, part_dist), at in zip(parts, (slice(0, split), slice(split, None))):
-        pts[at, trans_axes] = trans_pts[rows]
-        pts[at, jstar] = (part_dist - c[rows]) / nuj
-        dist[at] = part_dist
-        np.multiply(trans_w[rows], ws, out=weights[at])
-        weights[at] *= (m * s ** (m - 1.0)) / abs(nuj)
-    if deterministic:
-        return _Rule(pts, dist, weights, sizes[0], split)
-    # a Monte Carlo rule's lines, numbered among those built
-    return _Rule(pts, dist, weights, sizes[0], line=parts[0][3], lines=grids[0][3])
+    line = None if deterministic else np.empty(total, dtype=np.intp)
+    at = 0
+    for grid, (trans_pts, trans_w, c, *part) in parts:
+        for a, s, ws, kept in chunks(*grid, *part):
+            rows, cols = np.nonzero(kept)
+            s, ws, rows = s[rows, cols], ws[rows, cols], rows + a
+            cut = slice(at, at + rows.size)
+            dist[cut] = s**m
+            pts[cut, trans_axes] = trans_pts[rows]
+            pts[cut, jstar] = (dist[cut] - c[rows]) / nuj
+            np.multiply(trans_w[rows], ws, out=weights[cut])
+            weights[cut] *= (m * s ** (m - 1.0)) / abs(nuj)
+            if line is not None:
+                line[cut] = rows
+            at = cut.stop
+    return _Rule(pts, dist, weights, sizes[0], counts[0] if deterministic else None, line, grids[0][3])
 
 
 def _gauss_jacobi(order: int, a: float) -> tuple[np.ndarray, np.ndarray]:
@@ -416,10 +422,9 @@ def _ball_resolution(dim: int, ppa: int, companion: bool = False) -> tuple[int, 
     """(radial nodes, sphere) of the ball rule at ``ppa`` points per axis:
     sphere is the order of :func:`_sphere_rule` up to 5 dimensions and the
     degree of :func:`_symmetric_sphere_rule` above.  At 16 that is (24, 8)
-    up to 3 dimensions and (24, 6) in 4 and 5, halved with it; and
-    (24, degree 5) in 6 or more, degree 3 below 16 and on every coarse
-    companion, whose degree must stay below its fine rule's for the stderr
-    to see the angular error."""
+    up to 3 dimensions, (24, 6) in 4 and 5, halved with it, and (24, degree
+    5) in 6 or more, degree 3 below 16 and on every companion, whose degree
+    must stay below its fine rule's for the stderr to see the angular error."""
     radial = max(2, (3 * ppa) // 2)
     if dim >= 6:
         return radial, 5 if ppa >= 16 and not companion else 3
@@ -433,18 +438,15 @@ def _ball_size(dim: int, radial: int, sphere: int) -> int:
 
 
 def _takes_ball(box, hs, support, cfg: QuadConfig) -> bool:
-    """Whether the boundary-graded rule integrates over ``support`` on the
-    ball rule: a bump of square powers, a round ball, inside ``box`` and
-    with its closure strictly inside the half-space.  A ball whose
-    clearance <c, nu> - d - r lies within ``_BALL_MARGIN`` of its terms
-    counts as touching: a centre placed at distance r clears the boundary
-    by a rounding error of either sign.
-
-    In 6 or more dimensions the ball rule is taken only where its sphere
-    degree exceeds its coarse companion's degree 3 (from 16 points per
-    axis), and where it has at most ``cfg.sample_count`` nodes, the count
-    of the Monte Carlo branch it replaces (up to 13 dimensions at the
-    default)."""
+    """Whether ``support`` takes the ball rule: a bump of square powers, a
+    round ball, inside ``box`` and with its closure strictly inside the
+    half-space.  A clearance <c, nu> - d - r within ``_BALL_MARGIN`` of
+    its terms counts as touching: a centre placed at distance r clears the
+    boundary by a rounding error of either sign.  In 6 or more dimensions
+    the ball rule is taken only where its sphere degree exceeds its
+    companion's 3 (from 16 points per axis) and where it has at most
+    ``cfg.sample_count`` nodes, those of the Monte Carlo branch it
+    replaces (up to 13 dimensions at the default)."""
     if not isinstance(support, BumpSupport):
         return False
     c, r = support.center, support.radius
@@ -467,24 +469,26 @@ def _unit_ball(dim: int, parts: tuple[tuple[int, int], ...]) -> tuple[np.ndarray
     (radial nodes, sphere) of a rule and its companion, one after the other:
     nodes z = rho w, (K, dim) column-major, rho by Gauss-Legendre on (0, 1)
     with weight rho^(dim-1), w by :func:`_sphere_rule` up to 5 dimensions
-    and :func:`_symmetric_sphere_rule` above; S = |z|^2 (K,), its terms
-    z_i * z_i added in axis order as ``BumpSupport`` adds them; their
-    weights (K,); and the node count of the rule.  Read-only, as a cached
-    rule is shared."""
-    rules = []
+    and :func:`_symmetric_sphere_rule` above; S = |z|^2, adding z_i * z_i
+    in axis order as ``BumpSupport`` does; the weights; and the rule's node
+    count.  Read-only, as a cached rule is shared."""
+    shells, sizes = [], []
     for radial, sphere in parts:
         dirs, w_dir = _sphere_rule(dim, sphere) if dim <= 5 else _symmetric_sphere_rule(dim, sphere)
         x, w = _gauss(radial)
         rho = 0.5 * (1.0 + x)
-        rules.append((rho, 0.5 * w * rho ** (dim - 1), dirs, w_dir))
-    sizes = [rho.size * w_dir.size for rho, _, _, w_dir in rules]
-    nodes, weights = np.empty((sum(sizes), dim), order="F"), np.empty(sum(sizes))
-    for (rho, w_rho, dirs, w_dir), at in zip(rules, (slice(0, sizes[0]), slice(sizes[0], None))):
-        nodes[at] = (rho[:, None, None] * dirs[None, :, :]).reshape(-1, dim)
-        weights[at] = (w_rho[:, None] * w_dir[None, :]).reshape(-1)
-    squares = np.zeros(sum(sizes))
-    for col in nodes.T:
-        squares += col * col
+        shells += [(r, w_r, dirs, w_dir) for r, w_r in zip(rho, 0.5 * w * rho ** (dim - 1))]
+        sizes.append(radial * w_dir.size)
+    nodes, squares, weights = np.empty((sum(sizes), dim), order="F"), np.zeros(sum(sizes)), np.empty(sum(sizes))
+    # one radial shell at a time, in place: no product of a whole part is formed
+    at = 0
+    for r, w_r, dirs, w_dir in shells:
+        shell = slice(at, at + w_dir.size)
+        nodes[shell] = r * dirs
+        weights[shell] = w_r * w_dir
+        for col in nodes[shell].T:
+            squares[shell] += col * col
+        at = shell.stop
     nodes.flags.writeable = squares.flags.writeable = weights.flags.writeable = False
     return nodes, squares, weights, sizes[0]
 
@@ -494,10 +498,9 @@ _BALL_CACHE_BYTES = 1 << 22
 _cached_unit_ball = lru_cache(maxsize=16)(_unit_ball)
 
 
-def _build_ball(hs, cfg, support) -> _Rule:
-    """The unit ball rule and its companion moved onto the support ball,
-    c + r z, with weights times r^n, and with the template's (z, S) as the
-    nodes' local coordinates.  The bump is radial about c, so its
+def _build_ball(hs, cfg, support) -> _BallRule:
+    """The unit ball rule and its companion placed on the support ball
+    (see :class:`_BallRule`).  The bump is radial about c, so its
     essential singularity at the edge meets only the radial rule."""
     n = support.center.size
     ppa = cfg.points_per_axis
@@ -505,71 +508,69 @@ def _build_ball(hs, cfg, support) -> _Rule:
     counts = [_ball_size(n, *part) for part in parts]
     for points, count in zip((ppa, ppa // 2), counts):
         _check_budget(count, f"the ball rule with {points} points per axis in {n} dimensions")
-    # nodes, S and weights
-    cached = sum(counts) * (n + 2) * 8 <= _BALL_CACHE_BYTES
+    cached = sum(counts) * (n + 2) * 8 <= _BALL_CACHE_BYTES  # z, S and weights
     nodes, squares, weights, split = (_cached_unit_ball if cached else _unit_ball)(n, parts)
-    pts = nodes * support.radius
-    pts += support.center
-    dist = hs.distance(pts)
-    weights = weights * support.radius**n
+    # dist one block at a time on an axis normal, where hs.distance takes one
+    # column; else in one call, as its matmul can move in the last bits with the rows
+    step = _EVAL_CHUNK if np.count_nonzero(hs.nu) == 1 else len(squares)
+    dist = np.empty(len(squares))
+    for a in range(0, len(squares), step):
+        points = nodes[a : a + step] * support.radius
+        points += support.center
+        dist[a : a + step] = hs.distance(points)
     # only rounding in <x, nu> - d, far from the origin, could reach 0
     if not np.all(dist > 0.0):
         keep = np.flatnonzero(dist > 0.0)
         split = int(np.searchsorted(keep, split))
-        pts, nodes = np.asfortranarray(pts[keep]), np.asfortranarray(nodes[keep])
-        dist, weights, squares = dist[keep], weights[keep], squares[keep]
-    return _Rule(pts, dist, weights, counts[0], split, local=(nodes, squares))
+        nodes, squares, weights, dist = np.asfortranarray(nodes[keep]), squares[keep], weights[keep], dist[keep]
+    return _BallRule((nodes, squares, weights), support.center, support.radius, dist, counts[0], split)
 
 
-def _build_nodes(box, hs, cfg, support) -> _Rule:
-    """The ball rule where ``support`` takes it, else the box rule, holding
-    only the nodes with dist > 0 that ``support`` (None: no support known)
-    may hold."""
+def _build_nodes(box, hs, cfg, support) -> _Rule | _BallRule:
+    """The ball rule where ``support`` (None: not known) takes it, else the box rule."""
     if _takes_ball(box, hs, support, cfg):
         return _build_ball(hs, cfg, support)
-    # the weights of a box past the float range overflow; what they sum to
-    # is not finite, which the runners report, so numpy's warning only repeats it
+    # past the float range a box's weights overflow to a sum the runners report
     with np.errstate(over="ignore"):
         return _build_boundary_graded(box, hs, cfg, support)
 
 
-def _sums(fs, rule: _Rule, sample) -> np.ndarray:
+def _sums(fs, rule: _Rule | _BallRule, sample) -> np.ndarray:
     """The sum of weights * values of each integrand over the rule's own
     nodes, then over its companion's, (2, len(fs)) ((1, len(fs)) without a
     split); for a Monte Carlo rule its sums over each line numbered in
     ``rule.line`` instead, (len(fs), rule.line.max() + 1).
 
-    The integrands run on ``sample(nodes, dist, local=local)`` of each
-    block of at most ``_EVAL_CHUNK`` nodes (see the module docstring),
-    ``local`` the same rows of ``rule.local`` (None on the box rule), and
-    each block's sums are added to its part's.  A non-finite value raises
-    IntegrationError with ``index`` its integrand's place in ``fs``."""
-    line = rule.line
-    ends = [len(rule.points)] if rule.split is None else [rule.split, len(rule.points)]
+    The integrands run on ``sample(points, dist, local=local)`` of each
+    block of at most ``_EVAL_CHUNK`` nodes as ``rule.place`` gives it (see
+    the module docstring), and each block's sums are added to its part's.
+    A non-finite value raises IntegrationError with ``index`` its
+    integrand's place in ``fs``."""
+    line, count = rule.line, len(rule.dist)
+    ends = [count] if rule.split is None else [rule.split, count]
     sums = np.zeros((len(ends), len(fs)) if line is None else (len(fs), int(line.max(initial=-1)) + 1))
     bounds = enumerate(zip([0] + ends, ends))
     pieces = [(part, a, min(a + _EVAL_CHUNK, hi)) for part, (lo, hi) in bounds for a in range(lo, hi, _EVAL_CHUNK)]
-    for window in [pieces] if 0 < len(rule.points) <= _EVAL_CHUNK else [[piece] for piece in pieces]:
+    for window in [pieces] if 0 < count <= _EVAL_CHUNK else [[piece] for piece in pieces]:
         first, last = window[0][1], window[-1][2]
-        # a non-finite value raises IntegrationError; numpy's warning about
-        # the operation that made it would only repeat that
+        # a non-finite value raises IntegrationError, which numpy's warnings would only repeat
         with np.errstate(all="ignore"):
-            local = None if rule.local is None else tuple(a[first:last] for a in rule.local)
-            arg = sample(rule.points[first:last], rule.dist[first:last], local=local)
+            points, dist, weights, local = rule.place(first, last)
+            arg = sample(points, dist, local=local)
             for i, f in enumerate(fs):
                 values = np.asarray(f(arg), dtype=float)
                 for part, lo, hi in window:
-                    points, weights, v = rule.points[lo:hi], rule.weights[lo:hi], values[lo - first : hi - first]
+                    at = slice(lo - first, hi - first)
                     if line is None:
                         # a non-finite value makes the sum non-finite; finite
                         # values that overflow it are no error
-                        total = np.sum(weights * v)
+                        total = np.sum(weights[at] * values[at])
                         if not np.isfinite(total):
-                            _check_finite(v, points, i)
+                            _check_finite(values[at], points[at], i)
                         sums[part, i] += total
                     else:
-                        _check_finite(v, points, i)
-                        sums[i] += np.bincount(line[lo:hi], weights=weights * v, minlength=sums.shape[1])
+                        _check_finite(values[at], points[at], i)
+                        sums[i] += np.bincount(line[lo:hi], weights=weights[at] * values[at], minlength=sums.shape[1])
     return sums
 
 
@@ -591,19 +592,18 @@ def integrate_many(
     """Integrate several integrands over box intersect {dist > 0} on one node set.
 
     Each integrand maps a :class:`~strathardy.calculus.TrialSample` of a
-    block of M <= 16,384 nodes to (M,) values.  The sample's ``dist`` is the
-    distance the rule carries for each node, exact on the boundary-graded
-    rule.  Without ``trial`` the sample holds the nodes and their dist
-    alone.  With ``trial = (spec, u)`` it is :func:`sample_trial` of u at
-    the nodes (a sample derived from another's holds ``hgrad``, not
+    block of M <= 16,384 nodes to (M,) values; the call holds one block's
+    sample past the rule, whose arrays on the ball rule are its cached
+    template and dist.  The sample's ``dist`` is the rule's, exact on the
+    boundary-graded rule down to 1e-32 and below: a trial field or
+    integrand must read it, never work it back out of the points, which
+    round by about 1e-16 |x|.  With ``trial = (spec, u)`` the sample is
+    :func:`sample_trial` of u (a derived sample holds ``hgrad``, not
     ``grad``), each integrand must be exactly 0.0 wherever u and its
-    gradient are, and it is called only at nodes inside ``u.support`` (all
-    of them if it is None), or in the margin of a chord (see the module
-    docstring).  Where the support takes the ball rule (a round bump
-    inside the half-space; the module docstring gives the resolutions and
-    dimensions), the estimates are the ball rule's.  Otherwise they equal
-    those of the same integrands and u without its support up to the order
-    of their float additions, and ``evaluations`` exactly.
+    gradient are, and it is called only at nodes inside ``u.support`` or
+    in the margin of a chord.  Off the ball rule, the estimates equal
+    those of u without its support up to the order of their float
+    additions, and ``evaluations`` exactly.
     """
     cfg = cfg or QuadConfig()
     box = np.asarray(box, dtype=float)
@@ -622,8 +622,7 @@ def integrate_many(
         with np.errstate(invalid="ignore"):  # inf - inf: a nan stderr, which the runners report
             values, stderrs = sums[0], np.abs(sums[0] - sums[1])
     else:
-        # the spread over all t >= 16 lines: those without a node add
-        # (0 - mean)**2 each
+        # the spread over all t >= 16 lines: those without a node add (0 - mean)**2
         t = rule.lines
         values = sums.sum(axis=1)
         mean = values / t

@@ -38,11 +38,13 @@ from strathardy.quadrature import (
     _gauss_jacobi,
     _philox_uniform,
     _s_window,
+    _BallRule,
     _Rule,
     _sums,
     _sphere_rule,
     _symmetric_sphere_rule,
     _takes_ball,
+    _unit_ball,
 )
 
 from chain_rule import power_weighted_field, viewed
@@ -53,17 +55,17 @@ UNIT_BOX = np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
 
 def _parts(rule):
     """The rule's own nodes, then its companion's on a deterministic rule,
-    each as a rule without a split, with its rows of the ball rule's local
-    coordinates."""
+    each as a rule without a split; a ball rule's parts place their rows of
+    its template."""
     if rule.split is None:
         return [rule]
-    return [
-        _Rule(
-            rule.points[cut], rule.dist[cut], rule.weights[cut], rule.size,
-            local=None if rule.local is None else tuple(a[cut] for a in rule.local),
-        )
-        for cut in (slice(None, rule.split), slice(rule.split, None))
-    ]
+    cuts = (slice(None, rule.split), slice(rule.split, None))
+    if isinstance(rule, _BallRule):
+        return [
+            rule._replace(template=tuple(a[cut] for a in rule.template), dist=rule.dist[cut], split=None)
+            for cut in cuts
+        ]
+    return [_Rule(rule.points[cut], rule.dist[cut], rule.weights[cut], rule.size) for cut in cuts]
 
 
 def far_halfspace(dim=3):
@@ -966,6 +968,15 @@ _H1_NORMALS = {
 }
 
 
+def _inside(dim):
+    """The half-space t > 0 of ``dim`` dimensions and a bump of radius 0.4
+    whose centre lies at distance 0.5."""
+    hs = HalfSpace(nu=np.eye(dim)[-1], d=0.0)
+    center = np.full(dim, 0.1)
+    center += (0.5 - float(hs.distance(center))) * hs.nu
+    return hs, make_bump(BumpSpec(center=tuple(center), radius=0.4))
+
+
 class TestBallRule:
     @pytest.mark.parametrize("normal", sorted(_H1_NORMALS))
     def test_agrees_with_the_unmasked_graded_rule(self, normal):
@@ -989,10 +1000,7 @@ class TestBallRule:
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6, 7, 13])
     def test_taken_inside_the_half_space(self, dim):
-        hs = HalfSpace(nu=np.eye(dim)[-1], d=0.0)
-        center = np.full(dim, 0.1)
-        center += (0.5 - float(hs.distance(center))) * hs.nu
-        u = make_bump(BumpSpec(center=tuple(center), radius=0.4))
+        hs, u = _inside(dim)
         assert _takes_ball(u.support_box, hs, u.support, QuadConfig())
         # from 6 dimensions on only from 16 points per axis
         cfg = QuadConfig(points_per_axis=8 if dim <= 5 else 16)
@@ -1255,6 +1263,166 @@ class TestBlockMemory:
                 tracemalloc.stop()
         small, large = resolutions
         assert peaks[large] <= 1.05 * peaks[small]
+
+
+def _same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _frozen_ball(hs, cfg, support):
+    """The ball rule's whole arrays as they were built when the rule held
+    its nodes: each part's nodes as one row-major product, all of them
+    placed, dist taken over all of them in one call, and the dist > 0
+    filter.  Returns points, dist, weights, z, S and the split."""
+    n = support.center.size
+    ppa = cfg.points_per_axis
+    nodes, weights = [], []
+    for radial, sphere in (_ball_resolution(n, ppa), _ball_resolution(n, ppa // 2, companion=True)):
+        dirs, w_dir = _sphere_rule(n, sphere) if n <= 5 else _symmetric_sphere_rule(n, sphere)
+        x, w = np.polynomial.legendre.leggauss(radial)
+        rho = 0.5 * (1.0 + x)
+        nodes.append((rho[:, None, None] * dirs[None, :, :]).reshape(-1, n))
+        weights.append(((0.5 * w * rho ** (n - 1))[:, None] * w_dir[None, :]).reshape(-1))
+    split = len(nodes[0])
+    z, weights = np.asfortranarray(np.concatenate(nodes)), np.concatenate(weights)
+    squares = np.zeros(len(z))
+    for col in z.T:
+        squares += col * col
+    pts = z * support.radius
+    pts += support.center
+    dist = hs.distance(pts)
+    weights = weights * support.radius**n
+    keep = np.flatnonzero(dist > 0.0)
+    return pts[keep], dist[keep], weights[keep], z[keep], squares[keep], int(np.searchsorted(keep, split))
+
+
+def _oblique_ball():
+    """heisenberg:2 on an oblique normal (the benchmark matrix's) and a
+    default bump 0.3 clear of the boundary: 64,152 nodes, 4 blocks, and
+    dist by a matmul over every coordinate."""
+    hs = HalfSpace(nu=[0.3, -0.2, 0.4, 0.1, 0.8], d=0.1)
+    center = np.array([0.1, -0.2, 0.1, -0.2, 0.0])
+    center += (0.75 - float(hs.distance(center))) * hs.nu
+    return hs, make_bump(BumpSpec(center=tuple(center), radius=0.45))
+
+
+# every dimension of test_taken_inside_the_half_space at its resolution,
+# heisenberg:5's template (too large to cache), a rule whose dist > 0
+# filter drops nodes and an oblique normal on the heisenberg:2 rule
+_PLACEMENT_CASES = {
+    **{f"ball-{dim}": (lambda dim=dim: (*_inside(dim), QuadConfig(points_per_axis=8 if dim <= 5 else 16)))
+       for dim in (1, 2, 3, 4, 5, 6, 7, 13)},
+    "ball-11-uncached": lambda: (*_interior_ball(5)[1:], QuadConfig()),
+    "ball-3-shaved": lambda: (_Shaved(nu=[0.0, 0.0, 1.0]), _interior_ball(1)[2], QuadConfig()),
+    "ball-5-oblique": lambda: (*_oblique_ball(), QuadConfig()),
+}
+
+
+class TestPlacement:
+    @pytest.mark.parametrize("name", sorted(_PLACEMENT_CASES))
+    def test_each_window_holds_the_whole_rules_bits(self, name):
+        # the ball rule holds of its nodes only their dist; every window it
+        # places, of the real block size or of 300 nodes, holds the bits of
+        # the same rows of the rule built whole
+        hs, u, cfg = _PLACEMENT_CASES[name]()
+        assert _takes_ball(u.support_box, hs, u.support, cfg)
+        rule = _build_nodes(u.support_box, hs, cfg, u.support)
+        *whole, split = _frozen_ball(hs, cfg, u.support)
+        count = len(whole[1])
+        assert (rule.split, len(rule.dist)) == (split, count)
+        if name.endswith("shaved"):
+            assert count == 3456 - len(range(0, 3456, 7))
+        for size in (quadrature._EVAL_CHUNK, 300):
+            for lo in range(0, count, size):
+                points, dist, weights, local = rule.place(lo, lo + size)
+                for got, want in zip((points, dist, weights, *local), whole, strict=True):
+                    assert _same_bits(got, want[lo : lo + size])
+        # and the whole rule, as the tests and the benchmark's tracer read it
+        for got, want in zip((rule.points, rule.dist, rule.weights, *rule.local), whole, strict=True):
+            assert _same_bits(got, want)
+
+
+    def test_a_default_heisenberg2_trial_takes_the_template_and_one_block(self):
+        # the 4 Hardy integrands of p 2 and 3 on the default heisenberg:2
+        # ball rule, its template cached: 6.32 MiB when the rule held its
+        # 64,152 nodes, dist and weights (3.4 MiB)
+        spec, hs, u = _interior_ball(2)
+        fs = HARDY.integrands(spec, hs, 2.0) + HARDY.integrands(spec, hs, 3.0)
+        integrate_many(fs, u.support_box, hs, QuadConfig(), trial=(spec, u))
+        tracemalloc.start()
+        try:
+            integrate_many(fs, u.support_box, hs, QuadConfig(), trial=(spec, u))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.0 * 2**20
+
+
+class TestBuiltInPlace:
+    """A template and a box rule are written straight into their arrays."""
+
+    @pytest.mark.parametrize("dim, ppa", [(5, 16), (11, 16), (5, 24)])
+    def test_a_template_is_built_in_place(self, dim, ppa):
+        # heisenberg:2's template (3.4 MiB), heisenberg:5's (5.0 MiB, not
+        # cached) and heisenberg:2's at 24 points per axis (25.7 MiB) peaked
+        # at 1.6 to 1.8 times their size when each part was one product
+        parts = (_ball_resolution(dim, ppa), _ball_resolution(dim, ppa // 2, companion=True))
+        _unit_ball(dim, parts)
+        tracemalloc.start()
+        try:
+            template = _unit_ball(dim, parts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * sum(a.nbytes for a in template[:3])
+
+    def test_a_graded_rule_is_built_in_place(self):
+        # the sharpness cutoff of a 32-point run: 287,364 nodes (11.5 MB of
+        # points, dist and weights), 2.17 times that at peak when every
+        # line's s grid and masks were held
+        hs = halfspace_preset(3, "x1-axis", 0.0)
+        u = make_bump(boundary_bump_spec(hs, 1.0))
+        cfg = QuadConfig(points_per_axis=32)
+        _build_boundary_graded(u.support_box, hs, cfg, u.support)
+        tracemalloc.start()
+        try:
+            rule = _build_boundary_graded(u.support_box, hs, cfg, u.support)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rule.dist) == 287_364
+        assert peak <= 1.25 * (rule.points.nbytes + rule.dist.nbytes + rule.weights.nbytes)
+
+    # a boundary-touching sharpness cutoff (graded panels), a touching box
+    # without a support at a grading exponent whose s**m underflows, an
+    # interior box (one Gauss rule per line) and the Monte Carlo branch
+    @pytest.mark.parametrize("name", ["sharpness", "underflow", "interior", "monte-carlo"])
+    def test_chunks_of_lines_give_the_bits_of_the_whole_grid(self, name, monkeypatch):
+        hs, cfg, support = _T_AXIS, QuadConfig(points_per_axis=8), None
+        if name == "monte-carlo":
+            box, hs, cfg = _MC_BOX, _MC_HS, QuadConfig(sample_count=2000)
+        elif name == "underflow":
+            box, cfg = UNIT_BOX, replace(cfg, grading_exponent=100.0)
+        else:
+            u = make_bump(_INTERIOR if name == "interior" else boundary_bump_spec(hs, 0.45))
+            box, support = u.support_box, u.support
+        rules = []
+        # the default chunks, one line per chunk, and every line in one chunk
+        for chunk in (quadrature._EVAL_CHUNK, 1, 1 << 40):
+            monkeypatch.setattr(quadrature, "_EVAL_CHUNK", chunk)
+            rules.append(_build_boundary_graded(box, hs, cfg, support))
+        if name == "underflow":
+            # every line of the box reaches into the half-space, so only
+            # the dist > 0 filter keeps the rule below its full size
+            assert rules[0].split < rules[0].size and np.all(rules[0].dist > 0.0)
+        for rule in rules[1:]:
+            assert (rule.size, rule.split, rule.lines) == (rules[0].size, rules[0].split, rules[0].lines)
+            for got, want in zip(rule[:3], rules[0][:3]):
+                assert _same_bits(got, want)
+            assert (rule.line is None) == (name != "monte-carlo")
+            if rule.line is not None:
+                assert np.array_equal(rule.line, rules[0].line)
 
 
 # the ball rule's local coordinates: the product sphere rule in 3 and 5
