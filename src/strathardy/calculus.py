@@ -48,6 +48,7 @@ __all__ = [
 ]
 
 H_STEP = 1e-4
+_FD_BLOCK = 256  # points of one block of p_sub_laplacian_fd_many
 
 
 def _fd_scale(points: np.ndarray) -> np.ndarray:
@@ -81,7 +82,9 @@ class HalfSpace:
 
     def distance(self, points) -> np.ndarray:
         """Affine boundary distance <x, nu> - d; positive inside.  The same bits
-        in any layout: one column on an axis normal, else over row-major points."""
+        in any layout: one column on an axis normal, else over row-major points.
+        Not for any subset of rows on an oblique normal: the matrix-vector
+        product there can move its last bits with the rows it is given."""
         points = np.asarray(points, dtype=float)
         (axes,) = np.nonzero(self.nu)
         if axes.size == 1:
@@ -481,12 +484,17 @@ def p_sub_laplacian_fd_many(
     the coefficient polynomials at the points are computed once for every
     p; each row equals, bit for bit, a call with its p alone.  For p < 2 a
     vanishing horizontal gradient at any probe point makes the flux
-    singular; the row is then nan rather than a fake number.
+    singular; the value there is then nan rather than a fake number.  Each
+    value comes from its own point's probes alone, so the points are taken
+    ``_FD_BLOCK`` at a time and a call holds one block's probes.
     """
     ps = [float(p) for p in ps]
     if any(p <= 1 for p in ps):
         raise ValueError("p must exceed 1")
     points = np.asarray(points, dtype=float)
+    if len(points) > _FD_BLOCK:
+        starts = range(0, len(points), _FD_BLOCK)
+        return np.concatenate([p_sub_laplacian_fd_many(spec, f, points[a : a + _FD_BLOCK], ps, h) for a in starts], 1)
     m, n = points.shape
     nh = spec.horizontal_dim
     outer = np.sqrt(h) * 1e-2 * _fd_scale(points)  # flux is already one derivative deep

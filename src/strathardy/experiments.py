@@ -171,21 +171,23 @@ _CALL_GROUPS = 8
 def _read_through_views(groups: list[_Rows]) -> list:
     """The integrands of ``groups`` in order, each reading its group's view
     of the sample it is given.  A view is made on its group's first read
-    of a sample and dropped before the next is made, so one is alive at a
-    time; the sample is held with it and matched by identity, so a later
-    sample is never taken for it."""
+    of a sample and dropped after its last, so one is alive at a time and
+    none once a block's integrands are done; the sample is held with it and
+    matched by identity, so a later sample is never taken for it."""
     held = []  # (sample, group, the group's view of it), for these integrands alone
 
-    def viewed(f, group):
+    def viewed(f, group, last):
         def integrand(sample):
             if not held or held[0] is not sample or held[1] is not group:
+                held[:] = (sample, group, group.view(sample))
+            values = f(held[2])
+            if last:
                 held.clear()
-                held.extend((sample, group, group.view(sample)))
-            return f(held[2])
+            return values
 
         return integrand
 
-    return [f if g.view is None else viewed(f, g) for g in groups for f in g.integrands]
+    return [f if g.view is None else viewed(f, g, f is g.integrands[-1]) for g in groups for f in g.integrands]
 
 
 def _integrate_rows(
@@ -542,22 +544,29 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _bft_defects(a2, z, b2, p) -> np.ndarray:
+def _bft_defects(a2, z, b2, p, scratch=None) -> np.ndarray:
     """The relative defect of the vector inequality for each row of the
     plane pairs A = (c1, 0), B = (z, c2), given as a2 = c1^2, z, b2 = c2^2.
 
     |A+B|^2 = (c1 + z)^2 + c2^2 is a sum of squares, which does not cancel
     near B = -A.  Each power is taken once: |A|^p is |A|^(p-2) |A|^2, with
-    |A|^(p-2) also the factor of the cross term p |A|^(p-2) c1 z.  |A| and
-    |A|^(p-2) are dropped once used, so a block holds few arrays at a time.
+    |A|^(p-2) also the factor of the cross term p |A|^(p-2) c1 z.  Every
+    temporary is written into a row of ``scratch``, (6, >= len(a2)), made
+    here if None, and the defects are returned in one of its rows.
     """
-    na = np.sqrt(a2)
-    na_q = na ** (p - 2.0)
-    nab_p, na_p = np.sqrt((na + z) ** 2 + b2) ** p, na_q * a2
-    pcross = p * (na_q * (na * z))
-    del na, na_q
-    cnb_p = 1.0 / (np.exp2(p - 1.0) - 1.0) * np.sqrt(z * z + b2) ** p
-    return ((nab_p - na_p) - (cnb_p + pcross)) / (nab_p + na_p + cnb_p + np.abs(pcross) + 1e-300)
+    na, na_q, nab_p, na_p, pcross, t = np.empty((6, len(a2))) if scratch is None else scratch[:, : len(a2)]
+    np.power(np.sqrt(a2, out=na), np.subtract(p, 2.0, out=t), out=na_q)  # |A|, |A|^(p-2)
+    np.power(np.sqrt(np.add(np.square(np.add(na, z, out=t), out=t), b2, out=t), out=t), p, out=nab_p)  # |A+B|^p
+    np.multiply(na_q, a2, out=na_p)
+    np.multiply(p, np.multiply(na_q, np.multiply(na, z, out=t), out=t), out=pcross)
+    # |A| and |A|^(p-2) are spent: their rows take C_p = 1 / (2^(p-1) - 1) and |B|^p
+    cnb_p = np.divide(1.0, np.subtract(np.exp2(np.subtract(p, 1.0, out=na), out=na), 1.0, out=na), out=na)
+    cnb_p *= np.power(np.sqrt(np.add(np.multiply(z, z, out=na_q), b2, out=na_q), out=na_q), p, out=na_q)
+    # ((nab_p - na_p) - (cnb_p + pcross)) / (nab_p + na_p + cnb_p + |pcross| + 1e-300)
+    top = np.subtract(np.subtract(nab_p, na_p, out=t), np.add(cnb_p, pcross, out=na_q), out=t)
+    bottom = np.add(np.add(np.add(nab_p, na_p, out=na_q), cnb_p, out=na_q), np.abs(pcross, out=pcross), out=na_q)
+    bottom += 1e-300
+    return np.divide(top, bottom, out=t)
 
 
 def _draw_gram(gen, d: int, a2, z, b2) -> None:
@@ -580,9 +589,11 @@ def _draw_gram(gen, d: int, a2, z, b2) -> None:
     chi2(d - 1, b2)
 
 
-def _bft_chunks(chunks, max_dim, lo_p, hi_p, rel_tol) -> tuple[int, float]:
-    """(violations, worst defect) over ``chunks``, drawn into one buffer of
-    (4, ``_FUZZ_BLOCK``) that this worker makes for itself.
+def _bft_chunks(chunks, max_dim, lo_p, hi_p, rel_tol, buffer=None) -> tuple[int, float]:
+    """(violations, worst defect) over ``chunks``, drawn and checked in one
+    buffer of (10, ``_FUZZ_BLOCK``), made here if None: rows 0-3 for the
+    draws, rows 4-9 for :func:`_bft_defects`.  A worker given a buffer its
+    caller made allocates no array per block.
 
     Each chunk draws how many of its rows have each dimension d, one
     multinomial draw; then, for each d in turn and each block of at most
@@ -590,22 +601,24 @@ def _bft_chunks(chunks, max_dim, lo_p, hi_p, rel_tol) -> tuple[int, float]:
     which are checked at once.  A defect that is not finite counts as a
     violation: it is NaN, or -inf, as a defect is at most 1.
     """
-    buffer = np.empty((4, _FUZZ_BLOCK))
+    buffer = np.empty((10, _FUZZ_BLOCK)) if buffer is None else buffer
     violations = 0
     lowest = []
     for gen, take in chunks:
         for d, n_d in enumerate(gen.multinomial(take, [1.0 / max_dim] * max_dim), 1):
             for start in range(0, n_d, _FUZZ_BLOCK):
-                a2, z, b2, vp = buffer[:, : min(_FUZZ_BLOCK, n_d - start)]
+                block = buffer[:, : min(_FUZZ_BLOCK, n_d - start)]
+                a2, z, b2, vp = block[:4]
                 _draw_gram(gen, d, a2, z, b2)
                 gen.random(out=vp)
                 vp *= hi_p - lo_p
                 vp += lo_p
                 # a large p overflows the powers: counted below, not warned
                 with np.errstate(over="ignore", invalid="ignore"):
-                    defect = _bft_defects(a2, z, b2, vp)
-                # a NaN defect compares false, so it counts as a violation
-                violations += defect.size - int(np.count_nonzero(defect >= -rel_tol))
+                    defect = _bft_defects(a2, z, b2, vp, block[4:])
+                # a NaN defect compares false, so it counts as a violation;
+                # the spent p row takes the flags
+                violations += defect.size - int(np.count_nonzero(np.greater_equal(defect, -rel_tol, out=vp)))
                 lowest.append(defect.min())
     # np.min, unlike min(), keeps a NaN whatever its place in the list
     return violations, float(np.min(lowest))
@@ -658,9 +671,11 @@ def bft_fuzz(
 
     chunks = list(philox_chunks(seed, samples, _FUZZ_CHUNK, FUZZER))
     workers = min(_usable_cpus(), len(chunks))
+    # made by this thread, so no worker holds memory in an arena of its own
+    buffers = np.empty((workers, 10, _FUZZ_BLOCK))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [
-            pool.submit(_bft_chunks, chunks[k::workers], max_dim, lo_p, hi_p, rel_tol)
+            pool.submit(_bft_chunks, chunks[k::workers], max_dim, lo_p, hi_p, rel_tol, buffers[k])
             for k in range(workers)
         ]
         results = [future.result() for future in futures]

@@ -19,15 +19,14 @@ centre, Gauss-Legendre in the radius and a rule on the sphere (Stroud
 1971) at the resolutions of ``_ball_resolution``.  The bump is radial, so
 its essential singularity at the ball's edge meets only the radial rule.
 
-Every rule carries each node's boundary distance: dist = s**m on the box
+Every rule gives each node's boundary distance: dist = s**m on the box
 rule, exact however the node's coordinates round, and ``hs.distance`` of
 the node on the ball rule.  A rule evaluates only nodes with dist > 0
 and, given a trial ``(spec, u)``, inside ``u.support``: the ball rule has
-no others, and the box rule builds, a chunk of lines at a time straight
-into its arrays, only the nodes in the support's chord through their
-line along the normal axis (``u.support.chord``), on the lines that
-reach into the half-space.  The integrands are 0.0 in the margin by
-which a chord may be wider than the support.
+no others, and the box rule keeps only the nodes in the support's chord
+through their line along the normal axis (``u.support.chord``), on the
+lines that reach into the half-space.  The integrands are 0.0 in the
+margin by which a chord may be wider than the support.
 
 A deterministic rule (the ball rule, or the box rule with at most 4
 transverse axes) reports as stderr its gap to its companion, the same
@@ -41,15 +40,18 @@ companion's (one block for both where they fit), shared by all
 integrands, each summed before the next is called; a part of several
 blocks moves in its last bits against one sum.
 
-The ball rule holds of its nodes only their dist, and places each block
-from its unit-ball template (z, S, weights), z = (x - c) / r and
-S = |z|^2: the points c + r z and the weights times r^n.  So integration
-holds one block's sample past the template and dist, or past the box
-rule's arrays.  The sample gets (z, S) as the nodes' local coordinates,
-so a bump about c never works them back out of the rounded nodes (see
-:func:`~strathardy.calculus.sample_trial`).  Every rule stores its nodes
-column-major.  Up to 16 templates of at most 4 MiB (``_BALL_CACHE_BYTES``)
-are cached: at 16 points per axis those up to 10 dimensions.
+No rule holds its nodes; each places a block from compact data as it is
+summed.  The ball rule holds their dist and its unit-ball template
+(z, S, weights), z = (x - c) / r and S = |z|^2: the points c + r z and
+the weights times r^n.  The box rule holds its kept lines and how many
+nodes each keeps, and reruns the s rule, masks and fill on the lines a
+block touches, each step per line, so a block holds the bits of the rule
+built whole.  The ball rule's sample gets (z, S) as the nodes' local
+coordinates, so a bump about c never works them back out of the rounded
+nodes (see :func:`~strathardy.calculus.sample_trial`).  Every rule places
+its nodes column-major.  Up to 16 templates of at most 4 MiB
+(``_BALL_CACHE_BYTES``) are cached: at 16 points per axis those up to 10
+dimensions.
 
 ``evaluations`` counts the nodes of the full rule, built or not (the
 ball rule's own on the ball rule).  A non-finite integrand value raises
@@ -162,53 +164,105 @@ def _philox_uniform(seed: int, count: int, dim: int) -> np.ndarray:
     return out
 
 
+class _Lines(NamedTuple):
+    """The kept lines along the normal axis of one part of the box rule, on
+    the s ``grid`` (ppa, panels, order) of :func:`_graded_s_axis`: per line
+    its transverse node and weight, the c of dist = nuj x + c, its dist
+    range [lo, hi], the s window of the support's chord (None: no support),
+    and in ``offsets`` the nodes kept before it, then the part's count."""
+
+    grid: tuple[int, int | None, int]
+    trans_pts: np.ndarray
+    trans_w: np.ndarray
+    c: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    window: tuple[np.ndarray, np.ndarray] | None
+    offsets: np.ndarray
+
+    def chunks(self, m: float, first: int = 0, last: int | None = None):
+        """(a, s, s-weights, kept mask) of lines a:a + step of first:last, at
+        most ``_EVAL_CHUNK`` s nodes; each step is line by line, so any cut
+        of the lines gives their bits of the whole grid."""
+        ppa, panels, order = self.grid
+        last = self.lo.size if last is None else last
+        step = max(1, _EVAL_CHUNK // ((panels + 1) * order if panels else 2 * ppa))
+        for a in range(first, last, step):
+            cut = slice(a, min(a + step, last))
+            s, ws = _graded_s_axis(self.lo[cut], self.hi[cut], m, *self.grid)
+            kept = s**m > 0.0  # s**m underflows at the smallest s
+            if self.window is not None:
+                kept &= (s >= self.window[0][cut, None]) & (s <= self.window[1][cut, None])
+            yield a, s, ws, kept
+
+
 class _Rule(NamedTuple):
-    """The nodes a rule evaluates, column-major, with their dist (> 0) and weights.
+    """A rule, which holds only compact data of its ``count`` nodes:
+    ``place(lo, hi)`` builds the points (column-major), dist (> 0),
+    weights, local coordinates and line numbers of nodes lo:hi, and
+    ``points``, ``dist``, ``weights``, ``local`` and ``line`` place all.
 
-    The full rule has ``size`` nodes on ``lines`` lines, built or not:
-    ``evaluations`` counts them.  A deterministic rule holds its ``split``
-    nodes, then its companion's.  The Monte Carlo branch has none (``split``
-    None): its stderr is the spread of its sums over the lines, ``line``
-    numbering each node's line among those that hold nodes, from 0.
-    """
+    The full rule has ``size`` nodes, built or not: ``evaluations`` counts
+    them.  A deterministic rule places its ``split`` nodes, then its
+    companion's.  The Monte Carlo branch has no companion (``split`` None)
+    and ``lines`` lines, built or not: its stderr is the spread of its sums
+    over them, each node numbered by its line among the kept ones, from 0,
+    and the kept ones up to the last that holds a node ``held``."""
 
-    points: np.ndarray
-    dist: np.ndarray
-    weights: np.ndarray
+    place: Callable[[int, int], tuple]
+    count: int
     size: int
-    split: int | None = None
-    line: np.ndarray | None = None
-    lines: int = 0
-    coarse = None  # the companion shares the rule's arrays
+    split: int | None
+    lines: int | None = None
+    held: int = 0
+    coarse = None  # the companion is placed with the rule
 
-    def place(self, lo: int, hi: int):
-        """The points, dist, weights and local coordinates (none) of nodes lo:hi."""
-        return self.points[lo:hi], self.dist[lo:hi], self.weights[lo:hi], None
+    points = property(lambda self: self.place(0, self.count)[0])
+    dist = property(lambda self: self.place(0, self.count)[1])
+    weights = property(lambda self: self.place(0, self.count)[2])
+    local = property(lambda self: self.place(0, self.count)[3])
+    line = property(lambda self: self.place(0, self.count)[4])
 
 
-class _BallRule(NamedTuple):
-    """A :class:`_Rule` that holds of its nodes only their dist: ``place``
-    puts rows of its unit-ball ``template`` (z, S, weights) on the ball
-    about ``center``, points c + r z and weights times r^n, with local
-    coordinates (z, S).  ``points``, ``weights`` and ``local`` place all."""
+def _place_lines(parts: tuple[_Lines, ...], axis: int, nuj: float, m: float, lo: int, hi: int):
+    """Nodes lo:hi of the box rule of ``parts``, each built from its line
+    alone; line numbers where it has one part, on the Monte Carlo branch."""
+    n = parts[0].trans_pts.shape[1] + 1
+    trans_axes = [j for j in range(n) if j != axis]
+    hi = min(hi, sum(int(part.offsets[-1]) for part in parts))
+    points, dist, weights = np.empty((hi - lo, n), order="F"), np.empty(hi - lo), np.empty(hi - lo)
+    line = np.empty(hi - lo, dtype=np.intp) if len(parts) == 1 else None
+    at = start = 0
+    for part in parts:
+        offsets = part.offsets
+        a, b, start = max(lo - start, 0), min(hi - start, int(offsets[-1])), start + int(offsets[-1])
+        if a >= b:
+            continue
+        first = int(np.searchsorted(offsets, a, side="right")) - 1
+        for g, s, ws, kept in part.chunks(m, first, int(np.searchsorted(offsets, b))):
+            # the chunk's nodes are the part's from offsets[g]; keep those of a:b
+            rows, cols = (i[max(a - offsets[g], 0) : b - offsets[g]] for i in np.nonzero(kept))
+            s, ws, rows = s[rows, cols], ws[rows, cols], rows + g
+            cut = slice(at, at + rows.size)
+            dist[cut] = s**m
+            points[cut, trans_axes] = part.trans_pts[rows]
+            points[cut, axis] = (dist[cut] - part.c[rows]) / nuj
+            np.multiply(part.trans_w[rows], ws, out=weights[cut])
+            weights[cut] *= (m * s ** (m - 1.0)) / abs(nuj)
+            if line is not None:
+                line[cut] = rows
+            at = cut.stop
+    return points, dist, weights, None, line
 
-    template: tuple[np.ndarray, np.ndarray, np.ndarray]
-    center: np.ndarray
-    radius: float
-    dist: np.ndarray
-    size: int
-    split: int
-    line = lines = coarse = None
 
-    def place(self, lo: int, hi: int):
-        z, squares, weights = (a[lo:hi] for a in self.template)
-        points = z * self.radius
-        points += self.center
-        return points, self.dist[lo:hi], weights * self.radius ** z.shape[1], (z, squares)
-
-    points = property(lambda self: self.place(0, len(self.dist))[0])
-    weights = property(lambda self: self.place(0, len(self.dist))[2])
-    local = property(lambda self: self.place(0, len(self.dist))[3])
+def _place_ball(template, center, radius: float, dist, lo: int, hi: int):
+    """Rows lo:hi of the unit-ball ``template`` (z, S, weights) on the ball
+    about ``center``: points c + r z, their ``dist`` and weights times r^n,
+    with local coordinates (z, S) and no line numbers."""
+    z, squares, weights = (a[lo:hi] for a in template)
+    points = z * radius
+    points += center
+    return points, dist[lo:hi], weights * radius ** z.shape[1], (z, squares), None
 
 
 def _tensor_product(box: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -285,8 +339,11 @@ def _build_boundary_graded(box, hs, cfg, support) -> _Rule:
         _check_budget(sizes[-1], f"boundary-graded with {ppa} points per axis in {n} dimensions")
         grids.append((ppa, panels, order, t_count))
 
-    def kept_lines(ppa, panels, order, t_count):
-        """The kept lines' transverse nodes, weights, offsets c, dist ranges and s windows."""
+    # the kept lines: those that reach into the half-space and meet the support,
+    # as the others would carry zero weight or lie outside it; on them only
+    # the nodes in the support's chord are kept
+    parts = []
+    for ppa, panels, order, t_count in grids:
         if not trans_axes:
             trans_pts, trans_w = np.zeros((1, 0)), np.ones(1)
         elif deterministic:
@@ -304,10 +361,6 @@ def _build_boundary_graded(box, hs, cfg, support) -> _Rule:
         lo = np.maximum(0.0, np.minimum(da, db))
         hi = np.maximum(da, db)
         keep = hi > np.maximum(lo, 0.0)
-
-        # build only the lines that reach into the half-space and meet the
-        # support, and on them only the nodes in the support's chord; the
-        # others would carry zero weight or lie outside the support
         if support is not None:
             line_pts = np.zeros((t_count, n), order="F")
             line_pts[:, trans_axes] = trans_pts
@@ -316,41 +369,18 @@ def _build_boundary_graded(box, hs, cfg, support) -> _Rule:
         lines = np.flatnonzero(keep)
         trans_pts, trans_w, c, lo, hi = (a[lines] for a in (trans_pts, trans_w, c, lo, hi))
         window = None if support is None else _s_window(chord_lo[lines], chord_hi[lines], nuj, c, m)
-        return trans_pts, trans_w, c, lo, hi, window
+        # each line's kept nodes are counted; ``_place_lines`` builds them
+        offsets = np.zeros(lines.size + 1, dtype=np.intp)
+        parts.append(_Lines((ppa, panels, order), trans_pts, trans_w, c, lo, hi, window, offsets))
+        for a, _, _, kept in parts[-1].chunks(m):
+            offsets[a + 1 : a + 1 + len(kept)] = np.count_nonzero(kept, axis=1)
+        np.cumsum(offsets, out=offsets)
 
-    def chunks(ppa, panels, order, lo, hi, window):
-        """(a, s, s-weights, kept mask) of lines a:a + step, at most ``_EVAL_CHUNK``
-        s nodes; each step is line by line, so chunks give the whole grid's bits."""
-        step = max(1, _EVAL_CHUNK // ((panels + 1) * order if panels else 2 * ppa))
-        for a in range(0, lo.size, step):
-            cut = slice(a, a + step)
-            s, ws = _graded_s_axis(lo[cut], hi[cut], m, ppa, panels, order)
-            kept = s**m > 0.0  # s**m underflows at the smallest s
-            if window is not None:
-                kept &= (s >= window[0][cut, None]) & (s <= window[1][cut, None])
-            yield a, s, ws, kept
-
-    # the nodes are counted, then built straight into the rule's arrays
-    parts = [(grid[:3], kept_lines(*grid)) for grid in grids]
-    counts = [sum(int(np.count_nonzero(chunk[3])) for chunk in chunks(*grid, *part[3:])) for grid, part in parts]
-    total = sum(counts)
-    pts, dist, weights = np.empty((total, n), order="F"), np.empty(total), np.empty(total)
-    line = None if deterministic else np.empty(total, dtype=np.intp)
-    at = 0
-    for grid, (trans_pts, trans_w, c, *part) in parts:
-        for a, s, ws, kept in chunks(*grid, *part):
-            rows, cols = np.nonzero(kept)
-            s, ws, rows = s[rows, cols], ws[rows, cols], rows + a
-            cut = slice(at, at + rows.size)
-            dist[cut] = s**m
-            pts[cut, trans_axes] = trans_pts[rows]
-            pts[cut, jstar] = (dist[cut] - c[rows]) / nuj
-            np.multiply(trans_w[rows], ws, out=weights[cut])
-            weights[cut] *= (m * s ** (m - 1.0)) / abs(nuj)
-            if line is not None:
-                line[cut] = rows
-            at = cut.stop
-    return _Rule(pts, dist, weights, sizes[0], counts[0] if deterministic else None, line, grids[0][3])
+    place, count = partial(_place_lines, tuple(parts), jstar, nuj, m), sum(int(p.offsets[-1]) for p in parts)
+    if deterministic:
+        return _Rule(place, count, sizes[0], int(parts[0].offsets[-1]))
+    # the Monte Carlo branch's kept lines up to the last that holds a node
+    return _Rule(place, count, sizes[0], None, grids[0][3], int(np.searchsorted(parts[0].offsets, count)))
 
 
 def _gauss_jacobi(order: int, a: float) -> tuple[np.ndarray, np.ndarray]:
@@ -498,9 +528,9 @@ _BALL_CACHE_BYTES = 1 << 22
 _cached_unit_ball = lru_cache(maxsize=16)(_unit_ball)
 
 
-def _build_ball(hs, cfg, support) -> _BallRule:
+def _build_ball(hs, cfg, support) -> _Rule:
     """The unit ball rule and its companion placed on the support ball
-    (see :class:`_BallRule`).  The bump is radial about c, so its
+    (see :func:`_place_ball`).  The bump is radial about c, so its
     essential singularity at the edge meets only the radial rule."""
     n = support.center.size
     ppa = cfg.points_per_axis
@@ -510,23 +540,27 @@ def _build_ball(hs, cfg, support) -> _BallRule:
         _check_budget(count, f"the ball rule with {points} points per axis in {n} dimensions")
     cached = sum(counts) * (n + 2) * 8 <= _BALL_CACHE_BYTES  # z, S and weights
     nodes, squares, weights, split = (_cached_unit_ball if cached else _unit_ball)(n, parts)
-    # dist one block at a time on an axis normal, where hs.distance takes one
-    # column; else in one call, as its matmul can move in the last bits with the rows
-    step = _EVAL_CHUNK if np.count_nonzero(hs.nu) == 1 else len(squares)
-    dist = np.empty(len(squares))
-    for a in range(0, len(squares), step):
-        points = nodes[a : a + step] * support.radius
+    (axes,) = np.nonzero(hs.nu)
+    if axes.size == 1:
+        # on an axis normal from the normal's column alone, with the
+        # operations hs.distance runs on the placed nodes' column
+        j = axes[0]
+        dist = (nodes[:, j] * support.radius + support.center[j]) * hs.nu[j] - hs.d
+    else:
+        # in one call, as its matmul can move in the last bits with the rows
+        points = nodes * support.radius
         points += support.center
-        dist[a : a + step] = hs.distance(points)
+        dist = hs.distance(points)
     # only rounding in <x, nu> - d, far from the origin, could reach 0
     if not np.all(dist > 0.0):
         keep = np.flatnonzero(dist > 0.0)
         split = int(np.searchsorted(keep, split))
         nodes, squares, weights, dist = np.asfortranarray(nodes[keep]), squares[keep], weights[keep], dist[keep]
-    return _BallRule((nodes, squares, weights), support.center, support.radius, dist, counts[0], split)
+    place = partial(_place_ball, (nodes, squares, weights), support.center, support.radius, dist)
+    return _Rule(place, len(dist), counts[0], split)
 
 
-def _build_nodes(box, hs, cfg, support) -> _Rule | _BallRule:
+def _build_nodes(box, hs, cfg, support) -> _Rule:
     """The ball rule where ``support`` (None: not known) takes it, else the box rule."""
     if _takes_ball(box, hs, support, cfg):
         return _build_ball(hs, cfg, support)
@@ -535,33 +569,33 @@ def _build_nodes(box, hs, cfg, support) -> _Rule | _BallRule:
         return _build_boundary_graded(box, hs, cfg, support)
 
 
-def _sums(fs, rule: _Rule | _BallRule, sample) -> np.ndarray:
+def _sums(fs, rule: _Rule, sample) -> np.ndarray:
     """The sum of weights * values of each integrand over the rule's own
     nodes, then over its companion's, (2, len(fs)) ((1, len(fs)) without a
-    split); for a Monte Carlo rule its sums over each line numbered in
-    ``rule.line`` instead, (len(fs), rule.line.max() + 1).
+    split); for a Monte Carlo rule its sums over each line that ``place``
+    numbers instead, (len(fs), rule.held).
 
     The integrands run on ``sample(points, dist, local=local)`` of each
-    block of at most ``_EVAL_CHUNK`` nodes as ``rule.place`` gives it (see
+    block of at most ``_EVAL_CHUNK`` nodes as ``rule.place`` builds it (see
     the module docstring), and each block's sums are added to its part's.
     A non-finite value raises IntegrationError with ``index`` its
     integrand's place in ``fs``."""
-    line, count = rule.line, len(rule.dist)
+    count, monte_carlo = rule.count, rule.lines is not None
     ends = [count] if rule.split is None else [rule.split, count]
-    sums = np.zeros((len(ends), len(fs)) if line is None else (len(fs), int(line.max(initial=-1)) + 1))
+    sums = np.zeros((len(fs), rule.held) if monte_carlo else (len(ends), len(fs)))
     bounds = enumerate(zip([0] + ends, ends))
     pieces = [(part, a, min(a + _EVAL_CHUNK, hi)) for part, (lo, hi) in bounds for a in range(lo, hi, _EVAL_CHUNK)]
     for window in [pieces] if 0 < count <= _EVAL_CHUNK else [[piece] for piece in pieces]:
         first, last = window[0][1], window[-1][2]
         # a non-finite value raises IntegrationError, which numpy's warnings would only repeat
         with np.errstate(all="ignore"):
-            points, dist, weights, local = rule.place(first, last)
+            points, dist, weights, local, line = rule.place(first, last)
             arg = sample(points, dist, local=local)
             for i, f in enumerate(fs):
                 values = np.asarray(f(arg), dtype=float)
                 for part, lo, hi in window:
                     at = slice(lo - first, hi - first)
-                    if line is None:
+                    if not monte_carlo:
                         # a non-finite value makes the sum non-finite; finite
                         # values that overflow it are no error
                         total = np.sum(weights[at] * values[at])
@@ -570,7 +604,9 @@ def _sums(fs, rule: _Rule | _BallRule, sample) -> np.ndarray:
                         sums[part, i] += total
                     else:
                         _check_finite(values[at], points[at], i)
-                        sums[i] += np.bincount(line[lo:hi], weights=weights[at] * values[at], minlength=sums.shape[1])
+                        sums[i] += np.bincount(line[at], weights=weights[at] * values[at], minlength=sums.shape[1])
+        # the next block is placed and sampled once this one's arrays are gone
+        points = dist = weights = local = line = arg = values = None
     return sums
 
 
@@ -593,11 +629,11 @@ def integrate_many(
 
     Each integrand maps a :class:`~strathardy.calculus.TrialSample` of a
     block of M <= 16,384 nodes to (M,) values; the call holds one block's
-    sample past the rule, whose arrays on the ball rule are its cached
-    template and dist.  The sample's ``dist`` is the rule's, exact on the
-    boundary-graded rule down to 1e-32 and below: a trial field or
-    integrand must read it, never work it back out of the points, which
-    round by about 1e-16 |x|.  With ``trial = (spec, u)`` the sample is
+    sample past the rule's compact data (its lines on the box rule, its
+    cached template and dist on the ball rule).  The sample's ``dist`` is
+    the rule's, exact on the boundary-graded rule down to 1e-32 and below:
+    a trial field or integrand must read it, never work it back out of the
+    points, which round by about 1e-16 |x|.  With ``trial = (spec, u)`` the sample is
     :func:`sample_trial` of u (a derived sample holds ``hgrad``, not
     ``grad``), each integrand must be exactly 0.0 wherever u and its
     gradient are, and it is called only at nodes inside ``u.support`` or
@@ -618,7 +654,7 @@ def integrate_many(
     sample = partial(sample_trial, spec, hs, u)
     rule = _build_nodes(box, hs, cfg, support)
     sums = _sums(fs, rule, sample)
-    if rule.line is None:
+    if rule.lines is None:
         with np.errstate(invalid="ignore"):  # inf - inf: a nan stderr, which the runners report
             values, stderrs = sums[0], np.abs(sums[0] - sums[1])
     else:

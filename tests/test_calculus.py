@@ -27,6 +27,7 @@ from strathardy import (
     sample_trial,
     sub_laplacian_distance_polynomial,
 )
+from strathardy import calculus
 from strathardy.experiments import GENERAL_HARDY, HARDY, LUAN_YOUNG, REMAINDER, SOBOLEV
 from strathardy.quadrature import QuadConfig, _build_nodes
 from strathardy.trials import BumpSupport, SharpnessSpec, boundary_bump_spec
@@ -260,8 +261,6 @@ class TestTrialSample:
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_w_is_the_norm_of_the_pairings_a_sample_holds(self, rng, monkeypatch, k):
-        from strathardy import calculus
-
         spec = heisenberg_group(k)
         hs = HalfSpace(nu=random_unit(rng, spec.total_dim), d=0.1)
         pts = np.asfortranarray(rng.uniform(-1.0, 1.0, size=(50, spec.total_dim)))
@@ -408,6 +407,28 @@ class TestDistanceOperators:
                 assert np.array_equal(p_sub_laplacian_fd_many(spec, f, pts, [p])[0], want, equal_nan=True)
         # the second field at p = 1.5: nan at the points with x1 = 0 alone
         assert np.array_equal(np.isnan(rows[0]), pts[:, 0] == 0.0)
+
+    @pytest.mark.parametrize("group", ["skew", "heisenberg:1", "heisenberg:3"])
+    def test_blocks_of_points_give_the_bits_of_one_call(self, skew_table, rng, group, monkeypatch):
+        # 1,000 points in blocks of 256 (the last one short) or of 7, row-
+        # and column-major, against every point in one block
+        spec = skew_table if group == "skew" else group_from_name(group)
+        dim = spec.total_dim
+        pts = rng.uniform(-1.5, 1.5, size=(1000, dim))
+        pts[::4, 0] = 0.0
+        fields = [
+            distance_field(HalfSpace(nu=random_unit(rng, dim), d=0.0)),
+            ScalarField(dim, lambda q: q[:, 0] ** 2, grad_fn=lambda q: 2.0 * q * (np.arange(dim) == 0)),
+        ]
+        ps = [1.5, 2.0, 3.0]
+        monkeypatch.setattr(calculus, "_FD_BLOCK", len(pts))
+        whole = [p_sub_laplacian_fd_many(spec, f, pts, ps) for f in fields]
+        for block in (256, 7):
+            monkeypatch.setattr(calculus, "_FD_BLOCK", block)
+            for layout in (pts, np.asfortranarray(pts)):
+                for f, want in zip(fields, whole):
+                    got = p_sub_laplacian_fd_many(spec, f, layout, ps)
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_nan_where_angle_vanishes(self, h1, t_axis):
         out = p_sub_laplacian_distance_many(h1, t_axis, np.array([[0.0, 0.0, 1.0]]), 2.0)

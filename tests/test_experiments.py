@@ -1,6 +1,7 @@
 import concurrent.futures
 import tracemalloc
 import weakref
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -513,7 +514,9 @@ class TestVectorInequality:
         defects = experiments._bft_defects
 
         def spy(*args):
-            seen.append(defects(*args))
+            # a copy: the defects are a row of the worker's scratch, which
+            # its next block overwrites
+            seen.append(defects(*args).copy())
             return seen[-1]
 
         monkeypatch.setattr(experiments, "_bft_defects", spy)
@@ -550,7 +553,9 @@ class TestVectorInequality:
             return draw_gram(gen, d, *columns)
 
         def spy(*columns):
-            seen.append([c.shape for c in columns])
+            seen.append([c.shape for c in columns[:4]])
+            # and the scratch, six rows of the block's length
+            assert len(columns) == 5 and columns[4].shape == (6, len(columns[0]))
             return defects(*columns)
 
         monkeypatch.setattr(experiments, "_draw_gram", draw_spy)
@@ -631,7 +636,8 @@ class TestVectorInequality:
         defects = experiments._bft_defects
 
         def spy(*columns):
-            seen.append([c.copy() for c in columns])
+            # the draws; the fifth argument is the worker's scratch
+            seen.append([c.copy() for c in columns[:4]])
             return defects(*columns)
 
         monkeypatch.setattr(experiments, "_bft_defects", spy)
@@ -641,6 +647,33 @@ class TestVectorInequality:
         assert np.count_nonzero(self.gram_defects(a2, z, b2, p) < -1e-12) == 0
         # C_p is sharp: 0.1 % more is violated by the draws the fuzzer checks
         assert np.count_nonzero(self.gram_defects(a2, z, b2, p, cp_scale=1.001) < -1e-12) > 0
+
+    def test_workers_allocate_no_array_per_block(self, monkeypatch):
+        # bft_fuzz makes each worker's buffer in the calling thread
+        given = []
+        chunk_loop = experiments._bft_chunks
+        monkeypatch.setattr(experiments, "_bft_chunks", lambda *args: given.append(args[5]) or chunk_loop(*args))
+        monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1})
+        bft_fuzz(samples=300_000)
+        assert [b.shape for b in given] == [(10, experiments._FUZZ_BLOCK)] * 2
+        # a worker given its buffer draws and checks every block in it: over
+        # 8 chunks, about 160 blocks, its traced peak stays below one row
+        def chunks():  # fresh streams: a chunk's generator advances as it draws
+            return list(philox_chunks(42, 10**6, experiments._FUZZ_CHUNK, FUZZER))
+
+        buffer = np.empty((10, experiments._FUZZ_BLOCK))
+        chunk_loop(chunks()[:1], 5, 2.0, 5.0, 1e-12, buffer)  # first-call set-up, untraced
+        with concurrent.futures.ThreadPoolExecutor(1) as pool:
+            work = chunks()
+            tracemalloc.start()
+            try:
+                got = pool.submit(chunk_loop, work, 5, 2.0, 5.0, 1e-12, buffer).result()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < experiments._FUZZ_BLOCK * np.dtype(float).itemsize
+        # and the buffer changes no result
+        assert got == chunk_loop(chunks(), 5, 2.0, 5.0, 1e-12)
 
     @pytest.mark.parametrize(
         "affinity, cpu_count, samples, workers",
@@ -745,6 +778,22 @@ class TestSharpnessSweep:
         assert [r.extras["eps"] for r in reports] == [0.4, 0.1]
         assert reports[0].quotient > reports[1].quotient > 0.25
         assert all(r.extras["label"] == "verification" for r in reports)
+
+    def test_a_sweep_drops_each_block_before_the_next(self, h1):
+        # the benchmark's sweep: 4.95 MiB at peak when each block's sample
+        # and its last view lived on into the next block's placement, 3.65
+        # with the view dropped after its group's last integrand alone
+        hs = halfspace_preset(h1, "x1-axis", 0.0)
+        cutoff = boundary_bump_spec(hs, 1.0)
+        sweep = partial(sharpness_grid, h1, hs, [2.0, 3.0], (0.5, 0.2, 0.1, 0.05), cutoff)
+        sweep()
+        tracemalloc.start()
+        try:
+            sweep()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2**20
 
     def test_probe_role_off_axis(self, h1, t_axis):
         cutoff = BumpSpec(center=(0.0, 0.0, 0.0), radius=1.0)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 
 from strathardy import run_identity_suite
@@ -46,3 +48,16 @@ def test_fd_residuals_are_small_but_nonzero():
     assert 0.0 < checks["pairing-fd"].residual < 1e-6
     assert 0.0 < checks["translation-jac"].residual < 1e-10
     assert checks["p-harmonic-fd(p=3)"].residual < 1e-4
+
+
+def test_the_benchmark_suite_stays_within_two_mib():
+    # 1,000 points on heisenberg:1 to :3, as the benchmark runs it: 3.98 MiB
+    # at peak when each normal's finite-difference probes were formed at once
+    run_identity_suite(points=1000, indices=(1, 2, 3))
+    tracemalloc.start()
+    try:
+        run_identity_suite(points=1000, indices=(1, 2, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20

@@ -38,8 +38,6 @@ from strathardy.quadrature import (
     _gauss_jacobi,
     _philox_uniform,
     _s_window,
-    _BallRule,
-    _Rule,
     _sums,
     _sphere_rule,
     _symmetric_sphere_rule,
@@ -55,17 +53,19 @@ UNIT_BOX = np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
 
 def _parts(rule):
     """The rule's own nodes, then its companion's on a deterministic rule,
-    each as a rule without a split; a ball rule's parts place their rows of
-    its template."""
+    each as a rule without a split that places its rows of the rule."""
     if rule.split is None:
         return [rule]
-    cuts = (slice(None, rule.split), slice(rule.split, None))
-    if isinstance(rule, _BallRule):
-        return [
-            rule._replace(template=tuple(a[cut] for a in rule.template), dist=rule.dist[cut], split=None)
-            for cut in cuts
-        ]
-    return [_Rule(rule.points[cut], rule.dist[cut], rule.weights[cut], rule.size) for cut in cuts]
+    cuts = ((0, rule.split), (rule.split, rule.count))
+    return [
+        rule._replace(place=lambda lo, hi, a=a, b=b: rule.place(a + lo, a + min(hi, b - a)), count=b - a, split=None)
+        for a, b in cuts
+    ]
+
+
+def _arrays(rule):
+    """The whole rule's points, dist, weights and line numbers, all placed."""
+    return rule.points, rule.dist, rule.weights, rule.line
 
 
 def far_halfspace(dim=3):
@@ -837,7 +837,7 @@ class TestCachedDraw:
         _philox_uniform.cache_clear()
         fresh = _build_nodes(u.support_box, hs, cfg, u.support)
         assert cached.split is None and fresh.lines == cached.lines
-        for a, b in zip(fresh[:3] + (fresh.line,), cached[:3] + (cached.line,)):
+        for a, b in zip(_arrays(fresh), _arrays(cached), strict=True):
             assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
         hits = _philox_uniform.cache_info().hits
         _build_nodes(u.support_box, hs, cfg, u.support)
@@ -968,10 +968,10 @@ _H1_NORMALS = {
 }
 
 
-def _inside(dim):
-    """The half-space t > 0 of ``dim`` dimensions and a bump of radius 0.4
+def _inside(dim, d=0.0):
+    """The half-space t > d of ``dim`` dimensions and a bump of radius 0.4
     whose centre lies at distance 0.5."""
-    hs = HalfSpace(nu=np.eye(dim)[-1], d=0.0)
+    hs = HalfSpace(nu=np.eye(dim)[-1], d=d)
     center = np.full(dim, 0.1)
     center += (0.5 - float(hs.distance(center))) * hs.nu
     return hs, make_bump(BumpSpec(center=tuple(center), radius=0.4))
@@ -1137,7 +1137,7 @@ class TestBallRule:
         assert not _takes_ball(box, hs, support, cfg)
         rule = _build_nodes(box, hs, cfg, support)
         graded = _build_boundary_graded(box, hs, cfg, support)
-        for x, y in zip(rule[:3], graded[:3]):
+        for x, y in zip(_arrays(rule), _arrays(graded), strict=True):
             assert np.array_equal(x, y)
         assert rule.size == graded.size and rule.split == graded.split
         (est,) = integrate_many([_CLIP_INTEGRANDS[1]], box, hs, cfg, trial=(spec, u))
@@ -1168,7 +1168,9 @@ class TestBallRule:
 
 class _Shaved(HalfSpace):
     """A half-space whose distance reads 0.0 at every 7th node, nodes that
-    the ball rule drops as it would ones that round onto the boundary."""
+    the ball rule drops as it would ones that round onto the boundary.  Its
+    normal is oblique: on an axis normal the ball rule takes dist from the
+    normal's column without calling ``distance``."""
 
     def distance(self, points):
         dist = super().distance(points)
@@ -1197,7 +1199,7 @@ _JOINT_CASES = {
     "box-touching": lambda: (_sharpness_case(_T_AXIS), None),
     "ball-3-chunks": lambda: (_interior_ball(1), 300),
     "box-touching-chunks": lambda: (_sharpness_case(_T_AXIS), 300),
-    "ball-3-shaved": lambda: ((_H1, _Shaved(nu=[0.0, 0.0, 1.0]), _interior_ball(1)[2]), None),
+    "ball-3-shaved": lambda: ((_H1, _Shaved(nu=[0.0, 0.1, 1.0]), _interior_ball(1)[2]), None),
 }
 
 
@@ -1308,13 +1310,15 @@ def _oblique_ball():
 
 
 # every dimension of test_taken_inside_the_half_space at its resolution,
-# heisenberg:5's template (too large to cache), a rule whose dist > 0
-# filter drops nodes and an oblique normal on the heisenberg:2 rule
+# an offset axis normal, whose dist rounds in its - d, heisenberg:5's
+# template (too large to cache), a rule whose dist > 0 filter drops nodes
+# and an oblique normal on the heisenberg:2 rule
 _PLACEMENT_CASES = {
     **{f"ball-{dim}": (lambda dim=dim: (*_inside(dim), QuadConfig(points_per_axis=8 if dim <= 5 else 16)))
        for dim in (1, 2, 3, 4, 5, 6, 7, 13)},
+    "ball-3-offset": lambda: (*_inside(3, d=0.3), QuadConfig()),
     "ball-11-uncached": lambda: (*_interior_ball(5)[1:], QuadConfig()),
-    "ball-3-shaved": lambda: (_Shaved(nu=[0.0, 0.0, 1.0]), _interior_ball(1)[2], QuadConfig()),
+    "ball-3-shaved": lambda: (_Shaved(nu=[0.0, 0.1, 1.0]), _interior_ball(1)[2], QuadConfig()),
     "ball-5-oblique": lambda: (*_oblique_ball(), QuadConfig()),
 }
 
@@ -1335,7 +1339,8 @@ class TestPlacement:
             assert count == 3456 - len(range(0, 3456, 7))
         for size in (quadrature._EVAL_CHUNK, 300):
             for lo in range(0, count, size):
-                points, dist, weights, local = rule.place(lo, lo + size)
+                points, dist, weights, local, line = rule.place(lo, lo + size)
+                assert line is None
                 for got, want in zip((points, dist, weights, *local), whole, strict=True):
                     assert _same_bits(got, want[lo : lo + size])
         # and the whole rule, as the tests and the benchmark's tracer read it
@@ -1359,8 +1364,117 @@ class TestPlacement:
         assert peak <= 5.0 * 2**20
 
 
+def _frozen_box(box, hs, cfg, support):
+    """The box rule's whole arrays as they were built when the rule held
+    its nodes: each part's s grid over all its kept lines at once, the
+    nodes kept by s**m > 0 and the chord's s window, then filled in.
+    Returns points, dist, weights, each node's line among its part's kept
+    ones and the split."""
+    n, nu, m = box.shape[0], hs.nu, cfg.grading_exponent
+    jstar = int(np.argmax(np.abs(nu)))
+    nuj = nu[jstar]
+    trans_axes = [j for j in range(n) if j != jstar]
+    touching = float(np.sum(np.minimum(nu * box[:, 0], nu * box[:, 1])) - hs.d) <= 1e-12 * max(
+        1.0, abs(float(np.sum(np.maximum(nu * box[:, 0], nu * box[:, 1])) - hs.d))
+    )
+    deterministic = len(trans_axes) <= 4
+    levels = [(cfg.points_per_axis, 8), (cfg.points_per_axis // 2, 4)]
+    parts = []
+    for ppa, order in levels[: 2 if deterministic else 1]:
+        panels = min(60, max(8, (5 * ppa) // 2)) if touching else None
+        if deterministic:
+            trans_pts, trans_w = quadrature._tensor_product(box[trans_axes], ppa)
+        else:
+            t_count = max(16, cfg.sample_count // ((panels + 1) * order if touching else 2 * ppa))
+            sub = box[trans_axes]
+            trans_pts = sub[:, 0] + _philox_uniform(cfg.seed, t_count, len(trans_axes)) * (sub[:, 1] - sub[:, 0])
+            trans_w = np.full(t_count, float(np.prod(sub[:, 1] - sub[:, 0])) / t_count)
+        c = trans_pts @ nu[trans_axes] - hs.d
+        da, db = nuj * box[jstar, 0] + c, nuj * box[jstar, 1] + c
+        lo, hi = np.maximum(0.0, np.minimum(da, db)), np.maximum(da, db)
+        keep = hi > np.maximum(lo, 0.0)
+        if support is not None:
+            line_pts = np.zeros((len(c), n), order="F")
+            line_pts[:, trans_axes] = trans_pts
+            chord_lo, chord_hi = support.chord(line_pts, jstar)
+            keep &= chord_lo <= chord_hi
+        lines = np.flatnonzero(keep)
+        trans_pts, trans_w, c, lo, hi = (a[lines] for a in (trans_pts, trans_w, c, lo, hi))
+        s, ws = quadrature._graded_s_axis(lo, hi, m, ppa, panels, order)
+        kept = s**m > 0.0
+        if support is not None:
+            window = _s_window(chord_lo[lines], chord_hi[lines], nuj, c, m)
+            kept &= (s >= window[0][:, None]) & (s <= window[1][:, None])
+        rows, cols = np.nonzero(kept)
+        s, ws = s[rows, cols], ws[rows, cols]
+        dist = s**m
+        pts = np.empty((rows.size, n), order="F")
+        pts[:, trans_axes] = trans_pts[rows]
+        pts[:, jstar] = (dist - c[rows]) / nuj
+        weights = trans_w[rows] * ws
+        weights *= (m * s ** (m - 1.0)) / abs(nuj)
+        parts.append((pts, dist, weights, rows))
+    pts, dist, weights, rows = (np.concatenate(a) for a in zip(*parts))
+    return np.asfortranarray(pts), dist, weights, rows, len(parts[0][1])
+
+
+def _sharpness_box(ppa):
+    """The box, half-space, config and support of a sharpness cutoff's box rule."""
+    u = make_bump(boundary_bump_spec(_T_AXIS, 0.45))
+    return u.support_box, _T_AXIS, QuadConfig(points_per_axis=ppa), u.support
+
+
+# a boundary-touching sharpness cutoff (graded panels), at 8 points per
+# axis and at the default 16, whose 50,132 nodes take several blocks of
+# several chunks of lines; a touching box without a support at a grading
+# exponent whose s**m underflows; an interior box (one Gauss rule per
+# line); and the Monte Carlo branch
+_BOX_CASES = {
+    "sharpness": lambda: _sharpness_box(8),
+    "sharpness-blocks": lambda: _sharpness_box(16),
+    "underflow": lambda: (UNIT_BOX, _T_AXIS, QuadConfig(points_per_axis=8, grading_exponent=100.0), None),
+    "interior": lambda: (
+        make_bump(_INTERIOR).support_box, _T_AXIS, QuadConfig(points_per_axis=8), make_bump(_INTERIOR).support
+    ),
+    "monte-carlo": lambda: (_MC_BOX, _MC_HS, QuadConfig(sample_count=2000), None),
+}
+
+
+class TestBoxPlacement:
+    @pytest.mark.parametrize("name", sorted(_BOX_CASES))
+    def test_each_window_holds_the_whole_rules_bits(self, name):
+        # the box rule holds of its nodes only their lines; every window it
+        # places, of the real block size, of 300 nodes or of 7 (which cut
+        # lines on every rule), holds the bits of the same rows of the rule
+        # built whole
+        box, hs, cfg, support = _BOX_CASES[name]()
+        rule = _build_boundary_graded(box, hs, cfg, support)
+        *whole, rows, split = _frozen_box(box, hs, cfg, support)
+        count = len(whole[1])
+        assert (rule.count, rule.split) == (count, None if name == "monte-carlo" else split)
+        if name == "sharpness-blocks":
+            assert count == 50_132
+        # the nodes that start a line
+        starts = {0, split, *(np.flatnonzero(np.diff(rows) != 0) + 1).tolist()}
+        whole.append(rows if name == "monte-carlo" else None)
+        sizes = (quadrature._EVAL_CHUNK, 300, 7)
+        assert {lo for size in sizes for lo in range(0, count, size)} - starts, "no window is cut mid-line"
+        for size in sizes:
+            for lo in range(0, count, size):
+                points, dist, weights, local, line = rule.place(lo, lo + size)
+                assert local is None and (line is None) == (whole[3] is None)
+                for got, want in zip((points, dist, weights), whole[:3], strict=True):
+                    assert _same_bits(got, want[lo : lo + size]) and got.flags.f_contiguous
+                if line is not None:
+                    assert np.array_equal(line, whole[3][lo : lo + size])
+        # and the whole rule, as the tests and the benchmark's tracer read it
+        for got, want in zip(_arrays(rule), whole, strict=True):
+            assert want is None if got is None else _same_bits(got, want)
+
+
 class TestBuiltInPlace:
-    """A template and a box rule are written straight into their arrays."""
+    """A template is written straight into its arrays; a box rule holds
+    only its lines."""
 
     @pytest.mark.parametrize("dim, ppa", [(5, 16), (11, 16), (5, 24)])
     def test_a_template_is_built_in_place(self, dim, ppa):
@@ -1377,52 +1491,48 @@ class TestBuiltInPlace:
             tracemalloc.stop()
         assert peak <= 1.1 * sum(a.nbytes for a in template[:3])
 
-    def test_a_graded_rule_is_built_in_place(self):
+    def test_integrating_a_graded_rule_does_not_grow_with_it(self):
         # the sharpness cutoff of a 32-point run: 287,364 nodes (11.5 MB of
-        # points, dist and weights), 2.17 times that at peak when every
-        # line's s grid and masks were held
+        # points, dist and weights when the rule held them, its build
+        # peaking at 1.12 times that); the rule now holds its lines, so
+        # building and integrating it peak as at 16 points per axis
         hs = halfspace_preset(3, "x1-axis", 0.0)
         u = make_bump(boundary_bump_spec(hs, 1.0))
-        cfg = QuadConfig(points_per_axis=32)
-        _build_boundary_graded(u.support_box, hs, cfg, u.support)
-        tracemalloc.start()
-        try:
-            rule = _build_boundary_graded(u.support_box, hs, cfg, u.support)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(rule.dist) == 287_364
-        assert peak <= 1.25 * (rule.points.nbytes + rule.dist.nbytes + rule.weights.nbytes)
+        peaks = {}
+        for ppa in (16, 32):
+            cfg = QuadConfig(points_per_axis=ppa)
+            integrate_many(_MANY[:2], u.support_box, hs, cfg, trial=(_H1, u))
+            tracemalloc.start()
+            try:
+                integrate_many(_MANY[:2], u.support_box, hs, cfg, trial=(_H1, u))
+                peaks[ppa] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert _build_nodes(u.support_box, hs, QuadConfig(points_per_axis=32), u.support).count == 287_364
+        assert peaks[32] <= 1.25 * peaks[16]
 
-    # a boundary-touching sharpness cutoff (graded panels), a touching box
-    # without a support at a grading exponent whose s**m underflows, an
-    # interior box (one Gauss rule per line) and the Monte Carlo branch
-    @pytest.mark.parametrize("name", ["sharpness", "underflow", "interior", "monte-carlo"])
+    @pytest.mark.parametrize("name", sorted(_BOX_CASES))
     def test_chunks_of_lines_give_the_bits_of_the_whole_grid(self, name, monkeypatch):
-        hs, cfg, support = _T_AXIS, QuadConfig(points_per_axis=8), None
-        if name == "monte-carlo":
-            box, hs, cfg = _MC_BOX, _MC_HS, QuadConfig(sample_count=2000)
-        elif name == "underflow":
-            box, cfg = UNIT_BOX, replace(cfg, grading_exponent=100.0)
-        else:
-            u = make_bump(_INTERIOR if name == "interior" else boundary_bump_spec(hs, 0.45))
-            box, support = u.support_box, u.support
+        box, hs, cfg, support = _BOX_CASES[name]()
         rules = []
-        # the default chunks, one line per chunk, and every line in one chunk
+        # the default chunks, one line per chunk, and every line in one
+        # chunk, for counting the nodes and for placing them
         for chunk in (quadrature._EVAL_CHUNK, 1, 1 << 40):
             monkeypatch.setattr(quadrature, "_EVAL_CHUNK", chunk)
-            rules.append(_build_boundary_graded(box, hs, cfg, support))
+            rule = _build_boundary_graded(box, hs, cfg, support)
+            rules.append((rule, _arrays(rule)))
+        first, arrays = rules[0]
         if name == "underflow":
             # every line of the box reaches into the half-space, so only
             # the dist > 0 filter keeps the rule below its full size
-            assert rules[0].split < rules[0].size and np.all(rules[0].dist > 0.0)
-        for rule in rules[1:]:
-            assert (rule.size, rule.split, rule.lines) == (rules[0].size, rules[0].split, rules[0].lines)
-            for got, want in zip(rule[:3], rules[0][:3]):
-                assert _same_bits(got, want)
-            assert (rule.line is None) == (name != "monte-carlo")
-            if rule.line is not None:
-                assert np.array_equal(rule.line, rules[0].line)
+            assert first.split < first.size and np.all(arrays[1] > 0.0)
+        for rule, got in rules[1:]:
+            assert (rule.size, rule.split, rule.lines) == (first.size, first.split, first.lines)
+            for a, b in zip(got[:3], arrays[:3]):
+                assert _same_bits(a, b)
+            assert (got[3] is None) == (name != "monte-carlo")
+            if got[3] is not None:
+                assert np.array_equal(got[3], arrays[3])
 
 
 # the ball rule's local coordinates: the product sphere rule in 3 and 5
@@ -1433,7 +1543,7 @@ _LOCAL_CASES = {
     "ball-5": lambda: _interior_ball(2),
     "ball-7": lambda: _interior_ball(3),
     "ball-11": lambda: _interior_ball(5),
-    "ball-3-shaved": lambda: (_H1, _Shaved(nu=[0.0, 0.0, 1.0]), _interior_ball(1)[2]),
+    "ball-3-shaved": lambda: (_H1, _Shaved(nu=[0.0, 0.1, 1.0]), _interior_ball(1)[2]),
 }
 
 
