@@ -180,12 +180,11 @@ class _Lines(NamedTuple):
     window: tuple[np.ndarray, np.ndarray] | None
     offsets: np.ndarray
 
-    def chunks(self, m: float, first: int = 0, last: int | None = None):
+    def chunks(self, m: float, first: int, last: int):
         """(a, s, s-weights, kept mask) of lines a:a + step of first:last, at
         most ``_EVAL_CHUNK`` s nodes; each step is line by line, so any cut
         of the lines gives their bits of the whole grid."""
         ppa, panels, order = self.grid
-        last = self.lo.size if last is None else last
         step = max(1, _EVAL_CHUNK // ((panels + 1) * order if panels else 2 * ppa))
         for a in range(first, last, step):
             cut = slice(a, min(a + step, last))
@@ -207,7 +206,7 @@ class _Rule(NamedTuple):
     companion's.  The Monte Carlo branch has no companion (``split`` None)
     and ``lines`` lines, built or not: its stderr is the spread of its sums
     over them, each node numbered by its line among the kept ones, from 0,
-    and the kept ones up to the last that holds a node ``held``."""
+    and ``held`` counting the kept ones up to the last that holds a node."""
 
     place: Callable[[int, int], tuple]
     count: int
@@ -372,7 +371,7 @@ def _build_boundary_graded(box, hs, cfg, support) -> _Rule:
         # each line's kept nodes are counted; ``_place_lines`` builds them
         offsets = np.zeros(lines.size + 1, dtype=np.intp)
         parts.append(_Lines((ppa, panels, order), trans_pts, trans_w, c, lo, hi, window, offsets))
-        for a, _, _, kept in parts[-1].chunks(m):
+        for a, _, _, kept in parts[-1].chunks(m, 0, lines.size):
             offsets[a + 1 : a + 1 + len(kept)] = np.count_nonzero(kept, axis=1)
         np.cumsum(offsets, out=offsets)
 
