@@ -91,9 +91,6 @@ class HalfSpace:
             return points[..., axes[0]] * self.nu[axes[0]] - self.d
         return np.ascontiguousarray(points) @ self.nu - self.d
 
-    def contains(self, points) -> np.ndarray:
-        return self.distance(points) > 0.0
-
 
 def halfspace_preset(dim, name: str, d: float = 0.0) -> HalfSpace:
     """Named normals: "t-axis" is the last coordinate, "x1-axis" the first."""
@@ -153,10 +150,6 @@ class ScalarField:
             raise ValueError(f"support_box must have shape ({self.dim}, 2)")
         self.label = label
         self.support = support
-
-    @property
-    def has_exact_grad(self) -> bool:
-        return self._grad_fn is not None or self._fn_and_grad is not None
 
     def _as_points(self, points) -> np.ndarray:
         points = np.asarray(points, dtype=float)

@@ -6,11 +6,14 @@ Each check of a trial u at some p (:data:`HARDY`, :data:`GENERAL_HARDY`,
 estimates.  :func:`each_p` runs one, for any list of p: it integrates
 the integrands of every p over the trial's support box on one shared
 rule, so one rule, one support mask and one trial sample serve every p of
-a trial, and propagates a standard error into each
-:class:`~strathardy.reports.Report`.  The integrands are array
-expressions over the :class:`~strathardy.calculus.TrialSample` that
-quadrature computes once per block of at most 16,384 nodes.  The first
-error raises.  An integrand that is not finite at a node raises an
+a trial.  A row's stderr is the norm, over the signed error replicates
+its integrals share (see :mod:`~strathardy.quadrature`), of the row's
+number linearised in them (:func:`_bar`): (e_N - q e_D) / D for a
+quotient q = N / D, e_t0 - C_p e_t1 - c_p e_rem for the remainder's
+slack, so errors that cancel in the number cancel in its stderr.  The
+integrands are array expressions over the
+:class:`~strathardy.calculus.TrialSample` that quadrature computes once
+per block of at most 16,384 nodes.  The first error raises.  An integrand that is not finite at a node raises an
 IntegrationError naming the trial and the p of its row; a denominator
 integral too small to divide by, or a row whose quotient or stderr is
 not finite or whose numerator or denominator has a stderr as large as
@@ -223,7 +226,7 @@ def _integrate_rows(
         for g in call:
             mine = [next(estimates) for _ in g.integrands]
             den = mine[g.denominator].value
-            # the quotient stderrs divide by den**2
+            # one whose square underflows, below 1.5e-162, counts as 0
             if den <= 0.0 or den * den == 0.0:
                 raise TrivialTrialError(
                     f"trivial trial function {g.label} at p {g.p!r}: its denominator integral "
@@ -291,20 +294,15 @@ def _hardy_integrands(spec, hs, p: float):
     return [lambda s: s.hgrad_sq ** (p / 2.0), lambda s: s.weighted_u**p]
 
 
-def _quotient_stderr(num: IntegralEstimate, den: IntegralEstimate) -> float:
-    """The first-order stderr of num / den.
-
-    Its second term num * den.stderr / den**2 can leave the float range on
-    the way (den**2 raises OverflowError past 1.3e154, the product turns
-    inf) while the term itself does not; it is then regrouped.
-    """
-    try:
-        spread = num.value * den.stderr / den.value**2
-    except OverflowError:
-        spread = math.inf
-    if math.isinf(spread):
-        spread = num.value / den.value * (den.stderr / den.value)
-    return float(np.hypot(num.stderr / den.value, spread))
+def _bar(*terms: tuple[float, IntegralEstimate, float]) -> float:
+    """A row's stderr: the norm over the replicates its integrals share of
+    the row's number linearised in them, the sum of c * (e / d) over
+    ``terms`` (c, estimate with replicates e, d).  Each replicate is divided
+    by its d before c scales it, so a quotient's bar leaves the float range
+    only where one of its terms does."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        combined = sum(c * (np.asarray(e.replicates) / d) for c, e, d in terms)
+    return math.hypot(*combined)
 
 
 def _report(inequality_id, case: _Case, estimates, extras=None, **kw):
@@ -341,7 +339,7 @@ def _hardy_rows(case, estimates, inequality_id="hardy", bound=None, extras=None)
             quotient=quotient,
             bound=bound,
             margin=quotient - bound,
-            stderr=_quotient_stderr(num, den),
+            stderr=_bar((1.0, num, den.value), (-quotient, den, den.value)),
             numerator=num,
             denominator=den,
         )
@@ -368,17 +366,15 @@ def _general_hardy_rows(case, estimates, betas=None):
     t0, t1 = estimates[:2]
     # no T2 integrand: the distance is p-harmonic and T2 an exact zero
     p_harmonic = len(estimates) == 2
-    t2 = IntegralEstimate(0.0, 0.0, t1.evaluations) if p_harmonic else estimates[2]
+    t2 = IntegralEstimate(0.0, 0.0, t1.evaluations, (0.0,) * len(t1.replicates)) if p_harmonic else estimates[2]
     quotient = t0.value / t1.value
     rows = []
     for beta in [beta_star(p)] if betas is None else betas:
         beta = float(beta)
         coeff = beta_form_coefficient(p, beta)
         bound = coeff + beta * t2.value / t1.value
-        stderr = float(
-            _quotient_stderr(t0, t1)
-            + abs(beta) * (_quotient_stderr(t2, t1) if t2.stderr else 0.0)
-        )
+        # the margin t0 / t1 - coeff - beta t2 / t1, linearised in t0, t1 and t2
+        stderr = _bar((1.0, t0, t1.value), (bound - coeff - quotient, t1, t1.value), (-beta, t2, t1.value))
         rows.append(
             _report(
                 "general-hardy",
@@ -424,7 +420,7 @@ def _remainder_rows(case, estimates):
     cp = remainder_constant(case.p)
     energy = t0.value - sharp * t1.value
     slack = energy - cp * rem.value
-    stderr = float(t0.stderr + sharp * t1.stderr + cp * rem.stderr)
+    stderr = _bar((1.0, t0, 1.0), (-sharp, t1, 1.0), (-cp, rem, 1.0))
     return [
         _report(
             "remainder",
@@ -454,17 +450,14 @@ def _sobolev_rows(case, estimates):
     t0, t1, mass = estimates
     sharp = sharp_hardy_constant(p)
     energy = t0.value - sharp * t1.value
-    energy_err = t0.stderr + sharp * t1.stderr
-    if energy < -(3.0 * energy_err + 1e-3 * abs(t0.value)):
+    if energy < -(3.0 * _bar((1.0, t0, 1.0), (-sharp, t1, 1.0)) + 1e-3 * abs(t0.value)):
         raise ValueError(
             f"inconsistent remainder energy: E_p[u] = {energy} is negative beyond tolerance"
         )
     ratio = max(energy, 0.0) ** (1.0 / p) / mass.value ** (1.0 / pstar)
-    if energy > 0:
-        rel = energy_err / energy / p + mass.stderr / mass.value / pstar
-        stderr = ratio * rel
-    else:
-        stderr = float("inf")
+    # the ratio's relative change is dE / (p E) - dM / (p* M)
+    terms = (1.0 / p, t0, energy), (-sharp / p, t1, energy), (-1.0 / pstar, mass, mass.value)
+    stderr = ratio * _bar(*terms) if energy > 0 else math.inf
     return [
         _report(
             "sobolev",
@@ -474,7 +467,7 @@ def _sobolev_rows(case, estimates):
             quotient=ratio,
             bound=0.0,
             margin=ratio,
-            stderr=float(stderr),
+            stderr=stderr,
             numerator=t0,
             denominator=mass,
         )

@@ -29,7 +29,6 @@ __all__ = [
     "group_from_table",
     "group_from_name",
     "h_multiply",
-    "h_inverse",
     "dilate",
     "apply_field_to_polynomial",
     "commutator_check",
@@ -109,10 +108,6 @@ class GroupSpec:
     # -- derived quantities --------------------------------------------------
 
     @property
-    def step(self) -> int:
-        return len(self.strata_dims)
-
-    @property
     def total_dim(self) -> int:
         return sum(self.strata_dims)
 
@@ -130,15 +125,6 @@ class GroupSpec:
         return np.concatenate(
             [np.full(d, l, dtype=float) for l, d in enumerate(self.strata_dims, start=1)]
         )
-
-    def coeff(self, k: int, slot: int) -> Polynomial:
-        """Coefficient polynomial of field ``k`` on coordinate ``slot``."""
-        if not 0 <= k < self.horizontal_dim:
-            raise ValueError(f"horizontal index {k} out of range")
-        for s, poly in self.coeffs[k]:
-            if s == slot:
-                return poly
-        return Polynomial.zero(self.total_dim)
 
     def field_vector(self, k: int) -> list[Polynomial]:
         """Full coefficient vector of field k as polynomials (length total_dim)."""
@@ -250,14 +236,6 @@ def h_multiply(xi, eta, n: int) -> np.ndarray:
         + 2.0 * (np.sum(xp * y, axis=-1) - np.sum(x * yp, axis=-1))
     )
     return out
-
-
-def h_inverse(xi, n: int) -> np.ndarray:
-    """Heisenberg group inverse; equals coordinatewise negation."""
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape[-1] != 2 * n + 1:
-        raise ValueError(f"points must have {2 * n + 1} coordinates for index {n}")
-    return -xi
 
 
 def dilate(spec: GroupSpec, lam: float, xi) -> np.ndarray:

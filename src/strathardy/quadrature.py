@@ -28,17 +28,22 @@ through their line along the normal axis (``u.support.chord``), on the
 lines that reach into the half-space.  The integrands are 0.0 in the
 margin by which a chord may be wider than the support.
 
-A deterministic rule (the ball rule, or the box rule with at most 4
-transverse axes) reports as stderr its gap to its companion, the same
-builder at half the resolution (``_ball_resolution``; half the points per
-axis and panel order on the box).  One node set holds the rule's nodes,
-then its companion's.  A Monte Carlo rule reports the spread of its sums
-over its lines, 0.0 on a line that holds no node.  Each integrand is
-called on one :class:`~strathardy.calculus.TrialSample` of each block of
-at most 2**14 nodes, cut from the start of the rule's nodes and of its
-companion's (one block for both where they fit), shared by all
-integrands, each summed before the next is called; a part of several
-blocks moves in its last bits against one sum.
+Each estimate carries its signed error replicates, and its stderr is
+their norm.  A deterministic rule (the ball rule, or the box rule with at
+most 4 transverse axes) has one replicate, fine - coarse: its sum less
+its companion's, the same builder at half the resolution
+(``_ball_resolution``; half the points per axis and panel order on the
+box).  One node set holds the rule's nodes, then its companion's.  A
+Monte Carlo rule has one replicate per line, the line's sum less the mean
+over all t lines (a line that holds no node sums to 0.0), times
+sqrt(t / (t - 1)): their norm is the spread of the sums.  The integrands
+of a call share the rule, so their replicates pair up: the error of a
+combination of integrals is the same combination of their replicates.
+Each integrand is called on one :class:`~strathardy.calculus.TrialSample`
+of each block of at most 2**14 nodes, cut from the start of the rule's
+nodes and of its companion's (one block for both where they fit), shared
+by all integrands, each summed before the next is called; a part of
+several blocks moves in its last bits against one sum.
 
 No rule holds its nodes; each places a block from compact data as it is
 summed.  The ball rule holds their dist and its unit-ball template
@@ -118,9 +123,13 @@ class QuadConfig:
 
 @dataclass(frozen=True)
 class IntegralEstimate:
+    """An integral's value, its signed error ``replicates`` and their norm
+    ``stderr`` (see the module docstring), over a rule of ``evaluations`` nodes."""
+
     value: float
     stderr: float
     evaluations: int
+    replicates: tuple[float, ...] = ()
 
 
 class IntegrationError(ValueError):
@@ -655,12 +664,15 @@ def integrate_many(
     sums = _sums(fs, rule, sample)
     if rule.lines is None:
         with np.errstate(invalid="ignore"):  # inf - inf: a nan stderr, which the runners report
-            values, stderrs = sums[0], np.abs(sums[0] - sums[1])
+            values, replicates = sums[0], (sums[0] - sums[1])[:, None]
+        stderrs = np.abs(replicates[:, 0])
     else:
-        # the spread over all t >= 16 lines: those without a node add (0 - mean)**2
-        t = rule.lines
+        # all t >= 16 lines: those without a node deviate by 0 - mean, their squares summed at once
+        t, held = rule.lines, sums.shape[1]
         values = sums.sum(axis=1)
         mean = values / t
-        spread = np.sum((sums - mean[:, None]) ** 2, axis=1) + (t - sums.shape[1]) * mean**2
-        stderrs = np.sqrt(t * spread / (t - 1))
-    return [IntegralEstimate(float(v), float(e), rule.size) for v, e in zip(values, stderrs)]
+        deviations = np.concatenate([sums, np.zeros((len(fs), t - held))], axis=1) - mean[:, None]
+        stderrs = np.sqrt(t * (np.sum(deviations[:, :held] ** 2, axis=1) + (t - held) * mean**2) / (t - 1))
+        replicates = deviations * math.sqrt(t / (t - 1))
+    estimates = zip(values.tolist(), stderrs.tolist(), replicates.tolist())
+    return [IntegralEstimate(v, e, rule.size, tuple(r)) for v, e, r in estimates]

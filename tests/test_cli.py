@@ -197,6 +197,21 @@ class TestCommands:
         assert all(r["nu"] == [0.0, 0.0, 1.0] for r in doc["rows"])
 
 
+class TestDiscrimination:
+    # the sharp constant patched to k C_p, as a wrong constant would be: on
+    # the default heisenberg:1 trials at p 2 and 3, seed 42, the remainder's
+    # paired bar first fails a row at k = 1.0263
+    @pytest.mark.parametrize("k, code", [(1.0, 0), (1.05, 2)])
+    def test_remainder_catches_a_constant_five_percent_too_large(self, tmp_path, capsys, monkeypatch, k, code):
+        sharp = experiments.sharp_hardy_constant
+        monkeypatch.setattr(experiments, "sharp_hardy_constant", lambda p: k * sharp(p))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"p": [2, 3]}))
+        got, out, err = run(["remainder", "--config", str(path), "--seed", "42"], capsys)
+        assert got == code and len(out.splitlines()) == 1 + 2 * 20
+        assert ("contract violated: " in err) == (code == 2)
+
+
 class TestOutput:
     def test_the_parser_is_built_once_per_process(self, tmp_path, capsys, monkeypatch):
         cli.build_parser.cache_clear()

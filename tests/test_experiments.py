@@ -11,6 +11,7 @@ from strathardy import (
     BumpSpec,
     BumpSupport,
     HalfSpace,
+    IntegralEstimate,
     QuadConfig,
     ScalarField,
     beta_form_coefficient,
@@ -357,6 +358,43 @@ class TestSobolev:
         u = make_bump(BumpSpec(center=(0.9, 0.0, 0.0), radius=0.4))
         with pytest.raises(ValueError):
             hardy_sobolev_ratio(r3, hs, u, 3.0, fast_cfg)
+
+
+class TestPairedBar:
+    """A row's stderr is the norm of its number linearised in its
+    integrals' shared replicates, so errors that cancel in the number
+    cancel in the bar; rows built here from hand-made estimates."""
+
+    @staticmethod
+    def _case(h1, t_axis, p):
+        return experiments._Case(h1, t_axis, "hand-made", p, QuadConfig(), "")
+
+    def test_a_numerator_moving_with_its_quotient_has_no_bar(self, h1, t_axis):
+        # q = 6 / 2 = 3 and e_N = q e_D: the quotient does not move
+        num, den = IntegralEstimate(6.0, 1.5, 10, (1.5,)), IntegralEstimate(2.0, 0.5, 10, (0.5,))
+        case = self._case(h1, t_axis, 2.0)
+        (hardy,) = experiments._hardy_rows(case, [num, den])
+        (general,) = experiments._general_hardy_rows(case, [num, den])
+        assert hardy.quotient == 3.0 and hardy.stderr == 0.0
+        assert general.stderr == 0.0
+        # with e_N = -q e_D the errors add: |e_N| / D + q |e_D| / D
+        (apart,) = experiments._hardy_rows(case, [IntegralEstimate(6.0, 1.5, 10, (-1.5,)), den])
+        assert apart.stderr == 1.5
+
+    def test_a_remainder_whose_errors_cancel_has_no_bar(self, h1, t_axis):
+        # at p = 2, C_p = 1/4 and c_p = 1; each replicate has e_t0 = C_p e_t1 + c_p e_rem
+        assert (sharp_hardy_constant(2.0), remainder_constant(2.0)) == (0.25, 1.0)
+        rem = IntegralEstimate(1.0, 0.5, 10, (0.5, -0.25))
+        t0 = IntegralEstimate(2.0, 1.0, 10, (1.5, 0.75))
+        t1 = IntegralEstimate(4.0, 4.0 * 2**0.5, 10, (4.0, 4.0))
+        (row,) = experiments._remainder_rows(self._case(h1, t_axis, 2.0), [rem, t0, t1])
+        assert row.margin == 0.0 and row.stderr == 0.0
+
+    def test_a_bar_is_the_norm_over_the_replicates(self, h1, t_axis):
+        # q = 2: the combined replicates are (2 / 2 - 2 * 0 / 2, 0 / 2 - 2 * 1 / 2) = (1, -1)
+        num, den = IntegralEstimate(4.0, 2.0, 10, (2.0, 0.0)), IntegralEstimate(2.0, 1.0, 10, (0.0, 1.0))
+        (row,) = experiments._hardy_rows(self._case(h1, t_axis, 2.0), [num, den])
+        assert row.stderr == pytest.approx(2**0.5, rel=1e-15)
 
 
 class TestLuanYoung:

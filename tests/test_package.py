@@ -13,7 +13,7 @@ _EXPORTS = {
     "polynomials": "Polynomial parse_polynomial",
     "groups": (
         "GroupSpec heisenberg_group abelian_group group_from_table group_from_name h_multiply "
-        "h_inverse dilate commutator_check left_translation_jacobian"
+        "dilate commutator_check left_translation_jacobian"
     ),
     "calculus": (
         "H_STEP HalfSpace halfspace_preset ScalarField distance_field pairing_polynomials "

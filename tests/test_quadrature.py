@@ -823,6 +823,11 @@ class TestMonteCarloLines:
         stderr = np.sqrt(rule.lines) * np.std(full, ddof=1)
         assert est.stderr == pytest.approx(stderr, rel=1e-12, abs=0.0)
         assert est.value == pytest.approx(np.sum(full), rel=1e-12, abs=0.0)
+        # one replicate per line, each line's deviation from the mean, and stderr their norm
+        assert len(est.replicates) == rule.lines
+        deviations = (full - np.mean(full)) * np.sqrt(rule.lines / (rule.lines - 1))
+        np.testing.assert_allclose(est.replicates, deviations, rtol=1e-12, atol=1e-12 * np.max(np.abs(deviations)))
+        assert math.hypot(*est.replicates) == pytest.approx(est.stderr, rel=1e-12, abs=0.0)
 
 
 class TestCachedDraw:
