@@ -20,7 +20,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .polynomials import Polynomial, parse_polynomial
+from .polynomials import Polynomial
 
 __all__ = [
     "GroupSpec",
@@ -180,22 +180,16 @@ def abelian_group(n: int) -> GroupSpec:
 
 def group_from_table(
     strata_dims,
-    table: Mapping[tuple[int, int], Polynomial | str],
+    table: Mapping[tuple[int, int], Polynomial],
     name: str = "custom",
 ) -> GroupSpec:
-    """Build a GroupSpec from ``{(field_k, slot): polynomial}`` (0-based keys).
-
-    String values are parsed with 1-based variable names x1, x2, ...
-    """
+    """Build a GroupSpec from ``{(field_k, slot): polynomial}`` (0-based keys)."""
     dims = tuple(int(d) for d in strata_dims)
-    n = sum(dims)
     nh = dims[0] if dims else 0
     rows: list[list[tuple[int, Polynomial]]] = [[] for _ in range(nh)]
     for (k, slot), poly in table.items():
         if not 0 <= k < nh:
             raise ValueError(f"field index {k} out of range 0..{nh - 1}")
-        if isinstance(poly, str):
-            poly = parse_polynomial(poly, n)
         rows[k].append((int(slot), poly))
     return GroupSpec(name=name, strata_dims=dims, coeffs=tuple(tuple(r) for r in rows))
 

@@ -11,12 +11,11 @@ accuracy instead of exact cancellation.
 
 from __future__ import annotations
 
-import re
 from typing import Iterable, Mapping
 
 import numpy as np
 
-__all__ = ["Polynomial", "parse_polynomial"]
+__all__ = ["Polynomial"]
 
 
 class Polynomial:
@@ -91,12 +90,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(sum(e) for e in self._terms)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -137,9 +130,6 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
@@ -191,130 +181,5 @@ class Polynomial:
             out += term
         return out
 
-    # -- textual form ------------------------------------------------------
-
-    def __str__(self) -> str:
-        return self.to_string()
-
     def __repr__(self) -> str:
         return f"Polynomial({self._nvars}, {self._terms!r})"
-
-    def to_string(self) -> str:
-        """Render as ``c*x1^e1*x2^e2 + ...`` with 1-based variable names.
-
-        Coefficients use shortest round-trip float formatting, so
-        ``parse_polynomial(p.to_string(), p.nvars) == p`` exactly.
-        """
-        if not self._terms:
-            return "0"
-        parts = []
-        for exps in sorted(self._terms, key=lambda e: (-sum(e), tuple(-v for v in e))):
-            coeff = self._terms[exps]
-            factors = [repr(abs(coeff))]
-            for i, e in enumerate(exps):
-                if e == 1:
-                    factors.append(f"x{i + 1}")
-                elif e > 1:
-                    factors.append(f"x{i + 1}^{e}")
-            parts.append((coeff < 0, "*".join(factors)))
-        first_neg, first = parts[0]
-        pieces = [("-" if first_neg else "") + first]
-        for neg, body in parts[1:]:
-            pieces.append(("- " if neg else "+ ") + body)
-        return " ".join(pieces)
-
-
-_TOKEN = re.compile(
-    r"\s*(?:"
-    r"(?P<number>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<var>x\d+)"
-    r"|(?P<op>[*^+-])"
-    r")"
-)
-
-
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None or m.end() == pos:
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise ValueError(f"cannot parse polynomial at: {rest!r}")
-        pos = m.end()
-        for kind in ("number", "var", "op"):
-            val = m.group(kind)
-            if val is not None:
-                tokens.append((kind, val))
-                break
-    return tokens
-
-
-def parse_polynomial(text: str, nvars: int) -> Polynomial:
-    """Parse the textual form produced by :meth:`Polynomial.to_string`.
-
-    Accepts sums of terms like ``3.5*x1^2*x3 - 2*x2 + 1``; a bare variable
-    (``x2`` or ``-x2^3``) is read with coefficient 1.  Variable indices are
-    1-based and must not exceed ``nvars``.
-    """
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ValueError("empty polynomial text")
-    terms: dict[tuple, float] = {}
-    i = 0
-    n = len(tokens)
-
-    def parse_factor(idx):
-        if idx >= n:
-            raise ValueError("unexpected end of polynomial text")
-        kind, val = tokens[idx]
-        if kind == "number":
-            return float(val), None, idx + 1
-        if kind == "var":
-            var = int(val[1:]) - 1
-            if not 0 <= var < nvars:
-                raise ValueError(f"variable {val} out of range for nvars={nvars}")
-            exp = 1
-            if idx + 1 < n and tokens[idx + 1] == ("op", "^"):
-                if idx + 2 >= n or tokens[idx + 2][0] != "number":
-                    raise ValueError("expected integer exponent after '^'")
-                exp_text = tokens[idx + 2][1]
-                if not exp_text.isdigit():
-                    raise ValueError(f"exponent must be a nonnegative integer: {exp_text}")
-                exp = int(exp_text)
-                idx += 2
-            return None, (var, exp), idx + 1
-        raise ValueError(f"unexpected token {val!r} in term")
-
-    first = True
-    while i < n:
-        sign = 1.0
-        signs = 0
-        while i < n and tokens[i][0] == "op" and tokens[i][1] in "+-":
-            if tokens[i][1] == "-":
-                sign = -sign
-            signs += 1
-            i += 1
-        if i >= n:
-            raise ValueError("dangling sign at end of polynomial text")
-        if not first and signs == 0:
-            raise ValueError("expected '+' or '-' between terms")
-        first = False
-        coeff = sign
-        exps = [0] * nvars
-        while True:
-            c, ve, i = parse_factor(i)
-            if c is not None:
-                coeff *= c
-            else:
-                var, exp = ve
-                exps[var] += exp
-            if i < n and tokens[i] == ("op", "*"):
-                i += 1
-                continue
-            break
-        key = tuple(exps)
-        terms[key] = terms.get(key, 0.0) + coeff
-    return Polynomial(nvars, terms)

@@ -72,10 +72,6 @@ class BumpSpec:
                 raise ValueError("powers must be even integers >= 2")
             object.__setattr__(self, "powers", powers)
 
-    @property
-    def dim(self) -> int:
-        return len(self.center)
-
     def label(self) -> str:
         q = "" if self.powers is None else f",powers={_fmt(self.powers)}"
         return f"bump(center={_fmt(self.center)},radius={self.radius!r}{q})"

@@ -49,7 +49,7 @@ def skew_table():
     return group_from_table(
         name="skew",
         strata_dims=(2, 1),
-        table={(0, 2): "x1"},
+        table={(0, 2): Polynomial.variable(3, 0)},
     )
 
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import strathardy
-from strathardy import CSV_COLUMNS, Report, calculus, cli, experiments, render_json
+from strathardy import CSV_COLUMNS, IntegralEstimate, Report, calculus, cli, experiments, render_json
 from strathardy.cli import COMMANDS, fix_malloc_thresholds, main
 from strathardy.config import SIZE_BOUNDS, build_trials, load_config, resolve
 
@@ -93,6 +93,27 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert err.startswith("contract violated: rows 0,1 sharpness: quotient rose")
         assert "eps 0.05 -> 0.5" in err
+
+    @pytest.mark.parametrize("cancel", [True, False])
+    def test_a_sharpness_rise_is_measured_against_its_paired_bar(self, cancel):
+        # both numerators err by +0.5 in one replicate: the errors cancel in
+        # q_b - q_a, so a rise of 0.5 is far outside its paired bar, though
+        # inside 3 (a.stderr + b.stderr) = 3; errors in separate replicates
+        # leave the bar at 0.5 sqrt(2), which the rise is inside
+        den = IntegralEstimate(1.0, 0.0, 10, (0.0, 0.0))
+
+        def row(quotient, eps, replicates):
+            num = IntegralEstimate(quotient, 0.5, 10, replicates)
+            return Report("sharpness", 2.0, "heisenberg:1", (1.0, 0.0, 0.0), 0.0, quotient, 0.25,
+                          quotient - 0.25, 0.5, 10, 42, "digest", num, den,
+                          {"eps": eps, "label": "verification"})
+
+        reports = [row(10.0, 0.5, (0.5, 0.0)), row(10.5, 0.25, (0.5, 0.0) if cancel else (0.0, 0.5))]
+        failures = COMMANDS["sharpness"].failures(reports)
+        if cancel:
+            assert failures == ["rows 0,1 sharpness: quotient rose from 10.0 to 10.5 at eps 0.5 -> 0.25, slack 0.01"]
+        else:
+            assert failures == []
 
     def test_failing_rows_are_named(self):
         def row(margin):

@@ -12,6 +12,7 @@ from strathardy import (
     BumpSupport,
     HalfSpace,
     IntegralEstimate,
+    Polynomial,
     QuadConfig,
     ScalarField,
     beta_form_coefficient,
@@ -259,7 +260,7 @@ class TestGeneralHardy:
     def test_t2_term_when_distance_is_not_p_harmonic(self, p):
         # X1 = d/dx1 + x1 d/dt against the t-axis: S1 = 1 and S2 = x1^2, so the
         # t2 term is integrated; compare it with the finite-difference route
-        skew = group_from_table(name="skew", strata_dims=(2, 1), table={(0, 2): "x1"})
+        skew = group_from_table(name="skew", strata_dims=(2, 1), table={(0, 2): Polynomial.variable(3, 0)})
         hs = halfspace_preset(3, "t-axis", 0.0)
         u = make_bump(BumpSpec(center=(0.1, 0.2, 0.8), radius=0.3))
         cfg = QuadConfig(points_per_axis=8)

@@ -34,8 +34,11 @@ class TestSpecValidation:
         assert h1.field_vector(0)[1].is_zero
 
     def test_field_vector_shape(self, h1):
-        vec = h1.field_vector(0)
-        assert [p.to_string() for p in vec] == ["1.0", "0", "2.0*x2"]
+        assert h1.field_vector(0) == [
+            Polynomial.constant(3, 1.0),
+            Polynomial.zero(3),
+            Polynomial.variable(3, 1).scale(2.0),
+        ]
 
     def test_field_index_out_of_range(self, h1):
         with pytest.raises(ValueError):
@@ -66,14 +69,17 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             GroupSpec(name="bad", strata_dims=(2,), coeffs=((),))
 
-    def test_group_from_table_parses_strings(self):
+    def test_group_from_table_takes_polynomials(self):
+        x, y = Polynomial.variable(3, 0), Polynomial.variable(3, 1)
         spec = group_from_table(
             name="h1-copy",
             strata_dims=(2, 1),
-            table={(0, 2): "2*x2", (1, 2): "-2*x1"},
+            table={(0, 2): y.scale(2.0), (1, 2): x.scale(-2.0)},
         )
         assert spec.field_vector(0) == heisenberg_group(1).field_vector(0)
         assert spec.field_vector(1) == heisenberg_group(1).field_vector(1)
+        with pytest.raises(ValueError, match="must be a Polynomial in 3 variables"):
+            group_from_table(strata_dims=(2, 1), table={(0, 2): "2*x2"})
 
     def test_group_from_name(self):
         assert group_from_name("heisenberg:2").heisenberg_n == 2

@@ -10,7 +10,7 @@ import strathardy
 
 # every name the package exports, by the module that defines or re-exports it
 _EXPORTS = {
-    "polynomials": "Polynomial parse_polynomial",
+    "polynomials": "Polynomial",
     "groups": (
         "GroupSpec heisenberg_group abelian_group group_from_table group_from_name h_multiply "
         "dilate commutator_check left_translation_jacobian"

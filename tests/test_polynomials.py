@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from strathardy import Polynomial, parse_polynomial
+from strathardy import Polynomial
 
 
 def int_polys(nvars, max_exp=4, max_terms=6):
@@ -151,40 +151,3 @@ class TestEvalManyArithmetic:
         got = poly.eval_many(pts)
         assert np.array_equal(got, want, equal_nan=True)
         assert np.array_equal(np.signbit(got), np.signbit(want))
-
-
-class TestText:
-    @given(int_polys(3))
-    def test_round_trip_integer(self, a):
-        assert parse_polynomial(a.to_string(), 3) == a
-
-    @given(
-        st.dictionaries(
-            st.tuples(st.integers(0, 3), st.integers(0, 3)),
-            st.floats(allow_nan=False, allow_infinity=False, width=64),
-            max_size=5,
-        )
-    )
-    def test_round_trip_float_coefficients(self, terms):
-        a = Polynomial(2, terms)
-        assert parse_polynomial(a.to_string(), 2) == a
-
-    def test_zero_prints_as_zero(self):
-        assert Polynomial.zero(3).to_string() == "0"
-        assert parse_polynomial("0", 3).is_zero
-
-    def test_parse_accepts_bare_variables(self):
-        assert parse_polynomial("x2", 3) == Polynomial.variable(3, 1)
-        assert parse_polynomial("-x1^2", 2) == Polynomial.monomial(2, (2, 0), -1.0)
-
-    def test_parse_scientific_notation(self):
-        p = parse_polynomial("1e-3*x1 + 2.5E+2", 1)
-        assert p == Polynomial(1, {(1,): 1e-3, (0,): 250.0})
-
-    def test_parse_repeated_factor_accumulates(self):
-        assert parse_polynomial("2*x1*x1^2", 1) == Polynomial(1, {(3,): 2.0})
-
-    @pytest.mark.parametrize("bad", ["", "x0", "x4", "2*", "+ -", "x1^-2", "x1^2.5", "3..2"])
-    def test_parse_rejects(self, bad):
-        with pytest.raises(ValueError):
-            parse_polynomial(bad, 3)
