@@ -81,6 +81,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="must be a Polynomial in 3 variables"):
             group_from_table(strata_dims=(2, 1), table={(0, 2): "2*x2"})
 
+    @pytest.mark.parametrize(
+        "entry", ["2*x2", 2.0, None, Polynomial.variable(2, 1)], ids=["text", "float", "none", "nvars"]
+    )
+    def test_group_from_table_rejects_other_entries(self, entry):
+        with pytest.raises(ValueError, match="field 0, slot 2: coefficient must be a Polynomial in 3 variables"):
+            group_from_table(strata_dims=(2, 1), table={(0, 2): entry})
+
     def test_group_from_name(self):
         assert group_from_name("heisenberg:2").heisenberg_n == 2
         assert group_from_name("abelian:4").total_dim == 4

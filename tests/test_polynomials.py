@@ -151,3 +151,63 @@ class TestEvalManyArithmetic:
         got = poly.eval_many(pts)
         assert np.array_equal(got, want, equal_nan=True)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestRepr:
+    """``repr`` is the one printed form: it spells the constructor call."""
+
+    @given(int_polys(3))
+    def test_round_trip_integer(self, a):
+        assert eval(repr(a), {"Polynomial": Polynomial}) == a
+
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(0, 3), st.integers(0, 3)),
+            st.floats(allow_nan=False, allow_infinity=False, width=64),
+            max_size=5,
+        )
+    )
+    def test_round_trip_float_coefficients(self, terms):
+        a = Polynomial(2, terms)
+        assert eval(repr(a), {"Polynomial": Polynomial}) == a
+
+    def test_zero_and_str(self):
+        assert repr(Polynomial.zero(3)) == "Polynomial(3, {})"
+        p = Polynomial.variable(2, 1).scale(-2.0)
+        assert str(p) == repr(p) == "Polynomial(2, {(0, 1): -2.0})"
+
+
+class TestBuiltFromArithmetic:
+    """Coefficient tables are built from constructors and ring operations."""
+
+    def test_variable_is_a_unit_monomial(self):
+        assert Polynomial.variable(3, 1) == Polynomial.monomial(3, (0, 1, 0), 1.0)
+        x1 = Polynomial.variable(2, 0)
+        assert -(x1 * x1) == Polynomial.monomial(2, (2, 0), -1.0)
+
+    def test_small_and_large_coefficients(self):
+        p = Polynomial.variable(1, 0).scale(1e-3) + 2.5e2
+        assert p == Polynomial(1, {(1,): 1e-3, (0,): 250.0})
+
+    def test_repeated_factor_accumulates(self):
+        x1 = Polynomial.variable(1, 0)
+        assert 2 * x1 * (x1 * x1) == Polynomial(1, {(3,): 2.0})
+
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_variable_rejects_index(self, index):
+        with pytest.raises(ValueError, match="out of range"):
+            Polynomial.variable(3, index)
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda p: p + "x1",
+            lambda p: "x1" + p,
+            lambda p: p - "x1",
+            lambda p: p * "x1",
+        ],
+        ids=["add", "radd", "sub", "mul"],
+    )
+    def test_text_is_not_an_operand(self, op):
+        with pytest.raises(TypeError):
+            op(Polynomial.variable(3, 0))
