@@ -113,13 +113,13 @@ class ScalarField:
     ``fn`` maps an (M, n) array to (M,); ``grad_fn``, if given, maps
     (M, n) to (M, n).  If ``support_box`` is set (an (n, 2) array of
     [lo, hi] rows), the evaluator must return 0 outside it; constructors in
-    this package guarantee that.  If ``support`` is set, calling it on
-    (M, n) points gives an (M,) bool mask, and the field and its gradient
-    must be exactly 0.0 wherever the mask is False; ``support.chord(points,
-    axis)`` gives two (M,) arrays lo and hi such that every point of the
-    mask on the line through each point along coordinate ``axis`` has its
-    ``axis`` coordinate in [lo, hi] (lo > hi where the line holds none);
-    the interval may be wider than needed (quadrature builds no node
+    this package guarantee that.  If ``support`` is set (a bump's
+    :class:`~strathardy.trials.BumpSupport`), the field and its gradient
+    are exactly 0.0 outside it, and ``support.chord(points, axis)`` gives
+    two (M,) arrays lo and hi such that every point of the support on the
+    line through each of the (M, n) points along coordinate ``axis`` has
+    its ``axis`` coordinate in [lo, hi] (lo > hi where the line holds
+    none); the interval may be wider than needed (quadrature builds no node
     outside it, see :func:`~strathardy.quadrature.integrate_many`).
     ``None`` means the support is not known beyond ``support_box``.
 
@@ -136,7 +136,7 @@ class ScalarField:
         grad_fn: Callable[[np.ndarray], np.ndarray] | None = None,
         support_box: np.ndarray | None = None,
         label: str = "field",
-        support: Callable[[np.ndarray], np.ndarray] | None = None,
+        support: object | None = None,
         fn_and_grad: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None,
     ):
         if (fn is None) == (fn_and_grad is None) or (fn is None and grad_fn is not None):

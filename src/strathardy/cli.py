@@ -184,28 +184,35 @@ def _no_violations(reports):
 
 
 def _sharpness_holds(reports):
-    """Within tolerance, and quotients not increasing along a verification sweep.
+    """Within tolerance, and quotients not increasing as eps falls along a
+    verification sweep: each p's rows in order of decreasing eps, however
+    the config lists them.
 
     A rise is measured against 3 times the paired bar of q_b - q_a: both
     rows integrate the one cutoff on one rule, so their replicates pair.
     """
     failures = _within_tolerance(reports)
-    for i, (a, b) in enumerate(zip(reports, reports[1:])):
-        if a.p != b.p or a.extras.get("label") != "verification":
-            continue
-        gap_bar = experiments._bar(
-            (1.0, b.numerator, b.denominator.value),
-            (-b.quotient, b.denominator, b.denominator.value),
-            (-1.0, a.numerator, a.denominator.value),
-            (a.quotient, a.denominator, a.denominator.value),
-        )
-        slack = 3.0 * gap_bar + 1e-3 * max(abs(a.quotient), 1.0)
-        if b.quotient > a.quotient + slack:
-            failures.append(
-                f"rows {i},{i + 1} sharpness: quotient rose from {a.quotient!r} "
-                f"to {b.quotient!r} at eps {a.extras['eps']!r} -> {b.extras['eps']!r}, "
-                f"slack {slack!r}"
+    sweeps = {}
+    for i, r in enumerate(reports):
+        if r.extras.get("label") == "verification":
+            sweeps.setdefault(r.p, []).append(i)
+    for rows in sweeps.values():
+        rows.sort(key=lambda i: reports[i].extras["eps"], reverse=True)
+        for i, j in zip(rows, rows[1:]):
+            a, b = reports[i], reports[j]
+            gap_bar = experiments._bar(
+                (1.0, b.numerator, b.denominator.value),
+                (-b.quotient, b.denominator, b.denominator.value),
+                (-1.0, a.numerator, a.denominator.value),
+                (a.quotient, a.denominator, a.denominator.value),
             )
+            slack = 3.0 * gap_bar + 1e-3 * max(abs(a.quotient), 1.0)
+            if b.quotient > a.quotient + slack:
+                failures.append(
+                    f"rows {i},{j} sharpness: quotient rose from {a.quotient!r} "
+                    f"to {b.quotient!r} at eps {a.extras['eps']!r} -> {b.extras['eps']!r}, "
+                    f"slack {slack!r}"
+                )
     return failures
 
 

@@ -5,26 +5,26 @@ Each check of a trial u at some p (:data:`HARDY`, :data:`GENERAL_HARDY`,
 :class:`Check`: its integrands at one p, and its report rows from their
 estimates.  :func:`each_p` runs one, for any list of p: it integrates
 the integrands of every p over the trial's support box on one shared
-rule, so one rule, one support mask and one trial sample serve every p of
-a trial.  A row's stderr is the norm, over the signed error replicates
-its integrals share (see :mod:`~strathardy.quadrature`), of the row's
-number linearised in them (:func:`_bar`): (e_N - q e_D) / D for a
-quotient q = N / D, e_t0 - C_p e_t1 - c_p e_rem for the remainder's
-slack, so errors that cancel in the number cancel in its stderr.  The
-integrands are array expressions over the
-:class:`~strathardy.calculus.TrialSample` that quadrature computes once
-per block of at most 16,384 nodes.  The first error raises.  An integrand that is not finite at a node raises an
+rule, so one rule and one trial sample serve every p of a trial.  A
+row's stderr is the norm, over the signed error replicates its integrals
+share (see :mod:`~strathardy.quadrature`), of the row's number
+linearised in them (:func:`_bar`): (e_N - q e_D) / D for a quotient
+q = N / D, e_t0 - C_p e_t1 - c_p e_rem for the remainder's slack, so errors
+that cancel in the number cancel in its stderr.  The integrands are
+array expressions over the :class:`~strathardy.calculus.TrialSample`
+that quadrature computes once per block of at most 16,384 nodes.  The
+first error raises.  An integrand that is not finite at a node raises an
 IntegrationError naming the trial and the p of its row; a denominator
 integral too small to divide by, or a row whose quotient or stderr is
 not finite or whose numerator or denominator has a stderr as large as
 itself, raises a TrivialTrialError naming the trial and its p.  The
 sharpness sweep (:func:`sharpness_grid`) runs on the same runner: its
-trials are powers of the distance times one cutoff, so each (p, eps) of a
-sweep is a :data:`HARDY` row of the cutoff whose integrands read a view
-of the cutoff's sample, the trial's sample derived from it.  The bounds
-these quantities are checked against are theorems for the Heisenberg and
-abelian families, so a contract violation beyond tolerance indicates a
-numerics bug, never a tunable.
+trials are powers of the distance times one cutoff, so each (p, eps) of
+a sweep is a :data:`HARDY` row of the cutoff whose integrands read a
+view of the cutoff's sample, the trial's sample derived from it.  The
+bounds these quantities are checked against are theorems for the
+Heisenberg and abelian families, so a contract violation beyond
+tolerance indicates a numerics bug, never a tunable.
 """
 
 from __future__ import annotations
@@ -165,12 +165,6 @@ class _Rows(NamedTuple):
     view: Callable | None = None
 
 
-# the groups of one integrate_many call: the most p a config may give, so
-# that each_p never splits, and 16 hardy integrands, so that the value rows
-# the rule evaluates stay that few however many rows a sharpness sweep has
-_CALL_GROUPS = 8
-
-
 def _read_through_views(groups: list[_Rows]) -> list:
     """The integrands of ``groups`` in order, each reading its group's view
     of the sample it is given.  A view is made on its group's first read
@@ -196,10 +190,10 @@ def _read_through_views(groups: list[_Rows]) -> list:
 def _integrate_rows(
     groups: list[_Rows], spec: GroupSpec, hs: HalfSpace, u: ScalarField, cfg: QuadConfig
 ) -> list[list[Report]]:
-    """The rows of each group, ``_CALL_GROUPS`` groups to one integration.
+    """The rows of each group, from one integration.
 
-    The integrands of the groups of a call, over samples of u, each
-    through its group's view (:func:`_read_through_views`), go to one
+    The integrands of every group, over samples of u, each through its
+    group's view (:func:`_read_through_views`), go to one
     :func:`integrate_many` call over u's support box.  An integrand's
     estimate does not depend on the other integrands of the call, so each
     group's rows are, bit for bit, those of integrating that group alone.
@@ -213,40 +207,36 @@ def _integrate_rows(
         return []
     if u.support_box is None:
         raise ValueError("no integration box: trial has unbounded support")
+    try:
+        estimates = iter(integrate_many(_read_through_views(groups), u.support_box, hs, cfg, trial=(spec, u)))
+    except IntegrationError as exc:
+        group = [g for g in groups for _ in g.integrands][exc.index]
+        raise IntegrationError(f"trial {group.label} at p {group.p!r}: {exc}", exc.point, exc.index) from exc
     rows = []
-    for start in range(0, len(groups), _CALL_GROUPS):
-        call = groups[start : start + _CALL_GROUPS]
-        try:
-            estimates = iter(
-                integrate_many(_read_through_views(call), u.support_box, hs, cfg, trial=(spec, u))
+    for g in groups:
+        mine = [next(estimates) for _ in g.integrands]
+        den = mine[g.denominator].value
+        # one whose square underflows, below 1.5e-162, counts as 0
+        if den <= 0.0 or den * den == 0.0:
+            raise TrivialTrialError(
+                f"trivial trial function {g.label} at p {g.p!r}: its denominator integral "
+                f"{den!r} on this quadrature rule is too small to check a bound against"
             )
-        except IntegrationError as exc:
-            group = [g for g in call for _ in g.integrands][exc.index]
-            raise IntegrationError(f"trial {group.label} at p {group.p!r}: {exc}", exc.point, exc.index) from exc
-        for g in call:
-            mine = [next(estimates) for _ in g.integrands]
-            den = mine[g.denominator].value
-            # one whose square underflows, below 1.5e-162, counts as 0
-            if den <= 0.0 or den * den == 0.0:
-                raise TrivialTrialError(
-                    f"trivial trial function {g.label} at p {g.p!r}: its denominator integral "
-                    f"{den!r} on this quadrature rule is too small to check a bound against"
-                )
-            made = g.rows(mine)
-            bad = [r for r in made if not (math.isfinite(r.quotient) and math.isfinite(r.stderr))]
-            if bad:
-                raise TrivialTrialError(
-                    f"trial {g.label} at p {g.p!r}: its quotient {bad[0].quotient!r} and stderr "
-                    f"{bad[0].stderr!r} are not both finite, so they check no bound"
-                )
-            # a stderr |fine - coarse| that is all of |fine|: the coarse rule read 0
-            vacuous = [e for r in made for e in (r.numerator, r.denominator) if e.stderr == abs(e.value) != 0]
-            if vacuous:
-                raise TrivialTrialError(
-                    f"trial {g.label} at p {g.p!r}: an integral {vacuous[0].value!r} with a stderr as large "
-                    "as itself checks no bound"
-                )
-            rows.append(made)
+        made = g.rows(mine)
+        bad = [r for r in made if not (math.isfinite(r.quotient) and math.isfinite(r.stderr))]
+        if bad:
+            raise TrivialTrialError(
+                f"trial {g.label} at p {g.p!r}: its quotient {bad[0].quotient!r} and stderr "
+                f"{bad[0].stderr!r} are not both finite, so they check no bound"
+            )
+        # a stderr |fine - coarse| that is all of |fine|: the coarse rule read 0
+        vacuous = [e for r in made for e in (r.numerator, r.denominator) if e.stderr == abs(e.value) != 0]
+        if vacuous:
+            raise TrivialTrialError(
+                f"trial {g.label} at p {g.p!r}: an integral {vacuous[0].value!r} with a stderr as large "
+                "as itself checks no bound"
+            )
+        rows.append(made)
     return rows
 
 
@@ -263,10 +253,8 @@ def each_p(
     """``check`` on trial u at each p of ``ps``, from one integration.
 
     The integrands of every p go to one :func:`integrate_many` call over
-    u's support box (for up to 8 p, the most a config may give; more take
-    a call per 8), so one rule, one support mask and one trial sample
-    serve them all, and each p's rows are, bit for bit, those of
-    integrating that p alone.
+    u's support box, so one rule and one trial sample serve them all, and
+    each p's rows are, bit for bit, those of integrating that p alone.
 
     Returns each p's report rows, in order.  The first error raises (see
     :func:`_integrate_rows`).  An empty ``ps`` integrates nothing.
@@ -714,11 +702,11 @@ def sharpness_grid(
     dist^alpha times the one cutoff bump, so each (p, eps) is a
     :data:`HARDY` row of the cutoff, with inequality id "sharpness", whose
     integrands read the view :func:`power_weighted_sample` at alpha of the
-    cutoff's sample.  The rows run on :func:`_integrate_rows`, 8 to one
-    :func:`integrate_many` call: one rule, one support mask and one sample
-    of the cutoff (with dist and W) serve them all.  Every (p, eps) is
-    built before anything is integrated, so one that cannot be raises at
-    once; then the first error of an integration raises.
+    cutoff's sample.  The rows run on :func:`_integrate_rows`, in one
+    :func:`integrate_many` call: one rule and one sample of the cutoff
+    (with dist and W) serve them all.  Every (p, eps) is built before
+    anything is integrated, so one that cannot be raises at once; then the
+    first error of an integration raises.
     """
     cfg = cfg or QuadConfig()
     verification = abs(hs.nu[0] - 1.0) < 1e-15 and not np.any(hs.nu[1:]) and hs.d == 0.0

@@ -12,7 +12,7 @@ singularity at strongly negative g.  Accuracy degrades as g approaches
 Transverse directions use a tensor Gauss rule up to 4 axes and seeded
 Monte Carlo, reproducible bit for bit, above that (``_philox_uniform``).
 
-Given the support of a round bump whose closed ball lies inside the box
+Given the support of a bump, a ball, whose closure lies inside the box
 and strictly inside the half-space (see ``_takes_ball``), the method
 takes a ball rule instead: a spherical-radial rule about the bump's
 centre, Gauss-Legendre in the radius and a rule on the sphere (Stroud
@@ -476,15 +476,15 @@ def _ball_size(dim: int, radial: int, sphere: int) -> int:
 
 
 def _takes_ball(box, hs, support, cfg: QuadConfig) -> bool:
-    """Whether ``support`` takes the ball rule: a bump of square powers, a
-    round ball, inside ``box`` and with its closure strictly inside the
-    half-space.  A clearance <c, nu> - d - r within ``_BALL_MARGIN`` of
-    its terms counts as touching: a centre placed at distance r clears the
-    boundary by a rounding error of either sign.  In 6 or more dimensions
-    the ball rule is taken only where its sphere degree exceeds its
-    companion's 3 (from 16 points per axis) and where it has at most
-    ``cfg.sample_count`` nodes, those of the Monte Carlo branch it
-    replaces (up to 13 dimensions at the default)."""
+    """Whether ``support`` takes the ball rule: a bump's ball, inside
+    ``box`` and with its closure strictly inside the half-space.  A
+    clearance <c, nu> - d - r within ``_BALL_MARGIN`` of its terms counts
+    as touching: a centre placed at distance r clears the boundary by a
+    rounding error of either sign.  In 6 or more dimensions the ball rule
+    is taken only where its sphere degree exceeds its companion's 3 (from
+    16 points per axis) and where it has at most ``cfg.sample_count``
+    nodes, those of the Monte Carlo branch it replaces (up to 13
+    dimensions at the default)."""
     if not isinstance(support, BumpSupport):
         return False
     c, r = support.center, support.radius
@@ -495,8 +495,7 @@ def _takes_ball(box, hs, support, cfg: QuadConfig) -> bool:
             return False
     height = float(c @ hs.nu)
     return bool(
-        np.all(support.powers == 2.0)
-        and height - hs.d - r > _BALL_MARGIN * (abs(height) + abs(hs.d) + r)
+        height - hs.d - r > _BALL_MARGIN * (abs(height) + abs(hs.d) + r)
         and np.all(box[:, 0] <= c - r)
         and np.all(c + r <= box[:, 1])
     )

@@ -43,19 +43,16 @@ def _fmt(value) -> str:
 
 @dataclass(frozen=True)
 class BumpSpec:
-    """A compactly supported bump: center, radius, per-axis powers.
+    """A compactly supported radial bump: center and radius.
 
     The profile is exp(-1 / (1 - S)) on S < 1 and 0 elsewhere, where
-    S(x) = sum_i |(x_i - c_i) / r|^(q_i); the default powers q_i = 2 give
-    the classical radial bump with value exp(-1) at the center.  Powers
-    must be even integers >= 2 so the field is smooth.  The support ball
-    may cross the half-space boundary; the boundary-aware families below
-    handle the truncation.
+    S(x) = |x - c|^2 / r^2, the classical radial bump with value exp(-1)
+    at the center.  The support ball may cross the half-space boundary;
+    the boundary-aware families below handle the truncation.
     """
 
     center: tuple
     radius: float
-    powers: tuple | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
@@ -64,32 +61,21 @@ class BumpSpec:
             raise ValueError("bump radius must be positive")
         if any(c - self.radius == c + self.radius for c in self.center):
             raise ValueError(f"bump radius {self.radius!r} vanishes next to its center")
-        if self.powers is not None:
-            powers = tuple(int(q) for q in self.powers)
-            if len(powers) != len(self.center):
-                raise ValueError("powers must match the dimension of center")
-            if any(q < 2 or q % 2 for q in powers):
-                raise ValueError("powers must be even integers >= 2")
-            object.__setattr__(self, "powers", powers)
 
     def label(self) -> str:
-        q = "" if self.powers is None else f",powers={_fmt(self.powers)}"
-        return f"bump(center={_fmt(self.center)},radius={self.radius!r}{q})"
+        return f"bump(center={_fmt(self.center)},radius={self.radius!r})"
 
 
 class BumpSupport:
-    """The open support {S < 1} of a bump, S(x) = sum_i |(x_i - c_i) / r|^(q_i).
+    """The open ball {S < 1} of a bump, S(x) = sum_i ((x_i - c_i) / r)^2.
 
-    Called on (M, n) points it returns the (M,) bool mask S < 1.
-    :meth:`shape` is the arithmetic behind the mask and the bump's values
-    and gradients alike, so all three agree bit for bit.  S adds its terms
-    one column at a time, in axis order, and a term of power 2 is z * z.
+    :meth:`shape` is the arithmetic behind the bump's values and gradients
+    at points.  S adds its terms z_i * z_i one column at a time, in axis
+    order.
     """
 
-    def __init__(self, center: np.ndarray, radius: float, powers: np.ndarray):
-        self.center = center
-        self.radius = radius
-        self.powers = powers
+    def __init__(self, center: np.ndarray, radius: float):
+        self.center, self.radius = center, radius
 
     def shape(self, points):
         """S at (M, n) points and the scaled offsets z = (x - c) / r."""
@@ -97,16 +83,12 @@ class BumpSupport:
         return self._sum(z), z
 
     def _sum(self, z, skip=None):
-        """The sum of the terms |z_i|^(q_i) of S over every axis i but ``skip``."""
+        """The sum of the terms z_i * z_i of S over every axis i but ``skip``."""
         total = np.zeros(z.shape[0])
-        for i, q in enumerate(self.powers):
+        for i in range(z.shape[1]):
             if i != skip:
-                col = z[:, i]
-                total += col * col if q == 2.0 else np.abs(col) ** q
+                total += z[:, i] * z[:, i]
         return total
-
-    def __call__(self, points):
-        return self.shape(points)[0] < 1.0
 
     def chord(self, points, axis: int):
         """(lo, hi) on coordinate ``axis`` of the line through each of the (M, n)
@@ -115,7 +97,7 @@ class BumpSupport:
 
         S without its ``axis`` term, R, is at most S anywhere on the line,
         up to rounding; so the line's points with S < 1 have
-        |x - c| < r (1 - R)^(1/q) on ``axis``.  The relative margin, on
+        |x - c| < r (1 - R)^(1/2) on ``axis``.  The relative margin, on
         1 - R and on the half-width, keeps a few ulps of rounding in S, in
         R and in the root from cutting off a point with S < 1; the ends
         c -+ half-width need none, as a float below the exact end is also
@@ -123,16 +105,14 @@ class BumpSupport:
         """
         z = (points - self.center) / self.radius
         slack = 1.0 + _CHORD_MARGIN - self._sum(z, skip=axis)
-        reach = self.radius * np.maximum(slack, 0.0) ** (1.0 / self.powers[axis])
+        reach = self.radius * np.maximum(slack, 0.0) ** 0.5
         half = np.where(slack > 0.0, reach * (1.0 + _CHORD_MARGIN), -np.inf)
         return self.center[axis] - half, self.center[axis] + half
 
 
 def make_bump(spec: BumpSpec) -> ScalarField:
     """Build the bump field with exact gradient, tight support box and support."""
-    center = np.asarray(spec.center, dtype=float)
-    powers = np.full(center.size, 2.0) if spec.powers is None else np.asarray(spec.powers, float)
-    return _Bump(BumpSupport(center, spec.radius, powers), spec.label())
+    return _Bump(BumpSupport(np.asarray(spec.center, dtype=float), spec.radius), spec.label())
 
 
 class _Bump(ScalarField):
@@ -151,7 +131,6 @@ class _Bump(ScalarField):
             c.size, fn_and_grad=self._at_points, support_box=np.stack([c - r, c + r], axis=1),
             label=label, support=support,
         )
-        self._squares = bool(np.all(support.powers == 2.0))
         self._factors = factors
 
     def _at_points(self, points):
@@ -160,23 +139,19 @@ class _Bump(ScalarField):
     def _profile(self, s, z, own: bool):
         """The values and gradients at S = s and offsets z; ``own`` says that
         z is this call's to overwrite, and a template's is not."""
-        r, powers = self.support.radius, self.support.powers
+        r = self.support.radius
         inside = s < 1.0
         # 1 - S, and inf outside the support, where f and its gradient are 0.0
         gap = np.where(inside, 1.0 - s, np.inf)
         f = np.where(inside, np.exp(-1.0 / gap), 0.0)
         slope = -f / (gap * gap)
-        if self._squares and not own:
-            # a template's z is read-only: one pass, with 2 / r folded in
-            dS = z * ((2.0 / r) * slope)[:, None]
-        else:
-            if self._squares:
-                dS = np.multiply(z, 2.0, out=z)
-            else:
-                # |z_i| < 1 inside, and outside the bound keeps |z_i|^(q_i - 1) finite
-                dS = powers * np.minimum(np.abs(z), 1.0) ** (powers - 1.0) * np.sign(z)
+        if own:
+            dS = np.multiply(z, 2.0, out=z)
             dS /= r
             dS *= slope[:, None]
+        else:
+            # a template's z is read-only: one pass, with 2 / r folded in
+            dS = z * ((2.0 / r) * slope)[:, None]
         for factor in self._factors:
             f, dS = factor * f, factor * dS
         return f, dS
@@ -193,7 +168,7 @@ class _Bump(ScalarField):
         return _Bump(self.support, f"{factor!r}*{self.label}", self._factors + (factor,))
 
 
-def boundary_bump_spec(hs: HalfSpace, radius: float, powers=None) -> BumpSpec:
+def boundary_bump_spec(hs: HalfSpace, radius: float) -> BumpSpec:
     """Bump centered on the half-space boundary point closest to the origin.
 
     Centering on the boundary (rather than tangentially inside) makes the
@@ -202,7 +177,7 @@ def boundary_bump_spec(hs: HalfSpace, radius: float, powers=None) -> BumpSpec:
     boundary cannot push the quotient down to the sharp constant.
     """
     center = hs.nu * hs.d
-    return BumpSpec(center=tuple(center), radius=radius, powers=powers)
+    return BumpSpec(center=tuple(center), radius=radius)
 
 
 def random_interior_bumps(

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import strathardy
-from strathardy import CSV_COLUMNS, IntegralEstimate, Report, calculus, cli, experiments, render_json
+from strathardy import CSV_COLUMNS, IntegralEstimate, Report, SharpnessSpec, calculus, cli, experiments, render_json
 from strathardy.cli import COMMANDS, fix_malloc_thresholds, main
 from strathardy.config import SIZE_BOUNDS, build_trials, load_config, resolve
 
@@ -77,12 +77,16 @@ class TestExitCodes:
         code, _, err = run(["hardy", "--config", "/nonexistent/cfg.json"], capsys)
         assert code == 3 and "cannot read" in err
 
-    def test_violated_contract_is_code_2(self, tmp_path, capsys):
-        # sweeping eps upward reverses the required monotone decrease; the
-        # default resolution keeps the error bars small enough to see it
+    def test_violated_contract_is_code_2(self, tmp_path, capsys, monkeypatch):
+        # the power of dist read as (p - 1) / p + 0.55 - eps, as a wrong
+        # exponent would be: the trials then move away from the extremal
+        # as eps falls, and the quotient rises; the default resolution keeps
+        # the error bars small enough to see it
+        exponent = property(lambda s: (s.p - 1.0) / s.p + 0.55 - s.eps)
+        monkeypatch.setattr(SharpnessSpec, "exponent", exponent)
         path = write_config(
             tmp_path,
-            eps=[0.05, 0.5],
+            eps=[0.5, 0.05],
             cutoff_radius=1.0,
             quadrature={"points_per_axis": 16},
         )
@@ -92,7 +96,19 @@ class TestExitCodes:
         # one line per failing row; here the pair that breaks the decrease
         assert err.count("\n") == 1
         assert err.startswith("contract violated: rows 0,1 sharpness: quotient rose")
-        assert "eps 0.05 -> 0.5" in err
+        assert "eps 0.5 -> 0.05" in err
+
+    def test_a_sweep_listed_by_increasing_eps_holds(self, tmp_path, capsys):
+        # each p's rows are compared by decreasing eps, not in list order
+        path = tmp_path / "cfg.json"
+        runs = []
+        for eps in ([0.05, 0.1, 0.2, 0.5], [0.5, 0.2, 0.1, 0.05]):
+            path.write_text(json.dumps({"p": [2.0], "eps": eps}))
+            runs.append(run(["sharpness", "--config", str(path), "--seed", "42"], capsys))
+        assert [(code, err) for code, _, err in runs] == [(0, ""), (0, "")]
+        # the rows but their config digests, which hash the eps list
+        rising, falling = ([line.rsplit(",", 1)[0] for line in out.splitlines()[1:]] for _, out, _ in runs)
+        assert len(rising) == 4 and rising == falling[::-1]
 
     @pytest.mark.parametrize("cancel", [True, False])
     def test_a_sharpness_rise_is_measured_against_its_paired_bar(self, cancel):
@@ -114,6 +130,22 @@ class TestExitCodes:
             assert failures == ["rows 0,1 sharpness: quotient rose from 10.0 to 10.5 at eps 0.5 -> 0.25, slack 0.01"]
         else:
             assert failures == []
+
+    def test_each_p_is_compared_by_decreasing_eps(self):
+        # p 2 and 3 interleaved, eps out of order: p 2 falls with eps, p 3
+        # rises from eps 0.5 (row 1) to 0.1 (row 3), and the rows are named
+        den = IntegralEstimate(1.0, 0.0, 10, (0.0,))
+
+        def row(p, quotient, eps):
+            num = IntegralEstimate(quotient, 0.0, 10, (0.0,))
+            return Report("sharpness", p, "heisenberg:1", (1.0, 0.0, 0.0), 0.0, quotient, 0.25,
+                          quotient - 0.25, 0.0, 10, 42, "digest", num, den,
+                          {"eps": eps, "label": "verification"})
+
+        reports = [row(2.0, 0.4, 0.1), row(3.0, 0.5, 0.5), row(2.0, 0.6, 0.5), row(3.0, 0.9, 0.1), row(2.0, 0.5, 0.2)]
+        assert COMMANDS["sharpness"].failures(reports) == [
+            "rows 1,3 sharpness: quotient rose from 0.5 to 0.9 at eps 0.5 -> 0.1, slack 0.001"
+        ]
 
     def test_failing_rows_are_named(self):
         def row(margin):

@@ -809,6 +809,13 @@ def _sweep_blocks(hs, cutoff):
     return sum(-(-size // quadrature._EVAL_CHUNK) for size in parts)
 
 
+# the most rows a config may ask for: 8 p by 8 eps
+_LARGEST_SWEEP = (
+    [2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5],
+    [0.5, 0.45, 0.4, 0.35, 0.3, 0.25, 0.2, 0.15],
+)
+
+
 class TestSharpnessSweep:
     def test_quotients_decrease_toward_bound(self, h1):
         hs = halfspace_preset(h1, "x1-axis", 0.0)
@@ -904,15 +911,28 @@ class TestSharpnessSweep:
         assert len(rows) == 8 and integrations == [16] and len(made) == 8 * _sweep_blocks(x1_axis, cutoff)
         assert all(ref() is None for ref in made)
 
-    def test_rows_are_integrated_eight_at_a_time(self, h1, x1_axis, integrations):
-        # the most rows a config may ask for: 8 p by 8 eps
-        ps = [2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5]
-        eps_list = [0.5, 0.45, 0.4, 0.35, 0.3, 0.25, 0.2, 0.15]
+    def test_the_largest_sweep_is_one_integration(self, h1, x1_axis, integrations):
+        ps, eps_list = _LARGEST_SWEEP
         cutoff = boundary_bump_spec(x1_axis, 1.0)
         cfg = QuadConfig(points_per_axis=6)
         rows = sharpness_grid(h1, x1_axis, ps, eps_list, cutoff, cfg)
-        assert integrations == [16] * 8
+        assert integrations == [128]
         assert rows == _per_row(h1, x1_axis, ps, eps_list, cutoff, cfg)
+
+    def test_the_largest_sweep_keeps_the_peak_of_the_default_one(self, h1, x1_axis):
+        # 128 integrands in one call stay within the bound of the default
+        # sweep's 16 (2.76 MiB at peak against 2.66): each is summed over a
+        # block before the next is evaluated
+        cutoff = boundary_bump_spec(x1_axis, 1.0)
+        sweep = partial(sharpness_grid, h1, x1_axis, *_LARGEST_SWEEP, cutoff)
+        sweep()
+        tracemalloc.start()
+        try:
+            sweep()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2**20
 
     @pytest.mark.parametrize(
         "ps, eps_list, error, calls, row",
@@ -923,8 +943,8 @@ class TestSharpnessSweep:
             # (400, 0.5) is trivial, but its batch overflows at (400, 300)
             # before any row is made
             ([2.0, 400.0, 6.0], [0.5, 300.0], IntegrationError, [12], (400.0, 300.0)),
-            # 12 rows: the first 8 hold, the overflow is in the second batch
-            ([2.0, 3.0, 6.0], [0.5, 0.2, 0.1, 300.0], IntegrationError, [16, 8], (6.0, 300.0)),
+            # 12 rows in one batch: only the last, (6, 300), overflows
+            ([2.0, 3.0, 6.0], [0.5, 0.2, 0.1, 300.0], IntegrationError, [24], (6.0, 300.0)),
             # a row that cannot be built fails the sweep before anything is integrated
             ([2.0], [0.5, -1.0, 0.2], ValueError, [], None),
             ([6.0], [300.0, -1.0], ValueError, [], None),

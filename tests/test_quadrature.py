@@ -437,11 +437,32 @@ def _without_support(u):
     return ScalarField(u.dim, fn=u.values, grad_fn=u.gradients, support_box=u.support_box)
 
 
+class _Forwarded:
+    """A bump's support behind a type that is not a ``BumpSupport``: it
+    forwards ``chord`` and ``shape``, and ``_takes_ball`` refuses it."""
+
+    def __init__(self, support):
+        self.chord, self.shape = support.chord, support.shape
+
+
+def _on_box_rule(u):
+    """The bump u on the box rule: a ball inside the half-space would take
+    the ball rule, which has no unmasked twin."""
+    return ScalarField(
+        u.dim, fn_and_grad=u.values_and_gradients, support_box=u.support_box,
+        label=u.label, support=_Forwarded(u.support),
+    )
+
+
+def _in_support(support, points):
+    """The (M,) bool mask of the (M, n) points inside ``support``, S < 1."""
+    return support.shape(points)[0] < 1.0
+
+
 _H1 = heisenberg_group(1)
 _T_AXIS = halfspace_preset(3, "t-axis", 0.0)
-# not a round ball: the boundary-graded rule integrates a ball inside the
-# half-space on a rule of its own, which has no unmasked twin
-_INTERIOR = BumpSpec(center=(0.1, -0.2, 0.8), radius=0.5, powers=(2, 4, 2))
+# a ball inside the half-space, put on the box rule by _on_box_rule
+_INTERIOR = BumpSpec(center=(0.1, -0.2, 0.8), radius=0.5)
 _ON_BOUNDARY = boundary_bump_spec(_T_AXIS, 0.6)
 # the power of dist of a sharpness trial at p = 2, eps = 0.2
 _SHARPNESS_A = SharpnessSpec(p=2.0, eps=0.2, cutoff=_ON_BOUNDARY).exponent
@@ -477,7 +498,7 @@ class TestSupportMask:
     @pytest.mark.parametrize("trial", sorted(_TRIALS))
     def test_masked_equals_unmasked(self, trial, rule, box_kind):
         build, a = _TRIALS[trial]
-        u = build(_INTERIOR if box_kind == "interior" else _ON_BOUNDARY)
+        u = _on_box_rule(build(_INTERIOR)) if box_kind == "interior" else build(_ON_BOUNDARY)
         assert u.support is not None
         cfg = _RULES[rule]
         fs = _INTEGRANDS if a is None else viewed(_INTEGRANDS, a)
@@ -502,7 +523,7 @@ class TestSupportMask:
         integrate_many([spy], u.support_box, _T_AXIS, _RULES[rule], trial=(_H1, u))
         pts = np.concatenate(seen)
         assert pts.shape[0] > 0
-        assert np.all(u.support(pts))
+        assert np.all(_in_support(u.support, pts))
         assert np.min(_T_AXIS.distance(pts)) > 0.0
 
     def test_field_without_predicate_sees_every_weighted_node(self):
@@ -525,7 +546,7 @@ class TestSupportMask:
         # |grad_H u|^inf overflows inside the support; the first such node is
         # the same whether or not the nodes outside it are skipped
         h1 = heisenberg_group(1)
-        u = make_bump(_INTERIOR)
+        u = _on_box_rule(make_bump(_INTERIOR))
         cfg = QuadConfig(points_per_axis=8)
         with pytest.raises(IntegrationError) as masked:
             each_p(HARDY, h1, _T_AXIS, u, [np.inf], cfg)
@@ -555,7 +576,6 @@ def _clip_cases(draw):
     n = 2 * k + 1
     center = np.array(draw(st.lists(_unit, min_size=n, max_size=n)))
     radius = draw(st.floats(0.1, 0.8))
-    powers = draw(st.lists(st.sampled_from([2, 4]), min_size=n, max_size=n))
     nu = np.array(draw(st.lists(_unit, min_size=n, max_size=n)))
     if np.linalg.norm(nu) < 0.1:
         nu[draw(st.integers(0, n - 1))] = 1.0
@@ -564,11 +584,7 @@ def _clip_cases(draw):
     # near 0 the boundary crosses the bump
     shift = draw(st.floats(-3.0, 0.9))
     hs = HalfSpace(nu=nu, d=float(nu @ center) + shift * radius)
-    if k < 3 and shift < -0.9:
-        # a round ball inside the half-space would take the ball rule, which
-        # has no unclipped twin: make it a bump of another shape
-        powers[draw(st.integers(0, n - 1))] = 4
-    u = make_bump(BumpSpec(center=tuple(center), radius=radius, powers=tuple(powers)))
+    u = _on_box_rule(make_bump(BumpSpec(center=tuple(center), radius=radius)))
     if k == 3:
         cfg = QuadConfig(sample_count=draw(st.integers(64, 3000)), seed=draw(st.integers(0, 99)))
     else:
@@ -582,13 +598,7 @@ def _clip_cases(draw):
 _H4_CASE = (
     heisenberg_group(4),
     HalfSpace(nu=[-0.83, -0.97, 0.31, -0.74, 0.13, -0.51, 0.88, -0.57, 0.04], d=0.869),
-    make_bump(
-        BumpSpec(
-            center=(0.15, -1.0, 0.02, -0.95, -0.78, 0.69, 0.32, -0.64, 0.49),
-            radius=0.43,
-            powers=(2, 2, 2, 4, 4, 2, 4, 2, 4),
-        )
-    ),
+    make_bump(BumpSpec(center=(0.15, -1.0, 0.02, -0.95, -0.78, 0.69, 0.32, -0.64, 0.49), radius=0.43)),
     QuadConfig(sample_count=817, seed=31),
 )
 # a draw whose half-space crosses the bump: its support reaches 0.59 along
@@ -596,7 +606,7 @@ _H4_CASE = (
 _CROSSING_CASE = (
     heisenberg_group(1),
     HalfSpace(nu=[0.0, 1.0, 1.0], d=-0.5625),
-    make_bump(BumpSpec(center=(0.0, 0.0, 0.0), radius=0.5, powers=(2, 4, 4))),
+    make_bump(BumpSpec(center=(0.0, 0.0, 0.0), radius=0.59)),
     QuadConfig(points_per_axis=6),
 )
 
@@ -616,14 +626,14 @@ class TestClipToSupport:
 
     def test_a_crossing_bump_has_no_finite_hardy_weight(self):
         # (|u| / dist)**2 diverges where u is not 0 on the boundary: the
-        # rule and its companion disagree by 1e11 times the value, so an
+        # rule and its companion disagree by 870 times the value, so an
         # ulp of the stderr, all that two orders of the same sums may
-        # differ by, is 2e-5 of the value, past _assert_close's 1e-14;
+        # differ by, is 1e-13 of the value, past _assert_close's 1e-14;
         # |u| / sqrt(dist) is integrable there
         spec, hs, u, cfg = _CROSSING_CASE
         hardy = lambda s: (np.abs(s.u) / s.dist) ** 2
         (est,) = integrate_many([hardy], u.support_box, hs, cfg, trial=(spec, u))
-        assert 0.0 < est.value and est.stderr > 1e9 * est.value
+        assert 0.0 < est.value and est.stderr > 100.0 * est.value
         (est,) = integrate_many([_CLIP_INTEGRANDS[1]], u.support_box, hs, cfg, trial=(spec, u))
         assert 0.0 < est.stderr < est.value
 
@@ -631,8 +641,7 @@ class TestClipToSupport:
     @pytest.mark.parametrize("k, ppa", [(1, 16), (2, 8)])
     def test_interior_bump_builds_only_nodes_inside_the_support(self, k, ppa):
         n = 2 * k + 1
-        # not a round ball, which would take the ball rule
-        u = make_bump(BumpSpec(center=(0.1,) * (n - 1) + (0.8,), radius=0.5, powers=(2,) * (n - 1) + (4,)))
+        u = _on_box_rule(make_bump(BumpSpec(center=(0.1,) * (n - 1) + (0.8,), radius=0.5)))
         hs = halfspace_preset(n, "t-axis", 0.0)
         cfg = QuadConfig(points_per_axis=ppa)
         full = _build_nodes(u.support_box, hs, cfg, None)
@@ -651,9 +660,9 @@ class TestClipToSupport:
             at = _matching_rows(pts, fpts)
             assert np.array_equal(fw[at], w) and np.array_equal(frule.dist[at], rule.dist)
             dropped = np.setdiff1d(np.arange(len(fpts)), at)
-            assert dropped.size > 0 and not np.any(u.support(fpts[dropped]))
+            assert dropped.size > 0 and not np.any(_in_support(u.support, fpts[dropped]))
             # the lines are clipped to their chords: no node outside the bump
-            assert np.all(u.support(pts))
+            assert np.all(_in_support(u.support, pts))
         (est,) = integrate_many([lambda s: s.u], u.support_box, hs, cfg, trial=(_GROUPS[k], u))
         assert est.evaluations == full.size
 
@@ -676,17 +685,13 @@ class TestClipToSupport:
         with pytest.raises(ValueError, match="trivial"):
             each_p(HARDY, h2, hs, u, [2.0], cfg)
 
-    # at a power of 1e5, an ulp of z is 1e5 ulps of |z|^q: the margin on
-    # 1 - R then falls short, and the one on the half-width holds
-    @pytest.mark.parametrize("q", [2, 4, 6, 100_000])
     @pytest.mark.parametrize("far", [0.0, 1e3, 1e5])
-    @pytest.mark.filterwarnings("ignore:overflow encountered in power")
-    def test_chord_holds_every_live_point_of_its_line(self, rng, q, far):
+    def test_chord_holds_every_live_point_of_its_line(self, rng, far):
         # far from the origin, x - c and c +- the half-width round to ulps
         # of |c|, far coarser than the half-width's own rounding
         center = np.array([0.2, -0.1, 0.5]) + far * np.array([1.0, -0.7, 0.4])
         radius = 0.4
-        support = make_bump(BumpSpec(center=tuple(center), radius=radius, powers=(q, 2, q))).support
+        support = make_bump(BumpSpec(center=tuple(center), radius=radius)).support
         pts = center + rng.uniform(-1.2, 1.2, size=(4000, 3)) * radius
         for axis in range(3):
             lo, hi = support.chord(pts, axis)
@@ -705,20 +710,20 @@ class TestClipToSupport:
                     mid = a + 0.5 * (b - a)
                     if np.all((mid == a) | (mid == b)):
                         break
-                    live = support(on_line(mid))
+                    live = _in_support(support, on_line(mid))
                     a, b = np.where(live, mid, a), np.where(live, b, mid)
                 ends.append(a)
             for x in [*np.repeat(along[:, None], len(pts), axis=1), *ends]:
-                live = support(on_line(x))
+                live = _in_support(support, on_line(x))
                 assert np.all(meets[live])
                 assert np.all((lo[live] <= x[live]) & (x[live] <= hi[live]))
             # each end is the outermost live float where the centre is live
-            centre_live = support(on_line(np.full(len(pts), center[axis])))
+            centre_live = _in_support(support, on_line(np.full(len(pts), center[axis])))
             for end, side in zip(ends, (-np.inf, np.inf)):
-                assert np.array_equal(support(on_line(end)), centre_live)
-                assert not np.any(support(on_line(np.nextafter(end, side))))
+                assert np.array_equal(_in_support(support, on_line(end)), centre_live)
+                assert not np.any(_in_support(support, on_line(np.nextafter(end, side))))
             # a line that misses the support has lo > hi and no live point
-            miss = np.sum(np.abs(np.delete(pts - center, axis, axis=1) / radius) ** q, axis=1) > 1.001
+            miss = np.sum(np.abs(np.delete(pts - center, axis, axis=1) / radius) ** 2, axis=1) > 1.001
             assert np.any(miss) and np.all(lo[miss] > hi[miss])
             assert not np.any(centre_live[miss])
 
@@ -762,10 +767,10 @@ _MANY = [
 ]
 
 
-def _boundary_trial(k, powers=None):
+def _boundary_trial(k):
     n = 2 * k + 1
     hs = halfspace_preset(n, "t-axis", 0.0)
-    u = make_bump(boundary_bump_spec(hs, 0.7, powers=powers))
+    u = make_bump(boundary_bump_spec(hs, 0.7))
     return hs, u, (_GROUPS[k], u)
 
 
@@ -774,7 +779,7 @@ class TestManyIntegrands:
         "k, cfg", [(2, QuadConfig(points_per_axis=4)), (3, QuadConfig(sample_count=3000))]
     )
     def test_sixteen_integrands_in_one_call_are_each_alone(self, k, cfg):
-        hs, u, trial = _boundary_trial(k, powers=(2, 4) * k + (2,))
+        hs, u, trial = _boundary_trial(k)
         together = integrate_many(_MANY, u.support_box, hs, cfg, trial=trial)
         alone = [integrate_many([f], u.support_box, hs, cfg, trial=trial)[0] for f in _MANY]
         assert [_bits(e) for e in together] == [_bits(e) for e in alone]
@@ -857,12 +862,12 @@ def _sphere_moment(alpha) -> float:
     return 2.0 * math.prod(math.gamma(x) for x in b) / math.gamma(sum(b))
 
 
-def _interior_ball(k, clearance=0.3, radius=0.45, powers=None):
+def _interior_ball(k, clearance=0.3, radius=0.45):
     """heisenberg:k, its t-axis half-space and a bump whose support ball
     clears the boundary by ``clearance``."""
     n = 2 * k + 1
     hs = halfspace_preset(n, "t-axis", 0.0)
-    spec = BumpSpec(center=(0.1, -0.2) * k + (radius + clearance,), radius=radius, powers=powers)
+    spec = BumpSpec(center=(0.1, -0.2) * k + (radius + clearance,), radius=radius)
     return heisenberg_group(k), hs, make_bump(spec)
 
 
@@ -1015,7 +1020,7 @@ class TestBallRule:
         for r in _parts(rule):
             # every node lies inside the support, and off the boundary
             assert np.all(r.dist > 0.0) and np.array_equal(r.dist, hs.distance(r.points))
-            assert np.all(u.support(r.points)) and np.all(r.weights > 0.0)
+            assert np.all(_in_support(u.support, r.points)) and np.all(r.weights > 0.0)
             # the weights add up to the volume of the ball
             volume = math.pi ** (dim / 2) / math.gamma(dim / 2 + 1) * 0.4**dim
             assert np.sum(r.weights) == pytest.approx(volume, rel=1e-13)
@@ -1102,7 +1107,7 @@ class TestBallRule:
         "why",
         [
             "clearance 0",
-            "powers (2, 4, 2)",
+            "not a BumpSupport",
             "heisenberg:3 at 8 points per axis",
             "heisenberg:7",
             "no support",
@@ -1114,8 +1119,9 @@ class TestBallRule:
         cfg = QuadConfig(points_per_axis=6, sample_count=2000)
         if why == "clearance 0":
             spec, hs, u = _interior_ball(1, clearance=0.0)
-        elif why == "powers (2, 4, 2)":
-            spec, hs, u = _interior_ball(1, powers=(2, 4, 2))
+        elif why == "not a BumpSupport":
+            spec, hs, u = _interior_ball(1)
+            u = _on_box_rule(u)
         elif why == "heisenberg:3 at 8 points per axis":
             # degree 3 against its companion's degree 3: the stderr would
             # not see the angular error
@@ -1183,6 +1189,12 @@ class _Shaved(HalfSpace):
         return dist
 
 
+def _box_interior():
+    """heisenberg:1, its t-axis half-space and an interior bump on the box rule."""
+    spec, hs, u = _interior_ball(1)
+    return spec, hs, _on_box_rule(u)
+
+
 def _sharpness_case(hs):
     """heisenberg:1, hs and a sharpness cutoff, whose sample the integrands read through a view."""
     return _H1, hs, make_bump(boundary_bump_spec(hs, 0.45))
@@ -1200,7 +1212,7 @@ _JOINT_CASES = {
     "ball-3": lambda: (_interior_ball(1), None),
     "ball-5-blocks": lambda: (_interior_ball(2), None),
     "ball-7": lambda: (_interior_ball(3), None),
-    "box-interior": lambda: (_interior_ball(1, powers=(2, 4, 2)), None),
+    "box-interior": lambda: (_box_interior(), None),
     "box-touching": lambda: (_sharpness_case(_T_AXIS), None),
     "ball-3-chunks": lambda: (_interior_ball(1), 300),
     "box-touching-chunks": lambda: (_sharpness_case(_T_AXIS), 300),

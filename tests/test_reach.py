@@ -22,7 +22,6 @@ UNREACHED = {
     "strathardy.polynomials.Polynomial.variable": "item 20 keeps it: the tests' tables",
     "strathardy.polynomials.Polynomial.__repr__": "item 20 keeps it: the terms mapping",
     "strathardy.calculus.ScalarField.values": "item 20: a test-only helper",
-    "strathardy.trials.BumpSupport.__call__": "item 20: a test-only helper",
     "strathardy.experiments.hardy_sobolev_ratio": "item 7 deletes it",
     "strathardy.trials._Bump.scaled": "item 7: the benchmark's scaled sobolev check",
     "strathardy.quadrature._philox_uniform": "item 12 deletes it: the Monte Carlo branch",

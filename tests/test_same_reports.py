@@ -38,9 +38,8 @@ def test_matrix_covers_every_subcommand_and_workload():
     assert {"remainder:offset", "remainder:heisenberg2"} <= set(labels)
     # the split and the p* integrand on heisenberg:3's symmetric sphere rule
     assert {"remainder:heisenberg3", "sobolev:heisenberg3"} <= set(labels)
-    # a sharpness sweep of more rows than one integration takes, and one
-    # on a box rule of many blocks
-    assert {"sharpness:two-calls", "sharpness:32-points"} <= set(labels)
+    # a sharpness sweep of 12 rows, and one on a box rule of many blocks
+    assert {"sharpness:12-rows", "sharpness:32-points"} <= set(labels)
     # a ball rule integrated in many blocks, on a template too large to cache
     assert "hardy:heisenberg2-24-points" in labels
 

@@ -16,7 +16,7 @@ that touch the boundary (clearance 0), ``hardy`` on heisenberg:2 at 4
 points per axis (the smallest ball companion) and at 24 (a ball rule of
 many blocks), ``sobolev`` on abelian:5,
 ``sharpness`` on heisenberg:2, on an oblique normal, on an offset
-t-axis, at three p (12 rows, integrated in two calls) and at 32 points
+t-axis, at three p (12 rows in one integration) and at 32 points
 per axis (a box rule placed in many blocks, cut mid-line), and
 ``luan-young`` on heisenberg:2 with an oblique normal, which the command
 pins to the t-axis, and with ``p: [2, 3]``, which it ignores.  Each runs
@@ -149,8 +149,8 @@ def matrix() -> list[Case]:
         ),
         Case("sharpness:oblique", "sharpness", {"halfspace": {"nu": [0.6, 0.0, 0.8], "d": 0.1}}),
         Case("sharpness:offset", "sharpness", {"halfspace": {"preset": "t-axis", "d": 0.3}}),
-        # 12 (p, eps) rows: two integrations, of 8 rows and of 4
-        Case("sharpness:two-calls", "sharpness", {"p": [2.0, 3.0, 4.0]}),
+        # 12 (p, eps) rows in one integration
+        Case("sharpness:12-rows", "sharpness", {"p": [2.0, 3.0, 4.0]}),
         # a box rule of 287,364 nodes, placed in many blocks cut mid-line
         Case(
             "sharpness:32-points",
