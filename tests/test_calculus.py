@@ -193,6 +193,7 @@ _BUMP = BumpSpec(center=(0.2, -0.1, 0.8), radius=0.6)
 # evaluation, and a for a sample viewed as that of dist^a times the trial's)
 _TRIALS = {
     "bump": (lambda hs: make_bump(_BUMP), 1, None),
+    "bump-wide": (lambda hs: make_bump(BumpSpec(_BUMP.center, 0.9)), 1, None),
     # the ground-state substitution v = dist^(-(p-1)/p) u behind the
     # remainder at p = 3, and dist^((p-1)/p) u at p = 2
     "ground": (lambda hs: make_bump(_BUMP), 1, -2.0 / 3.0),

@@ -685,12 +685,13 @@ class TestClipToSupport:
         with pytest.raises(ValueError, match="trivial"):
             each_p(HARDY, h2, hs, u, [2.0], cfg)
 
+    # a small radius far from the origin leaves the half-width few ulps of |c|
+    @pytest.mark.parametrize("radius", [0.4, 1e-3, 50.0])
     @pytest.mark.parametrize("far", [0.0, 1e3, 1e5])
-    def test_chord_holds_every_live_point_of_its_line(self, rng, far):
+    def test_chord_holds_every_live_point_of_its_line(self, rng, far, radius):
         # far from the origin, x - c and c +- the half-width round to ulps
         # of |c|, far coarser than the half-width's own rounding
         center = np.array([0.2, -0.1, 0.5]) + far * np.array([1.0, -0.7, 0.4])
-        radius = 0.4
         support = make_bump(BumpSpec(center=tuple(center), radius=radius)).support
         pts = center + rng.uniform(-1.2, 1.2, size=(4000, 3)) * radius
         for axis in range(3):

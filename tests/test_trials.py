@@ -59,10 +59,21 @@ def _in_support(support, points):
 
 
 class TestBump:
-    def test_values_and_gradients_keep_the_frozen_formula(self, rng):
-        spec = BumpSpec(center=(0.3, -0.1, 0.7), radius=0.45)
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            BumpSpec(center=(0.3, -0.1, 0.7), radius=0.45),
+            BumpSpec(center=(0.3, -0.1, 0.7, 0.2, -0.5), radius=0.45),
+            BumpSpec(center=(1e3 + 0.3, -0.1, 0.7), radius=0.45),
+            BumpSpec(center=(0.3, -0.1, 0.7), radius=1e-6),
+            BumpSpec(center=(0.3,), radius=0.45),
+        ],
+        ids=["3-d", "5-d", "far", "tiny", "1-d"],
+    )
+    def test_values_and_gradients_keep_the_frozen_formula(self, rng, spec):
         u = make_bump(spec)
-        pts = np.asfortranarray(rng.uniform(-1.2, 1.2, size=(3000, 3)) * 0.45 + [0.3, -0.1, 0.7])
+        center = np.asarray(spec.center)
+        pts = np.asfortranarray(rng.uniform(-1.2, 1.2, size=(3000, center.size)) * spec.radius + center)
         f, grad = _frozen_bump(spec)(pts)
         assert 0 < np.count_nonzero(f) < len(pts)
         got = u.values_and_gradients(pts)
@@ -97,6 +108,7 @@ class TestBump:
         [
             {"center": (0.0,), "radius": 0.0},
             {"center": (0.0,), "radius": -1.0},
+            {"center": (0.0, 1e20), "radius": 1.0},
         ],
     )
     def test_spec_validation(self, kwargs):
@@ -260,9 +272,10 @@ class TestSupportPredicate:
         assert np.all(u.values(pts[~inside]) == 0.0)
         assert np.all(u.gradients(pts[~inside]) == 0.0)
 
-    def test_shape_adds_the_terms_in_axis_order(self, rng):
-        support = make_bump(BumpSpec(center=(0.1,) * 5, radius=0.6)).support
-        pts = rng.uniform(-1.0, 1.0, size=(3000, 5))
+    @pytest.mark.parametrize("n", [1, 3, 5, 7])
+    def test_shape_adds_the_terms_in_axis_order(self, rng, n):
+        support = make_bump(BumpSpec(center=(0.1,) * n, radius=0.6)).support
+        pts = rng.uniform(-1.0, 1.0, size=(3000, n))
         s, z = support.shape(pts)
         assert np.array_equal(s, np.sum(z * z, axis=1))
 
