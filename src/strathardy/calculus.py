@@ -275,7 +275,9 @@ def angle_function_many(spec: GroupSpec, hs: HalfSpace, points) -> np.ndarray:
 def _sum_squares(columns, m: int) -> np.ndarray:
     """The sum of the squares of (m,) columns, added in order: below 8 columns the bits
     of ``np.sum(a * a, axis=1)``, which adds 8 or more row-major ones pairwise."""
-    total = np.zeros(m)
+    columns = iter(columns)
+    first = next(columns, None)
+    total = np.zeros(m) if first is None else first * first
     for col in columns:
         total += col * col
     return total
@@ -363,10 +365,11 @@ def sample_trial(spec: GroupSpec, hs: HalfSpace, u, points, dist=None, local=Non
     sample is derived from one that reads the sample's ``dist`` (as
     :func:`~strathardy.trials.power_weighted_sample` does for dist^a u).
     ``local`` is what the rule that placed the points knows of them in its
-    own frame: on the ball rule the pair (z, S) of the unit-ball offsets
-    z = (x - c) / r, (M, n), and S = |z|^2, (M,).  A bump about that ball's
-    centre evaluates itself from it, never from the rounded points; any
-    other field ignores it.
+    own frame: on the ball rule the triple (z, f, slope) of the unit-ball
+    offsets z = (x - c) / r, (M, n), and a bump's profile and its slope in
+    S = |z|^2, (M,) each (``trials.bump_profile``).  A bump about that
+    ball's centre evaluates itself from it, never from the rounded points;
+    any other field ignores it.
     """
     points = np.asarray(points, dtype=float)
     dist = hs.distance(points) if dist is None else dist

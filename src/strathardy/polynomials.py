@@ -168,18 +168,22 @@ class Polynomial:
     # -- evaluation --------------------------------------------------------
 
     def eval_many(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate at an ``(M, nvars)`` array of points, returning ``(M,)``."""
+        """Evaluate at an ``(M, nvars)`` array of points, returning a new ``(M,)``
+        array: the terms added in order, from the first."""
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self._nvars:
             raise ValueError(f"expected (M, {self._nvars}) array, got {points.shape}")
-        out = np.zeros(points.shape[0])
+        out = None
         for exps, coeff in self._terms.items():
             term = coeff
             for i, e in enumerate(exps):
                 if e:
                     term = term * (points[:, i] if e == 1 else points[:, i] ** e)
-            out += term
-        return out
+            if out is None:  # a product with the coefficient is already a new array
+                out = np.full(points.shape[0], term) if np.ndim(term) == 0 else term
+            else:
+                out += term
+        return np.zeros(points.shape[0]) if out is None else out
 
     def __repr__(self) -> str:
         return f"Polynomial({self._nvars}, {self._terms!r})"

@@ -47,16 +47,17 @@ several blocks moves in its last bits against one sum.
 
 No rule holds its nodes; each places a block from compact data as it is
 summed.  The ball rule holds their dist and its unit-ball template
-(z, S, weights), z = (x - c) / r and S = |z|^2: the points c + r z and
-the weights times r^n.  The box rule holds its kept lines and how many
-nodes each keeps, and reruns the s rule, masks and fill on the lines a
-block touches, each step per line, so a block holds the bits of the rule
-built whole.  The ball rule's sample gets (z, S) as the nodes' local
-coordinates, so a bump about c never works them back out of the rounded
-nodes (see :func:`~strathardy.calculus.sample_trial`).  Every rule places
-its nodes column-major.  Up to 16 templates of at most 4 MiB
-(``_BALL_CACHE_BYTES``) are cached: at 16 points per axis those up to 10
-dimensions.
+(z, f, slope, weights): z = (x - c) / r, the bump's profile at S = |z|^2
+(``bump_profile``) and the weights, placed as c + r z and weights times
+r^n.  The box rule holds its kept lines and how many nodes each keeps,
+and reruns the s rule, masks and fill on the lines a block touches, each
+step per line, so a block holds the bits of the rule built whole.  The
+ball rule's sample gets (z, f, slope) as local coordinates, so a bump
+about c reads them, not the rounded nodes (see
+:func:`~strathardy.calculus.sample_trial`).  Every rule places its nodes
+column-major.  Up to 16 templates of at most 4 MiB, (n + 3) x 8 bytes a
+node (``_BALL_CACHE_BYTES``), are cached: at 16 points per axis those up
+to 10 dimensions.
 
 ``evaluations`` counts the nodes of the full rule, built or not (the
 ball rule's own on the ball rule).  A non-finite integrand value raises
@@ -73,10 +74,10 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .calculus import HalfSpace, ScalarField, sample_trial
+from .calculus import HalfSpace, ScalarField, _sum_squares, sample_trial
 from .groups import GroupSpec
 from .streams import MONTE_CARLO, philox_chunks
-from .trials import BumpSupport
+from .trials import BumpSupport, bump_profile
 
 __all__ = [
     "QuadConfig",
@@ -264,13 +265,13 @@ def _place_lines(parts: tuple[_Lines, ...], axis: int, nuj: float, m: float, lo:
 
 
 def _place_ball(template, center, radius: float, dist, lo: int, hi: int):
-    """Rows lo:hi of the unit-ball ``template`` (z, S, weights) on the ball
-    about ``center``: points c + r z, their ``dist`` and weights times r^n,
-    with local coordinates (z, S) and no line numbers."""
-    z, squares, weights = (a[lo:hi] for a in template)
+    """Rows lo:hi of the unit-ball ``template`` (z, f, slope, weights) on
+    the ball about ``center``: points c + r z, their ``dist`` and weights
+    times r^n, with local coordinates (z, f, slope) and no line numbers."""
+    z, f, slope, weights = (a[lo:hi] for a in template)
     points = z * radius
     points += center
-    return points, dist[lo:hi], weights * radius ** z.shape[1], (z, squares), None
+    return points, dist[lo:hi], weights * radius ** z.shape[1], (z, f, slope), None
 
 
 def _tensor_product(box: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -461,13 +462,15 @@ def _ball_resolution(dim: int, ppa: int, companion: bool = False) -> tuple[int, 
     sphere is the order of :func:`_sphere_rule` up to 5 dimensions and the
     degree of :func:`_symmetric_sphere_rule` above.  At 16 that is (24, 8)
     up to 3 dimensions, (24, 6) in 4 and 5, halved with it, and (24, degree
-    5) in 6 or more, degree 3 below 16 and on every companion, whose degree
-    must stay below its fine rule's for the stderr to see the angular error."""
+    5) in 6 or more, degree 3 below 16 and on every companion.  Wherever the
+    ball rule is taken the companion's order or degree is strictly below
+    the fine rule's, so that the stderr sees the angular error: up to 5
+    dimensions by a fine order of at least 2, above by :func:`_takes_ball`."""
     radial = max(2, (3 * ppa) // 2)
     if dim >= 6:
         return radial, 5 if ppa >= 16 and not companion else 3
     sphere = ppa if dim <= 3 else (3 * ppa) // 4
-    return radial, max(1, sphere // 2)
+    return radial, max(1 if companion else 2, sphere // 2)
 
 
 def _ball_size(dim: int, radial: int, sphere: int) -> int:
@@ -501,14 +504,14 @@ def _takes_ball(box, hs, support, cfg: QuadConfig) -> bool:
     )
 
 
-def _unit_ball(dim: int, parts: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+def _unit_ball(dim: int, parts: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, ...]:
     """The spherical-radial rule on the unit ball at each of ``parts``, the
     (radial nodes, sphere) of a rule and its companion, one after the other:
     nodes z = rho w, (K, dim) column-major, rho by Gauss-Legendre on (0, 1)
     with weight rho^(dim-1), w by :func:`_sphere_rule` up to 5 dimensions
-    and :func:`_symmetric_sphere_rule` above; S = |z|^2, adding z_i * z_i
-    in axis order as ``BumpSupport`` does; the weights; and the rule's node
-    count.  Read-only, as a cached rule is shared."""
+    and :func:`_symmetric_sphere_rule` above; f and slope at S = |z|^2, S
+    adding z_i * z_i in axis order as ``BumpSupport`` does; the weights;
+    and the rule's node count.  Read-only, as a cached rule is shared."""
     shells, sizes = [], []
     for radial, sphere in parts:
         dirs, w_dir = _sphere_rule(dim, sphere) if dim <= 5 else _symmetric_sphere_rule(dim, sphere)
@@ -516,18 +519,17 @@ def _unit_ball(dim: int, parts: tuple[tuple[int, int], ...]) -> tuple[np.ndarray
         rho = 0.5 * (1.0 + x)
         shells += [(r, w_r, dirs, w_dir) for r, w_r in zip(rho, 0.5 * w * rho ** (dim - 1))]
         sizes.append(radial * w_dir.size)
-    nodes, squares, weights = np.empty((sum(sizes), dim), order="F"), np.zeros(sum(sizes)), np.empty(sum(sizes))
+    nodes, (f, slope, weights) = np.empty((sum(sizes), dim), order="F"), np.empty((3, sum(sizes)))
     # one radial shell at a time, in place: no product of a whole part is formed
     at = 0
     for r, w_r, dirs, w_dir in shells:
         shell = slice(at, at + w_dir.size)
         nodes[shell] = r * dirs
         weights[shell] = w_r * w_dir
-        for col in nodes[shell].T:
-            squares[shell] += col * col
+        f[shell], slope[shell] = bump_profile(_sum_squares(nodes[shell].T, w_dir.size))
         at = shell.stop
-    nodes.flags.writeable = squares.flags.writeable = weights.flags.writeable = False
-    return nodes, squares, weights, sizes[0]
+    nodes.flags.writeable = f.flags.writeable = slope.flags.writeable = weights.flags.writeable = False
+    return nodes, f, slope, weights, sizes[0]
 
 
 # the cache holds at most 16 x 4 MiB (see the module docstring)
@@ -545,8 +547,8 @@ def _build_ball(hs, cfg, support) -> _Rule:
     counts = [_ball_size(n, *part) for part in parts]
     for points, count in zip((ppa, ppa // 2), counts):
         _check_budget(count, f"the ball rule with {points} points per axis in {n} dimensions")
-    cached = sum(counts) * (n + 2) * 8 <= _BALL_CACHE_BYTES  # z, S and weights
-    nodes, squares, weights, split = (_cached_unit_ball if cached else _unit_ball)(n, parts)
+    cached = sum(counts) * (n + 3) * 8 <= _BALL_CACHE_BYTES  # z, f, slope and weights
+    nodes, f, slope, weights, split = (_cached_unit_ball if cached else _unit_ball)(n, parts)
     (axes,) = np.nonzero(hs.nu)
     if axes.size == 1:
         # on an axis normal from the normal's column alone, with the
@@ -562,8 +564,8 @@ def _build_ball(hs, cfg, support) -> _Rule:
     if not np.all(dist > 0.0):
         keep = np.flatnonzero(dist > 0.0)
         split = int(np.searchsorted(keep, split))
-        nodes, squares, weights, dist = np.asfortranarray(nodes[keep]), squares[keep], weights[keep], dist[keep]
-    place = partial(_place_ball, (nodes, squares, weights), support.center, support.radius, dist)
+        nodes, f, slope, weights, dist = np.asfortranarray(nodes[keep]), f[keep], slope[keep], weights[keep], dist[keep]
+    place = partial(_place_ball, (nodes, f, slope, weights), support.center, support.radius, dist)
     return _Rule(place, len(dist), counts[0], split)
 
 

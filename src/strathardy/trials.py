@@ -7,7 +7,7 @@ cutoff functions.  A member dist^alpha * cutoff of the power family
 (:class:`SharpnessSpec`) is not a field: its sample is derived from the
 cutoff's (:func:`power_weighted_sample`) and holds ``hgrad``, not
 ``grad``.  At the ball rule's nodes a bump, scaled or not, is evaluated
-from the rule's local coordinates (z, S), not from the nodes.  Labels are
+from the rule's local (z, f, slope), not from the nodes.  Labels are
 deterministic strings built from the defining parameters; reports hash
 them into their config digests.
 """
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import HalfSpace, ScalarField, TrialSample
+from .calculus import HalfSpace, ScalarField, TrialSample, _sum_squares
 from .streams import philox_stream
 
 # relative slack of BumpSupport.chord against rounding in S and its root
@@ -84,11 +84,7 @@ class BumpSupport:
 
     def _sum(self, z, skip=None):
         """The sum of the terms z_i * z_i of S over every axis i but ``skip``."""
-        total = np.zeros(z.shape[0])
-        for i in range(z.shape[1]):
-            if i != skip:
-                total += z[:, i] * z[:, i]
-        return total
+        return _sum_squares((col for i, col in enumerate(z.T) if i != skip), len(z))
 
     def chord(self, points, axis: int):
         """(lo, hi) on coordinate ``axis`` of the line through each of the (M, n)
@@ -115,14 +111,22 @@ def make_bump(spec: BumpSpec) -> ScalarField:
     return _Bump(BumpSupport(np.asarray(spec.center, dtype=float), spec.radius), spec.label())
 
 
+def bump_profile(s) -> tuple[np.ndarray, np.ndarray]:
+    """The profile f = exp(-1 / (1 - S)) of a bump and its slope df/dS at
+    S = s, both 0.0 where s >= 1, off the support."""
+    inside = s < 1.0
+    # 1 - S, and inf outside the support, where f and its slope are 0.0
+    gap = np.where(inside, 1.0 - s, np.inf)
+    f = np.where(inside, np.exp(-1.0 / gap), 0.0)
+    return f, -f / (gap * gap)
+
+
 class _Bump(ScalarField):
     """The bump exp(-1 / (1 - S)) on its support, times ``factors`` in turn.
 
-    One profile routine, :meth:`_profile`, turns S and z into the values
-    and gradients, from two sources: ``support.shape`` of the points, and
-    on the ball rule the rule's local (z, S) (see
-    :func:`~strathardy.calculus.sample_trial`), which is not worked back
-    out of the rounded nodes.
+    f and the slope of :func:`bump_profile` come from S of the points, or
+    on the ball rule from its template's local (z, f, slope) (see
+    :func:`~strathardy.calculus.sample_trial`), never from its rounded nodes.
     """
 
     def __init__(self, support: BumpSupport, label: str, factors: tuple[float, ...] = ()):
@@ -134,24 +138,15 @@ class _Bump(ScalarField):
         self._factors = factors
 
     def _at_points(self, points):
-        return self._profile(*self.support.shape(points), own=True)
+        s, z = self.support.shape(points)
+        f, slope = bump_profile(s)
+        dS = np.multiply(z, 2.0, out=z)
+        dS /= self.support.radius
+        dS *= slope[:, None]
+        dS[~(s < 1.0)] = 0.0  # off the support z / r may overflow, and inf * 0.0 is nan
+        return self._scaled(f, dS)
 
-    def _profile(self, s, z, own: bool):
-        """The values and gradients at S = s and offsets z; ``own`` says that
-        z is this call's to overwrite, and a template's is not."""
-        r = self.support.radius
-        inside = s < 1.0
-        # 1 - S, and inf outside the support, where f and its gradient are 0.0
-        gap = np.where(inside, 1.0 - s, np.inf)
-        f = np.where(inside, np.exp(-1.0 / gap), 0.0)
-        slope = -f / (gap * gap)
-        if own:
-            dS = np.multiply(z, 2.0, out=z)
-            dS /= r
-            dS *= slope[:, None]
-        else:
-            # a template's z is read-only: one pass, with 2 / r folded in
-            dS = z * ((2.0 / r) * slope)[:, None]
+    def _scaled(self, f, dS):
         for factor in self._factors:
             f, dS = factor * f, factor * dS
         return f, dS
@@ -159,8 +154,10 @@ class _Bump(ScalarField):
     def _sample(self, spec, hs, points, dist, local=None):
         if local is None:
             return super()._sample(spec, hs, points, dist)
-        z, s = local
-        return TrialSample(spec, hs, points, dist, *self._profile(s, z, own=False))
+        z, f, slope = local
+        # a template's z is read-only: one pass, with 2 / r folded in
+        dS = z * ((2.0 / self.support.radius) * slope)[:, None]
+        return TrialSample(spec, hs, points, dist, *self._scaled(f, dS))
 
     def scaled(self, factor: float) -> ScalarField:
         """factor * this bump, a bump that still reads the ball rule's local coordinates."""

@@ -110,13 +110,27 @@ class TestEvaluation:
 
 
 def _term_by_term(poly, pts):
-    """Each term as a filled array of its coefficient times x_i ** e, term by term."""
-    out = np.zeros(pts.shape[0])
+    """Each term as a filled array of its coefficient times x_i ** e, term by
+    term, added in order from the first (zeros for the zero polynomial)."""
+    out = np.zeros(pts.shape[0]) if poly.is_zero else None
     for exps, coeff in poly.terms.items():
         term = np.full(pts.shape[0], coeff)
         for i, e in enumerate(exps):
             if e:
                 term = term * pts[:, i] ** e
+        out = term if out is None else out + term
+    return out
+
+
+def _zero_started(poly, pts):
+    """The sum as eval_many added it from a zero array: 0.0 + the first term
+    turns a -0.0 into 0.0, and is otherwise the first term itself."""
+    out = np.zeros(pts.shape[0])
+    for exps, coeff in poly.terms.items():
+        term = coeff
+        for i, e in enumerate(exps):
+            if e:
+                term = term * (pts[:, i] if e == 1 else pts[:, i] ** e)
         out += term
     return out
 
@@ -151,6 +165,49 @@ class TestEvalManyArithmetic:
         got = poly.eval_many(pts)
         assert np.array_equal(got, want, equal_nan=True)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestEvalManyFirstTerm:
+    """eval_many starts its sum from the first term, not from a zero array."""
+
+    @given(
+        st.one_of(_covering_polys(), int_polys(3)),
+        st.lists(st.tuples(*[st.sampled_from([0.0, -0.0, -2.5]) | st.floats(-1e3, 1e3)] * 3), min_size=1, max_size=6),
+        st.booleans(),
+    )
+    def test_equals_the_zero_started_sum_up_to_the_sign_of_zero(self, poly, rows, column_major):
+        pts = np.array(rows, dtype=float, order="F" if column_major else "C")
+        before = pts.copy()
+        got = poly.eval_many(pts)
+        want = _zero_started(poly, pts)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.all(got[np.signbit(got) != np.signbit(want)] == 0.0)
+        # a new array of its own, never a view of the points
+        assert got.shape == (len(pts),) and got.flags.owndata and got.flags.writeable
+        assert not np.shares_memory(got, pts)
+        got += 1.0
+        assert np.array_equal(pts, before)
+
+    @pytest.mark.parametrize(
+        "poly, want",
+        [
+            (Polynomial(2, {}), [0.0, 0.0]),  # zeros for the zero polynomial
+            (Polynomial.constant(2, -1.5), [-1.5, -1.5]),  # filled for a constant
+            (Polynomial.variable(2, 0), [-0.0, 3.0]),  # a new array, not the column
+            (Polynomial(2, {(1, 0): -1.0, (0, 0): 2.0}), [2.0, -1.0]),
+        ],
+    )
+    def test_each_start(self, poly, want):
+        pts = np.array([[-0.0, 1.0], [3.0, 2.0]], order="F")
+        got = poly.eval_many(pts)
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+        assert got.flags.owndata and not np.shares_memory(got, pts)
+
+    def test_a_negative_zero_first_term_keeps_its_sign(self):
+        # -x at x = 0.0: the zero-started sum read 0.0
+        pts = np.array([[0.0]])
+        poly = Polynomial(1, {(1,): -1.0})
+        assert np.signbit(poly.eval_many(pts)[0]) and not np.signbit(_zero_started(poly, pts)[0])
 
 
 class TestRepr:

@@ -1067,11 +1067,11 @@ class TestBallRule:
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     def test_templates_are_cached_up_to_the_cap(self, k):
-        # the rule and its companion in one template, nodes, S and weights:
-        # heisenberg:2's (62,208 + 1,944) x (5 + 2) x 8 bytes (3.6 MB),
-        # heisenberg:3's (3,408 + 168) x 9 x 8 and heisenberg:4's
-        # (12,720 + 216) x 11 x 8 are kept; heisenberg:5's (49,680 + 264)
-        # x 13 x 8 (5.2 MB) and heisenberg:6's (197,232 + 312) x 15 x 8 are not
+        # the rule and its companion in one template, nodes, f, slope and
+        # weights: heisenberg:2's (62,208 + 1,944) x (5 + 3) x 8 bytes
+        # (4.1 MB), heisenberg:3's (3,408 + 168) x 10 x 8 and heisenberg:4's
+        # (12,720 + 216) x 12 x 8 are kept; heisenberg:5's (49,680 + 264)
+        # x 14 x 8 (5.6 MB) and heisenberg:6's (197,232 + 312) x 16 x 8 are not
         spec, hs, u = _interior_ball(k)
         _cached_unit_ball.cache_clear()
         try:
@@ -1290,11 +1290,22 @@ def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+def _frozen_profile(s):
+    """The bump's profile and slope at S = s, as the bump computed them
+    from S at every block of every trial before the ball rule's template
+    held them: the arithmetic the template must keep bit for bit."""
+    inside = s < 1.0
+    gap = np.where(inside, 1.0 - s, np.inf)
+    f = np.where(inside, np.exp(-1.0 / gap), 0.0)
+    return f, -f / (gap * gap)
+
+
 def _frozen_ball(hs, cfg, support):
     """The ball rule's whole arrays as they were built when the rule held
     its nodes: each part's nodes as one row-major product, all of them
-    placed, dist taken over all of them in one call, and the dist > 0
-    filter.  Returns points, dist, weights, z, S and the split."""
+    placed, dist taken over all of them in one call, the profile taken of
+    S over all of them, and the dist > 0 filter.  Returns points, dist,
+    weights, z, f, slope and the split."""
     n = support.center.size
     ppa = cfg.points_per_axis
     nodes, weights = [], []
@@ -1313,8 +1324,9 @@ def _frozen_ball(hs, cfg, support):
     pts += support.center
     dist = hs.distance(pts)
     weights = weights * support.radius**n
+    f, slope = _frozen_profile(squares)
     keep = np.flatnonzero(dist > 0.0)
-    return pts[keep], dist[keep], weights[keep], z[keep], squares[keep], int(np.searchsorted(keep, split))
+    return pts[keep], dist[keep], weights[keep], z[keep], f[keep], slope[keep], int(np.searchsorted(keep, split))
 
 
 def _oblique_ball():
@@ -1496,9 +1508,10 @@ class TestBuiltInPlace:
 
     @pytest.mark.parametrize("dim, ppa", [(5, 16), (11, 16), (5, 24)])
     def test_a_template_is_built_in_place(self, dim, ppa):
-        # heisenberg:2's template (3.4 MiB), heisenberg:5's (5.0 MiB, not
-        # cached) and heisenberg:2's at 24 points per axis (25.7 MiB) peaked
-        # at 1.6 to 1.8 times their size when each part was one product
+        # heisenberg:2's template (3.9 MiB), heisenberg:5's (5.3 MiB, not
+        # cached) and heisenberg:2's at 24 points per axis (29.4 MiB); with
+        # z, S and weights they peaked at 1.6 to 1.8 times their size when
+        # each part was one product
         parts = (_ball_resolution(dim, ppa), _ball_resolution(dim, ppa // 2, companion=True))
         _unit_ball(dim, parts)
         tracemalloc.start()
@@ -1507,7 +1520,7 @@ class TestBuiltInPlace:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * sum(a.nbytes for a in template[:3])
+        assert len(template) == 5 and peak <= 1.1 * sum(a.nbytes for a in template[:4])
 
     def test_integrating_a_graded_rule_does_not_grow_with_it(self):
         # the sharpness cutoff of a 32-point run: 287,364 nodes (11.5 MB of
@@ -1581,14 +1594,16 @@ class TestLocalFrame:
             assert _cached_unit_ball.cache_info().currsize == (0 if name == "ball-11" else 1)
         finally:
             _cached_unit_ball.cache_clear()
-        z, s = rule.local
-        assert z.shape == rule.points.shape and s.shape == rule.dist.shape and z.flags.f_contiguous
+        z, f, slope = rule.local
+        assert z.shape == rule.points.shape and f.shape == slope.shape == rule.dist.shape and z.flags.f_contiguous
         # a shared template is read-only; a filtered rule holds its own rows
-        assert z.flags.writeable == s.flags.writeable == name.endswith("shaved")
-        # the nodes are c + r z, and S adds z_i * z_i in axis order
+        assert z.flags.writeable == f.flags.writeable == slope.flags.writeable == name.endswith("shaved")
+        # the nodes are c + r z, and f and slope are the profile at S, which
+        # adds z_i * z_i in axis order
         support = u.support
         assert np.array_equal(rule.points, z * support.radius + support.center)
-        assert np.array_equal(s, support._sum(z))
+        for got, want in zip((f, slope), _frozen_profile(support._sum(z)), strict=True):
+            assert _same_bits(got, want)
         want_u, want_grad = u.values_and_gradients(rule.points)
         before = z.copy()
         monkeypatch.setattr(support, "shape", _no_shape)
@@ -1613,6 +1628,19 @@ class TestLocalFrame:
         scaled = hardy_sobolev_ratio(spec, hs, u.scaled(7.0), 2.0, cfg).quotient
         assert abs(scaled / once - 1.0) <= 4 * np.finfo(float).eps
 
+    def test_a_scaled_bump_reads_the_template_profile_times_its_factor(self, monkeypatch):
+        # the benchmark's sobolev check of 7u on heisenberg:2's ball rule:
+        # u is the template's f, 7u is 7.0 times it, and their gradients are
+        # z (2 / r) slope and 7.0 times that, none evaluated at the nodes
+        spec, hs, u = _interior_ball(2)
+        rule = _build_nodes(u.support_box, hs, QuadConfig(), u.support)
+        z, f, slope = rule.local
+        monkeypatch.setattr(u.support, "shape", _no_shape)
+        grad = z * ((2.0 / u.support.radius) * slope)[:, None]
+        for factor, field in ((1.0, u), (7.0, u.scaled(7.0))):
+            got = sample_trial(spec, hs, field, rule.points, rule.dist, local=rule.local)
+            assert _same_bits(got.u, factor * f) and _same_bits(got.grad, factor * grad)
+
     def test_a_hand_built_field_samples_through_its_points(self):
         # a round BumpSupport makes the ball rule, but only the bump itself
         # reads the local coordinates
@@ -1636,12 +1664,14 @@ class TestLocalFrame:
 
     @pytest.mark.parametrize("k", [2, 4])
     def test_the_cache_cap_counts_the_squares(self, k, monkeypatch):
-        # a template is cached at (nodes + S + weights) x 8 bytes a node,
-        # and not one byte below
+        # a template is cached at (nodes + f + slope + weights) x 8 bytes a
+        # node, and not one byte below: heisenberg:2's 4,105,728 bytes fit
+        # the default cap of 4 MiB
         spec, hs, u = _interior_ball(k)
         n = 2 * k + 1
         parts = (_ball_resolution(n, 16), _ball_resolution(n, 8, companion=True))
-        need = sum(_ball_size(n, *part) for part in parts) * (n + 2) * 8
+        need = sum(_ball_size(n, *part) for part in parts) * (n + 3) * 8
+        assert need <= quadrature._BALL_CACHE_BYTES and (k != 2 or need == 4_105_728)
         for cap, kept in ((need, 1), (need - 1, 0)):
             monkeypatch.setattr(quadrature, "_BALL_CACHE_BYTES", cap)
             _cached_unit_ball.cache_clear()
@@ -1650,6 +1680,56 @@ class TestLocalFrame:
                 assert _cached_unit_ball.cache_info().currsize == kept
             finally:
                 _cached_unit_ball.cache_clear()
+
+
+class TestTemplateProfile:
+    @pytest.mark.parametrize("dim", range(2, 14))
+    def test_the_template_holds_the_profile_of_its_squares(self, dim, monkeypatch):
+        # f and slope of the rule and of its companion, cached or built past
+        # the cap, are bit for bit the profile the bump took of S at each
+        # block before the template held them, S adding z_i * z_i from 0.0
+        hs, u = _inside(dim)
+        cfg = QuadConfig(points_per_axis=8 if dim <= 5 else 16)
+        assert _takes_ball(u.support_box, hs, u.support, cfg)
+        for cap, kept in ((1 << 40, 1), (0, 0)):
+            monkeypatch.setattr(quadrature, "_BALL_CACHE_BYTES", cap)
+            _cached_unit_ball.cache_clear()
+            try:
+                rule = _build_nodes(u.support_box, hs, cfg, u.support)
+                assert _cached_unit_ball.cache_info().currsize == kept
+            finally:
+                _cached_unit_ball.cache_clear()
+            z, f, slope = rule.local
+            assert 0 < rule.split < len(f)
+            squares = np.zeros(len(z))
+            for col in z.T:
+                squares += col * col
+            for got, want in zip((f, slope), _frozen_profile(squares), strict=True):
+                assert _same_bits(got, want)
+            assert np.all(f > 0.0) and np.all(slope < 0.0)
+
+
+class TestResolutionInvariant:
+    @pytest.mark.parametrize("dim", range(2, 14))
+    def test_the_companion_is_coarser_on_the_sphere_wherever_the_ball_is_taken(self, dim):
+        # at equal sphere orders |fine - coarse| held no angular error, and
+        # remainder on heisenberg:2 at 4 points per axis failed 17 of 20 seeds
+        hs, u = _inside(dim)
+        taken = []
+        for ppa in range(4, 65):
+            cfg = QuadConfig(points_per_axis=ppa)
+            if _takes_ball(u.support_box, hs, u.support, cfg):
+                taken.append(ppa)
+                fine, coarse = _ball_resolution(dim, ppa)[1], _ball_resolution(dim, ppa // 2, companion=True)[1]
+                assert coarse < fine, (ppa, fine, coarse)
+        # every resolution up to 5 dimensions, and above from 16 points per
+        # axis while the rule fits the Monte Carlo branch's sample count
+        assert 16 in taken and (dim > 5 or taken == list(range(4, 65)))
+
+    def test_heisenberg2_at_4_points_per_axis_has_order_2(self):
+        # 6 radii x 2 x 2^4 directions; order 1 gave 12 nodes
+        assert _ball_resolution(5, 4) == (6, 2) and _ball_size(5, 6, 2) == 192
+        assert _ball_resolution(5, 2, companion=True) == (3, 1)
 
 
 class TestHardyRow15:

@@ -285,6 +285,15 @@ class TestSupportPredicate:
         values, grads = u.values_and_gradients(np.array([[1e-10, 0.0], [0.0, 1e-10]]))
         assert np.array_equal(values, [0.0, 0.0]) and np.array_equal(grads, np.zeros((2, 2)))
 
+    def test_gradient_is_zero_where_the_offsets_overflow(self):
+        # 1e160 radii away (x - c) / r is finite but 2 (x - c) / r**2 is inf,
+        # which times the profile's slope of 0.0 made a nan gradient
+        u = make_bump(BumpSpec(center=(0.0, 0.0), radius=1e-170))
+        for field in (u, u.scaled(7.0)):
+            values, grads = field.values_and_gradients([[1e-10, 0.0], [0.0, -1e-10]])
+            assert values.tolist() == [0.0, 0.0] and grads.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+            assert not np.signbit(grads).any()
+
     def test_derived_trials_keep_the_bump_support(self):
         hs = halfspace_preset(3, "t-axis", 0.0)
         spec = BumpSpec(center=(0.0, 0.0, 0.7), radius=0.5)
