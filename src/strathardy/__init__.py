@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 # a name resolves from the first of these modules whose __all__ lists it
 _PUBLIC_MODULES = (
-    "polynomials", "groups", "calculus", "quadrature", "trials", "experiments", "identities", "reports",
+    "errors", "polynomials", "groups", "calculus", "quadrature", "trials", "experiments", "identities", "reports",
 )
 
 

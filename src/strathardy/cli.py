@@ -6,17 +6,16 @@ Subcommands run one experiment family each and write a CSV or JSON report
 rows, the contract that names the rows that fail, and the half-space
 preset used when the configuration names no normal.  Exit codes: 0 when
 every checked contract holds within tolerance, 2 when a contract is
-violated (one stderr line per failing row), 3 for configuration errors:
-among them a size over its bound (``config.SIZE_BOUNDS``), a quadrature
-method other than ``boundary-graded``, a quadrature over its node
-budget, a trial the quadrature rule never sees (its denominator integral
-vanishes, or its quotient or stderr is not finite; the line names the
-trial and p), an integrand that overflows at a node (p too large, say;
-the line names the trial and p of its row and the node) and a beta
-whose beta-form coefficient overflows.
-The first such error ends the run with its one line.  All randomness is
-counter-based and derived from the seed, so identical configurations
-produce byte-identical reports.
+violated (one stderr line per failing row), 3 when an input is refused
+(:class:`~strathardy.errors.Refusal`, raised by the code that states the
+condition): by the config's checks, such as a size over its bound in
+``config.SIZE_BOUNDS``; a p or group outside a check's hypotheses; a
+sharpness row below its validated range; a beta whose coefficient
+overflows; a rule over its node budget; a trial the rule never sees; an
+integrand that overflows.  The first refusal ends the run with its one
+line and no report.  Any other exception is a bug and is not caught.
+All randomness is counter-based and derived from the seed, so identical
+configurations produce byte-identical reports.
 
 On glibc, ``main`` first fixes malloc's mmap threshold at 4 MiB and its
 trim threshold at 16 MiB, for the whole process.  With glibc's dynamic
@@ -38,9 +37,9 @@ from functools import cache, partial
 from typing import Callable, NamedTuple
 
 from . import experiments
-from .config import ConfigError, as_count, as_number, build_trials, load_config, resolve
+from .config import as_count, as_number, build_trials, load_config, resolve
+from .errors import Refusal
 from .identities import run_identity_suite
-from .quadrature import IntegrationError, NodeBudgetError
 from .reports import Report, config_digest, render_csv, render_json
 from .trials import boundary_bump_spec
 
@@ -51,10 +50,6 @@ from .trials import boundary_bump_spec
 def _identities(group, hs, quad, cfg, digest):
     indices = tuple(as_count(i, "identity_indices entry") for i in cfg["identity_indices"])
     points = as_count(cfg["identity_points"], "identity_points")
-    if any(i < 1 for i in indices):
-        raise ConfigError(f"identity_indices must be Heisenberg indices >= 1, got {list(indices)}")
-    if points < 1:
-        raise ConfigError(f"identity_points must be positive, got {points}")
     return [
         Report(
             inequality_id=f"identity:{c.name}",
@@ -91,67 +86,24 @@ def _each_trial(check, group, hs, quad, cfg, digest, **params):
 
 
 def _general_hardy(group, hs, quad, cfg, digest):
-    for p in cfg["p"]:
+    for p in cfg["p"]:  # an overflowing coefficient is refused before anything is integrated
         for beta in cfg["beta"] or []:
-            try:
-                experiments.beta_form_coefficient(p, beta)
-            except OverflowError:
-                raise ConfigError(
-                    f"beta {beta!r} at p={p!r}: its beta-form coefficient is past the float range"
-                ) from None
+            experiments.beta_form_coefficient(p, beta)
     if cfg["beta"] == []:  # no rows asked for: integrate nothing
         cfg = dict(cfg, p=[])
     return _each_trial(experiments.GENERAL_HARDY, group, hs, quad, cfg, digest, betas=cfg["beta"])
 
 
-def _remainder(group, hs, quad, cfg, digest):
-    if any(p < 2 for p in cfg["p"]):
-        raise ConfigError("remainder checks need every p >= 2")
-    return _each_trial(experiments.REMAINDER, group, hs, quad, cfg, digest)
-
-
-def _sobolev(group, hs, quad, cfg, digest):
-    Q = group.homogeneous_dim
-    if any(not 2 <= p < Q for p in cfg["p"]):
-        raise ConfigError(f"sobolev needs 2 <= p < Q = {Q} for every p, got {cfg['p']}")
-    return _each_trial(experiments.SOBOLEV, group, hs, quad, cfg, digest)
-
-
-# the sharpness denominator behaves like dist^(p*eps - 1), and the
-# boundary-graded rule is validated for dist^g down to g = -0.9 only
-_MIN_P_EPS = 0.1
-
-
 def _sharpness(group, hs, quad, cfg, digest):
-    eps_list = [float(e) for e in cfg["eps"]]
-    radius = as_number(cfg["cutoff_radius"], "cutoff_radius")
-    try:
-        cutoff = boundary_bump_spec(hs, radius)
-    except ValueError as exc:
-        raise ConfigError(f"cutoff_radius {radius!r}: {exc}") from exc
-    if any(e <= 0 for e in eps_list):
-        raise ConfigError("every eps must be positive")
-    for p in cfg["p"]:
-        for e in eps_list:
-            if p * e < _MIN_P_EPS:
-                raise ConfigError(
-                    f"sharpness row p={p!r}, eps={e!r} has p*eps < {_MIN_P_EPS!r}: "
-                    "its denominator exponent p*eps - 1 is below -0.9, where quadrature "
-                    "is not validated"
-                )
-    return experiments.sharpness_grid(group, hs, cfg["p"], eps_list, cutoff, quad, config_digest=digest)
+    cutoff = boundary_bump_spec(hs, as_number(cfg["cutoff_radius"], "cutoff_radius"))
+    return experiments.sharpness_grid(group, hs, cfg["p"], cfg["eps"], cutoff, quad, config_digest=digest)
 
 
 def _bft(group, hs, quad, cfg, digest):
-    samples = as_count(cfg["samples"], "samples")
-    if samples < 1:
-        raise ConfigError(f"samples must be positive, got {samples}")
-    return [experiments.bft_fuzz(samples=samples, seed=cfg["seed"], config_digest=digest)]
+    return [experiments.bft_fuzz(samples=as_count(cfg["samples"], "samples"), seed=cfg["seed"], config_digest=digest)]
 
 
 def _luan_young(group, hs, quad, cfg, digest):
-    if not group.is_heisenberg:
-        raise ConfigError(f"luan-young needs a Heisenberg group, got {group.name}")
     # the check is at p = 2 alone; a p the config gives is ignored
     return _each_trial(experiments.LUAN_YOUNG, group, hs, quad, dict(cfg, p=[2.0]), digest)
 
@@ -229,10 +181,10 @@ COMMANDS = {
     "identities": Command(_identities, _identities_passed),
     "hardy": Command(partial(_each_trial, experiments.HARDY), _within_tolerance),
     "general-hardy": Command(_general_hardy, _within_tolerance),
-    "remainder": Command(_remainder, _within_tolerance),
+    "remainder": Command(partial(_each_trial, experiments.REMAINDER), _within_tolerance),
     # sharpness verifies against the first-coordinate normal by default
     "sharpness": Command(_sharpness, _sharpness_holds, halfspace="x1-axis"),
-    "sobolev": Command(_sobolev, _positive),
+    "sobolev": Command(partial(_each_trial, experiments.SOBOLEV), _positive),
     "bft-fuzz": Command(_bft, _no_violations),
     "luan-young": Command(_luan_young, _within_tolerance, pinned=True),
 }
@@ -295,7 +247,7 @@ def main(argv=None) -> int:
         resolved["command"] = args.command
         digest = config_digest(resolved)
         reports = command.run(group, hs, quad, resolved, digest)
-    except (ConfigError, NodeBudgetError, experiments.TrivialTrialError, IntegrationError) as exc:
+    except Refusal as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 3
     text = render_csv(reports) if args.format == "csv" else render_json(reports, resolved)

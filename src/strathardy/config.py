@@ -38,6 +38,7 @@ from copy import deepcopy
 import numpy as np
 
 from .calculus import HalfSpace, halfspace_preset
+from .errors import Refusal
 from .groups import GroupSpec, group_from_name
 from .quadrature import QuadConfig
 from .trials import make_bump, random_interior_bumps
@@ -55,8 +56,8 @@ __all__ = [
 ]
 
 
-class ConfigError(ValueError):
-    """Bad configuration file or values; mapped to exit code 3."""
+class ConfigError(Refusal):
+    """Bad configuration file or values."""
 
 
 def _is_number(value) -> bool:

@@ -21,7 +21,10 @@ itself, raises a TrivialTrialError naming the trial and its p.  The
 sharpness sweep (:func:`sharpness_grid`) runs on the same runner: its
 trials are powers of the distance times one cutoff, so each (p, eps) of
 a sweep is a :data:`HARDY` row of the cutoff whose integrands read a
-view of the cutoff's sample, the trial's sample derived from it.  The
+view of the cutoff's sample, the trial's sample derived from it.  An
+input outside a check's hypotheses, or a sharpness row with p eps < 0.1
+(below the range the rule is validated for), is refused before anything is
+integrated (:class:`~strathardy.errors.Refusal`, as are the errors above).  The
 bounds these quantities are checked against are theorems for the
 Heisenberg and abelian families, so a contract violation beyond
 tolerance indicates a numerics bug, never a tunable.
@@ -43,6 +46,7 @@ from .calculus import (
     distance_flux_parts,
     p_sub_laplacian_distance_many,
 )
+from .errors import Refusal
 from .groups import GroupSpec
 from .quadrature import IntegralEstimate, IntegrationError, QuadConfig, integrate_many
 from .reports import Report
@@ -75,7 +79,7 @@ __all__ = [
 def _check_p(p: float) -> float:
     p = float(p)
     if p <= 1.0:
-        raise ValueError("p must exceed 1")
+        raise Refusal("p must exceed 1")
     return p
 
 
@@ -92,17 +96,20 @@ def beta_star(p: float) -> float:
 
 
 def beta_form_coefficient(p: float, beta: float) -> float:
-    """-(p-1) (|beta|^(p/(p-1)) + beta); equals the sharp constant at beta_star."""
+    """-(p-1) (|beta|^(p/(p-1)) + beta); equals the sharp constant at beta_star (refused past the float range)."""
     p = _check_p(p)
     beta = float(beta)
-    return -(p - 1.0) * (abs(beta) ** (p / (p - 1.0)) + beta)
+    try:
+        return -(p - 1.0) * (abs(beta) ** (p / (p - 1.0)) + beta)
+    except OverflowError:
+        raise Refusal(f"beta {beta!r} at p={p!r}: its beta-form coefficient is past the float range") from None
 
 
 def remainder_constant(p: float) -> float:
     """(2^(p-1) - 1)^(-1), the remainder-term constant (needs p >= 2)."""
     p = _check_p(p)
     if p < 2.0:
-        raise ValueError("the remainder constant is defined for p >= 2")
+        raise Refusal("the remainder constant is defined for p >= 2")
     return 1.0 / (2.0 ** (p - 1.0) - 1.0)
 
 
@@ -111,14 +118,14 @@ def sobolev_exponent(p: float, Q: float) -> float:
     p = float(p)
     Q = float(Q)
     if not 2.0 <= p < Q:
-        raise ValueError(f"need 2 <= p < Q, got p={p}, Q={Q}")
+        raise Refusal(f"sobolev needs 2 <= p < Q = {Q:g}, got p = {p!r}")
     return Q * p / (Q - p)
 
 
 # -- shared pieces -------------------------------------------------------------
 
 
-class TrivialTrialError(ValueError):
+class TrivialTrialError(Refusal):
     """The trial's denominator integral is zero on the rule, or too small to
     divide by: a quotient or stderr against zero or past the float range
     verifies nothing."""
@@ -140,7 +147,7 @@ class Check(NamedTuple):
     integration (:func:`each_p`) serves several p.
 
     ``integrands(spec, hs, p)`` lists its integrands over a TrialSample at
-    one p, and raises ValueError for a p the check does not take.
+    one p, and refuses a p the check does not take.
     ``rows(case, estimates, **params)`` builds that p's report rows from
     the estimates of those integrands, once the one at ``denominator`` is
     known to be an integral a quotient can divide by.
@@ -390,7 +397,7 @@ def _remainder_integrands(spec, hs, p):
     split at a = (p-1)/p, then the Hardy integrands: the split caches P
     before the Hardy weight reads W, which is then its norm."""
     if p < 2.0:
-        raise ValueError("the remainder check needs p >= 2")
+        raise Refusal("the remainder check needs p >= 2")
     a = (p - 1.0) / p
 
     def r_integrand(s):
@@ -466,13 +473,13 @@ def _luan_young_integrands(spec, hs, p):
     """|grad_H u|^2 and ((|x|^2+|y|^2)/t^2) |u|^2, the weight in coordinates.
 
     Only the setting of the classical two-weight inequality is taken: a
-    Heisenberg group, the half-space t > 0 and p = 2; else ValueError."""
+    Heisenberg group, the half-space t > 0 and p = 2; anything else is refused."""
     if not spec.is_heisenberg:
-        raise ValueError("this check is specific to the Heisenberg family")
+        raise Refusal(f"luan-young needs a group of the Heisenberg family, got {spec.name}")
     if not (hs.d == 0.0 and np.array_equal(hs.nu, np.eye(spec.total_dim)[-1])):
-        raise ValueError("this check is on the half-space t > 0: the t-axis normal with d = 0")
+        raise Refusal("this check is on the half-space t > 0: the t-axis normal with d = 0")
     if p != 2.0:
-        raise ValueError(f"this check is at p = 2, got p = {p!r}")
+        raise Refusal(f"this check is at p = 2, got p = {p!r}")
     n = spec.heisenberg_n
 
     def weight_integrand(s):
@@ -620,8 +627,8 @@ def bft_fuzz(
     when the defect is below -rel_tol relative to the magnitude of the
     terms involved, or is not finite.  For p >= 2 the inequality is a
     theorem, so the expected count is zero.  A p_range that is not finite
-    with 2 <= lo <= hi, a max_dim below 1 and a rel_tol that is negative
-    or not finite raise ValueError.
+    with 2 <= lo <= hi, a samples or max_dim below 1 and a rel_tol that is
+    negative or not finite are refused.
 
     The samples come in chunks of ``_FUZZ_CHUNK`` rows, chunk c on stream
     c of the fuzzer's key domain (``streams.FUZZER``).  The defect depends
@@ -638,14 +645,14 @@ def bft_fuzz(
     close a draw came to a violation.
     """
     if samples < 1:
-        raise ValueError("samples must be positive")
+        raise Refusal(f"samples must be positive, got {samples}")
     if max_dim < 1:
-        raise ValueError(f"max_dim must be at least 1, got {max_dim}")
+        raise Refusal(f"max_dim must be at least 1, got {max_dim}")
     lo_p, hi_p = float(p_range[0]), float(p_range[1])
     if not (math.isfinite(hi_p) and 2.0 <= lo_p <= hi_p):
-        raise ValueError(f"p_range must be finite with 2 <= lo <= hi, got {p_range}")
+        raise Refusal(f"p_range must be finite with 2 <= lo <= hi, got {p_range}")
     if not (math.isfinite(rel_tol) and rel_tol >= 0.0):
-        raise ValueError(f"rel_tol must be finite and non-negative, got {rel_tol}")
+        raise Refusal(f"rel_tol must be finite and non-negative, got {rel_tol}")
     # imported here, not with the module: concurrent.futures brings in
     # logging, about 8 ms of every import of the package, for the fuzzer alone
     from concurrent.futures import ThreadPoolExecutor
@@ -684,6 +691,11 @@ def bft_fuzz(
     )
 
 
+# a sharpness denominator behaves like dist^(p*eps - 1), and the
+# boundary-graded rule is validated for dist^g down to g = -0.9 only
+_MIN_P_EPS = 0.1
+
+
 def sharpness_grid(
     spec: GroupSpec,
     hs: HalfSpace,
@@ -705,14 +717,18 @@ def sharpness_grid(
     cutoff's sample.  The rows run on :func:`_integrate_rows`, in one
     :func:`integrate_many` call: one rule and one sample of the cutoff
     (with dist and W) serve them all.  Every (p, eps) is built before
-    anything is integrated, so one that cannot be raises at once; then the
-    first error of an integration raises.
+    anything is integrated, so one that cannot be, or has p eps below
+    ``_MIN_P_EPS``, is refused at once; then the first error of an
+    integration raises.
     """
     cfg = cfg or QuadConfig()
     verification = abs(hs.nu[0] - 1.0) < 1e-15 and not np.any(hs.nu[1:]) and hs.d == 0.0
     label = "verification" if verification else "probe"
 
     def group(trial):
+        if trial.p * trial.eps < _MIN_P_EPS:
+            raise Refusal(f"sharpness row p={trial.p!r}, eps={trial.eps!r} has p*eps < {_MIN_P_EPS!r}: its "
+                          "denominator exponent p*eps - 1 is below -0.9, where quadrature is not validated")
         case = _Case(spec, hs, trial.label(), _check_p(trial.p), cfg, config_digest)
         extras = {"eps": trial.eps, "label": label}
         rows = partial(_hardy_rows, case, inequality_id="sharpness", extras=extras)

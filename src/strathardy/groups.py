@@ -20,6 +20,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .errors import Refusal
 from .polynomials import Polynomial
 
 __all__ = [
@@ -151,7 +152,7 @@ def heisenberg_group(n: int) -> GroupSpec:
         Y_i = d/dy_i - 2 x_i d/dt        (k = n + i - 1)
     """
     if n < 1:
-        raise ValueError("Heisenberg index must be >= 1")
+        raise Refusal(f"Heisenberg index must be >= 1, got {n!r}")
     dim = 2 * n + 1
     t = 2 * n
     rows = []

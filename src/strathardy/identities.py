@@ -33,6 +33,7 @@ from .calculus import (
     p_sub_laplacian_fd_many,
     sub_laplacian_distance_polynomial,
 )
+from .errors import Refusal
 from .groups import (
     commutator_check,
     heisenberg_group,
@@ -89,7 +90,12 @@ def run_identity_suite(
     seed: int = 2024,
     random_normals: int = 2,
 ) -> list[IdentityCheck]:
-    """Run all checks on the Heisenberg groups of the given indices."""
+    """Run all checks on the Heisenberg groups of the given indices; an
+    index or a point count below 1 is refused before any check runs."""
+    if any(n < 1 for n in indices):
+        raise Refusal(f"identity_indices must be Heisenberg indices >= 1, got {list(indices)}")
+    if points < 1:
+        raise Refusal(f"identity_points must be positive, got {points}")
     checks: list[IdentityCheck] = []
     for n in indices:
         spec = heisenberg_group(n)

@@ -75,6 +75,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .calculus import HalfSpace, ScalarField, _sum_squares, sample_trial
+from .errors import Refusal
 from .groups import GroupSpec
 from .streams import MONTE_CARLO, philox_chunks
 from .trials import BumpSupport, bump_profile
@@ -133,7 +134,7 @@ class IntegralEstimate:
     replicates: tuple[float, ...] = ()
 
 
-class IntegrationError(ValueError):
+class IntegrationError(Refusal):
     """Raised when integrand ``index`` of a call returns a non-finite value at node ``point``."""
 
     def __init__(self, message: str, point: np.ndarray | None = None, index: int | None = None):
@@ -141,7 +142,7 @@ class IntegrationError(ValueError):
         self.point, self.index = point, index
 
 
-class NodeBudgetError(ValueError):
+class NodeBudgetError(Refusal):
     """Raised before allocation when a node set would exceed the node budget."""
 
 

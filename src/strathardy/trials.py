@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import HalfSpace, ScalarField, TrialSample, _sum_squares
+from .errors import Refusal
 from .streams import philox_stream
 
 # relative slack of BumpSupport.chord against rounding in S and its root
@@ -58,9 +59,9 @@ class BumpSpec:
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
         object.__setattr__(self, "radius", float(self.radius))
         if self.radius <= 0:
-            raise ValueError("bump radius must be positive")
+            raise Refusal(f"bump radius must be positive, got {self.radius!r}")
         if any(c - self.radius == c + self.radius for c in self.center):
-            raise ValueError(f"bump radius {self.radius!r} vanishes next to its center")
+            raise Refusal(f"bump radius {self.radius!r} vanishes next to its center")
 
     def label(self) -> str:
         return f"bump(center={_fmt(self.center)},radius={self.radius!r})"
@@ -138,12 +139,14 @@ class _Bump(ScalarField):
         self._factors = factors
 
     def _at_points(self, points):
-        s, z = self.support.shape(points)
-        f, slope = bump_profile(s)
-        dS = np.multiply(z, 2.0, out=z)
-        dS /= self.support.radius
-        dS *= slope[:, None]
-        dS[~(s < 1.0)] = 0.0  # off the support z / r may overflow, and inf * 0.0 is nan
+        # off the support S and z / r may overflow, and inf * 0.0 is nan: f is 0.0 there, dS zeroed below
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            s, z = self.support.shape(points)
+            f, slope = bump_profile(s)
+            dS = np.multiply(z, 2.0, out=z)
+            dS /= self.support.radius
+            dS *= slope[:, None]
+        dS[~(s < 1.0)] = 0.0
         return self._scaled(f, dS)
 
     def _scaled(self, f, dS):
@@ -246,9 +249,9 @@ class SharpnessSpec:
 
     def __post_init__(self):
         if self.p <= 1:
-            raise ValueError("p must exceed 1")
+            raise Refusal("p must exceed 1")
         if self.eps <= 0:
-            raise ValueError("eps must be positive")
+            raise Refusal("eps must be positive")
 
     @property
     def exponent(self) -> float:

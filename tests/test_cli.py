@@ -16,7 +16,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import strathardy
-from strathardy import CSV_COLUMNS, IntegralEstimate, Report, SharpnessSpec, calculus, cli, experiments, render_json
+from strathardy import (
+    CSV_COLUMNS, IntegralEstimate, Report, SharpnessSpec, calculus, cli, experiments, quadrature, render_json,
+)
 from strathardy.cli import COMMANDS, fix_malloc_thresholds, main
 from strathardy.config import SIZE_BOUNDS, build_trials, load_config, resolve
 
@@ -253,9 +255,10 @@ class TestCommands:
 class TestDiscrimination:
     # the sharp constant patched to k C_p, as a wrong constant would be: on
     # the default heisenberg:1 trials at p 2 and 3, seed 42, the remainder's
-    # paired bar first fails a row at k = 1.0263
-    @pytest.mark.parametrize("k, code", [(1.0, 0), (1.05, 2)])
-    def test_remainder_catches_a_constant_five_percent_too_large(self, tmp_path, capsys, monkeypatch, k, code):
+    # paired bar first fails a row at k = 1.0263; a change may lower the
+    # smallest k pinned to exit 2, never raise it
+    @pytest.mark.parametrize("k, code", [(1.0, 0), (1.03, 2), (1.05, 2)])
+    def test_remainder_catches_a_constant_too_large(self, tmp_path, capsys, monkeypatch, k, code):
         sharp = experiments.sharp_hardy_constant
         monkeypatch.setattr(experiments, "sharp_hardy_constant", lambda p: k * sharp(p))
         path = tmp_path / "cfg.json"
@@ -320,6 +323,58 @@ class TestOutput:
         d1 = hardy_out.strip().split("\n")[1].split(",")[9]
         d2 = sobolev_out.strip().split("\n")[1].split(",")[9]
         assert d1 != d2
+
+
+class TestRefusals:
+    """Each input outside a check's hypotheses is refused once, by the code
+    that states its condition, before anything is integrated; a Refusal,
+    and nothing else, exits 3."""
+
+    @pytest.mark.parametrize(
+        "command, over, line",
+        [
+            ("remainder", {"p": [1.5]}, "the remainder check needs p >= 2"),
+            ("sobolev", {"group": "heisenberg:1", "p": [4.0]}, "sobolev needs 2 <= p < Q = 4, got p = 4.0"),
+            ("luan-young", {"group": "abelian:3"}, "luan-young needs a group of the Heisenberg family, got abelian:3"),
+            ("sharpness", {"eps": [0]}, "eps must be positive"),
+            (
+                "sharpness",
+                {"p": [2.0], "eps": [0.025]},
+                "sharpness row p=2.0, eps=0.025 has p*eps < 0.1: its denominator exponent p*eps - 1 "
+                "is below -0.9, where quadrature is not validated",
+            ),
+            ("bft-fuzz", {"samples": 0}, "samples must be positive, got 0"),
+            ("identities", {"identity_indices": [0]}, "identity_indices must be Heisenberg indices >= 1, got [0]"),
+            (
+                "general-hardy",
+                {"beta": [1e300]},
+                "beta 1e+300 at p=2.0: its beta-form coefficient is past the float range",
+            ),
+        ],
+    )
+    def test_refused_before_any_integration(self, tmp_path, capsys, monkeypatch, command, over, line):
+        calls = []
+        integrate = quadrature.integrate_many
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return integrate(*args, **kwargs)
+
+        for module in (quadrature, experiments):
+            monkeypatch.setattr(module, "integrate_many", counted)
+        report = tmp_path / "report.csv"
+        code, out, err = run([command, "--config", write_config(tmp_path, **over), "--out", str(report)], capsys)
+        assert (code, out, err) == (3, "", f"configuration error: {line}\n")
+        assert not report.exists() and calls == []
+
+    def test_a_plain_value_error_is_a_bug_not_a_refusal(self, tmp_path, capsys, monkeypatch):
+        def runner(*args):
+            raise ValueError("a bug")
+
+        monkeypatch.setitem(COMMANDS, "hardy", COMMANDS["hardy"]._replace(run=runner))
+        with pytest.raises(ValueError, match="a bug") as got:
+            main(["hardy", "--config", write_config(tmp_path)])
+        assert type(got.value) is ValueError and capsys.readouterr().err == ""
 
 
 class TestRejectedConfigs:
@@ -401,7 +456,7 @@ class TestRejectedConfigs:
             ("hardy", {"trials": {"clearance": True}}, "trials.clearance"),
             # bumps that cross the boundary would fail the theorem, not the code
             ("hardy", {"trials": {"clearance": -0.3, "count": 3}}, "clearance must be >= 0"),
-            ("sharpness", {"cutoff_radius": -1.0}, "cutoff_radius"),
+            ("sharpness", {"cutoff_radius": -1.0}, "bump radius must be positive, got -1.0"),
             # p * eps = 0.002: the denominator exponent -0.998 is not validated
             ("sharpness", {"eps": [0.2, 1e-3]}, "p=2.0, eps=0.001"),
             # the coarse companion behind every stderr takes half the points, at least 2
@@ -667,12 +722,17 @@ class TestPerturbedConfigs:
 # sphere order, or did not
 _VERDICTS = ["hardy", "general-hardy", "remainder", "sharpness", "sobolev", "luan-young"]
 _SMALL_GROUPS = {"heisenberg:1": 4, "heisenberg:2": 6, "abelian:2": 2, "abelian:3": 3, "abelian:4": 4}
+_DIMS = {"heisenberg:1": 3, "heisenberg:2": 5, "abelian:2": 2, "abelian:3": 3, "abelian:4": 4}
+_OFFSETS = [-0.3, 0.0, 0.25]
 
 
 @st.composite
 def _accepted_configs(draw, command):
     """Small configs that ``command`` accepts: p >= 2 where its contract
-    needs it (and 2 <= p < Q on sobolev), a Heisenberg group on luan-young."""
+    needs it (and 2 <= p < Q on sobolev), a Heisenberg group on luan-young,
+    and eps >= 0.05 on sharpness, so p eps >= 0.1.  The half-space is a
+    preset or an oblique normal, at an offset; sharpness draws its eps list
+    in any order and its cutoff radius, general-hardy its beta list."""
     groups = [g for g in _SMALL_GROUPS if command != "luan-young" or g.startswith("heisenberg")]
     if command == "sobolev":
         groups = [g for g in groups if _SMALL_GROUPS[g] > 2]
@@ -680,14 +740,28 @@ def _accepted_configs(draw, command):
     ps = [1.5, 2.0, 2.5, 3.0, 4.0]
     if command in ("remainder", "sharpness", "sobolev"):
         ps = [p for p in ps if p >= 2.0 and (command != "sobolev" or p < _SMALL_GROUPS[group])]
-    return {
+    oblique = st.lists(st.sampled_from([-0.8, -0.3, 0.0, 0.4, 1.0]), min_size=_DIMS[group], max_size=_DIMS[group])
+    halfspace = draw(
+        st.one_of(
+            st.fixed_dictionaries({"preset": st.sampled_from(["t-axis", "x1-axis"]), "d": st.sampled_from(_OFFSETS)}),
+            st.fixed_dictionaries({"nu": oblique.filter(any), "d": st.sampled_from(_OFFSETS)}),
+        )
+    )
+    cfg = {
         "group": group,
-        "halfspace": {"preset": draw(st.sampled_from(["t-axis", "x1-axis"])), "d": 0.0},
+        "halfspace": halfspace,
         "trials": {"count": draw(st.integers(1, 4)), "clearance": draw(st.sampled_from([0.0, 0.1, 0.5]))},
         "quadrature": {"points_per_axis": draw(st.integers(4, 8))},
         "p": draw(st.lists(st.sampled_from(ps), min_size=1, max_size=3, unique=True)),
         "seed": draw(st.integers(0, 99)),
     }
+    if command == "sharpness":
+        cfg["eps"] = draw(st.lists(st.sampled_from([0.05, 0.1, 0.2, 0.3, 0.5]), min_size=1, max_size=4, unique=True))
+        cfg["cutoff_radius"] = draw(st.sampled_from([0.3, 0.6, 1.0, 1.5]))
+    if command == "general-hardy":
+        betas = st.lists(st.sampled_from([-1.5, -0.7, -0.5, -0.2, 0.0, 0.4]), max_size=3, unique=True)
+        cfg["beta"] = draw(st.one_of(st.none(), betas))
+    return cfg
 
 
 class TestNoFalseVerdicts:

@@ -47,6 +47,7 @@ from strathardy.experiments import (
 )
 from strathardy import quadrature
 from strathardy.quadrature import IntegrationError, _build_nodes
+from strathardy.errors import Refusal
 from strathardy.streams import FUZZER, philox_chunks
 
 from chain_rule import power_weighted_field
@@ -427,9 +428,9 @@ class TestLuanYoung:
     def test_rejects_outside_its_setting(
         self, h1, interior_bump, fast_cfg, integrations, preset, d, p, message
     ):
-        with pytest.raises(ValueError, match=message) as got:
+        with pytest.raises(Refusal, match=message) as got:
             each_p(LUAN_YOUNG, h1, halfspace_preset(h1, preset, d), interior_bump, [p], fast_cfg)
-        assert type(got.value) is ValueError
+        assert type(got.value) is Refusal
         assert integrations == []
 
 
@@ -946,8 +947,8 @@ class TestSharpnessSweep:
             # 12 rows in one batch: only the last, (6, 300), overflows
             ([2.0, 3.0, 6.0], [0.5, 0.2, 0.1, 300.0], IntegrationError, [24], (6.0, 300.0)),
             # a row that cannot be built fails the sweep before anything is integrated
-            ([2.0], [0.5, -1.0, 0.2], ValueError, [], None),
-            ([6.0], [300.0, -1.0], ValueError, [], None),
+            ([2.0], [0.5, -1.0, 0.2], Refusal, [], None),
+            ([6.0], [300.0, -1.0], Refusal, [], None),
         ],
     )
     def test_the_first_failing_row_raises_its_own_error(
@@ -966,6 +967,16 @@ class TestSharpnessSweep:
         else:
             assert str(got.value) == "eps must be positive"
         assert integrations == calls
+
+    # the denominator behaves like dist^(p eps - 1): at p eps = 0.1 the
+    # exponent is -0.9, the last the rule is validated for
+    @pytest.mark.parametrize("ps, eps_list", [([2.0], [0.5, 0.04]), ([3.0, 1.5], [0.05])])
+    def test_a_row_below_the_validated_range_is_refused(self, h1, x1_axis, integrations, ps, eps_list):
+        cutoff = boundary_bump_spec(x1_axis, 1.0)
+        with pytest.raises(Refusal, match=r"has p\*eps < 0\.1: its denominator exponent") as got:
+            sharpness_grid(h1, x1_axis, ps, eps_list, cutoff)
+        assert str(got.value).startswith(f"sharpness row p={ps[-1]!r}, eps={eps_list[-1]!r} ")
+        assert integrations == []
 
     def test_no_rows_integrate_nothing(self, h1, x1_axis, integrations):
         cutoff = boundary_bump_spec(x1_axis, 1.0)

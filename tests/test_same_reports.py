@@ -42,6 +42,17 @@ def test_matrix_covers_every_subcommand_and_workload():
     assert {"sharpness:12-rows", "sharpness:32-points"} <= set(labels)
     # a ball rule integrated in many blocks, on a template too large to cache
     assert "hardy:heisenberg2-24-points" in labels
+    # one refused input per subcommand
+    assert {f"{c}:refused" for c in COMMANDS} <= set(labels)
+
+
+def test_each_refused_case_exits_3_with_one_line(tmp_path):
+    # the stderr compared is one refusal line, not a traceback
+    for case in _cases(*(f"{c}:refused" for c in COMMANDS)):
+        same_reports._config_path(tmp_path, case).write_text(json.dumps(case.config))
+        done = same_reports._run(ROOT, case, 42, "csv", tmp_path)
+        assert (done.code, done.stdout, done.stderr.count("\n")) == (3, "", 1), case.label
+        assert done.stderr.startswith("configuration error: "), case.label
 
 
 def test_the_tree_matches_itself():

@@ -285,6 +285,8 @@ class TestSupportPredicate:
         values, grads = u.values_and_gradients(np.array([[1e-10, 0.0], [0.0, 1e-10]]))
         assert np.array_equal(values, [0.0, 0.0]) and np.array_equal(grads, np.zeros((2, 2)))
 
+    # and quietly: the overflows off the support raise no numpy warning
+    @pytest.mark.filterwarnings("error")
     def test_gradient_is_zero_where_the_offsets_overflow(self):
         # 1e160 radii away (x - c) / r is finite but 2 (x - c) / r**2 is inf,
         # which times the profile's slope of 0.0 made a nan gradient

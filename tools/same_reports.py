@@ -19,7 +19,9 @@ many blocks), ``sobolev`` on abelian:5,
 t-axis, at three p (12 rows in one integration) and at 32 points
 per axis (a box rule placed in many blocks, cut mid-line), and
 ``luan-young`` on heisenberg:2 with an oblique normal, which the command
-pins to the t-axis, and with ``p: [2, 3]``, which it ignores.  Each runs
+pins to the t-axis, and with ``p: [2, 3]``, which it ignores, and one
+refused input per subcommand (exit 3 and its one stderr line, so that a
+refusal's wording cannot change unseen).  Each runs
 at seeds 1 and 42, in CSV and in JSON, in a fresh interpreter.  Standard output, standard error
 (with each tree's own path replaced by ``<tree>``) and the exit code are
 compared; every run that differs is listed with the start of its diff.
@@ -176,7 +178,21 @@ def matrix() -> list[Case]:
             {"group": "heisenberg:2", "halfspace": _OBLIQUE_H2, "trials": {"count": 4}},
         ),
         Case("luan-young:p-2-3", "luan-young", {"p": [2.0, 3.0]}),
+        *(Case(f"{command}:refused", command, config) for command, config in REFUSED.items()),
     ]
+
+
+# one input each subcommand refuses, before anything is integrated
+REFUSED = {
+    "identities": {"identity_indices": [0]},
+    "hardy": {"p": [1.0]},
+    "general-hardy": {"beta": [1e300]},
+    "remainder": {"p": [1.5]},
+    "sharpness": {"p": [2.0], "eps": [0.025]},  # p * eps below 0.1
+    "sobolev": {"group": "heisenberg:1", "p": [4.0]},  # p = Q
+    "bft-fuzz": {"samples": 0},
+    "luan-young": {"group": "abelian:3"},
+}
 
 
 class Run(NamedTuple):
